@@ -42,6 +42,7 @@ from .hilbert import (
     StateVector,
     SubsystemBasis,
     SubsystemLayout,
+    apply_local,
     basis_state,
     complete_orthonormal,
     embed_operator,

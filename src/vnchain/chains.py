@@ -9,6 +9,7 @@ state of the opposite subsystems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -28,9 +29,10 @@ from .hilbert import (
     State,
     StateVector,
     SubsystemLayout,
-    embed_operator,
+    apply_local,
     partial_scalar_product,
     partial_trace_matrix,
+    partial_trace_vector,
 )
 from .observables import DecompositionOfIdentity, SpectralObservable, check_decomposition, is_projector
 from .premeasurement import Premeasurement, evolve
@@ -139,14 +141,53 @@ class MonteCarloUpdate:
         return MonteCarloUpdate(member, accepted, sum(p.n_samples for p in parts), -1)
 
 
-def _dense(state: State) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return state.matrix
-
-
 def _keep_positions(lay: SubsystemLayout, remove: set[str]) -> list[int]:
     return [i for i, label in enumerate(lay.labels) if label not in remove]
+
+
+def _condition_vector(
+    amplitudes: np.ndarray,
+    p: np.ndarray,
+    dims: tuple[int, ...],
+    pos: int,
+    keep: list[int],
+    tol: Tolerances,
+) -> tuple[float, np.ndarray | None]:
+    """Weight <psi|P|psi> of an event P on axis ``pos`` of a pure state and the
+    conditional state tr_rest(P|psi><psi|P) / w on the ``keep`` axes.
+
+    The conditional is None when the weight is at or below ``tol.weight``.
+    """
+    projected = apply_local(p, amplitudes, dims, pos)
+    w = float(np.real(np.vdot(amplitudes, projected)))
+    if w <= tol.weight:
+        return w, None
+    return w, partial_trace_vector(projected, dims, keep) / w
+
+
+def _condition_matrix(
+    matrix: np.ndarray,
+    p: np.ndarray,
+    dims: tuple[int, ...],
+    pos: int,
+    keep: list[int],
+    tol: Tolerances,
+    sandwich: bool = False,
+) -> tuple[float, np.ndarray | None]:
+    """Weight tr(rho P) of an event P on axis ``pos`` and the conditional state
+    tr_rest(rho P) / w (``sandwich``: of P rho P) on the ``keep`` axes.
+
+    P is contracted on the subject axes of rho's tensor over ``dims + dims``.
+    The conditional is None when the weight is at or below ``tol.weight``.
+    """
+    n, p = len(dims), np.asarray(p)
+    prod = apply_local(p.T, matrix, dims + dims, n + pos)
+    if sandwich:
+        prod = apply_local(p, prod, dims + dims, pos)
+    w = float(np.real(np.trace(prod)))
+    if w <= tol.weight:
+        return w, None
+    return w, partial_trace_matrix(prod, dims, keep) / w
 
 
 def observables_match(
@@ -187,16 +228,16 @@ def extend_chain(
         raise ObservableMismatchError(
             "link does not measure the previous link's pointer observable"
         )
-    others = [label for label in lay.labels if label != pm.object_label]
-    moved = state.reorder(others + [pm.object_label]) if others else state
-    amps = np.kron(moved.amplitudes, pm.ready_state.amplitudes)
-    d_rest = int(np.prod([lay.dim_of(label) for label in others])) if others else 1
-    full_u = np.kron(np.eye(d_rest, dtype=complex), pm.unitary)
-    extended_layout = moved.layout.concat(
-        SubsystemLayout(((pm.instrument_label, pm.instrument_dim),))
-    )
-    out = StateVector(extended_layout, full_u @ amps, normalized=True, tol=tol)
-    return out.reorder(list(lay.labels) + [pm.instrument_label])
+    d_a, d_b = pm.object_dim, pm.instrument_dim
+    # Isometry V = U (. (x) |ready>) from the object into object (x) instrument.
+    iso = pm.unitary.reshape(d_a * d_b, d_a, d_b) @ pm.ready_state.amplitudes
+    pos = lay.position(pm.object_label)
+    amps = apply_local(iso, state.amplitudes, lay.dims, pos)
+    right = math.prod(lay.dims[pos + 1 :])
+    if right > 1:  # move the new instrument axis behind the later subsystems
+        amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(-1)
+    extended_layout = lay.concat(SubsystemLayout(((pm.instrument_label, d_b),)))
+    return StateVector(extended_layout, amps, normalized=True, tol=tol)
 
 
 def run_two_link_chain(
@@ -234,16 +275,16 @@ def improper_mixture(
     keep = _keep_positions(lay, {d.subsystem})
     if not keep:
         raise LayoutConflictError("decomposition subsystem is the whole layout")
-    rho = _dense(state)
+    pos = lay.position(d.subsystem)
     reduced_layout = lay.restricted(set(lay.labels) - {d.subsystem})
     kept: list[Branch] = []
     dropped = 0.0
     for n, p in enumerate(d.projectors):
-        emb = embed_operator(p, d.subsystem, lay)
-        prod = rho @ emb
-        w = float(np.real(np.trace(prod)))
-        if w > tol.weight:
-            comp = partial_trace_matrix(prod, lay.dims, keep) / w
+        if isinstance(state, StateVector):
+            w, comp = _condition_vector(state.amplitudes, p, lay.dims, pos, keep, tol)
+        else:
+            w, comp = _condition_matrix(state.matrix, p, lay.dims, pos, keep, tol)
+        if comp is not None:
             kept.append(Branch(n, w, DensityOperator(reduced_layout, comp, tol=tol)))
         else:
             dropped += max(w, 0.0)
@@ -271,17 +312,13 @@ def conditional_state(
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
-    emb = embed_operator(p, subject, lay)
-    if form == "plain":
-        prod = rho.matrix @ emb
-    else:
-        prod = emb @ rho.matrix @ emb
-    w = float(np.real(np.trace(prod)))
-    if w <= tol.weight:
+    w, reduced = _condition_matrix(
+        rho.matrix, p, lay.dims, lay.position(subject), keep, tol, sandwich=form == "sandwich"
+    )
+    if reduced is None:
         raise UndefinedConditionalError(
             f"event has probability {w!r}; conditional state undefined"
         )
-    reduced = partial_trace_matrix(prod, lay.dims, keep) / w
     reduced_layout = lay.restricted(set(lay.labels) - {subject})
     return DensityOperator(reduced_layout, reduced, tol=tol)
 
@@ -341,15 +378,11 @@ def tripartite_conditional_consistency(
     keep = _keep_positions(lay, {subject, environment})
     if not keep:
         raise LayoutConflictError("no object subsystems left")
-    emb = embed_operator(p, subject, lay)
-    prod = rho.matrix @ emb
-    w = float(np.real(np.trace(prod)))
-    if w <= tol.weight:
+    w, reduced = _condition_matrix(rho.matrix, p, lay.dims, lay.position(subject), keep, tol)
+    if reduced is None:
         raise UndefinedConditionalError(f"event has probability {w!r}")
     object_layout = lay.restricted(set(lay.labels) - {subject, environment})
-    via_full = DensityOperator(
-        object_layout, partial_trace_matrix(prod, lay.dims, keep) / w, tol=tol
-    )
+    via_full = DensityOperator(object_layout, reduced, tol=tol)
     keep_ab = _keep_positions(lay, {environment})
     rho_ab = DensityOperator(
         lay.restricted(set(lay.labels) - {environment}),
@@ -389,29 +422,25 @@ def ensemble_update(
     lay = ens.layout
     if not is_projector(p, tol):
         raise NotAProjectorError("event must be a projector")
-    emb = embed_operator(p, subject, lay)
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
-    probs = [
-        float(np.real(np.vdot(s.amplitudes, emb @ s.amplitudes))) for _, s in ens.members
+    pos = lay.position(subject)
+    conditioned = [
+        _condition_vector(s.amplitudes, p, lay.dims, pos, keep, tol) for _, s in ens.members
     ]
-    total = sum(w * q for (w, _), q in zip(ens.members, probs))
+    total = sum(w * q for (w, _), (q, _) in zip(ens.members, conditioned))
     if total <= tol.weight:
         raise UndefinedConditionalError(
             f"event occurrence probability {total!r} is (numerically) zero"
         )
     reduced_layout = lay.restricted(set(lay.labels) - {subject})
     updated = []
-    for k, ((w, s), q) in enumerate(zip(ens.members, probs)):
-        if q <= tol.weight:
+    for k, ((w, _), (q, cond)) in enumerate(zip(ens.members, conditioned)):
+        if cond is None:
             continue
-        projected = emb @ s.amplitudes
-        rho_k = np.outer(projected, projected.conj()) / q
-        cond = DensityOperator(
-            reduced_layout, partial_trace_matrix(rho_k, lay.dims, keep), tol=tol
-        )
-        updated.append(UpdatedMember(k, w * q / total, cond))
+        state = DensityOperator(reduced_layout, cond, tol=tol)
+        updated.append(UpdatedMember(k, w * q / total, state))
     aggregate = conditional_state(ens.density(tol), p, subject, form="plain", tol=tol)
     recombined = sum(m.weight * m.state.matrix for m in updated)
     resid = float(np.linalg.norm(recombined - aggregate.matrix))
@@ -441,10 +470,10 @@ def monte_carlo_update(
         raise ValueError("n_samples must be >= 1")
     if not is_projector(p, tol):
         raise NotAProjectorError("event must be a projector")
-    emb = embed_operator(p, subject, ens.layout)
-    probs = np.array(
-        [np.real(np.vdot(s.amplitudes, emb @ s.amplitudes)) for _, s in ens.members]
-    )
+    lay = ens.layout
+    amps = np.array([s.amplitudes for _, s in ens.members])
+    projected = apply_local(p, amps, lay.dims, lay.position(subject))
+    probs = np.real(np.sum(amps.conj() * projected, axis=1))
     probs = np.clip(probs, 0.0, 1.0)
     weights = np.array(ens.weights)
     rng = np.random.default_rng(seed)
@@ -500,10 +529,14 @@ def offdiagonal_block_norm(
     Zero (to tolerance) means the state carries no coherence between the
     decomposition's sectors: decoherence relative to these events.
     """
-    embs = [embed_operator(p, d.subsystem, rho.layout) for p in d.projectors]
+    dims = rho.layout.dims + rho.layout.dims
+    pos = rho.layout.position(d.subsystem)
+    n = len(rho.layout.dims)
+    # rho P_k for every k, then P_j on the row side of each
+    rho_p = [apply_local(p.T, rho.matrix, dims, n + pos) for p in d.projectors]
     worst = 0.0
-    for j, a in enumerate(embs):
-        for k, b in enumerate(embs):
+    for j, a in enumerate(d.projectors):
+        for k, b in enumerate(rho_p):
             if j != k:
-                worst = max(worst, float(np.linalg.norm(a @ rho.matrix @ b)))
+                worst = max(worst, float(np.linalg.norm(apply_local(a, b, dims, pos))))
     return worst

@@ -11,6 +11,7 @@ function; instances may be shared between threads freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import reduce
 from typing import Iterable, Sequence, Union
@@ -310,10 +311,39 @@ def tensor(a: State, b: State) -> State:
     raise TypeError("tensor needs two StateVectors or two DensityOperators")
 
 
-def _dense_matrix(state: State) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return state.matrix
+def apply_local(
+    op: np.ndarray, values: np.ndarray, dims: Sequence[int], axis: int
+) -> np.ndarray:
+    """Apply a one-subsystem operator to axis ``axis`` of a product tensor.
+
+    ``values`` holds amplitudes laid out over ``dims`` (leftmost slowest),
+    optionally behind leading batch axes; a density matrix is the tensor
+    over ``dims + dims``, where axis ``p`` is the row (ket) side of
+    subsystem ``p`` and axis ``n + p`` its column side, so ``rho @ P`` is
+    ``apply_local(P.T, rho, dims + dims, n + p)``.  The tensor is viewed as
+    ``(left, d, right)`` and contracted as one broadcast matmul; no
+    operator on the full space is formed.  A rectangular ``(m, d)`` operator
+    (an isometry) maps the axis to dimension ``m``; the result keeps the
+    leading axes of ``values`` and absorbs the size change in its last axis.
+    """
+    op, values = np.asarray(op), np.asarray(values)
+    d = dims[axis]
+    if op.ndim != 2 or op.shape[1] != d:
+        raise DimensionMismatchError(
+            f"operator of shape {op.shape} does not fit axis {axis} of dimension {d}"
+        )
+    if values.size % math.prod(dims):
+        raise DimensionMismatchError(
+            f"{values.size} values do not fill a tensor over dims {tuple(dims)}"
+        )
+    right = math.prod(dims[axis + 1 :])
+    if right == 1:  # trailing axis: one (rows, d) x (d, m) product
+        out = values.reshape(-1, d) @ op.T
+    else:
+        out = op @ values.reshape(-1, d, right)
+    if op.shape[0] == d:
+        return out.reshape(values.shape)
+    return out.reshape(values.shape[:-1] + (-1,))
 
 
 def partial_trace_matrix(
@@ -335,6 +365,23 @@ def partial_trace_matrix(
     return reduced.reshape(d_keep, d_keep)
 
 
+def partial_trace_vector(
+    amplitudes: np.ndarray, dims: Sequence[int], keep: Sequence[int]
+) -> np.ndarray:
+    """Partial trace of |psi><psi| over all axes not in ``keep``, as M M^dag.
+
+    M is the amplitude tensor with the kept axes (in layout order) moved to
+    the front and reshaped to (kept, traced); |psi><psi| is never formed.
+    No normalization or validation is performed.
+    """
+    dims = tuple(dims)
+    keep = sorted(keep)
+    perm = keep + [i for i in range(len(dims)) if i not in keep]
+    d_keep = math.prod(dims[i] for i in keep)
+    m = amplitudes.reshape(dims).transpose(perm).reshape(d_keep, -1)
+    return m @ m.conj().T
+
+
 def partial_trace(state: State, traced: Iterable[str], tol: Tolerances = DEFAULT) -> DensityOperator:
     """Reduced density operator after tracing out the ``traced`` subsystems.
 
@@ -350,12 +397,7 @@ def partial_trace(state: State, traced: Iterable[str], tol: Tolerances = DEFAULT
     if not keep:
         raise DegenerateLayoutError("tracing out every subsystem leaves no state")
     if isinstance(state, StateVector):
-        dims = lay.dims
-        perm = keep + [i for i in range(len(dims)) if i not in keep]
-        tens = state.amplitudes.reshape(dims).transpose(perm)
-        d_keep = int(np.prod([dims[i] for i in keep]))
-        m = tens.reshape(d_keep, -1)
-        reduced = m @ m.conj().T
+        reduced = partial_trace_vector(state.amplitudes, lay.dims, keep)
     else:
         reduced = partial_trace_matrix(state.matrix, lay.dims, keep)
     new_layout = lay.restricted(set(lay.labels) - traced)
@@ -408,7 +450,11 @@ def expand_in_basis(
 
 
 def embed_operator(op: np.ndarray, subsystem: str, lay: SubsystemLayout) -> np.ndarray:
-    """Extend a one-subsystem operator by identities on all other factors."""
+    """Extend a one-subsystem operator by identities on all other factors.
+
+    A convenience that forms the full D x D matrix; the library itself
+    applies local operators with ``apply_local`` and never calls this.
+    """
     op = np.asarray(op, dtype=complex)
     d = lay.dim_of(subsystem)
     if op.shape != (d, d):

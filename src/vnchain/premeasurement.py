@@ -25,8 +25,8 @@ from .hilbert import (
     SubsystemBasis,
     SubsystemLayout,
     DensityOperator,
+    apply_local,
     complete_orthonormal,
-    embed_operator,
     random_unitary,
 )
 from .observables import SpectralBranch, SpectralObservable, projector_onto
@@ -258,7 +258,10 @@ def build_exact(
         raise DimensionMismatchError(f"{len(dressings)} dressings for {n} branches")
     d_a, d_b = ideal.object_dim, ideal.instrument_dim
     eye_b = np.eye(d_b, dtype=complex)
-    dresser = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+    # rows of the ideal unitary split into (object, instrument); the dressed
+    # unitary is sum_k (V_k (x) W_k F_k) U plus (I (x) F_j) U on unmapped j
+    dims = (d_a, d_b, d_a * d_b)
+    dressed = np.zeros_like(ideal.unitary)
     mapped = set()
     for k, (v_a, w_b) in enumerate(dressings):
         v_a = np.asarray(v_a, dtype=complex)
@@ -276,12 +279,12 @@ def build_exact(
             )
         if np.linalg.norm(f @ w_b.conj().T @ w_b @ f - f) > tol.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
-        dresser += np.kron(v_a, w_b @ f)
+        dressed += apply_local(v_a, apply_local(w_b @ f, ideal.unitary, dims, 1), dims, 0)
         mapped.add(ideal.mapping[k])
     for j, branch in enumerate(ideal.pointer.branches):
         if j not in mapped:
-            dresser += np.kron(np.eye(d_a, dtype=complex), branch.projector)
-    return replace(ideal, unitary=dresser @ ideal.unitary)
+            dressed += apply_local(branch.projector, ideal.unitary, dims, 1)
+    return replace(ideal, unitary=dressed)
 
 
 def evolve(pm: Premeasurement, object_state: StateVector, tol: Tolerances = DEFAULT) -> StateVector:
@@ -312,6 +315,12 @@ def _random_sharp_state(
     raise RuntimeError("could not sample a state in the projector range")
 
 
+def _apply_pointer_projector(pm: Premeasurement, finals: np.ndarray, k: int) -> np.ndarray:
+    """F_k applied to each row of ``finals`` (final states over ``pm.layout``)."""
+    f_k = pm.pointer_projector_for(k)
+    return apply_local(f_k, finals, (pm.object_dim, pm.instrument_dim), 1)
+
+
 def check_calibration(
     pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
 ) -> ConditionReport:
@@ -323,12 +332,14 @@ def check_calibration(
     rng = np.random.default_rng(seed)
     worst, samples = 0.0, 0
     for k, branch in enumerate(pm.measured.branches):
-        f_k = embed_operator(pm.pointer_projector_for(k), pm.instrument_label, pm.layout)
-        for _ in range(trials):
-            phi = _random_sharp_state(branch, pm.object_label, pm.object_dim, rng)
-            final = evolve(pm, phi).amplitudes
-            worst = max(worst, float(np.linalg.norm(f_k @ final - final)))
-            samples += 1
+        phis = [
+            _random_sharp_state(branch, pm.object_label, pm.object_dim, rng) for _ in range(trials)
+        ]
+        if phis:
+            finals = np.array([evolve(pm, phi).amplitudes for phi in phis])
+            resid = np.linalg.norm(_apply_pointer_projector(pm, finals, k) - finals, axis=1)
+            worst = max(worst, float(resid.max()))
+            samples += len(phis)
     return ConditionReport("calibration", worst, samples, tol.condition)
 
 
@@ -338,20 +349,20 @@ def check_probability_reproduction(
     """Born statistics of the measured observable equal pointer statistics."""
     rng = np.random.default_rng(seed)
     lay = SubsystemLayout(((pm.object_label, pm.object_dim),))
-    embedded = [
-        embed_operator(pm.pointer_projector_for(k), pm.instrument_label, pm.layout)
-        for k in range(pm.measured.branch_count)
-    ]
-    worst, samples = 0.0, 0
+    phis, finals = [], []
     for _ in range(trials):
         raw = rng.standard_normal(pm.object_dim) + 1j * rng.standard_normal(pm.object_dim)
         phi = StateVector(lay, raw / np.linalg.norm(raw))
-        final = evolve(pm, phi).amplitudes
+        phis.append(phi.amplitudes)
+        finals.append(evolve(pm, phi).amplitudes)
+    worst, samples = 0.0, 0
+    if trials > 0:
+        phis, finals = np.array(phis), np.array(finals)
         for k, branch in enumerate(pm.measured.branches):
-            lhs = np.real(np.vdot(phi.amplitudes, branch.projector @ phi.amplitudes))
-            rhs = np.real(np.vdot(final, embedded[k] @ final))
-            worst = max(worst, abs(float(lhs - rhs)))
-            samples += 1
+            lhs = np.real(np.sum(phis.conj() * (phis @ branch.projector.T), axis=1))
+            rhs = np.real(np.sum(finals.conj() * _apply_pointer_projector(pm, finals, k), axis=1))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            samples += trials
     return ConditionReport("probability_reproduction", worst, samples, tol.condition)
 
 
@@ -362,20 +373,25 @@ def check_dynamical(
     F_k U(|phi> (x) |ready>) = U(E_k |phi> (x) |ready>)."""
     rng = np.random.default_rng(seed)
     ready = pm.ready_state.amplitudes
-    embedded = [
-        embed_operator(pm.pointer_projector_for(k), pm.instrument_label, pm.layout)
-        for k in range(pm.measured.branch_count)
-    ]
-    worst, samples = 0.0, 0
+    phis = []
     for _ in range(trials):
         raw = rng.standard_normal(pm.object_dim) + 1j * rng.standard_normal(pm.object_dim)
-        phi = raw / np.linalg.norm(raw)
-        final = pm.unitary @ np.kron(phi, ready)
+        phis.append(raw / np.linalg.norm(raw))
+    worst, samples = 0.0, 0
+    if trials > 0:
+        phis = np.array(phis)
+        u_t = pm.unitary.T
+
+        def evolved(objects: np.ndarray) -> np.ndarray:
+            # rows U(|phi> (x) |ready>) for the rows |phi> of ``objects``
+            return (objects[:, :, None] * ready).reshape(len(objects), -1) @ u_t
+
+        finals = evolved(phis)
         for k, branch in enumerate(pm.measured.branches):
-            lhs = embedded[k] @ final
-            rhs = pm.unitary @ np.kron(branch.projector @ phi, ready)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-            samples += 1
+            lhs = _apply_pointer_projector(pm, finals, k)
+            rhs = evolved(phis @ branch.projector.T)
+            worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=1))))
+            samples += trials
     return ConditionReport("dynamical", worst, samples, tol.condition)
 
 
@@ -405,11 +421,11 @@ def branch_decomposition(
     if not final.normalized:
         raise ValueError("final state must be normalized")
     lay = final.layout
+    pos = lay.position(pointer.subsystem)
     kept: list[Branch] = []
     dropped = 0.0
     for j, b in enumerate(pointer.branches):
-        f = embed_operator(b.projector, pointer.subsystem, lay)
-        vec = f @ final.amplitudes
+        vec = apply_local(b.projector, final.amplitudes, lay.dims, pos)
         w = float(np.real(np.vdot(vec, vec)))
         if w > tol.weight:
             component = StateVector(lay, vec / np.sqrt(w), normalized=True, tol=tol)

@@ -222,6 +222,28 @@ def _parse_observable(
     raise ScenarioError(E_BAD_OBSERVABLE, location, f"cannot read observable spec {spec!r}")
 
 
+def _check_count(value: Any, minimum: int, location: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(
+            E_BAD_VALUE, location, f"expected an int >= {minimum}, got {value!r}"
+        )
+
+
+def _check_stage(value: Any, n_stages: int, location: str) -> None:
+    if not isinstance(value, int) or not 0 <= value < n_stages:
+        raise ScenarioError(E_BAD_VALUE, location, f"stage index {value!r} out of range")
+
+
+def _check_projector(pdoc: Any, n_stages: int, location: str) -> None:
+    """Shape of an ``ensemble_update`` projector; branch ranges are checked at run time."""
+    if not isinstance(pdoc, dict):
+        raise ScenarioError(E_BAD_VALUE, location, f"expected an object, got {pdoc!r}")
+    if "stage" in pdoc:
+        _check_stage(pdoc["stage"], n_stages, f"{location}.stage")
+    if "branch" in pdoc:
+        _check_count(pdoc["branch"], 0, f"{location}.branch")
+
+
 def scenario_from_document(doc: dict) -> Scenario:
     """Validate a parsed JSON tree into a Scenario."""
     if not isinstance(doc, dict):
@@ -369,9 +391,14 @@ def scenario_from_document(doc: dict) -> Scenario:
             raise ScenarioError(E_UNKNOWN_ANALYSIS, loc, f"unknown analysis {kind!r}")
         for key in ("stage", "pointer_stage", "source_stage"):
             if key in params:
-                v = params[key]
-                if not isinstance(v, int) or not 0 <= v < len(stages):
-                    raise ScenarioError(E_BAD_VALUE, f"{loc}.{key}", f"stage index {v!r} out of range")
+                _check_stage(params[key], len(stages), f"{loc}.{key}")
+        if kind == "condition_reports" and "trials" in params:
+            _check_count(params["trials"], 1, f"{loc}.trials")
+        if kind == "ensemble_update":
+            if "samples" in params:
+                _check_count(params["samples"], 0, f"{loc}.samples")
+            if "projector" in params:
+                _check_projector(params["projector"], len(stages), f"{loc}.projector")
         analyses.append(AnalysisSpec(kind, params))
 
     return Scenario(name, lay, initial, tuple(stages), tuple(analyses))
@@ -847,8 +874,16 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
                 E_UNKNOWN_LABEL, "$.analysis.projector", f"subsystem {subject!r} not in layout"
             )
         if "branch" in pdoc:
-            stage = pdoc.get("stage", src)
-            proj = pms[stage].pointer.projector(int(pdoc["branch"]))
+            stage, branch = pdoc.get("stage", src), pdoc["branch"]
+            pointer = pms[stage].pointer
+            if branch >= pointer.branch_count:
+                raise ScenarioError(
+                    E_BAD_VALUE,
+                    "$.analysis.projector.branch",
+                    f"stage {stage} pointer has {pointer.branch_count} branches, "
+                    f"no branch {branch}",
+                )
+            proj = pointer.projector(branch)
         else:
             vec = _parse_amplitudes(
                 _require(pdoc, "state", "$.analysis.projector"),

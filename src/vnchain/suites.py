@@ -31,8 +31,8 @@ from .chains import (
 from .hilbert import (
     StateVector,
     SubsystemBasis,
+    apply_local,
     complete_orthonormal,
-    embed_operator,
     expand_in_basis,
     layout,
     partial_scalar_product,
@@ -125,9 +125,9 @@ def _suite_pt_commutativity(ctx: SuiteContext) -> SuiteResult:
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         x = rng.standard_normal((da * db,) * 2) + 1j * rng.standard_normal((da * db,) * 2)
         y = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
-        y_emb = np.kron(np.eye(da), y)
-        lhs = partial_trace_matrix(y_emb @ x, (da, db), [0])
-        rhs = partial_trace_matrix(x @ y_emb, (da, db), [0])
+        dims = (da, db, da, db)
+        lhs = partial_trace_matrix(apply_local(y, x, dims, 1), (da, db), [0])  # (I x Y) X
+        rhs = partial_trace_matrix(apply_local(y.T, x, dims, 3), (da, db), [0])  # X (I x Y)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
         cases += 1
     return SuiteResult("hilbert.partial_trace_commutativity", cases, worst, 1e-10)
@@ -313,9 +313,9 @@ def _suite_completeness(ctx: SuiteContext) -> SuiteResult:
         phi = random_state(layout((pm.object_label, pm.object_dim)), rng)
         final = evolve(pm, phi)
         resum = np.zeros_like(final.amplitudes)
+        dims = final.layout.dims
         for br in pm.pointer.branches:
-            f = embed_operator(br.projector, pm.instrument_label, pm.layout)
-            resum = resum + f @ final.amplitudes
+            resum = resum + apply_local(br.projector, final.amplitudes, dims, 1)
         worst = max(worst, float(np.linalg.norm(resum - final.amplitudes)))
         cases += 1
     return SuiteResult("premeasurement.pointer_completeness", cases, worst, 1e-12)
@@ -358,10 +358,12 @@ def _suite_two_link(ctx: SuiteContext) -> SuiteResult:
         pm1, pm2, phi = _random_chain(ctx, rng)
         intermediate, final = run_two_link_chain(pm1, pm2, phi)
         resum = np.zeros_like(final.amplitudes)
+        dims = intermediate.layout.dims
+        pos = intermediate.layout.position("B")
         for j, br in enumerate(pm2.measured.branches):
-            f = embed_operator(br.projector, "B", intermediate.layout)
+            projected = apply_local(br.projector, intermediate.amplitudes, dims, pos)
             pointer_vec = _recovered_pointer_state(pm2, j, rng)
-            resum += np.kron(f @ intermediate.amplitudes, pointer_vec)
+            resum += np.kron(projected, pointer_vec)
         worst = max(worst, float(np.linalg.norm(resum - final.amplitudes)))
         cases += 1
     return SuiteResult("chains.two_link_resummation", cases, worst, 1e-10)

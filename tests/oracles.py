@@ -83,3 +83,22 @@ def brute_kron(a, b):
 def projector_rank(p, tol=1e-8):
     """Rank of a projector counted from its eigenvalues."""
     return int(np.sum(np.linalg.eigvalsh(p) > 1.0 - tol))
+
+
+def brute_apply_local(op, values, dims, axis):
+    """Apply ``op`` (m x d) to one axis of a flat tensor over ``dims``.
+
+    Every output entry is summed term by term; a density matrix is passed
+    flattened, with ``dims + dims`` and the row or column axis.
+    """
+    dims = list(dims)
+    out_dims = dims[:axis] + [op.shape[0]] + dims[axis + 1 :]
+    out = np.zeros(int(np.prod(out_dims)), dtype=complex)
+    for idx in product(*(range(d) for d in out_dims)):
+        total = 0.0 + 0.0j
+        for s in range(dims[axis]):
+            src = list(idx)
+            src[axis] = s
+            total += op[idx[axis], s] * values[flat_index(src, dims)]
+        out[flat_index(idx, out_dims)] = total
+    return out

@@ -121,6 +121,32 @@ class TestParsing:
             scenario_from_document(doc)
         assert err.value.code == "bad-observable"
 
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, "5", True])
+    def test_condition_trials_must_be_positive_int(self, trials):
+        doc = builtin_document("wigner-friend")
+        doc["analyses"] = ["improper_mixture", {"kind": "condition_reports", "trials": trials}]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_document(doc)
+        assert err.value.code == "bad-value"
+        assert err.value.location == "$.analyses[1].trials"
+
+    @pytest.mark.parametrize("samples", [-5, 1.5, None])
+    def test_ensemble_samples_must_be_non_negative_int(self, samples):
+        doc = builtin_document("ensemble-update")
+        doc["analyses"][0]["samples"] = samples
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_document(doc)
+        assert err.value.code == "bad-value"
+        assert err.value.location == "$.analyses[0].samples"
+
+    def test_zero_samples_means_no_sampling(self):
+        doc = builtin_document("ensemble-update")
+        doc["analyses"][0]["samples"] = 0
+        report = run(scenario_from_document(doc))
+        section = report.sections[1]
+        assert section.columns == ("member", "prior", "posterior")
+        assert [c.name for c in section.checks] == ["posterior_weight_sum"]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["stern-gerlach", "wigner-friend", "world-split", "ensemble-update"])
@@ -291,6 +317,24 @@ class TestCommandLine:
     def test_emit_unknown_builtin(self):
         proc = cli("emit", "nope")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize(
+        "projector,location",
+        [
+            ("plus", "$.analyses[0].projector"),
+            ({"subsystem": "meter", "branch": 0, "stage": 5}, "$.analyses[0].projector.stage"),
+            ({"subsystem": "meter", "branch": 7}, "$.analysis.projector.branch"),
+        ],
+    )
+    def test_bad_ensemble_projector_is_a_scenario_error(self, tmp_path, projector, location):
+        doc = builtin_document("ensemble-update")
+        doc["analyses"][0]["projector"] = projector
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = cli("run", str(path))
+        assert proc.returncode == 1
+        assert f"[bad-value] at {location}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_verify_small_passes(self):
         proc = cli("verify", "--trials", "10", "--dims", "3,3")

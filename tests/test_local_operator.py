@@ -1,0 +1,429 @@
+"""The local-operator kernel against brute force, and every routine that uses
+it against the dense route (``embed_operator``, ``kron(eye, U)``) it replaced."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vnchain import (
+    DecompositionOfIdentity,
+    DimensionMismatchError,
+    StateVector,
+    WeightedEnsemble,
+    apply_local,
+    branch_decomposition,
+    build_exact,
+    check_calibration,
+    check_dynamical,
+    check_probability_reproduction,
+    conditional_state,
+    embed_operator,
+    ensemble_update,
+    evolve,
+    extend_chain,
+    improper_mixture,
+    layout,
+    monte_carlo_update,
+    offdiagonal_block_norm,
+    projector_onto,
+    random_density,
+    random_ideal,
+    random_range_unitary,
+    random_state,
+    random_unitary,
+    tripartite_conditional_consistency,
+)
+from vnchain.hilbert import partial_trace_matrix
+from vnchain.scenarios import run, scenario_from_document
+from vnchain.suites import corrupt_premeasurement
+
+from oracles import brute_apply_local
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vnchain"
+
+# (dims, target axes): 3-5 subsystems of dimension 2-4, target first, middle, last
+LAYOUTS = [
+    ((2, 3, 4), (0, 1, 2)),
+    ((4, 2, 3, 2), (0, 2, 3)),
+    ((3, 2, 2, 4, 2), (0, 2, 4)),
+]
+CASES = [(dims, axis) for dims, axes in LAYOUTS for axis in axes]
+
+
+def rand_complex(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def labels_for(dims):
+    return tuple(f"S{i}" for i in range(len(dims)))
+
+
+def lay_for(dims):
+    return layout(*zip(labels_for(dims), dims))
+
+
+def rank_projector(d, rng, rank=None):
+    q = random_unitary(d, rng)
+    r = rank if rank is not None else int(rng.integers(1, d))
+    return projector_onto([q[:, i] for i in range(r)])
+
+
+class TestKernel:
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_vector_matches_oracle(self, dims, axis):
+        rng = np.random.default_rng(100 + axis)
+        op = rand_complex((dims[axis], dims[axis]), rng)
+        psi = rand_complex(math.prod(dims), rng)
+        np.testing.assert_allclose(
+            apply_local(op, psi, dims, axis), brute_apply_local(op, psi, dims, axis), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_density_both_sides_match_oracle(self, dims, axis):
+        rng = np.random.default_rng(200 + axis)
+        d, n = math.prod(dims), len(dims)
+        op = rand_complex((dims[axis], dims[axis]), rng)
+        rho = rand_complex((d, d), rng)
+        dims2 = dims + dims
+        for ax, o in ((axis, op), (n + axis, op.T)):
+            expected = brute_apply_local(o, rho.reshape(-1), dims2, ax).reshape(d, d)
+            np.testing.assert_allclose(apply_local(o, rho, dims2, ax), expected, atol=1e-12)
+        # row side is the left product, column side (with op.T) the right product
+        emb = embed_operator(op, f"S{axis}", lay_for(dims))
+        np.testing.assert_allclose(apply_local(op, rho, dims2, axis), emb @ rho, atol=1e-12)
+        np.testing.assert_allclose(apply_local(op.T, rho, dims2, n + axis), rho @ emb, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_batch_rows_apply_independently(self, dims, axis):
+        rng = np.random.default_rng(300 + axis)
+        op = rand_complex((dims[axis], dims[axis]), rng)
+        rows = rand_complex((3, math.prod(dims)), rng)
+        out = apply_local(op, rows, dims, axis)
+        assert out.shape == rows.shape
+        for row, got in zip(rows, out):
+            np.testing.assert_allclose(got, brute_apply_local(op, row, dims, axis), atol=1e-12)
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_isometry_widens_axis(self, dims, axis):
+        rng = np.random.default_rng(400 + axis)
+        iso = rand_complex((3 * dims[axis], dims[axis]), rng)
+        psi = rand_complex(math.prod(dims), rng)
+        out = apply_local(iso, psi, dims, axis)
+        assert out.shape == (3 * psi.size,)
+        np.testing.assert_allclose(out, brute_apply_local(iso, psi, dims, axis), atol=1e-12)
+
+    def test_operator_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            apply_local(np.eye(3), np.ones(8), (2, 2, 2), 1)
+
+    def test_values_not_filling_dims(self):
+        with pytest.raises(DimensionMismatchError):
+            apply_local(np.eye(2), np.ones(6), (2, 2), 0)
+
+
+# ---------------------------------------------------------------------------
+# Each rewritten routine against the dense route it replaced.
+
+
+def dense_extend(state, pm):
+    """Chain link the old way: reorder, kron with the ready state, kron(eye, U)."""
+    lay = state.layout
+    others = [label for label in lay.labels if label != pm.object_label]
+    moved = state.reorder(others + [pm.object_label])
+    amps = np.kron(moved.amplitudes, pm.ready_state.amplitudes)
+    full_u = np.kron(np.eye(moved.layout.dim // pm.object_dim), pm.unitary)
+    tens = (full_u @ amps).reshape(moved.layout.dims + (pm.instrument_dim,))
+    perm = [others.index(label) if label in others else len(others) for label in lay.labels]
+    return tens.transpose(perm + [len(others) + 1]).reshape(-1)
+
+
+def dense_condition(rho, p, subject, keep, sandwich=False):
+    emb = embed_operator(p, subject, rho.layout)
+    prod = emb @ rho.matrix @ emb if sandwich else rho.matrix @ emb
+    w = float(np.real(np.trace(prod)))
+    return w, partial_trace_matrix(prod, rho.layout.dims, keep) / w
+
+
+class TestAgainstDenseRoute:
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_extend_chain(self, dims, axis):
+        rng = np.random.default_rng(500 + axis)
+        state = random_state(lay_for(dims), rng)
+        pm = random_ideal(f"S{axis}", "M", dims[axis], 3, rng)
+        out = extend_chain(state, pm)
+        assert out.layout.labels == labels_for(dims) + ("M",)
+        np.testing.assert_allclose(out.amplitudes, dense_extend(state, pm), atol=1e-12)
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_branch_decomposition(self, dims, axis):
+        rng = np.random.default_rng(600 + axis)
+        pm = random_ideal("X", f"S{axis}", 2, dims[axis], rng)
+        state = random_state(lay_for(dims), rng)
+        bd = branch_decomposition(state, pm.pointer)
+        assert bd.indices == tuple(range(pm.pointer.branch_count))
+        for b in bd.branches:
+            f = embed_operator(pm.pointer.projector(b.index), f"S{axis}", state.layout)
+            vec = f @ state.amplitudes
+            w = float(np.real(np.vdot(vec, vec)))
+            assert b.weight == pytest.approx(w, abs=1e-12)
+            np.testing.assert_allclose(b.component.amplitudes, vec / np.sqrt(w), atol=1e-12)
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_improper_mixture(self, dims, axis, mixed):
+        rng = np.random.default_rng(700 + axis)
+        lay = lay_for(dims)
+        state = random_density(lay, rng) if mixed else random_state(lay, rng)
+        rho = state if mixed else state.density()
+        p = rank_projector(dims[axis], rng)
+        q = np.eye(dims[axis]) - p
+        bd = improper_mixture(state, DecompositionOfIdentity(f"S{axis}", (p, q)))
+        keep = [i for i in range(len(dims)) if i != axis]
+        assert bd.indices == (0, 1)
+        for b, proj in zip(bd.branches, (p, q)):
+            w, comp = dense_condition(rho, proj, f"S{axis}", keep)
+            assert b.weight == pytest.approx(w, abs=1e-12)
+            np.testing.assert_allclose(b.component.matrix, comp, atol=1e-12)
+
+    def test_improper_mixture_idle_branch_dropped(self):
+        rng = np.random.default_rng(17)
+        pm = random_ideal("A", "B", 2, 3, rng)  # third pointer branch is idle
+        final = evolve(pm, random_state(layout(("A", 2)), rng))
+        bd = improper_mixture(final, pm.pointer.decomposition())
+        assert len(bd.branches) == 2
+        assert bd.dropped_weight <= 1e-12
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    @pytest.mark.parametrize("form", ["plain", "sandwich"])
+    def test_conditional_state(self, dims, axis, form):
+        rng = np.random.default_rng(800 + axis)
+        rho = random_density(lay_for(dims), rng)
+        p = rank_projector(dims[axis], rng)
+        cond = conditional_state(rho, p, f"S{axis}", form=form)
+        keep = [i for i in range(len(dims)) if i != axis]
+        _, expected = dense_condition(rho, p, f"S{axis}", keep, sandwich=form == "sandwich")
+        np.testing.assert_allclose(cond.matrix, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_tripartite_conditional_consistency(self, dims, axis):
+        rng = np.random.default_rng(900 + axis)
+        rho = random_density(lay_for(dims), rng)
+        p = rank_projector(dims[axis], rng)
+        env = (axis + 1) % len(dims)
+        via_full, via_reduced = tripartite_conditional_consistency(rho, p, f"S{axis}", f"S{env}")
+        keep = [i for i in range(len(dims)) if i not in (axis, env)]
+        _, expected = dense_condition(rho, p, f"S{axis}", keep)
+        np.testing.assert_allclose(via_full.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(via_reduced.matrix, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_ensemble_update_and_sampling(self, dims, axis):
+        rng = np.random.default_rng(1000 + axis)
+        lay = lay_for(dims)
+        ens = WeightedEnsemble(tuple((w, random_state(lay, rng)) for w in (0.2, 0.5, 0.3)))
+        p = rank_projector(dims[axis], rng)
+        subject = f"S{axis}"
+        res = ensemble_update(ens, p, subject)
+        emb = embed_operator(p, subject, lay)
+        keep = [i for i in range(len(dims)) if i != axis]
+        probs = [float(np.real(np.vdot(s.amplitudes, emb @ s.amplitudes))) for _, s in ens.members]
+        total = sum(w * q for (w, _), q in zip(ens.members, probs))
+        assert res.occurrence_probability == pytest.approx(total, abs=1e-12)
+        for m in res.members:
+            s = ens.members[m.index][1]
+            projected = emb @ s.amplitudes
+            rho_k = np.outer(projected, projected.conj()) / probs[m.index]
+            posterior = ens.weights[m.index] * probs[m.index] / total
+            assert m.weight == pytest.approx(posterior, abs=1e-12)
+            expected = partial_trace_matrix(rho_k, dims, keep)
+            np.testing.assert_allclose(m.state.matrix, expected, atol=1e-12)
+        _, aggregate = dense_condition(ens.density(), p, subject, keep)
+        np.testing.assert_allclose(res.aggregate.matrix, aggregate, atol=1e-12)
+        # the documented sampling order, with probabilities from the dense route
+        mc = monte_carlo_update(ens, p, subject, 5_000, seed=5)
+        sampler = np.random.default_rng(5)
+        weights = np.array(ens.weights)
+        members = sampler.choice(3, size=5_000, p=weights / weights.sum())
+        accepted = sampler.random(5_000) < np.clip(probs, 0.0, 1.0)[members]
+        assert mc.accepted_counts == tuple(np.bincount(members[accepted], minlength=3))
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_offdiagonal_block_norm(self, dims, axis):
+        rng = np.random.default_rng(1100 + axis)
+        rho = random_density(lay_for(dims), rng)
+        p = rank_projector(dims[axis], rng)
+        d = DecompositionOfIdentity(f"S{axis}", (p, np.eye(dims[axis]) - p))
+        embs = [embed_operator(q, d.subsystem, rho.layout) for q in d.projectors]
+        expected = max(
+            float(np.linalg.norm(a @ rho.matrix @ b))
+            for j, a in enumerate(embs)
+            for k, b in enumerate(embs)
+            if j != k
+        )
+        assert offdiagonal_block_norm(rho, d) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("da,db", [(2, 2), (3, 4), (4, 3)])
+    def test_build_exact(self, da, db):
+        rng = np.random.default_rng(1200 + da * db)
+        ideal = random_ideal("A", "B", da, db, rng, n_branches=2)
+        dressings = [
+            (random_unitary(da, rng), random_range_unitary(ideal.pointer_projector_for(k), rng))
+            for k in range(2)
+        ]
+        dresser = sum(
+            np.kron(v, w @ ideal.pointer_projector_for(k)) for k, (v, w) in enumerate(dressings)
+        )
+        mapped = set(ideal.mapping.values())
+        for j, br in enumerate(ideal.pointer.branches):
+            if j not in mapped:
+                dresser = dresser + embed_operator(br.projector, "B", ideal.layout)
+        np.testing.assert_allclose(
+            build_exact(ideal, dressings).unitary, dresser @ ideal.unitary, atol=1e-12
+        )
+
+
+def dense_condition_reports(pm, trials, seed):
+    """The three checks as per-trial loops over embedded pointer projectors."""
+    lay_a = layout((pm.object_label, pm.object_dim))
+    embedded = [
+        embed_operator(pm.pointer_projector_for(k), pm.instrument_label, pm.layout)
+        for k in range(pm.measured.branch_count)
+    ]
+    rng = np.random.default_rng(seed)
+    calibration = 0.0
+    for k, branch in enumerate(pm.measured.branches):
+        for _ in range(trials):
+            while True:
+                vec = branch.projector @ rand_complex(pm.object_dim, rng)
+                if np.linalg.norm(vec) > 1e-8:
+                    break
+            final = evolve(pm, StateVector(lay_a, vec / np.linalg.norm(vec))).amplitudes
+            calibration = max(calibration, float(np.linalg.norm(embedded[k] @ final - final)))
+    rng = np.random.default_rng(seed)
+    probability = 0.0
+    for _ in range(trials):
+        raw = rand_complex(pm.object_dim, rng)
+        phi = raw / np.linalg.norm(raw)
+        final = evolve(pm, StateVector(lay_a, phi)).amplitudes
+        for k, branch in enumerate(pm.measured.branches):
+            lhs = np.real(np.vdot(phi, branch.projector @ phi))
+            rhs = np.real(np.vdot(final, embedded[k] @ final))
+            probability = max(probability, abs(float(lhs - rhs)))
+    rng = np.random.default_rng(seed)
+    ready = pm.ready_state.amplitudes
+    dynamical = 0.0
+    for _ in range(trials):
+        raw = rand_complex(pm.object_dim, rng)
+        phi = raw / np.linalg.norm(raw)
+        final = pm.unitary @ np.kron(phi, ready)
+        for k, branch in enumerate(pm.measured.branches):
+            rhs = pm.unitary @ np.kron(branch.projector @ phi, ready)
+            dynamical = max(dynamical, float(np.linalg.norm(embedded[k] @ final - rhs)))
+    return calibration, probability, dynamical
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 5), (4, 6)])
+def test_condition_reports_match_per_trial_loops(da, db, corrupt):
+    rng = np.random.default_rng(1300 + da * db)
+    pm = random_ideal("A", "B", da, db, rng)
+    if corrupt:  # O(1) residuals expose any change in draw order
+        pm = corrupt_premeasurement(pm, "phase")
+    trials, seed = 4, 77
+    checks = (check_calibration, check_probability_reproduction, check_dynamical)
+    reports = [fn(pm, trials, seed=seed) for fn in checks]
+    expected = dense_condition_reports(pm, trials, seed)
+    branches = pm.measured.branch_count
+    assert [r.samples for r in reports] == [trials * branches] * 3
+    for rep, value in zip(reports, expected):
+        assert rep.max_residual == pytest.approx(value, abs=1e-12)
+    if corrupt:
+        assert max(r.max_residual for r in reports) > 1e-3
+
+
+def test_twenty_qubit_copy_chain_branches():
+    """D = 2**20: the dense chain unitary alone would need 16 TB."""
+    n = 20
+    a0, a1 = np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.4j)
+    stages = [
+        {
+            "object": f"q{i}",
+            "instrument": f"q{i + 1}",
+            "measured": {"diag": [0, 1]} if i == 0 else "previous-pointer",
+            "pointer_states": ["basis:0", "basis:1"],
+            "ready": "basis:0",
+        }
+        for i in range(n - 1)
+    ]
+    doc = {
+        "subsystems": [[f"q{i}", 2] for i in range(n)],
+        "initial": {"subsystem": "q0", "state": [[a0.real, 0.0], [a1.real, a1.imag]]},
+        "stages": stages,
+        "analyses": ["branches"],
+    }
+    report = run(scenario_from_document(doc))
+    assert report.passed
+    rows = report.sections[1].rows
+    assert [r[0] for r in rows] == ["0", "1", "dropped"]
+    assert float(rows[0][2]) == pytest.approx(0.3, abs=1e-10)
+    assert float(rows[1][2]) == pytest.approx(0.7, abs=1e-10)
+    assert rows[0][3] == "|" + ",".join(["0"] * n) + "> (1.0000)"
+    assert rows[1][3] == "|" + ",".join(["1"] * n) + "> (1.0000)"
+
+
+def _callee(call):
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute):
+        return f.attr
+    return None
+
+
+class _DensePathFinder(ast.NodeVisitor):
+    """Collects embed_operator calls (outside hilbert.embed_operator itself)
+    and kron(eye(...), ...) calls, with the innermost enclosing function."""
+
+    def __init__(self, module):
+        self.module = module
+        self.scope = ["<module>"]
+        self.offenders = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        where = f"{self.module}:{node.lineno} in {self.scope[-1]}"
+        name = _callee(node)
+        exempt = (self.module, self.scope[-1]) == ("hilbert.py", "embed_operator")
+        if name == "embed_operator" and not exempt:
+            self.offenders.append(f"embed_operator call at {where}")
+        if name == "kron" and node.args:
+            first = node.args[0]
+            if isinstance(first, ast.Call) and _callee(first) == "eye":
+                self.offenders.append(f"kron(eye(...), ...) at {where}")
+        self.generic_visit(node)
+
+
+def test_no_dense_local_operator_path_in_package():
+    """Internal code applies one-subsystem operators with ``apply_local`` only."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        finder = _DensePathFinder(path.name)
+        finder.visit(ast.parse(path.read_text(), filename=str(path)))
+        offenders += finder.offenders
+    assert offenders == []
+
+
+def test_dense_path_finder_flags_both_forms():
+    finder = _DensePathFinder("chains.py")
+    source = "def f(p, lay, u):\n    e = embed_operator(p, 'B', lay)\n    return np.kron(np.eye(4), u)\n"
+    finder.visit(ast.parse(source))
+    assert len(finder.offenders) == 2
