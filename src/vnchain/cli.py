@@ -57,7 +57,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--corrupt", choices=CORRUPT_MODES, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_scen = sub.add_parser("scenarios", help="builtin scenario utilities")
@@ -122,7 +121,6 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         corrupt=args.corrupt,
-        jobs=max(1, args.jobs),
     )
     failed = [r for r in results if not r.passed]
     if args.format == "json":

@@ -33,6 +33,8 @@ def _frozen_array(values, shape_hint=None) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected array of shape {shape_hint}, got {out.shape}"
         )
+    if not np.isfinite(out).all():
+        raise ValueError("array has NaN or infinite entries")
     out.setflags(write=False)
     return out
 
@@ -187,12 +189,14 @@ class DensityOperator:
         tr = np.trace(mat)
         if abs(tr - 1.0) > tol.norm:
             raise ValueError(f"trace {tr!r} is not 1 within {tol.norm}")
-        lo = float(np.linalg.eigvalsh(mat)[0])
-        if lo < -tol.psd:
-            raise ValueError(f"matrix not PSD: lowest eigenvalue {lo:.3e}")
+        # The eigenvalues are computed only to decide and report a failure.
+        if not _has_shifted_cholesky(mat, tol.psd):
+            lo = float(np.linalg.eigvalsh(mat)[0])
+            if lo < -tol.psd:
+                raise ValueError(f"matrix not PSD: lowest eigenvalue {lo:.3e}")
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        return purity(self)
 
     def expectation(self, op: np.ndarray) -> float:
         return float(np.real(np.trace(self.matrix @ op)))
@@ -210,6 +214,27 @@ class DensityOperator:
 
 
 State = Union[StateVector, DensityOperator]
+
+
+def _has_shifted_cholesky(mat: np.ndarray, shift: float) -> bool:
+    """Whether ``mat + shift * I`` has a Cholesky factor, i.e. lambda_min > -shift.
+
+    The shift is added to ``mat``'s own diagonal and the saved diagonal is
+    written back afterwards, bit for bit, so the test makes no D x D copy
+    beyond LAPACK's work buffer and factor.  ``mat`` must own its data and
+    be Hermitian (only its lower triangle is read).
+    """
+    diag = mat.diagonal().copy()
+    mat.setflags(write=True)
+    try:
+        mat.flat[:: mat.shape[0] + 1] += shift
+        np.linalg.cholesky(mat)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        mat.flat[:: mat.shape[0] + 1] = diag
+        mat.setflags(write=False)
 
 
 def _permutation(lay: SubsystemLayout, new_labels: Sequence[str]):
@@ -483,8 +508,11 @@ def basis_state(lay: SubsystemLayout, index: int | Sequence[int]) -> StateVector
     return StateVector(lay, amps)
 
 
-def purity(rho: DensityOperator | np.ndarray) -> float:
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+def purity(state: State | np.ndarray) -> float:
+    """tr(rho^2); for a pure state this is ||psi||^4, computed in O(D)."""
+    if isinstance(state, StateVector):
+        return float(np.vdot(state.amplitudes, state.amplitudes).real) ** 2
+    mat = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
     return float(np.real(np.trace(mat @ mat)))
 
 

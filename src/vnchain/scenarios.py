@@ -809,7 +809,7 @@ def _analysis_improper(params, scenario, pms, states, options) -> ReportSection:
     checks = [
         _weight_sum_check(bd, options.tolerance),
         CheckLine("resummation_residual", resid, options.tolerance),
-        CheckLine("full_state_purity_deficit", abs(purity(final.density()) - 1.0), options.tolerance),
+        CheckLine("full_state_purity_deficit", abs(purity(final) - 1.0), options.tolerance),
     ]
     notes = []
     if idx >= 1:
@@ -875,6 +875,13 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
             )
         if "branch" in pdoc:
             stage, branch = pdoc.get("stage", src), pdoc["branch"]
+            if subject != pms[stage].instrument_label:
+                raise ScenarioError(
+                    E_BAD_VALUE,
+                    "$.analysis.projector.subsystem",
+                    f"a stage-{stage} pointer branch is an event on "
+                    f"{pms[stage].instrument_label!r}, not on {subject!r}",
+                )
             pointer = pms[stage].pointer
             if branch >= pointer.branch_count:
                 raise ScenarioError(

@@ -10,7 +10,6 @@ teeth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -603,7 +602,6 @@ def run_suites(
     trials: int = 100,
     seed: int = 0,
     corrupt: str | None = None,
-    jobs: int = 1,
 ) -> tuple[SuiteResult, ...]:
     """Run every property suite over the dimension grid; order is fixed."""
     if corrupt is not None and corrupt not in CORRUPT_MODES:
@@ -617,7 +615,4 @@ def run_suites(
         seed=seed,
         corrupt=corrupt,
     )
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return tuple(pool.map(lambda fn: fn(ctx), SUITES))
     return tuple(fn(ctx) for fn in SUITES)

@@ -15,7 +15,8 @@ class Tolerances:
     norm: float = 1e-10            # | ||v|| - 1 | and |tr(rho) - 1|
     herm: float = 1e-10            # ||M - M^dag||
     orth: float = 1e-10            # basis overlaps, projector algebra residuals
-    psd: float = 1e-9              # eigenvalue floor: lambda_min >= -psd
+    psd: float = 1e-9              # floor lambda_min >= -psd, tested as a Cholesky
+                                   # factorization of rho + psd*I (eigvalsh on failure)
     unitary: float = 1e-10         # ||U^dag U - I||
     reconstruction: float = 1e-10  # resummation residuals
     eig_merge: float = 1e-8        # eigenvalue clustering width

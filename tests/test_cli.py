@@ -324,6 +324,7 @@ class TestCommandLine:
             ("plus", "$.analyses[0].projector"),
             ({"subsystem": "meter", "branch": 0, "stage": 5}, "$.analyses[0].projector.stage"),
             ({"subsystem": "meter", "branch": 7}, "$.analysis.projector.branch"),
+            ({"subsystem": "system", "branch": 1}, "$.analysis.projector.subsystem"),
         ],
     )
     def test_bad_ensemble_projector_is_a_scenario_error(self, tmp_path, projector, location):
@@ -363,12 +364,6 @@ class TestCommandLine:
         proc = cli("verify", "--dims", "banana")
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
-
-    def test_verify_parallel_jobs_match_serial(self):
-        serial = cli("verify", "--trials", "8", "--dims", "3,3")
-        parallel = cli("verify", "--trials", "8", "--dims", "3,3", "--jobs", "4")
-        assert parallel.returncode == 0
-        assert parallel.stdout == serial.stdout
 
     def test_tol_env_var_and_flag_priority(self):
         strict = cli("run", "stern-gerlach", env_extra={"VNCHAIN_TOL": "1e-30"})

@@ -19,12 +19,14 @@ from vnchain import (
     layout,
     partial_scalar_product,
     partial_trace,
+    purity,
     random_density,
     random_state,
     random_unitary,
     tensor,
 )
 from vnchain.hilbert import partial_trace_matrix
+from vnchain.tolerances import DEFAULT
 
 from oracles import brute_partial_scalar_product, brute_partial_trace
 
@@ -96,6 +98,104 @@ class TestStateVector:
     def test_density_immutable_and_unit_trace(self):
         rho = random_state(layout(("A", 3)), RNG).density()
         assert np.trace(rho.matrix) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_non_finite_amplitudes_rejected(self, bad, normalized):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            StateVector(layout(("A", 2)), [bad, 0], normalized=normalized)
+
+    def test_purity_is_norm_to_the_fourth(self):
+        rng = np.random.default_rng(77)
+        lay = layout(("A", 2), ("B", 3), ("C", 4))
+        for _ in range(20):
+            psi = random_state(lay, rng)
+            assert abs(purity(psi) - purity(psi.density())) <= 1e-14
+            half = StateVector(lay, psi.amplitudes / np.sqrt(2), normalized=False)
+            assert purity(half) == pytest.approx(0.25, abs=1e-15)
+
+
+def spectrum_matrix(eigenvalues, rng):
+    """Hermitian matrix U diag(eigenvalues) U^dag with a Haar-random U."""
+    u = random_unitary(len(eigenvalues), rng)
+    m = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def placed_spectrum(d, rank, lowest, rng):
+    """Unit-trace spectrum with ``lowest`` as its smallest eigenvalue.
+
+    ``rank`` positive eigenvalues (all ``d - 1`` remaining ones when None)
+    share the weight ``1 - lowest``; the rest are zero.
+    """
+    n_pos = d - 1 if rank is None else rank
+    pos = rng.uniform(0.5, 1.5, n_pos)
+    pos *= (1.0 - lowest) / pos.sum()
+    return np.concatenate([[lowest], pos, np.zeros(d - 1 - n_pos)])
+
+
+class TestDensityOperatorValidation:
+    PSD = DEFAULT.psd
+
+    @pytest.mark.parametrize(
+        "d,rank",
+        [(2, 1), (24, 1), (24, 2), (24, None), (96, 2), (96, None),
+         (384, 1), (384, 2), (384, None)],
+    )
+    @pytest.mark.parametrize("factor", [-2.0, -1.01, -0.99, -0.5, 0.0])
+    def test_psd_decision_matches_eigvalsh(self, d, rank, factor, monkeypatch):
+        """Accept/reject and the message agree with lambda_min >= -psd by eigvalsh;
+        an accepted matrix is accepted by the factorization alone."""
+        rng = np.random.default_rng([d, rank or 0, round(1000 * (3 + factor))])
+        m = spectrum_matrix(placed_spectrum(d, rank, factor * self.PSD, rng), rng)
+        eigvalsh = np.linalg.eigvalsh
+        lo = float(eigvalsh(m)[0])
+        assert lo == pytest.approx(factor * self.PSD, abs=1e-13)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        lay = layout(("A", d))
+        if lo >= -self.PSD:
+            rho = DensityOperator(lay, m)
+            assert not calls
+            assert np.array_equal(rho.matrix, m)  # the shifted diagonal is restored
+            assert not rho.matrix.flags.writeable
+        else:
+            with pytest.raises(ValueError) as info:
+                DensityOperator(lay, m)
+            assert str(info.value) == f"matrix not PSD: lowest eigenvalue {lo:.3e}"
+
+    def test_method_and_function_purity_agree(self):
+        rng = np.random.default_rng(5)
+        for rank in (1, 2, 24):
+            rho = random_density(layout(("A", 4), ("B", 6)), rng, rank=rank)
+            assert rho.purity() == purity(rho) == purity(rho.matrix)
+
+    def test_eigvalsh_decides_when_factorization_fails(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        lay = layout(("A", 2))
+        m = np.diag([1.0 + 0.5 * self.PSD, -0.5 * self.PSD])
+        assert np.array_equal(DensityOperator(lay, m).matrix, m)
+        with pytest.raises(ValueError, match="matrix not PSD: lowest eigenvalue -2.000e-09"):
+            DensityOperator(lay, np.diag([1.0 + 2 * self.PSD, -2 * self.PSD]))
+
+    def test_hermiticity_and_trace_still_checked(self):
+        lay = layout(("A", 2))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityOperator(lay, np.array([[0.5, 0.1], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(lay, np.diag([0.5, 0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DensityOperator(layout(("A", 2)), np.full((2, 2), bad))
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DensityOperator(layout(("A", 2)), m)
 
 
 class TestTensor:
