@@ -16,9 +16,7 @@ from vnchain import (
     basis_state,
     build_exact,
     build_ideal,
-    check_calibration,
-    check_dynamical,
-    check_probability_reproduction,
+    check_conditions,
     evolve,
     layout,
     observable_from_matrix,
@@ -48,8 +46,7 @@ for i, z in enumerate(final.amplitudes):
     if abs(z) > 1e-12:
         print(f"  index {i}: {z:.4f}")
 
-for check in (check_calibration, check_probability_reproduction, check_dynamical):
-    report = check(ideal, trials=20, seed=1)
+for report in check_conditions(ideal, trials=20, seed=1):
     print(f"{report.condition:<26} residual {report.max_residual:.2e}  "
           f"{'PASS' if report.passed else 'FAIL'}")
 
@@ -61,8 +58,7 @@ dressings = [
 ]
 exact = build_exact(ideal, dressings)
 print("\ndressed (general exact) premeasurement:")
-for check in (check_calibration, check_probability_reproduction, check_dynamical):
-    report = check(exact, trials=20, seed=2)
+for report in check_conditions(exact, trials=20, seed=2):
     print(f"{report.condition:<26} residual {report.max_residual:.2e}  "
           f"{'PASS' if report.passed else 'FAIL'}")
 

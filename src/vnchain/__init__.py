@@ -78,6 +78,7 @@ from .premeasurement import (
     build_exact,
     build_ideal,
     check_calibration,
+    check_conditions,
     check_dynamical,
     check_probability_reproduction,
     evolve,

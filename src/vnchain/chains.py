@@ -229,10 +229,8 @@ def extend_chain(
             "link does not measure the previous link's pointer observable"
         )
     d_a, d_b = pm.object_dim, pm.instrument_dim
-    # Isometry V = U (. (x) |ready>) from the object into object (x) instrument.
-    iso = pm.unitary.reshape(d_a * d_b, d_a, d_b) @ pm.ready_state.amplitudes
     pos = lay.position(pm.object_label)
-    amps = apply_local(iso, state.amplitudes, lay.dims, pos)
+    amps = apply_local(pm.isometry, state.amplitudes, lay.dims, pos)
     right = math.prod(lay.dims[pos + 1 :])
     if right > 1:  # move the new instrument axis behind the later subsystems
         amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(-1)
@@ -505,7 +503,7 @@ def redecompose(
     k = len(ens.members)
     if mixing.shape[0] < k or mixing.shape[0] != mixing.shape[1]:
         raise DimensionMismatchError("mixing matrix too small for the ensemble")
-    if np.linalg.norm(mixing.conj().T @ mixing - np.eye(mixing.shape[0])) > 1e-10 * mixing.shape[0]:
+    if np.linalg.norm(mixing.conj().T @ mixing - np.eye(mixing.shape[0])) > tol.unitary * mixing.shape[0]:
         raise ValueError("mixing matrix must be unitary")
     lay = ens.layout
     new_members = []

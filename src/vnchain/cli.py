@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
 def _default_tolerance() -> float:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
-        return 1e-9
+        return RunOptions.tolerance
     try:
         return float(raw)
     except ValueError:

@@ -53,7 +53,7 @@ class Premeasurement:
 
     Construction validates structure (labels, dimensions, unitarity, the
     injective index map); the calibration condition itself is the contract
-    of the ``build_*`` constructors and is verified by ``check_calibration``,
+    of the ``build_*`` constructors and is verified by ``check_conditions``,
     so deliberately broken instances can still be represented.
     """
 
@@ -121,6 +121,16 @@ class Premeasurement:
                 (self.instrument_label, self.instrument_dim),
             )
         )
+
+    @property
+    def isometry(self) -> np.ndarray:
+        """V = U(. (x) |ready>), shape (object_dim * instrument_dim, object_dim).
+
+        This is how the premeasurement acts on object amplitudes: V @ phi is
+        the final composite state for the object state phi.
+        """
+        d_a, d_b = self.object_dim, self.instrument_dim
+        return self.unitary.reshape(d_a * d_b, d_a, d_b) @ self.ready_state.amplitudes
 
     def pointer_projector_for(self, measured_index: int) -> np.ndarray:
         """Pointer projector corresponding to a measured branch."""
@@ -298,101 +308,95 @@ def evolve(pm: Premeasurement, object_state: StateVector, tol: Tolerances = DEFA
         raise DimensionMismatchError("object state dimension mismatch")
     if not object_state.normalized:
         raise ValueError("object state must be normalized")
-    amps = pm.unitary @ np.kron(object_state.amplitudes, pm.ready_state.amplitudes)
+    amps = pm.isometry @ object_state.amplitudes
     return StateVector(pm.layout, amps, normalized=True, tol=tol)
 
 
-def _random_sharp_state(
-    branch: SpectralBranch, label: str, dim: int, rng: np.random.Generator
-) -> StateVector:
-    lay = SubsystemLayout(((label, dim),))
+def _sharp_vector(projector: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random unit vector in the range of ``projector``."""
+    dim = projector.shape[0]
     for _ in range(64):
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vec = branch.projector @ raw
+        vec = projector @ raw
         n = np.linalg.norm(vec)
         if n > 1e-8:
-            return StateVector(lay, vec / n)
+            return vec / n
     raise RuntimeError("could not sample a state in the projector range")
 
 
-def _apply_pointer_projector(pm: Premeasurement, finals: np.ndarray, k: int) -> np.ndarray:
-    """F_k applied to each row of ``finals`` (final states over ``pm.layout``)."""
-    f_k = pm.pointer_projector_for(k)
-    return apply_local(f_k, finals, (pm.object_dim, pm.instrument_dim), 1)
+def check_conditions(
+    pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
+) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
+    """The three defining conditions of a premeasurement in one pass.
+
+    Returns the (calibration, probability_reproduction, dynamical) reports:
+
+    - calibration: a sharp measured value in gives a sharp pointer value out;
+      the largest ||F_k |Phi> - |Phi>|| over ``trials`` random states in each
+      measured eigenspace;
+    - probability reproduction: <phi|E_k|phi> = <Phi|F_k|Phi>;
+    - dynamical: only the k-th initial component feeds the k-th final one,
+      F_k U(|phi> (x) |ready>) = U(E_k |phi> (x) |ready>).
+
+    The last two share ``trials`` random states |phi>, their evolution and
+    one application of each F_k.  The sharp states and the shared states
+    each come from a fresh ``default_rng(seed)``, so every report depends
+    only on ``pm``, ``trials`` and ``seed``.
+    """
+    iso = pm.isometry
+    dims = (pm.object_dim, pm.instrument_dim)
+    branches = pm.measured.branches
+    pointer = [pm.pointer_projector_for(k) for k in range(len(branches))]
+    samples = max(trials, 0) * len(branches)
+    calibration = probability = dynamical = 0.0
+    if trials > 0:
+        rng = np.random.default_rng(seed)
+        sharp = [_sharp_vector(b.projector, rng) for b in branches for _ in range(trials)]
+        finals = (np.array(sharp) @ iso.T).reshape(len(branches), trials, -1)
+        for f_k, rows in zip(pointer, finals):
+            resid = np.linalg.norm(apply_local(f_k, rows, dims, 1) - rows, axis=1)
+            calibration = max(calibration, float(resid.max()))
+        rng = np.random.default_rng(seed)
+        phis = []
+        for _ in range(trials):
+            raw = rng.standard_normal(pm.object_dim) + 1j * rng.standard_normal(pm.object_dim)
+            phis.append(raw / np.linalg.norm(raw))
+        phis = np.array(phis)
+        finals = phis @ iso.T
+        for f_k, branch in zip(pointer, branches):
+            projected = phis @ branch.projector.T
+            pointed = apply_local(f_k, finals, dims, 1)
+            lhs = np.real(np.sum(phis.conj() * projected, axis=1))
+            rhs = np.real(np.sum(finals.conj() * pointed, axis=1))
+            probability = max(probability, float(np.max(np.abs(lhs - rhs))))
+            resid = np.linalg.norm(pointed - projected @ iso.T, axis=1)
+            dynamical = max(dynamical, float(resid.max()))
+    return (
+        ConditionReport("calibration", calibration, samples, tol.condition),
+        ConditionReport("probability_reproduction", probability, samples, tol.condition),
+        ConditionReport("dynamical", dynamical, samples, tol.condition),
+    )
 
 
 def check_calibration(
     pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
 ) -> ConditionReport:
-    """Sharp measured value in => sharp pointer value out.
-
-    Samples random states in each measured eigenspace and reports the largest
-    ||F_k |Phi> - |Phi>|| over all branches.
-    """
-    rng = np.random.default_rng(seed)
-    worst, samples = 0.0, 0
-    for k, branch in enumerate(pm.measured.branches):
-        phis = [
-            _random_sharp_state(branch, pm.object_label, pm.object_dim, rng) for _ in range(trials)
-        ]
-        if phis:
-            finals = np.array([evolve(pm, phi).amplitudes for phi in phis])
-            resid = np.linalg.norm(_apply_pointer_projector(pm, finals, k) - finals, axis=1)
-            worst = max(worst, float(resid.max()))
-            samples += len(phis)
-    return ConditionReport("calibration", worst, samples, tol.condition)
+    """Calibration report of ``check_conditions``."""
+    return check_conditions(pm, trials, seed, tol)[0]
 
 
 def check_probability_reproduction(
     pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
 ) -> ConditionReport:
-    """Born statistics of the measured observable equal pointer statistics."""
-    rng = np.random.default_rng(seed)
-    lay = SubsystemLayout(((pm.object_label, pm.object_dim),))
-    phis, finals = [], []
-    for _ in range(trials):
-        raw = rng.standard_normal(pm.object_dim) + 1j * rng.standard_normal(pm.object_dim)
-        phi = StateVector(lay, raw / np.linalg.norm(raw))
-        phis.append(phi.amplitudes)
-        finals.append(evolve(pm, phi).amplitudes)
-    worst, samples = 0.0, 0
-    if trials > 0:
-        phis, finals = np.array(phis), np.array(finals)
-        for k, branch in enumerate(pm.measured.branches):
-            lhs = np.real(np.sum(phis.conj() * (phis @ branch.projector.T), axis=1))
-            rhs = np.real(np.sum(finals.conj() * _apply_pointer_projector(pm, finals, k), axis=1))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            samples += trials
-    return ConditionReport("probability_reproduction", worst, samples, tol.condition)
+    """Probability-reproduction report of ``check_conditions``."""
+    return check_conditions(pm, trials, seed, tol)[1]
 
 
 def check_dynamical(
     pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
 ) -> ConditionReport:
-    """Only the k-th initial component feeds the k-th final component:
-    F_k U(|phi> (x) |ready>) = U(E_k |phi> (x) |ready>)."""
-    rng = np.random.default_rng(seed)
-    ready = pm.ready_state.amplitudes
-    phis = []
-    for _ in range(trials):
-        raw = rng.standard_normal(pm.object_dim) + 1j * rng.standard_normal(pm.object_dim)
-        phis.append(raw / np.linalg.norm(raw))
-    worst, samples = 0.0, 0
-    if trials > 0:
-        phis = np.array(phis)
-        u_t = pm.unitary.T
-
-        def evolved(objects: np.ndarray) -> np.ndarray:
-            # rows U(|phi> (x) |ready>) for the rows |phi> of ``objects``
-            return (objects[:, :, None] * ready).reshape(len(objects), -1) @ u_t
-
-        finals = evolved(phis)
-        for k, branch in enumerate(pm.measured.branches):
-            lhs = _apply_pointer_projector(pm, finals, k)
-            rhs = evolved(phis @ branch.projector.T)
-            worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=1))))
-            samples += trials
-    return ConditionReport("dynamical", worst, samples, tol.condition)
+    """Dynamical-condition report of ``check_conditions``."""
+    return check_conditions(pm, trials, seed, tol)[2]
 
 
 def luders_state(

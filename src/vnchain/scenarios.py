@@ -49,9 +49,7 @@ from .premeasurement import (
     branch_decomposition,
     build_exact,
     build_ideal,
-    check_calibration,
-    check_dynamical,
-    check_probability_reproduction,
+    check_conditions,
     evolve,
     random_range_unitary,
 )
@@ -941,8 +939,7 @@ def _analysis_conditions(params, scenario, pms, states, options) -> ReportSectio
     rows = []
     checks = []
     for i, pm in enumerate(pms):
-        for fn in (check_calibration, check_probability_reproduction, check_dynamical):
-            rep = fn(pm, trials, seed=options.seed * 31 + i)
+        for rep in check_conditions(pm, trials, seed=options.seed * 31 + i):
             rows.append(
                 (
                     str(i),

@@ -46,12 +46,11 @@ from .hilbert import (
 from .observables import observable_from_matrix, projector_onto
 from .premeasurement import (
     Premeasurement,
+    _sharp_vector,
     branch_decomposition,
     build_exact,
     build_ideal,
-    check_calibration,
-    check_dynamical,
-    check_probability_reproduction,
+    check_conditions,
     evolve,
     luders_state,
     random_exact,
@@ -237,8 +236,7 @@ def _suite_triangle(ctx: SuiteContext) -> SuiteResult:
     worst, cases = 0.0, 0
     for pm in _grid_premeasurements(ctx, rng, exact=True):
         seed = int(rng.integers(2**32))
-        for fn in (check_calibration, check_probability_reproduction, check_dynamical):
-            rep = fn(pm, trials=3, seed=seed)
+        for rep in check_conditions(pm, trials=3, seed=seed):
             worst = max(worst, rep.max_residual)
         cases += 1
     return SuiteResult(
@@ -289,17 +287,8 @@ def _recovered_pointer_state(
     |phi_k> (x) |b_k> exactly, so contracting <phi_k| against the output
     recovers |b_k| with the phase actually used by the construction.
     """
-    branch = pm.measured.branches[k]
-    for _ in range(64):
-        raw = rng.standard_normal(pm.object_dim) + 1j * rng.standard_normal(pm.object_dim)
-        vec = branch.projector @ raw
-        n = np.linalg.norm(vec)
-        if n > 1e-8:
-            phi = vec / n
-            break
-    else:
-        raise RuntimeError("empty measured eigenspace")
-    final = pm.unitary @ np.kron(phi, pm.ready_state.amplitudes)
+    phi = _sharp_vector(pm.measured.branches[k].projector, rng)
+    final = pm.isometry @ phi
     return np.tensordot(
         phi.conj(), final.reshape(pm.object_dim, pm.instrument_dim), axes=(0, 0)
     )
@@ -377,7 +366,7 @@ def _suite_decoherence(ctx: SuiteContext) -> SuiteResult:
         _, final = run_two_link_chain(pm1, pm2, phi)
         rho_ab = partial_trace(final, {"C"})
         worst = max(worst, offdiagonal_block_norm(rho_ab, pm1.pointer.decomposition()))
-        worst = max(worst, abs(purity(final.density()) - 1.0))
+        worst = max(worst, abs(purity(final) - 1.0))
         cases += 1
     return SuiteResult(
         "chains.decoherence_split",

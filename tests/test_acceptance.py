@@ -22,9 +22,7 @@ from vnchain import (
     branch_decomposition,
     build_ideal,
     basis_state,
-    check_calibration,
-    check_dynamical,
-    check_probability_reproduction,
+    check_conditions,
     complete_orthonormal,
     conditional_state,
     ensemble_update,
@@ -73,12 +71,8 @@ def test_criterion_1_condition_equivalence(acceptance):
             for _ in range(9):
                 pm = random_exact("A", "B", da, db, rng)
                 seed = int(rng.integers(2**32))
-                for fn in (
-                    check_calibration,
-                    check_probability_reproduction,
-                    check_dynamical,
-                ):
-                    worst = max(worst, fn(pm, 3, seed=seed).max_residual)
+                for report in check_conditions(pm, 3, seed=seed):
+                    worst = max(worst, report.max_residual)
                 count += 1
     elapsed = time.monotonic() - start
     passed = worst <= 1e-9 and count >= 100 and elapsed <= 30.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vnchain import (
+    DEFAULT,
     DecompositionOfIdentity,
     DimensionMismatchError,
     StateVector,
@@ -17,6 +18,7 @@ from vnchain import (
     branch_decomposition,
     build_exact,
     check_calibration,
+    check_conditions,
     check_dynamical,
     check_probability_reproduction,
     conditional_state,
@@ -30,6 +32,7 @@ from vnchain import (
     offdiagonal_block_norm,
     projector_onto,
     random_density,
+    random_exact,
     random_ideal,
     random_range_unitary,
     random_state,
@@ -329,19 +332,38 @@ def dense_condition_reports(pm, trials, seed):
 @pytest.mark.parametrize("da,db", [(2, 2), (3, 5), (4, 6)])
 def test_condition_reports_match_per_trial_loops(da, db, corrupt):
     rng = np.random.default_rng(1300 + da * db)
-    pm = random_ideal("A", "B", da, db, rng)
-    if corrupt:  # O(1) residuals expose any change in draw order
-        pm = corrupt_premeasurement(pm, "phase")
-    trials, seed = 4, 77
     checks = (check_calibration, check_probability_reproduction, check_dynamical)
-    reports = [fn(pm, trials, seed=seed) for fn in checks]
-    expected = dense_condition_reports(pm, trials, seed)
-    branches = pm.measured.branch_count
-    assert [r.samples for r in reports] == [trials * branches] * 3
-    for rep, value in zip(reports, expected):
-        assert rep.max_residual == pytest.approx(value, abs=1e-12)
-    if corrupt:
-        assert max(r.max_residual for r in reports) > 1e-3
+    names = ("calibration", "probability_reproduction", "dynamical")
+    seed = 77
+    for build in (random_ideal, random_exact):
+        pm = build("A", "B", da, db, rng)
+        if corrupt:  # O(1) residuals expose any change in draw order
+            pm = corrupt_premeasurement(pm, "phase")
+        lay_a = layout(("A", da))
+        ready = pm.ready_state.amplitudes
+        for _ in range(3):
+            phi = random_state(lay_a, rng)
+            np.testing.assert_allclose(
+                evolve(pm, phi).amplitudes,
+                pm.unitary @ np.kron(phi.amplitudes, ready),
+                rtol=0,
+                atol=1e-12,
+            )
+        branches = pm.measured.branch_count
+        for trials in (-1, 0, 1, 4):
+            fused = check_conditions(pm, trials, seed=seed)
+            assert [fn(pm, trials, seed=seed) for fn in checks] == list(fused)
+            expected = dense_condition_reports(pm, trials, seed)
+            assert [r.condition for r in fused] == list(names)
+            assert [r.samples for r in fused] == [max(trials, 0) * branches] * 3
+            assert [r.tolerance for r in fused] == [DEFAULT.condition] * 3
+            for rep, value in zip(fused, expected):
+                assert rep.max_residual == pytest.approx(value, abs=1e-12)
+                assert rep.passed == (value <= DEFAULT.condition)
+            if trials <= 0:
+                assert all(r.max_residual == 0.0 and r.passed for r in fused)
+            elif corrupt:
+                assert max(r.max_residual for r in fused) > 1e-3
 
 
 def test_twenty_qubit_copy_chain_branches():
@@ -383,9 +405,22 @@ def _callee(call):
     return None
 
 
+def _is_ready_amplitudes(node):
+    """``<x>.ready_state.amplitudes`` (or a bare ``ready_state.amplitudes``)."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "amplitudes"):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Attribute) and owner.attr == "ready_state") or (
+        isinstance(owner, ast.Name) and owner.id == "ready_state"
+    )
+
+
 class _DensePathFinder(ast.NodeVisitor):
-    """Collects embed_operator calls (outside hilbert.embed_operator itself)
-    and kron(eye(...), ...) calls, with the innermost enclosing function."""
+    """Collects embed_operator calls (outside hilbert.embed_operator itself),
+    kron(eye(...), ...) calls and kron(..., ready_state.amplitudes) calls
+    (outside build_ideal, which builds the initial sector from it; everything
+    else applies U(. (x) |ready>) through ``Premeasurement.isometry``), with
+    the innermost enclosing function."""
 
     def __init__(self, module):
         self.module = module
@@ -409,11 +444,15 @@ class _DensePathFinder(ast.NodeVisitor):
             first = node.args[0]
             if isinstance(first, ast.Call) and _callee(first) == "eye":
                 self.offenders.append(f"kron(eye(...), ...) at {where}")
+            in_build_ideal = (self.module, self.scope[-1]) == ("premeasurement.py", "build_ideal")
+            if any(map(_is_ready_amplitudes, node.args)) and not in_build_ideal:
+                self.offenders.append(f"kron(..., ready_state.amplitudes) at {where}")
         self.generic_visit(node)
 
 
 def test_no_dense_local_operator_path_in_package():
-    """Internal code applies one-subsystem operators with ``apply_local`` only."""
+    """Internal code applies one-subsystem operators with ``apply_local`` only,
+    and a premeasurement to object amplitudes through its isometry only."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         finder = _DensePathFinder(path.name)
@@ -424,6 +463,15 @@ def test_no_dense_local_operator_path_in_package():
 
 def test_dense_path_finder_flags_both_forms():
     finder = _DensePathFinder("chains.py")
-    source = "def f(p, lay, u):\n    e = embed_operator(p, 'B', lay)\n    return np.kron(np.eye(4), u)\n"
+    source = (
+        "def f(p, lay, u, pm, phi):\n"
+        "    e = embed_operator(p, 'B', lay)\n"
+        "    v = pm.unitary @ np.kron(phi, pm.ready_state.amplitudes)\n"
+        "    return np.kron(np.eye(4), u)\n"
+    )
     finder.visit(ast.parse(source))
-    assert len(finder.offenders) == 2
+    assert len(finder.offenders) == 3
+    assert "kron(..., ready_state.amplitudes) at chains.py:3 in f" in finder.offenders
+    exempt = _DensePathFinder("premeasurement.py")
+    exempt.visit(ast.parse("def build_ideal(e, ready_state):\n    np.kron(e, ready_state.amplitudes)\n"))
+    assert exempt.offenders == []
