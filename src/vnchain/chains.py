@@ -30,6 +30,7 @@ from .hilbert import (
     StateVector,
     SubsystemLayout,
     apply_local,
+    factor_difference,
     partial_scalar_product,
     partial_trace_matrix,
     partial_trace_vector,
@@ -72,12 +73,10 @@ class WeightedEnsemble:
         return tuple(w for w, _ in self.members)
 
     def density(self, tol: Tolerances = DEFAULT) -> DensityOperator:
-        """The mixture sum_k w_k |Psi_k><Psi_k| (decomposition forgotten)."""
-        d = self.layout.dim
-        rho = np.zeros((d, d), dtype=complex)
-        for w, s in self.members:
-            rho += w * np.outer(s.amplitudes, s.amplitudes.conj())
-        return DensityOperator(self.layout, rho, tol=tol)
+        """The mixture sum_k w_k |Psi_k><Psi_k| (decomposition forgotten),
+        factored as M = [sqrt(w_k) Psi_k]."""
+        m = np.stack([np.sqrt(w) * s.amplitudes for w, s in self.members], axis=1)
+        return DensityOperator.from_factor(self.layout, m, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -153,16 +152,19 @@ def _condition_vector(
     keep: list[int],
     tol: Tolerances,
 ) -> tuple[float, np.ndarray | None]:
-    """Weight <psi|P|psi> of an event P on axis ``pos`` of a pure state and the
-    conditional state tr_rest(P|psi><psi|P) / w on the ``keep`` axes.
+    """Weight <psi|P|psi> of an event P on axis ``pos`` of a pure state and a
+    factor M of the conditional state tr_rest(P|psi><psi|P) / w = M M^dag on
+    the ``keep`` axes.
 
-    The conditional is None when the weight is at or below ``tol.weight``.
+    Leading batch axes of ``amplitudes`` stand for the columns psi_j of a
+    factored state sum_j |psi_j><psi_j|; the weight is then summed over them.
+    The factor is None when the weight is at or below ``tol.weight``.
     """
     projected = apply_local(p, amplitudes, dims, pos)
     w = float(np.real(np.vdot(amplitudes, projected)))
     if w <= tol.weight:
         return w, None
-    return w, partial_trace_vector(projected, dims, keep) / w
+    return w, partial_trace_vector(projected, dims, keep) / math.sqrt(w)
 
 
 def _condition_matrix(
@@ -277,13 +279,21 @@ def improper_mixture(
     reduced_layout = lay.restricted(set(lay.labels) - {d.subsystem})
     kept: list[Branch] = []
     dropped = 0.0
+    if isinstance(state, StateVector):
+        vectors = state.amplitudes
+    elif state.factor is not None:
+        vectors = state.factor.T  # the columns of M, as a batch
+    else:
+        vectors = None
     for n, p in enumerate(d.projectors):
-        if isinstance(state, StateVector):
-            w, comp = _condition_vector(state.amplitudes, p, lay.dims, pos, keep, tol)
+        if vectors is not None:
+            w, m = _condition_vector(vectors, p, lay.dims, pos, keep, tol)
+            comp = None if m is None else DensityOperator.from_factor(reduced_layout, m, tol=tol)
         else:
-            w, comp = _condition_matrix(state.matrix, p, lay.dims, pos, keep, tol)
+            w, rho = _condition_matrix(state.matrix, p, lay.dims, pos, keep, tol)
+            comp = None if rho is None else DensityOperator(reduced_layout, rho, tol=tol)
         if comp is not None:
-            kept.append(Branch(n, w, DensityOperator(reduced_layout, comp, tol=tol)))
+            kept.append(Branch(n, w, comp))
         else:
             dropped += max(w, 0.0)
     return BranchDecomposition(d.subsystem, tuple(kept), dropped, tol=tol)
@@ -414,8 +424,9 @@ def ensemble_update(
 
     New weights are w_k * <Psi_k|P|Psi_k> renormalized by the total
     occurrence probability; members that never trigger the event are
-    dropped.  The aggregate opposite-subsystem state is computed from the
-    mixture density operator and cross-checked against the member sum.
+    dropped.  The aggregate opposite-subsystem state is conditioned from the
+    mixture's factor [sqrt(w_k) Psi_k] in one batch and cross-checked
+    against the member sum.
     """
     lay = ens.layout
     if not is_projector(p, tol):
@@ -434,15 +445,19 @@ def ensemble_update(
         )
     reduced_layout = lay.restricted(set(lay.labels) - {subject})
     updated = []
-    for k, ((w, _), (q, cond)) in enumerate(zip(ens.members, conditioned)):
-        if cond is None:
+    for k, ((w, _), (q, m)) in enumerate(zip(ens.members, conditioned)):
+        if m is None:
             continue
-        state = DensityOperator(reduced_layout, cond, tol=tol)
+        state = DensityOperator.from_factor(reduced_layout, m, tol=tol)
         updated.append(UpdatedMember(k, w * q / total, state))
-    aggregate = conditional_state(ens.density(tol), p, subject, form="plain", tol=tol)
-    recombined = sum(m.weight * m.state.matrix for m in updated)
-    resid = float(np.linalg.norm(recombined - aggregate.matrix))
-    if resid > tol.reconstruction * max(1, aggregate.layout.dim):
+    mixture = np.stack([np.sqrt(w) * s.amplitudes for w, s in ens.members])
+    _, m = _condition_vector(mixture, p, lay.dims, pos, keep, tol)
+    aggregate = DensityOperator.from_factor(reduced_layout, m, tol=tol)
+    recombined = np.hstack([math.sqrt(u.weight) * u.state.factor for u in updated])
+    resid = float(np.linalg.norm(factor_difference(recombined, aggregate.factor)))
+    # The factored residual does not grow with D (see ``Tolerances``), so the
+    # bound's D scale stops at 2**10, the largest D it was sized for.
+    if resid > tol.reconstruction * min(max(1, aggregate.layout.dim), 2**10):
         raise ArithmeticError(
             f"updated members do not resum to the aggregate state ({resid:.3e})"
         )
@@ -527,8 +542,25 @@ def offdiagonal_block_norm(
     Zero (to tolerance) means the state carries no coherence between the
     decomposition's sectors: decoherence relative to these events.
     """
-    dims = rho.layout.dims + rho.layout.dims
     pos = rho.layout.position(d.subsystem)
+    if rho.factor is not None:
+        # P_j rho P_k = (P_j M)(P_k M)^dag = Q_j R_j R_k^dag Q_k^dag, so its
+        # norm is that of R_j R_k^dag, from one thin QR per projector.
+        cols = rho.factor.T
+        rs = [
+            np.linalg.qr(apply_local(p, cols, rho.layout.dims, pos).T, mode="r")
+            for p in d.projectors
+        ]
+        return max(
+            (
+                float(np.linalg.norm(a @ b.conj().T))
+                for j, a in enumerate(rs)
+                for k, b in enumerate(rs)
+                if j != k
+            ),
+            default=0.0,
+        )
+    dims = rho.layout.dims + rho.layout.dims
     n = len(rho.layout.dims)
     # rho P_k for every k, then P_j on the row side of each
     rho_p = [apply_local(p.T, rho.matrix, dims, n + pos) for p in d.projectors]

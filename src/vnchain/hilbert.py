@@ -12,7 +12,7 @@ function; instances may be shared between threads freely.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence, Union
 
@@ -44,29 +44,25 @@ class SubsystemLayout:
     """Ordered, labeled subsystem dimensions defining a product basis."""
 
     subsystems: tuple[tuple[str, int], ...]
+    # Derived once from ``subsystems``; equality and hashing ignore them.
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         subs = tuple((str(label), int(dim)) for label, dim in self.subsystems)
         object.__setattr__(self, "subsystems", subs)
-        labels = [label for label, _ in subs]
+        labels = tuple(label for label, _ in subs)
         if not labels:
             raise DegenerateLayoutError("layout needs at least one subsystem")
         if len(set(labels)) != len(labels):
-            raise LayoutConflictError(f"duplicate subsystem labels in {labels}")
+            raise LayoutConflictError(f"duplicate subsystem labels in {list(labels)}")
         if any(dim < 1 for _, dim in subs):
             raise DimensionMismatchError("subsystem dimensions must be >= 1")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.subsystems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
+        dims = tuple(dim for _, dim in subs)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
 
     def position(self, label: str) -> int:
         for i, (name, _) in enumerate(self.subsystems):
@@ -154,10 +150,11 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityOperator":
-        """Projector |psi><psi| as a density operator (normalized states only)."""
+        """Projector |psi><psi| as a density operator (normalized states only),
+        factored as M = psi[:, None]."""
         if not self.normalized:
             raise DimensionMismatchError("density() needs a normalized state")
-        return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator.from_factor(self.layout, self.amplitudes[:, None])
 
     def reorder(self, new_labels: Sequence[str]) -> "StateVector":
         """Permute subsystems into the given label order."""
@@ -173,14 +170,29 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Mixed or pure multipartite state as a unit-trace PSD matrix."""
+    """Mixed or pure multipartite state as a unit-trace PSD matrix.
+
+    A matrix given to the constructor is fully checked.  A state made by
+    ``from_factor`` carries ``factor`` = M with rho = M M^dag instead; its
+    ``matrix`` is formed on first read and kept.
+    """
 
     layout: SubsystemLayout
     matrix: np.ndarray
     tol: InitVar[Tolerances] = DEFAULT
+    factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerances):
         d = self.layout.dim
+        if self.factor is not None:  # from_factor: M M^dag is Hermitian and PSD
+            m = _frozen_array(self.factor)
+            if m.ndim != 2 or m.shape[0] != d:
+                raise DimensionMismatchError(f"expected array of shape ({d}, r), got {m.shape}")
+            tr = np.vdot(m, m)
+            if abs(tr - 1.0) > tol.norm:
+                raise ValueError(f"trace {tr!r} is not 1 within {tol.norm}")
+            object.__setattr__(self, "factor", m)
+            return
         mat = _frozen_array(self.matrix, shape_hint=(d, d))
         object.__setattr__(self, "matrix", mat)
         herm = np.linalg.norm(mat - mat.conj().T)
@@ -194,6 +206,32 @@ class DensityOperator:
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < -tol.psd:
                 raise ValueError(f"matrix not PSD: lowest eigenvalue {lo:.3e}")
+
+    @classmethod
+    def from_factor(
+        cls, layout: SubsystemLayout, m: np.ndarray, tol: Tolerances = DEFAULT
+    ) -> "DensityOperator":
+        """The state M M^dag of a (layout.dim, r) factor M.
+
+        Hermitian and PSD by construction, so ``__post_init__`` checks only
+        the shape, finite entries and the trace ||M||_F^2, in O(D r).
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "layout", layout)
+        object.__setattr__(rho, "factor", m)
+        rho.__post_init__(tol)
+        return rho
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: the unformed ``matrix`` of a
+        # factored state.
+        factor = self.__dict__.get("factor")
+        if name != "matrix" or factor is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = factor @ factor.conj().T
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        return mat
 
     def purity(self) -> float:
         return purity(self)
@@ -393,18 +431,22 @@ def partial_trace_matrix(
 def partial_trace_vector(
     amplitudes: np.ndarray, dims: Sequence[int], keep: Sequence[int]
 ) -> np.ndarray:
-    """Partial trace of |psi><psi| over all axes not in ``keep``, as M M^dag.
+    """Factor M of the partial trace of |psi><psi| over all axes not in ``keep``.
 
-    M is the amplitude tensor with the kept axes (in layout order) moved to
-    the front and reshaped to (kept, traced); |psi><psi| is never formed.
-    No normalization or validation is performed.
+    The reduced state is M M^dag, where M is the amplitude tensor with the
+    kept axes (in layout order) moved to the front and reshaped to
+    (kept, traced).  Leading batch axes of ``amplitudes`` (vectors psi_j)
+    give the factor of sum_j tr(|psi_j><psi_j|), with the batch folded into
+    the columns.  No normalization or validation is performed.
     """
     dims = tuple(dims)
     keep = sorted(keep)
-    perm = keep + [i for i in range(len(dims)) if i not in keep]
+    b = amplitudes.ndim - 1
+    traced = [i for i in range(len(dims)) if i not in keep]
+    perm = [b + i for i in keep] + list(range(b)) + [b + i for i in traced]
     d_keep = math.prod(dims[i] for i in keep)
-    m = amplitudes.reshape(dims).transpose(perm).reshape(d_keep, -1)
-    return m @ m.conj().T
+    tens = amplitudes.reshape(amplitudes.shape[:-1] + dims)
+    return tens.transpose(perm).reshape(d_keep, -1)
 
 
 def partial_trace(state: State, traced: Iterable[str], tol: Tolerances = DEFAULT) -> DensityOperator:
@@ -421,11 +463,14 @@ def partial_trace(state: State, traced: Iterable[str], tol: Tolerances = DEFAULT
     keep = [i for i, label in enumerate(lay.labels) if label not in traced]
     if not keep:
         raise DegenerateLayoutError("tracing out every subsystem leaves no state")
-    if isinstance(state, StateVector):
-        reduced = partial_trace_vector(state.amplitudes, lay.dims, keep)
-    else:
-        reduced = partial_trace_matrix(state.matrix, lay.dims, keep)
     new_layout = lay.restricted(set(lay.labels) - traced)
+    if isinstance(state, StateVector):
+        m = partial_trace_vector(state.amplitudes, lay.dims, keep)
+        return DensityOperator.from_factor(new_layout, m, tol=tol)
+    if state.factor is not None:
+        m = partial_trace_vector(state.factor.T, lay.dims, keep)
+        return DensityOperator.from_factor(new_layout, m, tol=tol)
+    reduced = partial_trace_matrix(state.matrix, lay.dims, keep)
     return DensityOperator(new_layout, reduced, tol=tol)
 
 
@@ -516,18 +561,40 @@ def purity(state: State | np.ndarray) -> float:
     return float(np.real(np.trace(mat @ mat)))
 
 
+def factor_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A small Hermitian matrix with the norms and nonzero spectrum of A A^dag - B B^dag.
+
+    With the thin QR [A, B] = Q T and S = diag(I, -I), A A^dag - B B^dag is
+    Q (T S T^dag) Q^dag, so T S T^dag, of the size of the stacked column
+    count, carries its Frobenius norm and trace norm.  O(D r^2), and free of
+    the cancellation of the Gram identity ||A^dag A||^2 + ||B^dag B||^2 -
+    2 ||A^dag B||^2, which loses half the digits when A A^dag ~ B B^dag.
+    """
+    t = np.linalg.qr(np.hstack([a, b]), mode="r")
+    signs = np.concatenate([np.ones(a.shape[1]), -np.ones(b.shape[1])])
+    return (t * signs) @ t.conj().T
+
+
 def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
-    """(1/2) * trace norm of the difference."""
+    """(1/2) * trace norm of the difference.
+
+    Two factored states are compared through ``factor_difference``, whose
+    trace norm (a Hermitian matrix's nuclear norm) is that of rho_a - rho_b;
+    a dense operand takes the eigenvalues of the D x D difference.
+    """
+    fa, fb = getattr(a, "factor", None), getattr(b, "factor", None)
+    if fa is not None and fb is not None:
+        return 0.5 * float(np.linalg.norm(factor_difference(fa, fb), "nuc"))
     ma = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
     mb = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
 
 
 def projector_distance(a: StateVector, b: StateVector) -> float:
-    """Phase-insensitive distance between pure states: || |a><a| - |b><b| ||_F."""
-    pa = np.outer(a.amplitudes, a.amplitudes.conj())
-    pb = np.outer(b.amplitudes, b.amplitudes.conj())
-    return float(np.linalg.norm(pa - pb))
+    """Phase-insensitive distance between pure states: || |a><a| - |b><b| ||_F,
+    in O(D) from the thin QR of [a, b] (see ``factor_difference``)."""
+    diff = factor_difference(a.amplitudes[:, None], b.amplitudes[:, None])
+    return float(np.linalg.norm(diff))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

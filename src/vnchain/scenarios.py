@@ -31,6 +31,7 @@ from .hilbert import (
     StateVector,
     SubsystemBasis,
     SubsystemLayout,
+    factor_difference,
     partial_trace,
     purity,
     random_unitary,
@@ -802,8 +803,8 @@ def _analysis_improper(params, scenario, pms, states, options) -> ReportSection:
     d = pms[idx].pointer.decomposition()
     bd = improper_mixture(final, d)
     reduced = partial_trace(final, {subject})
-    resum = sum(b.weight * b.component.matrix for b in bd.branches)
-    resid = float(np.linalg.norm(resum - reduced.matrix))
+    resum = np.hstack([math.sqrt(b.weight) * b.component.factor for b in bd.branches])
+    resid = float(np.linalg.norm(factor_difference(resum, reduced.factor)))
     checks = [
         _weight_sum_check(bd, options.tolerance),
         CheckLine("resummation_residual", resid, options.tolerance),

@@ -102,3 +102,20 @@ def brute_apply_local(op, values, dims, axis):
             total += op[idx[axis], s] * values[flat_index(src, dims)]
         out[flat_index(idx, out_dims)] = total
     return out
+
+
+def brute_density(vectors, weights=None):
+    """Dense sum_k w_k |psi_k><psi_k| formed entry by entry.
+
+    ``vectors`` is one amplitude vector (giving |psi><psi|) or a list of
+    them; ``weights`` default to 1 each.
+    """
+    vectors = [np.asarray(vectors)] if np.ndim(vectors) == 1 else [np.asarray(v) for v in vectors]
+    weights = [1.0] * len(vectors) if weights is None else list(weights)
+    d = vectors[0].shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    for w, v in zip(weights, vectors):
+        for i in range(d):
+            for j in range(d):
+                out[i, j] += w * v[i] * np.conj(v[j])
+    return out

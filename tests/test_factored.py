@@ -1,0 +1,303 @@
+"""Factored reduced states (rho = M M^dag) against the dense route.
+
+Every analysis that builds or compares states through factors is checked
+against dense matrices formed entry by entry (``oracles.brute_density``) and
+reduced by brute force, on 3-5 subsystem layouts with the subject first, in
+the middle and last, for a pure state and for a three-member ensemble.
+"""
+
+import numpy as np
+import pytest
+
+from vnchain import (
+    DecompositionOfIdentity,
+    DensityOperator,
+    DimensionMismatchError,
+    StateVector,
+    WeightedEnsemble,
+    embed_operator,
+    ensemble_update,
+    improper_mixture,
+    layout,
+    observable_from_matrix,
+    offdiagonal_block_norm,
+    partial_trace,
+    projector_distance,
+    random_state,
+    random_unitary,
+    trace_distance,
+    world_branches,
+)
+from vnchain.hilbert import factor_difference
+
+from oracles import brute_density, brute_partial_trace
+from test_local_operator import CASES, lay_for, rank_projector
+
+KINDS = ["pure", "ensemble"]
+WEIGHTS = (0.2, 0.5, 0.3)
+
+
+def sample(dims, kind, rng):
+    """(factored state, its member vectors, their weights)."""
+    lay = lay_for(dims)
+    if kind == "pure":
+        psi = random_state(lay, rng)
+        return psi, [psi.amplitudes], [1.0]
+    members = [random_state(lay, rng) for _ in WEIGHTS]
+    ens = WeightedEnsemble(tuple(zip(WEIGHTS, members)))
+    return ens.density(), [s.amplitudes for s in members], list(WEIGHTS)
+
+
+def decomposition(subsystem, d, rng):
+    p = rank_projector(d, rng)
+    return DecompositionOfIdentity(subsystem, (p, np.eye(d) - p))
+
+
+def dense_branch(rho, p, subsystem, lay, keep):
+    """Weight tr(rho P) and conditional tr_rest(P rho P) / w, all dense."""
+    emb = embed_operator(p, subsystem, lay)
+    w = float(np.real(np.trace(emb @ rho)))
+    return w, brute_partial_trace(emb @ rho @ emb, lay.dims, keep) / w
+
+
+def keep_of(dims, axis):
+    return [i for i in range(len(dims)) if i != axis]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_partial_trace(dims, axis, kind):
+    rng = np.random.default_rng(2000 + 10 * axis + len(dims))
+    state, vectors, weights = sample(dims, kind, rng)
+    red = partial_trace(state, {f"S{axis}"})
+    assert red.factor is not None and "matrix" not in vars(red)
+    expected = brute_partial_trace(brute_density(vectors, weights), dims, keep_of(dims, axis))
+    np.testing.assert_allclose(red.matrix, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_improper_mixture_and_world_branches(dims, axis, kind):
+    rng = np.random.default_rng(2100 + 10 * axis + len(dims))
+    state, vectors, weights = sample(dims, kind, rng)
+    rho = brute_density(vectors, weights)
+    subject, d = f"S{axis}", dims[axis]
+    dec = decomposition(subject, d, rng)
+    h = random_unitary(d, rng)
+    pointer = observable_from_matrix((h * np.arange(d)) @ h.conj().T, subject)
+    for bd, projectors in (
+        (improper_mixture(state, dec), dec.projectors),
+        (world_branches(state, pointer), [b.projector for b in pointer.branches]),
+    ):
+        assert bd.indices == tuple(range(len(projectors)))
+        for b in bd.branches:
+            w, comp = dense_branch(
+                rho, projectors[b.index], subject, state.layout, keep_of(dims, axis)
+            )
+            assert b.weight == pytest.approx(w, abs=1e-12)
+            assert b.component.factor is not None
+            np.testing.assert_allclose(b.component.matrix, comp, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_ensemble_update_members_and_aggregate(dims, axis, kind):
+    rng = np.random.default_rng(2200 + 10 * axis + len(dims))
+    _, vectors, weights = sample(dims, kind, rng)
+    lay = lay_for(dims)
+    ens = WeightedEnsemble(tuple((w, StateVector(lay, v)) for w, v in zip(weights, vectors)))
+    subject = f"S{axis}"
+    p = rank_projector(dims[axis], rng)
+    res = ensemble_update(ens, p, subject)
+    keep = keep_of(dims, axis)
+    member_probs = [dense_branch(brute_density(v), p, subject, lay, keep) for v in vectors]
+    total = sum(w * q for w, (q, _) in zip(weights, member_probs))
+    assert res.occurrence_probability == pytest.approx(total, abs=1e-12)
+    assert res.indices == tuple(range(len(vectors)))
+    for m in res.members:
+        q, comp = member_probs[m.index]
+        assert m.weight == pytest.approx(weights[m.index] * q / total, abs=1e-12)
+        assert m.state.factor is not None
+        np.testing.assert_allclose(m.state.matrix, comp, rtol=0, atol=1e-12)
+    _, aggregate = dense_branch(brute_density(vectors, weights), p, subject, lay, keep)
+    assert res.aggregate.factor is not None
+    np.testing.assert_allclose(res.aggregate.matrix, aggregate, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_trace_distance(dims, axis, kind):
+    rng = np.random.default_rng(2300 + 10 * axis + len(dims))
+    state, vectors, weights = sample(dims, kind, rng)
+    bd = improper_mixture(state, decomposition(f"S{axis}", dims[axis], rng))
+    a, b = (br.component for br in bd.branches)
+    ma, mb = (brute_density(list(f.T)) for f in (a.factor, b.factor))
+    expected = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
+    assert trace_distance(a, b) == pytest.approx(expected, abs=1e-12)
+    assert trace_distance(a, a) <= 1e-14
+    # a dense operand takes the D x D route and gives the same value
+    assert trace_distance(a, DensityOperator(b.layout, mb)) == pytest.approx(expected, abs=1e-12)
+    assert trace_distance(ma, mb) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_offdiagonal_block_norm(dims, axis, kind):
+    rng = np.random.default_rng(2400 + 10 * axis + len(dims))
+    state, vectors, weights = sample(dims, kind, rng)
+    rho = state if kind == "ensemble" else state.density()
+    assert rho.factor is not None
+    dense = brute_density(vectors, weights)
+    subject, d = f"S{axis}", dims[axis]
+    q = random_unitary(d, rng)
+    projectors = tuple(np.outer(q[:, i], q[:, i].conj()) for i in range(d))
+    dec = DecompositionOfIdentity(subject, projectors)
+    embs = [embed_operator(p, subject, rho.layout) for p in projectors]
+    expected = max(
+        float(np.linalg.norm(a @ dense @ b))
+        for j, a in enumerate(embs)
+        for k, b in enumerate(embs)
+        if j != k
+    )
+    assert offdiagonal_block_norm(rho, dec) == pytest.approx(expected, abs=1e-12)
+    assert offdiagonal_block_norm(DensityOperator(rho.layout, dense), dec) == pytest.approx(
+        expected, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_resummation_residual(dims, axis, kind):
+    """The residual ||sum_n w_n rho_n - rho_red||_F as the improper-mixture
+    analysis computes it, exact and with one branch weight off by 1e-3."""
+    rng = np.random.default_rng(2500 + 10 * axis + len(dims))
+    state, vectors, weights = sample(dims, kind, rng)
+    subject = f"S{axis}"
+    bd = improper_mixture(state, decomposition(subject, dims[axis], rng))
+    reduced = partial_trace(state, {subject})
+    dense_red = brute_partial_trace(brute_density(vectors, weights), dims, keep_of(dims, axis))
+    for scale in (1.0, 1.001):
+        ws = [b.weight * (scale if i == 0 else 1.0) for i, b in enumerate(bd.branches)]
+        resum = np.hstack([np.sqrt(w) * b.component.factor for w, b in zip(ws, bd.branches)])
+        residual = float(np.linalg.norm(factor_difference(resum, reduced.factor)))
+        dense_resum = sum(
+            w * brute_density(list(b.component.factor.T)) for w, b in zip(ws, bd.branches)
+        )
+        expected = float(np.linalg.norm(dense_resum - dense_red))
+        assert residual == pytest.approx(expected, abs=1e-12)
+        if scale == 1.0:
+            assert residual <= 1e-14
+
+
+class TestFromFactor:
+    LAY = layout(("A", 2), ("B", 3))
+
+    def factor(self, rng, r=2):
+        m = rng.standard_normal((6, r)) + 1j * rng.standard_normal((6, r))
+        return m / np.linalg.norm(m)
+
+    def test_matrix_formed_once_on_read_and_read_only(self):
+        m = self.factor(np.random.default_rng(1))
+        rho = DensityOperator.from_factor(self.LAY, m)
+        assert "matrix" not in vars(rho)
+        first = rho.matrix
+        assert first is rho.matrix
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, m @ m.conj().T)
+        with pytest.raises(ValueError):
+            first[0, 0] = 0
+        np.testing.assert_array_equal(rho.factor, m)
+        assert not rho.factor.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        m = self.factor(np.random.default_rng(2)).astype(complex)
+        m[3, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DensityOperator.from_factor(self.LAY, m)
+
+    def test_non_unit_trace_rejected(self):
+        m = self.factor(np.random.default_rng(3)) * 1.01
+        tr = np.vdot(m, m)
+        with pytest.raises(ValueError) as info:
+            DensityOperator.from_factor(self.LAY, m)
+        assert str(info.value) == f"trace {tr!r} is not 1 within {1e-10}"
+
+    @pytest.mark.parametrize("shape", [(6,), (5, 2), (6, 2, 1)])
+    def test_shape_checked(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            DensityOperator.from_factor(self.LAY, np.full(shape, 0.1))
+
+    def test_dense_constructor_keeps_every_check(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityOperator(layout(("A", 2)), np.array([[0.5, 0.1], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="not PSD"):
+            DensityOperator(layout(("A", 2)), np.diag([1.5, -0.5]))
+        assert DensityOperator(layout(("A", 2)), np.eye(2) / 2).factor is None
+
+    def test_attribute_errors_stay_attribute_errors(self):
+        rho = DensityOperator.from_factor(self.LAY, self.factor(np.random.default_rng(4)))
+        with pytest.raises(AttributeError, match="no attribute 'no_such_attribute'"):
+            rho.no_such_attribute
+
+
+def test_factor_difference_norms_match_dense():
+    rng = np.random.default_rng(6)
+    for d, ra, rb in [(24, 2, 3), (3, 4, 2), (96, 1, 1)]:
+        a = rng.standard_normal((d, ra)) + 1j * rng.standard_normal((d, ra))
+        b = rng.standard_normal((d, rb)) + 1j * rng.standard_normal((d, rb))
+        small = factor_difference(a, b)
+        diff = a @ a.conj().T - b @ b.conj().T
+        assert np.linalg.norm(small) == pytest.approx(np.linalg.norm(diff), rel=1e-12)
+        assert np.linalg.norm(small, "nuc") == pytest.approx(
+            np.sum(np.abs(np.linalg.eigvalsh(diff))), rel=1e-12
+        )
+
+
+class TestProjectorDistance:
+    LAY = layout(("A", 3), ("B", 4))
+
+    @staticmethod
+    def dense(a, b):
+        return float(np.linalg.norm(brute_density(a.amplitudes) - brute_density(b.amplitudes)))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+    def test_near_equal_pairs(self, eps):
+        rng = np.random.default_rng(7)
+        a = random_state(self.LAY, rng)
+        kick = random_state(self.LAY, rng).amplitudes
+        raw = np.exp(0.3j) * a.amplitudes + eps * kick
+        b = StateVector(self.LAY, raw / np.linalg.norm(raw))
+        assert projector_distance(a, b) == pytest.approx(self.dense(a, b), abs=1e-14)
+
+    def test_far_apart_pairs(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            a, b = random_state(self.LAY, rng), random_state(self.LAY, rng)
+            assert projector_distance(a, b) == pytest.approx(self.dense(a, b), abs=1e-14)
+
+    def test_small_angle_keeps_its_digits(self):
+        """|a> = |0>, |b> = cos t |0> + sin t |1>: the distance is sqrt(2) sin t,
+        which 1 - |<a|b>|^2 would round to zero at t = 1e-9."""
+        lay = layout(("A", 2))
+        for t in (1e-9, 1e-5, 0.3):
+            a = StateVector(lay, [1.0, 0.0])
+            b = StateVector(lay, [np.cos(t), np.sin(t)])
+            assert projector_distance(a, b) == pytest.approx(np.sqrt(2) * np.sin(t), rel=1e-12)
+
+
+@pytest.mark.parametrize("qubits,residual,raises", [(10, 1.02e-7, False), (11, 1.5e-7, True)])
+def test_ensemble_cross_check_bound_stops_growing_at_2_to_10(
+    qubits, residual, raises, monkeypatch
+):
+    """The bound is reconstruction * min(D, 2**10): 1.024e-7 from D = 2**10 on."""
+    import vnchain.chains as chains
+
+    lay = layout(*[(f"q{i}", 2) for i in range(qubits + 1)])
+    ens = WeightedEnsemble(((1.0, random_state(lay, np.random.default_rng(9))),))
+    monkeypatch.setattr(chains, "factor_difference", lambda a, b: np.array([[residual]]))
+    if raises:
+        with pytest.raises(ArithmeticError, match="do not resum"):
+            ensemble_update(ens, np.diag([1.0, 0.0]), "q0")
+    else:
+        ensemble_update(ens, np.diag([1.0, 0.0]), "q0")

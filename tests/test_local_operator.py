@@ -11,6 +11,7 @@ import pytest
 from vnchain import (
     DEFAULT,
     DecompositionOfIdentity,
+    DensityOperator,
     DimensionMismatchError,
     StateVector,
     WeightedEnsemble,
@@ -366,9 +367,11 @@ def test_condition_reports_match_per_trial_loops(da, db, corrupt):
                 assert max(r.max_residual for r in fused) > 1e-3
 
 
-def test_twenty_qubit_copy_chain_branches():
-    """D = 2**20: the dense chain unitary alone would need 16 TB."""
-    n = 20
+TWENTY = 20
+
+
+def copy_chain_report(n, analysis):
+    """``vnchain run`` of an n-qubit ideal copy chain of 0.3|0> + 0.7 e^{0.4i}|1>."""
     a0, a1 = np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.4j)
     stages = [
         {
@@ -384,16 +387,79 @@ def test_twenty_qubit_copy_chain_branches():
         "subsystems": [[f"q{i}", 2] for i in range(n)],
         "initial": {"subsystem": "q0", "state": [[a0.real, 0.0], [a1.real, a1.imag]]},
         "stages": stages,
-        "analyses": ["branches"],
+        "analyses": [analysis],
     }
     report = run(scenario_from_document(doc))
     assert report.passed
-    rows = report.sections[1].rows
+    return report.sections[1]
+
+
+@pytest.fixture
+def dense_states(monkeypatch):
+    """Records every D x D density matrix made: a checked dense construction
+    or the first read of a factored state's ``matrix``."""
+    made = []
+    post_init, lazy = DensityOperator.__post_init__, DensityOperator.__getattr__
+
+    def checked(self, tol):
+        if self.factor is None:
+            made.append(("constructed", self.layout.dim))
+        post_init(self, tol)
+
+    def read(self, name):
+        if name == "matrix":
+            made.append(("materialized", self.layout.dim))
+        return lazy(self, name)
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", checked)
+    monkeypatch.setattr(DensityOperator, "__getattr__", read)
+    return made
+
+
+def test_twenty_qubit_copy_chain_branches():
+    """D = 2**20: the dense chain unitary alone would need 16 TB."""
+    section = copy_chain_report(TWENTY, "branches")
+    rows = section.rows
     assert [r[0] for r in rows] == ["0", "1", "dropped"]
     assert float(rows[0][2]) == pytest.approx(0.3, abs=1e-10)
     assert float(rows[1][2]) == pytest.approx(0.7, abs=1e-10)
-    assert rows[0][3] == "|" + ",".join(["0"] * n) + "> (1.0000)"
-    assert rows[1][3] == "|" + ",".join(["1"] * n) + "> (1.0000)"
+    assert rows[0][3] == "|" + ",".join(["0"] * TWENTY) + "> (1.0000)"
+    assert rows[1][3] == "|" + ",".join(["1"] * TWENTY) + "> (1.0000)"
+
+
+def test_twenty_qubit_copy_chain_improper_mixture(dense_states):
+    """Reduced states on 2**19 dimensions, resummed and checked for pointer
+    coherence through their factors; a dense one would need 4 TiB."""
+    section = copy_chain_report(TWENTY, "improper_mixture")
+    assert [r[:2] for r in section.rows] == [
+        ("0", "0.3000000000"), ("1", "0.7000000000"), ("dropped", "0.0000000000")
+    ]
+    assert section.rows[0][2] == f"mixed dim={2**19}"
+    checks = {c.name: c.value for c in section.checks}
+    assert checks["resummation_residual"] <= 1e-14
+    assert checks["offdiagonal_pointer_blocks"] <= 1e-14
+    assert dense_states == []
+
+
+def test_twenty_qubit_copy_chain_world_branches(dense_states):
+    section = copy_chain_report(TWENTY, "world_branches")
+    assert [r[:2] for r in section.rows] == [
+        ("0", "0.3000000000"), ("1", "0.7000000000"), ("dropped", "0.0000000000")
+    ]
+    assert section.notes == ("trace distance between branches 0 and 1: 1.000000",)
+    assert dense_states == []
+
+
+def test_twenty_qubit_copy_chain_ensemble_update(dense_states):
+    """Members and aggregate conditioned on |+> of the last qubit, each a
+    factored state on 2**19 dimensions, and their resummation cross-check."""
+    section = copy_chain_report(TWENTY, "ensemble_update")
+    assert section.rows == (
+        ("0", "0.3000000000", "0.3000000000"),
+        ("1", "0.7000000000", "0.7000000000"),
+    )
+    assert section.notes[0] == "occurrence probability: 0.5000000000"
+    assert dense_states == []
 
 
 def _callee(call):
@@ -415,17 +481,33 @@ def _is_ready_amplitudes(node):
     )
 
 
+# Modules whose reduced states stay factored: no |psi><psi| (np.outer), no
+# .density() and no D x D eigensolver, apart from the checks of a matrix
+# given as such (qualified scope, call name).
+DENSE_STATE_MODULES = ("chains.py", "scenarios.py", "hilbert.py")
+DENSE_STATE_EXEMPT = {
+    ("hilbert.py", "DensityOperator.__post_init__", "eigvalsh"),  # dense PSD check
+    ("hilbert.py", "trace_distance", "eigvalsh"),  # a dense operand
+}
+
+
 class _DensePathFinder(ast.NodeVisitor):
     """Collects embed_operator calls (outside hilbert.embed_operator itself),
     kron(eye(...), ...) calls and kron(..., ready_state.amplitudes) calls
     (outside build_ideal, which builds the initial sector from it; everything
-    else applies U(. (x) |ready>) through ``Premeasurement.isometry``), with
+    else applies U(. (x) |ready>) through ``Premeasurement.isometry``), and
+    np.outer, .density() and eigvalsh calls in ``DENSE_STATE_MODULES``, with
     the innermost enclosing function."""
 
     def __init__(self, module):
         self.module = module
         self.scope = ["<module>"]
         self.offenders = []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -447,6 +529,10 @@ class _DensePathFinder(ast.NodeVisitor):
             in_build_ideal = (self.module, self.scope[-1]) == ("premeasurement.py", "build_ideal")
             if any(map(_is_ready_amplitudes, node.args)) and not in_build_ideal:
                 self.offenders.append(f"kron(..., ready_state.amplitudes) at {where}")
+        if self.module in DENSE_STATE_MODULES and name in ("outer", "density", "eigvalsh"):
+            qualified = ".".join(self.scope[1:])
+            if (self.module, qualified, name) not in DENSE_STATE_EXEMPT:
+                self.offenders.append(f"{name} call at {where}")
         self.generic_visit(node)
 
 
@@ -475,3 +561,45 @@ def test_dense_path_finder_flags_both_forms():
     exempt = _DensePathFinder("premeasurement.py")
     exempt.visit(ast.parse("def build_ideal(e, ready_state):\n    np.kron(e, ready_state.amplitudes)\n"))
     assert exempt.offenders == []
+
+
+def test_dense_path_finder_flags_dense_states():
+    source = (
+        "class WeightedEnsemble:\n"
+        "    def density(self, s):\n"
+        "        return np.outer(s.amplitudes, s.amplitudes.conj())\n"
+        "def ensemble_update(ens, p):\n"
+        "    rho = ens.density()\n"
+        "    return np.linalg.eigvalsh(rho.matrix)\n"
+    )
+    for module in ("chains.py", "scenarios.py"):
+        finder = _DensePathFinder(module)
+        finder.visit(ast.parse(source))
+        assert finder.offenders == [
+            f"outer call at {module}:3 in density",
+            f"density call at {module}:5 in ensemble_update",
+            f"eigvalsh call at {module}:6 in ensemble_update",
+        ]
+    other = _DensePathFinder("premeasurement.py")
+    other.visit(ast.parse(source))
+    assert other.offenders == []
+    # the checks of a dense matrix are exempt, by class-qualified scope
+    hilbert = _DensePathFinder("hilbert.py")
+    hilbert.visit(
+        ast.parse(
+            "class DensityOperator:\n"
+            "    def __post_init__(self, tol):\n"
+            "        np.linalg.eigvalsh(self.matrix)\n"
+            "def trace_distance(a, b):\n"
+            "    np.linalg.eigvalsh(a - b)\n"
+            "class StateVector:\n"
+            "    def __post_init__(self, tol):\n"
+            "        np.linalg.eigvalsh(self.matrix)\n"
+            "def purity(rho):\n"
+            "    np.outer(rho, rho)\n"
+        )
+    )
+    assert hilbert.offenders == [
+        "eigvalsh call at hilbert.py:8 in __post_init__",
+        "outer call at hilbert.py:10 in purity",
+    ]
