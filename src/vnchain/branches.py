@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 from .hilbert import DensityOperator, StateVector
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 Component = Union[StateVector, DensityOperator]
 
@@ -29,9 +29,8 @@ class BranchDecomposition:
     pointer_subsystem: str
     branches: tuple[Branch, ...]
     dropped_weight: float = 0.0
-    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, tol: Tolerances):
+    def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
         for b in self.branches:
             if not b.weight > 0.0:
@@ -39,7 +38,7 @@ class BranchDecomposition:
             if isinstance(b.component, StateVector) and not b.component.normalized:
                 raise ValueError(f"branch {b.index} component is not normalized")
         total = sum(b.weight for b in self.branches) + self.dropped_weight
-        if abs(total - 1.0) > tol.reconstruction:
+        if abs(total - 1.0) > DEFAULT.reconstruction:
             raise ValueError(f"weights plus dropped weight sum to {total!r}, not 1")
 
     @property

@@ -10,7 +10,7 @@ state of the opposite subsystems.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .hilbert import (
 )
 from .observables import DecompositionOfIdentity, SpectralObservable, check_decomposition, is_projector
 from .premeasurement import Premeasurement, evolve
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,8 @@ class WeightedEnsemble:
     """Proper mixture: a classical list of (weight, pure state) members."""
 
     members: tuple[tuple[float, StateVector], ...]
-    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, tol: Tolerances):
+    def __post_init__(self):
         members = tuple((float(w), s) for w, s in self.members)
         object.__setattr__(self, "members", members)
         if not members:
@@ -61,7 +60,7 @@ class WeightedEnsemble:
             if not s.normalized:
                 raise ValueError("ensemble members must be normalized")
         total = sum(w for w, _ in members)
-        if abs(total - 1.0) > tol.reconstruction:
+        if abs(total - 1.0) > DEFAULT.reconstruction:
             raise ValueError(f"member weights sum to {total!r}, not 1")
 
     @property
@@ -72,11 +71,11 @@ class WeightedEnsemble:
     def weights(self) -> tuple[float, ...]:
         return tuple(w for w, _ in self.members)
 
-    def density(self, tol: Tolerances = DEFAULT) -> DensityOperator:
+    def density(self) -> DensityOperator:
         """The mixture sum_k w_k |Psi_k><Psi_k| (decomposition forgotten),
         factored as M = [sqrt(w_k) Psi_k]."""
         m = np.stack([np.sqrt(w) * s.amplitudes for w, s in self.members], axis=1)
-        return DensityOperator.from_factor(self.layout, m, tol=tol)
+        return DensityOperator.from_factor(self.layout, m)
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,6 @@ def _condition_vector(
     dims: tuple[int, ...],
     pos: int,
     keep: list[int],
-    tol: Tolerances,
 ) -> tuple[float, np.ndarray | None]:
     """Weight <psi|P|psi> of an event P on axis ``pos`` of a pure state and a
     factor M of the conditional state tr_rest(P|psi><psi|P) / w = M M^dag on
@@ -158,11 +156,11 @@ def _condition_vector(
 
     Leading batch axes of ``amplitudes`` stand for the columns psi_j of a
     factored state sum_j |psi_j><psi_j|; the weight is then summed over them.
-    The factor is None when the weight is at or below ``tol.weight``.
+    The factor is None when the weight is at or below ``DEFAULT.weight``.
     """
     projected = apply_local(p, amplitudes, dims, pos)
     w = float(np.real(np.vdot(amplitudes, projected)))
-    if w <= tol.weight:
+    if w <= DEFAULT.weight:
         return w, None
     return w, partial_trace_vector(projected, dims, keep) / math.sqrt(w)
 
@@ -173,35 +171,32 @@ def _condition_matrix(
     dims: tuple[int, ...],
     pos: int,
     keep: list[int],
-    tol: Tolerances,
     sandwich: bool = False,
 ) -> tuple[float, np.ndarray | None]:
     """Weight tr(rho P) of an event P on axis ``pos`` and the conditional state
     tr_rest(rho P) / w (``sandwich``: of P rho P) on the ``keep`` axes.
 
     P is contracted on the subject axes of rho's tensor over ``dims + dims``.
-    The conditional is None when the weight is at or below ``tol.weight``.
+    The conditional is None when the weight is at or below ``DEFAULT.weight``.
     """
     n, p = len(dims), np.asarray(p)
     prod = apply_local(p.T, matrix, dims + dims, n + pos)
     if sandwich:
         prod = apply_local(p, prod, dims + dims, pos)
     w = float(np.real(np.trace(prod)))
-    if w <= tol.weight:
+    if w <= DEFAULT.weight:
         return w, None
     return w, partial_trace_matrix(prod, dims, keep) / w
 
 
-def observables_match(
-    a: SpectralObservable, b: SpectralObservable, atol: float = 1e-8
-) -> bool:
-    """Same subsystem, same branch structure within a small tolerance."""
+def observables_match(a: SpectralObservable, b: SpectralObservable) -> bool:
+    """Same subsystem, same branch structure within ``DEFAULT.observable_match``."""
     if a.subsystem != b.subsystem or a.branch_count != b.branch_count:
         return False
     for x, y in zip(a.branches, b.branches):
-        if abs(x.eigenvalue - y.eigenvalue) > atol:
+        if abs(x.eigenvalue - y.eigenvalue) > DEFAULT.observable_match:
             return False
-        if np.linalg.norm(x.projector - y.projector) > atol * a.dim:
+        if np.linalg.norm(x.projector - y.projector) > DEFAULT.observable_match * a.dim:
             return False
     return True
 
@@ -210,7 +205,6 @@ def extend_chain(
     state: StateVector,
     pm: Premeasurement,
     measured_source: SpectralObservable | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> StateVector:
     """Append one chain link: apply ``pm`` to one subsystem of a composite state.
 
@@ -237,28 +231,25 @@ def extend_chain(
     if right > 1:  # move the new instrument axis behind the later subsystems
         amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(-1)
     extended_layout = lay.concat(SubsystemLayout(((pm.instrument_label, d_b),)))
-    return StateVector(extended_layout, amps, normalized=True, tol=tol)
+    return StateVector(extended_layout, amps, normalized=True)
 
 
 def run_two_link_chain(
     pm1: Premeasurement,
     pm2: Premeasurement,
     object_state: StateVector,
-    tol: Tolerances = DEFAULT,
 ) -> tuple[StateVector, StateVector]:
     """Two-link von Neumann chain: measure, then read the pointer.
 
     ``pm2`` must measure ``pm1``'s pointer observable (second link reads the
     first link's result).  Returns (intermediate, final) states.
     """
-    intermediate = evolve(pm1, object_state, tol=tol)
-    final = extend_chain(intermediate, pm2, measured_source=pm1.pointer, tol=tol)
+    intermediate = evolve(pm1, object_state)
+    final = extend_chain(intermediate, pm2, measured_source=pm1.pointer)
     return intermediate, final
 
 
-def improper_mixture(
-    state: State, d: DecompositionOfIdentity, tol: Tolerances = DEFAULT
-) -> BranchDecomposition:
+def improper_mixture(state: State, d: DecompositionOfIdentity) -> BranchDecomposition:
     """Decompose the reduced state of the opposite subsystems over ``d``.
 
     Weights are the occurrence probabilities tr(rho P_n); components are the
@@ -266,7 +257,7 @@ def improper_mixture(
     resum to the plain reduced state; the decomposition has meaning only
     relative to the traced-out subject subsystem.
     """
-    report = check_decomposition(d, tol)
+    report = check_decomposition(d)
     if not report.passed:
         raise InvalidDecompositionError(
             f"projectors are not a decomposition of the identity: {report}"
@@ -287,16 +278,16 @@ def improper_mixture(
         vectors = None
     for n, p in enumerate(d.projectors):
         if vectors is not None:
-            w, m = _condition_vector(vectors, p, lay.dims, pos, keep, tol)
-            comp = None if m is None else DensityOperator.from_factor(reduced_layout, m, tol=tol)
+            w, m = _condition_vector(vectors, p, lay.dims, pos, keep)
+            comp = None if m is None else DensityOperator.from_factor(reduced_layout, m)
         else:
-            w, rho = _condition_matrix(state.matrix, p, lay.dims, pos, keep, tol)
-            comp = None if rho is None else DensityOperator(reduced_layout, rho, tol=tol)
+            w, rho = _condition_matrix(state.matrix, p, lay.dims, pos, keep)
+            comp = None if rho is None else DensityOperator(reduced_layout, rho)
         if comp is not None:
             kept.append(Branch(n, w, comp))
         else:
             dropped += max(w, 0.0)
-    return BranchDecomposition(d.subsystem, tuple(kept), dropped, tol=tol)
+    return BranchDecomposition(d.subsystem, tuple(kept), dropped)
 
 
 def conditional_state(
@@ -304,7 +295,6 @@ def conditional_state(
     p: np.ndarray,
     subject: str,
     form: str = "plain",
-    tol: Tolerances = DEFAULT,
 ) -> DensityOperator:
     """State of the opposite subsystems given the event P on the subject.
 
@@ -314,28 +304,27 @@ def conditional_state(
     """
     if form not in ("plain", "sandwich"):
         raise ValueError(f"unknown form {form!r}")
-    if not is_projector(p, tol):
+    if not is_projector(p):
         raise NotAProjectorError("conditioning event must be a projector")
     lay = rho.layout
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
     w, reduced = _condition_matrix(
-        rho.matrix, p, lay.dims, lay.position(subject), keep, tol, sandwich=form == "sandwich"
+        rho.matrix, p, lay.dims, lay.position(subject), keep, sandwich=form == "sandwich"
     )
     if reduced is None:
         raise UndefinedConditionalError(
             f"event has probability {w!r}; conditional state undefined"
         )
     reduced_layout = lay.restricted(set(lay.labels) - {subject})
-    return DensityOperator(reduced_layout, reduced, tol=tol)
+    return DensityOperator(reduced_layout, reduced)
 
 
 def relative_state(
     psi: StateVector,
     subject: str,
     subject_vector: np.ndarray,
-    tol: Tolerances = DEFAULT,
 ) -> StateVector:
     """Normalized component of ``psi`` in relation to one subject vector.
 
@@ -344,26 +333,24 @@ def relative_state(
     """
     subject_vector = np.asarray(subject_vector, dtype=complex)
     n = np.linalg.norm(subject_vector)
-    if abs(n - 1.0) > 1e-8:
+    if abs(n - 1.0) > DEFAULT.unit_vector:
         raise ValueError(f"subject vector must be a unit vector, got norm {n!r}")
     coeff = partial_scalar_product(subject_vector, subject, psi)
-    if coeff.norm() <= tol.weight:
+    if coeff.norm() <= DEFAULT.weight:
         raise UndefinedConditionalError(
             "subject vector has vanishing overlap with the state"
         )
     return coeff.normalize()
 
 
-def world_branches(
-    state: StateVector, pointer: SpectralObservable, tol: Tolerances = DEFAULT
-) -> BranchDecomposition:
+def world_branches(state: StateVector, pointer: SpectralObservable) -> BranchDecomposition:
     """Branch states of everything else, relative to each pointer position.
 
     When the state factorizes between the pointer subsystem and the rest,
     every branch carries one and the same component state; entanglement with
     the pointer makes the branch components differ.
     """
-    return improper_mixture(state, pointer.decomposition(), tol=tol)
+    return improper_mixture(state, pointer.decomposition())
 
 
 def tripartite_conditional_consistency(
@@ -371,7 +358,6 @@ def tripartite_conditional_consistency(
     p: np.ndarray,
     subject: str,
     environment: str,
-    tol: Tolerances = DEFAULT,
 ) -> tuple[DensityOperator, DensityOperator]:
     """Conditional state of the object computed along two routes.
 
@@ -380,28 +366,27 @@ def tripartite_conditional_consistency(
     conditions.  Both agree, which is why conditioning is well defined on
     improper mixtures.
     """
-    if not is_projector(p, tol):
+    if not is_projector(p):
         raise NotAProjectorError("conditioning event must be a projector")
     lay = rho.layout
     keep = _keep_positions(lay, {subject, environment})
     if not keep:
         raise LayoutConflictError("no object subsystems left")
-    w, reduced = _condition_matrix(rho.matrix, p, lay.dims, lay.position(subject), keep, tol)
+    w, reduced = _condition_matrix(rho.matrix, p, lay.dims, lay.position(subject), keep)
     if reduced is None:
         raise UndefinedConditionalError(f"event has probability {w!r}")
     object_layout = lay.restricted(set(lay.labels) - {subject, environment})
-    via_full = DensityOperator(object_layout, reduced, tol=tol)
+    via_full = DensityOperator(object_layout, reduced)
     keep_ab = _keep_positions(lay, {environment})
     rho_ab = DensityOperator(
         lay.restricted(set(lay.labels) - {environment}),
         partial_trace_matrix(rho.matrix, lay.dims, keep_ab),
-        tol=tol,
     )
-    via_reduced = conditional_state(rho_ab, p, subject, form="plain", tol=tol)
+    via_reduced = conditional_state(rho_ab, p, subject, form="plain")
     return via_full, via_reduced
 
 
-def proper_mixture(bd: BranchDecomposition, tol: Tolerances = DEFAULT) -> WeightedEnsemble:
+def proper_mixture(bd: BranchDecomposition) -> WeightedEnsemble:
     """Read a branch decomposition as a classical ensemble of pure states.
 
     This is the quasi-classical reading of a complete measurement: each
@@ -414,12 +399,10 @@ def proper_mixture(bd: BranchDecomposition, tol: Tolerances = DEFAULT) -> Weight
         if not isinstance(b.component, StateVector):
             raise TypeError("proper_mixture needs pure branch components")
         members.append((b.weight / scale, b.component))
-    return WeightedEnsemble(tuple(members), tol=tol)
+    return WeightedEnsemble(tuple(members))
 
 
-def ensemble_update(
-    ens: WeightedEnsemble, p: np.ndarray, subject: str, tol: Tolerances = DEFAULT
-) -> EnsembleUpdateResult:
+def ensemble_update(ens: WeightedEnsemble, p: np.ndarray, subject: str) -> EnsembleUpdateResult:
     """Re-weight a proper mixture after the event P occurred on the subject.
 
     New weights are w_k * <Psi_k|P|Psi_k> renormalized by the total
@@ -429,17 +412,17 @@ def ensemble_update(
     against the member sum.
     """
     lay = ens.layout
-    if not is_projector(p, tol):
+    if not is_projector(p):
         raise NotAProjectorError("event must be a projector")
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
     pos = lay.position(subject)
     conditioned = [
-        _condition_vector(s.amplitudes, p, lay.dims, pos, keep, tol) for _, s in ens.members
+        _condition_vector(s.amplitudes, p, lay.dims, pos, keep) for _, s in ens.members
     ]
     total = sum(w * q for (w, _), (q, _) in zip(ens.members, conditioned))
-    if total <= tol.weight:
+    if total <= DEFAULT.weight:
         raise UndefinedConditionalError(
             f"event occurrence probability {total!r} is (numerically) zero"
         )
@@ -448,16 +431,16 @@ def ensemble_update(
     for k, ((w, _), (q, m)) in enumerate(zip(ens.members, conditioned)):
         if m is None:
             continue
-        state = DensityOperator.from_factor(reduced_layout, m, tol=tol)
+        state = DensityOperator.from_factor(reduced_layout, m)
         updated.append(UpdatedMember(k, w * q / total, state))
     mixture = np.stack([np.sqrt(w) * s.amplitudes for w, s in ens.members])
-    _, m = _condition_vector(mixture, p, lay.dims, pos, keep, tol)
-    aggregate = DensityOperator.from_factor(reduced_layout, m, tol=tol)
+    _, m = _condition_vector(mixture, p, lay.dims, pos, keep)
+    aggregate = DensityOperator.from_factor(reduced_layout, m)
     recombined = np.hstack([math.sqrt(u.weight) * u.state.factor for u in updated])
     resid = float(np.linalg.norm(factor_difference(recombined, aggregate.factor)))
     # The factored residual does not grow with D (see ``Tolerances``), so the
     # bound's D scale stops at 2**10, the largest D it was sized for.
-    if resid > tol.reconstruction * min(max(1, aggregate.layout.dim), 2**10):
+    if resid > DEFAULT.reconstruction * min(max(1, aggregate.layout.dim), 2**10):
         raise ArithmeticError(
             f"updated members do not resum to the aggregate state ({resid:.3e})"
         )
@@ -470,7 +453,6 @@ def monte_carlo_update(
     subject: str,
     n_samples: int,
     seed: int,
-    tol: Tolerances = DEFAULT,
 ) -> MonteCarloUpdate:
     """Finite-sample counterpart of ``ensemble_update``.
 
@@ -481,7 +463,7 @@ def monte_carlo_update(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not is_projector(p, tol):
+    if not is_projector(p):
         raise NotAProjectorError("event must be a projector")
     lay = ens.layout
     amps = np.array([s.amplitudes for _, s in ens.members])
@@ -505,9 +487,7 @@ def monte_carlo_update(
     )
 
 
-def redecompose(
-    ens: WeightedEnsemble, mixing: np.ndarray, tol: Tolerances = DEFAULT
-) -> WeightedEnsemble:
+def redecompose(ens: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:
     """A different pure-state decomposition of the same mixture.
 
     Given a unitary mixing matrix of size >= member count, the members
@@ -518,7 +498,7 @@ def redecompose(
     k = len(ens.members)
     if mixing.shape[0] < k or mixing.shape[0] != mixing.shape[1]:
         raise DimensionMismatchError("mixing matrix too small for the ensemble")
-    if np.linalg.norm(mixing.conj().T @ mixing - np.eye(mixing.shape[0])) > tol.unitary * mixing.shape[0]:
+    if np.linalg.norm(mixing.conj().T @ mixing - np.eye(mixing.shape[0])) > DEFAULT.unitary * mixing.shape[0]:
         raise ValueError("mixing matrix must be unitary")
     lay = ens.layout
     new_members = []
@@ -527,11 +507,9 @@ def redecompose(
         for i, (w, s) in enumerate(ens.members):
             vec += mixing[j, i] * np.sqrt(w) * s.amplitudes
         weight = float(np.real(np.vdot(vec, vec)))
-        if weight > tol.weight:
-            new_members.append(
-                (weight, StateVector(lay, vec / np.sqrt(weight), tol=tol))
-            )
-    return WeightedEnsemble(tuple(new_members), tol=tol)
+        if weight > DEFAULT.weight:
+            new_members.append((weight, StateVector(lay, vec / np.sqrt(weight))))
+    return WeightedEnsemble(tuple(new_members))
 
 
 def offdiagonal_block_norm(

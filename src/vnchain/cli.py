@@ -1,15 +1,17 @@
 """Command-line scenario runner and property-suite driver.
 
 Exit codes: 0 success, 1 validation/usage error, 2 numerical or suite
-failure.  ``VNCHAIN_TOL`` overrides the default report tolerance; the
-``--tol`` flag wins over the environment.
+failure.  ``run --tol`` sets the pass tolerance of the report's check
+lines; the library's own checks read ``vnchain.tolerances.DEFAULT``.  A
+``verify`` suite that raises is reported as a failing row whose note names
+the exception; its residual is infinite (``null`` in JSON).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -23,8 +25,6 @@ from .scenarios import (
     run,
 )
 from .suites import CORRUPT_MODES, run_suites
-
-TOL_ENV_VAR = "VNCHAIN_TOL"
 
 
 class _UsageError(Exception):
@@ -45,7 +45,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--format", choices=("text", "tsv", "json"), default="text")
     p_run.add_argument("--dump-states", action="store_true")
-    p_run.add_argument("--tol", type=float, default=None, help="report tolerance")
+    p_run.add_argument(
+        "--tol", type=float, default=RunOptions.tolerance, help="report tolerance"
+    )
 
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument(
@@ -69,16 +71,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _default_tolerance() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return RunOptions.tolerance
-    try:
-        return float(raw)
-    except ValueError:
-        raise _UsageError(f"cannot read {TOL_ENV_VAR}={raw!r} as a float")
-
-
 def _cmd_run(args) -> int:
     name_or_path = args.scenario
     if name_or_path in builtin_names():
@@ -92,8 +84,7 @@ def _cmd_run(args) -> int:
             )
             return 1
         scenario = parse_scenario(path.read_text())
-    tol = args.tol if args.tol is not None else _default_tolerance()
-    options = RunOptions(seed=args.seed, tolerance=tol, dump_states=args.dump_states)
+    options = RunOptions(seed=args.seed, tolerance=args.tol, dump_states=args.dump_states)
     report = run(scenario, options)
     sys.stdout.write(report.render(args.format))
     return 0 if report.passed else 2
@@ -129,7 +120,7 @@ def _cmd_verify(args) -> int:
                 {
                     "name": r.name,
                     "cases": r.cases,
-                    "max_residual": r.max_residual,
+                    "max_residual": r.max_residual if math.isfinite(r.max_residual) else None,
                     "tolerance": r.tolerance,
                     "passed": r.passed,
                     "note": r.note,
@@ -142,7 +133,7 @@ def _cmd_verify(args) -> int:
     else:
         width = max(len(r.name) for r in results)
         for r in results:
-            status = "PASS" if r.passed else "FAIL"
+            status = "PASS" if r.passed else f"FAIL  {r.note}".rstrip()
             print(
                 f"{r.name.ljust(width)}  cases={r.cases:<5d} "
                 f"max_residual={r.max_residual:.6e}  tol={r.tolerance:.1e}  {status}"

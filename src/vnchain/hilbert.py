@@ -12,7 +12,7 @@ function; instances may be shared between threads freely.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence, Union
 
@@ -24,7 +24,7 @@ from .errors import (
     LayoutConflictError,
     NonOrthonormalBasisError,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 def _frozen_array(values, shape_hint=None) -> np.ndarray:
@@ -119,9 +119,8 @@ class StateVector:
     layout: SubsystemLayout
     amplitudes: np.ndarray
     normalized: bool = True
-    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, tol: Tolerances):
+    def __post_init__(self):
         amps = _frozen_array(self.amplitudes)
         if amps.ndim != 1 or amps.shape[0] != self.layout.dim:
             raise DimensionMismatchError(
@@ -131,7 +130,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
             n = np.linalg.norm(amps)
-            if abs(n - 1.0) > tol.norm:
+            if abs(n - 1.0) > DEFAULT.norm:
                 raise ValueError(f"state flagged normalized but ||amplitudes|| = {n!r}")
 
     def norm(self) -> float:
@@ -139,7 +138,7 @@ class StateVector:
 
     def normalize(self) -> "StateVector":
         n = self.norm()
-        if n < 1e-150:
+        if n < DEFAULT.zero_norm:
             raise ValueError("cannot normalize a (numerically) zero vector")
         return StateVector(self.layout, self.amplitudes / n, normalized=True)
 
@@ -179,38 +178,35 @@ class DensityOperator:
 
     layout: SubsystemLayout
     matrix: np.ndarray
-    tol: InitVar[Tolerances] = DEFAULT
     factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, tol: Tolerances):
+    def __post_init__(self):
         d = self.layout.dim
         if self.factor is not None:  # from_factor: M M^dag is Hermitian and PSD
             m = _frozen_array(self.factor)
             if m.ndim != 2 or m.shape[0] != d:
                 raise DimensionMismatchError(f"expected array of shape ({d}, r), got {m.shape}")
             tr = np.vdot(m, m)
-            if abs(tr - 1.0) > tol.norm:
-                raise ValueError(f"trace {tr!r} is not 1 within {tol.norm}")
+            if abs(tr - 1.0) > DEFAULT.norm:
+                raise ValueError(f"trace {tr!r} is not 1 within {DEFAULT.norm}")
             object.__setattr__(self, "factor", m)
             return
         mat = _frozen_array(self.matrix, shape_hint=(d, d))
         object.__setattr__(self, "matrix", mat)
         herm = np.linalg.norm(mat - mat.conj().T)
-        if herm > tol.herm:
+        if herm > DEFAULT.herm:
             raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > tol.norm:
-            raise ValueError(f"trace {tr!r} is not 1 within {tol.norm}")
+        if abs(tr - 1.0) > DEFAULT.norm:
+            raise ValueError(f"trace {tr!r} is not 1 within {DEFAULT.norm}")
         # The eigenvalues are computed only to decide and report a failure.
-        if not _has_shifted_cholesky(mat, tol.psd):
+        if not _has_shifted_cholesky(mat, DEFAULT.psd):
             lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -tol.psd:
+            if lo < -DEFAULT.psd:
                 raise ValueError(f"matrix not PSD: lowest eigenvalue {lo:.3e}")
 
     @classmethod
-    def from_factor(
-        cls, layout: SubsystemLayout, m: np.ndarray, tol: Tolerances = DEFAULT
-    ) -> "DensityOperator":
+    def from_factor(cls, layout: SubsystemLayout, m: np.ndarray) -> "DensityOperator":
         """The state M M^dag of a (layout.dim, r) factor M.
 
         Hermitian and PSD by construction, so ``__post_init__`` checks only
@@ -219,7 +215,7 @@ class DensityOperator:
         rho = object.__new__(cls)
         object.__setattr__(rho, "layout", layout)
         object.__setattr__(rho, "factor", m)
-        rho.__post_init__(tol)
+        rho.__post_init__()
         return rho
 
     def __getattr__(self, name: str):
@@ -291,9 +287,8 @@ class SubsystemBasis:
 
     subsystem: str
     vectors: tuple[np.ndarray, ...]
-    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, tol: Tolerances):
+    def __post_init__(self):
         vecs = tuple(_frozen_array(v) for v in self.vectors)
         if not vecs:
             raise NonOrthonormalBasisError("basis needs at least one vector")
@@ -306,7 +301,7 @@ class SubsystemBasis:
             )
         gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
         resid = np.linalg.norm(gram - np.eye(len(vecs)))
-        if resid > tol.orth * max(1, len(vecs)):
+        if resid > DEFAULT.orth * max(1, len(vecs)):
             raise NonOrthonormalBasisError(f"orthonormality residual {resid:.3e}")
         object.__setattr__(self, "vectors", vecs)
 
@@ -352,7 +347,7 @@ def complete_orthonormal(
             for b in basis:
                 w = w - np.vdot(b, w) * b
         n = np.linalg.norm(w)
-        if n > 1e-7:
+        if n > DEFAULT.completion:
             basis.append(w / n)
     if len(basis) != dim:
         raise NonOrthonormalBasisError("could not complete basis from candidates")
@@ -449,7 +444,7 @@ def partial_trace_vector(
     return tens.transpose(perm).reshape(d_keep, -1)
 
 
-def partial_trace(state: State, traced: Iterable[str], tol: Tolerances = DEFAULT) -> DensityOperator:
+def partial_trace(state: State, traced: Iterable[str]) -> DensityOperator:
     """Reduced density operator after tracing out the ``traced`` subsystems.
 
     The trace is preserved, so the input must be normalized for the result
@@ -466,12 +461,12 @@ def partial_trace(state: State, traced: Iterable[str], tol: Tolerances = DEFAULT
     new_layout = lay.restricted(set(lay.labels) - traced)
     if isinstance(state, StateVector):
         m = partial_trace_vector(state.amplitudes, lay.dims, keep)
-        return DensityOperator.from_factor(new_layout, m, tol=tol)
+        return DensityOperator.from_factor(new_layout, m)
     if state.factor is not None:
         m = partial_trace_vector(state.factor.T, lay.dims, keep)
-        return DensityOperator.from_factor(new_layout, m, tol=tol)
+        return DensityOperator.from_factor(new_layout, m)
     reduced = partial_trace_matrix(state.matrix, lay.dims, keep)
-    return DensityOperator(new_layout, reduced, tol=tol)
+    return DensityOperator(new_layout, reduced)
 
 
 def partial_scalar_product(bra: np.ndarray, subsystem: str, state: StateVector) -> StateVector:

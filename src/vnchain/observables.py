@@ -8,31 +8,27 @@ arbitrarily degenerate (projectors of any rank >= 1).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotAProjectorError
-from .tolerances import DEFAULT, Tolerances
+from .hilbert import _frozen_array
+from .tolerances import DEFAULT
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
-def is_projector(p: np.ndarray, tol: Tolerances = DEFAULT) -> bool:
+def is_projector(p: np.ndarray) -> bool:
     p = np.asarray(p, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         return False
     return (
-        np.linalg.norm(p - p.conj().T) <= tol.herm
-        and np.linalg.norm(p @ p - p) <= tol.orth * p.shape[0]
+        np.linalg.norm(p - p.conj().T) <= DEFAULT.herm
+        and np.linalg.norm(p @ p - p) <= DEFAULT.orth * p.shape[0]
     )
 
 
@@ -43,7 +39,7 @@ class SpectralBranch:
     projector: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "projector", _frozen(self.projector))
+        object.__setattr__(self, "projector", _frozen_array(self.projector))
 
     @property
     def rank(self) -> int:
@@ -56,26 +52,27 @@ class SpectralObservable:
 
     subsystem: str
     branches: tuple[SpectralBranch, ...]
-    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, tol: Tolerances):
+    def __post_init__(self):
         branches = tuple(self.branches)
         if not branches:
             raise DimensionMismatchError("observable needs at least one branch")
         object.__setattr__(self, "branches", branches)
         d = branches[0].projector.shape[0]
         eigs = [b.eigenvalue for b in branches]
-        if any(b - a <= tol.eig_merge for a, b in zip(eigs, eigs[1:])):
+        if not all(math.isfinite(e) for e in eigs):
+            raise ValueError(f"branch eigenvalues {eigs} are not all finite")
+        if any(b - a <= DEFAULT.eig_merge for a, b in zip(eigs, eigs[1:])):
             raise ValueError(
-                f"branch eigenvalues {eigs} not ascending with separation > {tol.eig_merge}"
+                f"branch eigenvalues {eigs} not ascending with separation > {DEFAULT.eig_merge}"
             )
-        scale = tol.orth * max(1, d)
+        scale = DEFAULT.orth * max(1, d)
         total = np.zeros((d, d), dtype=complex)
         for b in branches:
             p = b.projector
             if p.shape != (d, d):
                 raise DimensionMismatchError("branch projectors differ in shape")
-            if not is_projector(p, tol):
+            if not is_projector(p):
                 raise NotAProjectorError(f"branch {b.index} projector is not a projector")
             if np.real(np.trace(p)) < 0.5:
                 raise NotAProjectorError(f"branch {b.index} projector has rank 0")
@@ -128,7 +125,7 @@ class DecompositionOfIdentity:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        projs = tuple(_frozen(p) for p in self.projectors)
+        projs = tuple(_frozen_array(p) for p in self.projectors)
         if not projs:
             raise DimensionMismatchError("decomposition needs at least one projector")
         d = projs[0].shape[0]
@@ -151,9 +148,7 @@ class DecompositionReport:
     passed: bool
 
 
-def check_decomposition(
-    d: DecompositionOfIdentity, tol: Tolerances = DEFAULT
-) -> DecompositionReport:
+def check_decomposition(d: DecompositionOfIdentity) -> DecompositionReport:
     """Report idempotency, orthogonality, and completeness residuals."""
     projs = d.projectors
     idem = max(float(np.linalg.norm(p @ p - p)) for p in projs)
@@ -163,33 +158,28 @@ def check_decomposition(
         for b in projs[i + 1 :]:
             orth = max(orth, float(np.linalg.norm(a @ b)))
     comp = float(np.linalg.norm(sum(projs) - np.eye(d.dim)))
-    threshold = tol.orth * max(1, d.dim)
+    threshold = DEFAULT.orth * max(1, d.dim)
     passed = max(idem, herm, orth, comp) <= threshold
     return DecompositionReport(idem, herm, orth, comp, threshold, passed)
 
 
-def observable_from_matrix(
-    h: np.ndarray,
-    subsystem: str,
-    merge_tol: float = DEFAULT.eig_merge,
-    tol: Tolerances = DEFAULT,
-) -> SpectralObservable:
-    """Unique spectral form of a Hermitian matrix.
+def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
+    """Unique spectral form of a finite Hermitian matrix.
 
-    Eigenvalues closer than ``merge_tol`` are merged into a single branch
+    Eigenvalues closer than ``DEFAULT.eig_merge`` are merged into a single branch
     whose projector is the sum of the eigenprojectors; branches come out
     sorted by ascending eigenvalue and indexed by position.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _frozen_array(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
     herm = np.linalg.norm(h - h.conj().T)
-    if herm > tol.herm:
+    if herm > DEFAULT.herm:
         raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
     eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(eigvals)):
-        if eigvals[i] - eigvals[groups[-1][-1]] <= merge_tol:
+        if eigvals[i] - eigvals[groups[-1][-1]] <= DEFAULT.eig_merge:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -199,13 +189,13 @@ def observable_from_matrix(
         proj = vecs @ vecs.conj().T
         value = float(np.mean(eigvals[group]))
         branches.append(SpectralBranch(k, value, proj))
-    return SpectralObservable(subsystem, tuple(branches), tol=tol)
+    return SpectralObservable(subsystem, tuple(branches))
 
 
-def event_complement(p: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def event_complement(p: np.ndarray) -> np.ndarray:
     """Complementary event I - P of a projector."""
     p = np.asarray(p, dtype=complex)
-    if not is_projector(p, tol):
+    if not is_projector(p):
         raise NotAProjectorError("event_complement needs a projector")
     return np.eye(p.shape[0], dtype=complex) - p
 

@@ -14,7 +14,7 @@ equality.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,12 +25,13 @@ from .hilbert import (
     SubsystemBasis,
     SubsystemLayout,
     DensityOperator,
+    _frozen_array,
     apply_local,
     complete_orthonormal,
     random_unitary,
 )
 from .observables import SpectralBranch, SpectralObservable, projector_onto
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,8 @@ class Premeasurement:
     ready_state: StateVector
     unitary: np.ndarray
     index_map: tuple[tuple[int, int], ...]
-    tol: InitVar[Tolerances] = DEFAULT
 
-    def __post_init__(self, tol: Tolerances):
+    def __post_init__(self):
         if self.object_label == self.instrument_label:
             raise LayoutConflictError("object and instrument labels must differ")
         if self.measured.subsystem != self.object_label:
@@ -80,13 +80,12 @@ class Premeasurement:
         if not self.ready_state.normalized:
             raise ValueError("ready state must be normalized")
         d = self.measured.dim * self.pointer.dim
-        u = np.array(self.unitary, dtype=complex)
+        u = _frozen_array(self.unitary)
         if u.shape != (d, d):
             raise DimensionMismatchError(f"unitary shape {u.shape}, expected {(d, d)}")
         resid = np.linalg.norm(u.conj().T @ u - np.eye(d))
-        if resid > tol.unitary * max(1, d):
+        if resid > DEFAULT.unitary * max(1, d):
             raise ValueError(f"matrix is not unitary: residual {resid:.3e}")
-        u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
         pairs = tuple((int(a), int(b)) for a, b in self.index_map)
         object.__setattr__(self, "index_map", pairs)
@@ -143,7 +142,6 @@ def build_ideal(
     ready_state: StateVector,
     pointer: SpectralObservable | None = None,
     completion_seed: int = 0,
-    tol: Tolerances = DEFAULT,
 ) -> Premeasurement:
     """Ideal premeasurement from one pointer state per measured branch.
 
@@ -175,7 +173,7 @@ def build_ideal(
         raise LayoutConflictError("ready state must live on the instrument subsystem")
 
     if pointer is None:
-        pointer, index_map = _pointer_from_states(instrument, pointer_states, tol)
+        pointer, index_map = _pointer_from_states(instrument, pointer_states)
     else:
         if pointer.subsystem != instrument or pointer.dim != d_b:
             raise LayoutConflictError("pointer observable does not match instrument")
@@ -205,12 +203,11 @@ def build_ideal(
         ready_state=ready_state,
         unitary=unitary,
         index_map=tuple(index_map.items()),
-        tol=tol,
     )
 
 
 def _pointer_from_states(
-    instrument: str, pointer_states: SubsystemBasis, tol: Tolerances
+    instrument: str, pointer_states: SubsystemBasis
 ) -> tuple[SpectralObservable, dict[int, int]]:
     d_b = pointer_states.dim
     branches = [
@@ -223,7 +220,6 @@ def _pointer_from_states(
     observable = SpectralObservable(
         instrument,
         tuple(SpectralBranch(i, val, proj) for i, (val, proj) in enumerate(branches)),
-        tol=tol,
     )
     value_to_pos = {val: i for i, (val, _) in enumerate(branches)}
     index_map = {k: value_to_pos[float(k)] for k in range(len(pointer_states.vectors))}
@@ -238,7 +234,7 @@ def _match_pointer_states(
         hits = [
             j
             for j, b in enumerate(pointer.branches)
-            if np.linalg.norm(b.projector @ v - v) <= 1e-8
+            if np.linalg.norm(b.projector @ v - v) <= DEFAULT.pointer_match
         ]
         if len(hits) != 1:
             raise DimensionMismatchError(
@@ -254,7 +250,6 @@ def _match_pointer_states(
 def build_exact(
     ideal: Premeasurement,
     dressings: list[tuple[np.ndarray, np.ndarray]],
-    tol: Tolerances = DEFAULT,
 ) -> Premeasurement:
     """Dress an ideal premeasurement into a general exact one.
 
@@ -278,16 +273,16 @@ def build_exact(
         w_b = np.asarray(w_b, dtype=complex)
         if v_a.shape != (d_a, d_a) or w_b.shape != (d_b, d_b):
             raise DimensionMismatchError("dressing shapes do not match the layout")
-        if np.linalg.norm(v_a.conj().T @ v_a - np.eye(d_a)) > tol.unitary * d_a:
+        if np.linalg.norm(v_a.conj().T @ v_a - np.eye(d_a)) > DEFAULT.unitary * d_a:
             raise DressingError(f"object dressing {k} is not unitary")
         f = ideal.pointer_projector_for(k)
         leak = np.linalg.norm((eye_b - f) @ w_b @ f)
-        if leak > tol.orth * d_b:
+        if leak > DEFAULT.orth * d_b:
             raise DressingError(
                 f"instrument dressing {k} leaks outside its pointer range "
                 f"(residual {leak:.3e})"
             )
-        if np.linalg.norm(f @ w_b.conj().T @ w_b @ f - f) > tol.orth * d_b:
+        if np.linalg.norm(f @ w_b.conj().T @ w_b @ f - f) > DEFAULT.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
         dressed += apply_local(v_a, apply_local(w_b @ f, ideal.unitary, dims, 1), dims, 0)
         mapped.add(ideal.mapping[k])
@@ -297,7 +292,7 @@ def build_exact(
     return replace(ideal, unitary=dressed)
 
 
-def evolve(pm: Premeasurement, object_state: StateVector, tol: Tolerances = DEFAULT) -> StateVector:
+def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
     """Final composite state U(|phi> (x) |ready>)."""
     if object_state.layout.labels != (pm.object_label,):
         raise LayoutConflictError(
@@ -309,7 +304,7 @@ def evolve(pm: Premeasurement, object_state: StateVector, tol: Tolerances = DEFA
     if not object_state.normalized:
         raise ValueError("object state must be normalized")
     amps = pm.isometry @ object_state.amplitudes
-    return StateVector(pm.layout, amps, normalized=True, tol=tol)
+    return StateVector(pm.layout, amps, normalized=True)
 
 
 def _sharp_vector(projector: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -319,13 +314,13 @@ def _sharp_vector(projector: np.ndarray, rng: np.random.Generator) -> np.ndarray
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec = projector @ raw
         n = np.linalg.norm(vec)
-        if n > 1e-8:
+        if n > DEFAULT.sharp_sample:
             return vec / n
     raise RuntimeError("could not sample a state in the projector range")
 
 
 def check_conditions(
-    pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
+    pm: Premeasurement, trials: int, seed: int = 0
 ) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
     """The three defining conditions of a premeasurement in one pass.
 
@@ -372,36 +367,30 @@ def check_conditions(
             resid = np.linalg.norm(pointed - projected @ iso.T, axis=1)
             dynamical = max(dynamical, float(resid.max()))
     return (
-        ConditionReport("calibration", calibration, samples, tol.condition),
-        ConditionReport("probability_reproduction", probability, samples, tol.condition),
-        ConditionReport("dynamical", dynamical, samples, tol.condition),
+        ConditionReport("calibration", calibration, samples, DEFAULT.condition),
+        ConditionReport("probability_reproduction", probability, samples, DEFAULT.condition),
+        ConditionReport("dynamical", dynamical, samples, DEFAULT.condition),
     )
 
 
-def check_calibration(
-    pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
-) -> ConditionReport:
+def check_calibration(pm: Premeasurement, trials: int, seed: int = 0) -> ConditionReport:
     """Calibration report of ``check_conditions``."""
-    return check_conditions(pm, trials, seed, tol)[0]
+    return check_conditions(pm, trials, seed)[0]
 
 
 def check_probability_reproduction(
-    pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
+    pm: Premeasurement, trials: int, seed: int = 0
 ) -> ConditionReport:
     """Probability-reproduction report of ``check_conditions``."""
-    return check_conditions(pm, trials, seed, tol)[1]
+    return check_conditions(pm, trials, seed)[1]
 
 
-def check_dynamical(
-    pm: Premeasurement, trials: int, seed: int = 0, tol: Tolerances = DEFAULT
-) -> ConditionReport:
+def check_dynamical(pm: Premeasurement, trials: int, seed: int = 0) -> ConditionReport:
     """Dynamical-condition report of ``check_conditions``."""
-    return check_conditions(pm, trials, seed, tol)[2]
+    return check_conditions(pm, trials, seed)[2]
 
 
-def luders_state(
-    object_state: StateVector, measured: SpectralObservable, tol: Tolerances = DEFAULT
-) -> DensityOperator:
+def luders_state(object_state: StateVector, measured: SpectralObservable) -> DensityOperator:
     """Non-selective post-measurement object state sum_k E_k |phi><phi| E_k."""
     if object_state.layout.dim != measured.dim:
         raise DimensionMismatchError("state does not match the observable dimension")
@@ -411,12 +400,10 @@ def luders_state(
     out = np.zeros_like(rho)
     for b in measured.branches:
         out += b.projector @ rho @ b.projector
-    return DensityOperator(object_state.layout, out, tol=tol)
+    return DensityOperator(object_state.layout, out)
 
 
-def branch_decomposition(
-    final: StateVector, pointer: SpectralObservable, tol: Tolerances = DEFAULT
-) -> BranchDecomposition:
+def branch_decomposition(final: StateVector, pointer: SpectralObservable) -> BranchDecomposition:
     """Complete-measurement branches (k, ||F_k Phi||^2, F_k Phi normalized).
 
     Branches with weight below the drop threshold are recorded only through
@@ -431,12 +418,12 @@ def branch_decomposition(
     for j, b in enumerate(pointer.branches):
         vec = apply_local(b.projector, final.amplitudes, lay.dims, pos)
         w = float(np.real(np.vdot(vec, vec)))
-        if w > tol.weight:
-            component = StateVector(lay, vec / np.sqrt(w), normalized=True, tol=tol)
+        if w > DEFAULT.weight:
+            component = StateVector(lay, vec / np.sqrt(w), normalized=True)
             kept.append(Branch(j, w, component))
         else:
             dropped += w
-    return BranchDecomposition(pointer.subsystem, tuple(kept), dropped, tol=tol)
+    return BranchDecomposition(pointer.subsystem, tuple(kept), dropped)
 
 
 def random_observable(
@@ -476,21 +463,18 @@ def random_ideal(
     instrument_dim: int,
     rng: np.random.Generator,
     n_branches: int | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> Premeasurement:
     """Random ideal premeasurement at the given dimensions."""
     n = n_branches if n_branches is not None else min(object_dim, instrument_dim)
     measured = random_observable(object_dim, n, object_label, rng)
     q = random_unitary(instrument_dim, rng)
-    pointer_states = SubsystemBasis(
-        instrument_label, tuple(q[:, k] for k in range(n)), tol=tol
-    )
+    pointer_states = SubsystemBasis(instrument_label, tuple(q[:, k] for k in range(n)))
     raw = rng.standard_normal(instrument_dim) + 1j * rng.standard_normal(instrument_dim)
     ready = StateVector(
         SubsystemLayout(((instrument_label, instrument_dim),)), raw / np.linalg.norm(raw)
     )
     seed = int(rng.integers(2**32))
-    return build_ideal(measured, pointer_states, ready, completion_seed=seed, tol=tol)
+    return build_ideal(measured, pointer_states, ready, completion_seed=seed)
 
 
 def random_exact(
@@ -500,11 +484,10 @@ def random_exact(
     instrument_dim: int,
     rng: np.random.Generator,
     n_branches: int | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> Premeasurement:
     """Random exact (dressed) premeasurement at the given dimensions."""
     ideal = random_ideal(
-        object_label, instrument_label, object_dim, instrument_dim, rng, n_branches, tol
+        object_label, instrument_label, object_dim, instrument_dim, rng, n_branches
     )
     dressings = [
         (
@@ -513,4 +496,4 @@ def random_exact(
         )
         for k in range(ideal.measured.branch_count)
     ]
-    return build_exact(ideal, dressings, tol=tol)
+    return build_exact(ideal, dressings)

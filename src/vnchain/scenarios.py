@@ -211,7 +211,10 @@ def _parse_observable(
             vals = spec["diag"]
             if not isinstance(vals, list) or len(vals) != dim:
                 raise ScenarioError(E_DIMENSION, location, f"'diag' needs {dim} values")
-            return observable_from_matrix(np.diag(np.array(vals, dtype=float)), subsystem)
+            try:  # non-numeric, NaN or infinite entries
+                return observable_from_matrix(np.diag(np.array(vals, dtype=float)), subsystem)
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(E_BAD_OBSERVABLE, location, str(exc))
         if "matrix" in spec:
             mat = _parse_matrix(spec["matrix"], dim, f"{location}.matrix")
             try:

@@ -2,15 +2,17 @@
 
 Each suite draws its own inputs from a seed derived from the run seed, so a
 verify run is reproducible, and reports the worst residual it saw against a
-fixed tolerance.  The ``corrupt`` hook deliberately damages the system under
-test (not the checks) so that fault injection can prove the suites have
-teeth.
+fixed tolerance.  A suite that raises fails with an infinite residual and
+the exception in its note; the other suites still run.  The ``corrupt``
+hook deliberately damages the system under test (not the checks) so that
+fault injection can prove the suites have teeth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -116,7 +118,7 @@ def _random_projector(dim: int, rng: np.random.Generator, rank: int | None = Non
     return projector_onto([q[:, i] for i in range(r)])
 
 
-def _suite_pt_commutativity(ctx: SuiteContext) -> SuiteResult:
+def _suite_pt_commutativity(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(1)
     worst, cases = 0.0, 0
     for _ in range(ctx.trials):
@@ -128,10 +130,10 @@ def _suite_pt_commutativity(ctx: SuiteContext) -> SuiteResult:
         rhs = partial_trace_matrix(apply_local(y.T, x, dims, 3), (da, db), [0])  # X (I x Y)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
         cases += 1
-    return SuiteResult("hilbert.partial_trace_commutativity", cases, worst, 1e-10)
+    return cases, worst
 
 
-def _suite_pt_trace_one(ctx: SuiteContext) -> SuiteResult:
+def _suite_pt_trace_one(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(2)
     worst, cases = 0.0, 0
     for _ in range(ctx.trials):
@@ -141,10 +143,10 @@ def _suite_pt_trace_one(ctx: SuiteContext) -> SuiteResult:
         red = partial_trace(state, {"B"})
         worst = max(worst, abs(float(np.real(np.trace(red.matrix))) - 1.0))
         cases += 1
-    return SuiteResult("hilbert.partial_trace_trace_one", cases, worst, 1e-12)
+    return cases, worst
 
 
-def _suite_pt_psd(ctx: SuiteContext) -> SuiteResult:
+def _suite_pt_psd(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(3)
     worst, cases = 0.0, 0
     for _ in range(ctx.trials):
@@ -154,10 +156,10 @@ def _suite_pt_psd(ctx: SuiteContext) -> SuiteResult:
         lo = float(np.linalg.eigvalsh(red.matrix)[0])
         worst = max(worst, max(0.0, -lo))
         cases += 1
-    return SuiteResult("hilbert.partial_trace_psd", cases, worst, DEFAULT.psd)
+    return cases, worst
 
 
-def _suite_expansion(ctx: SuiteContext) -> SuiteResult:
+def _suite_expansion(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(4)
     worst, cases = 0.0, 0
     for _ in range(ctx.trials):
@@ -174,10 +176,10 @@ def _suite_expansion(ctx: SuiteContext) -> SuiteResult:
             resum += np.kron(c.amplitudes, basis.vectors[n])
         worst = max(worst, float(np.linalg.norm(resum - state.amplitudes)))
         cases += 1
-    return SuiteResult("hilbert.expansion_resummation", cases, worst, 1e-10)
+    return cases, worst
 
 
-def _suite_psp_expansion(ctx: SuiteContext) -> SuiteResult:
+def _suite_psp_expansion(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(5)
     worst, cases = 0.0, 0
     for _ in range(ctx.trials):
@@ -193,10 +195,10 @@ def _suite_psp_expansion(ctx: SuiteContext) -> SuiteResult:
             worst, float(np.max(np.abs(psp.amplitudes - coeffs[n][1].amplitudes)))
         )
         cases += 1
-    return SuiteResult("hilbert.psp_matches_expansion", cases, worst, 1e-12)
+    return cases, worst
 
 
-def _suite_observables(ctx: SuiteContext) -> SuiteResult:
+def _suite_observables(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(6)
     worst, cases = 0.0, 0
     for _ in range(ctx.trials):
@@ -217,7 +219,7 @@ def _suite_observables(ctx: SuiteContext) -> SuiteResult:
             else 1.0,
         )
         cases += 1
-    return SuiteResult("observables.spectral_reconstruction", cases, worst, 1e-9)
+    return cases, worst
 
 
 def _grid_premeasurements(ctx: SuiteContext, rng, exact=True):
@@ -231,7 +233,7 @@ def _grid_premeasurements(ctx: SuiteContext, rng, exact=True):
             yield _maybe_corrupt(pm, ctx)
 
 
-def _suite_triangle(ctx: SuiteContext) -> SuiteResult:
+def _suite_triangle(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(7)
     worst, cases = 0.0, 0
     for pm in _grid_premeasurements(ctx, rng, exact=True):
@@ -239,16 +241,10 @@ def _suite_triangle(ctx: SuiteContext) -> SuiteResult:
         for rep in check_conditions(pm, trials=3, seed=seed):
             worst = max(worst, rep.max_residual)
         cases += 1
-    return SuiteResult(
-        "premeasurement.equivalence_triangle",
-        cases,
-        worst,
-        1e-9,
-        note="calibration, probability reproduction, dynamical on dressed unitaries",
-    )
+    return cases, worst
 
 
-def _suite_ideal_definitions(ctx: SuiteContext) -> SuiteResult:
+def _suite_ideal_definitions(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(8)
     worst, cases = 0.0, 0
     for pm in _grid_premeasurements(ctx, rng, exact=False):
@@ -275,7 +271,7 @@ def _suite_ideal_definitions(ctx: SuiteContext) -> SuiteResult:
             proj = np.outer(sharp.amplitudes, sharp.amplitudes.conj())
             worst = max(worst, float(np.linalg.norm(red_sharp.matrix - proj)))
         cases += 1
-    return SuiteResult("premeasurement.ideal_definitions", cases, worst, 1e-10)
+    return cases, worst
 
 
 def _recovered_pointer_state(
@@ -294,7 +290,7 @@ def _recovered_pointer_state(
     )
 
 
-def _suite_completeness(ctx: SuiteContext) -> SuiteResult:
+def _suite_completeness(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(9)
     worst, cases = 0.0, 0
     for pm in _grid_premeasurements(ctx, rng, exact=True):
@@ -306,10 +302,10 @@ def _suite_completeness(ctx: SuiteContext) -> SuiteResult:
             resum = resum + apply_local(br.projector, final.amplitudes, dims, 1)
         worst = max(worst, float(np.linalg.norm(resum - final.amplitudes)))
         cases += 1
-    return SuiteResult("premeasurement.pointer_completeness", cases, worst, 1e-12)
+    return cases, worst
 
 
-def _suite_identity_dressing(ctx: SuiteContext) -> SuiteResult:
+def _suite_identity_dressing(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(10)
     worst, cases = 0.0, 0
     for pm in _grid_premeasurements(ctx, rng, exact=False):
@@ -318,7 +314,7 @@ def _suite_identity_dressing(ctx: SuiteContext) -> SuiteResult:
         dressed = build_exact(pm, [(eye_a, eye_b)] * pm.measured.branch_count)
         worst = max(worst, float(np.max(np.abs(dressed.unitary - pm.unitary))))
         cases += 1
-    return SuiteResult("premeasurement.identity_dressing", cases, worst, 1e-12)
+    return cases, worst
 
 
 def _random_chain(ctx: SuiteContext, rng):
@@ -338,7 +334,7 @@ def _random_chain(ctx: SuiteContext, rng):
     return pm1, pm2, phi
 
 
-def _suite_two_link(ctx: SuiteContext) -> SuiteResult:
+def _suite_two_link(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(11)
     worst, cases = 0.0, 0
     trials = max(1, ctx.trials // 10)
@@ -354,10 +350,10 @@ def _suite_two_link(ctx: SuiteContext) -> SuiteResult:
             resum += np.kron(projected, pointer_vec)
         worst = max(worst, float(np.linalg.norm(resum - final.amplitudes)))
         cases += 1
-    return SuiteResult("chains.two_link_resummation", cases, worst, 1e-10)
+    return cases, worst
 
 
-def _suite_decoherence(ctx: SuiteContext) -> SuiteResult:
+def _suite_decoherence(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(12)
     worst, cases = 0.0, 0
     trials = max(1, ctx.trials // 10)
@@ -368,16 +364,10 @@ def _suite_decoherence(ctx: SuiteContext) -> SuiteResult:
         worst = max(worst, offdiagonal_block_norm(rho_ab, pm1.pointer.decomposition()))
         worst = max(worst, abs(purity(final) - 1.0))
         cases += 1
-    return SuiteResult(
-        "chains.decoherence_split",
-        cases,
-        worst,
-        1e-10,
-        note="pointer cross blocks vanish while the full chain state stays pure",
-    )
+    return cases, worst
 
 
-def _suite_relative_forms(ctx: SuiteContext) -> SuiteResult:
+def _suite_relative_forms(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(13)
     worst, cases = 0.0, 0
     for _ in range(max(ctx.trials, 1)):
@@ -404,10 +394,10 @@ def _suite_relative_forms(ctx: SuiteContext) -> SuiteResult:
         worst = max(worst, float(np.linalg.norm(p1 - p2)))
         worst = max(worst, float(np.linalg.norm(p2 - cond.matrix)))
         cases += 1
-    return SuiteResult("chains.relative_state_forms", cases, worst, 1e-10)
+    return cases, worst
 
 
-def _suite_conditional_equiv(ctx: SuiteContext) -> SuiteResult:
+def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(14)
     worst, cases = 0.0, 0
     for _ in range(max(ctx.trials, 1)):
@@ -437,10 +427,10 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> SuiteResult:
         worst = max(worst, float(np.linalg.norm(res.aggregate.matrix - agg_plain.matrix)))
         worst = max(worst, float(np.linalg.norm(agg_plain.matrix - agg_sandwich.matrix)))
         cases += 1
-    return SuiteResult("chains.conditional_equivalences", cases, worst, 1e-10)
+    return cases, worst
 
 
-def _suite_tripartite(ctx: SuiteContext) -> SuiteResult:
+def _suite_tripartite(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(15)
     worst, cases = 0.0, 0
     for _ in range(max(ctx.trials, 1)):
@@ -453,10 +443,10 @@ def _suite_tripartite(ctx: SuiteContext) -> SuiteResult:
             continue
         worst = max(worst, float(np.linalg.norm(via_full.matrix - via_reduced.matrix)))
         cases += 1
-    return SuiteResult("chains.tripartite_consistency", cases, worst, 1e-10)
+    return cases, worst
 
 
-def _suite_born_weights(ctx: SuiteContext) -> SuiteResult:
+def _suite_born_weights(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(16)
     worst, cases = 0.0, 0
     trials = max(1, ctx.trials // 5)
@@ -477,10 +467,10 @@ def _suite_born_weights(ctx: SuiteContext) -> SuiteResult:
             w_mix = next((b.weight for b in mix.branches if b.index == j), 0.0)
             worst = max(worst, abs(w_bd - born), abs(w_mix - born))
         cases += 1
-    return SuiteResult("chains.born_weights", cases, worst, 1e-12)
+    return cases, worst
 
 
-def _suite_absoluteness(ctx: SuiteContext) -> SuiteResult:
+def _suite_absoluteness(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(17)
     worst, cases = 0.0, 0
     trials = max(1, ctx.trials // 5)
@@ -497,16 +487,10 @@ def _suite_absoluteness(ctx: SuiteContext) -> SuiteResult:
         back = partial_trace(joined, {"C"})
         worst = max(worst, float(np.linalg.norm(back.matrix - rho_ab.matrix)))
         cases += 1
-    return SuiteResult(
-        "chains.absoluteness",
-        cases,
-        worst,
-        1e-12,
-        note="adjoining an uncorrelated system leaves a proper mixture alone",
-    )
+    return cases, worst
 
 
-def _suite_redecomposition(ctx: SuiteContext) -> SuiteResult:
+def _suite_redecomposition(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(18)
     worst, cases = 0.0, 0
     trials = max(1, ctx.trials // 5)
@@ -528,10 +512,10 @@ def _suite_redecomposition(ctx: SuiteContext) -> SuiteResult:
             worst, float(np.linalg.norm(res_a.aggregate.matrix - res_b.aggregate.matrix))
         )
         cases += 1
-    return SuiteResult("chains.redecomposition_invariance", cases, worst, 1e-10)
+    return cases, worst
 
 
-def _suite_monte_carlo(ctx: SuiteContext) -> SuiteResult:
+def _suite_monte_carlo(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(19)
     lay = layout(("A", 2), ("B", 2))
     reps, failures = 10, 0
@@ -553,35 +537,59 @@ def _suite_monte_carlo(ctx: SuiteContext) -> SuiteResult:
             if abs(w_hat - m.weight) > 3 * se:
                 ok = False
         failures += 0 if ok else 1
-    return SuiteResult(
-        "chains.monte_carlo_binomial",
-        reps,
-        failures / reps,
-        0.2,
-        note="fraction of repetitions outside 3 binomial standard errors",
-    )
+    return reps, failures / reps
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One property suite: ``check`` returns (cases, worst residual)."""
+
+    name: str
+    tolerance: float
+    check: Callable[[SuiteContext], tuple[int, float]]
+    note: str = ""
 
 
 SUITES = (
-    _suite_pt_commutativity,
-    _suite_pt_trace_one,
-    _suite_pt_psd,
-    _suite_expansion,
-    _suite_psp_expansion,
-    _suite_observables,
-    _suite_triangle,
-    _suite_ideal_definitions,
-    _suite_completeness,
-    _suite_identity_dressing,
-    _suite_two_link,
-    _suite_decoherence,
-    _suite_relative_forms,
-    _suite_conditional_equiv,
-    _suite_tripartite,
-    _suite_born_weights,
-    _suite_absoluteness,
-    _suite_redecomposition,
-    _suite_monte_carlo,
+    Suite("hilbert.partial_trace_commutativity", 1e-10, _suite_pt_commutativity),
+    Suite("hilbert.partial_trace_trace_one", 1e-12, _suite_pt_trace_one),
+    Suite("hilbert.partial_trace_psd", DEFAULT.psd, _suite_pt_psd),
+    Suite("hilbert.expansion_resummation", 1e-10, _suite_expansion),
+    Suite("hilbert.psp_matches_expansion", 1e-12, _suite_psp_expansion),
+    Suite("observables.spectral_reconstruction", 1e-9, _suite_observables),
+    Suite(
+        "premeasurement.equivalence_triangle",
+        1e-9,
+        _suite_triangle,
+        note="calibration, probability reproduction, dynamical on dressed unitaries",
+    ),
+    Suite("premeasurement.ideal_definitions", 1e-10, _suite_ideal_definitions),
+    Suite("premeasurement.pointer_completeness", 1e-12, _suite_completeness),
+    Suite("premeasurement.identity_dressing", 1e-12, _suite_identity_dressing),
+    Suite("chains.two_link_resummation", 1e-10, _suite_two_link),
+    Suite(
+        "chains.decoherence_split",
+        1e-10,
+        _suite_decoherence,
+        note="pointer cross blocks vanish while the full chain state stays pure",
+    ),
+    Suite("chains.relative_state_forms", 1e-10, _suite_relative_forms),
+    Suite("chains.conditional_equivalences", 1e-10, _suite_conditional_equiv),
+    Suite("chains.tripartite_consistency", 1e-10, _suite_tripartite),
+    Suite("chains.born_weights", 1e-12, _suite_born_weights),
+    Suite(
+        "chains.absoluteness",
+        1e-12,
+        _suite_absoluteness,
+        note="adjoining an uncorrelated system leaves a proper mixture alone",
+    ),
+    Suite("chains.redecomposition_invariance", 1e-10, _suite_redecomposition),
+    Suite(
+        "chains.monte_carlo_binomial",
+        0.2,
+        _suite_monte_carlo,
+        note="fraction of repetitions outside 3 binomial standard errors",
+    ),
 )
 
 
@@ -604,4 +612,12 @@ def run_suites(
         seed=seed,
         corrupt=corrupt,
     )
-    return tuple(fn(ctx) for fn in SUITES)
+    results = []
+    for suite in SUITES:
+        try:
+            cases, worst = suite.check(ctx)
+            note = suite.note
+        except Exception as exc:  # a library fault fails its suite, not the run
+            cases, worst, note = 0, math.inf, f"raised {type(exc).__name__}: {exc}"
+        results.append(SuiteResult(suite.name, cases, worst, suite.tolerance, note))
+    return tuple(results)

@@ -1,5 +1,9 @@
 """Numerical tolerances used across the library.
 
+``DEFAULT`` is the only place the library reads a tolerance: no function or
+constructor takes one.  ``Tolerances`` documents each value and lets a
+caller read it; building another instance changes nothing the library does.
+
 Residuals are 2-norms for vectors and Frobenius norms for matrices unless a
 docstring says otherwise.
 
@@ -25,6 +29,9 @@ columns with rho = M M^dag:
 * ``orth``, ``unitary``, ``eig_merge`` and ``condition`` bound the operators
   of one subsystem or one premeasurement and scale, where they scale, with
   that local dimension, not with D; ``weight`` is an absolute floor.
+* ``zero_norm``, ``completion``, ``pointer_match``, ``sharp_sample``,
+  ``observable_match`` and ``unit_vector`` bound vectors and operators of
+  one subsystem, so they do not scale with D either.
 """
 
 from __future__ import annotations
@@ -34,16 +41,45 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm: float = 1e-10            # | ||v|| - 1 | and |tr(rho) - 1|
-    herm: float = 1e-10            # ||M - M^dag||
-    orth: float = 1e-10            # basis overlaps, projector algebra residuals
-    psd: float = 1e-9              # floor lambda_min >= -psd, tested as a Cholesky
-                                   # factorization of rho + psd*I (eigvalsh on failure)
-    unitary: float = 1e-10         # ||U^dag U - I||
-    reconstruction: float = 1e-10  # resummation residuals
-    eig_merge: float = 1e-8        # eigenvalue clustering width
-    weight: float = 1e-12          # smallest branch weight kept
-    condition: float = 1e-9        # pass threshold for premeasurement checks
+    """The library's thresholds, one field per bound:
+
+    - ``norm``: | ||v|| - 1 | and |tr(rho) - 1|.
+    - ``herm``: ||M - M^dag|| of a matrix given densely.
+    - ``orth``: basis overlaps and projector-algebra residuals, per dimension.
+    - ``psd``: floor lambda_min >= -psd, tested as a Cholesky factorization of
+      rho + psd*I (``eigvalsh`` only on failure).
+    - ``unitary``: ||U^dag U - I||, per dimension.
+    - ``reconstruction``: weight sums and resummation residuals.
+    - ``eig_merge``: width within which eigenvalues form one branch.
+    - ``weight``: smallest branch, member or event weight kept.
+    - ``condition``: pass threshold of the premeasurement condition checks.
+    - ``zero_norm``: smallest norm ``StateVector.normalize`` divides by.
+    - ``completion``: smallest residual norm of a candidate that
+      ``complete_orthonormal`` keeps as a new direction.
+    - ``pointer_match``: ||F v - v|| below which a pointer state v lies in the
+      range of the pointer projector F (``build_ideal`` with a given pointer).
+    - ``sharp_sample``: smallest norm of a projected random vector kept as a
+      sharp sample of an eigenspace.
+    - ``observable_match``: eigenvalue distance, and projector distance per
+      dimension, within which a chain link measures the previous pointer.
+    - ``unit_vector``: | ||phi|| - 1 | for a relative state's subject vector.
+    """
+
+    norm: float = 1e-10
+    herm: float = 1e-10
+    orth: float = 1e-10
+    psd: float = 1e-9
+    unitary: float = 1e-10
+    reconstruction: float = 1e-10
+    eig_merge: float = 1e-8
+    weight: float = 1e-12
+    condition: float = 1e-9
+    zero_norm: float = 1e-150
+    completion: float = 1e-7
+    pointer_match: float = 1e-8
+    sharp_sample: float = 1e-8
+    observable_match: float = 1e-8
+    unit_vector: float = 1e-8
 
 
 DEFAULT = Tolerances()

@@ -365,10 +365,55 @@ class TestCommandLine:
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
 
-    def test_tol_env_var_and_flag_priority(self):
-        strict = cli("run", "stern-gerlach", env_extra={"VNCHAIN_TOL": "1e-30"})
+    def test_tol_flag(self):
+        strict = cli("run", "stern-gerlach", "--tol", "1e-30")
         assert strict.returncode == 2  # float rounding exceeds an absurd tolerance
-        overridden = cli(
-            "run", "stern-gerlach", "--tol", "1e-9", env_extra={"VNCHAIN_TOL": "1e-30"}
-        )
-        assert overridden.returncode == 0
+        assert cli("run", "stern-gerlach").returncode == 0
+
+    @pytest.mark.parametrize(
+        "measured",
+        [
+            {"diag": [float("nan"), 1]},
+            {"diag": [float("inf"), 1]},
+            {"diag": ["up", 1]},
+            {"diag": [{"re": 1}, 1]},
+            {"matrix": [[float("nan"), 0], [0, 1]]},
+        ],
+    )
+    def test_bad_observable_entries_are_a_scenario_error(self, tmp_path, measured):
+        doc = builtin_document("stern-gerlach")
+        doc["stages"][0]["measured"] = measured
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = cli("run", str(path))
+        assert proc.returncode == 1
+        assert "[bad-observable] at $.stages[0].measured:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_verify_suite_that_raises_fails_alone(self, monkeypatch, capsys):
+        from vnchain import chains
+        from vnchain.cli import main
+
+        condition_vector = chains._condition_vector
+
+        def inflated(*args):
+            w, m = condition_vector(*args)
+            return w, None if m is None else 1.1 * m
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(chains, "_condition_vector", inflated)
+        assert main(["verify", "--trials", "10", "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        tree = json.loads(out, parse_constant=reject)
+        assert len(tree["suites"]) == 19
+        raised = [s for s in tree["suites"] if s["note"].startswith("raised ")]
+        assert raised
+        for s in raised:
+            assert (s["cases"], s["max_residual"], s["passed"]) == (0, None, False)
+        assert main(["verify", "--trials", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 20
+        assert "FAIL  raised ValueError: trace" in out
+        assert "Traceback" not in out + err

@@ -401,10 +401,10 @@ def dense_states(monkeypatch):
     made = []
     post_init, lazy = DensityOperator.__post_init__, DensityOperator.__getattr__
 
-    def checked(self, tol):
+    def checked(self):
         if self.factor is None:
             made.append(("constructed", self.layout.dim))
-        post_init(self, tol)
+        post_init(self)
 
     def read(self, name):
         if name == "matrix":

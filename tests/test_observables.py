@@ -63,6 +63,11 @@ class TestObservableFromMatrix:
             h = np.diag(np.arange(d, dtype=float))
             assert observable_from_matrix(h, "A").branch_count == d
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            observable_from_matrix(np.diag([bad, 1.0]), "A")
+
 
 class TestSpectralObservableInvariants:
     def test_zero_projector_rejected(self):
@@ -86,6 +91,17 @@ class TestSpectralObservableInvariants:
     def test_incomplete_family_rejected(self):
         with pytest.raises(NotAProjectorError):
             SpectralObservable("A", (SpectralBranch(0, 1.0, np.diag([1.0, 0.0])),))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        with pytest.raises(ValueError, match="not all finite"):
+            SpectralObservable("A", (SpectralBranch(0, bad, np.eye(2)),))
+
+    def test_non_finite_projector_rejected(self):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            SpectralBranch(0, 0.0, np.diag([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            DecompositionOfIdentity("A", (np.diag([np.nan, 1.0]), np.eye(2)))
 
 
 class TestCheckDecomposition:

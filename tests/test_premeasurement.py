@@ -185,6 +185,18 @@ class TestBuildExact:
         with pytest.raises(DimensionMismatchError):
             build_exact(qubit_pm(), [(np.eye(2), np.eye(2))])
 
+    def test_non_finite_dressing_rejected(self):
+        eye = np.eye(2)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            build_exact(qubit_pm(), [(np.full((2, 2), np.nan), eye), (eye, eye)])
+
+    def test_non_finite_unitary_rejected(self):
+        pm = qubit_pm()
+        u = np.array(pm.unitary)
+        u[0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            dataclasses.replace(pm, unitary=u)
+
 
 class TestEvolve:
     def test_norm_preserved(self):
