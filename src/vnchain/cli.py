@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical or suite
 failure.  ``run --tol`` sets the pass tolerance of the report's check
 lines; the library's own checks read ``vnchain.tolerances.DEFAULT``.  A
 ``verify`` suite that raises is reported as a failing row whose note names
-the exception; its residual is infinite (``null`` in JSON).
+the exception, and one that skips every case as a failing row with
+``cases=0``; either residual is infinite (``null`` in JSON).
 """
 
 from __future__ import annotations

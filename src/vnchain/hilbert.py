@@ -186,9 +186,9 @@ class DensityOperator:
             m = _frozen_array(self.factor)
             if m.ndim != 2 or m.shape[0] != d:
                 raise DimensionMismatchError(f"expected array of shape ({d}, r), got {m.shape}")
-            tr = np.vdot(m, m)
+            tr = complex(np.vdot(m, m))
             if abs(tr - 1.0) > DEFAULT.norm:
-                raise ValueError(f"trace {tr!r} is not 1 within {DEFAULT.norm}")
+                raise ValueError(f"trace {tr:.12g} is not 1 within {DEFAULT.norm}")
             object.__setattr__(self, "factor", m)
             return
         mat = _frozen_array(self.matrix, shape_hint=(d, d))
@@ -196,9 +196,9 @@ class DensityOperator:
         herm = np.linalg.norm(mat - mat.conj().T)
         if herm > DEFAULT.herm:
             raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
-        tr = np.trace(mat)
+        tr = complex(np.trace(mat))
         if abs(tr - 1.0) > DEFAULT.norm:
-            raise ValueError(f"trace {tr!r} is not 1 within {DEFAULT.norm}")
+            raise ValueError(f"trace {tr:.12g} is not 1 within {DEFAULT.norm}")
         # The eigenvalues are computed only to decide and report a failure.
         if not _has_shifted_cholesky(mat, DEFAULT.psd):
             lo = float(np.linalg.eigvalsh(mat)[0])

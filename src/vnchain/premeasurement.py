@@ -1,4 +1,4 @@
-"""Premeasurement unitaries on object x instrument pairs.
+"""Premeasurements on object x instrument pairs.
 
 A premeasurement couples a measured observable on the object to a pointer
 observable on the instrument: whenever the input has a sharp measured value,
@@ -7,6 +7,10 @@ ideal construction leaves sharp inputs untouched; the exact construction
 dresses an ideal one with per-branch unitaries and keeps calibration while
 breaking idealness.
 
+Only the initial sector matters physically: a premeasurement is carried as
+its isometry V = U(. (x) |ready>), and the full unitary U, one of many
+completions of V, is formed only when something reads it.
+
 Branch correspondence is an explicit ``index_map`` from measured branch
 positions to pointer branch positions; nothing is inferred from eigenvalue
 equality.
@@ -14,7 +18,9 @@ equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -50,12 +56,25 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class Premeasurement:
-    """Unitary on object (x) instrument plus the observables it couples.
+    """Premeasurement on object (x) instrument plus the observables it couples.
 
-    Construction validates structure (labels, dimensions, unitarity, the
-    injective index map); the calibration condition itself is the contract
-    of the ``build_*`` constructors and is verified by ``check_conditions``,
-    so deliberately broken instances can still be represented.
+    Its core is the isometry V = U(. (x) |ready>), shape
+    (object_dim * instrument_dim, object_dim): how the premeasurement acts
+    on object amplitudes, and all that any physical result depends on.
+
+    - Built by ``build_ideal`` or ``build_exact``, it carries V alone,
+      checked to be an isometry.  ``unitary``, a seeded completion of V to
+      a full unitary, is formed on first read, checked and kept; that costs
+      two Gram-Schmidt passes in the full dimension, far more than V.
+    - Given a unitary (``Premeasurement(..., unitary=U)`` or
+      ``dataclasses.replace(pm, unitary=U)``), construction checks that U is
+      unitary and derives V from it.
+
+    Construction validates structure (labels, dimensions, unitarity or
+    isometry, the injective index map); the calibration condition itself is
+    the contract of the ``build_*`` constructors and is verified by
+    ``check_conditions``, so deliberately broken instances can still be
+    represented.
     """
 
     object_label: str
@@ -65,6 +84,10 @@ class Premeasurement:
     ready_state: StateVector
     unitary: np.ndarray
     index_map: tuple[tuple[int, int], ...]
+    isometry: np.ndarray = field(init=False, repr=False, compare=False)
+
+    # Forms ``unitary`` on first read, for a premeasurement built from parts.
+    _complete = None
 
     def __post_init__(self):
         if self.object_label == self.instrument_label:
@@ -79,14 +102,15 @@ class Premeasurement:
             raise DimensionMismatchError("ready state does not match instrument dim")
         if not self.ready_state.normalized:
             raise ValueError("ready state must be normalized")
-        d = self.measured.dim * self.pointer.dim
-        u = _frozen_array(self.unitary)
-        if u.shape != (d, d):
-            raise DimensionMismatchError(f"unitary shape {u.shape}, expected {(d, d)}")
-        resid = np.linalg.norm(u.conj().T @ u - np.eye(d))
-        if resid > DEFAULT.unitary * max(1, d):
-            raise ValueError(f"matrix is not unitary: residual {resid:.3e}")
-        object.__setattr__(self, "unitary", u)
+        d_a, d_b = self.measured.dim, self.pointer.dim
+        d = d_a * d_b
+        if "unitary" in self.__dict__:  # given: check U and read V off it
+            u = _checked_isometry(self.unitary, (d, d))
+            object.__setattr__(self, "unitary", u)
+            v = _frozen_array(u.reshape(d, d_a, d_b) @ self.ready_state.amplitudes)
+        else:  # built from parts: check V alone
+            v = _checked_isometry(self.isometry, (d, d_a))
+        object.__setattr__(self, "isometry", v)
         pairs = tuple((int(a), int(b)) for a, b in self.index_map)
         object.__setattr__(self, "index_map", pairs)
         keys = [a for a, _ in pairs]
@@ -99,6 +123,36 @@ class Premeasurement:
             raise ValueError("index_map targets unknown pointer branches")
         if self.pointer.branch_count < self.measured.branch_count:
             raise DimensionMismatchError("fewer pointer branches than measured branches")
+
+    @classmethod
+    def _from_isometry(
+        cls, isometry: np.ndarray, complete: Callable[[], np.ndarray], **parts
+    ) -> "Premeasurement":
+        """The premeasurement with isometry V and every field but ``unitary``
+        given in ``parts``; ``complete()`` forms the unitary on first read."""
+        pm = object.__new__(cls)
+        for name, value in parts.items():
+            object.__setattr__(pm, name, value)
+        object.__setattr__(pm, "isometry", isometry)
+        object.__setattr__(pm, "_complete", complete)
+        pm.__post_init__()
+        return pm
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: the not yet completed
+        # ``unitary`` of a premeasurement built from parts.  Completion is
+        # deterministic, so two threads racing here only repeat the work.
+        complete = self.__dict__.get("_complete")
+        if name != "unitary" or complete is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d = self.object_dim * self.instrument_dim
+        u = _checked_isometry(complete(), (d, d))
+        object.__setattr__(self, "unitary", u)
+        return u
+
+    def _dressed_unitary(self, terms) -> np.ndarray:
+        """``_dress(terms, U)`` for this premeasurement's unitary U."""
+        return _dress(terms, self.unitary, self.object_dim, self.instrument_dim)
 
     @property
     def mapping(self) -> dict[int, int]:
@@ -121,19 +175,23 @@ class Premeasurement:
             )
         )
 
-    @property
-    def isometry(self) -> np.ndarray:
-        """V = U(. (x) |ready>), shape (object_dim * instrument_dim, object_dim).
-
-        This is how the premeasurement acts on object amplitudes: V @ phi is
-        the final composite state for the object state phi.
-        """
-        d_a, d_b = self.object_dim, self.instrument_dim
-        return self.unitary.reshape(d_a * d_b, d_a, d_b) @ self.ready_state.amplitudes
-
     def pointer_projector_for(self, measured_index: int) -> np.ndarray:
         """Pointer projector corresponding to a measured branch."""
         return self.pointer.projector(self.mapping[measured_index])
+
+
+def _checked_isometry(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``m`` as a frozen array, checked to have ``shape`` and m^dag m = I."""
+    square = shape[0] == shape[1]
+    m = _frozen_array(m)
+    if m.shape != shape:
+        kind = "unitary" if square else "isometry"
+        raise DimensionMismatchError(f"{kind} shape {m.shape}, expected {shape}")
+    resid = np.linalg.norm(m.conj().T @ m - np.eye(shape[1]))
+    if resid > DEFAULT.unitary * max(1, shape[0]):
+        kind = "unitary" if square else "an isometry"
+        raise ValueError(f"matrix is not {kind}: residual {resid:.3e}")
+    return m
 
 
 def build_ideal(
@@ -145,11 +203,12 @@ def build_ideal(
 ) -> Premeasurement:
     """Ideal premeasurement from one pointer state per measured branch.
 
-    The unitary maps |phi> (x) |ready> to sum_k (E_k |phi>) (x) |b_k> and is
-    completed to a full unitary on the orthogonal complement of the initial
-    sector by seeded Gram-Schmidt; physical behaviour does not depend on the
-    completion (only on the initial sector), so ``completion_seed`` may be
-    anything.
+    Its isometry is V = sum_k E_k (x) |b_k>, formed in closed form: it maps
+    |phi> (x) |ready> to sum_k (E_k |phi>) (x) |b_k>.  The unitary, read
+    from ``unitary`` only, completes V on the orthogonal complement of the
+    initial sector by seeded Gram-Schmidt when first read; physical
+    behaviour does not depend on the completion (only on the initial
+    sector), so ``completion_seed`` may be anything.
 
     When ``pointer`` is omitted, a pointer observable is built from the
     states themselves (eigenvalue k for branch k, plus one idle branch with
@@ -179,6 +238,29 @@ def build_ideal(
             raise LayoutConflictError("pointer observable does not match instrument")
         index_map = _match_pointer_states(pointer, pointer_states)
 
+    projectors = np.stack([b.projector for b in measured.branches])
+    isometry = np.einsum("kim,kj->ijm", projectors, np.stack(pointer_states.vectors))
+    return Premeasurement._from_isometry(
+        isometry.reshape(d_a * d_b, d_a),
+        partial(_complete_ideal, measured, pointer_states, ready_state, completion_seed),
+        object_label=measured.subsystem,
+        instrument_label=instrument,
+        measured=measured,
+        pointer=pointer,
+        ready_state=ready_state,
+        index_map=tuple(index_map.items()),
+    )
+
+
+def _complete_ideal(
+    measured: SpectralObservable,
+    pointer_states: SubsystemBasis,
+    ready_state: StateVector,
+    completion_seed: int,
+) -> np.ndarray:
+    """The unitary of ``build_ideal``: seeded Gram-Schmidt completions of the
+    initial sector and of its image, paired column by column."""
+    d_a, d_b = measured.dim, pointer_states.dim
     domain = [np.kron(e, ready_state.amplitudes) for e in np.eye(d_a, dtype=complex)]
     images = []
     for e in np.eye(d_a, dtype=complex):
@@ -193,17 +275,7 @@ def build_ideal(
     ]
     domain_full = complete_orthonormal(domain, dim, candidates=extra[:dim])
     image_full = complete_orthonormal(images, dim, candidates=extra[dim:])
-    unitary = np.column_stack(image_full) @ np.column_stack(domain_full).conj().T
-
-    return Premeasurement(
-        object_label=measured.subsystem,
-        instrument_label=instrument,
-        measured=measured,
-        pointer=pointer,
-        ready_state=ready_state,
-        unitary=unitary,
-        index_map=tuple(index_map.items()),
-    )
+    return np.column_stack(image_full) @ np.column_stack(domain_full).conj().T
 
 
 def _pointer_from_states(
@@ -255,18 +327,19 @@ def build_exact(
 
     ``dressings`` holds one (object unitary V_k, instrument unitary W_k) pair
     per measured branch; W_k must map the range of the k-th pointer projector
-    into itself.  The dressed unitary keeps the calibration, probability
-    reproduction, and dynamical conditions but is no longer ideal in general.
+    into itself.  The dressing D = sum_k V_k (x) W_k F_k + sum_j I (x) F_j,
+    j over the pointer branches no measured branch maps to, is applied to
+    the ideal's isometry; the dressed unitary D U, read from ``unitary``
+    only, is formed from the ideal's completed unitary on first read.  The
+    result keeps the calibration, probability reproduction, and dynamical
+    conditions but is no longer ideal in general.
     """
     n = ideal.measured.branch_count
     if len(dressings) != n:
         raise DimensionMismatchError(f"{len(dressings)} dressings for {n} branches")
     d_a, d_b = ideal.object_dim, ideal.instrument_dim
     eye_b = np.eye(d_b, dtype=complex)
-    # rows of the ideal unitary split into (object, instrument); the dressed
-    # unitary is sum_k (V_k (x) W_k F_k) U plus (I (x) F_j) U on unmapped j
-    dims = (d_a, d_b, d_a * d_b)
-    dressed = np.zeros_like(ideal.unitary)
+    terms = []  # (object operator or None, instrument operator) per term of D
     mapped = set()
     for k, (v_a, w_b) in enumerate(dressings):
         v_a = np.asarray(v_a, dtype=complex)
@@ -284,12 +357,35 @@ def build_exact(
             )
         if np.linalg.norm(f @ w_b.conj().T @ w_b @ f - f) > DEFAULT.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
-        dressed += apply_local(v_a, apply_local(w_b @ f, ideal.unitary, dims, 1), dims, 0)
+        terms.append((v_a, w_b @ f))
         mapped.add(ideal.mapping[k])
     for j, branch in enumerate(ideal.pointer.branches):
         if j not in mapped:
-            dressed += apply_local(branch.projector, ideal.unitary, dims, 1)
-    return replace(ideal, unitary=dressed)
+            terms.append((None, branch.projector))
+    return Premeasurement._from_isometry(
+        _dress(terms, ideal.isometry, d_a, d_b),
+        partial(ideal._dressed_unitary, terms),
+        object_label=ideal.object_label,
+        instrument_label=ideal.instrument_label,
+        measured=ideal.measured,
+        pointer=ideal.pointer,
+        ready_state=ideal.ready_state,
+        index_map=ideal.index_map,
+    )
+
+
+def _dress(terms, matrix: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """sum over ``terms`` (A, B) of (A (x) B) ``matrix``, A = None meaning I.
+
+    The rows of ``matrix`` are split into (object, instrument); each term is
+    applied one subsystem at a time.
+    """
+    dims = (d_a, d_b, matrix.shape[1])
+    out = np.zeros_like(matrix)
+    for a, b in terms:
+        term = apply_local(b, matrix, dims, 1)
+        out += term if a is None else apply_local(a, term, dims, 0)
+    return out
 
 
 def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:

@@ -3,7 +3,10 @@
 Each suite draws its own inputs from a seed derived from the run seed, so a
 verify run is reproducible, and reports the worst residual it saw against a
 fixed tolerance.  A suite that raises fails with an infinite residual and
-the exception in its note; the other suites still run.  The ``corrupt``
+the exception in its note; the other suites still run.  A suite skips a
+case only when its conditioning event has (numerically) zero probability,
+such as an ``UndefinedConditionalError``; one that skips every case fails
+the same way, since it checked nothing.  The ``corrupt``
 hook deliberately damages the system under test (not the checks) so that
 fault injection can prove the suites have teeth.
 """
@@ -29,6 +32,7 @@ from .chains import (
     run_two_link_chain,
     tripartite_conditional_consistency,
 )
+from .errors import UndefinedConditionalError
 from .hilbert import (
     StateVector,
     SubsystemBasis,
@@ -408,7 +412,7 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
         try:
             plain = conditional_state(rho, p, "B", form="plain")
             sandwich = conditional_state(rho, p, "B", form="sandwich")
-        except ValueError:
+        except UndefinedConditionalError:
             continue
         worst = max(worst, float(np.linalg.norm(plain.matrix - sandwich.matrix)))
         # ensemble route: aggregate equals both closed forms
@@ -419,7 +423,7 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
         )
         try:
             res = ensemble_update(ens, p, "B")
-        except ValueError:
+        except UndefinedConditionalError:
             continue
         mixed = ens.density()
         agg_plain = conditional_state(mixed, p, "B", form="plain")
@@ -439,7 +443,7 @@ def _suite_tripartite(ctx: SuiteContext) -> tuple[int, float]:
         p = _random_projector(2, rng, rank=1)
         try:
             via_full, via_reduced = tripartite_conditional_consistency(rho, p, "B", "C")
-        except ValueError:
+        except UndefinedConditionalError:
             continue
         worst = max(worst, float(np.linalg.norm(via_full.matrix - via_reduced.matrix)))
         cases += 1
@@ -506,7 +510,7 @@ def _suite_redecomposition(ctx: SuiteContext) -> tuple[int, float]:
         try:
             res_a = ensemble_update(ens, p, "B")
             res_b = ensemble_update(other, p, "B")
-        except ValueError:
+        except UndefinedConditionalError:
             continue
         worst = max(
             worst, float(np.linalg.norm(res_a.aggregate.matrix - res_b.aggregate.matrix))
@@ -518,15 +522,15 @@ def _suite_redecomposition(ctx: SuiteContext) -> tuple[int, float]:
 def _suite_monte_carlo(ctx: SuiteContext) -> tuple[int, float]:
     rng = ctx.rng(19)
     lay = layout(("A", 2), ("B", 2))
-    reps, failures = 10, 0
-    for rep in range(reps):
+    ran, failures = 0, 0
+    for _ in range(10):
         ens = WeightedEnsemble(
             ((0.4, random_state(lay, rng)), (0.6, random_state(lay, rng)))
         )
         p = _random_projector(2, rng, rank=1)
         try:
             exact = ensemble_update(ens, p, "B")
-        except ValueError:
+        except UndefinedConditionalError:
             continue
         mc = monte_carlo_update(ens, p, "B", 20_000, seed=int(rng.integers(2**32)))
         total = sum(mc.accepted_counts)
@@ -537,7 +541,8 @@ def _suite_monte_carlo(ctx: SuiteContext) -> tuple[int, float]:
             if abs(w_hat - m.weight) > 3 * se:
                 ok = False
         failures += 0 if ok else 1
-    return reps, failures / reps
+        ran += 1
+    return ran, failures / max(ran, 1)
 
 
 @dataclass(frozen=True)
@@ -619,5 +624,8 @@ def run_suites(
             note = suite.note
         except Exception as exc:  # a library fault fails its suite, not the run
             cases, worst, note = 0, math.inf, f"raised {type(exc).__name__}: {exc}"
+        else:
+            if cases == 0:
+                worst, note = math.inf, "ran no cases: every case was skipped"
         results.append(SuiteResult(suite.name, cases, worst, suite.tolerance, note))
     return tuple(results)

@@ -221,7 +221,7 @@ class TestFromFactor:
         tr = np.vdot(m, m)
         with pytest.raises(ValueError) as info:
             DensityOperator.from_factor(self.LAY, m)
-        assert str(info.value) == f"trace {tr!r} is not 1 within {1e-10}"
+        assert str(info.value) == f"trace {complex(tr):.12g} is not 1 within {1e-10}"
 
     @pytest.mark.parametrize("shape", [(6,), (5, 2), (6, 2, 1)])
     def test_shape_checked(self, shape):

@@ -494,8 +494,9 @@ DENSE_STATE_EXEMPT = {
 class _DensePathFinder(ast.NodeVisitor):
     """Collects embed_operator calls (outside hilbert.embed_operator itself),
     kron(eye(...), ...) calls and kron(..., ready_state.amplitudes) calls
-    (outside build_ideal, which builds the initial sector from it; everything
-    else applies U(. (x) |ready>) through ``Premeasurement.isometry``), and
+    (outside _complete_ideal, which builds the initial sector from it to
+    complete the unitary; everything else applies U(. (x) |ready>) through
+    ``Premeasurement.isometry``), and
     np.outer, .density() and eigvalsh calls in ``DENSE_STATE_MODULES``, with
     the innermost enclosing function."""
 
@@ -526,8 +527,8 @@ class _DensePathFinder(ast.NodeVisitor):
             first = node.args[0]
             if isinstance(first, ast.Call) and _callee(first) == "eye":
                 self.offenders.append(f"kron(eye(...), ...) at {where}")
-            in_build_ideal = (self.module, self.scope[-1]) == ("premeasurement.py", "build_ideal")
-            if any(map(_is_ready_amplitudes, node.args)) and not in_build_ideal:
+            completing = (self.module, self.scope[-1]) == ("premeasurement.py", "_complete_ideal")
+            if any(map(_is_ready_amplitudes, node.args)) and not completing:
                 self.offenders.append(f"kron(..., ready_state.amplitudes) at {where}")
         if self.module in DENSE_STATE_MODULES and name in ("outer", "density", "eigvalsh"):
             qualified = ".".join(self.scope[1:])
@@ -559,7 +560,7 @@ def test_dense_path_finder_flags_both_forms():
     assert len(finder.offenders) == 3
     assert "kron(..., ready_state.amplitudes) at chains.py:3 in f" in finder.offenders
     exempt = _DensePathFinder("premeasurement.py")
-    exempt.visit(ast.parse("def build_ideal(e, ready_state):\n    np.kron(e, ready_state.amplitudes)\n"))
+    exempt.visit(ast.parse("def _complete_ideal(e, ready_state):\n    np.kron(e, ready_state.amplitudes)\n"))
     assert exempt.offenders == []
 
 
@@ -602,4 +603,74 @@ def test_dense_path_finder_flags_dense_states():
     assert hilbert.offenders == [
         "eigvalsh call at hilbert.py:8 in __post_init__",
         "outer call at hilbert.py:10 in purity",
+    ]
+
+
+# Where the package may read ``Premeasurement.unitary``, the completion formed
+# on first read: (module, outermost class or function).  Everything else,
+# and so all of ``run`` and a clean ``verify``, works from the isometry.
+UNITARY_READERS = {
+    ("premeasurement.py", "Premeasurement"),
+    ("suites.py", "corrupt_premeasurement"),  # --corrupt damages the full unitary
+    ("suites.py", "_suite_identity_dressing"),  # compares two completions
+}
+
+
+class _UnitaryReadFinder(ast.NodeVisitor):
+    """Collects ``x.unitary`` reads outside ``UNITARY_READERS``; the
+    tolerance ``DEFAULT.unitary`` is not a premeasurement read."""
+
+    def __init__(self, module):
+        self.module = module
+        self.scope = []
+        self.offenders = []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef
+
+    def visit_Attribute(self, node):
+        tolerance = isinstance(node.value, ast.Name) and node.value.id == "DEFAULT"
+        if node.attr == "unitary" and isinstance(node.ctx, ast.Load) and not tolerance:
+            outer = self.scope[0] if self.scope else "<module>"
+            if (self.module, outer) not in UNITARY_READERS:
+                inner = self.scope[-1] if self.scope else "<module>"
+                self.offenders.append(f".unitary read at {self.module}:{node.lineno} in {inner}")
+        self.generic_visit(node)
+
+
+def test_unitary_read_only_where_the_completion_is_needed():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        finder = _UnitaryReadFinder(path.name)
+        finder.visit(ast.parse(path.read_text(), filename=str(path)))
+        offenders += finder.offenders
+    assert offenders == []
+
+
+def test_unitary_read_finder_flags_new_readers():
+    source = (
+        "class Premeasurement:\n"
+        "    def f(self):\n"
+        "        return self.unitary\n"
+        "def corrupt_premeasurement(pm):\n"
+        "    return pm.unitary\n"
+        "def run(pm, tol):\n"
+        "    if tol > DEFAULT.unitary:\n"
+        "        return replace(pm, unitary=pm.unitary)\n"
+    )
+    suites = _UnitaryReadFinder("suites.py")
+    suites.visit(ast.parse(source))
+    assert suites.offenders == [
+        ".unitary read at suites.py:3 in f",
+        ".unitary read at suites.py:8 in run",
+    ]
+    package = _UnitaryReadFinder("premeasurement.py")
+    package.visit(ast.parse(source))
+    assert package.offenders == [
+        ".unitary read at premeasurement.py:5 in corrupt_premeasurement",
+        ".unitary read at premeasurement.py:8 in run",
     ]

@@ -29,6 +29,11 @@ from vnchain import (
     random_state,
     random_unitary,
 )
+from vnchain import premeasurement
+from vnchain.chains import extend_chain
+from vnchain.premeasurement import Premeasurement, check_conditions
+
+from oracles import brute_ideal_unitary, eager_dressed_unitary
 
 RNG = np.random.default_rng(2024)
 
@@ -361,3 +366,130 @@ class TestEquivalenceTriangle:
             f = embed_operator(branch.projector, "B", pm.layout)
             resum = resum + f @ final.amplitudes
         assert np.linalg.norm(resum - final.amplitudes) <= 1e-12
+
+
+def _recorded_ideal(monkeypatch, *args):
+    """``random_ideal(*args)`` and the arguments it gave ``build_ideal``."""
+    calls = []
+    original = premeasurement.build_ideal
+
+    def recording(*a, **kw):
+        calls.append((a, kw))
+        return original(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(premeasurement, "build_ideal", recording)
+        pm = random_ideal(*args)
+    ((a, kw),) = calls
+    return pm, (*a, kw["completion_seed"])
+
+
+def _random_dressings(pm, rng):
+    return [
+        (random_unitary(pm.object_dim, rng), random_range_unitary(pm.pointer_projector_for(k), rng))
+        for k in range(pm.measured.branch_count)
+    ]
+
+
+def _parts(pm):
+    """Every field of ``pm`` a premeasurement built from parts is given."""
+    names = ("object_label", "instrument_label", "measured", "pointer", "ready_state", "index_map")
+    return {name: getattr(pm, name) for name in names}
+
+
+GRID = [(da, db) for da in range(2, 5) for db in range(2, 7)]
+
+
+class TestIsometryCore:
+    """A built premeasurement carries V; ``unitary`` is completed on first read."""
+
+    @pytest.mark.parametrize("da,db", GRID)
+    def test_unitary_matches_eager_construction_bit_for_bit(self, monkeypatch, da, db):
+        rng = np.random.default_rng(da * 10 + db)
+        pm, args = _recorded_ideal(monkeypatch, "A", "B", da, db, rng)
+        np.testing.assert_array_equal(pm.unitary, brute_ideal_unitary(*args))
+
+    def test_unitary_with_given_pointer_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        measured = random_observable(3, 2, "A", rng)
+        pointer = observable_from_matrix(np.diag([0.0, 1.0, 2.0, 2.0]), "B")
+        pstates = canonical_basis("B", 4, count=2)
+        ready = basis_state(layout(("B", 4)), 2)
+        pm = build_ideal(measured, pstates, ready, pointer=pointer, completion_seed=9)
+        np.testing.assert_array_equal(
+            pm.unitary, brute_ideal_unitary(measured, pstates, ready, 9)
+        )
+
+    @pytest.mark.parametrize("da,db", GRID)
+    def test_dressed_unitary_matches_eager_dressing_bit_for_bit(self, da, db):
+        rng = np.random.default_rng(da * 10 + db + 500)
+        ideal = random_ideal("A", "B", da, db, rng)
+        dressings = _random_dressings(ideal, rng)
+        exact = build_exact(ideal, dressings)
+        expected = eager_dressed_unitary(np.array(ideal.unitary), ideal, dressings)
+        np.testing.assert_array_equal(exact.unitary, expected)
+
+    @pytest.mark.parametrize("da,db", GRID)
+    def test_closed_form_isometry_is_the_unitary_on_the_initial_sector(self, da, db):
+        rng = np.random.default_rng(da * 10 + db + 900)
+        for pm in (random_ideal("A", "B", da, db, rng), random_exact("A", "B", da, db, rng)):
+            ready = pm.ready_state.amplitudes
+            sector = pm.unitary @ np.kron(np.eye(da), ready[:, None])
+            np.testing.assert_allclose(pm.isometry, sector, rtol=0, atol=1e-12)
+            assert not pm.isometry.flags.writeable
+
+    def test_completion_runs_only_on_first_unitary_read(self, monkeypatch):
+        calls = []
+        original = premeasurement.complete_orthonormal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(premeasurement, "complete_orthonormal", counting)
+        rng = np.random.default_rng(31)
+        ideal = random_ideal("A", "B", 3, 4, rng)
+        exact = build_exact(ideal, _random_dressings(ideal, rng))
+        phi = random_state(layout(("A", 3)), rng)
+        for pm in (ideal, exact):
+            evolve(pm, phi)
+            extend_chain(phi, pm)
+            check_conditions(pm, 3)
+        assert len(calls) == 0
+        exact.unitary  # completes the ideal's unitary, then dresses it
+        assert len(calls) == 2
+        exact.unitary
+        ideal.unitary
+        assert len(calls) == 2
+
+    def test_given_unitary_is_checked_and_read(self):
+        pm = qubit_pm()
+        u = random_unitary(4, np.random.default_rng(4))
+        replaced = dataclasses.replace(pm, unitary=u)
+        np.testing.assert_array_equal(
+            replaced.isometry, u.reshape(4, 2, 2) @ pm.ready_state.amplitudes
+        )
+        with pytest.raises(ValueError, match="not unitary"):
+            dataclasses.replace(pm, unitary=2 * u)
+        with pytest.raises(ValueError, match="not unitary"):
+            Premeasurement(unitary=2 * u, **_parts(pm))
+        with pytest.raises(DimensionMismatchError, match="unitary shape"):
+            Premeasurement(unitary=np.eye(3), **_parts(pm))
+
+    def test_non_isometric_parts_rejected(self):
+        pm = qubit_pm()
+        complete = lambda: pm.unitary  # noqa: E731
+        with pytest.raises(ValueError, match="not an isometry"):
+            Premeasurement._from_isometry(1.1 * pm.isometry, complete, **_parts(pm))
+        with pytest.raises(DimensionMismatchError, match="isometry shape"):
+            Premeasurement._from_isometry(pm.isometry[:, :1], complete, **_parts(pm))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Premeasurement._from_isometry(np.full((4, 2), np.nan), complete, **_parts(pm))
+
+    def test_completed_unitary_checked_when_formed(self):
+        pm = qubit_pm()
+        built = Premeasurement._from_isometry(pm.isometry, lambda: 2 * np.eye(4), **_parts(pm))
+        with pytest.raises(ValueError, match="not unitary"):
+            built.unitary
+        with pytest.raises(AttributeError):
+            built.no_such_field
