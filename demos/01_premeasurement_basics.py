@@ -17,6 +17,7 @@ from vnchain import (
     build_exact,
     build_ideal,
     check_conditions,
+    complete_unitary,
     evolve,
     layout,
     observable_from_matrix,
@@ -35,7 +36,8 @@ pointer_states = SubsystemBasis("meter", (eye[:, 0], eye[:, 1], eye[:, 2]))
 ready = basis_state(layout(("meter", 3)), 0)
 
 ideal = build_ideal(measured, pointer_states, ready)
-print("unitary shape:", ideal.unitary.shape)
+print("isometry shape:", ideal.isometry.shape)
+print("unitary shape:", complete_unitary(ideal).shape)
 
 # a superposition input entangles object and meter
 amps = np.array([0.5, 0.5, np.sqrt(0.5)], dtype=complex)

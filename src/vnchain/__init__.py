@@ -81,6 +81,7 @@ from .premeasurement import (
     check_conditions,
     check_dynamical,
     check_probability_reproduction,
+    complete_unitary,
     evolve,
     luders_state,
     random_exact,

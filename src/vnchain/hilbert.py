@@ -325,24 +325,16 @@ class SubsystemBasis:
         return SubsystemBasis(self.subsystem, tuple(full))
 
 
-def complete_orthonormal(
-    vectors: Sequence[np.ndarray],
-    dim: int,
-    candidates: Sequence[np.ndarray] | None = None,
-) -> list[np.ndarray]:
+def complete_orthonormal(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     """Extend orthonormal ``vectors`` to a full orthonormal basis of ``dim``.
 
-    Candidates are tried in order (canonical basis vectors by default,
-    appended as a fallback otherwise); near-dependent ones are skipped.
-    The input vectors come first in the result, untouched.
+    The canonical basis vectors are tried in index order; near-dependent
+    ones are skipped.  The input vectors come first in the result, untouched.
     """
     basis = [np.asarray(v, dtype=complex) for v in vectors]
-    pool = list(candidates) if candidates is not None else []
-    pool.extend(np.eye(dim, dtype=complex)[:, i] for i in range(dim))
-    for cand in pool:
+    for w in np.eye(dim, dtype=complex):
         if len(basis) == dim:
             break
-        w = np.asarray(cand, dtype=complex)
         for _ in range(2):  # re-orthogonalize for numerical safety
             for b in basis:
                 w = w - np.vdot(b, w) * b
@@ -350,7 +342,7 @@ def complete_orthonormal(
         if n > DEFAULT.completion:
             basis.append(w / n)
     if len(basis) != dim:
-        raise NonOrthonormalBasisError("could not complete basis from candidates")
+        raise NonOrthonormalBasisError("could not complete basis")
     return basis
 
 

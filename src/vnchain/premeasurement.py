@@ -8,8 +8,8 @@ dresses an ideal one with per-branch unitaries and keeps calibration while
 breaking idealness.
 
 Only the initial sector matters physically: a premeasurement is carried as
-its isometry V = U(. (x) |ready>), and the full unitary U, one of many
-completions of V, is formed only when something reads it.
+its isometry V = U(. (x) |ready>).  A full unitary U, one of many
+completions of V, is formed only by ``complete_unitary``.
 
 Branch correspondence is an explicit ``index_map`` from measured branch
 positions to pointer branch positions; nothing is inferred from eigenvalue
@@ -18,9 +18,7 @@ equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,27 +52,22 @@ class ConditionReport:
         return self.max_residual <= self.tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Premeasurement:
     """Premeasurement on object (x) instrument plus the observables it couples.
 
-    Its core is the isometry V = U(. (x) |ready>), shape
+    It is carried as its isometry V = U(. (x) |ready>), shape
     (object_dim * instrument_dim, object_dim): how the premeasurement acts
-    on object amplitudes, and all that any physical result depends on.
+    on object amplitudes, and all that any physical result depends on.  A
+    unitary U is one of many completions of V; ``complete_unitary`` forms
+    one on request.
 
-    - Built by ``build_ideal`` or ``build_exact``, it carries V alone,
-      checked to be an isometry.  ``unitary``, a seeded completion of V to
-      a full unitary, is formed on first read, checked and kept; that costs
-      two Gram-Schmidt passes in the full dimension, far more than V.
-    - Given a unitary (``Premeasurement(..., unitary=U)`` or
-      ``dataclasses.replace(pm, unitary=U)``), construction checks that U is
-      unitary and derives V from it.
-
-    Construction validates structure (labels, dimensions, unitarity or
-    isometry, the injective index map); the calibration condition itself is
-    the contract of the ``build_*`` constructors and is verified by
-    ``check_conditions``, so deliberately broken instances can still be
-    represented.
+    Construction validates structure (labels, dimensions, V^dag V = I, the
+    injective index map); ``dataclasses.replace(pm, isometry=V2)`` checks
+    V2 the same way.  The calibration condition itself is the contract of
+    the ``build_*`` constructors and is verified by ``check_conditions``,
+    so deliberately broken instances can still be represented.  Instances
+    compare by identity.
     """
 
     object_label: str
@@ -82,12 +75,8 @@ class Premeasurement:
     measured: SpectralObservable
     pointer: SpectralObservable
     ready_state: StateVector
-    unitary: np.ndarray
+    isometry: np.ndarray = field(repr=False)
     index_map: tuple[tuple[int, int], ...]
-    isometry: np.ndarray = field(init=False, repr=False, compare=False)
-
-    # Forms ``unitary`` on first read, for a premeasurement built from parts.
-    _complete = None
 
     def __post_init__(self):
         if self.object_label == self.instrument_label:
@@ -103,13 +92,7 @@ class Premeasurement:
         if not self.ready_state.normalized:
             raise ValueError("ready state must be normalized")
         d_a, d_b = self.measured.dim, self.pointer.dim
-        d = d_a * d_b
-        if "unitary" in self.__dict__:  # given: check U and read V off it
-            u = _checked_isometry(self.unitary, (d, d))
-            object.__setattr__(self, "unitary", u)
-            v = _frozen_array(u.reshape(d, d_a, d_b) @ self.ready_state.amplitudes)
-        else:  # built from parts: check V alone
-            v = _checked_isometry(self.isometry, (d, d_a))
+        v = _checked_isometry(self.isometry, (d_a * d_b, d_a))
         object.__setattr__(self, "isometry", v)
         pairs = tuple((int(a), int(b)) for a, b in self.index_map)
         object.__setattr__(self, "index_map", pairs)
@@ -123,36 +106,6 @@ class Premeasurement:
             raise ValueError("index_map targets unknown pointer branches")
         if self.pointer.branch_count < self.measured.branch_count:
             raise DimensionMismatchError("fewer pointer branches than measured branches")
-
-    @classmethod
-    def _from_isometry(
-        cls, isometry: np.ndarray, complete: Callable[[], np.ndarray], **parts
-    ) -> "Premeasurement":
-        """The premeasurement with isometry V and every field but ``unitary``
-        given in ``parts``; ``complete()`` forms the unitary on first read."""
-        pm = object.__new__(cls)
-        for name, value in parts.items():
-            object.__setattr__(pm, name, value)
-        object.__setattr__(pm, "isometry", isometry)
-        object.__setattr__(pm, "_complete", complete)
-        pm.__post_init__()
-        return pm
-
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails: the not yet completed
-        # ``unitary`` of a premeasurement built from parts.  Completion is
-        # deterministic, so two threads racing here only repeat the work.
-        complete = self.__dict__.get("_complete")
-        if name != "unitary" or complete is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        d = self.object_dim * self.instrument_dim
-        u = _checked_isometry(complete(), (d, d))
-        object.__setattr__(self, "unitary", u)
-        return u
-
-    def _dressed_unitary(self, terms) -> np.ndarray:
-        """``_dress(terms, U)`` for this premeasurement's unitary U."""
-        return _dress(terms, self.unitary, self.object_dim, self.instrument_dim)
 
     @property
     def mapping(self) -> dict[int, int]:
@@ -199,16 +152,11 @@ def build_ideal(
     pointer_states: SubsystemBasis,
     ready_state: StateVector,
     pointer: SpectralObservable | None = None,
-    completion_seed: int = 0,
 ) -> Premeasurement:
     """Ideal premeasurement from one pointer state per measured branch.
 
     Its isometry is V = sum_k E_k (x) |b_k>, formed in closed form: it maps
-    |phi> (x) |ready> to sum_k (E_k |phi>) (x) |b_k>.  The unitary, read
-    from ``unitary`` only, completes V on the orthogonal complement of the
-    initial sector by seeded Gram-Schmidt when first read; physical
-    behaviour does not depend on the completion (only on the initial
-    sector), so ``completion_seed`` may be anything.
+    |phi> (x) |ready> to sum_k (E_k |phi>) (x) |b_k>.
 
     When ``pointer`` is omitted, a pointer observable is built from the
     states themselves (eigenvalue k for branch k, plus one idle branch with
@@ -240,42 +188,15 @@ def build_ideal(
 
     projectors = np.stack([b.projector for b in measured.branches])
     isometry = np.einsum("kim,kj->ijm", projectors, np.stack(pointer_states.vectors))
-    return Premeasurement._from_isometry(
-        isometry.reshape(d_a * d_b, d_a),
-        partial(_complete_ideal, measured, pointer_states, ready_state, completion_seed),
+    return Premeasurement(
         object_label=measured.subsystem,
         instrument_label=instrument,
         measured=measured,
         pointer=pointer,
         ready_state=ready_state,
+        isometry=isometry.reshape(d_a * d_b, d_a),
         index_map=tuple(index_map.items()),
     )
-
-
-def _complete_ideal(
-    measured: SpectralObservable,
-    pointer_states: SubsystemBasis,
-    ready_state: StateVector,
-    completion_seed: int,
-) -> np.ndarray:
-    """The unitary of ``build_ideal``: seeded Gram-Schmidt completions of the
-    initial sector and of its image, paired column by column."""
-    d_a, d_b = measured.dim, pointer_states.dim
-    domain = [np.kron(e, ready_state.amplitudes) for e in np.eye(d_a, dtype=complex)]
-    images = []
-    for e in np.eye(d_a, dtype=complex):
-        img = np.zeros(d_a * d_b, dtype=complex)
-        for k, branch in enumerate(measured.branches):
-            img += np.kron(branch.projector @ e, pointer_states.vectors[k])
-        images.append(img)
-    rng = np.random.default_rng(completion_seed)
-    dim = d_a * d_b
-    extra = [
-        rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2 * dim)
-    ]
-    domain_full = complete_orthonormal(domain, dim, candidates=extra[:dim])
-    image_full = complete_orthonormal(images, dim, candidates=extra[dim:])
-    return np.column_stack(image_full) @ np.column_stack(domain_full).conj().T
 
 
 def _pointer_from_states(
@@ -329,10 +250,9 @@ def build_exact(
     per measured branch; W_k must map the range of the k-th pointer projector
     into itself.  The dressing D = sum_k V_k (x) W_k F_k + sum_j I (x) F_j,
     j over the pointer branches no measured branch maps to, is applied to
-    the ideal's isometry; the dressed unitary D U, read from ``unitary``
-    only, is formed from the ideal's completed unitary on first read.  The
-    result keeps the calibration, probability reproduction, and dynamical
-    conditions but is no longer ideal in general.
+    the ideal's isometry: the result has isometry D V.  It keeps the
+    calibration, probability reproduction, and dynamical conditions but is
+    no longer ideal in general.
     """
     n = ideal.measured.branch_count
     if len(dressings) != n:
@@ -362,16 +282,7 @@ def build_exact(
     for j, branch in enumerate(ideal.pointer.branches):
         if j not in mapped:
             terms.append((None, branch.projector))
-    return Premeasurement._from_isometry(
-        _dress(terms, ideal.isometry, d_a, d_b),
-        partial(ideal._dressed_unitary, terms),
-        object_label=ideal.object_label,
-        instrument_label=ideal.instrument_label,
-        measured=ideal.measured,
-        pointer=ideal.pointer,
-        ready_state=ideal.ready_state,
-        index_map=ideal.index_map,
-    )
+    return replace(ideal, isometry=_dress(terms, ideal.isometry, d_a, d_b))
 
 
 def _dress(terms, matrix: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -386,6 +297,23 @@ def _dress(terms, matrix: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
         term = apply_local(b, matrix, dims, 1)
         out += term if a is None else apply_local(a, term, dims, 0)
     return out
+
+
+def complete_unitary(pm: Premeasurement) -> np.ndarray:
+    """A premeasurement unitary U with U(. (x) |ready>) = V, for display and
+    dense checks.
+
+    U maps the initial sector {e_a (x) |ready>} onto the columns of V and
+    the rest by Gram-Schmidt completions of both over the canonical basis,
+    paired column by column.  Which completion is used is physically empty;
+    nothing in the package calls this.
+    """
+    d_a, d_b = pm.object_dim, pm.instrument_dim
+    d = d_a * d_b
+    sector = np.einsum("am,j->ajm", np.eye(d_a), pm.ready_state.amplitudes).reshape(d, d_a)
+    domain = complete_orthonormal(list(sector.T), d)
+    image = complete_orthonormal(list(pm.isometry.T), d)
+    return _checked_isometry(np.column_stack(image) @ np.column_stack(domain).conj().T, (d, d))
 
 
 def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
@@ -569,8 +497,8 @@ def random_ideal(
     ready = StateVector(
         SubsystemLayout(((instrument_label, instrument_dim),)), raw / np.linalg.norm(raw)
     )
-    seed = int(rng.integers(2**32))
-    return build_ideal(measured, pointer_states, ready, completion_seed=seed)
+    rng.integers(2**32)  # unused; drawn so that seeded inputs stay as they were
+    return build_ideal(measured, pointer_states, ready)
 
 
 def random_exact(

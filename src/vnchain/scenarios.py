@@ -722,16 +722,11 @@ def _dominant_ket(state: StateVector) -> str:
 
 
 def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]:
-    """Construct the per-stage premeasurement unitaries."""
+    """Construct the per-stage premeasurements."""
     pms: list[Premeasurement] = []
     for st in scenario.stages:
         measured = st.measured if st.measured is not None else pms[-1].pointer
-        pm = build_ideal(
-            measured,
-            st.pointer_states,
-            st.ready,
-            completion_seed=seed * 1_000_003 + st.index,
-        )
+        pm = build_ideal(measured, st.pointer_states, st.ready)
         if st.kind == "exact":
             spec = st.dressings or DressingSpec("random")
             if spec.mode == "random":
@@ -987,7 +982,7 @@ def _dump_section(states: list[StateVector]) -> ReportSection:
 
 
 def run(scenario: Scenario, options: RunOptions = RunOptions()) -> RunReport:
-    """Execute a scenario: build unitaries, evolve the chain, run analyses."""
+    """Execute a scenario: build premeasurements, evolve the chain, run analyses."""
     pms = build_premeasurements(scenario, options.seed)
     states = run_chain(scenario, pms)
     sections = []

@@ -100,15 +100,15 @@ CORRUPT_MODES = ("phase",)
 def corrupt_premeasurement(pm: Premeasurement, mode: str) -> Premeasurement:
     """Damage a premeasurement for fault injection.
 
-    ``phase``: swap the first and last unitary columns and flip a sign,
-    moving amplitude across the initial/completion sectors.  The result is
-    still unitary but no longer calibrated.
+    ``phase``: swap the first and last rows of the isometry and flip the
+    sign of the new first row.  That permutes the composite basis, so the
+    result is still an isometry but no longer calibrated.
     """
     if mode == "phase":
-        u = np.array(pm.unitary)
-        u[:, [0, -1]] = u[:, [-1, 0]]
-        u[:, 0] *= -1.0
-        return replace(pm, unitary=u)
+        v = np.array(pm.isometry)
+        v[[0, -1]] = v[[-1, 0]]
+        v[0] *= -1.0
+        return replace(pm, isometry=v)
     raise ValueError(f"unknown corruption mode {mode!r}")
 
 
@@ -281,7 +281,7 @@ def _suite_ideal_definitions(ctx: SuiteContext) -> tuple[int, float]:
 def _recovered_pointer_state(
     pm: Premeasurement, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pointer state of branch k, phase and all, read off the unitary itself.
+    """Pointer state of branch k, phase and all, read off the isometry itself.
 
     For an ideal premeasurement a sharp input |phi_k> evolves to
     |phi_k> (x) |b_k> exactly, so contracting <phi_k| against the output
@@ -316,7 +316,7 @@ def _suite_identity_dressing(ctx: SuiteContext) -> tuple[int, float]:
         eye_a = np.eye(pm.object_dim, dtype=complex)
         eye_b = np.eye(pm.instrument_dim, dtype=complex)
         dressed = build_exact(pm, [(eye_a, eye_b)] * pm.measured.branch_count)
-        worst = max(worst, float(np.max(np.abs(dressed.unitary - pm.unitary))))
+        worst = max(worst, float(np.max(np.abs(dressed.isometry - pm.isometry))))
         cases += 1
     return cases, worst
 
@@ -331,9 +331,8 @@ def _random_chain(ctx: SuiteContext, rng):
     pstates = SubsystemBasis("C", tuple(q[:, i] for i in range(n2)))
     raw = rng.standard_normal(dc) + 1j * rng.standard_normal(dc)
     ready = StateVector(layout(("C", dc)), raw / np.linalg.norm(raw))
-    pm2 = build_ideal(
-        pm1.pointer, pstates, ready, completion_seed=int(rng.integers(2**32))
-    )
+    rng.integers(2**32)  # unused; drawn so that seeded inputs stay as they were
+    pm2 = build_ideal(pm1.pointer, pstates, ready)
     phi = random_state(layout(("A", da)), rng)
     return pm1, pm2, phi
 

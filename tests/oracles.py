@@ -121,55 +121,28 @@ def brute_density(vectors, weights=None):
     return out
 
 
-def brute_ideal_unitary(measured, pointer_states, ready_state, completion_seed):
-    """The unitary of an ideal premeasurement, built eagerly as the whole
-    matrix: domain |e_m> (x) |ready> and image sum_k E_k|e_m> (x) |b_k> by
-    Kronecker products, each completed by seeded Gram-Schmidt, paired column
-    by column.
-
-    Unlike the oracles above this is not an independent route: it is the
-    reference construction itself, kept as it was before the unitary became
-    a completion formed on first read, so that ``pm.unitary`` can be pinned
-    to it bit for bit.
-    """
-    from vnchain.hilbert import complete_orthonormal
-
+def brute_ideal_isometry(measured, pointer_states):
+    """The isometry of an ideal premeasurement, column m = sum_k E_k |e_m> (x) |b_k>,
+    summed by Kronecker products."""
     d_a = measured.dim
-    d_b = pointer_states.dim
-    domain = [np.kron(e, ready_state.amplitudes) for e in np.eye(d_a, dtype=complex)]
-    images = []
+    columns = []
     for e in np.eye(d_a, dtype=complex):
-        img = np.zeros(d_a * d_b, dtype=complex)
+        col = np.zeros(d_a * pointer_states.dim, dtype=complex)
         for k, branch in enumerate(measured.branches):
-            img += np.kron(branch.projector @ e, pointer_states.vectors[k])
-        images.append(img)
-    rng = np.random.default_rng(completion_seed)
-    dim = d_a * d_b
-    extra = [
-        rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2 * dim)
-    ]
-    domain_full = complete_orthonormal(domain, dim, candidates=extra[:dim])
-    image_full = complete_orthonormal(images, dim, candidates=extra[dim:])
-    return np.column_stack(image_full) @ np.column_stack(domain_full).conj().T
+            col += np.kron(branch.projector @ e, pointer_states.vectors[k])
+        columns.append(col)
+    return np.column_stack(columns)
 
 
-def eager_dressed_unitary(ideal_unitary, ideal, dressings):
-    """sum_k (V_k (x) W_k F_k) U + sum_{unmapped j} (I (x) F_j) U for the
-    ideal's unitary U, term by term as the reference construction applies
-    it (so the result can be compared bit for bit)."""
-    from vnchain.hilbert import apply_local
-
-    d_a, d_b = ideal.object_dim, ideal.instrument_dim
-    dims = (d_a, d_b, d_a * d_b)
-    dressed = np.zeros_like(ideal_unitary)
-    mapped = set()
+def brute_dressed_isometry(ideal, dressings):
+    """sum_k (V_k (x) W_k F_k) V + sum_{unmapped j} (I (x) F_j) V for the
+    ideal's isometry V, each term a Kronecker product."""
+    eye_a = np.eye(ideal.object_dim, dtype=complex)
+    dressed = np.zeros_like(ideal.isometry)
     for k, (v_a, w_b) in enumerate(dressings):
-        v_a = np.asarray(v_a, dtype=complex)
-        w_b = np.asarray(w_b, dtype=complex)
-        f = ideal.pointer_projector_for(k)
-        dressed += apply_local(v_a, apply_local(w_b @ f, ideal_unitary, dims, 1), dims, 0)
-        mapped.add(ideal.mapping[k])
+        dressed += np.kron(v_a, w_b @ ideal.pointer_projector_for(k)) @ ideal.isometry
+    mapped = set(ideal.mapping.values())
     for j, branch in enumerate(ideal.pointer.branches):
         if j not in mapped:
-            dressed += apply_local(branch.projector, ideal_unitary, dims, 1)
+            dressed += np.kron(eye_a, branch.projector) @ ideal.isometry
     return dressed

@@ -22,6 +22,7 @@ from vnchain import (
     check_conditions,
     check_dynamical,
     check_probability_reproduction,
+    complete_unitary,
     conditional_state,
     embed_operator,
     ensemble_update,
@@ -138,7 +139,7 @@ def dense_extend(state, pm):
     others = [label for label in lay.labels if label != pm.object_label]
     moved = state.reorder(others + [pm.object_label])
     amps = np.kron(moved.amplitudes, pm.ready_state.amplitudes)
-    full_u = np.kron(np.eye(moved.layout.dim // pm.object_dim), pm.unitary)
+    full_u = np.kron(np.eye(moved.layout.dim // pm.object_dim), complete_unitary(pm))
     tens = (full_u @ amps).reshape(moved.layout.dims + (pm.instrument_dim,))
     perm = [others.index(label) if label in others else len(others) for label in lay.labels]
     return tens.transpose(perm + [len(others) + 1]).reshape(-1)
@@ -285,7 +286,7 @@ class TestAgainstDenseRoute:
             if j not in mapped:
                 dresser = dresser + embed_operator(br.projector, "B", ideal.layout)
         np.testing.assert_allclose(
-            build_exact(ideal, dressings).unitary, dresser @ ideal.unitary, atol=1e-12
+            build_exact(ideal, dressings).isometry, dresser @ ideal.isometry, atol=1e-12
         )
 
 
@@ -318,13 +319,14 @@ def dense_condition_reports(pm, trials, seed):
             probability = max(probability, abs(float(lhs - rhs)))
     rng = np.random.default_rng(seed)
     ready = pm.ready_state.amplitudes
+    u = complete_unitary(pm)
     dynamical = 0.0
     for _ in range(trials):
         raw = rand_complex(pm.object_dim, rng)
         phi = raw / np.linalg.norm(raw)
-        final = pm.unitary @ np.kron(phi, ready)
+        final = u @ np.kron(phi, ready)
         for k, branch in enumerate(pm.measured.branches):
-            rhs = pm.unitary @ np.kron(branch.projector @ phi, ready)
+            rhs = u @ np.kron(branch.projector @ phi, ready)
             dynamical = max(dynamical, float(np.linalg.norm(embedded[k] @ final - rhs)))
     return calibration, probability, dynamical
 
@@ -342,11 +344,12 @@ def test_condition_reports_match_per_trial_loops(da, db, corrupt):
             pm = corrupt_premeasurement(pm, "phase")
         lay_a = layout(("A", da))
         ready = pm.ready_state.amplitudes
+        u = complete_unitary(pm)
         for _ in range(3):
             phi = random_state(lay_a, rng)
             np.testing.assert_allclose(
                 evolve(pm, phi).amplitudes,
-                pm.unitary @ np.kron(phi.amplitudes, ready),
+                u @ np.kron(phi.amplitudes, ready),
                 rtol=0,
                 atol=1e-12,
             )
@@ -494,9 +497,8 @@ DENSE_STATE_EXEMPT = {
 class _DensePathFinder(ast.NodeVisitor):
     """Collects embed_operator calls (outside hilbert.embed_operator itself),
     kron(eye(...), ...) calls and kron(..., ready_state.amplitudes) calls
-    (outside _complete_ideal, which builds the initial sector from it to
-    complete the unitary; everything else applies U(. (x) |ready>) through
-    ``Premeasurement.isometry``), and
+    (the package applies U(. (x) |ready>) through ``Premeasurement.isometry``
+    only), and
     np.outer, .density() and eigvalsh calls in ``DENSE_STATE_MODULES``, with
     the innermost enclosing function."""
 
@@ -527,8 +529,7 @@ class _DensePathFinder(ast.NodeVisitor):
             first = node.args[0]
             if isinstance(first, ast.Call) and _callee(first) == "eye":
                 self.offenders.append(f"kron(eye(...), ...) at {where}")
-            completing = (self.module, self.scope[-1]) == ("premeasurement.py", "_complete_ideal")
-            if any(map(_is_ready_amplitudes, node.args)) and not completing:
+            if any(map(_is_ready_amplitudes, node.args)):
                 self.offenders.append(f"kron(..., ready_state.amplitudes) at {where}")
         if self.module in DENSE_STATE_MODULES and name in ("outer", "density", "eigvalsh"):
             qualified = ".".join(self.scope[1:])
@@ -553,15 +554,12 @@ def test_dense_path_finder_flags_both_forms():
     source = (
         "def f(p, lay, u, pm, phi):\n"
         "    e = embed_operator(p, 'B', lay)\n"
-        "    v = pm.unitary @ np.kron(phi, pm.ready_state.amplitudes)\n"
+        "    v = u @ np.kron(phi, pm.ready_state.amplitudes)\n"
         "    return np.kron(np.eye(4), u)\n"
     )
     finder.visit(ast.parse(source))
     assert len(finder.offenders) == 3
     assert "kron(..., ready_state.amplitudes) at chains.py:3 in f" in finder.offenders
-    exempt = _DensePathFinder("premeasurement.py")
-    exempt.visit(ast.parse("def _complete_ideal(e, ready_state):\n    np.kron(e, ready_state.amplitudes)\n"))
-    assert exempt.offenders == []
 
 
 def test_dense_path_finder_flags_dense_states():
@@ -603,74 +601,4 @@ def test_dense_path_finder_flags_dense_states():
     assert hilbert.offenders == [
         "eigvalsh call at hilbert.py:8 in __post_init__",
         "outer call at hilbert.py:10 in purity",
-    ]
-
-
-# Where the package may read ``Premeasurement.unitary``, the completion formed
-# on first read: (module, outermost class or function).  Everything else,
-# and so all of ``run`` and a clean ``verify``, works from the isometry.
-UNITARY_READERS = {
-    ("premeasurement.py", "Premeasurement"),
-    ("suites.py", "corrupt_premeasurement"),  # --corrupt damages the full unitary
-    ("suites.py", "_suite_identity_dressing"),  # compares two completions
-}
-
-
-class _UnitaryReadFinder(ast.NodeVisitor):
-    """Collects ``x.unitary`` reads outside ``UNITARY_READERS``; the
-    tolerance ``DEFAULT.unitary`` is not a premeasurement read."""
-
-    def __init__(self, module):
-        self.module = module
-        self.scope = []
-        self.offenders = []
-
-    def visit_ClassDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef
-
-    def visit_Attribute(self, node):
-        tolerance = isinstance(node.value, ast.Name) and node.value.id == "DEFAULT"
-        if node.attr == "unitary" and isinstance(node.ctx, ast.Load) and not tolerance:
-            outer = self.scope[0] if self.scope else "<module>"
-            if (self.module, outer) not in UNITARY_READERS:
-                inner = self.scope[-1] if self.scope else "<module>"
-                self.offenders.append(f".unitary read at {self.module}:{node.lineno} in {inner}")
-        self.generic_visit(node)
-
-
-def test_unitary_read_only_where_the_completion_is_needed():
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        finder = _UnitaryReadFinder(path.name)
-        finder.visit(ast.parse(path.read_text(), filename=str(path)))
-        offenders += finder.offenders
-    assert offenders == []
-
-
-def test_unitary_read_finder_flags_new_readers():
-    source = (
-        "class Premeasurement:\n"
-        "    def f(self):\n"
-        "        return self.unitary\n"
-        "def corrupt_premeasurement(pm):\n"
-        "    return pm.unitary\n"
-        "def run(pm, tol):\n"
-        "    if tol > DEFAULT.unitary:\n"
-        "        return replace(pm, unitary=pm.unitary)\n"
-    )
-    suites = _UnitaryReadFinder("suites.py")
-    suites.visit(ast.parse(source))
-    assert suites.offenders == [
-        ".unitary read at suites.py:3 in f",
-        ".unitary read at suites.py:8 in run",
-    ]
-    package = _UnitaryReadFinder("premeasurement.py")
-    package.visit(ast.parse(source))
-    assert package.offenders == [
-        ".unitary read at premeasurement.py:5 in corrupt_premeasurement",
-        ".unitary read at premeasurement.py:8 in run",
     ]

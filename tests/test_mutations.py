@@ -27,6 +27,11 @@ FAULT_TABLE = {
     "isometry_conjugated": ISOMETRY_SUITES | {"chains.decoherence_split"},
     "isometry_columns_reversed": ISOMETRY_SUITES,
     "isometry_column0_sign": ISOMETRY_SUITES,
+    "dressing_term_dropped": {
+        "premeasurement.equivalence_triangle",
+        "premeasurement.pointer_completeness",
+        "premeasurement.identity_dressing",
+    },
     "conditional_factor_scaled": {
         "chains.born_weights",
         "chains.conditional_equivalences",
@@ -66,6 +71,11 @@ def _inject(monkeypatch, fault: str) -> None:
         monkeypatch.setattr(
             premeasurement, "np", _numpy_with_faulty_einsum(ISOMETRY_FAULTS[fault])
         )
+    elif fault == "dressing_term_dropped":
+        original = premeasurement._dress
+        monkeypatch.setattr(
+            premeasurement, "_dress", lambda terms, *args: original(terms[1:], *args)
+        )
     elif fault == "conditional_factor_scaled":
         original = chains._condition_vector
 
@@ -101,7 +111,13 @@ def test_isometry_faults_reach_the_isometry(monkeypatch):
             _inject(m, fault)
             broken = premeasurement.random_ideal("A", "B", 3, 4, np.random.default_rng(3))
         assert np.linalg.norm(broken.isometry - clean.isometry) > 0.1
-        np.testing.assert_array_equal(broken.unitary, clean.unitary)
+        assert broken.index_map == clean.index_map
+        np.testing.assert_array_equal(broken.ready_state.amplitudes, clean.ready_state.amplitudes)
+        for name in ("measured", "pointer"):
+            pairs = zip(getattr(broken, name).branches, getattr(clean, name).branches, strict=True)
+            for b, c in pairs:
+                assert b.eigenvalue == c.eigenvalue
+                np.testing.assert_array_equal(b.projector, c.projector)
 
 
 def test_conditioning_fault_raises_instead_of_skipping(monkeypatch):

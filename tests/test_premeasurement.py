@@ -31,9 +31,9 @@ from vnchain import (
 )
 from vnchain import premeasurement
 from vnchain.chains import extend_chain
-from vnchain.premeasurement import Premeasurement, check_conditions
+from vnchain.premeasurement import Premeasurement, check_conditions, complete_unitary
 
-from oracles import brute_ideal_unitary, eager_dressed_unitary
+from oracles import brute_dressed_isometry, brute_ideal_isometry
 
 RNG = np.random.default_rng(2024)
 
@@ -126,36 +126,20 @@ class TestBuildIdeal:
                 pointer=pointer,
             )
 
-    def test_completion_seed_does_not_change_physics(self):
-        rng = np.random.default_rng(7)
-        measured = random_observable(3, 2, "A", rng)
-        pstates = canonical_basis("B", 4, count=2)
-        ready = basis_state(layout(("B", 4)), 0)
-        pm0 = build_ideal(measured, pstates, ready, completion_seed=0)
-        pm1 = build_ideal(measured, pstates, ready, completion_seed=1)
-        assert np.linalg.norm(pm0.unitary - pm1.unitary) > 1e-3
-        for _ in range(10):
-            phi = random_state(layout(("A", 3)), rng)
-            np.testing.assert_allclose(
-                evolve(pm0, phi).amplitudes, evolve(pm1, phi).amplitudes, atol=1e-12
-            )
-        assert check_calibration(pm1, 5).passed
-        assert check_dynamical(pm1, 5).passed
-
 
 class TestBuildExact:
     def test_identity_dressings_reproduce_ideal(self):
         pm = qubit_pm()
         dressed = build_exact(pm, [(np.eye(2), np.eye(2))] * 2)
-        np.testing.assert_allclose(dressed.unitary, pm.unitary, atol=1e-12)
+        np.testing.assert_allclose(dressed.isometry, pm.isometry, atol=1e-12)
 
     def test_pauli_x_dressing_explicit_product(self):
         pm = qubit_pm()
         dressed = build_exact(pm, [(PAULI_X, np.eye(2)), (np.eye(2), np.eye(2))])
         f0 = pm.pointer_projector_for(0)
         f1 = pm.pointer_projector_for(1)
-        expected = (np.kron(PAULI_X, f0) + np.kron(np.eye(2), f1)) @ pm.unitary
-        np.testing.assert_allclose(dressed.unitary, expected, atol=1e-12)
+        expected = (np.kron(PAULI_X, f0) + np.kron(np.eye(2), f1)) @ pm.isometry
+        np.testing.assert_allclose(dressed.isometry, expected, atol=1e-12)
         # sharp "up" input keeps its pointer reading but the object flips
         up = basis_state(layout(("A", 2)), 0)
         out = evolve(dressed, up)
@@ -195,12 +179,12 @@ class TestBuildExact:
         with pytest.raises(ValueError, match="NaN or infinite"):
             build_exact(qubit_pm(), [(np.full((2, 2), np.nan), eye), (eye, eye)])
 
-    def test_non_finite_unitary_rejected(self):
+    def test_non_finite_isometry_rejected(self):
         pm = qubit_pm()
-        u = np.array(pm.unitary)
-        u[0, 0] = np.nan
+        v = np.array(pm.isometry)
+        v[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN or infinite"):
-            dataclasses.replace(pm, unitary=u)
+            dataclasses.replace(pm, isometry=v)
 
 
 class TestEvolve:
@@ -241,7 +225,8 @@ class TestConditionChecks:
         # a non-measurement: U = I with a ready state that is no pointer eigenstate
         pm = qubit_pm()
         plus_b = StateVector(layout(("B", 2)), np.array([1, 1]) / np.sqrt(2))
-        broken = dataclasses.replace(pm, unitary=np.eye(4), ready_state=plus_b)
+        v = np.eye(4) @ np.kron(np.eye(2), plus_b.amplitudes[:, None])
+        broken = dataclasses.replace(pm, isometry=v, ready_state=plus_b)
         rep = check_calibration(broken, 10, seed=2)
         assert not rep.passed
         assert rep.max_residual > 0.5
@@ -259,18 +244,22 @@ class TestConditionChecks:
 
     def test_cross_sector_column_swap_fails_probability(self):
         pm = qubit_pm()
-        u = np.array(pm.unitary)
-        u[:, [0, 3]] = u[:, [3, 0]]  # swap an initial-sector column out
-        broken = dataclasses.replace(pm, unitary=u)
+        u = np.array(complete_unitary(pm))
+        # swap an initial-sector column out: |0>|ready> now goes to |0>|1>
+        u[:, [0, 1]] = u[:, [1, 0]]
+        ready = pm.ready_state.amplitudes
+        broken = dataclasses.replace(pm, isometry=u @ np.kron(np.eye(2), ready[:, None]))
         rep = check_probability_reproduction(broken, 20, seed=3)
         assert not rep.passed
 
     def test_random_unitaries_fail_dynamical(self):
         rng = np.random.default_rng(12)
         pm = qubit_pm()
+        ready = pm.ready_state.amplitudes
         failures = 0
         for _ in range(100):
-            broken = dataclasses.replace(pm, unitary=random_unitary(4, rng))
+            v = random_unitary(4, rng) @ np.kron(np.eye(2), ready[:, None])
+            broken = dataclasses.replace(pm, isometry=v)
             rep = check_dynamical(broken, 3, seed=int(rng.integers(2**32)))
             if rep.max_residual > 1e-3:
                 failures += 1
@@ -369,19 +358,19 @@ class TestEquivalenceTriangle:
 
 
 def _recorded_ideal(monkeypatch, *args):
-    """``random_ideal(*args)`` and the arguments it gave ``build_ideal``."""
+    """``random_ideal(*args)`` and the positional arguments it gave ``build_ideal``."""
     calls = []
     original = premeasurement.build_ideal
 
     def recording(*a, **kw):
-        calls.append((a, kw))
+        calls.append(a)
         return original(*a, **kw)
 
     with monkeypatch.context() as m:
         m.setattr(premeasurement, "build_ideal", recording)
         pm = random_ideal(*args)
-    ((a, kw),) = calls
-    return pm, (*a, kw["completion_seed"])
+    (a,) = calls
+    return pm, a
 
 
 def _random_dressings(pm, rng):
@@ -392,7 +381,7 @@ def _random_dressings(pm, rng):
 
 
 def _parts(pm):
-    """Every field of ``pm`` a premeasurement built from parts is given."""
+    """Every field of ``pm`` but its isometry."""
     names = ("object_label", "instrument_label", "measured", "pointer", "ready_state", "index_map")
     return {name: getattr(pm, name) for name in names}
 
@@ -401,50 +390,69 @@ GRID = [(da, db) for da in range(2, 5) for db in range(2, 7)]
 
 
 class TestIsometryCore:
-    """A built premeasurement carries V; ``unitary`` is completed on first read."""
+    """A premeasurement is its isometry V; ``complete_unitary`` extends V on request."""
 
     @pytest.mark.parametrize("da,db", GRID)
-    def test_unitary_matches_eager_construction_bit_for_bit(self, monkeypatch, da, db):
+    def test_ideal_isometry_matches_kron_oracle(self, monkeypatch, da, db):
         rng = np.random.default_rng(da * 10 + db)
-        pm, args = _recorded_ideal(monkeypatch, "A", "B", da, db, rng)
-        np.testing.assert_array_equal(pm.unitary, brute_ideal_unitary(*args))
+        pm, (measured, pstates, _) = _recorded_ideal(monkeypatch, "A", "B", da, db, rng)
+        np.testing.assert_allclose(
+            pm.isometry, brute_ideal_isometry(measured, pstates), rtol=0, atol=1e-12
+        )
+        assert not pm.isometry.flags.writeable
 
-    def test_unitary_with_given_pointer_bit_for_bit(self):
+    def test_ideal_isometry_with_given_pointer(self):
         rng = np.random.default_rng(21)
         measured = random_observable(3, 2, "A", rng)
         pointer = observable_from_matrix(np.diag([0.0, 1.0, 2.0, 2.0]), "B")
         pstates = canonical_basis("B", 4, count=2)
         ready = basis_state(layout(("B", 4)), 2)
-        pm = build_ideal(measured, pstates, ready, pointer=pointer, completion_seed=9)
-        np.testing.assert_array_equal(
-            pm.unitary, brute_ideal_unitary(measured, pstates, ready, 9)
+        pm = build_ideal(measured, pstates, ready, pointer=pointer)
+        np.testing.assert_allclose(
+            pm.isometry, brute_ideal_isometry(measured, pstates), rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("da,db", GRID)
-    def test_dressed_unitary_matches_eager_dressing_bit_for_bit(self, da, db):
+    def test_dressed_isometry_matches_kron_oracle(self, da, db):
         rng = np.random.default_rng(da * 10 + db + 500)
         ideal = random_ideal("A", "B", da, db, rng)
         dressings = _random_dressings(ideal, rng)
         exact = build_exact(ideal, dressings)
-        expected = eager_dressed_unitary(np.array(ideal.unitary), ideal, dressings)
-        np.testing.assert_array_equal(exact.unitary, expected)
+        np.testing.assert_allclose(
+            exact.isometry, brute_dressed_isometry(ideal, dressings), rtol=0, atol=1e-12
+        )
 
     @pytest.mark.parametrize("da,db", GRID)
-    def test_closed_form_isometry_is_the_unitary_on_the_initial_sector(self, da, db):
+    def test_complete_unitary_extends_the_isometry(self, da, db):
         rng = np.random.default_rng(da * 10 + db + 900)
         for pm in (random_ideal("A", "B", da, db, rng), random_exact("A", "B", da, db, rng)):
+            u = complete_unitary(pm)
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(da * db), rtol=0, atol=1e-12)
             ready = pm.ready_state.amplitudes
-            sector = pm.unitary @ np.kron(np.eye(da), ready[:, None])
-            np.testing.assert_allclose(pm.isometry, sector, rtol=0, atol=1e-12)
-            assert not pm.isometry.flags.writeable
+            sector = u @ np.kron(np.eye(da), ready[:, None])
+            np.testing.assert_allclose(sector, pm.isometry, rtol=0, atol=1e-12)
 
-    def test_completion_runs_only_on_first_unitary_read(self, monkeypatch):
+    def test_complete_unitary_is_pure_and_checked(self, monkeypatch):
+        pm = random_exact("A", "B", 3, 4, np.random.default_rng(31))
+        fields = dict(vars(pm))
+        np.testing.assert_array_equal(complete_unitary(pm), complete_unitary(pm))
+        assert vars(pm).keys() == fields.keys()
+        original = premeasurement.complete_orthonormal
+        monkeypatch.setattr(
+            premeasurement,
+            "complete_orthonormal",
+            lambda *args: [2 * v for v in original(*args)],
+        )
+        with pytest.raises(ValueError, match="not unitary"):
+            complete_unitary(pm)
+
+    def test_no_package_path_completes_a_unitary(self, monkeypatch):
         calls = []
         original = premeasurement.complete_orthonormal
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
         monkeypatch.setattr(premeasurement, "complete_orthonormal", counting)
         rng = np.random.default_rng(31)
@@ -455,41 +463,37 @@ class TestIsometryCore:
             evolve(pm, phi)
             extend_chain(phi, pm)
             check_conditions(pm, 3)
-        assert len(calls) == 0
-        exact.unitary  # completes the ideal's unitary, then dresses it
-        assert len(calls) == 2
-        exact.unitary
-        ideal.unitary
+            repr(pm)
+        assert calls == []
+        complete_unitary(exact)
         assert len(calls) == 2
 
-    def test_given_unitary_is_checked_and_read(self):
+    def test_given_isometry_is_checked(self):
         pm = qubit_pm()
         u = random_unitary(4, np.random.default_rng(4))
-        replaced = dataclasses.replace(pm, unitary=u)
-        np.testing.assert_array_equal(
-            replaced.isometry, u.reshape(4, 2, 2) @ pm.ready_state.amplitudes
-        )
-        with pytest.raises(ValueError, match="not unitary"):
-            dataclasses.replace(pm, unitary=2 * u)
-        with pytest.raises(ValueError, match="not unitary"):
-            Premeasurement(unitary=2 * u, **_parts(pm))
-        with pytest.raises(DimensionMismatchError, match="unitary shape"):
-            Premeasurement(unitary=np.eye(3), **_parts(pm))
-
-    def test_non_isometric_parts_rejected(self):
-        pm = qubit_pm()
-        complete = lambda: pm.unitary  # noqa: E731
+        v = u @ np.kron(np.eye(2), pm.ready_state.amplitudes[:, None])
+        replaced = dataclasses.replace(pm, isometry=v)
+        np.testing.assert_array_equal(replaced.isometry, v)
+        assert not replaced.isometry.flags.writeable
+        np.testing.assert_array_equal(Premeasurement(isometry=v, **_parts(pm)).isometry, v)
         with pytest.raises(ValueError, match="not an isometry"):
-            Premeasurement._from_isometry(1.1 * pm.isometry, complete, **_parts(pm))
+            dataclasses.replace(pm, isometry=1.1 * v)
+        with pytest.raises(ValueError, match="not an isometry"):
+            Premeasurement(isometry=1.1 * v, **_parts(pm))
         with pytest.raises(DimensionMismatchError, match="isometry shape"):
-            Premeasurement._from_isometry(pm.isometry[:, :1], complete, **_parts(pm))
+            Premeasurement(isometry=v[:, :1], **_parts(pm))
+        with pytest.raises(DimensionMismatchError, match="isometry shape"):
+            dataclasses.replace(pm, isometry=u)
         with pytest.raises(ValueError, match="NaN or infinite"):
-            Premeasurement._from_isometry(np.full((4, 2), np.nan), complete, **_parts(pm))
+            Premeasurement(isometry=np.full((4, 2), np.nan), **_parts(pm))
 
-    def test_completed_unitary_checked_when_formed(self):
-        pm = qubit_pm()
-        built = Premeasurement._from_isometry(pm.isometry, lambda: 2 * np.eye(4), **_parts(pm))
-        with pytest.raises(ValueError, match="not unitary"):
-            built.unitary
-        with pytest.raises(AttributeError):
-            built.no_such_field
+    def test_identity_equality_hash_and_repr(self):
+        pm, other = qubit_pm(), qubit_pm()
+        assert pm == pm
+        assert (pm == other) is False
+        assert pm != other
+        assert hash(pm) == hash(pm)
+        assert len({pm, other}) == 2
+        text = repr(pm)
+        assert "isometry" not in text
+        assert text.startswith("Premeasurement(object_label='A', instrument_label='B'")
