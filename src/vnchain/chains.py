@@ -191,6 +191,8 @@ def _condition_matrix(
 
 def observables_match(a: SpectralObservable, b: SpectralObservable) -> bool:
     """Same subsystem, same branch structure within ``DEFAULT.observable_match``."""
+    if a is b:
+        return True
     if a.subsystem != b.subsystem or a.branch_count != b.branch_count:
         return False
     for x, y in zip(a.branches, b.branches):

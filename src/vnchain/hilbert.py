@@ -6,7 +6,9 @@ leftmost subsystem varies slowest.  This matches ``numpy.kron`` order, so
 ``tensor`` is a plain Kronecker product.
 
 All values are immutable after construction and every operation is a pure
-function; instances may be shared between threads freely.
+function; instances may be shared between threads freely.  Values that hold
+arrays (states, bases) compare and hash by identity: an elementwise array
+comparison has no single truth value.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def layout(*subsystems: tuple[str, int]) -> SubsystemLayout:
     return SubsystemLayout(tuple(subsystems))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure multipartite state; unnormalized vectors must be flagged.
 
@@ -167,7 +169,7 @@ class StateVector:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Mixed or pure multipartite state as a unit-trace PSD matrix.
 
@@ -178,7 +180,7 @@ class DensityOperator:
 
     layout: SubsystemLayout
     matrix: np.ndarray
-    factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    factor: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d = self.layout.dim
@@ -281,7 +283,7 @@ def _permutation(lay: SubsystemLayout, new_labels: Sequence[str]):
     return perm, new_layout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsystemBasis:
     """Orthonormal vectors on one subsystem; may be a sub-basis."""
 
@@ -299,8 +301,8 @@ class SubsystemBasis:
             raise NonOrthonormalBasisError(
                 f"{len(vecs)} vectors cannot be orthonormal in dimension {dim}"
             )
-        gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-        resid = np.linalg.norm(gram - np.eye(len(vecs)))
+        m = np.column_stack(vecs)
+        resid = np.linalg.norm(m.conj().T @ m - np.eye(len(vecs)))
         if resid > DEFAULT.orth * max(1, len(vecs)):
             raise NonOrthonormalBasisError(f"orthonormality residual {resid:.3e}")
         object.__setattr__(self, "vectors", vecs)

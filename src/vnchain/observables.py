@@ -8,7 +8,9 @@ arbitrarily degenerate (projectors of any rank >= 1).
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,20 @@ def is_projector(p: np.ndarray) -> bool:
     )
 
 
-@dataclass(frozen=True)
+def _check_spectrum(eigenvalues: list[float], d: int) -> None:
+    """Branch eigenvalues finite and ascending by more than ``DEFAULT.eig_merge``,
+    and no more branches than dimensions."""
+    if not all(math.isfinite(e) for e in eigenvalues):
+        raise ValueError(f"branch eigenvalues {eigenvalues} are not all finite")
+    if any(b - a <= DEFAULT.eig_merge for a, b in zip(eigenvalues, eigenvalues[1:])):
+        raise ValueError(
+            f"branch eigenvalues {eigenvalues} not ascending with separation > {DEFAULT.eig_merge}"
+        )
+    if len(eigenvalues) > d:
+        raise DimensionMismatchError("more branches than dimensions")
+
+
+@dataclass(frozen=True, eq=False)
 class SpectralBranch:
     index: int
     eigenvalue: float
@@ -46,9 +61,17 @@ class SpectralBranch:
         return int(round(np.real(np.trace(self.projector))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralObservable:
-    """Observable with no eigenvalue repetition, branches sorted ascending."""
+    """Observable with no eigenvalue repetition, branches sorted ascending.
+
+    Projectors given to the constructor are fully checked: each is
+    Hermitian, idempotent and of rank >= 1, each pair is orthogonal and
+    together they sum to the identity, which costs O(n^2 d^3) for n branches
+    in dimension d.  An observable made by ``from_eigenbasis`` is checked
+    through one Gram product of its eigenbasis instead.  Instances compare
+    by identity.
+    """
 
     subsystem: str
     branches: tuple[SpectralBranch, ...]
@@ -59,13 +82,7 @@ class SpectralObservable:
             raise DimensionMismatchError("observable needs at least one branch")
         object.__setattr__(self, "branches", branches)
         d = branches[0].projector.shape[0]
-        eigs = [b.eigenvalue for b in branches]
-        if not all(math.isfinite(e) for e in eigs):
-            raise ValueError(f"branch eigenvalues {eigs} are not all finite")
-        if any(b - a <= DEFAULT.eig_merge for a, b in zip(eigs, eigs[1:])):
-            raise ValueError(
-                f"branch eigenvalues {eigs} not ascending with separation > {DEFAULT.eig_merge}"
-            )
+        _check_spectrum([b.eigenvalue for b in branches], d)
         scale = DEFAULT.orth * max(1, d)
         total = np.zeros((d, d), dtype=complex)
         for b in branches:
@@ -85,8 +102,73 @@ class SpectralObservable:
                     )
         if np.linalg.norm(total - np.eye(d)) > scale:
             raise NotAProjectorError("branch projectors do not sum to the identity")
-        if len(branches) > d:
-            raise DimensionMismatchError("more branches than dimensions")
+
+    @classmethod
+    def from_eigenbasis(
+        cls,
+        subsystem: str,
+        eigenvalues: Sequence[float],
+        blocks: Sequence[np.ndarray],
+        complement: float | None = None,
+    ) -> "SpectralObservable":
+        """The observable sum_k o_k Q_k Q_k^dag of orthonormal column blocks Q_k.
+
+        ``eigenvalues`` o_k are ascending, one per block; each block is a
+        (d, r_k) array with r_k >= 1.  When ``complement`` is given, one more
+        branch with that eigenvalue projects onto the orthogonal complement
+        of the blocks, I - Q Q^dag for Q the blocks side by side, placed by
+        its eigenvalue; otherwise the blocks must span the space.
+
+        The projectors are checked through the Gram residual
+        eps = ||Q^dag Q - I|| alone, in O(d n^2) for n columns.  With
+        E = Q^dag Q - I, every residual the constructor's dense check tests
+        is a product of E with blocks of Q: idempotency Q_k E_kk Q_k^dag,
+        orthogonality Q_i E_ij Q_j^dag (Q E_:j Q_j^dag against the
+        complement), and completeness I - Q Q^dag, which has the singular
+        values of E when Q is square.  Each is at most (1 + eps) eps,
+        which is required to be within the dense threshold
+        ``DEFAULT.orth * d``.  Every rank is ||Q_k||_F^2 = r_k + tr E_kk, and
+        Q_k Q_k^dag is Hermitian by construction.
+        """
+        blocks = [_frozen_array(q) for q in blocks]
+        eigs = [float(e) for e in eigenvalues]
+        if not blocks:
+            raise DimensionMismatchError("observable needs at least one branch")
+        if len(eigs) != len(blocks):
+            raise DimensionMismatchError(f"{len(eigs)} eigenvalues for {len(blocks)} blocks")
+        if any(q.ndim != 2 for q in blocks):
+            raise DimensionMismatchError("eigenbasis blocks must be 2-D arrays")
+        d = blocks[0].shape[0]
+        if any(q.shape[0] != d for q in blocks):
+            raise DimensionMismatchError("eigenbasis blocks differ in row count")
+        pos = len(eigs)
+        if complement is not None:
+            pos = bisect.bisect(eigs, complement)
+            eigs.insert(pos, float(complement))
+        _check_spectrum(eigs, d)
+        for k, q in enumerate(blocks):
+            if q.shape[1] == 0:
+                raise NotAProjectorError(f"eigenbasis block {k} is empty: rank 0")
+        basis = np.concatenate(blocks, axis=1)
+        n = basis.shape[1]
+        eps = float(np.linalg.norm(basis.conj().T @ basis - np.eye(n)))
+        if not eps * (1 + eps) <= DEFAULT.orth * max(1, d):
+            raise NotAProjectorError(f"eigenbasis is not orthonormal: Gram residual {eps:.3e}")
+        projectors = [q @ q.conj().T for q in blocks]
+        if complement is not None:
+            if n >= d:
+                raise NotAProjectorError("complement branch has rank 0")
+            projectors.insert(pos, np.eye(d, dtype=complex) - basis @ basis.conj().T)
+        elif n != d:
+            raise NotAProjectorError("branch projectors do not sum to the identity")
+        obs = object.__new__(cls)
+        object.__setattr__(obs, "subsystem", subsystem)
+        object.__setattr__(
+            obs,
+            "branches",
+            tuple(SpectralBranch(k, e, p) for k, (e, p) in enumerate(zip(eigs, projectors))),
+        )
+        return obs
 
     @property
     def dim(self) -> int:
@@ -113,7 +195,7 @@ class SpectralObservable:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionOfIdentity:
     """Projector family meant to sum to the identity.
 
@@ -183,13 +265,11 @@ def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
             groups[-1].append(i)
         else:
             groups.append([i])
-    branches = []
-    for k, group in enumerate(groups):
-        vecs = eigvecs[:, group]
-        proj = vecs @ vecs.conj().T
-        value = float(np.mean(eigvals[group]))
-        branches.append(SpectralBranch(k, value, proj))
-    return SpectralObservable(subsystem, tuple(branches))
+    return SpectralObservable.from_eigenbasis(
+        subsystem,
+        [float(np.mean(eigvals[group])) for group in groups],
+        [eigvecs[:, group] for group in groups],
+    )
 
 
 def event_complement(p: np.ndarray) -> np.ndarray:

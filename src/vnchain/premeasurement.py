@@ -34,7 +34,7 @@ from .hilbert import (
     complete_orthonormal,
     random_unitary,
 )
-from .observables import SpectralBranch, SpectralObservable, projector_onto
+from .observables import SpectralObservable
 from .tolerances import DEFAULT
 
 
@@ -202,20 +202,15 @@ def build_ideal(
 def _pointer_from_states(
     instrument: str, pointer_states: SubsystemBasis
 ) -> tuple[SpectralObservable, dict[int, int]]:
-    d_b = pointer_states.dim
-    branches = [
-        (float(k), projector_onto([v])) for k, v in enumerate(pointer_states.vectors)
-    ]
-    remainder = np.eye(d_b, dtype=complex) - sum(p for _, p in branches)
-    if np.real(np.trace(remainder)) > 0.5:
-        branches.append((-1.0, remainder))
-    branches.sort(key=lambda t: t[0])
-    observable = SpectralObservable(
+    n = len(pointer_states.vectors)
+    observable = SpectralObservable.from_eigenbasis(
         instrument,
-        tuple(SpectralBranch(i, val, proj) for i, (val, proj) in enumerate(branches)),
+        [float(k) for k in range(n)],
+        [v[:, None] for v in pointer_states.vectors],
+        complement=-1.0 if n < pointer_states.dim else None,
     )
-    value_to_pos = {val: i for i, (val, _) in enumerate(branches)}
-    index_map = {k: value_to_pos[float(k)] for k in range(len(pointer_states.vectors))}
+    value_to_pos = {val: i for i, val in enumerate(observable.eigenvalues)}
+    index_map = {k: value_to_pos[float(k)] for k in range(n)}
     return observable, index_map
 
 
@@ -463,11 +458,11 @@ def random_observable(
     cuts = np.sort(rng.choice(dim - 1, size=n_branches - 1, replace=False) + 1)
     bounds = [0, *cuts.tolist(), dim]
     u = random_unitary(dim, rng)
-    branches = []
-    for k in range(n_branches):
-        cols = u[:, bounds[k] : bounds[k + 1]]
-        branches.append(SpectralBranch(k, float(k), cols @ cols.conj().T))
-    return SpectralObservable(subsystem, tuple(branches))
+    return SpectralObservable.from_eigenbasis(
+        subsystem,
+        [float(k) for k in range(n_branches)],
+        [u[:, bounds[k] : bounds[k + 1]] for k in range(n_branches)],
+    )
 
 
 def random_range_unitary(projector: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -146,3 +146,24 @@ def brute_dressed_isometry(ideal, dressings):
         if j not in mapped:
             dressed += np.kron(eye_a, branch.projector) @ ideal.isometry
     return dressed
+
+
+def brute_eigenbasis_projectors(eigenvalues, blocks, complement=None):
+    """(eigenvalue, projector) pairs of sum_k o_k Q_k Q_k^dag, sorted ascending.
+
+    Each projector is summed column by column, entry by entry; ``complement``
+    adds a branch with that eigenvalue whose projector is I minus their sum.
+    """
+    d = np.asarray(blocks[0]).shape[0]
+    pairs = []
+    for value, block in zip(eigenvalues, blocks):
+        proj = np.zeros((d, d), dtype=complex)
+        for column in np.asarray(block, dtype=complex).T:
+            proj += brute_density(column)
+        pairs.append((float(value), proj))
+    if complement is not None:
+        rest = np.eye(d, dtype=complex)
+        for _, proj in pairs:
+            rest -= proj
+        pairs.append((float(complement), rest))
+    return sorted(pairs, key=lambda pair: pair[0])

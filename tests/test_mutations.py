@@ -32,6 +32,16 @@ FAULT_TABLE = {
         "premeasurement.pointer_completeness",
         "premeasurement.identity_dressing",
     },
+    "eigenbasis_column_scaled": {
+        "premeasurement.equivalence_triangle",
+        "premeasurement.ideal_definitions",
+        "premeasurement.pointer_completeness",
+        "premeasurement.identity_dressing",
+        "chains.two_link_resummation",
+        "chains.decoherence_split",
+        "chains.born_weights",
+        "chains.absoluteness",
+    },
     "conditional_factor_scaled": {
         "chains.born_weights",
         "chains.conditional_equivalences",
@@ -76,6 +86,15 @@ def _inject(monkeypatch, fault: str) -> None:
         monkeypatch.setattr(
             premeasurement, "_dress", lambda terms, *args: original(terms[1:], *args)
         )
+    elif fault == "eigenbasis_column_scaled":
+        original = premeasurement.random_unitary
+
+        def scaled(*args):
+            u = np.array(original(*args))
+            u[:, 0] *= 1 + 1e-6
+            return u
+
+        monkeypatch.setattr(premeasurement, "random_unitary", scaled)
     elif fault == "conditional_factor_scaled":
         original = chains._condition_vector
 
@@ -128,6 +147,16 @@ def test_conditioning_fault_raises_instead_of_skipping(monkeypatch):
     for name in FAULT_TABLE["conditional_factor_scaled"]:
         assert rows[name].max_residual == float("inf")
         assert rows[name].note.startswith("raised ValueError: trace 1.21")
+
+
+def test_non_orthonormal_eigenbasis_is_rejected_not_used(monkeypatch):
+    """An eigenbasis off orthonormality by 1e-6 is refused when the observable
+    is built, so every suite it reaches fails by raising."""
+    _inject(monkeypatch, "eigenbasis_column_scaled")
+    rows = {r.name: r for r in run_suites(trials=10, seed=0)}
+    for name in FAULT_TABLE["eigenbasis_column_scaled"]:
+        assert rows[name].max_residual == float("inf")
+        assert rows[name].note.startswith("raised NotAProjectorError: eigenbasis is not orthonormal")
 
 
 def test_suite_that_skips_every_case_fails(monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,26 @@ from vnchain import (
     PAULI_X,
     PAULI_Z,
     DecompositionOfIdentity,
+    DensityOperator,
+    DimensionMismatchError,
     NotAProjectorError,
     SpectralBranch,
     SpectralObservable,
+    StateVector,
+    SubsystemBasis,
+    build_ideal,
     check_decomposition,
     event_complement,
+    layout,
     observable_from_matrix,
     projector_onto,
+    random_exact,
+    random_ideal,
     random_unitary,
 )
+from vnchain import chains, cli, observables
+
+from oracles import brute_eigenbasis_projectors
 
 RNG = np.random.default_rng(77)
 
@@ -166,3 +179,198 @@ class TestEventComplement:
         obs = observable_from_matrix(PAULI_X, "A")
         c = event_complement(obs.projector(0))
         np.testing.assert_allclose(c, obs.projector(1), atol=1e-12)
+
+
+def _dense(subsystem, pairs):
+    """The observable of (eigenvalue, projector) pairs through the dense constructor."""
+    return SpectralObservable(
+        subsystem, tuple(SpectralBranch(k, e, p) for k, (e, p) in enumerate(pairs))
+    )
+
+
+def _blocks(u, sizes):
+    bounds = np.cumsum([0, *sizes])
+    return [u[:, a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# (dimension, column count of each block, complement eigenvalue)
+EIGENBASIS_CASES = [
+    (1, [1], None),
+    (2, [1, 1], None),
+    (2, [2], None),
+    (3, [1, 2], None),
+    (4, [2, 2], None),
+    (4, [1, 1, 1, 1], None),
+    (5, [3, 1, 1], None),
+    (6, [1, 2, 3], None),
+    (6, [6], None),
+    (5, [1, 2], 0.5),  # complement placed between the blocks
+    (2, [1], -1.0),  # pointer states with an idle complement
+    (3, [1, 1], -1.0),
+    (4, [1, 1], -1.0),
+    (5, [1, 1, 1], -1.0),
+    (6, [1], -1.0),
+    (6, [1] * 5, -1.0),
+]
+
+
+class TestFromEigenbasis:
+    @pytest.mark.parametrize("d,sizes,complement", EIGENBASIS_CASES)
+    def test_agrees_with_dense_oracle(self, d, sizes, complement):
+        blocks = _blocks(random_unitary(d, np.random.default_rng(10 * d + len(sizes))), sizes)
+        eigs = [float(k) for k in range(len(sizes))]
+        obs = SpectralObservable.from_eigenbasis("A", eigs, blocks, complement=complement)
+        pairs = brute_eigenbasis_projectors(eigs, blocks, complement)
+        dense = _dense("A", pairs)  # the same projectors pass every dense check
+        assert obs.eigenvalues == dense.eigenvalues
+        for k, (branch, (_, proj)) in enumerate(zip(obs.branches, pairs, strict=True)):
+            assert branch.index == k
+            np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
+        assert check_decomposition(obs.decomposition()).passed
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (3, 3), (1, 4), (2, 5), (3, 6)])
+    def test_pointer_from_states_agrees_with_dense_oracle(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        u = random_unitary(d, rng)
+        states = SubsystemBasis("B", tuple(u[:, k] for k in range(n)))
+        ready = StateVector(layout(("B", d)), u[:, 0])
+        measured = observable_from_matrix(np.diag(np.arange(n, dtype=float)), "A")
+        pm = build_ideal(measured, states, ready)
+        complement = -1.0 if n < d else None
+        pairs = brute_eigenbasis_projectors(
+            range(n), [u[:, k : k + 1] for k in range(n)], complement
+        )
+        _dense("B", pairs)  # the oracle projectors pass every dense check
+        assert pm.pointer.eigenvalues == tuple(e for e, _ in pairs)
+        for branch, (_, proj) in zip(pm.pointer.branches, pairs, strict=True):
+            np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
+        assert check_decomposition(pm.pointer.decomposition()).passed
+        offset = 1 if complement is not None else 0
+        assert pm.mapping == {k: k + offset for k in range(n)}
+
+
+def _rejection_cases():
+    u = random_unitary(3, np.random.default_rng(5))
+    scaled = u.copy()
+    scaled[:, 0] *= 1 + 1e-6
+    with_nan = u.copy()
+    with_nan[1, 1] = np.nan
+    e = np.eye(2, dtype=complex)
+    diagonal = np.array([[1.0], [1.0]]) / np.sqrt(2)
+    # name: (eigenvalues, blocks, complement, error both constructors raise)
+    return {
+        "scaled_column": ([0, 1], [scaled[:, :1], scaled[:, 1:]], None, NotAProjectorError),
+        "overlapping_blocks": ([0, 1], [u[:, :2], u[:, 1:]], None, NotAProjectorError),
+        "empty_block": ([0, 1, 2], [u[:, :1], u[:, 1:1], u[:, 1:]], None, NotAProjectorError),
+        "incomplete_without_complement": ([0, 1], [u[:, :1], u[:, 1:2]], None, NotAProjectorError),
+        "empty_complement": ([0, 1], [u[:, :1], u[:, 1:]], -1.0, NotAProjectorError),
+        "nan_entry": ([0, 1], [with_nan[:, :1], with_nan[:, 1:]], None, ValueError),
+        "more_branches_than_dimensions": (
+            [0, 1, 2],
+            [e[:, :1], e[:, 1:], diagonal],
+            None,
+            DimensionMismatchError,
+        ),
+    }
+
+
+REJECTIONS = _rejection_cases()
+
+
+class TestEigenbasisRejections:
+    """Each bad eigenbasis fails ``from_eigenbasis`` with the error class that
+    the dense constructor raises for the projectors it spans."""
+
+    @pytest.mark.parametrize("name", sorted(REJECTIONS))
+    def test_same_error_as_dense(self, name):
+        eigs, blocks, complement, error = REJECTIONS[name]
+        with pytest.raises(error):
+            SpectralObservable.from_eigenbasis("A", eigs, blocks, complement=complement)
+        with pytest.raises(error):
+            _dense("A", brute_eigenbasis_projectors(eigs, blocks, complement))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        with pytest.raises(ValueError, match="not all finite"):
+            SpectralObservable.from_eigenbasis("A", [0.0, bad], [np.eye(2)[:, :1], np.eye(2)[:, 1:]])
+
+
+VALUE_TYPES = {
+    "StateVector": lambda: StateVector(layout(("A", 2)), [1.0, 0.0]),
+    "DensityOperator": lambda: DensityOperator(layout(("A", 2)), np.eye(2) / 2),
+    "SubsystemBasis": lambda: SubsystemBasis("A", (np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
+    "SpectralBranch": lambda: SpectralBranch(0, 0.0, np.eye(2)),
+    "SpectralObservable": lambda: observable_from_matrix(PAULI_Z, "A"),
+    "DecompositionOfIdentity": lambda: DecompositionOfIdentity("A", (np.eye(2),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_array_values_compare_and_hash_by_identity(name):
+    a, b = VALUE_TYPES[name](), VALUE_TYPES[name]()
+    assert a == a
+    assert (a == b) is False
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
+def _count_is_projector(monkeypatch) -> list[int]:
+    calls = [0]
+    original = observables.is_projector
+
+    def counting(p):
+        calls[0] += 1
+        return original(p)
+
+    monkeypatch.setattr(observables, "is_projector", counting)
+    monkeypatch.setattr(chains, "is_projector", counting)
+    return calls
+
+
+def _copy_chain_document(n_qubits: int) -> dict:
+    stages = [
+        {
+            "object": f"q{i}",
+            "instrument": f"q{i + 1}",
+            "measured": {"diag": [0, 1]} if i == 0 else "previous-pointer",
+            "pointer_states": ["basis:0", "basis:1"],
+            "ready": "basis:0",
+            "kind": "ideal",
+        }
+        for i in range(n_qubits - 1)
+    ]
+    return {
+        "name": "copy-chain",
+        "subsystems": [[f"q{i}", 2] for i in range(n_qubits)],
+        "initial": {"subsystem": "q0", "state": [[0.6, 0.0], [0.8, 0.0]]},
+        "stages": stages,
+        "analyses": ["branches"],
+    }
+
+
+class TestNoDenseProjectorChecks:
+    """Library-made observables are checked through their eigenbasis, never by
+    ``is_projector``."""
+
+    def test_constructors(self, monkeypatch):
+        calls = _count_is_projector(monkeypatch)
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((5, 5))
+        observable_from_matrix(h + h.T, "A")
+        measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
+        eye = np.eye(64, dtype=complex)
+        states = SubsystemBasis("B", (eye[:, 0], eye[:, 1]))
+        build_ideal(measured, states, StateVector(layout(("B", 64)), eye[:, 2]))
+        for da, db in [(2, 2), (3, 5), (4, 4)]:
+            random_ideal("A", "B", da, db, rng)
+            random_exact("A", "B", da, db, rng)
+        assert calls[0] == 0
+
+    def test_copy_chain_run(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "copy.json"
+        path.write_text(json.dumps(_copy_chain_document(6)))
+        calls = _count_is_projector(monkeypatch)
+        assert cli.main(["run", str(path)]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+        assert calls[0] == 0
