@@ -45,7 +45,6 @@ from .hilbert import (
     apply_local,
     basis_state,
     complete_orthonormal,
-    embed_operator,
     expand_in_basis,
     layout,
     partial_scalar_product,

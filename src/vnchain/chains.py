@@ -29,6 +29,7 @@ from .hilbert import (
     State,
     StateVector,
     SubsystemLayout,
+    _resized,
     apply_local,
     factor_difference,
     partial_scalar_product,
@@ -145,44 +146,51 @@ def _keep_positions(lay: SubsystemLayout, remove: set[str]) -> list[int]:
 
 def _condition_vector(
     amplitudes: np.ndarray,
-    p: np.ndarray,
+    factor: np.ndarray,
     dims: tuple[int, ...],
     pos: int,
     keep: list[int],
 ) -> tuple[float, np.ndarray | None]:
-    """Weight <psi|P|psi> of an event P on axis ``pos`` of a pure state and a
-    factor M of the conditional state tr_rest(P|psi><psi|P) / w = M M^dag on
-    the ``keep`` axes.
+    """Weight <psi|F|psi> of an event F = L^dag L on axis ``pos`` of a pure
+    state and a factor M of the conditional state tr_rest(F|psi><psi|F) / w =
+    M M^dag on the ``keep`` axes, both from L psi (for L = Q^dag, the
+    relative-state coefficients), as tr_pos(L X L^dag) = tr_pos(F X).
 
     Leading batch axes of ``amplitudes`` stand for the columns psi_j of a
     factored state sum_j |psi_j><psi_j|; the weight is then summed over them.
     The factor is None when the weight is at or below ``DEFAULT.weight``.
     """
-    projected = apply_local(p, amplitudes, dims, pos)
-    w = float(np.real(np.vdot(amplitudes, projected)))
+    projected = apply_local(factor, amplitudes, dims, pos)
+    w = float(np.real(np.vdot(projected, projected)))
     if w <= DEFAULT.weight:
         return w, None
-    return w, partial_trace_vector(projected, dims, keep) / math.sqrt(w)
+    m = partial_trace_vector(projected, _resized(dims, pos, factor.shape[0]), keep)
+    return w, m / math.sqrt(w)
 
 
 def _condition_matrix(
     matrix: np.ndarray,
-    p: np.ndarray,
+    op: np.ndarray,
     dims: tuple[int, ...],
     pos: int,
     keep: list[int],
     sandwich: bool = False,
 ) -> tuple[float, np.ndarray | None]:
-    """Weight tr(rho P) of an event P on axis ``pos`` and the conditional state
-    tr_rest(rho P) / w (``sandwich``: of P rho P) on the ``keep`` axes.
-
-    P is contracted on the subject axes of rho's tensor over ``dims + dims``.
-    The conditional is None when the weight is at or below ``DEFAULT.weight``.
+    """Weight and conditional state on the ``keep`` axes of an event on axis
+    ``pos`` of rho, the tensor over ``dims + dims``: tr_rest(rho F) / w with
+    ``op`` = F on the column side, or (``sandwich``) tr_rest(L rho L^dag) / w =
+    tr_rest(F rho F) / w with ``op`` = L, F = L^dag L, and conj(L) on the
+    column side.  The conditional is None when w <= ``DEFAULT.weight``.
     """
-    n, p = len(dims), np.asarray(p)
-    prod = apply_local(p.T, matrix, dims + dims, n + pos)
-    if sandwich:
-        prod = apply_local(p, prod, dims + dims, pos)
+    n = len(dims)
+    if sandwich:  # on the flat tensor, as the row count changes
+        rows = _resized(dims, pos, op.shape[0])
+        prod = apply_local(op, matrix.reshape(-1), dims + dims, pos)
+        prod = apply_local(op.conj(), prod, rows + dims, n + pos)
+        dims = rows
+        prod = prod.reshape(math.prod(dims), -1)
+    else:
+        prod = apply_local(op.T, matrix, dims + dims, n + pos)
     w = float(np.real(np.trace(prod)))
     if w <= DEFAULT.weight:
         return w, None
@@ -193,12 +201,13 @@ def observables_match(a: SpectralObservable, b: SpectralObservable) -> bool:
     """Same subsystem, same branch structure within ``DEFAULT.observable_match``."""
     if a is b:
         return True
-    if a.subsystem != b.subsystem or a.branch_count != b.branch_count:
+    if a.subsystem != b.subsystem or a.dim != b.dim or a.branch_count != b.branch_count:
         return False
     for x, y in zip(a.branches, b.branches):
         if abs(x.eigenvalue - y.eigenvalue) > DEFAULT.observable_match:
             return False
-        if np.linalg.norm(x.projector - y.projector) > DEFAULT.observable_match * a.dim:
+        # ||Q_x Q_x^dag - Q_y Q_y^dag||_F from a thin QR of the two blocks
+        if np.linalg.norm(factor_difference(x.basis, y.basis)) > DEFAULT.observable_match * a.dim:
             return False
     return True
 
@@ -257,13 +266,15 @@ def improper_mixture(state: State, d: DecompositionOfIdentity) -> BranchDecompos
     Weights are the occurrence probabilities tr(rho P_n); components are the
     conditional states tr_subject(rho P_n) / w_n.  The weighted components
     resum to the plain reduced state; the decomposition has meaning only
-    relative to the traced-out subject subsystem.
+    relative to the traced-out subject subsystem.  Given projectors are
+    checked by ``check_decomposition``; each is applied through its factor.
     """
-    report = check_decomposition(d)
-    if not report.passed:
-        raise InvalidDecompositionError(
-            f"projectors are not a decomposition of the identity: {report}"
-        )
+    if d.observable is None:
+        report = check_decomposition(d)
+        if not report.passed:
+            raise InvalidDecompositionError(
+                f"projectors are not a decomposition of the identity: {report}"
+            )
     lay = state.layout
     keep = _keep_positions(lay, {d.subsystem})
     if not keep:
@@ -278,12 +289,12 @@ def improper_mixture(state: State, d: DecompositionOfIdentity) -> BranchDecompos
         vectors = state.factor.T  # the columns of M, as a batch
     else:
         vectors = None
-    for n, p in enumerate(d.projectors):
+    for n, f in enumerate(d.factors):
         if vectors is not None:
-            w, m = _condition_vector(vectors, p, lay.dims, pos, keep)
+            w, m = _condition_vector(vectors, f, lay.dims, pos, keep)
             comp = None if m is None else DensityOperator.from_factor(reduced_layout, m)
         else:
-            w, rho = _condition_matrix(state.matrix, p, lay.dims, pos, keep)
+            w, rho = _condition_matrix(state.matrix, f, lay.dims, pos, keep, sandwich=True)
             comp = None if rho is None else DensityOperator(reduced_layout, rho)
         if comp is not None:
             kept.append(Branch(n, w, comp))
@@ -313,7 +324,7 @@ def conditional_state(
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
     w, reduced = _condition_matrix(
-        rho.matrix, p, lay.dims, lay.position(subject), keep, sandwich=form == "sandwich"
+        rho.matrix, np.asarray(p), lay.dims, lay.position(subject), keep, form == "sandwich"
     )
     if reduced is None:
         raise UndefinedConditionalError(
@@ -366,26 +377,24 @@ def tripartite_conditional_consistency(
     Route one conditions the full state, tracing out subject and environment
     together; route two first reduces over the environment and then
     conditions.  Both agree, which is why conditioning is well defined on
-    improper mixtures.
+    improper mixtures.  The event is checked once, for both routes.
     """
     if not is_projector(p):
         raise NotAProjectorError("conditioning event must be a projector")
-    lay = rho.layout
-    keep = _keep_positions(lay, {subject, environment})
-    if not keep:
+    lay, p = rho.layout, np.asarray(p)
+    if not _keep_positions(lay, {subject, environment}):
         raise LayoutConflictError("no object subsystems left")
-    w, reduced = _condition_matrix(rho.matrix, p, lay.dims, lay.position(subject), keep)
-    if reduced is None:
-        raise UndefinedConditionalError(f"event has probability {w!r}")
+    lay_ab = lay.restricted(set(lay.labels) - {environment})
+    rho_ab = partial_trace_matrix(rho.matrix, lay.dims, _keep_positions(lay, {environment}))
     object_layout = lay.restricted(set(lay.labels) - {subject, environment})
-    via_full = DensityOperator(object_layout, reduced)
-    keep_ab = _keep_positions(lay, {environment})
-    rho_ab = DensityOperator(
-        lay.restricted(set(lay.labels) - {environment}),
-        partial_trace_matrix(rho.matrix, lay.dims, keep_ab),
-    )
-    via_reduced = conditional_state(rho_ab, p, subject, form="plain")
-    return via_full, via_reduced
+    routes = []
+    for lay_r, mat in ((lay, rho.matrix), (lay_ab, rho_ab)):
+        keep = _keep_positions(lay_r, {subject, environment})
+        w, reduced = _condition_matrix(mat, p, lay_r.dims, lay_r.position(subject), keep)
+        if reduced is None:
+            raise UndefinedConditionalError(f"event has probability {w!r}")
+        routes.append(DensityOperator(object_layout, reduced))
+    return routes[0], routes[1]
 
 
 def proper_mixture(bd: BranchDecomposition) -> WeightedEnsemble:
@@ -416,6 +425,7 @@ def ensemble_update(ens: WeightedEnsemble, p: np.ndarray, subject: str) -> Ensem
     lay = ens.layout
     if not is_projector(p):
         raise NotAProjectorError("event must be a projector")
+    p = np.asarray(p)
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
@@ -520,33 +530,26 @@ def offdiagonal_block_norm(
     """Largest Frobenius norm of a cross block P_j rho P_k (j != k).
 
     Zero (to tolerance) means the state carries no coherence between the
-    decomposition's sectors: decoherence relative to these events.
+    decomposition's sectors: decoherence relative to these events.  With
+    P = L^dag L for the factors L of ``d``, ||P_j rho P_k|| = ||L_j rho L_k^dag||,
+    since L^dag is an isometry on the range of L.
     """
-    pos = rho.layout.position(d.subsystem)
+    lay = rho.layout
+    pos = lay.position(d.subsystem)
+    factors = d.factors
     if rho.factor is not None:
-        # P_j rho P_k = (P_j M)(P_k M)^dag = Q_j R_j R_k^dag Q_k^dag, so its
-        # norm is that of R_j R_k^dag, from one thin QR per projector.
+        # L_j rho L_k^dag = (L_j M)(L_k M)^dag = Q_j R_j R_k^dag Q_k^dag, so its
+        # norm is that of R_j R_k^dag, from one thin QR per factor.
         cols = rho.factor.T
-        rs = [
-            np.linalg.qr(apply_local(p, cols, rho.layout.dims, pos).T, mode="r")
-            for p in d.projectors
-        ]
-        return max(
-            (
-                float(np.linalg.norm(a @ b.conj().T))
-                for j, a in enumerate(rs)
-                for k, b in enumerate(rs)
-                if j != k
-            ),
-            default=0.0,
+        rs = [np.linalg.qr(apply_local(f, cols, lay.dims, pos).T, mode="r") for f in factors]
+        cross = (a @ b.conj().T for j, a in enumerate(rs) for k, b in enumerate(rs) if j != k)
+    else:  # rho L_k^dag (conj(L_k) on the column side), then L_j on the row side
+        n, flat = len(lay.dims), rho.matrix.reshape(-1)
+        rho_l = [apply_local(f.conj(), flat, lay.dims + lay.dims, n + pos) for f in factors]
+        cross = (
+            apply_local(a, b, lay.dims + _resized(lay.dims, pos, factors[k].shape[0]), pos)
+            for j, a in enumerate(factors)
+            for k, b in enumerate(rho_l)
+            if j != k
         )
-    dims = rho.layout.dims + rho.layout.dims
-    n = len(rho.layout.dims)
-    # rho P_k for every k, then P_j on the row side of each
-    rho_p = [apply_local(p.T, rho.matrix, dims, n + pos) for p in d.projectors]
-    worst = 0.0
-    for j, a in enumerate(d.projectors):
-        for k, b in enumerate(rho_p):
-            if j != k:
-                worst = max(worst, float(np.linalg.norm(apply_local(a, b, dims, pos))))
-    return worst
+    return max((float(np.linalg.norm(x)) for x in cross), default=0.0)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -234,9 +233,6 @@ class DensityOperator:
     def purity(self) -> float:
         return purity(self)
 
-    def expectation(self, op: np.ndarray) -> float:
-        return float(np.real(np.trace(self.matrix @ op)))
-
     def reorder(self, new_labels: Sequence[str]) -> "DensityOperator":
         perm, new_layout = _permutation(self.layout, new_labels)
         n = len(self.layout.dims)
@@ -398,6 +394,12 @@ def apply_local(
     return out.reshape(values.shape[:-1] + (-1,))
 
 
+def _resized(dims: Sequence[int], axis: int, size: int) -> tuple[int, ...]:
+    """``dims`` with axis ``axis`` of dimension ``size``: the dims of what
+    ``apply_local`` returns for an operator with ``size`` rows."""
+    return tuple(dims[:axis]) + (size,) + tuple(dims[axis + 1 :])
+
+
 def partial_trace_matrix(
     matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]
 ) -> np.ndarray:
@@ -506,26 +508,6 @@ def expand_in_basis(
         (n, partial_scalar_product(v, full.subsystem, state))
         for n, v in enumerate(full.vectors)
     ]
-
-
-def embed_operator(op: np.ndarray, subsystem: str, lay: SubsystemLayout) -> np.ndarray:
-    """Extend a one-subsystem operator by identities on all other factors.
-
-    A convenience that forms the full D x D matrix; the library itself
-    applies local operators with ``apply_local`` and never calls this.
-    """
-    op = np.asarray(op, dtype=complex)
-    d = lay.dim_of(subsystem)
-    if op.shape != (d, d):
-        raise DimensionMismatchError(
-            f"operator of shape {op.shape} does not fit subsystem "
-            f"{subsystem!r} of dimension {d}"
-        )
-    factors = [
-        op if label == subsystem else np.eye(dim, dtype=complex)
-        for label, dim in lay.subsystems
-    ]
-    return reduce(np.kron, factors)
 
 
 def basis_state(lay: SubsystemLayout, index: int | Sequence[int]) -> StateVector:

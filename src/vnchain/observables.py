@@ -1,9 +1,10 @@
 """Observables in unique spectral form and decompositions of the identity.
 
 A spectral observable is stored as an ordered list of branches
-``(index, eigenvalue, projector)`` with pairwise distinct eigenvalues and
-orthogonal projectors summing to the identity; eigenvalues may be
-arbitrarily degenerate (projectors of any rank >= 1).
+``(index, eigenvalue, basis)``: pairwise distinct eigenvalues, each with an
+orthonormal (d, r_k) block Q_k of eigenvectors (any rank r_k >= 1), the
+blocks side by side an orthonormal basis of the space.  The branch
+projector Q_k Q_k^dag is derived from its block on request.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,43 +35,52 @@ def is_projector(p: np.ndarray) -> bool:
     )
 
 
-def _check_spectrum(eigenvalues: list[float], d: int) -> None:
-    """Branch eigenvalues finite and ascending by more than ``DEFAULT.eig_merge``,
-    and no more branches than dimensions."""
-    if not all(math.isfinite(e) for e in eigenvalues):
-        raise ValueError(f"branch eigenvalues {eigenvalues} are not all finite")
-    if any(b - a <= DEFAULT.eig_merge for a, b in zip(eigenvalues, eigenvalues[1:])):
-        raise ValueError(
-            f"branch eigenvalues {eigenvalues} not ascending with separation > {DEFAULT.eig_merge}"
-        )
-    if len(eigenvalues) > d:
-        raise DimensionMismatchError("more branches than dimensions")
+def _side_by_side(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The 2-D blocks of one row count, concatenated column-wise."""
+    if any(q.ndim != 2 for q in blocks):
+        raise DimensionMismatchError("eigenbasis blocks must be 2-D arrays")
+    if len({q.shape[0] for q in blocks}) != 1:
+        raise DimensionMismatchError("eigenbasis blocks differ in row count")
+    return np.concatenate(blocks, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralBranch:
+    """Eigenvalue o_k and an orthonormal (d, r_k) block Q_k of eigenvectors.
+    A block that is not already a read-only complex array is copied."""
+
     index: int
     eigenvalue: float
-    projector: np.ndarray
+    basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "projector", _frozen_array(self.projector))
+        q = self.basis
+        if not (isinstance(q, np.ndarray) and q.dtype == complex and not q.flags.writeable):
+            object.__setattr__(self, "basis", _frozen_array(q))
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Q_k Q_k^dag, formed anew on each read; read-only."""
+        p = self.basis @ self.basis.conj().T
+        p.setflags(write=False)
+        return p
 
     @property
     def rank(self) -> int:
-        return int(round(np.real(np.trace(self.projector))))
+        return self.basis.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralObservable:
-    """Observable with no eigenvalue repetition, branches sorted ascending.
+    """Observable sum_k o_k Q_k Q_k^dag with distinct eigenvalues, branches
+    sorted ascending; instances compare by identity.
 
-    Projectors given to the constructor are fully checked: each is
-    Hermitian, idempotent and of rank >= 1, each pair is orthogonal and
-    together they sum to the identity, which costs O(n^2 d^3) for n branches
-    in dimension d.  An observable made by ``from_eigenbasis`` is checked
-    through one Gram product of its eigenbasis instead.  Instances compare
-    by identity.
+    The constructor is the only check.  Besides shapes, ranks >= 1 and the
+    spectrum, it needs d columns and bounds eps = ||E||, E = B^dag B - I for
+    the blocks side by side, B = [Q_1, ..., Q_n].  Every residual of a dense
+    check of the projectors (idempotency Q_k E_kk Q_k^dag, orthogonality
+    Q_i E_ij Q_j^dag, completeness I - B B^dag) is then at most
+    (1 + eps) eps, which must be within the dense bound ``DEFAULT.orth * d``.
     """
 
     subsystem: str
@@ -81,26 +91,26 @@ class SpectralObservable:
         if not branches:
             raise DimensionMismatchError("observable needs at least one branch")
         object.__setattr__(self, "branches", branches)
-        d = branches[0].projector.shape[0]
-        _check_spectrum([b.eigenvalue for b in branches], d)
-        scale = DEFAULT.orth * max(1, d)
-        total = np.zeros((d, d), dtype=complex)
+        basis = _side_by_side([b.basis for b in branches])
+        d, n = basis.shape
+        eigs = [b.eigenvalue for b in branches]
+        if not all(math.isfinite(e) for e in eigs):
+            raise ValueError(f"branch eigenvalues {eigs} are not all finite")
+        if any(b - a <= DEFAULT.eig_merge for a, b in zip(eigs, eigs[1:])):
+            raise ValueError(
+                f"branch eigenvalues {eigs} not ascending with separation > {DEFAULT.eig_merge}"
+            )
+        if len(eigs) > d:
+            raise DimensionMismatchError("more branches than dimensions")
         for b in branches:
-            p = b.projector
-            if p.shape != (d, d):
-                raise DimensionMismatchError("branch projectors differ in shape")
-            if not is_projector(p):
-                raise NotAProjectorError(f"branch {b.index} projector is not a projector")
-            if np.real(np.trace(p)) < 0.5:
-                raise NotAProjectorError(f"branch {b.index} projector has rank 0")
-            total += p
-        for i, a in enumerate(branches):
-            for b in branches[i + 1 :]:
-                if np.linalg.norm(a.projector @ b.projector) > scale:
-                    raise NotAProjectorError(
-                        f"branches {a.index} and {b.index} are not orthogonal"
-                    )
-        if np.linalg.norm(total - np.eye(d)) > scale:
+            if b.rank == 0:
+                raise NotAProjectorError(f"branch {b.index} block is empty: rank 0")
+        gram = basis.conj().T @ basis
+        gram.flat[:: n + 1] -= 1.0
+        eps = float(np.linalg.norm(gram))
+        if not eps * (1 + eps) <= DEFAULT.orth * max(1, d):
+            raise NotAProjectorError(f"eigenbasis is not orthonormal: Gram residual {eps:.3e}")
+        if n != d:
             raise NotAProjectorError("branch projectors do not sum to the identity")
 
     @classmethod
@@ -111,24 +121,10 @@ class SpectralObservable:
         blocks: Sequence[np.ndarray],
         complement: float | None = None,
     ) -> "SpectralObservable":
-        """The observable sum_k o_k Q_k Q_k^dag of orthonormal column blocks Q_k.
-
-        ``eigenvalues`` o_k are ascending, one per block; each block is a
-        (d, r_k) array with r_k >= 1.  When ``complement`` is given, one more
-        branch with that eigenvalue projects onto the orthogonal complement
-        of the blocks, I - Q Q^dag for Q the blocks side by side, placed by
-        its eigenvalue; otherwise the blocks must span the space.
-
-        The projectors are checked through the Gram residual
-        eps = ||Q^dag Q - I|| alone, in O(d n^2) for n columns.  With
-        E = Q^dag Q - I, every residual the constructor's dense check tests
-        is a product of E with blocks of Q: idempotency Q_k E_kk Q_k^dag,
-        orthogonality Q_i E_ij Q_j^dag (Q E_:j Q_j^dag against the
-        complement), and completeness I - Q Q^dag, which has the singular
-        values of E when Q is square.  Each is at most (1 + eps) eps,
-        which is required to be within the dense threshold
-        ``DEFAULT.orth * d``.  Every rank is ||Q_k||_F^2 = r_k + tr E_kk, and
-        Q_k Q_k^dag is Hermitian by construction.
+        """The observable sum_k o_k Q_k Q_k^dag of (d, r_k) blocks Q_k, one per
+        ascending eigenvalue o_k.  When ``complement`` is given, one more
+        branch with that eigenvalue, placed by it, spans the orthogonal
+        complement of the blocks: the trailing columns of their complete QR.
         """
         blocks = [_frozen_array(q) for q in blocks]
         eigs = [float(e) for e in eigenvalues]
@@ -136,43 +132,21 @@ class SpectralObservable:
             raise DimensionMismatchError("observable needs at least one branch")
         if len(eigs) != len(blocks):
             raise DimensionMismatchError(f"{len(eigs)} eigenvalues for {len(blocks)} blocks")
-        if any(q.ndim != 2 for q in blocks):
-            raise DimensionMismatchError("eigenbasis blocks must be 2-D arrays")
-        d = blocks[0].shape[0]
-        if any(q.shape[0] != d for q in blocks):
-            raise DimensionMismatchError("eigenbasis blocks differ in row count")
-        pos = len(eigs)
         if complement is not None:
+            basis = _side_by_side(blocks)
+            rest = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1] :]
+            rest.setflags(write=False)
             pos = bisect.bisect(eigs, complement)
             eigs.insert(pos, float(complement))
-        _check_spectrum(eigs, d)
-        for k, q in enumerate(blocks):
-            if q.shape[1] == 0:
-                raise NotAProjectorError(f"eigenbasis block {k} is empty: rank 0")
-        basis = np.concatenate(blocks, axis=1)
-        n = basis.shape[1]
-        eps = float(np.linalg.norm(basis.conj().T @ basis - np.eye(n)))
-        if not eps * (1 + eps) <= DEFAULT.orth * max(1, d):
-            raise NotAProjectorError(f"eigenbasis is not orthonormal: Gram residual {eps:.3e}")
-        projectors = [q @ q.conj().T for q in blocks]
-        if complement is not None:
-            if n >= d:
-                raise NotAProjectorError("complement branch has rank 0")
-            projectors.insert(pos, np.eye(d, dtype=complex) - basis @ basis.conj().T)
-        elif n != d:
-            raise NotAProjectorError("branch projectors do not sum to the identity")
-        obs = object.__new__(cls)
-        object.__setattr__(obs, "subsystem", subsystem)
-        object.__setattr__(
-            obs,
-            "branches",
-            tuple(SpectralBranch(k, e, p) for k, (e, p) in enumerate(zip(eigs, projectors))),
+            blocks.insert(pos, rest)
+        return cls(
+            subsystem,
+            tuple(SpectralBranch(k, e, q) for k, (e, q) in enumerate(zip(eigs, blocks))),
         )
-        return obs
 
     @property
     def dim(self) -> int:
-        return self.branches[0].projector.shape[0]
+        return self.branches[0].basis.shape[0]
 
     @property
     def branch_count(self) -> int:
@@ -190,21 +164,27 @@ class SpectralObservable:
         return sum(b.eigenvalue * b.projector for b in self.branches)
 
     def decomposition(self) -> "DecompositionOfIdentity":
-        return DecompositionOfIdentity(
-            self.subsystem, tuple(b.projector for b in self.branches)
-        )
+        """The branch projectors, carried as this checked observable."""
+        dec = object.__new__(DecompositionOfIdentity)
+        object.__setattr__(dec, "subsystem", self.subsystem)
+        object.__setattr__(dec, "observable", self)
+        return dec
 
 
 @dataclass(frozen=True, eq=False)
 class DecompositionOfIdentity:
     """Projector family meant to sum to the identity.
 
-    Only shapes are checked at construction so that ``check_decomposition``
-    can report violations instead of refusing to look at them.
+    Projectors given to the constructor are only shape-checked, so that
+    ``check_decomposition`` can report violations instead of refusing to
+    look at them; the chain analyses run that check before using them.
+    ``SpectralObservable.decomposition`` carries the checked observable
+    instead and forms ``projectors`` on first read.
     """
 
     subsystem: str
     projectors: tuple[np.ndarray, ...]
+    observable: SpectralObservable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         projs = tuple(_frozen_array(p) for p in self.projectors)
@@ -215,9 +195,27 @@ class DecompositionOfIdentity:
             raise DimensionMismatchError("projectors differ in shape")
         object.__setattr__(self, "projectors", projs)
 
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: the unformed ``projectors``
+        # of an observable's decomposition.
+        observable = self.__dict__.get("observable")
+        if name != "projectors" or observable is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        projs = tuple(b.projector for b in observable.branches)
+        object.__setattr__(self, "projectors", projs)
+        return projs
+
+    @property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """One factor L_k per projector, F_k = L_k^dag L_k: Q_k^dag of an
+        observable's block, or a given projector P itself (P = P^dag P)."""
+        if self.observable is None:
+            return self.projectors
+        return tuple(b.basis.conj().T for b in self.observable.branches)
+
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.factors[0].shape[1]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .hilbert import (
     SubsystemLayout,
     DensityOperator,
     _frozen_array,
+    _resized,
     apply_local,
     complete_orthonormal,
     random_unitary,
@@ -155,8 +156,9 @@ def build_ideal(
 ) -> Premeasurement:
     """Ideal premeasurement from one pointer state per measured branch.
 
-    Its isometry is V = sum_k E_k (x) |b_k>, formed in closed form: it maps
-    |phi> (x) |ready> to sum_k (E_k |phi>) (x) |b_k>.
+    Its isometry is V = sum_k E_k (x) |b_k>, formed in closed form from the
+    blocks of E_k = Q_k Q_k^dag: it maps |phi> (x) |ready> to
+    sum_k (E_k |phi>) (x) |b_k>.
 
     When ``pointer`` is omitted, a pointer observable is built from the
     states themselves (eigenvalue k for branch k, plus one idle branch with
@@ -186,8 +188,10 @@ def build_ideal(
             raise LayoutConflictError("pointer observable does not match instrument")
         index_map = _match_pointer_states(pointer, pointer_states)
 
-    projectors = np.stack([b.projector for b in measured.branches])
-    isometry = np.einsum("kim,kj->ijm", projectors, np.stack(pointer_states.vectors))
+    basis = np.concatenate([b.basis for b in measured.branches], axis=1)
+    columns = np.repeat(np.arange(n_branches), [b.rank for b in measured.branches])
+    pointed = np.stack(pointer_states.vectors, axis=1)[:, columns]
+    isometry = np.einsum("ic,jc,mc->ijm", basis, pointed, basis.conj())
     return Premeasurement(
         object_label=measured.subsystem,
         instrument_label=instrument,
@@ -222,7 +226,7 @@ def _match_pointer_states(
         hits = [
             j
             for j, b in enumerate(pointer.branches)
-            if np.linalg.norm(b.projector @ v - v) <= DEFAULT.pointer_match
+            if np.linalg.norm(b.basis @ (b.basis.conj().T @ v) - v) <= DEFAULT.pointer_match
         ]
         if len(hits) != 1:
             raise DimensionMismatchError(
@@ -247,14 +251,14 @@ def build_exact(
     j over the pointer branches no measured branch maps to, is applied to
     the ideal's isometry: the result has isometry D V.  It keeps the
     calibration, probability reproduction, and dynamical conditions but is
-    no longer ideal in general.
+    no longer ideal in general.  Each F = Q Q^dag enters through its block:
+    W F = (W Q) Q^dag, and ||(I - F) W F|| = ||W Q - Q Q^dag W Q||.
     """
     n = ideal.measured.branch_count
     if len(dressings) != n:
         raise DimensionMismatchError(f"{len(dressings)} dressings for {n} branches")
     d_a, d_b = ideal.object_dim, ideal.instrument_dim
-    eye_b = np.eye(d_b, dtype=complex)
-    terms = []  # (object operator or None, instrument operator) per term of D
+    terms = []  # (object operator or None, B, Q) per term, instrument part B Q^dag
     mapped = set()
     for k, (v_a, w_b) in enumerate(dressings):
         v_a = np.asarray(v_a, dtype=complex)
@@ -263,35 +267,38 @@ def build_exact(
             raise DimensionMismatchError("dressing shapes do not match the layout")
         if np.linalg.norm(v_a.conj().T @ v_a - np.eye(d_a)) > DEFAULT.unitary * d_a:
             raise DressingError(f"object dressing {k} is not unitary")
-        f = ideal.pointer_projector_for(k)
-        leak = np.linalg.norm((eye_b - f) @ w_b @ f)
+        q = ideal.pointer.branches[ideal.mapping[k]].basis
+        wq = w_b @ q
+        leak = np.linalg.norm(wq - q @ (q.conj().T @ wq))
         if leak > DEFAULT.orth * d_b:
             raise DressingError(
                 f"instrument dressing {k} leaks outside its pointer range "
                 f"(residual {leak:.3e})"
             )
-        if np.linalg.norm(f @ w_b.conj().T @ w_b @ f - f) > DEFAULT.orth * d_b:
+        if np.linalg.norm(wq.conj().T @ wq - np.eye(q.shape[1])) > DEFAULT.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
-        terms.append((v_a, w_b @ f))
+        terms.append((v_a, wq, q))
         mapped.add(ideal.mapping[k])
     for j, branch in enumerate(ideal.pointer.branches):
         if j not in mapped:
-            terms.append((None, branch.projector))
+            terms.append((None, branch.basis, branch.basis))
     return replace(ideal, isometry=_dress(terms, ideal.isometry, d_a, d_b))
 
 
 def _dress(terms, matrix: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """sum over ``terms`` (A, B) of (A (x) B) ``matrix``, A = None meaning I.
+    """sum over ``terms`` (A, B, Q) of (A (x) B Q^dag) ``matrix``, A = None meaning I.
 
     The rows of ``matrix`` are split into (object, instrument); each term is
-    applied one subsystem at a time.
+    applied one subsystem at a time, its instrument part as Q^dag, then B.
     """
     dims = (d_a, d_b, matrix.shape[1])
-    out = np.zeros_like(matrix)
-    for a, b in terms:
-        term = apply_local(b, matrix, dims, 1)
+    flat = matrix.reshape(-1)
+    out = np.zeros_like(flat)
+    for a, b, q in terms:
+        term = apply_local(q.conj().T, flat, dims, 1)
+        term = apply_local(b, term, _resized(dims, 1, q.shape[1]), 1)
         out += term if a is None else apply_local(a, term, dims, 0)
-    return out
+    return out.reshape(matrix.shape)
 
 
 def complete_unitary(pm: Premeasurement) -> np.ndarray:
@@ -326,16 +333,25 @@ def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
     return StateVector(pm.layout, amps, normalized=True)
 
 
-def _sharp_vector(projector: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector in the range of ``projector``."""
-    dim = projector.shape[0]
+def _sharp_vector(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random unit vector in the span of the orthonormal columns ``basis``."""
+    dim = basis.shape[0]
     for _ in range(64):
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vec = projector @ raw
+        vec = basis @ (basis.conj().T @ raw)
         n = np.linalg.norm(vec)
         if n > DEFAULT.sharp_sample:
             return vec / n
     raise RuntimeError("could not sample a state in the projector range")
+
+
+def _through_block(
+    q: np.ndarray, values: np.ndarray, dims: tuple[int, ...], axis: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients Q^dag x of an orthonormal block Q on axis ``axis``,
+    whose squared norm is <x|Q Q^dag|x>, and the projection Q Q^dag x."""
+    coeffs = apply_local(q.conj().T, values, dims, axis)
+    return coeffs, apply_local(q, coeffs, _resized(dims, axis, q.shape[1]), axis)
 
 
 def check_conditions(
@@ -355,20 +371,21 @@ def check_conditions(
     The last two share ``trials`` random states |phi>, their evolution and
     one application of each F_k.  The sharp states and the shared states
     each come from a fresh ``default_rng(seed)``, so every report depends
-    only on ``pm``, ``trials`` and ``seed``.
+    only on ``pm``, ``trials`` and ``seed``.  Every E_k and F_k is applied
+    through its eigenbasis block (``_through_block``).
     """
     iso = pm.isometry
     dims = (pm.object_dim, pm.instrument_dim)
     branches = pm.measured.branches
-    pointer = [pm.pointer_projector_for(k) for k in range(len(branches))]
+    pointer = [pm.pointer.branches[pm.mapping[k]].basis for k in range(len(branches))]
     samples = max(trials, 0) * len(branches)
     calibration = probability = dynamical = 0.0
     if trials > 0:
         rng = np.random.default_rng(seed)
-        sharp = [_sharp_vector(b.projector, rng) for b in branches for _ in range(trials)]
+        sharp = [_sharp_vector(b.basis, rng) for b in branches for _ in range(trials)]
         finals = (np.array(sharp) @ iso.T).reshape(len(branches), trials, -1)
-        for f_k, rows in zip(pointer, finals):
-            resid = np.linalg.norm(apply_local(f_k, rows, dims, 1) - rows, axis=1)
+        for q_k, rows in zip(pointer, finals):
+            resid = np.linalg.norm(_through_block(q_k, rows, dims, 1)[1] - rows, axis=1)
             calibration = max(calibration, float(resid.max()))
         rng = np.random.default_rng(seed)
         phis = []
@@ -377,13 +394,13 @@ def check_conditions(
             phis.append(raw / np.linalg.norm(raw))
         phis = np.array(phis)
         finals = phis @ iso.T
-        for f_k, branch in zip(pointer, branches):
-            projected = phis @ branch.projector.T
-            pointed = apply_local(f_k, finals, dims, 1)
-            lhs = np.real(np.sum(phis.conj() * projected, axis=1))
-            rhs = np.real(np.sum(finals.conj() * pointed, axis=1))
+        for q_k, branch in zip(pointer, branches):
+            coeffs, projected = _through_block(branch.basis, phis, (pm.object_dim,), 0)
+            final_coeffs, final_pointed = _through_block(q_k, finals, dims, 1)
+            lhs = np.sum(np.abs(coeffs) ** 2, axis=1)
+            rhs = np.sum(np.abs(final_coeffs) ** 2, axis=1)
             probability = max(probability, float(np.max(np.abs(lhs - rhs))))
-            resid = np.linalg.norm(pointed - projected @ iso.T, axis=1)
+            resid = np.linalg.norm(final_pointed - projected @ iso.T, axis=1)
             dynamical = max(dynamical, float(resid.max()))
     return (
         ConditionReport("calibration", calibration, samples, DEFAULT.condition),
@@ -415,16 +432,15 @@ def luders_state(object_state: StateVector, measured: SpectralObservable) -> Den
         raise DimensionMismatchError("state does not match the observable dimension")
     if not object_state.normalized:
         raise ValueError("object state must be normalized")
-    rho = np.outer(object_state.amplitudes, object_state.amplitudes.conj())
-    out = np.zeros_like(rho)
-    for b in measured.branches:
-        out += b.projector @ rho @ b.projector
-    return DensityOperator(object_state.layout, out)
+    phi = object_state.amplitudes
+    m = np.stack([b.basis @ (b.basis.conj().T @ phi) for b in measured.branches], axis=1)
+    return DensityOperator.from_factor(object_state.layout, m)
 
 
 def branch_decomposition(final: StateVector, pointer: SpectralObservable) -> BranchDecomposition:
     """Complete-measurement branches (k, ||F_k Phi||^2, F_k Phi normalized).
 
+    Each F_k is applied through its eigenbasis block (``_through_block``).
     Branches with weight below the drop threshold are recorded only through
     ``dropped_weight``.
     """
@@ -435,8 +451,8 @@ def branch_decomposition(final: StateVector, pointer: SpectralObservable) -> Bra
     kept: list[Branch] = []
     dropped = 0.0
     for j, b in enumerate(pointer.branches):
-        vec = apply_local(b.projector, final.amplitudes, lay.dims, pos)
-        w = float(np.real(np.vdot(vec, vec)))
+        coeffs, vec = _through_block(b.basis, final.amplitudes, lay.dims, pos)
+        w = float(np.real(np.vdot(coeffs, coeffs)))
         if w > DEFAULT.weight:
             component = StateVector(lay, vec / np.sqrt(w), normalized=True)
             kept.append(Branch(j, w, component))

@@ -1,12 +1,17 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here works by explicit index loops so it shares no code path
-with the library implementations it checks.
+Everything here works by explicit index loops or dense matrices, so it
+shares no code path with the library implementations it checks; only the
+error classes and the ``DEFAULT`` tolerances come from the library.
 """
 
+import math
+from functools import reduce
 from itertools import product
 
 import numpy as np
+
+from vnchain import DEFAULT, DimensionMismatchError, NotAProjectorError
 
 
 def flat_index(indices, dims):
@@ -167,3 +172,61 @@ def brute_eigenbasis_projectors(eigenvalues, blocks, complement=None):
             rest -= proj
         pairs.append((float(complement), rest))
     return sorted(pairs, key=lambda pair: pair[0])
+
+
+def embed_operator(op, subsystem, lay):
+    """The D x D matrix of a one-subsystem operator: identities
+    Kronecker-multiplied around it, in layout order."""
+    op = np.asarray(op, dtype=complex)
+    d = lay.dim_of(subsystem)
+    if op.shape != (d, d):
+        raise DimensionMismatchError(
+            f"operator of shape {op.shape} does not fit subsystem {subsystem!r} of dimension {d}"
+        )
+    factors = [
+        op if label == subsystem else np.eye(dim, dtype=complex) for label, dim in lay.subsystems
+    ]
+    return reduce(np.kron, factors)
+
+
+def check_dense_spectral_family(pairs):
+    """Every dense check of (eigenvalue, projector) pairs as an observable's
+    branches, raising the error class the check of a bad family calls for.
+
+    Entries finite (ValueError); eigenvalues finite and ascending by more
+    than ``DEFAULT.eig_merge`` (ValueError), no more branches than dimensions
+    (DimensionMismatchError); each projector square of one shape
+    (DimensionMismatchError), Hermitian, idempotent and of rank >= 1, each
+    pair orthogonal and all summing to the identity (NotAProjectorError).
+    O(n^2 d^3) for n branches in dimension d.
+    """
+    if not pairs:
+        raise DimensionMismatchError("observable needs at least one branch")
+    projectors = [np.array(p, dtype=complex) for _, p in pairs]
+    if not all(np.isfinite(p).all() for p in projectors):
+        raise ValueError("array has NaN or infinite entries")
+    eigenvalues = [float(e) for e, _ in pairs]
+    d = projectors[0].shape[0]
+    if not all(math.isfinite(e) for e in eigenvalues):
+        raise ValueError(f"branch eigenvalues {eigenvalues} are not all finite")
+    if any(b - a <= DEFAULT.eig_merge for a, b in zip(eigenvalues, eigenvalues[1:])):
+        raise ValueError(f"branch eigenvalues {eigenvalues} are not ascending")
+    if len(eigenvalues) > d:
+        raise DimensionMismatchError("more branches than dimensions")
+    scale = DEFAULT.orth * max(1, d)
+    total = np.zeros((d, d), dtype=complex)
+    for k, p in enumerate(projectors):
+        if p.shape != (d, d):
+            raise DimensionMismatchError("branch projectors differ in shape")
+        hermitian = np.linalg.norm(p - p.conj().T) <= DEFAULT.herm
+        if not (hermitian and np.linalg.norm(p @ p - p) <= DEFAULT.orth * d):
+            raise NotAProjectorError(f"branch {k} projector is not a projector")
+        if np.real(np.trace(p)) < 0.5:
+            raise NotAProjectorError(f"branch {k} projector has rank 0")
+        total += p
+    for i, a in enumerate(projectors):
+        for j in range(i + 1, len(projectors)):
+            if np.linalg.norm(a @ projectors[j]) > scale:
+                raise NotAProjectorError(f"branches {i} and {j} are not orthogonal")
+    if np.linalg.norm(total - np.eye(d)) > scale:
+        raise NotAProjectorError("branch projectors do not sum to the identity")

@@ -19,7 +19,6 @@ from vnchain import (
     conditional_state,
     ensemble_update,
     evolve,
-    embed_operator,
     improper_mixture,
     layout,
     monte_carlo_update,
@@ -43,7 +42,7 @@ from vnchain import (
     world_branches,
 )
 
-from oracles import brute_partial_trace
+from oracles import brute_partial_trace, embed_operator
 
 RNG = np.random.default_rng(31415)
 

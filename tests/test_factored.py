@@ -3,7 +3,10 @@
 Every analysis that builds or compares states through factors is checked
 against dense matrices formed entry by entry (``oracles.brute_density``) and
 reduced by brute force, on 3-5 subsystem layouts with the subject first, in
-the middle and last, for a pure state and for a three-member ensemble.
+the middle and last, for a pure state and for a three-member ensemble.  The
+branch kernels, which apply an observable's branch through its eigenbasis
+block, are checked the same way on a pointer with an idle complement
+branch, also for a state given as a dense matrix.
 """
 
 import numpy as np
@@ -14,8 +17,10 @@ from vnchain import (
     DensityOperator,
     DimensionMismatchError,
     StateVector,
+    SubsystemBasis,
+    branch_decomposition,
+    build_ideal,
     WeightedEnsemble,
-    embed_operator,
     ensemble_update,
     improper_mixture,
     layout,
@@ -23,6 +28,7 @@ from vnchain import (
     offdiagonal_block_norm,
     partial_trace,
     projector_distance,
+    random_density,
     random_state,
     random_unitary,
     trace_distance,
@@ -30,7 +36,12 @@ from vnchain import (
 )
 from vnchain.hilbert import factor_difference
 
-from oracles import brute_density, brute_partial_trace
+from oracles import (
+    brute_density,
+    brute_eigenbasis_projectors,
+    brute_partial_trace,
+    embed_operator,
+)
 from test_local_operator import CASES, lay_for, rank_projector
 
 KINDS = ["pure", "ensemble"]
@@ -97,6 +108,99 @@ def test_improper_mixture_and_world_branches(dims, axis, kind):
             assert b.weight == pytest.approx(w, abs=1e-12)
             assert b.component.factor is not None
             np.testing.assert_allclose(b.component.matrix, comp, rtol=0, atol=1e-12)
+
+
+def idle_pointer(subject, d, rng):
+    """The pointer ``build_ideal`` makes from n = max(1, d // 2) random pointer
+    states on ``subject``: n rank-one branches and an idle complement branch of
+    rank d - n (eigenvalue -1, first), with its (eigenvalue, projector) pairs
+    from the dense oracle."""
+    n = max(1, d // 2)
+    u = random_unitary(d, rng)
+    measured = observable_from_matrix(np.diag(np.arange(n, dtype=float)), "X")
+    states = SubsystemBasis(subject, tuple(u[:, k] for k in range(n)))
+    pm = build_ideal(measured, states, StateVector(layout((subject, d)), u[:, 0]))
+    pairs = brute_eigenbasis_projectors(range(n), [u[:, k : k + 1] for k in range(n)], -1.0)
+    assert pm.pointer.eigenvalues == tuple(e for e, _ in pairs)
+    assert pm.pointer.branches[0].rank == d - n
+    return pm.pointer, [proj for _, proj in pairs]
+
+
+def dense_sample(dims, rng):
+    """A full-rank state given as a dense matrix, with no factor."""
+    rho = random_density(lay_for(dims), rng)
+    assert rho.factor is None
+    return rho, rho.matrix
+
+
+STATE_KINDS = ["pure", "ensemble", "dense"]
+
+
+def state_of_kind(dims, kind, rng):
+    """(state, its dense density matrix) for a pure, factored or dense state."""
+    if kind == "dense":
+        return dense_sample(dims, rng)
+    state, vectors, weights = sample(dims, kind, rng)
+    return state, brute_density(vectors, weights)
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_idle_pointer_branches(dims, axis, kind):
+    """improper_mixture / world_branches through the eigenbasis blocks of a
+    pointer with an idle complement, against dense projectors."""
+    rng = np.random.default_rng(2600 + 10 * axis + len(dims))
+    state, rho = state_of_kind(dims, kind, rng)
+    subject = f"S{axis}"
+    pointer, projectors = idle_pointer(subject, dims[axis], rng)
+    results = [improper_mixture(state, pointer.decomposition())]
+    if kind == "pure":
+        results.append(world_branches(state, pointer))
+    for bd in results:
+        assert bd.indices == tuple(range(len(projectors)))
+        assert sum(bd.weights) + bd.dropped_weight == pytest.approx(1.0, abs=1e-12)
+        for b in bd.branches:
+            w, comp = dense_branch(
+                rho, projectors[b.index], subject, state.layout, keep_of(dims, axis)
+            )
+            assert b.weight == pytest.approx(w, abs=1e-12)
+            assert (b.component.factor is None) == (kind == "dense")
+            np.testing.assert_allclose(b.component.matrix, comp, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", STATE_KINDS)
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_idle_pointer_offdiagonal_blocks(dims, axis, kind):
+    rng = np.random.default_rng(2700 + 10 * axis + len(dims))
+    state, rho = state_of_kind(dims, kind, rng)
+    if kind == "pure":
+        state = state.density()
+    subject = f"S{axis}"
+    pointer, projectors = idle_pointer(subject, dims[axis], rng)
+    embs = [embed_operator(p, subject, state.layout) for p in projectors]
+    expected = max(
+        float(np.linalg.norm(a @ rho @ b))
+        for j, a in enumerate(embs)
+        for k, b in enumerate(embs)
+        if j != k
+    )
+    assert expected > 1e-3
+    got = offdiagonal_block_norm(state, pointer.decomposition())
+    assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims,axis", CASES)
+def test_idle_pointer_branch_decomposition(dims, axis):
+    rng = np.random.default_rng(2800 + 10 * axis + len(dims))
+    psi = random_state(lay_for(dims), rng)
+    pointer, projectors = idle_pointer(f"S{axis}", dims[axis], rng)
+    bd = branch_decomposition(psi, pointer)
+    assert bd.indices == tuple(range(len(projectors)))
+    for b in bd.branches:
+        vec = embed_operator(projectors[b.index], f"S{axis}", psi.layout) @ psi.amplitudes
+        w = float(np.real(np.vdot(vec, vec)))
+        assert b.weight == pytest.approx(w, abs=1e-12)
+        np.testing.assert_allclose(b.component.amplitudes, vec / np.sqrt(w), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -14,7 +14,6 @@ from vnchain import (
     SubsystemLayout,
     basis_state,
     complete_orthonormal,
-    embed_operator,
     expand_in_basis,
     layout,
     partial_scalar_product,
@@ -28,7 +27,7 @@ from vnchain import (
 from vnchain.hilbert import partial_trace_matrix
 from vnchain.tolerances import DEFAULT
 
-from oracles import brute_partial_scalar_product, brute_partial_trace
+from oracles import brute_partial_scalar_product, brute_partial_trace, embed_operator
 
 RNG = np.random.default_rng(1234)
 
@@ -393,6 +392,8 @@ class TestExpandInBasis:
 
 
 class TestEmbedOperator:
+    """The dense oracle the local-operator tests compare against."""
+
     def test_identity(self):
         lay = layout(("A", 2), ("B", 3))
         np.testing.assert_array_equal(

@@ -1,5 +1,6 @@
 """The local-operator kernel against brute force, and every routine that uses
-it against the dense route (``embed_operator``, ``kron(eye, U)``) it replaced."""
+it against the dense route (``oracles.embed_operator``, ``kron(eye, U)``) it
+replaced."""
 
 import ast
 import math
@@ -13,6 +14,7 @@ from vnchain import (
     DecompositionOfIdentity,
     DensityOperator,
     DimensionMismatchError,
+    SpectralObservable,
     StateVector,
     WeightedEnsemble,
     apply_local,
@@ -24,7 +26,6 @@ from vnchain import (
     check_probability_reproduction,
     complete_unitary,
     conditional_state,
-    embed_operator,
     ensemble_update,
     evolve,
     extend_chain,
@@ -41,11 +42,18 @@ from vnchain import (
     random_unitary,
     tripartite_conditional_consistency,
 )
+from vnchain import chains
 from vnchain.hilbert import partial_trace_matrix
 from vnchain.scenarios import run, scenario_from_document
 from vnchain.suites import corrupt_premeasurement
 
-from oracles import brute_apply_local
+from oracles import (
+    brute_apply_local,
+    brute_density,
+    brute_eigenbasis_projectors,
+    brute_partial_trace,
+    embed_operator,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vnchain"
 
@@ -290,6 +298,78 @@ class TestAgainstDenseRoute:
         )
 
 
+def resized(dims, axis, size):
+    return dims[:axis] + (size,) + dims[axis + 1 :]
+
+
+def block_factor(d, rng):
+    """L = Q^dag for a random orthonormal (d, r) block Q, r = max(1, d - 1),
+    and the projector Q Q^dag summed column by column."""
+    q = random_unitary(d, rng)[:, : max(1, d - 1)]
+    return q.conj().T, brute_eigenbasis_projectors([0.0], [q])[0][1]
+
+
+class TestFactorKernels:
+    """The conditioning kernels with a rectangular factor L = Q^dag (not
+    Hermitian), against L applied entry by entry on each side and against
+    the dense projector F = L^dag L."""
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_sandwich_of_dense_matrix(self, dims, axis):
+        rng = np.random.default_rng(1400 + axis + 10 * len(dims))
+        n = len(dims)
+        rho = random_density(lay_for(dims), rng)
+        factor, f = block_factor(dims[axis], rng)
+        keep = [i for i in range(n) if i != axis]
+        w, cond = chains._condition_matrix(rho.matrix, factor, dims, axis, keep, sandwich=True)
+        rows = resized(dims, axis, factor.shape[0])
+        left = brute_apply_local(factor, rho.matrix.reshape(-1), dims + dims, axis)
+        both = brute_apply_local(factor.conj(), left, rows + dims, n + axis)
+        both = both.reshape(math.prod(rows), -1)
+        assert w == pytest.approx(float(np.real(np.trace(both))), abs=1e-12)
+        np.testing.assert_allclose(cond, brute_partial_trace(both, rows, keep) / w, atol=1e-12)
+        w_dense, expected = dense_condition(rho, f, f"S{axis}", keep, sandwich=True)
+        assert w == pytest.approx(w_dense, abs=1e-12)
+        np.testing.assert_allclose(cond, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,axis", CASES)
+    def test_vector_batch(self, dims, axis):
+        rng = np.random.default_rng(1500 + axis + 10 * len(dims))
+        vectors = [random_state(lay_for(dims), rng).amplitudes for _ in range(3)]
+        weights = (0.2, 0.5, 0.3)
+        batch = np.stack([np.sqrt(w) * v for w, v in zip(weights, vectors)])
+        factor, f = block_factor(dims[axis], rng)
+        keep = [i for i in range(len(dims)) if i != axis]
+        w, m = chains._condition_vector(batch, factor, dims, axis, keep)
+        emb = embed_operator(f, f"S{axis}", lay_for(dims))
+        projected = [emb @ v for v in vectors]
+        w_dense = sum(
+            wk * float(np.real(np.vdot(v, pv))) for wk, v, pv in zip(weights, vectors, projected)
+        )
+        assert w == pytest.approx(w_dense, abs=1e-12)
+        expected = brute_partial_trace(brute_density(projected, weights), dims, keep) / w_dense
+        np.testing.assert_allclose(m @ m.conj().T, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+    def test_observables_match_by_thin_qr(self, angle):
+        """Blocks rotated by a small angle: the factor comparison keeps the
+        digits of ||Q_x Q_x^dag - Q_y Q_y^dag||, which a Gram identity
+        r_x + r_y - 2 ||Q_x^dag Q_y||^2 would round away."""
+        u = random_unitary(4, np.random.default_rng(16))
+        c, s = np.cos(angle), np.sin(angle)
+        v = u.copy()
+        v[:, 1], v[:, 2] = c * u[:, 1] + s * u[:, 2], -s * u[:, 1] + c * u[:, 2]
+        a, b = (
+            SpectralObservable.from_eigenbasis("A", [0.0, 1.0], [w[:, :2], w[:, 2:]])
+            for w in (u, v)
+        )
+        dense = max(
+            float(np.linalg.norm(x.projector - y.projector)) for x, y in zip(a.branches, b.branches)
+        )
+        assert dense == pytest.approx(np.sqrt(2) * np.sin(angle), rel=1e-6, abs=1e-15)
+        assert chains.observables_match(a, b) == (dense <= DEFAULT.observable_match * 4)
+
+
 def dense_condition_reports(pm, trials, seed):
     """The three checks as per-trial loops over embedded pointer projectors."""
     lay_a = layout((pm.object_label, pm.object_dim))
@@ -495,7 +575,7 @@ DENSE_STATE_EXEMPT = {
 
 
 class _DensePathFinder(ast.NodeVisitor):
-    """Collects embed_operator calls (outside hilbert.embed_operator itself),
+    """Collects embed_operator calls,
     kron(eye(...), ...) calls and kron(..., ready_state.amplitudes) calls
     (the package applies U(. (x) |ready>) through ``Premeasurement.isometry``
     only), and
@@ -522,8 +602,7 @@ class _DensePathFinder(ast.NodeVisitor):
     def visit_Call(self, node):
         where = f"{self.module}:{node.lineno} in {self.scope[-1]}"
         name = _callee(node)
-        exempt = (self.module, self.scope[-1]) == ("hilbert.py", "embed_operator")
-        if name == "embed_operator" and not exempt:
+        if name == "embed_operator":
             self.offenders.append(f"embed_operator call at {where}")
         if name == "kron" and node.args:
             first = node.args[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -20,13 +21,14 @@ from vnchain import (
     layout,
     observable_from_matrix,
     projector_onto,
+    random_density,
     random_exact,
     random_ideal,
     random_unitary,
 )
 from vnchain import chains, cli, observables
 
-from oracles import brute_eigenbasis_projectors
+from oracles import brute_eigenbasis_projectors, check_dense_spectral_family
 
 RNG = np.random.default_rng(77)
 
@@ -82,28 +84,67 @@ class TestObservableFromMatrix:
             observable_from_matrix(np.diag([bad, 1.0]), "A")
 
 
+E2 = np.eye(2, dtype=complex)
+
+
 class TestSpectralObservableInvariants:
     def test_zero_projector_rejected(self):
-        with pytest.raises(NotAProjectorError):
+        with pytest.raises(NotAProjectorError, match="rank 0"):
             SpectralObservable(
                 "A",
                 (
-                    SpectralBranch(0, 0.0, np.zeros((2, 2))),
-                    SpectralBranch(1, 1.0, np.eye(2)),
+                    SpectralBranch(0, 0.0, np.zeros((2, 0))),
+                    SpectralBranch(1, 1.0, E2),
                 ),
             )
 
     def test_eigenvalue_separation_enforced(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
         with pytest.raises(ValueError):
             SpectralObservable(
-                "A", (SpectralBranch(0, 0.0, p0), SpectralBranch(1, 1e-12, p1))
+                "A", (SpectralBranch(0, 0.0, E2[:, :1]), SpectralBranch(1, 1e-12, E2[:, 1:]))
             )
 
     def test_incomplete_family_rejected(self):
-        with pytest.raises(NotAProjectorError):
-            SpectralObservable("A", (SpectralBranch(0, 1.0, np.diag([1.0, 0.0])),))
+        with pytest.raises(NotAProjectorError, match="do not sum to the identity"):
+            SpectralObservable("A", (SpectralBranch(0, 1.0, E2[:, :1]),))
+
+    @pytest.mark.parametrize(
+        "blocks,error",
+        [
+            ((E2[:, :1], np.eye(3)[:, 1:]), DimensionMismatchError),  # row counts differ
+            ((E2[:, 0], E2[:, 1:]), DimensionMismatchError),  # a 1-D block
+            ((E2[:, :1], E2[:, :1]), NotAProjectorError),  # the same column twice
+        ],
+    )
+    def test_bad_blocks_rejected(self, blocks, error):
+        with pytest.raises(error):
+            SpectralObservable(
+                "A", tuple(SpectralBranch(k, float(k), q) for k, q in enumerate(blocks))
+            )
+
+    def test_projector_formed_on_each_read(self):
+        q = random_unitary(3, np.random.default_rng(4))[:, :2]
+        branch = SpectralBranch(0, 0.0, q)
+        first = branch.projector
+        assert first is not branch.projector
+        assert not first.flags.writeable
+        assert not branch.basis.flags.writeable
+        assert branch.rank == 2
+        np.testing.assert_allclose(first, q @ q.conj().T, rtol=0, atol=1e-15)
+        q[0, 0] = 5.0  # the branch copied a writeable block
+        assert branch.basis[0, 0] != 5.0
+
+    def test_constructor_and_from_eigenbasis_agree(self):
+        u = random_unitary(4, np.random.default_rng(6))
+        blocks = [u[:, :1], u[:, 1:3], u[:, 3:]]
+        direct = SpectralObservable(
+            "A", tuple(SpectralBranch(k, float(k), q) for k, q in enumerate(blocks))
+        )
+        made = SpectralObservable.from_eigenbasis("A", [0.0, 1.0, 2.0], blocks)
+        for a, b, q in zip(direct.branches, made.branches, blocks, strict=True):
+            assert (a.index, a.eigenvalue) == (b.index, b.eigenvalue)
+            np.testing.assert_array_equal(a.basis, q)
+            np.testing.assert_array_equal(b.basis, q)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_eigenvalue_rejected(self, bad):
@@ -181,13 +222,6 @@ class TestEventComplement:
         np.testing.assert_allclose(c, obs.projector(1), atol=1e-12)
 
 
-def _dense(subsystem, pairs):
-    """The observable of (eigenvalue, projector) pairs through the dense constructor."""
-    return SpectralObservable(
-        subsystem, tuple(SpectralBranch(k, e, p) for k, (e, p) in enumerate(pairs))
-    )
-
-
 def _blocks(u, sizes):
     bounds = np.cumsum([0, *sizes])
     return [u[:, a:b] for a, b in zip(bounds, bounds[1:])]
@@ -221,12 +255,14 @@ class TestFromEigenbasis:
         eigs = [float(k) for k in range(len(sizes))]
         obs = SpectralObservable.from_eigenbasis("A", eigs, blocks, complement=complement)
         pairs = brute_eigenbasis_projectors(eigs, blocks, complement)
-        dense = _dense("A", pairs)  # the same projectors pass every dense check
-        assert obs.eigenvalues == dense.eigenvalues
+        check_dense_spectral_family(pairs)  # the same projectors pass every dense check
+        assert obs.eigenvalues == tuple(e for e, _ in pairs)
         for k, (branch, (_, proj)) in enumerate(zip(obs.branches, pairs, strict=True)):
             assert branch.index == k
             np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
         assert check_decomposition(obs.decomposition()).passed
+        basis = np.hstack([b.basis for b in obs.branches])
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(d), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (3, 3), (1, 4), (2, 5), (3, 6)])
     def test_pointer_from_states_agrees_with_dense_oracle(self, n, d):
@@ -240,7 +276,7 @@ class TestFromEigenbasis:
         pairs = brute_eigenbasis_projectors(
             range(n), [u[:, k : k + 1] for k in range(n)], complement
         )
-        _dense("B", pairs)  # the oracle projectors pass every dense check
+        check_dense_spectral_family(pairs)  # the oracle projectors pass every dense check
         assert pm.pointer.eigenvalues == tuple(e for e, _ in pairs)
         for branch, (_, proj) in zip(pm.pointer.branches, pairs, strict=True):
             np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
@@ -279,7 +315,7 @@ REJECTIONS = _rejection_cases()
 
 class TestEigenbasisRejections:
     """Each bad eigenbasis fails ``from_eigenbasis`` with the error class that
-    the dense constructor raises for the projectors it spans."""
+    the dense checks of the oracle raise for the projectors it spans."""
 
     @pytest.mark.parametrize("name", sorted(REJECTIONS))
     def test_same_error_as_dense(self, name):
@@ -287,7 +323,7 @@ class TestEigenbasisRejections:
         with pytest.raises(error):
             SpectralObservable.from_eigenbasis("A", eigs, blocks, complement=complement)
         with pytest.raises(error):
-            _dense("A", brute_eigenbasis_projectors(eigs, blocks, complement))
+            check_dense_spectral_family(brute_eigenbasis_projectors(eigs, blocks, complement))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_eigenvalue_rejected(self, bad):
@@ -328,7 +364,28 @@ def _count_is_projector(monkeypatch) -> list[int]:
     return calls
 
 
-def _copy_chain_document(n_qubits: int) -> dict:
+def _count_reads(monkeypatch) -> dict[str, int]:
+    """Counts reads of ``SpectralBranch.projector`` and calls of
+    ``check_decomposition``."""
+    counts = {"projector": 0, "check_decomposition": 0}
+    projector = SpectralBranch.projector.fget
+    check = observables.check_decomposition
+
+    def read(branch):
+        counts["projector"] += 1
+        return projector(branch)
+
+    def checking(d):
+        counts["check_decomposition"] += 1
+        return check(d)
+
+    monkeypatch.setattr(SpectralBranch, "projector", property(read))
+    monkeypatch.setattr(observables, "check_decomposition", checking)
+    monkeypatch.setattr(chains, "check_decomposition", checking)
+    return counts
+
+
+def _copy_chain_document(n_qubits: int, analyses=("branches",)) -> dict:
     stages = [
         {
             "object": f"q{i}",
@@ -345,7 +402,7 @@ def _copy_chain_document(n_qubits: int) -> dict:
         "subsystems": [[f"q{i}", 2] for i in range(n_qubits)],
         "initial": {"subsystem": "q0", "state": [[0.6, 0.0], [0.8, 0.0]]},
         "stages": stages,
-        "analyses": ["branches"],
+        "analyses": list(analyses),
     }
 
 
@@ -374,3 +431,73 @@ class TestNoDenseProjectorChecks:
         assert cli.main(["run", str(path)]) == 0
         assert "result: PASS" in capsys.readouterr().out
         assert calls[0] == 0
+
+    def test_copy_chain_branch_analyses_use_blocks_only(self, monkeypatch, tmp_path, capsys):
+        """Branches, improper mixture and world branches apply every pointer
+        branch through its eigenbasis block: no projector is formed and no
+        decomposition is re-checked densely."""
+        analyses = ("branches", "improper_mixture", "world_branches")
+        path = tmp_path / "copy.json"
+        path.write_text(json.dumps(_copy_chain_document(6, analyses)))
+        counts = _count_reads(monkeypatch)
+        assert cli.main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "result: PASS" in out and out.count("dropped") == 3
+        assert counts == {"projector": 0, "check_decomposition": 0}
+
+    def test_given_projectors_are_still_checked(self, monkeypatch):
+        counts = _count_reads(monkeypatch)
+        psi = StateVector(layout(("A", 2), ("B", 2)), np.array([1.0, 0, 0, 1.0]) / np.sqrt(2))
+        dec = DecompositionOfIdentity("B", (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        chains.improper_mixture(psi, dec)
+        assert counts["check_decomposition"] == 1
+        with pytest.raises(chains.InvalidDecompositionError):
+            chains.improper_mixture(psi, DecompositionOfIdentity("B", (np.eye(2), np.eye(2))))
+
+    def test_tripartite_checks_its_event_once(self, monkeypatch):
+        calls = _count_is_projector(monkeypatch)
+        rng = np.random.default_rng(12)
+        rho = random_density(layout(("A", 2), ("B", 2), ("C", 2)), rng)
+        p = projector_onto([random_unitary(2, rng)[:, 0]])
+        for n in (1, 2, 3):
+            chains.tripartite_conditional_consistency(rho, p, "B", "C")
+            assert calls[0] == n
+        with pytest.raises(NotAProjectorError):
+            chains.tripartite_conditional_consistency(rho, np.diag([0.5, 0.5]), "B", "C")
+        assert calls[0] == 4
+
+
+class TestObservableDecomposition:
+    """An observable's decomposition carries the observable, not projectors."""
+
+    def test_records_its_observable_and_forms_projectors_on_read(self):
+        obs = observable_from_matrix(PAULI_X, "A")
+        dec = obs.decomposition()
+        assert dec.observable is obs and "projectors" not in vars(dec)
+        assert dec.dim == 2 and dec.subsystem == "A"
+        for f, b in zip(dec.factors, obs.branches, strict=True):
+            np.testing.assert_array_equal(f, b.basis.conj().T)
+        first = dec.projectors
+        assert first is dec.projectors
+        for p, b in zip(first, obs.branches, strict=True):
+            np.testing.assert_array_equal(p, b.projector)
+        assert check_decomposition(dec).passed
+
+    def test_given_projectors_are_their_own_factors(self):
+        projs = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        dec = DecompositionOfIdentity("A", projs)
+        assert dec.observable is None and dec.factors is dec.projectors
+
+    def test_checked_mark_is_not_settable(self):
+        obs = observable_from_matrix(PAULI_Z, "A")
+        with pytest.raises(TypeError):
+            DecompositionOfIdentity("A", (np.eye(2),), observable=obs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DecompositionOfIdentity("A", (np.eye(2),)).observable = obs
+        copied = dataclasses.replace(obs.decomposition())
+        assert copied.observable is None and len(copied.projectors) == 2
+
+    def test_missing_attributes_stay_attribute_errors(self):
+        dec = observable_from_matrix(PAULI_Z, "A").decomposition()
+        with pytest.raises(AttributeError, match="no attribute 'no_such_attribute'"):
+            dec.no_such_attribute

@@ -16,7 +16,6 @@ from vnchain import (
     check_calibration,
     check_dynamical,
     check_probability_reproduction,
-    embed_operator,
     evolve,
     layout,
     luders_state,
@@ -33,7 +32,7 @@ from vnchain import premeasurement
 from vnchain.chains import extend_chain
 from vnchain.premeasurement import Premeasurement, check_conditions, complete_unitary
 
-from oracles import brute_dressed_isometry, brute_ideal_isometry
+from oracles import brute_dressed_isometry, brute_ideal_isometry, embed_operator
 
 RNG = np.random.default_rng(2024)
 
