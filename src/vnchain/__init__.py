@@ -62,10 +62,8 @@ from .observables import (
     PAULI_Y,
     PAULI_Z,
     DecompositionOfIdentity,
-    DecompositionReport,
     SpectralBranch,
     SpectralObservable,
-    check_decomposition,
     event_complement,
     observable_from_matrix,
     projector_onto,

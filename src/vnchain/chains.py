@@ -17,9 +17,7 @@ import numpy as np
 from .branches import Branch, BranchDecomposition
 from .errors import (
     DimensionMismatchError,
-    InvalidDecompositionError,
     LayoutConflictError,
-    NotAProjectorError,
     ObservableMismatchError,
     UndefinedConditionalError,
     ZeroSampleError,
@@ -36,7 +34,7 @@ from .hilbert import (
     partial_trace_matrix,
     partial_trace_vector,
 )
-from .observables import DecompositionOfIdentity, SpectralObservable, check_decomposition, is_projector
+from .observables import DecompositionOfIdentity, SpectralObservable, _projector_block
 from .premeasurement import Premeasurement, evolve
 from .tolerances import DEFAULT
 
@@ -183,9 +181,9 @@ def _condition_matrix(
     column side.  The conditional is None when w <= ``DEFAULT.weight``.
     """
     n = len(dims)
-    if sandwich:  # on the flat tensor, as the row count changes
+    if sandwich:
         rows = _resized(dims, pos, op.shape[0])
-        prod = apply_local(op, matrix.reshape(-1), dims + dims, pos)
+        prod = apply_local(op, matrix, dims + dims, pos)
         prod = apply_local(op.conj(), prod, rows + dims, n + pos)
         dims = rows
         prod = prod.reshape(math.prod(dims), -1)
@@ -266,15 +264,9 @@ def improper_mixture(state: State, d: DecompositionOfIdentity) -> BranchDecompos
     Weights are the occurrence probabilities tr(rho P_n); components are the
     conditional states tr_subject(rho P_n) / w_n.  The weighted components
     resum to the plain reduced state; the decomposition has meaning only
-    relative to the traced-out subject subsystem.  Given projectors are
-    checked by ``check_decomposition``; each is applied through its factor.
+    relative to the traced-out subject subsystem.  Each projector is applied
+    through its factor Q_n^dag.
     """
-    if d.observable is None:
-        report = check_decomposition(d)
-        if not report.passed:
-            raise InvalidDecompositionError(
-                f"projectors are not a decomposition of the identity: {report}"
-            )
     lay = state.layout
     keep = _keep_positions(lay, {d.subsystem})
     if not keep:
@@ -311,20 +303,21 @@ def conditional_state(
 ) -> DensityOperator:
     """State of the opposite subsystems given the event P on the subject.
 
-    ``form="plain"`` computes tr_subject(rho P) / tr(rho P); ``form="sandwich"``
-    computes tr_subject(P rho P) / tr(P rho P).  The two agree by idempotency
-    and under-partial-trace commutativity.
+    ``form="plain"`` computes tr_subject(rho P) / tr(rho P) with P itself;
+    ``form="sandwich"`` computes tr_subject(P rho P) / tr(P rho P) through the
+    factor Q^dag of P = Q Q^dag.  The two agree by idempotency and
+    under-partial-trace commutativity.
     """
     if form not in ("plain", "sandwich"):
         raise ValueError(f"unknown form {form!r}")
-    if not is_projector(p):
-        raise NotAProjectorError("conditioning event must be a projector")
+    q = _projector_block(p)
     lay = rho.layout
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
+    op = q.conj().T if form == "sandwich" else np.asarray(p)
     w, reduced = _condition_matrix(
-        rho.matrix, np.asarray(p), lay.dims, lay.position(subject), keep, form == "sandwich"
+        rho.matrix, op, lay.dims, lay.position(subject), keep, form == "sandwich"
     )
     if reduced is None:
         raise UndefinedConditionalError(
@@ -379,8 +372,7 @@ def tripartite_conditional_consistency(
     conditions.  Both agree, which is why conditioning is well defined on
     improper mixtures.  The event is checked once, for both routes.
     """
-    if not is_projector(p):
-        raise NotAProjectorError("conditioning event must be a projector")
+    _projector_block(p)
     lay, p = rho.layout, np.asarray(p)
     if not _keep_positions(lay, {subject, environment}):
         raise LayoutConflictError("no object subsystems left")
@@ -418,20 +410,19 @@ def ensemble_update(ens: WeightedEnsemble, p: np.ndarray, subject: str) -> Ensem
 
     New weights are w_k * <Psi_k|P|Psi_k> renormalized by the total
     occurrence probability; members that never trigger the event are
-    dropped.  The aggregate opposite-subsystem state is conditioned from the
-    mixture's factor [sqrt(w_k) Psi_k] in one batch and cross-checked
-    against the member sum.
+    dropped.  The event is applied through the factor Q^dag of P = Q Q^dag.
+    The aggregate opposite-subsystem state is conditioned from the mixture's
+    factor [sqrt(w_k) Psi_k] in one batch and cross-checked against the
+    member sum.
     """
     lay = ens.layout
-    if not is_projector(p):
-        raise NotAProjectorError("event must be a projector")
-    p = np.asarray(p)
+    factor = _projector_block(p).conj().T
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
     pos = lay.position(subject)
     conditioned = [
-        _condition_vector(s.amplitudes, p, lay.dims, pos, keep) for _, s in ens.members
+        _condition_vector(s.amplitudes, factor, lay.dims, pos, keep) for _, s in ens.members
     ]
     total = sum(w * q for (w, _), (q, _) in zip(ens.members, conditioned))
     if total <= DEFAULT.weight:
@@ -446,7 +437,7 @@ def ensemble_update(ens: WeightedEnsemble, p: np.ndarray, subject: str) -> Ensem
         state = DensityOperator.from_factor(reduced_layout, m)
         updated.append(UpdatedMember(k, w * q / total, state))
     mixture = np.stack([np.sqrt(w) * s.amplitudes for w, s in ens.members])
-    _, m = _condition_vector(mixture, p, lay.dims, pos, keep)
+    _, m = _condition_vector(mixture, factor, lay.dims, pos, keep)
     aggregate = DensityOperator.from_factor(reduced_layout, m)
     recombined = np.hstack([math.sqrt(u.weight) * u.state.factor for u in updated])
     resid = float(np.linalg.norm(factor_difference(recombined, aggregate.factor)))
@@ -469,18 +460,18 @@ def monte_carlo_update(
     """Finite-sample counterpart of ``ensemble_update``.
 
     Each sample picks a member with the prior weights and then flips an
-    occurrence coin with that member's event probability; empirical weights
-    are the accepted counts normalized.  Driven by ``numpy``'s PCG64
-    generator, so runs are bit-reproducible per seed.
+    occurrence coin with that member's event probability ||Q^dag Psi_k||^2,
+    P = Q Q^dag; empirical weights are the accepted counts normalized.
+    Driven by ``numpy``'s PCG64 generator, so runs are bit-reproducible per
+    seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not is_projector(p):
-        raise NotAProjectorError("event must be a projector")
+    factor = _projector_block(p).conj().T
     lay = ens.layout
     amps = np.array([s.amplitudes for _, s in ens.members])
-    projected = apply_local(p, amps, lay.dims, lay.position(subject))
-    probs = np.real(np.sum(amps.conj() * projected, axis=1))
+    projected = apply_local(factor, amps, lay.dims, lay.position(subject))
+    probs = np.sum(np.abs(projected) ** 2, axis=1)
     probs = np.clip(probs, 0.0, 1.0)
     weights = np.array(ens.weights)
     rng = np.random.default_rng(seed)
@@ -544,8 +535,8 @@ def offdiagonal_block_norm(
         rs = [np.linalg.qr(apply_local(f, cols, lay.dims, pos).T, mode="r") for f in factors]
         cross = (a @ b.conj().T for j, a in enumerate(rs) for k, b in enumerate(rs) if j != k)
     else:  # rho L_k^dag (conj(L_k) on the column side), then L_j on the row side
-        n, flat = len(lay.dims), rho.matrix.reshape(-1)
-        rho_l = [apply_local(f.conj(), flat, lay.dims + lay.dims, n + pos) for f in factors]
+        n = len(lay.dims)
+        rho_l = [apply_local(f.conj(), rho.matrix, lay.dims + lay.dims, n + pos) for f in factors]
         cross = (
             apply_local(a, b, lay.dims + _resized(lay.dims, pos, factors[k].shape[0]), pos)
             for j, a in enumerate(factors)

@@ -364,15 +364,19 @@ def apply_local(
 ) -> np.ndarray:
     """Apply a one-subsystem operator to axis ``axis`` of a product tensor.
 
-    ``values`` holds amplitudes laid out over ``dims`` (leftmost slowest),
-    optionally behind leading batch axes; a density matrix is the tensor
-    over ``dims + dims``, where axis ``p`` is the row (ket) side of
-    subsystem ``p`` and axis ``n + p`` its column side, so ``rho @ P`` is
+    ``values`` holds amplitudes laid out over ``dims`` (leftmost slowest)
+    in its trailing axes, optionally behind leading batch axes: the tensor
+    is the shortest run of one or more trailing axes that holds exactly
+    ``prod(dims)`` entries, and the axes in front of it are the batch.  A
+    density matrix is the tensor over ``dims + dims``, so a (D, D) matrix
+    has no batch axes; axis ``p`` is the row (ket) side of subsystem ``p``
+    and axis ``n + p`` its column side, so ``rho @ P`` is
     ``apply_local(P.T, rho, dims + dims, n + p)``.  The tensor is viewed as
-    ``(left, d, right)`` and contracted as one broadcast matmul; no
-    operator on the full space is formed.  A rectangular ``(m, d)`` operator
-    (an isometry) maps the axis to dimension ``m``; the result keeps the
-    leading axes of ``values`` and absorbs the size change in its last axis.
+    ``(left, d, right)`` and contracted as one broadcast matmul; no operator
+    on the full space is formed.  A square operator keeps the shape of
+    ``values``.  A rectangular ``(m, d)`` operator (an isometry) maps the
+    axis to dimension ``m``; the result is then the batch axes followed by
+    the flat resized tensor.
     """
     op, values = np.asarray(op), np.asarray(values)
     d = dims[axis]
@@ -380,9 +384,14 @@ def apply_local(
         raise DimensionMismatchError(
             f"operator of shape {op.shape} does not fit axis {axis} of dimension {d}"
         )
-    if values.size % math.prod(dims):
+    size, batch = math.prod(dims), values.ndim - 1
+    tail = values.shape[-1] if values.ndim else 0
+    while tail < size and batch > 0:
+        batch -= 1
+        tail *= values.shape[batch]
+    if tail != size:
         raise DimensionMismatchError(
-            f"{values.size} values do not fill a tensor over dims {tuple(dims)}"
+            f"values of shape {values.shape} do not end in a tensor over dims {tuple(dims)}"
         )
     right = math.prod(dims[axis + 1 :])
     if right == 1:  # trailing axis: one (rows, d) x (d, m) product
@@ -391,7 +400,7 @@ def apply_local(
         out = op @ values.reshape(-1, d, right)
     if op.shape[0] == d:
         return out.reshape(values.shape)
-    return out.reshape(values.shape[:-1] + (-1,))
+    return out.reshape(values.shape[:batch] + (-1,))
 
 
 def _resized(dims: Sequence[int], axis: int, size: int) -> tuple[int, ...]:

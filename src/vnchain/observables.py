@@ -4,7 +4,9 @@ A spectral observable is stored as an ordered list of branches
 ``(index, eigenvalue, basis)``: pairwise distinct eigenvalues, each with an
 orthonormal (d, r_k) block Q_k of eigenvectors (any rank r_k >= 1), the
 blocks side by side an orthonormal basis of the space.  The branch
-projector Q_k Q_k^dag is derived from its block on request.
+projector Q_k Q_k^dag is derived from its block on request.  A projector
+given by a caller is checked once, by ``_projector_block``, and carried as
+its block too.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotAProjectorError
+from .errors import DimensionMismatchError, InvalidDecompositionError, NotAProjectorError
 from .hilbert import _frozen_array
 from .tolerances import DEFAULT
 
@@ -25,14 +27,28 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def is_projector(p: np.ndarray) -> bool:
-    p = np.asarray(p, dtype=complex)
+def _projector_block(p) -> np.ndarray:
+    """The read-only (d, r) block Q with Q Q^dag = P of a projector P that a
+    caller gives: the one check of such a projector.
+
+    P must be square, finite and within ``DEFAULT.herm`` of Hermitian.  With
+    lambda, V = eigh(P), ||lambda^2 - lambda||_2 is ||P^2 - P||_F of the
+    Hermitian P, and must be within the dense idempotency bound
+    ``DEFAULT.orth * d``.  Q is the columns of V with lambda > 1/2.
+    """
+    p = _frozen_array(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        return False
-    return (
-        np.linalg.norm(p - p.conj().T) <= DEFAULT.herm
-        and np.linalg.norm(p @ p - p) <= DEFAULT.orth * p.shape[0]
-    )
+        raise NotAProjectorError(f"expected a square matrix, got shape {p.shape}")
+    herm = np.linalg.norm(p - p.conj().T)
+    if not herm <= DEFAULT.herm:
+        raise NotAProjectorError(f"matrix not Hermitian: residual {herm:.3e}")
+    lam, v = np.linalg.eigh(p)
+    idem = np.linalg.norm(lam * lam - lam)
+    if not idem <= DEFAULT.orth * p.shape[0]:
+        raise NotAProjectorError(f"matrix not idempotent: residual {idem:.3e}")
+    q = v[:, lam > 0.5]
+    q.setflags(write=False)
+    return q
 
 
 def _side_by_side(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -165,82 +181,55 @@ class SpectralObservable:
 
     def decomposition(self) -> "DecompositionOfIdentity":
         """The branch projectors, carried as this checked observable."""
-        dec = object.__new__(DecompositionOfIdentity)
-        object.__setattr__(dec, "subsystem", self.subsystem)
-        object.__setattr__(dec, "observable", self)
-        return dec
+        return DecompositionOfIdentity(self)
 
 
 @dataclass(frozen=True, eq=False)
 class DecompositionOfIdentity:
-    """Projector family meant to sum to the identity.
-
-    Projectors given to the constructor are only shape-checked, so that
-    ``check_decomposition`` can report violations instead of refusing to
-    look at them; the chain analyses run that check before using them.
-    ``SpectralObservable.decomposition`` carries the checked observable
-    instead and forms ``projectors`` on first read.
+    """The branch projectors F_k = Q_k Q_k^dag of a checked observable: a
+    decomposition of the identity on its subsystem.  A family of projectors
+    that a caller gives becomes one through ``from_projectors``.
     """
 
-    subsystem: str
-    projectors: tuple[np.ndarray, ...]
-    observable: SpectralObservable | None = field(default=None, init=False, repr=False)
+    observable: SpectralObservable
 
-    def __post_init__(self):
-        projs = tuple(_frozen_array(p) for p in self.projectors)
-        if not projs:
-            raise DimensionMismatchError("decomposition needs at least one projector")
-        d = projs[0].shape[0]
-        if any(p.shape != (d, d) for p in projs):
-            raise DimensionMismatchError("projectors differ in shape")
-        object.__setattr__(self, "projectors", projs)
+    @classmethod
+    def from_projectors(
+        cls, subsystem: str, projectors: Sequence[np.ndarray]
+    ) -> "DecompositionOfIdentity":
+        """Check a caller's projectors P_k, each by ``_projector_block``, and
+        their blocks, with eigenvalues 0..n-1, by the ``SpectralObservable``
+        constructor, whose one Gram product bounds orthogonality and
+        completeness.  A family that fails it, a rank-0 member included,
+        raises ``InvalidDecompositionError``; members of different shapes,
+        or more members than dimensions, raise ``DimensionMismatchError``.
+        """
+        blocks = [_projector_block(p) for p in projectors]
+        branches = tuple(SpectralBranch(k, float(k), q) for k, q in enumerate(blocks))
+        try:
+            return cls(SpectralObservable(subsystem, branches))
+        except NotAProjectorError as exc:
+            raise InvalidDecompositionError(
+                f"projectors are not a decomposition of the identity: {exc}"
+            ) from exc
 
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails: the unformed ``projectors``
-        # of an observable's decomposition.
-        observable = self.__dict__.get("observable")
-        if name != "projectors" or observable is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        projs = tuple(b.projector for b in observable.branches)
-        object.__setattr__(self, "projectors", projs)
-        return projs
+    @property
+    def subsystem(self) -> str:
+        return self.observable.subsystem
 
     @property
     def factors(self) -> tuple[np.ndarray, ...]:
-        """One factor L_k per projector, F_k = L_k^dag L_k: Q_k^dag of an
-        observable's block, or a given projector P itself (P = P^dag P)."""
-        if self.observable is None:
-            return self.projectors
+        """One factor L_k = Q_k^dag per projector, F_k = L_k^dag L_k."""
         return tuple(b.basis.conj().T for b in self.observable.branches)
 
     @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """The projectors F_k, formed anew on each read; read-only."""
+        return tuple(b.projector for b in self.observable.branches)
+
+    @property
     def dim(self) -> int:
-        return self.factors[0].shape[1]
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    max_idempotency: float
-    max_hermiticity: float
-    max_orthogonality: float
-    completeness: float
-    tolerance: float
-    passed: bool
-
-
-def check_decomposition(d: DecompositionOfIdentity) -> DecompositionReport:
-    """Report idempotency, orthogonality, and completeness residuals."""
-    projs = d.projectors
-    idem = max(float(np.linalg.norm(p @ p - p)) for p in projs)
-    herm = max(float(np.linalg.norm(p - p.conj().T)) for p in projs)
-    orth = 0.0
-    for i, a in enumerate(projs):
-        for b in projs[i + 1 :]:
-            orth = max(orth, float(np.linalg.norm(a @ b)))
-    comp = float(np.linalg.norm(sum(projs) - np.eye(d.dim)))
-    threshold = DEFAULT.orth * max(1, d.dim)
-    passed = max(idem, herm, orth, comp) <= threshold
-    return DecompositionReport(idem, herm, orth, comp, threshold, passed)
+        return self.observable.dim
 
 
 def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
@@ -272,9 +261,8 @@ def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
 
 def event_complement(p: np.ndarray) -> np.ndarray:
     """Complementary event I - P of a projector."""
+    _projector_block(p)
     p = np.asarray(p, dtype=complex)
-    if not is_projector(p):
-        raise NotAProjectorError("event_complement needs a projector")
     return np.eye(p.shape[0], dtype=complex) - p
 
 

@@ -35,7 +35,7 @@ from .hilbert import (
     complete_orthonormal,
     random_unitary,
 )
-from .observables import SpectralObservable
+from .observables import SpectralObservable, _projector_block
 from .tolerances import DEFAULT
 
 
@@ -482,12 +482,11 @@ def random_observable(
 
 
 def random_range_unitary(projector: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary on the range of a projector, identity on its complement."""
-    eigvals, eigvecs = np.linalg.eigh(projector)
-    cols = eigvecs[:, eigvals > 0.5]
-    r = cols.shape[1]
-    u = random_unitary(r, rng)
-    full = np.eye(projector.shape[0], dtype=complex) - cols @ cols.conj().T
+    """Haar unitary on the range of a projector, identity on its complement;
+    the projector is checked and its range taken by ``_projector_block``."""
+    cols = _projector_block(projector)
+    u = random_unitary(cols.shape[1], rng)
+    full = np.eye(cols.shape[0], dtype=complex) - cols @ cols.conj().T
     return full + cols @ u @ cols.conj().T
 
 

@@ -232,7 +232,7 @@ def _check_count(value: Any, minimum: int, location: str) -> None:
 
 
 def _check_stage(value: Any, n_stages: int, location: str) -> None:
-    if not isinstance(value, int) or not 0 <= value < n_stages:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < n_stages:
         raise ScenarioError(E_BAD_VALUE, location, f"stage index {value!r} out of range")
 
 
@@ -591,12 +591,15 @@ def load_builtin(name: str) -> Scenario:
 # Execution and reporting.
 
 
+# Trials per condition of ``condition_reports`` when the analysis sets none.
+CONDITION_TRIALS = 20
+
+
 @dataclass(frozen=True)
 class RunOptions:
     seed: int = 0
     tolerance: float = 1e-9
     dump_states: bool = False
-    condition_trials: int = 20
 
 
 @dataclass(frozen=True)
@@ -934,7 +937,7 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
 
 
 def _analysis_conditions(params, scenario, pms, states, options) -> ReportSection:
-    trials = int(params.get("trials", options.condition_trials))
+    trials = int(params.get("trials", CONDITION_TRIALS))
     rows = []
     checks = []
     for i, pm in enumerate(pms):

@@ -90,6 +90,18 @@ def projector_rank(p, tol=1e-8):
     return int(np.sum(np.linalg.eigvalsh(p) > 1.0 - tol))
 
 
+def is_projector(p):
+    """The dense projector check: square, ||P - P^dag|| <= ``DEFAULT.herm``
+    and ||P P - P|| <= ``DEFAULT.orth`` * d, with the product P P formed."""
+    p = np.asarray(p, dtype=complex)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        return False
+    return bool(
+        np.linalg.norm(p - p.conj().T) <= DEFAULT.herm
+        and np.linalg.norm(p @ p - p) <= DEFAULT.orth * p.shape[0]
+    )
+
+
 def brute_apply_local(op, values, dims, axis):
     """Apply ``op`` (m x d) to one axis of a flat tensor over ``dims``.
 
@@ -218,8 +230,7 @@ def check_dense_spectral_family(pairs):
     for k, p in enumerate(projectors):
         if p.shape != (d, d):
             raise DimensionMismatchError("branch projectors differ in shape")
-        hermitian = np.linalg.norm(p - p.conj().T) <= DEFAULT.herm
-        if not (hermitian and np.linalg.norm(p @ p - p) <= DEFAULT.orth * d):
+        if not is_projector(p):
             raise NotAProjectorError(f"branch {k} projector is not a projector")
         if np.real(np.trace(p)) < 0.5:
             raise NotAProjectorError(f"branch {k} projector has rank 0")

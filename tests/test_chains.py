@@ -165,7 +165,7 @@ class TestImproperMixture:
         rho_c = random_density(layout(("C", 3)), rng)
         state = tensor(rho_ab, rho_c)
         q = random_unitary(3, rng)
-        d = DecompositionOfIdentity(
+        d = DecompositionOfIdentity.from_projectors(
             "C", (projector_onto([q[:, 0]]), projector_onto([q[:, 1], q[:, 2]]))
         )
         mix = improper_mixture(state, d)
@@ -176,7 +176,7 @@ class TestImproperMixture:
         rng = np.random.default_rng(25)
         rho = random_density(layout(("one", 3), ("two", 4)), rng)
         q = random_unitary(4, rng)
-        d = DecompositionOfIdentity(
+        d = DecompositionOfIdentity.from_projectors(
             "two",
             (
                 projector_onto([q[:, 0]]),
@@ -190,10 +190,9 @@ class TestImproperMixture:
         assert np.linalg.norm(resum - expected) <= 1e-10
 
     def test_invalid_decomposition_rejected(self):
-        rho = random_density(layout(("A", 2), ("B", 2)), RNG)
         p = np.diag([1.0, 0.0])
-        with pytest.raises(InvalidDecompositionError):
-            improper_mixture(rho, DecompositionOfIdentity("B", (p, p)))
+        with pytest.raises(InvalidDecompositionError):  # refused when built
+            DecompositionOfIdentity.from_projectors("B", (p, p))
 
 
 class TestConditionalState:
@@ -519,8 +518,7 @@ class TestProperMixtureAbsoluteness:
 
     def test_needs_pure_components(self):
         rho = random_density(layout(("A", 2), ("B", 2)), RNG)
-        mix = improper_mixture(
-            rho, DecompositionOfIdentity("B", (np.diag([1.0, 0]), np.diag([0, 1.0])))
-        )
+        dec = DecompositionOfIdentity.from_projectors("B", (np.diag([1.0, 0]), np.diag([0, 1.0])))
+        mix = improper_mixture(rho, dec)
         with pytest.raises(TypeError):
             proper_mixture(mix)

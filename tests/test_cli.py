@@ -130,6 +130,27 @@ class TestParsing:
         assert err.value.code == "bad-value"
         assert err.value.location == "$.analyses[1].trials"
 
+    @pytest.mark.parametrize(
+        "builtin,analysis,location",
+        [
+            ("wigner-friend", {"kind": "improper_mixture", "stage": True}, "stage"),
+            ("world-split", {"kind": "world_branches", "pointer_stage": True}, "pointer_stage"),
+            ("ensemble-update", {"kind": "ensemble_update", "source_stage": False}, "source_stage"),
+            (
+                "ensemble-update",
+                {"kind": "ensemble_update", "projector": {"branch": 0, "stage": False}},
+                "projector.stage",
+            ),
+        ],
+    )
+    def test_boolean_stage_index_rejected(self, builtin, analysis, location):
+        doc = builtin_document(builtin)
+        doc["analyses"] = [analysis]
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_document(doc)
+        assert err.value.code == "bad-value"
+        assert err.value.location == f"$.analyses[0].{location}"
+
     @pytest.mark.parametrize("samples", [-5, 1.5, None])
     def test_ensemble_samples_must_be_non_negative_int(self, samples):
         doc = builtin_document("ensemble-update")

@@ -61,7 +61,7 @@ def sample(dims, kind, rng):
 
 def decomposition(subsystem, d, rng):
     p = rank_projector(d, rng)
-    return DecompositionOfIdentity(subsystem, (p, np.eye(d) - p))
+    return DecompositionOfIdentity.from_projectors(subsystem, (p, np.eye(d) - p))
 
 
 def dense_branch(rho, p, subsystem, lay, keep):
@@ -255,7 +255,7 @@ def test_offdiagonal_block_norm(dims, axis, kind):
     subject, d = f"S{axis}", dims[axis]
     q = random_unitary(d, rng)
     projectors = tuple(np.outer(q[:, i], q[:, i].conj()) for i in range(d))
-    dec = DecompositionOfIdentity(subject, projectors)
+    dec = DecompositionOfIdentity.from_projectors(subject, projectors)
     embs = [embed_operator(p, subject, rho.layout) for p in projectors]
     expected = max(
         float(np.linalg.norm(a @ dense @ b))

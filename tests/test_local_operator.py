@@ -128,6 +128,31 @@ class TestKernel:
         assert out.shape == (3 * psi.size,)
         np.testing.assert_allclose(out, brute_apply_local(iso, psi, dims, axis), atol=1e-12)
 
+    @pytest.mark.parametrize("dims", [(2, 4, 3), (3, 2, 4)])
+    @pytest.mark.parametrize("side", ["row", "column"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_rectangular_operator_on_density_matrix(self, dims, side, axis, rows):
+        """A (D, D) matrix over ``dims + dims`` has no batch axes: a (rows, d)
+        operator on a row- or column-side axis returns the resized tensor
+        flat, equal to an ``einsum`` over the (2n)-axis tensor."""
+        rng = np.random.default_rng(450 + 10 * axis + rows)
+        n, d = len(dims), math.prod(dims)
+        ax = axis if side == "row" else n + axis
+        op = rand_complex((rows, dims[axis]), rng)
+        rho = rand_complex((d, d), rng)
+        tens = list(range(2 * n))
+        out_idx = tens[:ax] + [2 * n] + tens[ax + 1 :]
+        expected = np.einsum(op, [2 * n, ax], rho.reshape(dims + dims), tens, out_idx)
+        got = apply_local(op, rho, dims + dims, ax)
+        assert got.shape == (expected.size,)
+        np.testing.assert_allclose(got, expected.reshape(-1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (13,), (2, 5, 3), ()])
+    def test_values_not_ending_in_the_tensor(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            apply_local(np.eye(3), np.ones(shape), (2, 2, 3), 2)
+
     def test_operator_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             apply_local(np.eye(3), np.ones(8), (2, 2, 2), 1)
@@ -193,7 +218,7 @@ class TestAgainstDenseRoute:
         rho = state if mixed else state.density()
         p = rank_projector(dims[axis], rng)
         q = np.eye(dims[axis]) - p
-        bd = improper_mixture(state, DecompositionOfIdentity(f"S{axis}", (p, q)))
+        bd = improper_mixture(state, DecompositionOfIdentity.from_projectors(f"S{axis}", (p, q)))
         keep = [i for i in range(len(dims)) if i != axis]
         assert bd.indices == (0, 1)
         for b, proj in zip(bd.branches, (p, q)):
@@ -268,7 +293,7 @@ class TestAgainstDenseRoute:
         rng = np.random.default_rng(1100 + axis)
         rho = random_density(lay_for(dims), rng)
         p = rank_projector(dims[axis], rng)
-        d = DecompositionOfIdentity(f"S{axis}", (p, np.eye(dims[axis]) - p))
+        d = DecompositionOfIdentity.from_projectors(f"S{axis}", (p, np.eye(dims[axis]) - p))
         embs = [embed_operator(q, d.subsystem, rho.layout) for q in d.projectors]
         expected = max(
             float(np.linalg.norm(a @ rho.matrix @ b))

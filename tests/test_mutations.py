@@ -49,6 +49,7 @@ FAULT_TABLE = {
         "chains.monte_carlo_binomial",
     },
     "eigenblocks_swapped": {"observables.spectral_reconstruction"},
+    "projector_block_complemented": {"chains.conditional_equivalences"},
     "partial_trace_vector_conjugated": {
         "premeasurement.ideal_definitions",
         "chains.decoherence_split",
@@ -128,6 +129,15 @@ def _swap_first_blocks(from_eigenbasis):
     return swapped
 
 
+def _complement_block(original):
+    def complement(p):
+        original(p)  # the same checks; then the columns of the other eigenvalues
+        lam, v = np.linalg.eigh(np.asarray(p, dtype=complex))
+        return v[:, lam < 0.5]
+
+    return complement
+
+
 def _inject(monkeypatch, fault: str) -> None:
     if fault in KERNEL_FAULTS:
         name, make = KERNEL_FAULTS[fault]
@@ -144,6 +154,11 @@ def _inject(monkeypatch, fault: str) -> None:
             "SpectralObservable",
             types.SimpleNamespace(from_eigenbasis=_swap_first_blocks(original)),
         )
+    elif fault == "projector_block_complemented":
+        # every projector a caller gives is carried as the block of I - P
+        faulty = _complement_block(observables._projector_block)
+        for module in (observables, chains, premeasurement):
+            monkeypatch.setattr(module, "_projector_block", faulty)
     elif fault in ISOMETRY_FAULTS:
         monkeypatch.setattr(
             premeasurement, "np", _numpy_with_faulty_einsum(ISOMETRY_FAULTS[fault])

@@ -10,13 +10,13 @@ from vnchain import (
     DecompositionOfIdentity,
     DensityOperator,
     DimensionMismatchError,
+    InvalidDecompositionError,
     NotAProjectorError,
     SpectralBranch,
     SpectralObservable,
     StateVector,
     SubsystemBasis,
     build_ideal,
-    check_decomposition,
     event_complement,
     layout,
     observable_from_matrix,
@@ -26,9 +26,9 @@ from vnchain import (
     random_ideal,
     random_unitary,
 )
-from vnchain import chains, cli, observables
+from vnchain import chains, cli, observables, premeasurement
 
-from oracles import brute_eigenbasis_projectors, check_dense_spectral_family
+from oracles import brute_eigenbasis_projectors, check_dense_spectral_family, is_projector
 
 RNG = np.random.default_rng(77)
 
@@ -155,23 +155,24 @@ class TestSpectralObservableInvariants:
         with pytest.raises(ValueError, match="NaN or infinite"):
             SpectralBranch(0, 0.0, np.diag([np.nan, 1.0]))
         with pytest.raises(ValueError, match="NaN or infinite"):
-            DecompositionOfIdentity("A", (np.diag([np.nan, 1.0]), np.eye(2)))
+            DecompositionOfIdentity.from_projectors("A", (np.diag([np.nan, 1.0]), np.eye(2)))
 
 
 class TestCheckDecomposition:
+    """``DecompositionOfIdentity.from_projectors`` is the one check of a
+    projector family a caller gives."""
+
     def test_canonical_qubit_passes(self):
-        d = DecompositionOfIdentity("B", (np.diag([1.0, 0]), np.diag([0, 1.0])))
-        report = check_decomposition(d)
-        assert report.passed
-        assert max(report.max_idempotency, report.max_orthogonality) <= 1e-15
-        assert report.completeness <= 1e-15
+        projs = (np.diag([1.0, 0]), np.diag([0, 1.0]))
+        d = DecompositionOfIdentity.from_projectors("B", projs)
+        assert (d.subsystem, d.dim, d.observable.eigenvalues) == ("B", 2, (0.0, 1.0))
+        for f, p in zip(d.factors, projs, strict=True):
+            np.testing.assert_allclose(f.conj().T @ f, p, rtol=0, atol=1e-15)
 
     def test_duplicated_projector_fails(self):
         p = np.diag([1.0, 0.0])
-        report = check_decomposition(DecompositionOfIdentity("B", (p, p)))
-        assert not report.passed
-        assert report.completeness > 0.5
-        assert report.max_orthogonality > 0.5
+        with pytest.raises(InvalidDecompositionError, match="not orthonormal"):
+            DecompositionOfIdentity.from_projectors("B", (p, p))
 
     def test_conjugation_preserves_validity(self):
         for _ in range(10):
@@ -184,12 +185,31 @@ class TestCheckDecomposition:
                     np.diag([0, 0, 0, 1.0]),
                 )
             )
-            assert check_decomposition(DecompositionOfIdentity("B", projs)).passed
+            d = DecompositionOfIdentity.from_projectors("B", projs)
+            assert [b.rank for b in d.observable.branches] == [1, 2, 1]
+            for got, p in zip(d.projectors, projs, strict=True):
+                np.testing.assert_allclose(got, p, rtol=0, atol=1e-12)
 
     def test_spectral_observable_decomposition_passes(self):
         h = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
         obs = observable_from_matrix((h + h.conj().T) / 2, "A")
-        assert check_decomposition(obs.decomposition()).passed
+        projs = obs.decomposition().projectors
+        check_dense_spectral_family(list(zip(obs.eigenvalues, projs)))
+        DecompositionOfIdentity.from_projectors("A", projs)
+
+    @pytest.mark.parametrize(
+        "projectors,error,message",
+        [
+            ((np.zeros((2, 2)), np.eye(2)), InvalidDecompositionError, "rank 0"),
+            ((np.diag([1.0, 0.0]),), InvalidDecompositionError, "do not sum to the identity"),
+            ((np.diag([1.0, 0.0]), np.diag([0.5, 1.0])), NotAProjectorError, "idempotent"),
+            ((np.eye(2), np.eye(3)), DimensionMismatchError, "row count"),
+            ((), DimensionMismatchError, "at least one branch"),
+        ],
+    )
+    def test_bad_families_rejected(self, projectors, error, message):
+        with pytest.raises(error, match=message):
+            DecompositionOfIdentity.from_projectors("B", projectors)
 
 
 class TestEventComplement:
@@ -210,7 +230,7 @@ class TestEventComplement:
             c = event_complement(p)
             assert projector_rank(p) == r
             assert projector_rank(c) == d - r
-            assert check_decomposition(DecompositionOfIdentity("B", (p, c))).passed
+            DecompositionOfIdentity.from_projectors("B", (p, c))
 
     def test_non_projector_rejected(self):
         with pytest.raises(NotAProjectorError):
@@ -260,7 +280,7 @@ class TestFromEigenbasis:
         for k, (branch, (_, proj)) in enumerate(zip(obs.branches, pairs, strict=True)):
             assert branch.index == k
             np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
-        assert check_decomposition(obs.decomposition()).passed
+        DecompositionOfIdentity.from_projectors("A", obs.decomposition().projectors)
         basis = np.hstack([b.basis for b in obs.branches])
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(d), rtol=0, atol=1e-14)
 
@@ -280,7 +300,7 @@ class TestFromEigenbasis:
         assert pm.pointer.eigenvalues == tuple(e for e, _ in pairs)
         for branch, (_, proj) in zip(pm.pointer.branches, pairs, strict=True):
             np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
-        assert check_decomposition(pm.pointer.decomposition()).passed
+        DecompositionOfIdentity.from_projectors("B", pm.pointer.decomposition().projectors)
         offset = 1 if complement is not None else 0
         assert pm.mapping == {k: k + offset for k in range(n)}
 
@@ -337,7 +357,7 @@ VALUE_TYPES = {
     "SubsystemBasis": lambda: SubsystemBasis("A", (np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
     "SpectralBranch": lambda: SpectralBranch(0, 0.0, np.eye(2)),
     "SpectralObservable": lambda: observable_from_matrix(PAULI_Z, "A"),
-    "DecompositionOfIdentity": lambda: DecompositionOfIdentity("A", (np.eye(2),)),
+    "DecompositionOfIdentity": lambda: DecompositionOfIdentity.from_projectors("A", (np.eye(2),)),
 }
 
 
@@ -351,37 +371,31 @@ def test_array_values_compare_and_hash_by_identity(name):
     assert len({a, b}) == 2
 
 
-def _count_is_projector(monkeypatch) -> list[int]:
-    calls = [0]
-    original = observables.is_projector
+def _count_projector_block(monkeypatch) -> dict[str, int]:
+    counts = {"blocks": 0}
+    original = observables._projector_block
 
     def counting(p):
-        calls[0] += 1
+        counts["blocks"] += 1
         return original(p)
 
-    monkeypatch.setattr(observables, "is_projector", counting)
-    monkeypatch.setattr(chains, "is_projector", counting)
-    return calls
+    for module in (observables, chains, premeasurement):
+        monkeypatch.setattr(module, "_projector_block", counting)
+    return counts
 
 
 def _count_reads(monkeypatch) -> dict[str, int]:
-    """Counts reads of ``SpectralBranch.projector`` and calls of
-    ``check_decomposition``."""
-    counts = {"projector": 0, "check_decomposition": 0}
+    """Counts calls of ``_projector_block`` and reads of
+    ``SpectralBranch.projector``."""
+    counts = _count_projector_block(monkeypatch)
+    counts["projector"] = 0
     projector = SpectralBranch.projector.fget
-    check = observables.check_decomposition
 
     def read(branch):
         counts["projector"] += 1
         return projector(branch)
 
-    def checking(d):
-        counts["check_decomposition"] += 1
-        return check(d)
-
     monkeypatch.setattr(SpectralBranch, "projector", property(read))
-    monkeypatch.setattr(observables, "check_decomposition", checking)
-    monkeypatch.setattr(chains, "check_decomposition", checking)
     return counts
 
 
@@ -408,10 +422,11 @@ def _copy_chain_document(n_qubits: int, analyses=("branches",)) -> dict:
 
 class TestNoDenseProjectorChecks:
     """Library-made observables are checked through their eigenbasis, never by
-    ``is_projector``."""
+    ``_projector_block``, which checks only projectors given from outside an
+    observable: events, dressing ranges and ``from_projectors`` families."""
 
     def test_constructors(self, monkeypatch):
-        calls = _count_is_projector(monkeypatch)
+        counts = _count_projector_block(monkeypatch)
         rng = np.random.default_rng(9)
         h = rng.standard_normal((5, 5))
         observable_from_matrix(h + h.T, "A")
@@ -421,21 +436,24 @@ class TestNoDenseProjectorChecks:
         build_ideal(measured, states, StateVector(layout(("B", 64)), eye[:, 2]))
         for da, db in [(2, 2), (3, 5), (4, 4)]:
             random_ideal("A", "B", da, db, rng)
-            random_exact("A", "B", da, db, rng)
-        assert calls[0] == 0
+        assert counts["blocks"] == 0
+        for da, db in [(2, 2), (3, 5), (4, 4)]:  # one dressing range per measured branch
+            before = counts["blocks"]
+            pm = random_exact("A", "B", da, db, rng)
+            assert counts["blocks"] - before == pm.measured.branch_count
 
     def test_copy_chain_run(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "copy.json"
         path.write_text(json.dumps(_copy_chain_document(6)))
-        calls = _count_is_projector(monkeypatch)
+        counts = _count_projector_block(monkeypatch)
         assert cli.main(["run", str(path)]) == 0
         assert "result: PASS" in capsys.readouterr().out
-        assert calls[0] == 0
+        assert counts["blocks"] == 0
 
     def test_copy_chain_branch_analyses_use_blocks_only(self, monkeypatch, tmp_path, capsys):
         """Branches, improper mixture and world branches apply every pointer
-        branch through its eigenbasis block: no projector is formed and no
-        decomposition is re-checked densely."""
+        branch through its eigenbasis block: no projector is formed and none
+        is checked again."""
         analyses = ("branches", "improper_mixture", "world_branches")
         path = tmp_path / "copy.json"
         path.write_text(json.dumps(_copy_chain_document(6, analyses)))
@@ -443,61 +461,133 @@ class TestNoDenseProjectorChecks:
         assert cli.main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "result: PASS" in out and out.count("dropped") == 3
-        assert counts == {"projector": 0, "check_decomposition": 0}
+        assert counts == {"projector": 0, "blocks": 0}
 
     def test_given_projectors_are_still_checked(self, monkeypatch):
         counts = _count_reads(monkeypatch)
         psi = StateVector(layout(("A", 2), ("B", 2)), np.array([1.0, 0, 0, 1.0]) / np.sqrt(2))
-        dec = DecompositionOfIdentity("B", (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        dec = DecompositionOfIdentity.from_projectors(
+            "B", (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        )
+        assert counts["blocks"] == 2
         chains.improper_mixture(psi, dec)
-        assert counts["check_decomposition"] == 1
-        with pytest.raises(chains.InvalidDecompositionError):
-            chains.improper_mixture(psi, DecompositionOfIdentity("B", (np.eye(2), np.eye(2))))
+        assert counts == {"projector": 0, "blocks": 2}
+        with pytest.raises(InvalidDecompositionError):
+            DecompositionOfIdentity.from_projectors("B", (np.eye(2), np.eye(2)))
+        assert counts["blocks"] == 4
 
     def test_tripartite_checks_its_event_once(self, monkeypatch):
-        calls = _count_is_projector(monkeypatch)
+        counts = _count_projector_block(monkeypatch)
         rng = np.random.default_rng(12)
         rho = random_density(layout(("A", 2), ("B", 2), ("C", 2)), rng)
         p = projector_onto([random_unitary(2, rng)[:, 0]])
         for n in (1, 2, 3):
             chains.tripartite_conditional_consistency(rho, p, "B", "C")
-            assert calls[0] == n
+            assert counts["blocks"] == n
         with pytest.raises(NotAProjectorError):
             chains.tripartite_conditional_consistency(rho, np.diag([0.5, 0.5]), "B", "C")
-        assert calls[0] == 4
+        assert counts["blocks"] == 4
 
 
 class TestObservableDecomposition:
-    """An observable's decomposition carries the observable, not projectors."""
+    """A decomposition of the identity is a checked observable; its factors
+    and projectors are read from the observable's blocks."""
 
     def test_records_its_observable_and_forms_projectors_on_read(self):
         obs = observable_from_matrix(PAULI_X, "A")
         dec = obs.decomposition()
-        assert dec.observable is obs and "projectors" not in vars(dec)
+        assert dec.observable is obs and list(vars(dec)) == ["observable"]
         assert dec.dim == 2 and dec.subsystem == "A"
         for f, b in zip(dec.factors, obs.branches, strict=True):
             np.testing.assert_array_equal(f, b.basis.conj().T)
         first = dec.projectors
-        assert first is dec.projectors
+        assert first is not dec.projectors
         for p, b in zip(first, obs.branches, strict=True):
+            assert not p.flags.writeable
             np.testing.assert_array_equal(p, b.projector)
-        assert check_decomposition(dec).passed
+        check_dense_spectral_family(list(zip(obs.eigenvalues, first)))
 
-    def test_given_projectors_are_their_own_factors(self):
-        projs = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        dec = DecompositionOfIdentity("A", projs)
-        assert dec.observable is None and dec.factors is dec.projectors
+    def test_given_projectors_are_factored_by_their_blocks(self):
+        rng = np.random.default_rng(8)
+        u = random_unitary(3, rng)
+        projs = (projector_onto([u[:, 0], u[:, 2]]), projector_onto([u[:, 1]]))
+        dec = DecompositionOfIdentity.from_projectors("A", projs)
+        assert [f.shape for f in dec.factors] == [(2, 3), (1, 3)]
+        for f, p in zip(dec.factors, projs, strict=True):
+            np.testing.assert_allclose(f.conj().T @ f, p, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(f @ f.conj().T, np.eye(f.shape[0]), rtol=0, atol=1e-14)
 
     def test_checked_mark_is_not_settable(self):
+        """The observable is the only field: a decomposition cannot be made
+        from bare projectors, nor be given another observable afterwards."""
         obs = observable_from_matrix(PAULI_Z, "A")
         with pytest.raises(TypeError):
-            DecompositionOfIdentity("A", (np.eye(2),), observable=obs)
+            DecompositionOfIdentity("A", (np.eye(2),))
+        with pytest.raises(TypeError):
+            DecompositionOfIdentity(obs, projectors=(np.eye(2),))
+        dec = obs.decomposition()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            DecompositionOfIdentity("A", (np.eye(2),)).observable = obs
-        copied = dataclasses.replace(obs.decomposition())
-        assert copied.observable is None and len(copied.projectors) == 2
+            dec.observable = observable_from_matrix(PAULI_X, "A")
+        with pytest.raises(AttributeError):
+            dec.projectors = (np.eye(2),)
+        assert dataclasses.replace(dec).observable is obs
 
     def test_missing_attributes_stay_attribute_errors(self):
         dec = observable_from_matrix(PAULI_Z, "A").decomposition()
         with pytest.raises(AttributeError, match="no attribute 'no_such_attribute'"):
             dec.no_such_attribute
+
+
+def _block_diagonal_noise(p, rng, scale, hermitian=True):
+    """Noise E of Frobenius norm ``scale`` that keeps the range of P: Hermitian
+    blocks on the range and its complement, so ||(P + E)^2 - (P + E)|| is
+    ||E|| to first order, or (``hermitian=False``) an anti-Hermitian E."""
+    d = p.shape[0]
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if hermitian:
+        c = np.eye(d) - p
+        e = p @ (a + a.conj().T) @ p + c @ (a + a.conj().T) @ c
+    else:
+        e = a - a.conj().T
+    return e * (scale / np.linalg.norm(e))
+
+
+class TestProjectorBlock:
+    """``_projector_block`` against the dense oracle ``is_projector``."""
+
+    @pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 5)])
+    @pytest.mark.parametrize(
+        "kind,factor,accepted",
+        [("hermitian", 0.5, True), ("hermitian", 2.0, False), ("anti_hermitian", 2.0, False)],
+    )
+    def test_agrees_with_dense_oracle(self, d, r, kind, factor, accepted):
+        rng = np.random.default_rng(40 * d + r)
+        u = random_unitary(d, rng)
+        p = projector_onto([u[:, i] for i in range(r)])
+        if kind == "hermitian":
+            noise = _block_diagonal_noise(p, rng, factor * observables.DEFAULT.orth * d)
+        else:
+            noise = _block_diagonal_noise(p, rng, factor * observables.DEFAULT.herm, False)
+        noisy = p + noise
+        assert is_projector(p) and is_projector(noisy) is accepted
+        if accepted:
+            q = observables._projector_block(noisy)
+            assert q.shape == (d, r) and not q.flags.writeable
+            np.testing.assert_allclose(q @ q.conj().T, p, rtol=0, atol=1e-9)
+        else:
+            with pytest.raises(NotAProjectorError):
+                observables._projector_block(noisy)
+
+    @pytest.mark.parametrize(
+        "p,error",
+        [
+            (np.ones((2, 3)), NotAProjectorError),
+            (np.ones(4), NotAProjectorError),
+            (np.diag([0.5, 0.5]), NotAProjectorError),
+            (np.diag([np.nan, 1.0]), ValueError),
+        ],
+    )
+    def test_rejects_what_the_oracle_rejects(self, p, error):
+        assert not is_projector(p)
+        with pytest.raises(error):
+            observables._projector_block(p)

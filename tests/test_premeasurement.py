@@ -7,6 +7,7 @@ from vnchain import (
     PAULI_X,
     DimensionMismatchError,
     DressingError,
+    NotAProjectorError,
     StateVector,
     SubsystemBasis,
     branch_decomposition,
@@ -163,6 +164,15 @@ class TestBuildExact:
                 pointer_prob = np.vdot(final, f @ final)
                 worst = max(worst, abs(float(np.real(born - pointer_prob))))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize(
+        "p",
+        [np.diag([0.7, 0.2]), np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((2, 3))],
+        ids=["not_idempotent", "not_hermitian", "not_square"],
+    )
+    def test_range_unitary_needs_a_projector(self, p):
+        with pytest.raises(NotAProjectorError):
+            random_range_unitary(p, np.random.default_rng(0))
 
     def test_leaking_dressing_rejected(self):
         pm = qubit_pm()
