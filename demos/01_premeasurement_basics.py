@@ -52,12 +52,11 @@ for report in check_conditions(ideal, trials=20, seed=1):
     print(f"{report.condition:<26} residual {report.max_residual:.2e}  "
           f"{'PASS' if report.passed else 'FAIL'}")
 
-# dressing with per-outcome unitaries breaks idealness but not the conditions
+# dressing with per-outcome unitaries breaks idealness but not the conditions;
+# each instrument dressing acts on the range of its outcome's pointer branch
 rng = np.random.default_rng(7)
-dressings = [
-    (random_unitary(3, rng), random_range_unitary(ideal.pointer_projector_for(k), rng))
-    for k in range(3)
-]
+ranges = [ideal.pointer.branches[ideal.mapping[k]].basis for k in range(3)]
+dressings = [(random_unitary(3, rng), random_range_unitary(q, rng)) for q in ranges]
 exact = build_exact(ideal, dressings)
 print("\ndressed (general exact) premeasurement:")
 for report in check_conditions(exact, trials=20, seed=2):

@@ -16,7 +16,6 @@ from vnchain import (
     expand_in_basis,
     layout,
     partial_scalar_product,
-    projector_onto,
     random_state,
     relative_state,
 )
@@ -35,8 +34,9 @@ coeff = expand_in_basis(psi, basis)[0][1].normalize()
 # route 2: contract the bra directly and normalize
 rel = relative_state(psi, "right", phi_right)
 
-# route 3: condition the density operator on the rank-one event
-cond = conditional_state(psi.density(), projector_onto([phi_right]), "right")
+# route 3: condition the density operator on the rank-one event, given as
+# its block: the unit vector as one column
+cond = conditional_state(psi.density(), phi_right[:, None], "right")
 
 p1 = np.outer(coeff.amplitudes, coeff.amplitudes.conj())
 p2 = np.outer(rel.amplitudes, rel.amplitudes.conj())
@@ -48,9 +48,10 @@ print("projector distance, route 2 vs 3:", np.linalg.norm(p2 - cond.matrix))
 overlap = partial_scalar_product(phi_right, "right", psi)
 print("\nsubject-vector probability:", overlap.norm() ** 2)
 
-# conditioning works for events of any rank, in two equivalent forms
+# conditioning works for events of any rank, in two equivalent forms; a
+# rank-two event is given by two orthonormal columns
 q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-event = projector_onto([q[:, 0], q[:, 1]])
+event = q[:, :2]
 plain = conditional_state(psi.density(), event, "right", form="plain")
 sandwich = conditional_state(psi.density(), event, "right", form="sandwich")
 print("plain vs sandwich form:", np.linalg.norm(plain.matrix - sandwich.matrix))

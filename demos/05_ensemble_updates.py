@@ -16,7 +16,6 @@ from vnchain import (
     ensemble_update,
     layout,
     monte_carlo_update,
-    projector_onto,
 )
 
 lay = layout(("system", 2), ("meter", 2))
@@ -24,7 +23,7 @@ member_a = StateVector(lay, np.array([0.6, 0.8, 0.0, 0.0], dtype=complex))
 member_b = StateVector(lay, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
 ensemble = WeightedEnsemble(((0.4, member_a), (0.6, member_b)))
 
-event = projector_onto([np.array([1.0, 0.0])])  # meter found in |0>
+event = np.array([[1.0], [0.0]])  # meter found in |0>, as the block of |0><0|
 
 result = ensemble_update(ensemble, event, "meter")
 print("occurrence probability:", f"{result.occurrence_probability:.6f}")

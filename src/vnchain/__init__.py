@@ -64,9 +64,7 @@ from .observables import (
     DecompositionOfIdentity,
     SpectralBranch,
     SpectralObservable,
-    event_complement,
     observable_from_matrix,
-    projector_onto,
 )
 from .premeasurement import (
     ConditionReport,

@@ -3,8 +3,9 @@
 Everything here is phrased over labeled multipartite states: a chain link
 appends one instrument subsystem, a decomposition of the identity on one
 subsystem splits the state of the remaining subsystems into weighted
-branches, and conditioning on a projector gives the relative (conditional)
-state of the opposite subsystems.
+branches, and conditioning on an event gives the relative (conditional)
+state of the opposite subsystems.  An event P = Q Q^dag on one subsystem is
+given as its (d, r) block Q of orthonormal columns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .hilbert import (
     partial_trace_matrix,
     partial_trace_vector,
 )
-from .observables import DecompositionOfIdentity, SpectralObservable, _projector_block
+from .observables import DecompositionOfIdentity, SpectralObservable, _orthonormal_block
 from .premeasurement import Premeasurement, evolve
 from .tolerances import DEFAULT
 
@@ -52,8 +53,8 @@ class WeightedEnsemble:
             raise ValueError("ensemble needs at least one member")
         lay = members[0][1].layout
         for w, s in members:
-            if w <= 0.0:
-                raise ValueError(f"member weight {w} must be positive")
+            if not (math.isfinite(w) and w > 0.0):
+                raise ValueError(f"member weight {w} must be finite and positive")
             if s.layout != lay:
                 raise LayoutConflictError("ensemble members live on different layouts")
             if not s.normalized:
@@ -297,25 +298,26 @@ def improper_mixture(state: State, d: DecompositionOfIdentity) -> BranchDecompos
 
 def conditional_state(
     rho: DensityOperator,
-    p: np.ndarray,
+    event: np.ndarray,
     subject: str,
     form: str = "plain",
 ) -> DensityOperator:
-    """State of the opposite subsystems given the event P on the subject.
+    """State of the opposite subsystems given the event P = Q Q^dag on the
+    subject, from its block Q = ``event``.
 
     ``form="plain"`` computes tr_subject(rho P) / tr(rho P) with P itself;
     ``form="sandwich"`` computes tr_subject(P rho P) / tr(P rho P) through the
-    factor Q^dag of P = Q Q^dag.  The two agree by idempotency and
-    under-partial-trace commutativity.
+    factor Q^dag.  The two agree by idempotency and under-partial-trace
+    commutativity.
     """
     if form not in ("plain", "sandwich"):
         raise ValueError(f"unknown form {form!r}")
-    q = _projector_block(p)
+    q = _orthonormal_block(event, "event")
     lay = rho.layout
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
-    op = q.conj().T if form == "sandwich" else np.asarray(p)
+    op = q.conj().T if form == "sandwich" else q @ q.conj().T
     w, reduced = _condition_matrix(
         rho.matrix, op, lay.dims, lay.position(subject), keep, form == "sandwich"
     )
@@ -361,7 +363,7 @@ def world_branches(state: StateVector, pointer: SpectralObservable) -> BranchDec
 
 def tripartite_conditional_consistency(
     rho: DensityOperator,
-    p: np.ndarray,
+    event: np.ndarray,
     subject: str,
     environment: str,
 ) -> tuple[DensityOperator, DensityOperator]:
@@ -370,10 +372,11 @@ def tripartite_conditional_consistency(
     Route one conditions the full state, tracing out subject and environment
     together; route two first reduces over the environment and then
     conditions.  Both agree, which is why conditioning is well defined on
-    improper mixtures.  The event is checked once, for both routes.
+    improper mixtures.  The event's block Q is checked once, and both routes
+    multiply by P = Q Q^dag.
     """
-    _projector_block(p)
-    lay, p = rho.layout, np.asarray(p)
+    q = _orthonormal_block(event, "event")
+    lay, p = rho.layout, q @ q.conj().T
     if not _keep_positions(lay, {subject, environment}):
         raise LayoutConflictError("no object subsystems left")
     lay_ab = lay.restricted(set(lay.labels) - {environment})
@@ -405,18 +408,21 @@ def proper_mixture(bd: BranchDecomposition) -> WeightedEnsemble:
     return WeightedEnsemble(tuple(members))
 
 
-def ensemble_update(ens: WeightedEnsemble, p: np.ndarray, subject: str) -> EnsembleUpdateResult:
-    """Re-weight a proper mixture after the event P occurred on the subject.
+def ensemble_update(
+    ens: WeightedEnsemble, event: np.ndarray, subject: str
+) -> EnsembleUpdateResult:
+    """Re-weight a proper mixture after the event P = Q Q^dag, given as its
+    block Q = ``event``, occurred on the subject.
 
     New weights are w_k * <Psi_k|P|Psi_k> renormalized by the total
     occurrence probability; members that never trigger the event are
-    dropped.  The event is applied through the factor Q^dag of P = Q Q^dag.
+    dropped.  The event is applied through the factor Q^dag.
     The aggregate opposite-subsystem state is conditioned from the mixture's
     factor [sqrt(w_k) Psi_k] in one batch and cross-checked against the
     member sum.
     """
     lay = ens.layout
-    factor = _projector_block(p).conj().T
+    factor = _orthonormal_block(event, "event").conj().T
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
@@ -452,7 +458,7 @@ def ensemble_update(ens: WeightedEnsemble, p: np.ndarray, subject: str) -> Ensem
 
 def monte_carlo_update(
     ens: WeightedEnsemble,
-    p: np.ndarray,
+    event: np.ndarray,
     subject: str,
     n_samples: int,
     seed: int,
@@ -460,14 +466,14 @@ def monte_carlo_update(
     """Finite-sample counterpart of ``ensemble_update``.
 
     Each sample picks a member with the prior weights and then flips an
-    occurrence coin with that member's event probability ||Q^dag Psi_k||^2,
-    P = Q Q^dag; empirical weights are the accepted counts normalized.
-    Driven by ``numpy``'s PCG64 generator, so runs are bit-reproducible per
-    seed.
+    occurrence coin with that member's event probability ||Q^dag Psi_k||^2
+    for the event's block Q = ``event``; empirical weights are the accepted
+    counts normalized.  Driven by ``numpy``'s PCG64 generator, so runs are
+    bit-reproducible per seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    factor = _projector_block(p).conj().T
+    factor = _orthonormal_block(event, "event").conj().T
     lay = ens.layout
     amps = np.array([s.amplitudes for _, s in ens.members])
     projected = apply_local(factor, amps, lay.dims, lay.position(subject))
@@ -501,6 +507,8 @@ def redecompose(ens: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:
     k = len(ens.members)
     if mixing.shape[0] < k or mixing.shape[0] != mixing.shape[1]:
         raise DimensionMismatchError("mixing matrix too small for the ensemble")
+    if not np.isfinite(mixing).all():
+        raise ValueError("mixing matrix has NaN or infinite entries")
     if np.linalg.norm(mixing.conj().T @ mixing - np.eye(mixing.shape[0])) > DEFAULT.unitary * mixing.shape[0]:
         raise ValueError("mixing matrix must be unitary")
     lay = ens.layout

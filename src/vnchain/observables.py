@@ -4,9 +4,9 @@ A spectral observable is stored as an ordered list of branches
 ``(index, eigenvalue, basis)``: pairwise distinct eigenvalues, each with an
 orthonormal (d, r_k) block Q_k of eigenvectors (any rank r_k >= 1), the
 blocks side by side an orthonormal basis of the space.  The branch
-projector Q_k Q_k^dag is derived from its block on request.  A projector
-given by a caller is checked once, by ``_projector_block``, and carried as
-its block too.
+projector Q_k Q_k^dag is derived from its block on request.  A caller gives
+an event or a decomposition of the identity as such blocks too, and
+``_orthonormal_block`` is the one check of every block.
 """
 
 from __future__ import annotations
@@ -27,27 +27,25 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _projector_block(p) -> np.ndarray:
-    """The read-only (d, r) block Q with Q Q^dag = P of a projector P that a
-    caller gives: the one check of such a projector.
+def _orthonormal_block(q, what: str) -> np.ndarray:
+    """``q`` as a complex (d, r) block Q of orthonormal columns: the one check
+    of an eigenbasis and of an event P = Q Q^dag.
 
-    P must be square, finite and within ``DEFAULT.herm`` of Hermitian.  With
-    lambda, V = eigh(P), ||lambda^2 - lambda||_2 is ||P^2 - P||_F of the
-    Hermitian P, and must be within the dense idempotency bound
-    ``DEFAULT.orth * d``.  Q is the columns of V with lambda > 1/2.
+    Q must be 2-D with r <= d and bound eps = ||Q^dag Q - I|| by
+    (1 + eps) eps <= ``DEFAULT.orth * d``, which a NaN or infinite entry
+    fails.  That bounds the dense idempotency residual
+    ||P^2 - P|| = ||Q (Q^dag Q - I) Q^dag||, and P is Hermitian by
+    construction.  ``what`` names the block in the error.
     """
-    p = _frozen_array(p)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise NotAProjectorError(f"expected a square matrix, got shape {p.shape}")
-    herm = np.linalg.norm(p - p.conj().T)
-    if not herm <= DEFAULT.herm:
-        raise NotAProjectorError(f"matrix not Hermitian: residual {herm:.3e}")
-    lam, v = np.linalg.eigh(p)
-    idem = np.linalg.norm(lam * lam - lam)
-    if not idem <= DEFAULT.orth * p.shape[0]:
-        raise NotAProjectorError(f"matrix not idempotent: residual {idem:.3e}")
-    q = v[:, lam > 0.5]
-    q.setflags(write=False)
+    q = np.asarray(q, dtype=complex)
+    if q.ndim != 2 or q.shape[1] > q.shape[0]:
+        raise NotAProjectorError(f"{what} of shape {q.shape} is not a (d, r) block with r <= d")
+    d, r = q.shape
+    gram = q.conj().T @ q
+    gram.flat[:: r + 1] -= 1.0
+    eps = float(np.linalg.norm(gram))
+    if not eps * (1 + eps) <= DEFAULT.orth * d:
+        raise NotAProjectorError(f"{what} is not orthonormal: Gram residual {eps:.3e}")
     return q
 
 
@@ -93,10 +91,11 @@ class SpectralObservable:
 
     The constructor is the only check.  Besides shapes, ranks >= 1 and the
     spectrum, it needs d columns and bounds eps = ||E||, E = B^dag B - I for
-    the blocks side by side, B = [Q_1, ..., Q_n].  Every residual of a dense
-    check of the projectors (idempotency Q_k E_kk Q_k^dag, orthogonality
-    Q_i E_ij Q_j^dag, completeness I - B B^dag) is then at most
-    (1 + eps) eps, which must be within the dense bound ``DEFAULT.orth * d``.
+    the blocks side by side, B = [Q_1, ..., Q_n], by ``_orthonormal_block``.
+    Every residual of a dense check of the projectors (idempotency
+    Q_k E_kk Q_k^dag, orthogonality Q_i E_ij Q_j^dag, completeness
+    I - B B^dag) is then at most (1 + eps) eps, which must be within the
+    dense bound ``DEFAULT.orth * d``.
     """
 
     subsystem: str
@@ -121,11 +120,7 @@ class SpectralObservable:
         for b in branches:
             if b.rank == 0:
                 raise NotAProjectorError(f"branch {b.index} block is empty: rank 0")
-        gram = basis.conj().T @ basis
-        gram.flat[:: n + 1] -= 1.0
-        eps = float(np.linalg.norm(gram))
-        if not eps * (1 + eps) <= DEFAULT.orth * max(1, d):
-            raise NotAProjectorError(f"eigenbasis is not orthonormal: Gram residual {eps:.3e}")
+        _orthonormal_block(basis, "eigenbasis")
         if n != d:
             raise NotAProjectorError("branch projectors do not sum to the identity")
 
@@ -187,30 +182,29 @@ class SpectralObservable:
 @dataclass(frozen=True, eq=False)
 class DecompositionOfIdentity:
     """The branch projectors F_k = Q_k Q_k^dag of a checked observable: a
-    decomposition of the identity on its subsystem.  A family of projectors
-    that a caller gives becomes one through ``from_projectors``.
+    decomposition of the identity on its subsystem.  A family of blocks
+    that a caller gives becomes one through ``from_blocks``.
     """
 
     observable: SpectralObservable
 
     @classmethod
-    def from_projectors(
-        cls, subsystem: str, projectors: Sequence[np.ndarray]
+    def from_blocks(
+        cls, subsystem: str, blocks: Sequence[np.ndarray]
     ) -> "DecompositionOfIdentity":
-        """Check a caller's projectors P_k, each by ``_projector_block``, and
-        their blocks, with eigenvalues 0..n-1, by the ``SpectralObservable``
-        constructor, whose one Gram product bounds orthogonality and
-        completeness.  A family that fails it, a rank-0 member included,
-        raises ``InvalidDecompositionError``; members of different shapes,
-        or more members than dimensions, raise ``DimensionMismatchError``.
+        """The projectors Q_k Q_k^dag of a caller's (d, r_k) blocks Q_k, checked,
+        with eigenvalues 0..n-1, by the ``SpectralObservable`` constructor,
+        whose one Gram product bounds orthonormality and completeness.  A
+        family that fails it, a rank-0 member included, raises
+        ``InvalidDecompositionError``; blocks of different row counts, or
+        more members than dimensions, raise ``DimensionMismatchError``.
         """
-        blocks = [_projector_block(p) for p in projectors]
         branches = tuple(SpectralBranch(k, float(k), q) for k, q in enumerate(blocks))
         try:
             return cls(SpectralObservable(subsystem, branches))
         except NotAProjectorError as exc:
             raise InvalidDecompositionError(
-                f"projectors are not a decomposition of the identity: {exc}"
+                f"blocks are not a decomposition of the identity: {exc}"
             ) from exc
 
     @property
@@ -257,16 +251,3 @@ def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
         [float(np.mean(eigvals[group])) for group in groups],
         [eigvecs[:, group] for group in groups],
     )
-
-
-def event_complement(p: np.ndarray) -> np.ndarray:
-    """Complementary event I - P of a projector."""
-    _projector_block(p)
-    p = np.asarray(p, dtype=complex)
-    return np.eye(p.shape[0], dtype=complex) - p
-
-
-def projector_onto(vectors) -> np.ndarray:
-    """Orthogonal projector onto the span of the given orthonormal vectors."""
-    m = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
-    return m @ m.conj().T

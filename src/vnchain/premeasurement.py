@@ -35,7 +35,7 @@ from .hilbert import (
     complete_orthonormal,
     random_unitary,
 )
-from .observables import SpectralObservable, _projector_block
+from .observables import SpectralObservable, _orthonormal_block
 from .tolerances import DEFAULT
 
 
@@ -128,10 +128,6 @@ class Premeasurement:
                 (self.instrument_label, self.instrument_dim),
             )
         )
-
-    def pointer_projector_for(self, measured_index: int) -> np.ndarray:
-        """Pointer projector corresponding to a measured branch."""
-        return self.pointer.projector(self.mapping[measured_index])
 
 
 def _checked_isometry(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -481,13 +477,13 @@ def random_observable(
     )
 
 
-def random_range_unitary(projector: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary on the range of a projector, identity on its complement;
-    the projector is checked and its range taken by ``_projector_block``."""
-    cols = _projector_block(projector)
-    u = random_unitary(cols.shape[1], rng)
-    full = np.eye(cols.shape[0], dtype=complex) - cols @ cols.conj().T
-    return full + cols @ u @ cols.conj().T
+def random_range_unitary(block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Haar unitary on the range of an orthonormal (d, r) block Q, identity on
+    its complement: I - Q Q^dag + Q U Q^dag."""
+    q = _orthonormal_block(block, "range block")
+    u = random_unitary(q.shape[1], rng)
+    full = np.eye(q.shape[0], dtype=complex) - q @ q.conj().T
+    return full + q @ u @ q.conj().T
 
 
 def random_ideal(
@@ -526,7 +522,7 @@ def random_exact(
     dressings = [
         (
             random_unitary(ideal.object_dim, rng),
-            random_range_unitary(ideal.pointer_projector_for(k), rng),
+            random_range_unitary(ideal.pointer.branches[ideal.mapping[k]].basis, rng),
         )
         for k in range(ideal.measured.branch_count)
     ]

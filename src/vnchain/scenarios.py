@@ -43,7 +43,6 @@ from .observables import (
     PAULI_Z,
     SpectralObservable,
     observable_from_matrix,
-    projector_onto,
 )
 from .premeasurement import (
     Premeasurement,
@@ -738,7 +737,7 @@ def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]
                 dressings = [
                     (
                         random_unitary(pm.object_dim, rng),
-                        random_range_unitary(pm.pointer_projector_for(k), rng),
+                        random_range_unitary(pm.pointer.branches[pm.mapping[k]].basis, rng),
                     )
                     for k in range(pm.measured.branch_count)
                 ]
@@ -862,11 +861,10 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
     bd = branch_decomposition(final, pms[src].pointer)
     ens = proper_mixture(bd)
     pdoc = params.get("projector")
-    proj = None
     if pdoc is None:
         subject = pms[-1].instrument_label
         vec = _parse_amplitudes("plus", final.layout.dim_of(subject), "$.analysis.projector")
-        proj = projector_onto([vec])
+        event = vec[:, None]
     else:
         subject = str(pdoc.get("subsystem", pms[-1].instrument_label))
         if subject not in final.layout.labels:
@@ -890,15 +888,15 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
                     f"stage {stage} pointer has {pointer.branch_count} branches, "
                     f"no branch {branch}",
                 )
-            proj = pointer.projector(branch)
+            event = pointer.branches[branch].basis
         else:
             vec = _parse_amplitudes(
                 _require(pdoc, "state", "$.analysis.projector"),
                 final.layout.dim_of(subject),
                 "$.analysis.projector.state",
             )
-            proj = projector_onto([vec])
-    result = ensemble_update(ens, proj, subject)
+            event = vec[:, None]
+    result = ensemble_update(ens, event, subject)
     samples = int(params.get("samples", 0))
     columns = ["member", "prior", "posterior"]
     checks = [
@@ -906,7 +904,7 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
     ]
     empirical: dict[int, tuple[float, float]] = {}
     if samples > 0:
-        mc = monte_carlo_update(ens, proj, subject, samples, seed=options.seed * 104_729 + 7)
+        mc = monte_carlo_update(ens, event, subject, samples, seed=options.seed * 104_729 + 7)
         total_accepted = sum(mc.accepted_counts)
         columns += ["empirical", "deviation", "bound(3se)"]
         worst_ratio = 0.0

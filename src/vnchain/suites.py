@@ -49,7 +49,7 @@ from .hilbert import (
     random_unitary,
     tensor,
 )
-from .observables import observable_from_matrix, projector_onto
+from .observables import observable_from_matrix
 from .premeasurement import (
     Premeasurement,
     _sharp_vector,
@@ -116,10 +116,11 @@ def _maybe_corrupt(pm: Premeasurement, ctx: SuiteContext) -> Premeasurement:
     return corrupt_premeasurement(pm, ctx.corrupt) if ctx.corrupt else pm
 
 
-def _random_projector(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+def _random_event(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """The (dim, r) block of a Haar-random event of rank r."""
     r = rank if rank is not None else int(rng.integers(1, dim))
     q = random_unitary(dim, rng)
-    return projector_onto([q[:, i] for i in range(r)])
+    return q[:, :r]
 
 
 def _suite_pt_commutativity(ctx: SuiteContext) -> tuple[int, float]:
@@ -391,7 +392,7 @@ def _suite_relative_forms(ctx: SuiteContext) -> tuple[int, float]:
         # second form: normalized partial scalar product
         rel = relative_state(psi, "B", phi_b)
         # third form: conditional state through the partial trace
-        cond = conditional_state(psi.density(), projector_onto([phi_b]), "B")
+        cond = conditional_state(psi.density(), phi_b[:, None], "B")
         p1 = np.outer(coeff.amplitudes, coeff.amplitudes.conj())
         p2 = np.outer(rel.amplitudes, rel.amplitudes.conj())
         worst = max(worst, float(np.linalg.norm(p1 - p2)))
@@ -407,10 +408,10 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
         rho = random_density(lay, rng)
-        p = _random_projector(db, rng)
+        event = _random_event(db, rng)
         try:
-            plain = conditional_state(rho, p, "B", form="plain")
-            sandwich = conditional_state(rho, p, "B", form="sandwich")
+            plain = conditional_state(rho, event, "B", form="plain")
+            sandwich = conditional_state(rho, event, "B", form="sandwich")
         except UndefinedConditionalError:
             continue
         worst = max(worst, float(np.linalg.norm(plain.matrix - sandwich.matrix)))
@@ -421,12 +422,12 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
             tuple((float(w), random_state(lay, rng)) for w in weights)
         )
         try:
-            res = ensemble_update(ens, p, "B")
+            res = ensemble_update(ens, event, "B")
         except UndefinedConditionalError:
             continue
         mixed = ens.density()
-        agg_plain = conditional_state(mixed, p, "B", form="plain")
-        agg_sandwich = conditional_state(mixed, p, "B", form="sandwich")
+        agg_plain = conditional_state(mixed, event, "B", form="plain")
+        agg_sandwich = conditional_state(mixed, event, "B", form="sandwich")
         worst = max(worst, float(np.linalg.norm(res.aggregate.matrix - agg_plain.matrix)))
         worst = max(worst, float(np.linalg.norm(agg_plain.matrix - agg_sandwich.matrix)))
         cases += 1
@@ -439,9 +440,9 @@ def _suite_tripartite(ctx: SuiteContext) -> tuple[int, float]:
     for _ in range(max(ctx.trials, 1)):
         lay = layout(("A", 2), ("B", 2), ("C", 2))
         rho = random_density(lay, rng)
-        p = _random_projector(2, rng, rank=1)
+        event = _random_event(2, rng, rank=1)
         try:
-            via_full, via_reduced = tripartite_conditional_consistency(rho, p, "B", "C")
+            via_full, via_reduced = tripartite_conditional_consistency(rho, event, "B", "C")
         except UndefinedConditionalError:
             continue
         worst = max(worst, float(np.linalg.norm(via_full.matrix - via_reduced.matrix)))
@@ -505,10 +506,10 @@ def _suite_redecomposition(ctx: SuiteContext) -> tuple[int, float]:
             tuple((float(w), random_state(lay, rng)) for w in weights)
         )
         other = redecompose(ens, random_unitary(3, rng))
-        p = _random_projector(2, rng)
+        event = _random_event(2, rng)
         try:
-            res_a = ensemble_update(ens, p, "B")
-            res_b = ensemble_update(other, p, "B")
+            res_a = ensemble_update(ens, event, "B")
+            res_b = ensemble_update(other, event, "B")
         except UndefinedConditionalError:
             continue
         worst = max(
@@ -526,12 +527,12 @@ def _suite_monte_carlo(ctx: SuiteContext) -> tuple[int, float]:
         ens = WeightedEnsemble(
             ((0.4, random_state(lay, rng)), (0.6, random_state(lay, rng)))
         )
-        p = _random_projector(2, rng, rank=1)
+        event = _random_event(2, rng, rank=1)
         try:
-            exact = ensemble_update(ens, p, "B")
+            exact = ensemble_update(ens, event, "B")
         except UndefinedConditionalError:
             continue
-        mc = monte_carlo_update(ens, p, "B", 20_000, seed=int(rng.integers(2**32)))
+        mc = monte_carlo_update(ens, event, "B", 20_000, seed=int(rng.integers(2**32)))
         total = sum(mc.accepted_counts)
         ok = True
         for m in exact.members:

@@ -138,6 +138,12 @@ def brute_density(vectors, weights=None):
     return out
 
 
+def projector_onto(block):
+    """Dense projector Q Q^dag of an orthonormal (d, r) block Q, summed column
+    by column, entry by entry."""
+    return brute_density(list(np.asarray(block).T))
+
+
 def brute_ideal_isometry(measured, pointer_states):
     """The isometry of an ideal premeasurement, column m = sum_k E_k |e_m> (x) |b_k>,
     summed by Kronecker products."""
@@ -157,7 +163,8 @@ def brute_dressed_isometry(ideal, dressings):
     eye_a = np.eye(ideal.object_dim, dtype=complex)
     dressed = np.zeros_like(ideal.isometry)
     for k, (v_a, w_b) in enumerate(dressings):
-        dressed += np.kron(v_a, w_b @ ideal.pointer_projector_for(k)) @ ideal.isometry
+        f_k = ideal.pointer.projector(ideal.mapping[k])
+        dressed += np.kron(v_a, w_b @ f_k) @ ideal.isometry
     mapped = set(ideal.mapping.values())
     for j, branch in enumerate(ideal.pointer.branches):
         if j not in mapped:

@@ -35,7 +35,6 @@ from vnchain import (
     offdiagonal_block_norm,
     partial_scalar_product,
     partial_trace,
-    projector_onto,
     proper_mixture,
     purity,
     random_density,
@@ -146,7 +145,7 @@ def test_criterion_3_relative_state_forms(acceptance):
         basis = SubsystemBasis("B", tuple(complete_orthonormal([phi_b], db)))
         coeff = expand_in_basis(psi, basis)[0][1].normalize()
         rel = relative_state(psi, "B", phi_b)
-        cond = conditional_state(psi.density(), projector_onto([phi_b]), "B")
+        cond = conditional_state(psi.density(), phi_b[:, None], "B")
         p_coeff = np.outer(coeff.amplitudes, coeff.amplitudes.conj())
         p_rel = np.outer(rel.amplitudes, rel.amplitudes.conj())
         worst = max(worst, float(np.linalg.norm(p_coeff - p_rel)))
@@ -171,9 +170,9 @@ def test_criterion_4_conditional_equivalences(acceptance):
         rho = random_density(lay, rng)
         r = int(rng.integers(1, db))
         q = random_unitary(db, rng)
-        p = projector_onto([q[:, i] for i in range(r)])
-        plain = conditional_state(rho, p, "B", form="plain")
-        sandwich = conditional_state(rho, p, "B", form="sandwich")
+        event = q[:, :r]
+        plain = conditional_state(rho, event, "B", form="plain")
+        sandwich = conditional_state(rho, event, "B", form="sandwich")
         worst = max(worst, float(np.linalg.norm(plain.matrix - sandwich.matrix)))
         # ensemble route: the member-wise update matches both closed forms
         weights = rng.random(3) + 0.1
@@ -182,12 +181,12 @@ def test_criterion_4_conditional_equivalences(acceptance):
             tuple((float(w), random_state(lay, rng)) for w in weights)
         )
         try:
-            res = ensemble_update(ens, p, "B")
+            res = ensemble_update(ens, event, "B")
         except ValueError:
             continue
         mixed = ens.density()
-        agg_plain = conditional_state(mixed, p, "B", form="plain")
-        agg_sandwich = conditional_state(mixed, p, "B", form="sandwich")
+        agg_plain = conditional_state(mixed, event, "B", form="plain")
+        agg_sandwich = conditional_state(mixed, event, "B", form="sandwich")
         worst = max(worst, float(np.linalg.norm(res.aggregate.matrix - agg_plain.matrix)))
         worst = max(worst, float(np.linalg.norm(agg_plain.matrix - agg_sandwich.matrix)))
         count += 1
@@ -195,8 +194,7 @@ def test_criterion_4_conditional_equivalences(acceptance):
     for _ in range(50):
         rho = random_density(layout(("A", 2), ("B", 2), ("C", 2)), rng)
         q = random_unitary(2, rng)
-        p = projector_onto([q[:, 0]])
-        via_full, via_reduced = tripartite_conditional_consistency(rho, p, "B", "C")
+        via_full, via_reduced = tripartite_conditional_consistency(rho, q[:, :1], "B", "C")
         worst_tri = max(
             worst_tri, float(np.linalg.norm(via_full.matrix - via_reduced.matrix))
         )
@@ -275,11 +273,11 @@ def test_criterion_7_monte_carlo_update(acceptance):
     exact = (weights[0] * p1 / total, weights[1] * p2 / total)
 
     ens = WeightedEnsemble(((weights[0], psi_1), (weights[1], psi_2)))
-    proj = projector_onto([chi])
+    event = chi[:, None]
     n_samples = 100_000
     successes = 0
     for seed in range(100):
-        mc = monte_carlo_update(ens, proj, "B", n_samples, seed=seed)
+        mc = monte_carlo_update(ens, event, "B", n_samples, seed=seed)
         accepted = sum(mc.accepted_counts)
         ok = True
         for k, w_exact in enumerate(exact):

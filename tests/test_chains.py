@@ -25,7 +25,6 @@ from vnchain import (
     observable_from_matrix,
     offdiagonal_block_norm,
     partial_trace,
-    projector_onto,
     proper_mixture,
     purity,
     random_density,
@@ -42,7 +41,7 @@ from vnchain import (
     world_branches,
 )
 
-from oracles import brute_partial_trace, embed_operator
+from oracles import brute_partial_trace, embed_operator, projector_onto
 
 RNG = np.random.default_rng(31415)
 
@@ -165,9 +164,7 @@ class TestImproperMixture:
         rho_c = random_density(layout(("C", 3)), rng)
         state = tensor(rho_ab, rho_c)
         q = random_unitary(3, rng)
-        d = DecompositionOfIdentity.from_projectors(
-            "C", (projector_onto([q[:, 0]]), projector_onto([q[:, 1], q[:, 2]]))
-        )
+        d = DecompositionOfIdentity.from_blocks("C", (q[:, :1], q[:, 1:]))
         mix = improper_mixture(state, d)
         for b in mix.branches:
             assert np.linalg.norm(b.component.matrix - rho_ab.matrix) <= 1e-10
@@ -176,23 +173,16 @@ class TestImproperMixture:
         rng = np.random.default_rng(25)
         rho = random_density(layout(("one", 3), ("two", 4)), rng)
         q = random_unitary(4, rng)
-        d = DecompositionOfIdentity.from_projectors(
-            "two",
-            (
-                projector_onto([q[:, 0]]),
-                projector_onto([q[:, 1], q[:, 2]]),
-                projector_onto([q[:, 3]]),
-            ),
-        )
+        d = DecompositionOfIdentity.from_blocks("two", (q[:, :1], q[:, 1:3], q[:, 3:]))
         mix = improper_mixture(rho, d)
         resum = sum(b.weight * b.component.matrix for b in mix.branches)
         expected = brute_partial_trace(rho.matrix, (3, 4), [0])
         assert np.linalg.norm(resum - expected) <= 1e-10
 
     def test_invalid_decomposition_rejected(self):
-        p = np.diag([1.0, 0.0])
+        q = np.eye(2)[:, :1]
         with pytest.raises(InvalidDecompositionError):  # refused when built
-            DecompositionOfIdentity.from_projectors("B", (p, p))
+            DecompositionOfIdentity.from_blocks("B", (q, q))
 
 
 class TestConditionalState:
@@ -209,7 +199,7 @@ class TestConditionalState:
         raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         phi_b = raw / np.linalg.norm(raw)
         rel = relative_state(psi, "B", phi_b)
-        cond = conditional_state(psi.density(), projector_onto([phi_b]), "B")
+        cond = conditional_state(psi.density(), phi_b[:, None], "B")
         assert (
             np.linalg.norm(np.outer(rel.amplitudes, rel.amplitudes.conj()) - cond.matrix)
             <= 1e-10
@@ -223,9 +213,8 @@ class TestConditionalState:
         rho = random_density(layout(("A", da), ("B", db)), rng)
         r = int(rng.integers(1, db))
         q = random_unitary(db, rng)
-        p = projector_onto([q[:, i] for i in range(r)])
-        plain = conditional_state(rho, p, "B", form="plain")
-        sandwich = conditional_state(rho, p, "B", form="sandwich")
+        plain = conditional_state(rho, q[:, :r], "B", form="plain")
+        sandwich = conditional_state(rho, q[:, :r], "B", form="sandwich")
         assert np.linalg.norm(plain.matrix - sandwich.matrix) <= 1e-12
 
     def test_zero_probability_event(self):
@@ -234,7 +223,7 @@ class TestConditionalState:
             basis_state(layout(("B", 2)), 0).density(),
         )
         with pytest.raises(UndefinedConditionalError):
-            conditional_state(rho, np.diag([0.0, 1.0]), "B")
+            conditional_state(rho, np.eye(2)[:, 1:], "B")
 
     def test_unknown_form(self):
         rho = random_density(layout(("A", 2), ("B", 2)), RNG)
@@ -277,7 +266,7 @@ class TestRelativeState:
             basis = SubsystemBasis("B", tuple(complete_orthonormal([phi_b], db)))
             coeff = expand_in_basis(psi, basis)[0][1].normalize()
             rel = relative_state(psi, "B", phi_b)
-            cond = conditional_state(psi.density(), projector_onto([phi_b]), "B")
+            cond = conditional_state(psi.density(), phi_b[:, None], "B")
             p_coeff = np.outer(coeff.amplitudes, coeff.amplitudes.conj())
             p_rel = np.outer(rel.amplitudes, rel.amplitudes.conj())
             assert np.linalg.norm(p_coeff - p_rel) <= 1e-10
@@ -326,17 +315,15 @@ class TestTripartiteConsistency:
         rho_ab = random_density(layout(("A", 2), ("B", 2)), rng)
         rho_c = random_density(layout(("C", 2)), rng)
         rho = tensor(rho_ab, rho_c)
-        p = projector_onto([np.array([1.0, 0.0])])
-        via_full, via_reduced = tripartite_conditional_consistency(rho, p, "B", "C")
+        via_full, via_reduced = tripartite_conditional_consistency(rho, np.eye(2)[:, :1], "B", "C")
         assert np.linalg.norm(via_full.matrix - via_reduced.matrix) <= 1e-12
 
     def test_pure_chain_state(self):
         pm1, pm2 = qubit_chain()
         plus = StateVector(layout(("A", 2)), np.array([1, 1]) / np.sqrt(2))
         _, final = run_two_link_chain(pm1, pm2, plus)
-        p = pm1.pointer.projector(0)
         via_full, via_reduced = tripartite_conditional_consistency(
-            final.density(), p, "B", "C"
+            final.density(), pm1.pointer.branches[0].basis, "B", "C"
         )
         assert np.linalg.norm(via_full.matrix - via_reduced.matrix) <= 1e-10
 
@@ -346,8 +333,7 @@ class TestTripartiteConsistency:
         rng = np.random.default_rng(seed)
         rho = random_density(layout(("A", 2), ("B", 2), ("C", 2)), rng)
         q = random_unitary(2, rng)
-        p = projector_onto([q[:, 0]])
-        via_full, via_reduced = tripartite_conditional_consistency(rho, p, "B", "C")
+        via_full, via_reduced = tripartite_conditional_consistency(rho, q[:, :1], "B", "C")
         assert np.linalg.norm(via_full.matrix - via_reduced.matrix) <= 1e-10
 
 
@@ -377,10 +363,9 @@ class TestEnsembleUpdate:
         psi = random_state(lay, rng)
         ens = WeightedEnsemble(((1.0, psi),))
         q = random_unitary(2, rng)
-        p = projector_onto([q[:, 0]])
-        res = ensemble_update(ens, p, "B")
+        res = ensemble_update(ens, q[:, :1], "B")
         # direct evaluation of the sandwich rule on the lone pure state
-        emb = embed_operator(p, "B", lay)
+        emb = embed_operator(projector_onto(q[:, :1]), "B", lay)
         vec = emb @ psi.amplitudes
         rho = np.outer(vec, vec.conj())
         rho /= np.trace(rho)
@@ -392,15 +377,14 @@ class TestEnsembleUpdate:
         rng = np.random.default_rng(33)
         ens = self.ensemble(rng, n=2)
         q = random_unitary(2, rng)
-        p = projector_onto([q[:, 0]])
-        emb = embed_operator(p, "B", ens.layout)
+        emb = embed_operator(projector_onto(q[:, :1]), "B", ens.layout)
         probs = [
             float(np.real(np.vdot(s.amplitudes, emb @ s.amplitudes)))
             for _, s in ens.members
         ]
         total = sum(w * q_ for (w, _), q_ in zip(ens.members, probs))
         expected = [w * q_ / total for (w, _), q_ in zip(ens.members, probs)]
-        res = ensemble_update(ens, p, "B")
+        res = ensemble_update(ens, q[:, :1], "B")
         assert res.weights == pytest.approx(tuple(expected), abs=1e-12)
         # aggregate equals the closed form tr_B(rho P)/tr(rho P)
         rho = ens.density().matrix
@@ -413,7 +397,7 @@ class TestEnsembleUpdate:
         psi = tensor(basis_state(layout(("A", 2)), 0), basis_state(layout(("B", 2)), 0))
         ens = WeightedEnsemble(((1.0, psi),))
         with pytest.raises(UndefinedConditionalError):
-            ensemble_update(ens, np.diag([0.0, 1.0]), "B")
+            ensemble_update(ens, np.eye(2)[:, 1:], "B")
 
     def test_redecomposition_leaves_aggregate_alone(self):
         rng = np.random.default_rng(34)
@@ -423,10 +407,34 @@ class TestEnsembleUpdate:
             other.density().matrix, ens.density().matrix, atol=1e-12
         )
         q = random_unitary(2, rng)
-        p = projector_onto([q[:, 0]])
-        res_a = ensemble_update(ens, p, "B")
-        res_b = ensemble_update(other, p, "B")
+        res_a = ensemble_update(ens, q[:, :1], "B")
+        res_b = ensemble_update(other, q[:, :1], "B")
         assert np.linalg.norm(res_a.aggregate.matrix - res_b.aggregate.matrix) <= 1e-10
+
+
+class TestNonFiniteEnsembleInputs:
+    """A NaN or infinite weight or mixing entry is refused when given, not
+    carried into sampling or silently dropped."""
+
+    LAY = layout(("A", 2), ("B", 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weight_rejected(self, bad):
+        s0, s1 = basis_state(self.LAY, 0), basis_state(self.LAY, 3)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            WeightedEnsemble(((bad, s0), (1.0, s1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mixing_matrix_rejected(self, bad):
+        """The bad entry is in a row past the members, whose weight would
+        otherwise come out NaN and be dropped without a word."""
+        rng = np.random.default_rng(40)
+        members = tuple((0.5, random_state(self.LAY, rng)) for _ in range(2))
+        ens = WeightedEnsemble(members)
+        mixing = np.eye(3, dtype=complex)
+        mixing[2, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            redecompose(ens, mixing)
 
 
 class TestMonteCarlo:
@@ -447,9 +455,8 @@ class TestMonteCarlo:
             ((0.4, random_state(lay, rng)), (0.6, random_state(lay, rng)))
         )
         q = random_unitary(2, rng)
-        p = projector_onto([q[:, 0]])
-        exact = ensemble_update(ens, p, "B")
-        mc = monte_carlo_update(ens, p, "B", 100_000, seed=11)
+        exact = ensemble_update(ens, q[:, :1], "B")
+        mc = monte_carlo_update(ens, q[:, :1], "B", 100_000, seed=11)
         total = sum(mc.accepted_counts)
         for m in exact.members:
             w_hat = mc.accepted_counts[m.index] / total
@@ -462,16 +469,16 @@ class TestMonteCarlo:
         ens = WeightedEnsemble(
             ((0.5, random_state(lay, rng)), (0.5, random_state(lay, rng)))
         )
-        p = projector_onto([np.array([1.0, 0.0])])
-        a = monte_carlo_update(ens, p, "B", 10_000, seed=99)
-        b = monte_carlo_update(ens, p, "B", 10_000, seed=99)
+        event = np.eye(2)[:, :1]
+        a = monte_carlo_update(ens, event, "B", 10_000, seed=99)
+        b = monte_carlo_update(ens, event, "B", 10_000, seed=99)
         assert a == b
 
     def test_zero_accepted_samples(self):
         psi = tensor(basis_state(layout(("A", 2)), 0), basis_state(layout(("B", 2)), 0))
         ens = WeightedEnsemble(((1.0, psi),))
         with pytest.raises(ZeroSampleError):
-            monte_carlo_update(ens, np.diag([0.0, 1.0]), "B", 1000, seed=1)
+            monte_carlo_update(ens, np.eye(2)[:, 1:], "B", 1000, seed=1)
 
     def test_shard_merge_is_order_independent(self):
         from vnchain import MonteCarloUpdate
@@ -481,14 +488,14 @@ class TestMonteCarlo:
         ens = WeightedEnsemble(
             ((0.5, random_state(lay, rng)), (0.5, random_state(lay, rng)))
         )
-        p = projector_onto([np.array([1.0, 0.0])])
-        shards = [monte_carlo_update(ens, p, "B", 5_000, seed=s) for s in range(4)]
+        event = np.eye(2)[:, :1]
+        shards = [monte_carlo_update(ens, event, "B", 5_000, seed=s) for s in range(4)]
         forward = MonteCarloUpdate.merged(shards)
         backward = MonteCarloUpdate.merged(shards[::-1])
         assert forward.member_counts == backward.member_counts
         assert forward.accepted_counts == backward.accepted_counts
         assert forward.n_samples == 20_000
-        exact = ensemble_update(ens, p, "B")
+        exact = ensemble_update(ens, event, "B")
         total = sum(forward.accepted_counts)
         for m in exact.members:
             se = np.sqrt(m.weight * (1 - m.weight) / total)
@@ -518,7 +525,7 @@ class TestProperMixtureAbsoluteness:
 
     def test_needs_pure_components(self):
         rho = random_density(layout(("A", 2), ("B", 2)), RNG)
-        dec = DecompositionOfIdentity.from_projectors("B", (np.diag([1.0, 0]), np.diag([0, 1.0])))
+        dec = DecompositionOfIdentity.from_blocks("B", (np.eye(2)[:, :1], np.eye(2)[:, 1:]))
         mix = improper_mixture(rho, dec)
         with pytest.raises(TypeError):
             proper_mixture(mix)

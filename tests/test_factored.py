@@ -41,8 +41,9 @@ from oracles import (
     brute_eigenbasis_projectors,
     brute_partial_trace,
     embed_operator,
+    projector_onto,
 )
-from test_local_operator import CASES, lay_for, rank_projector
+from test_local_operator import CASES, lay_for, rank_event
 
 KINDS = ["pure", "ensemble"]
 WEIGHTS = (0.2, 0.5, 0.3)
@@ -60,8 +61,7 @@ def sample(dims, kind, rng):
 
 
 def decomposition(subsystem, d, rng):
-    p = rank_projector(d, rng)
-    return DecompositionOfIdentity.from_projectors(subsystem, (p, np.eye(d) - p))
+    return DecompositionOfIdentity.from_blocks(subsystem, rank_event(d, rng))
 
 
 def dense_branch(rho, p, subsystem, lay, keep):
@@ -211,8 +211,9 @@ def test_ensemble_update_members_and_aggregate(dims, axis, kind):
     lay = lay_for(dims)
     ens = WeightedEnsemble(tuple((w, StateVector(lay, v)) for w, v in zip(weights, vectors)))
     subject = f"S{axis}"
-    p = rank_projector(dims[axis], rng)
-    res = ensemble_update(ens, p, subject)
+    event, _ = rank_event(dims[axis], rng)
+    p = projector_onto(event)
+    res = ensemble_update(ens, event, subject)
     keep = keep_of(dims, axis)
     member_probs = [dense_branch(brute_density(v), p, subject, lay, keep) for v in vectors]
     total = sum(w * q for w, (q, _) in zip(weights, member_probs))
@@ -255,7 +256,7 @@ def test_offdiagonal_block_norm(dims, axis, kind):
     subject, d = f"S{axis}", dims[axis]
     q = random_unitary(d, rng)
     projectors = tuple(np.outer(q[:, i], q[:, i].conj()) for i in range(d))
-    dec = DecompositionOfIdentity.from_projectors(subject, projectors)
+    dec = DecompositionOfIdentity.from_blocks(subject, [q[:, i : i + 1] for i in range(d)])
     embs = [embed_operator(p, subject, rho.layout) for p in projectors]
     expected = max(
         float(np.linalg.norm(a @ dense @ b))
@@ -402,6 +403,6 @@ def test_ensemble_cross_check_bound_stops_growing_at_2_to_10(
     monkeypatch.setattr(chains, "factor_difference", lambda a, b: np.array([[residual]]))
     if raises:
         with pytest.raises(ArithmeticError, match="do not resum"):
-            ensemble_update(ens, np.diag([1.0, 0.0]), "q0")
+            ensemble_update(ens, np.eye(2)[:, :1], "q0")
     else:
-        ensemble_update(ens, np.diag([1.0, 0.0]), "q0")
+        ensemble_update(ens, np.eye(2)[:, :1], "q0")

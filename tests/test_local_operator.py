@@ -33,7 +33,6 @@ from vnchain import (
     layout,
     monte_carlo_update,
     offdiagonal_block_norm,
-    projector_onto,
     random_density,
     random_exact,
     random_ideal,
@@ -53,6 +52,7 @@ from oracles import (
     brute_eigenbasis_projectors,
     brute_partial_trace,
     embed_operator,
+    projector_onto,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vnchain"
@@ -78,10 +78,12 @@ def lay_for(dims):
     return layout(*zip(labels_for(dims), dims))
 
 
-def rank_projector(d, rng, rank=None):
+def rank_event(d, rng, rank=None):
+    """The block of a random rank-r event, 1 <= r < d unless given, and the
+    block of its complement: the first r columns of a Haar unitary and the rest."""
     q = random_unitary(d, rng)
     r = rank if rank is not None else int(rng.integers(1, d))
-    return projector_onto([q[:, i] for i in range(r)])
+    return q[:, :r], q[:, r:]
 
 
 class TestKernel:
@@ -216,12 +218,11 @@ class TestAgainstDenseRoute:
         lay = lay_for(dims)
         state = random_density(lay, rng) if mixed else random_state(lay, rng)
         rho = state if mixed else state.density()
-        p = rank_projector(dims[axis], rng)
-        q = np.eye(dims[axis]) - p
-        bd = improper_mixture(state, DecompositionOfIdentity.from_projectors(f"S{axis}", (p, q)))
+        event, rest = rank_event(dims[axis], rng)
+        bd = improper_mixture(state, DecompositionOfIdentity.from_blocks(f"S{axis}", (event, rest)))
         keep = [i for i in range(len(dims)) if i != axis]
         assert bd.indices == (0, 1)
-        for b, proj in zip(bd.branches, (p, q)):
+        for b, proj in zip(bd.branches, (projector_onto(event), projector_onto(rest))):
             w, comp = dense_condition(rho, proj, f"S{axis}", keep)
             assert b.weight == pytest.approx(w, abs=1e-12)
             np.testing.assert_allclose(b.component.matrix, comp, atol=1e-12)
@@ -239,9 +240,10 @@ class TestAgainstDenseRoute:
     def test_conditional_state(self, dims, axis, form):
         rng = np.random.default_rng(800 + axis)
         rho = random_density(lay_for(dims), rng)
-        p = rank_projector(dims[axis], rng)
-        cond = conditional_state(rho, p, f"S{axis}", form=form)
+        event, _ = rank_event(dims[axis], rng)
+        cond = conditional_state(rho, event, f"S{axis}", form=form)
         keep = [i for i in range(len(dims)) if i != axis]
+        p = projector_onto(event)
         _, expected = dense_condition(rho, p, f"S{axis}", keep, sandwich=form == "sandwich")
         np.testing.assert_allclose(cond.matrix, expected, atol=1e-12)
 
@@ -249,11 +251,13 @@ class TestAgainstDenseRoute:
     def test_tripartite_conditional_consistency(self, dims, axis):
         rng = np.random.default_rng(900 + axis)
         rho = random_density(lay_for(dims), rng)
-        p = rank_projector(dims[axis], rng)
+        event, _ = rank_event(dims[axis], rng)
         env = (axis + 1) % len(dims)
-        via_full, via_reduced = tripartite_conditional_consistency(rho, p, f"S{axis}", f"S{env}")
+        via_full, via_reduced = tripartite_conditional_consistency(
+            rho, event, f"S{axis}", f"S{env}"
+        )
         keep = [i for i in range(len(dims)) if i not in (axis, env)]
-        _, expected = dense_condition(rho, p, f"S{axis}", keep)
+        _, expected = dense_condition(rho, projector_onto(event), f"S{axis}", keep)
         np.testing.assert_allclose(via_full.matrix, expected, atol=1e-12)
         np.testing.assert_allclose(via_reduced.matrix, expected, atol=1e-12)
 
@@ -262,9 +266,10 @@ class TestAgainstDenseRoute:
         rng = np.random.default_rng(1000 + axis)
         lay = lay_for(dims)
         ens = WeightedEnsemble(tuple((w, random_state(lay, rng)) for w in (0.2, 0.5, 0.3)))
-        p = rank_projector(dims[axis], rng)
+        event, _ = rank_event(dims[axis], rng)
+        p = projector_onto(event)
         subject = f"S{axis}"
-        res = ensemble_update(ens, p, subject)
+        res = ensemble_update(ens, event, subject)
         emb = embed_operator(p, subject, lay)
         keep = [i for i in range(len(dims)) if i != axis]
         probs = [float(np.real(np.vdot(s.amplitudes, emb @ s.amplitudes))) for _, s in ens.members]
@@ -281,7 +286,7 @@ class TestAgainstDenseRoute:
         _, aggregate = dense_condition(ens.density(), p, subject, keep)
         np.testing.assert_allclose(res.aggregate.matrix, aggregate, atol=1e-12)
         # the documented sampling order, with probabilities from the dense route
-        mc = monte_carlo_update(ens, p, subject, 5_000, seed=5)
+        mc = monte_carlo_update(ens, event, subject, 5_000, seed=5)
         sampler = np.random.default_rng(5)
         weights = np.array(ens.weights)
         members = sampler.choice(3, size=5_000, p=weights / weights.sum())
@@ -292,9 +297,9 @@ class TestAgainstDenseRoute:
     def test_offdiagonal_block_norm(self, dims, axis):
         rng = np.random.default_rng(1100 + axis)
         rho = random_density(lay_for(dims), rng)
-        p = rank_projector(dims[axis], rng)
-        d = DecompositionOfIdentity.from_projectors(f"S{axis}", (p, np.eye(dims[axis]) - p))
-        embs = [embed_operator(q, d.subsystem, rho.layout) for q in d.projectors]
+        blocks = rank_event(dims[axis], rng)
+        d = DecompositionOfIdentity.from_blocks(f"S{axis}", blocks)
+        embs = [embed_operator(projector_onto(q), d.subsystem, rho.layout) for q in blocks]
         expected = max(
             float(np.linalg.norm(a @ rho.matrix @ b))
             for j, a in enumerate(embs)
@@ -307,12 +312,12 @@ class TestAgainstDenseRoute:
     def test_build_exact(self, da, db):
         rng = np.random.default_rng(1200 + da * db)
         ideal = random_ideal("A", "B", da, db, rng, n_branches=2)
+        ranges = [ideal.pointer.branches[ideal.mapping[k]].basis for k in range(2)]
         dressings = [
-            (random_unitary(da, rng), random_range_unitary(ideal.pointer_projector_for(k), rng))
-            for k in range(2)
+            (random_unitary(da, rng), random_range_unitary(ranges[k], rng)) for k in range(2)
         ]
         dresser = sum(
-            np.kron(v, w @ ideal.pointer_projector_for(k)) for k, (v, w) in enumerate(dressings)
+            np.kron(v, w @ projector_onto(ranges[k])) for k, (v, w) in enumerate(dressings)
         )
         mapped = set(ideal.mapping.values())
         for j, br in enumerate(ideal.pointer.branches):
@@ -399,7 +404,7 @@ def dense_condition_reports(pm, trials, seed):
     """The three checks as per-trial loops over embedded pointer projectors."""
     lay_a = layout((pm.object_label, pm.object_dim))
     embedded = [
-        embed_operator(pm.pointer_projector_for(k), pm.instrument_label, pm.layout)
+        embed_operator(pm.pointer.projector(pm.mapping[k]), pm.instrument_label, pm.layout)
         for k in range(pm.measured.branch_count)
     ]
     rng = np.random.default_rng(seed)

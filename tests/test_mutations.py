@@ -49,7 +49,7 @@ FAULT_TABLE = {
         "chains.monte_carlo_binomial",
     },
     "eigenblocks_swapped": {"observables.spectral_reconstruction"},
-    "projector_block_complemented": {"chains.conditional_equivalences"},
+    "projector_block_complemented": {"chains.relative_state_forms"},
     "partial_trace_vector_conjugated": {
         "premeasurement.ideal_definitions",
         "chains.decoherence_split",
@@ -130,10 +130,9 @@ def _swap_first_blocks(from_eigenbasis):
 
 
 def _complement_block(original):
-    def complement(p):
-        original(p)  # the same checks; then the columns of the other eigenvalues
-        lam, v = np.linalg.eigh(np.asarray(p, dtype=complex))
-        return v[:, lam < 0.5]
+    def complement(q, what):
+        q = original(q, what)  # the same check; then the block of I - Q Q^dag
+        return np.linalg.qr(q, mode="complete")[0][:, q.shape[1] :]
 
     return complement
 
@@ -155,10 +154,11 @@ def _inject(monkeypatch, fault: str) -> None:
             types.SimpleNamespace(from_eigenbasis=_swap_first_blocks(original)),
         )
     elif fault == "projector_block_complemented":
-        # every projector a caller gives is carried as the block of I - P
-        faulty = _complement_block(observables._projector_block)
-        for module in (observables, chains, premeasurement):
-            monkeypatch.setattr(module, "_projector_block", faulty)
+        # every event or dressing range a caller gives is carried as the block
+        # of its complement; the observable constructor's check is left alone
+        faulty = _complement_block(observables._orthonormal_block)
+        for module in (chains, premeasurement):
+            monkeypatch.setattr(module, "_orthonormal_block", faulty)
     elif fault in ISOMETRY_FAULTS:
         monkeypatch.setattr(
             premeasurement, "np", _numpy_with_faulty_einsum(ISOMETRY_FAULTS[fault])

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,18 +19,22 @@ from vnchain import (
     StateVector,
     SubsystemBasis,
     build_ideal,
-    event_complement,
     layout,
     observable_from_matrix,
-    projector_onto,
     random_density,
     random_exact,
     random_ideal,
+    random_state,
     random_unitary,
 )
 from vnchain import chains, cli, observables, premeasurement
 
-from oracles import brute_eigenbasis_projectors, check_dense_spectral_family, is_projector
+from oracles import (
+    brute_eigenbasis_projectors,
+    check_dense_spectral_family,
+    is_projector,
+    projector_onto,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -155,91 +161,61 @@ class TestSpectralObservableInvariants:
         with pytest.raises(ValueError, match="NaN or infinite"):
             SpectralBranch(0, 0.0, np.diag([np.nan, 1.0]))
         with pytest.raises(ValueError, match="NaN or infinite"):
-            DecompositionOfIdentity.from_projectors("A", (np.diag([np.nan, 1.0]), np.eye(2)))
+            DecompositionOfIdentity.from_blocks("A", (np.array([[np.nan], [1.0]]), E2[:, 1:]))
 
 
 class TestCheckDecomposition:
-    """``DecompositionOfIdentity.from_projectors`` is the one check of a
-    projector family a caller gives."""
+    """``DecompositionOfIdentity.from_blocks`` is the one check of a family of
+    blocks a caller gives."""
 
     def test_canonical_qubit_passes(self):
-        projs = (np.diag([1.0, 0]), np.diag([0, 1.0]))
-        d = DecompositionOfIdentity.from_projectors("B", projs)
+        blocks = (E2[:, :1], E2[:, 1:])
+        d = DecompositionOfIdentity.from_blocks("B", blocks)
         assert (d.subsystem, d.dim, d.observable.eigenvalues) == ("B", 2, (0.0, 1.0))
-        for f, p in zip(d.factors, projs, strict=True):
-            np.testing.assert_allclose(f.conj().T @ f, p, rtol=0, atol=1e-15)
+        for f, q in zip(d.factors, blocks, strict=True):
+            np.testing.assert_allclose(f.conj().T @ f, projector_onto(q), rtol=0, atol=1e-15)
 
     def test_duplicated_projector_fails(self):
-        p = np.diag([1.0, 0.0])
+        q = E2[:, :1]
         with pytest.raises(InvalidDecompositionError, match="not orthonormal"):
-            DecompositionOfIdentity.from_projectors("B", (p, p))
+            DecompositionOfIdentity.from_blocks("B", (q, q))
 
     def test_conjugation_preserves_validity(self):
+        """The blocks U Q_k of the conjugated projectors U P_k U^dag pass."""
+        e = np.eye(4)
         for _ in range(10):
             u = random_unitary(4, RNG)
-            projs = tuple(
-                u @ p @ u.conj().T
-                for p in (
-                    np.diag([1.0, 0, 0, 0]),
-                    np.diag([0, 1.0, 1.0, 0]),
-                    np.diag([0, 0, 0, 1.0]),
-                )
-            )
-            d = DecompositionOfIdentity.from_projectors("B", projs)
+            blocks = (u @ e[:, :1], u @ e[:, 1:3], u @ e[:, 3:])
+            d = DecompositionOfIdentity.from_blocks("B", blocks)
             assert [b.rank for b in d.observable.branches] == [1, 2, 1]
-            for got, p in zip(d.projectors, projs, strict=True):
-                np.testing.assert_allclose(got, p, rtol=0, atol=1e-12)
+            for got, q in zip(d.projectors, blocks, strict=True):
+                np.testing.assert_allclose(got, projector_onto(q), rtol=0, atol=1e-12)
 
     def test_spectral_observable_decomposition_passes(self):
         h = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
         obs = observable_from_matrix((h + h.conj().T) / 2, "A")
-        projs = obs.decomposition().projectors
-        check_dense_spectral_family(list(zip(obs.eigenvalues, projs)))
-        DecompositionOfIdentity.from_projectors("A", projs)
+        check_dense_spectral_family(list(zip(obs.eigenvalues, obs.decomposition().projectors)))
+        dec = DecompositionOfIdentity.from_blocks("A", [b.basis for b in obs.branches])
+        for got, want in zip(dec.projectors, obs.decomposition().projectors, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
         "projectors,error,message",
         [
-            ((np.zeros((2, 2)), np.eye(2)), InvalidDecompositionError, "rank 0"),
-            ((np.diag([1.0, 0.0]),), InvalidDecompositionError, "do not sum to the identity"),
-            ((np.diag([1.0, 0.0]), np.diag([0.5, 1.0])), NotAProjectorError, "idempotent"),
-            ((np.eye(2), np.eye(3)), DimensionMismatchError, "row count"),
+            ((np.zeros((2, 0)), E2), InvalidDecompositionError, "rank 0"),
+            ((E2[:, :1],), InvalidDecompositionError, "do not sum to the identity"),
+            (
+                (E2[:, :1], np.array([[1.0], [1.0]]) / np.sqrt(2)),
+                InvalidDecompositionError,
+                "not orthonormal",
+            ),
+            ((E2, np.eye(3)), DimensionMismatchError, "row count"),
             ((), DimensionMismatchError, "at least one branch"),
         ],
     )
     def test_bad_families_rejected(self, projectors, error, message):
         with pytest.raises(error, match=message):
-            DecompositionOfIdentity.from_projectors("B", projectors)
-
-
-class TestEventComplement:
-    def test_complement_of_zero(self):
-        np.testing.assert_array_equal(event_complement(np.zeros((3, 3))), np.eye(3))
-
-    def test_complement_of_identity(self):
-        np.testing.assert_allclose(event_complement(np.eye(3)), np.zeros((3, 3)))
-
-    def test_rank_complements(self):
-        from oracles import projector_rank
-
-        for _ in range(10):
-            d = int(RNG.integers(2, 6))
-            r = int(RNG.integers(1, d))
-            q = random_unitary(d, RNG)
-            p = projector_onto([q[:, i] for i in range(r)])
-            c = event_complement(p)
-            assert projector_rank(p) == r
-            assert projector_rank(c) == d - r
-            DecompositionOfIdentity.from_projectors("B", (p, c))
-
-    def test_non_projector_rejected(self):
-        with pytest.raises(NotAProjectorError):
-            event_complement(np.diag([0.5, 0.5]))
-
-    def test_pauli_x_eigenprojector(self):
-        obs = observable_from_matrix(PAULI_X, "A")
-        c = event_complement(obs.projector(0))
-        np.testing.assert_allclose(c, obs.projector(1), atol=1e-12)
+            DecompositionOfIdentity.from_blocks("B", projectors)
 
 
 def _blocks(u, sizes):
@@ -280,7 +256,6 @@ class TestFromEigenbasis:
         for k, (branch, (_, proj)) in enumerate(zip(obs.branches, pairs, strict=True)):
             assert branch.index == k
             np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
-        DecompositionOfIdentity.from_projectors("A", obs.decomposition().projectors)
         basis = np.hstack([b.basis for b in obs.branches])
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(d), rtol=0, atol=1e-14)
 
@@ -300,7 +275,6 @@ class TestFromEigenbasis:
         assert pm.pointer.eigenvalues == tuple(e for e, _ in pairs)
         for branch, (_, proj) in zip(pm.pointer.branches, pairs, strict=True):
             np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
-        DecompositionOfIdentity.from_projectors("B", pm.pointer.decomposition().projectors)
         offset = 1 if complement is not None else 0
         assert pm.mapping == {k: k + offset for k in range(n)}
 
@@ -357,7 +331,7 @@ VALUE_TYPES = {
     "SubsystemBasis": lambda: SubsystemBasis("A", (np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
     "SpectralBranch": lambda: SpectralBranch(0, 0.0, np.eye(2)),
     "SpectralObservable": lambda: observable_from_matrix(PAULI_Z, "A"),
-    "DecompositionOfIdentity": lambda: DecompositionOfIdentity.from_projectors("A", (np.eye(2),)),
+    "DecompositionOfIdentity": lambda: DecompositionOfIdentity.from_blocks("A", (np.eye(2),)),
 }
 
 
@@ -371,23 +345,23 @@ def test_array_values_compare_and_hash_by_identity(name):
     assert len({a, b}) == 2
 
 
-def _count_projector_block(monkeypatch) -> dict[str, int]:
-    counts = {"blocks": 0}
-    original = observables._projector_block
+def _count_eigh(monkeypatch) -> dict[str, int]:
+    """Counts calls of ``np.linalg.eigh`` anywhere in the package."""
+    counts = {"eigh": 0}
+    original = np.linalg.eigh
 
-    def counting(p):
-        counts["blocks"] += 1
-        return original(p)
+    def counting(*args, **kwargs):
+        counts["eigh"] += 1
+        return original(*args, **kwargs)
 
-    for module in (observables, chains, premeasurement):
-        monkeypatch.setattr(module, "_projector_block", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     return counts
 
 
 def _count_reads(monkeypatch) -> dict[str, int]:
-    """Counts calls of ``_projector_block`` and reads of
+    """Counts calls of ``np.linalg.eigh`` and reads of
     ``SpectralBranch.projector``."""
-    counts = _count_projector_block(monkeypatch)
+    counts = _count_eigh(monkeypatch)
     counts["projector"] = 0
     projector = SpectralBranch.projector.fget
 
@@ -421,39 +395,38 @@ def _copy_chain_document(n_qubits: int, analyses=("branches",)) -> dict:
 
 
 class TestNoDenseProjectorChecks:
-    """Library-made observables are checked through their eigenbasis, never by
-    ``_projector_block``, which checks only projectors given from outside an
-    observable: events, dressing ranges and ``from_projectors`` families."""
+    """Every observable, event and dressing range is checked through its
+    blocks by one Gram product; ``eigh`` runs only where
+    ``observable_from_matrix`` diagonalizes a matrix."""
 
     def test_constructors(self, monkeypatch):
-        counts = _count_projector_block(monkeypatch)
+        counts = _count_eigh(monkeypatch)
         rng = np.random.default_rng(9)
         h = rng.standard_normal((5, 5))
         observable_from_matrix(h + h.T, "A")
         measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
+        assert counts["eigh"] == 2
         eye = np.eye(64, dtype=complex)
         states = SubsystemBasis("B", (eye[:, 0], eye[:, 1]))
         build_ideal(measured, states, StateVector(layout(("B", 64)), eye[:, 2]))
         for da, db in [(2, 2), (3, 5), (4, 4)]:
             random_ideal("A", "B", da, db, rng)
-        assert counts["blocks"] == 0
-        for da, db in [(2, 2), (3, 5), (4, 4)]:  # one dressing range per measured branch
-            before = counts["blocks"]
-            pm = random_exact("A", "B", da, db, rng)
-            assert counts["blocks"] - before == pm.measured.branch_count
+            random_exact("A", "B", da, db, rng)
+        assert counts["eigh"] == 2
 
     def test_copy_chain_run(self, monkeypatch, tmp_path, capsys):
+        """One ``eigh``, of the first link's measured ``diag`` matrix."""
         path = tmp_path / "copy.json"
         path.write_text(json.dumps(_copy_chain_document(6)))
-        counts = _count_projector_block(monkeypatch)
+        counts = _count_eigh(monkeypatch)
         assert cli.main(["run", str(path)]) == 0
         assert "result: PASS" in capsys.readouterr().out
-        assert counts["blocks"] == 0
+        assert counts["eigh"] == 1
 
     def test_copy_chain_branch_analyses_use_blocks_only(self, monkeypatch, tmp_path, capsys):
         """Branches, improper mixture and world branches apply every pointer
         branch through its eigenbasis block: no projector is formed and none
-        is checked again."""
+        is diagonalized."""
         analyses = ("branches", "improper_mixture", "world_branches")
         path = tmp_path / "copy.json"
         path.write_text(json.dumps(_copy_chain_document(6, analyses)))
@@ -461,32 +434,91 @@ class TestNoDenseProjectorChecks:
         assert cli.main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "result: PASS" in out and out.count("dropped") == 3
-        assert counts == {"projector": 0, "blocks": 0}
+        assert counts == {"projector": 0, "eigh": 1}
 
     def test_given_projectors_are_still_checked(self, monkeypatch):
         counts = _count_reads(monkeypatch)
         psi = StateVector(layout(("A", 2), ("B", 2)), np.array([1.0, 0, 0, 1.0]) / np.sqrt(2))
-        dec = DecompositionOfIdentity.from_projectors(
-            "B", (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        )
-        assert counts["blocks"] == 2
+        dec = DecompositionOfIdentity.from_blocks("B", (E2[:, :1], E2[:, 1:]))
         chains.improper_mixture(psi, dec)
-        assert counts == {"projector": 0, "blocks": 2}
         with pytest.raises(InvalidDecompositionError):
-            DecompositionOfIdentity.from_projectors("B", (np.eye(2), np.eye(2)))
-        assert counts["blocks"] == 4
+            DecompositionOfIdentity.from_blocks("B", (E2, E2))
+        assert counts == {"projector": 0, "eigh": 0}
 
     def test_tripartite_checks_its_event_once(self, monkeypatch):
-        counts = _count_projector_block(monkeypatch)
+        counts = _count_eigh(monkeypatch)
+        counts["blocks"] = 0
+        check = chains._orthonormal_block
+
+        def counting(*args):
+            counts["blocks"] += 1
+            return check(*args)
+
+        monkeypatch.setattr(chains, "_orthonormal_block", counting)
         rng = np.random.default_rng(12)
         rho = random_density(layout(("A", 2), ("B", 2), ("C", 2)), rng)
-        p = projector_onto([random_unitary(2, rng)[:, 0]])
+        event = random_unitary(2, rng)[:, :1]
         for n in (1, 2, 3):
-            chains.tripartite_conditional_consistency(rho, p, "B", "C")
-            assert counts["blocks"] == n
+            chains.tripartite_conditional_consistency(rho, event, "B", "C")
+            assert counts == {"eigh": 0, "blocks": n}
         with pytest.raises(NotAProjectorError):
             chains.tripartite_conditional_consistency(rho, np.diag([0.5, 0.5]), "B", "C")
-        assert counts["blocks"] == 4
+        assert counts == {"eigh": 0, "blocks": 4}
+
+
+def eigh_callers(source: str) -> list[str]:
+    """The enclosing function of every ``eigh`` call in ``source``, as
+    ``"<function> at line <n>"``; ``<module>`` outside any function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "eigh":
+                    found.append(f"{scope} at line {child.lineno}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestEighGuard:
+    """Within ``src/vnchain``, ``eigh`` is called only in
+    ``observable_from_matrix``."""
+
+    def test_only_observable_from_matrix_calls_eigh(self):
+        calls = {
+            path.name: eigh_callers(path.read_text())
+            for path in sorted(Path(observables.__file__).parent.glob("*.py"))
+        }
+        offenders = [
+            f"{module}: {call}"
+            for module, found in calls.items()
+            for call in found
+            if not (module == "observables.py" and call.startswith("observable_from_matrix "))
+        ]
+        assert offenders == []
+        assert len(calls["observables.py"]) == 1
+
+    def test_eigh_callers_finds_every_spelling(self):
+        source = (
+            "import numpy as np\n"
+            "from numpy.linalg import eigh\n"
+            "w = np.linalg.eigh(np.eye(2))\n"
+            "def f(p):\n"
+            "    def g():\n"
+            "        return eigh(p)\n"
+            "    return np.linalg.eigvalsh(p), g\n"
+            "class C:\n"
+            "    def m(self, p):\n"
+            "        return scipy.linalg.eigh(p)\n"
+        )
+        assert eigh_callers(source) == ["<module> at line 3", "g at line 6", "m at line 10"]
 
 
 class TestObservableDecomposition:
@@ -510,12 +542,12 @@ class TestObservableDecomposition:
     def test_given_projectors_are_factored_by_their_blocks(self):
         rng = np.random.default_rng(8)
         u = random_unitary(3, rng)
-        projs = (projector_onto([u[:, 0], u[:, 2]]), projector_onto([u[:, 1]]))
-        dec = DecompositionOfIdentity.from_projectors("A", projs)
+        blocks = (u[:, [0, 2]], u[:, 1:2])
+        dec = DecompositionOfIdentity.from_blocks("A", blocks)
         assert [f.shape for f in dec.factors] == [(2, 3), (1, 3)]
-        for f, p in zip(dec.factors, projs, strict=True):
-            np.testing.assert_allclose(f.conj().T @ f, p, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(f @ f.conj().T, np.eye(f.shape[0]), rtol=0, atol=1e-14)
+        for f, q in zip(dec.factors, blocks, strict=True):
+            np.testing.assert_array_equal(f, q.conj().T)
+            np.testing.assert_allclose(f.conj().T @ f, projector_onto(q), rtol=0, atol=1e-14)
 
     def test_checked_mark_is_not_settable(self):
         """The observable is the only field: a decomposition cannot be made
@@ -538,45 +570,36 @@ class TestObservableDecomposition:
             dec.no_such_attribute
 
 
-def _block_diagonal_noise(p, rng, scale, hermitian=True):
-    """Noise E of Frobenius norm ``scale`` that keeps the range of P: Hermitian
-    blocks on the range and its complement, so ||(P + E)^2 - (P + E)|| is
-    ||E|| to first order, or (``hermitian=False``) an anti-Hermitian E."""
-    d = p.shape[0]
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    if hermitian:
-        c = np.eye(d) - p
-        e = p @ (a + a.conj().T) @ p + c @ (a + a.conj().T) @ c
-    else:
-        e = a - a.conj().T
-    return e * (scale / np.linalg.norm(e))
+def _range_noise(q, rng, scale):
+    """Q H for a Hermitian (r, r) H with ||H|| = scale / 2: noise that keeps
+    the range of Q, so that the Gram residual ||(I + H)^2 - I|| of Q + Q H and
+    the idempotency residual of its projector are both ``scale`` to first
+    order."""
+    r = q.shape[1]
+    a = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    h = a + a.conj().T
+    return q @ h * (scale / (2 * np.linalg.norm(h)))
 
 
 class TestProjectorBlock:
-    """``_projector_block`` against the dense oracle ``is_projector``."""
+    """``_orthonormal_block`` against the dense oracle ``is_projector`` of the
+    projector Q Q^dag of its block."""
 
-    @pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 5)])
+    @pytest.mark.parametrize("d,r", [(d, r) for d in range(2, 7) for r in range(1, d + 1)])
     @pytest.mark.parametrize(
-        "kind,factor,accepted",
-        [("hermitian", 0.5, True), ("hermitian", 2.0, False), ("anti_hermitian", 2.0, False)],
+        "kind,factor,accepted", [("hermitian", 0.5, True), ("hermitian", 2.0, False)]
     )
     def test_agrees_with_dense_oracle(self, d, r, kind, factor, accepted):
         rng = np.random.default_rng(40 * d + r)
-        u = random_unitary(d, rng)
-        p = projector_onto([u[:, i] for i in range(r)])
-        if kind == "hermitian":
-            noise = _block_diagonal_noise(p, rng, factor * observables.DEFAULT.orth * d)
-        else:
-            noise = _block_diagonal_noise(p, rng, factor * observables.DEFAULT.herm, False)
-        noisy = p + noise
-        assert is_projector(p) and is_projector(noisy) is accepted
+        q = random_unitary(d, rng)[:, :r]
+        noisy = q + _range_noise(q, rng, factor * observables.DEFAULT.orth * d)
+        assert is_projector(projector_onto(q))
+        assert is_projector(projector_onto(noisy)) is accepted
         if accepted:
-            q = observables._projector_block(noisy)
-            assert q.shape == (d, r) and not q.flags.writeable
-            np.testing.assert_allclose(q @ q.conj().T, p, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(observables._orthonormal_block(noisy, "event"), noisy)
         else:
-            with pytest.raises(NotAProjectorError):
-                observables._projector_block(noisy)
+            with pytest.raises(NotAProjectorError, match="event is not orthonormal"):
+                observables._orthonormal_block(noisy, "event")
 
     @pytest.mark.parametrize(
         "p,error",
@@ -588,6 +611,47 @@ class TestProjectorBlock:
         ],
     )
     def test_rejects_what_the_oracle_rejects(self, p, error):
-        assert not is_projector(p)
+        """Blocks with more columns than rows, 1-D, non-orthonormal, NaN."""
+        assert p.ndim != 2 or not is_projector(p @ p.conj().T)
         with pytest.raises(error):
-            observables._projector_block(p)
+            observables._orthonormal_block(p, "event")
+
+
+def _entry_points():
+    """Each public function that takes an event, called with a given event
+    on the 3-dimensional subsystem B."""
+    rng = np.random.default_rng(14)
+    lay = layout(("A", 2), ("B", 3), ("C", 2))
+    rho = random_density(lay, rng)
+    pure = layout(("A", 2), ("B", 3))
+    ens = chains.WeightedEnsemble(tuple((0.5, random_state(pure, rng)) for _ in range(2)))
+    return {
+        "conditional_state": lambda e: chains.conditional_state(rho, e, "B"),
+        "conditional_state_sandwich": lambda e: chains.conditional_state(
+            rho, e, "B", form="sandwich"
+        ),
+        "tripartite_conditional_consistency": lambda e: (
+            chains.tripartite_conditional_consistency(rho, e, "B", "C")
+        ),
+        "ensemble_update": lambda e: chains.ensemble_update(ens, e, "B"),
+        "monte_carlo_update": lambda e: chains.monte_carlo_update(ens, e, "B", 100, seed=0),
+        "random_range_unitary": lambda e: premeasurement.random_range_unitary(e, rng),
+    }
+
+
+ENTRY_POINTS = sorted(_entry_points())
+
+
+class TestDenseEventRejected:
+    """A dense projector P != I given where an event's block is due fails the
+    block check, since ||P^dag P - I|| = sqrt(d - rank P) >= 1; it is never
+    read as a block."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_dense_projector_raises(self, name, rank):
+        q = random_unitary(3, np.random.default_rng(rank))[:, :rank]
+        call = _entry_points()[name]
+        call(q)  # its block is accepted
+        with pytest.raises(NotAProjectorError, match="(event|range block) is not orthonormal"):
+            call(projector_onto(q))

@@ -33,9 +33,14 @@ from vnchain import premeasurement
 from vnchain.chains import extend_chain
 from vnchain.premeasurement import Premeasurement, check_conditions, complete_unitary
 
-from oracles import brute_dressed_isometry, brute_ideal_isometry, embed_operator
+from oracles import brute_dressed_isometry, brute_ideal_isometry, embed_operator, projector_onto
 
 RNG = np.random.default_rng(2024)
+
+
+def pointer_range(pm, k):
+    """The block of the pointer branch that measured branch k maps to."""
+    return pm.pointer.branches[pm.mapping[k]].basis
 
 
 def canonical_basis(label, dim, count=None):
@@ -136,8 +141,7 @@ class TestBuildExact:
     def test_pauli_x_dressing_explicit_product(self):
         pm = qubit_pm()
         dressed = build_exact(pm, [(PAULI_X, np.eye(2)), (np.eye(2), np.eye(2))])
-        f0 = pm.pointer_projector_for(0)
-        f1 = pm.pointer_projector_for(1)
+        f0, f1 = (pm.pointer.projector(pm.mapping[k]) for k in (0, 1))
         expected = (np.kron(PAULI_X, f0) + np.kron(np.eye(2), f1)) @ pm.isometry
         np.testing.assert_allclose(dressed.isometry, expected, atol=1e-12)
         # sharp "up" input keeps its pointer reading but the object flips
@@ -150,7 +154,7 @@ class TestBuildExact:
         rng = np.random.default_rng(8)
         pm = random_ideal("A", "B", 2, 3, rng)
         dressings = [
-            (random_unitary(2, rng), random_range_unitary(pm.pointer_projector_for(k), rng))
+            (random_unitary(2, rng), random_range_unitary(pointer_range(pm, k), rng))
             for k in range(pm.measured.branch_count)
         ]
         dressed = build_exact(pm, dressings)
@@ -160,7 +164,7 @@ class TestBuildExact:
             final = evolve(dressed, phi).amplitudes
             for k, branch in enumerate(dressed.measured.branches):
                 born = np.vdot(phi.amplitudes, branch.projector @ phi.amplitudes)
-                f = embed_operator(dressed.pointer_projector_for(k), "B", dressed.layout)
+                f = embed_operator(projector_onto(pointer_range(dressed, k)), "B", dressed.layout)
                 pointer_prob = np.vdot(final, f @ final)
                 worst = max(worst, abs(float(np.real(born - pointer_prob))))
         assert worst <= 1e-10
@@ -246,7 +250,7 @@ class TestConditionChecks:
         final = evolve(pm, plus)
         for k, branch in enumerate(pm.measured.branches):
             born = np.real(np.vdot(plus.amplitudes, branch.projector @ plus.amplitudes))
-            f = embed_operator(pm.pointer_projector_for(k), "B", pm.layout)
+            f = embed_operator(projector_onto(pointer_range(pm, k)), "B", pm.layout)
             pointer_prob = np.real(np.vdot(final.amplitudes, f @ final.amplitudes))
             assert born == pytest.approx(0.5, abs=1e-12)
             assert pointer_prob == pytest.approx(0.5, abs=1e-12)
@@ -384,7 +388,7 @@ def _recorded_ideal(monkeypatch, *args):
 
 def _random_dressings(pm, rng):
     return [
-        (random_unitary(pm.object_dim, rng), random_range_unitary(pm.pointer_projector_for(k), rng))
+        (random_unitary(pm.object_dim, rng), random_range_unitary(pointer_range(pm, k), rng))
         for k in range(pm.measured.branch_count)
     ]
 
