@@ -48,7 +48,9 @@ print("projector distance, route 2 vs 3:", np.linalg.norm(p2 - cond.matrix))
 overlap = partial_scalar_product(phi_right, "right", psi)
 print("\nsubject-vector probability:", overlap.norm() ** 2)
 
-# conditioning works for events of any rank, in two equivalent forms; a
+# conditioning works for events of any rank, in two equivalent forms: the
+# plain one multiplies the dense matrix by P = Q Q^dag and factors the result
+# once, the sandwich one conditions the state's factor through Q^dag; a
 # rank-two event is given by two orthonormal columns
 q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
 event = q[:, :2]

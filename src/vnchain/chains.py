@@ -75,7 +75,7 @@ class WeightedEnsemble:
         """The mixture sum_k w_k |Psi_k><Psi_k| (decomposition forgotten),
         factored as M = [sqrt(w_k) Psi_k]."""
         m = np.stack([np.sqrt(w) * s.amplitudes for w, s in self.members], axis=1)
-        return DensityOperator.from_factor(self.layout, m)
+        return DensityOperator(self.layout, m)
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _condition_vector(
 
     Leading batch axes of ``amplitudes`` stand for the columns psi_j of a
     factored state sum_j |psi_j><psi_j|; the weight is then summed over them.
-    The factor is None when the weight is at or below ``DEFAULT.weight``.
+    No factor (None) is returned when the weight is at or below ``DEFAULT.weight``.
     """
     projected = apply_local(factor, amplitudes, dims, pos)
     w = float(np.real(np.vdot(projected, projected)))
@@ -173,23 +173,13 @@ def _condition_matrix(
     dims: tuple[int, ...],
     pos: int,
     keep: list[int],
-    sandwich: bool = False,
 ) -> tuple[float, np.ndarray | None]:
-    """Weight and conditional state on the ``keep`` axes of an event on axis
-    ``pos`` of rho, the tensor over ``dims + dims``: tr_rest(rho F) / w with
-    ``op`` = F on the column side, or (``sandwich``) tr_rest(L rho L^dag) / w =
-    tr_rest(F rho F) / w with ``op`` = L, F = L^dag L, and conj(L) on the
-    column side.  The conditional is None when w <= ``DEFAULT.weight``.
+    """Weight tr(rho F) and conditional state tr_rest(rho F) / w on the
+    ``keep`` axes of an event ``op`` = F on axis ``pos`` of rho, the tensor
+    over ``dims + dims``, with F applied on the column side.  The conditional
+    is None when w <= ``DEFAULT.weight``.
     """
-    n = len(dims)
-    if sandwich:
-        rows = _resized(dims, pos, op.shape[0])
-        prod = apply_local(op, matrix, dims + dims, pos)
-        prod = apply_local(op.conj(), prod, rows + dims, n + pos)
-        dims = rows
-        prod = prod.reshape(math.prod(dims), -1)
-    else:
-        prod = apply_local(op.T, matrix, dims + dims, n + pos)
+    prod = apply_local(op.T, matrix, dims + dims, len(dims) + pos)
     w = float(np.real(np.trace(prod)))
     if w <= DEFAULT.weight:
         return w, None
@@ -276,21 +266,12 @@ def improper_mixture(state: State, d: DecompositionOfIdentity) -> BranchDecompos
     reduced_layout = lay.restricted(set(lay.labels) - {d.subsystem})
     kept: list[Branch] = []
     dropped = 0.0
-    if isinstance(state, StateVector):
-        vectors = state.amplitudes
-    elif state.factor is not None:
-        vectors = state.factor.T  # the columns of M, as a batch
-    else:
-        vectors = None
+    # a mixed state's factor columns are a batch of vectors
+    vectors = state.amplitudes if isinstance(state, StateVector) else state.factor.T
     for n, f in enumerate(d.factors):
-        if vectors is not None:
-            w, m = _condition_vector(vectors, f, lay.dims, pos, keep)
-            comp = None if m is None else DensityOperator.from_factor(reduced_layout, m)
-        else:
-            w, rho = _condition_matrix(state.matrix, f, lay.dims, pos, keep, sandwich=True)
-            comp = None if rho is None else DensityOperator(reduced_layout, rho)
-        if comp is not None:
-            kept.append(Branch(n, w, comp))
+        w, m = _condition_vector(vectors, f, lay.dims, pos, keep)
+        if m is not None:
+            kept.append(Branch(n, w, DensityOperator(reduced_layout, m)))
         else:
             dropped += max(w, 0.0)
     return BranchDecomposition(d.subsystem, tuple(kept), dropped)
@@ -305,10 +286,10 @@ def conditional_state(
     """State of the opposite subsystems given the event P = Q Q^dag on the
     subject, from its block Q = ``event``.
 
-    ``form="plain"`` computes tr_subject(rho P) / tr(rho P) with P itself;
-    ``form="sandwich"`` computes tr_subject(P rho P) / tr(P rho P) through the
-    factor Q^dag.  The two agree by idempotency and under-partial-trace
-    commutativity.
+    ``form="plain"`` computes tr_subject(rho P) / tr(rho P) with P itself
+    against the dense rho, and factors the result once; ``form="sandwich"``
+    computes tr_subject(P rho P) / tr(P rho P) through the factors Q^dag and
+    M.  The two agree by idempotency and under-partial-trace commutativity.
     """
     if form not in ("plain", "sandwich"):
         raise ValueError(f"unknown form {form!r}")
@@ -317,16 +298,18 @@ def conditional_state(
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
-    op = q.conj().T if form == "sandwich" else q @ q.conj().T
-    w, reduced = _condition_matrix(
-        rho.matrix, op, lay.dims, lay.position(subject), keep, form == "sandwich"
-    )
+    pos = lay.position(subject)
+    if form == "sandwich":
+        w, reduced = _condition_vector(rho.factor.T, q.conj().T, lay.dims, pos, keep)
+        make = DensityOperator
+    else:
+        w, reduced = _condition_matrix(rho.matrix, q @ q.conj().T, lay.dims, pos, keep)
+        make = DensityOperator.from_matrix
     if reduced is None:
         raise UndefinedConditionalError(
             f"event has probability {w!r}; conditional state undefined"
         )
-    reduced_layout = lay.restricted(set(lay.labels) - {subject})
-    return DensityOperator(reduced_layout, reduced)
+    return make(lay.restricted(set(lay.labels) - {subject}), reduced)
 
 
 def relative_state(
@@ -372,8 +355,8 @@ def tripartite_conditional_consistency(
     Route one conditions the full state, tracing out subject and environment
     together; route two first reduces over the environment and then
     conditions.  Both agree, which is why conditioning is well defined on
-    improper mixtures.  The event's block Q is checked once, and both routes
-    multiply by P = Q Q^dag.
+    improper mixtures.  The event's block Q is checked once; both routes
+    multiply the dense rho by P = Q Q^dag and factor their result once.
     """
     q = _orthonormal_block(event, "event")
     lay, p = rho.layout, q @ q.conj().T
@@ -388,7 +371,7 @@ def tripartite_conditional_consistency(
         w, reduced = _condition_matrix(mat, p, lay_r.dims, lay_r.position(subject), keep)
         if reduced is None:
             raise UndefinedConditionalError(f"event has probability {w!r}")
-        routes.append(DensityOperator(object_layout, reduced))
+        routes.append(DensityOperator.from_matrix(object_layout, reduced))
     return routes[0], routes[1]
 
 
@@ -440,11 +423,11 @@ def ensemble_update(
     for k, ((w, _), (q, m)) in enumerate(zip(ens.members, conditioned)):
         if m is None:
             continue
-        state = DensityOperator.from_factor(reduced_layout, m)
+        state = DensityOperator(reduced_layout, m)
         updated.append(UpdatedMember(k, w * q / total, state))
     mixture = np.stack([np.sqrt(w) * s.amplitudes for w, s in ens.members])
     _, m = _condition_vector(mixture, factor, lay.dims, pos, keep)
-    aggregate = DensityOperator.from_factor(reduced_layout, m)
+    aggregate = DensityOperator(reduced_layout, m)
     recombined = np.hstack([math.sqrt(u.weight) * u.state.factor for u in updated])
     resid = float(np.linalg.norm(factor_difference(recombined, aggregate.factor)))
     # The factored residual does not grow with D (see ``Tolerances``), so the
@@ -535,20 +518,9 @@ def offdiagonal_block_norm(
     """
     lay = rho.layout
     pos = lay.position(d.subsystem)
-    factors = d.factors
-    if rho.factor is not None:
-        # L_j rho L_k^dag = (L_j M)(L_k M)^dag = Q_j R_j R_k^dag Q_k^dag, so its
-        # norm is that of R_j R_k^dag, from one thin QR per factor.
-        cols = rho.factor.T
-        rs = [np.linalg.qr(apply_local(f, cols, lay.dims, pos).T, mode="r") for f in factors]
-        cross = (a @ b.conj().T for j, a in enumerate(rs) for k, b in enumerate(rs) if j != k)
-    else:  # rho L_k^dag (conj(L_k) on the column side), then L_j on the row side
-        n = len(lay.dims)
-        rho_l = [apply_local(f.conj(), rho.matrix, lay.dims + lay.dims, n + pos) for f in factors]
-        cross = (
-            apply_local(a, b, lay.dims + _resized(lay.dims, pos, factors[k].shape[0]), pos)
-            for j, a in enumerate(factors)
-            for k, b in enumerate(rho_l)
-            if j != k
-        )
+    # L_j rho L_k^dag = (L_j M)(L_k M)^dag = Q_j R_j R_k^dag Q_k^dag, so its
+    # norm is that of R_j R_k^dag, from one thin QR per factor.
+    cols = rho.factor.T
+    rs = [np.linalg.qr(apply_local(f, cols, lay.dims, pos).T, mode="r") for f in d.factors]
+    cross = (a @ b.conj().T for j, a in enumerate(rs) for k, b in enumerate(rs) if j != k)
     return max((float(np.linalg.norm(x)) for x in cross), default=0.0)

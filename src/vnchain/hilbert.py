@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -28,16 +29,31 @@ from .errors import (
 from .tolerances import DEFAULT
 
 
-def _frozen_array(values, shape_hint=None) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     out = np.array(values, dtype=complex)
-    if shape_hint is not None and out.shape != shape_hint:
-        raise DimensionMismatchError(
-            f"expected array of shape {shape_hint}, got {out.shape}"
-        )
     if not np.isfinite(out).all():
         raise ValueError("array has NaN or infinite entries")
     out.setflags(write=False)
     return out
+
+
+def _hermitian_spectrum(h, dim: int | None = None):
+    """The one boundary of a Hermitian matrix that a caller gives.
+
+    ``h`` is copied and frozen, and must be finite, square (of side ``dim``
+    when given) and Hermitian within ``DEFAULT.herm``.  Returns the copy and
+    the ascending eigenvalues and eigenvectors of its Hermitian part
+    (h + h^dag)/2.
+    """
+    h = _frozen_array(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or dim not in (None, h.shape[0]):
+        side = "" if dim is None else f" of side {dim}"
+        raise DimensionMismatchError(f"expected a square matrix{side}, got shape {h.shape}")
+    herm = np.linalg.norm(h - h.conj().T)
+    if herm > DEFAULT.herm:
+        raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
+    eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2)
+    return h, eigvals, eigvecs
 
 
 @dataclass(frozen=True)
@@ -145,8 +161,7 @@ class StateVector:
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>."""
-        if self.layout.dims != other.layout.dims:
-            raise DimensionMismatchError("overlap of states on different layouts")
+        _same_dims(self, other, "overlap")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityOperator":
@@ -154,7 +169,7 @@ class StateVector:
         factored as M = psi[:, None]."""
         if not self.normalized:
             raise DimensionMismatchError("density() needs a normalized state")
-        return DensityOperator.from_factor(self.layout, self.amplitudes[:, None])
+        return DensityOperator(self.layout, self.amplitudes[:, None])
 
     def reorder(self, new_labels: Sequence[str]) -> "StateVector":
         """Permute subsystems into the given label order."""
@@ -170,103 +185,70 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Mixed or pure multipartite state as a unit-trace PSD matrix.
+    """Mixed or pure multipartite state rho = M M^dag, held as its factor M.
 
-    A matrix given to the constructor is fully checked.  A state made by
-    ``from_factor`` carries ``factor`` = M with rho = M M^dag instead; its
-    ``matrix`` is formed on first read and kept.
+    The constructor takes a (layout.dim, r) factor M.  M M^dag is Hermitian
+    and PSD by construction, so the one check is the shape, finite entries
+    and the trace ||M||_F^2 = 1, in O(D r).  A caller's dense matrix enters
+    through ``from_matrix``.
     """
 
     layout: SubsystemLayout
-    matrix: np.ndarray
-    factor: np.ndarray | None = field(default=None, init=False, repr=False)
+    factor: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         d = self.layout.dim
-        if self.factor is not None:  # from_factor: M M^dag is Hermitian and PSD
-            m = _frozen_array(self.factor)
-            if m.ndim != 2 or m.shape[0] != d:
-                raise DimensionMismatchError(f"expected array of shape ({d}, r), got {m.shape}")
-            tr = complex(np.vdot(m, m))
-            if abs(tr - 1.0) > DEFAULT.norm:
-                raise ValueError(f"trace {tr:.12g} is not 1 within {DEFAULT.norm}")
-            object.__setattr__(self, "factor", m)
-            return
-        mat = _frozen_array(self.matrix, shape_hint=(d, d))
-        object.__setattr__(self, "matrix", mat)
-        herm = np.linalg.norm(mat - mat.conj().T)
-        if herm > DEFAULT.herm:
-            raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
+        m = _frozen_array(self.factor)
+        if m.ndim != 2 or m.shape[0] != d:
+            raise DimensionMismatchError(f"expected array of shape ({d}, r), got {m.shape}")
+        tr = complex(np.vdot(m, m))
+        if abs(tr - 1.0) > DEFAULT.norm:
+            raise ValueError(f"trace {tr:.12g} is not 1 within {DEFAULT.norm}")
+        object.__setattr__(self, "factor", m)
+
+    @classmethod
+    def from_matrix(cls, layout: SubsystemLayout, rho: np.ndarray) -> "DensityOperator":
+        """The state of a caller's dense (D, D) matrix rho, factored once.
+
+        rho must be Hermitian within ``DEFAULT.herm``, of unit trace within
+        ``DEFAULT.norm`` and PSD down to lambda_min >= -``DEFAULT.psd``.  The
+        factor is V sqrt(lambda) over the positive eigenpairs, rescaled to unit
+        Frobenius norm so that the clipped eigenvalues (at least -psd) leave the
+        trace at one.
+        """
+        mat, eigvals, eigvecs = _hermitian_spectrum(rho, layout.dim)
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > DEFAULT.norm:
             raise ValueError(f"trace {tr:.12g} is not 1 within {DEFAULT.norm}")
-        # The eigenvalues are computed only to decide and report a failure.
-        if not _has_shifted_cholesky(mat, DEFAULT.psd):
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -DEFAULT.psd:
-                raise ValueError(f"matrix not PSD: lowest eigenvalue {lo:.3e}")
+        lo = float(eigvals[0])
+        if lo < -DEFAULT.psd:
+            raise ValueError(f"matrix not PSD: lowest eigenvalue {lo:.3e}")
+        positive = eigvals > 0
+        m = eigvecs[:, positive] * np.sqrt(eigvals[positive])
+        return cls(layout, m / np.linalg.norm(m))
 
-    @classmethod
-    def from_factor(cls, layout: SubsystemLayout, m: np.ndarray) -> "DensityOperator":
-        """The state M M^dag of a (layout.dim, r) factor M.
-
-        Hermitian and PSD by construction, so ``__post_init__`` checks only
-        the shape, finite entries and the trace ||M||_F^2, in O(D r).
-        """
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "layout", layout)
-        object.__setattr__(rho, "factor", m)
-        rho.__post_init__()
-        return rho
-
-    def __getattr__(self, name: str):
-        # Reached only when normal lookup fails: the unformed ``matrix`` of a
-        # factored state.
-        factor = self.__dict__.get("factor")
-        if name != "matrix" or factor is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        mat = factor @ factor.conj().T
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """rho = M M^dag, formed on first read and kept; read-only."""
+        mat = self.factor @ self.factor.conj().T
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
         return mat
 
     def purity(self) -> float:
         return purity(self)
 
     def reorder(self, new_labels: Sequence[str]) -> "DensityOperator":
+        """Permute subsystems into the given label order (the rows of M)."""
         perm, new_layout = _permutation(self.layout, new_labels)
-        n = len(self.layout.dims)
-        tens = self.matrix.reshape(self.layout.dims * 2)
-        tens = tens.transpose(tuple(perm) + tuple(p + n for p in perm))
-        d = new_layout.dim
-        return DensityOperator(new_layout, tens.reshape(d, d))
+        rows = self.factor.reshape(self.layout.dims + (-1,))
+        rows = rows.transpose(perm + (len(perm),))
+        return DensityOperator(new_layout, rows.reshape(new_layout.dim, -1))
 
     def relabeled(self, mapping: dict[str, str]) -> "DensityOperator":
-        return DensityOperator(self.layout.relabeled(mapping), self.matrix)
+        return DensityOperator(self.layout.relabeled(mapping), self.factor)
 
 
 State = Union[StateVector, DensityOperator]
-
-
-def _has_shifted_cholesky(mat: np.ndarray, shift: float) -> bool:
-    """Whether ``mat + shift * I`` has a Cholesky factor, i.e. lambda_min > -shift.
-
-    The shift is added to ``mat``'s own diagonal and the saved diagonal is
-    written back afterwards, bit for bit, so the test makes no D x D copy
-    beyond LAPACK's work buffer and factor.  ``mat`` must own its data and
-    be Hermitian (only its lower triangle is read).
-    """
-    diag = mat.diagonal().copy()
-    mat.setflags(write=True)
-    try:
-        mat.flat[:: mat.shape[0] + 1] += shift
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        mat.flat[:: mat.shape[0] + 1] = diag
-        mat.setflags(write=False)
 
 
 def _permutation(lay: SubsystemLayout, new_labels: Sequence[str]):
@@ -355,7 +337,7 @@ def tensor(a: State, b: State) -> State:
         )
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         lay = a.layout.concat(b.layout)
-        return DensityOperator(lay, np.kron(a.matrix, b.matrix))
+        return DensityOperator(lay, np.kron(a.factor, b.factor))
     raise TypeError("tensor needs two StateVectors or two DensityOperators")
 
 
@@ -464,14 +446,9 @@ def partial_trace(state: State, traced: Iterable[str]) -> DensityOperator:
     if not keep:
         raise DegenerateLayoutError("tracing out every subsystem leaves no state")
     new_layout = lay.restricted(set(lay.labels) - traced)
-    if isinstance(state, StateVector):
-        m = partial_trace_vector(state.amplitudes, lay.dims, keep)
-        return DensityOperator.from_factor(new_layout, m)
-    if state.factor is not None:
-        m = partial_trace_vector(state.factor.T, lay.dims, keep)
-        return DensityOperator.from_factor(new_layout, m)
-    reduced = partial_trace_matrix(state.matrix, lay.dims, keep)
-    return DensityOperator(new_layout, reduced)
+    # a mixed state's factor columns are a batch of vectors
+    vectors = state.amplitudes if isinstance(state, StateVector) else state.factor.T
+    return DensityOperator(new_layout, partial_trace_vector(vectors, lay.dims, keep))
 
 
 def partial_scalar_product(bra: np.ndarray, subsystem: str, state: StateVector) -> StateVector:
@@ -533,12 +510,12 @@ def basis_state(lay: SubsystemLayout, index: int | Sequence[int]) -> StateVector
     return StateVector(lay, amps)
 
 
-def purity(state: State | np.ndarray) -> float:
-    """tr(rho^2); for a pure state this is ||psi||^4, computed in O(D)."""
+def purity(state: State) -> float:
+    """tr(rho^2): ||psi||^4 for a pure state, in O(D), and ||M^dag M||_F^2 for
+    rho = M M^dag, in O(D r^2)."""
     if isinstance(state, StateVector):
         return float(np.vdot(state.amplitudes, state.amplitudes).real) ** 2
-    mat = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
-    return float(np.real(np.trace(mat @ mat)))
+    return float(np.linalg.norm(state.factor.conj().T @ state.factor)) ** 2
 
 
 def factor_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -555,24 +532,22 @@ def factor_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (t * signs) @ t.conj().T
 
 
-def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
-    """(1/2) * trace norm of the difference.
+def _same_dims(a: State, b: State, what: str) -> None:
+    if a.layout.dims != b.layout.dims:
+        raise DimensionMismatchError(f"{what} of states on different layouts")
 
-    Two factored states are compared through ``factor_difference``, whose
-    trace norm (a Hermitian matrix's nuclear norm) is that of rho_a - rho_b;
-    a dense operand takes the eigenvalues of the D x D difference.
-    """
-    fa, fb = getattr(a, "factor", None), getattr(b, "factor", None)
-    if fa is not None and fb is not None:
-        return 0.5 * float(np.linalg.norm(factor_difference(fa, fb), "nuc"))
-    ma = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
-    mb = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
+
+def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
+    """(1/2) * trace norm of rho_a - rho_b: the nuclear norm of the
+    ``factor_difference`` of their factors, in O(D r^2)."""
+    _same_dims(a, b, "trace distance")
+    return 0.5 * float(np.linalg.norm(factor_difference(a.factor, b.factor), "nuc"))
 
 
 def projector_distance(a: StateVector, b: StateVector) -> float:
     """Phase-insensitive distance between pure states: || |a><a| - |b><b| ||_F,
     in O(D) from the thin QR of [a, b] (see ``factor_difference``)."""
+    _same_dims(a, b, "projector distance")
     diff = factor_difference(a.amplitudes[:, None], b.amplitudes[:, None])
     return float(np.linalg.norm(diff))
 
@@ -594,9 +569,11 @@ def random_state(lay: SubsystemLayout, rng: np.random.Generator) -> StateVector:
 def random_density(
     lay: SubsystemLayout, rng: np.random.Generator, rank: int | None = None
 ) -> DensityOperator:
-    """Random mixed state from a normalized Ginibre product G G^dag."""
+    """Random mixed state G G^dag / tr(G G^dag) of a (D, rank) Ginibre matrix
+    G (rank D when None), held as its factor G / ||G||_F."""
     d = lay.dim
     r = rank if rank is not None else d
+    if r < 1:
+        raise ValueError(f"rank must be >= 1, got {r}")
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    m = g @ g.conj().T
-    return DensityOperator(lay, m / np.trace(m))
+    return DensityOperator(lay, g / np.linalg.norm(g))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidDecompositionError, NotAProjectorError
-from .hilbert import _frozen_array
+from .hilbert import _frozen_array, _hermitian_spectrum
 from .tolerances import DEFAULT
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -233,13 +233,7 @@ def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
     whose projector is the sum of the eigenprojectors; branches come out
     sorted by ascending eigenvalue and indexed by position.
     """
-    h = _frozen_array(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
-    herm = np.linalg.norm(h - h.conj().T)
-    if herm > DEFAULT.herm:
-        raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
-    eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2)
+    _, eigvals, eigvecs = _hermitian_spectrum(h)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(eigvals)):
         if eigvals[i] - eigvals[groups[-1][-1]] <= DEFAULT.eig_merge:

@@ -430,7 +430,7 @@ def luders_state(object_state: StateVector, measured: SpectralObservable) -> Den
         raise ValueError("object state must be normalized")
     phi = object_state.amplitudes
     m = np.stack([b.basis @ (b.basis.conj().T @ phi) for b in measured.branches], axis=1)
-    return DensityOperator.from_factor(object_state.layout, m)
+    return DensityOperator(object_state.layout, m)
 
 
 def branch_decomposition(final: StateVector, pointer: SpectralObservable) -> BranchDecomposition:

@@ -36,6 +36,7 @@ from .errors import UndefinedConditionalError
 from .hilbert import (
     StateVector,
     SubsystemBasis,
+    _hermitian_spectrum,
     apply_local,
     complete_orthonormal,
     expand_in_basis,
@@ -134,6 +135,10 @@ def _suite_pt_commutativity(ctx: SuiteContext) -> tuple[int, float]:
         lhs = partial_trace_matrix(apply_local(y, x, dims, 1), (da, db), [0])  # (I x Y) X
         rhs = partial_trace_matrix(apply_local(y.T, x, dims, 3), (da, db), [0])  # X (I x Y)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        # Tr_B(X_A x Y) = X_A tr Y for a non-Hermitian X_A, against no kernel
+        xa = x[:da, :da]
+        product = partial_trace_matrix(np.kron(xa, y), (da, db), [0])
+        worst = max(worst, float(np.linalg.norm(product - xa * np.trace(y))))
         cases += 1
     return cases, worst
 
@@ -158,7 +163,7 @@ def _suite_pt_psd(ctx: SuiteContext) -> tuple[int, float]:
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
         red = partial_trace(random_state(lay, rng), {"A"})
-        lo = float(np.linalg.eigvalsh(red.matrix)[0])
+        lo = float(_hermitian_spectrum(red.matrix)[1][0])
         worst = max(worst, max(0.0, -lo))
         cases += 1
     return cases, worst

@@ -22,10 +22,10 @@ columns with rho = M M^dag:
   its residual does not grow with D (observed 2e-16 to 1.3e-15 from D = 2**8
   to 2**20), so the D scale of its bound, ``reconstruction * D``, stops at
   2**10: 1e-7 at D = 2**20 instead of 1e-4, unchanged at D <= 2**10.
-* ``herm`` and ``psd`` apply only to matrices given densely; a factored state
-  is Hermitian and PSD by construction.  The Cholesky test's backward error is
-  about D u ||rho||_2 <= D u: 2e-12 at D = 2**14, the largest dense state
-  that fits in 4 GiB.
+* ``herm`` and ``psd`` apply only to matrices given densely; a state held as
+  its factor is Hermitian and PSD by construction.  The eigensolver's error
+  in lambda_min is about D u ||rho||_2 <= D u: 2e-12 at D = 2**14, the
+  largest dense state that fits in 4 GiB.
 * ``orth``, ``unitary``, ``eig_merge`` and ``condition`` bound the operators
   of one subsystem or one premeasurement and scale, where they scale, with
   that local dimension, not with D; ``weight`` is an absolute floor.
@@ -46,8 +46,9 @@ class Tolerances:
     - ``norm``: | ||v|| - 1 | and |tr(rho) - 1|.
     - ``herm``: ||M - M^dag|| of a matrix given densely.
     - ``orth``: basis overlaps and projector-algebra residuals, per dimension.
-    - ``psd``: floor lambda_min >= -psd, tested as a Cholesky factorization of
-      rho + psd*I (``eigvalsh`` only on failure).
+    - ``psd``: floor lambda_min >= -psd of a caller's dense density matrix,
+      read off the spectrum that ``DensityOperator.from_matrix`` factors it
+      with; a state held as its factor M is PSD by construction.
     - ``unitary``: ||U^dag U - I||, per dimension.
     - ``reconstruction``: weight sums and resummation residuals.
     - ``eig_merge``: width within which eigenvalues form one branch.

@@ -208,6 +208,22 @@ def embed_operator(op, subsystem, lay):
     return reduce(np.kron, factors)
 
 
+def brute_trace_distance(a, b):
+    """(1/2) sum |lambda| over the eigenvalues of the dense difference a - b."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b)))))
+
+
+def brute_cross_block_norm(rho, projectors, subsystem, lay):
+    """max ||P_j rho P_k||_F over j != k, each P embedded densely."""
+    embs = [embed_operator(p, subsystem, lay) for p in projectors]
+    return max(
+        float(np.linalg.norm(a @ rho @ b))
+        for j, a in enumerate(embs)
+        for k, b in enumerate(embs)
+        if j != k
+    )
+
+
 def check_dense_spectral_family(pairs):
     """Every dense check of (eigenvalue, projector) pairs as an observable's
     branches, raising the error class the check of a bad family calls for.

@@ -6,7 +6,8 @@ reduced by brute force, on 3-5 subsystem layouts with the subject first, in
 the middle and last, for a pure state and for a three-member ensemble.  The
 branch kernels, which apply an observable's branch through its eigenbasis
 block, are checked the same way on a pointer with an idle complement
-branch, also for a state given as a dense matrix.
+branch, also for a state given as a dense matrix and factored by
+``DensityOperator.from_matrix``.
 """
 
 import numpy as np
@@ -31,16 +32,20 @@ from vnchain import (
     random_density,
     random_state,
     random_unitary,
+    tensor,
     trace_distance,
     world_branches,
 )
 from vnchain.hilbert import factor_difference
 
 from oracles import (
+    brute_cross_block_norm,
     brute_density,
     brute_eigenbasis_projectors,
     brute_partial_trace,
+    brute_trace_distance,
     embed_operator,
+    flat_index,
     projector_onto,
 )
 from test_local_operator import CASES, lay_for, rank_event
@@ -81,7 +86,7 @@ def test_partial_trace(dims, axis, kind):
     rng = np.random.default_rng(2000 + 10 * axis + len(dims))
     state, vectors, weights = sample(dims, kind, rng)
     red = partial_trace(state, {f"S{axis}"})
-    assert red.factor is not None and "matrix" not in vars(red)
+    assert "matrix" not in vars(red)
     expected = brute_partial_trace(brute_density(vectors, weights), dims, keep_of(dims, axis))
     np.testing.assert_allclose(red.matrix, expected, rtol=0, atol=1e-12)
 
@@ -106,7 +111,7 @@ def test_improper_mixture_and_world_branches(dims, axis, kind):
                 rho, projectors[b.index], subject, state.layout, keep_of(dims, axis)
             )
             assert b.weight == pytest.approx(w, abs=1e-12)
-            assert b.component.factor is not None
+            assert "matrix" not in vars(b.component)
             np.testing.assert_allclose(b.component.matrix, comp, rtol=0, atol=1e-12)
 
 
@@ -127,10 +132,9 @@ def idle_pointer(subject, d, rng):
 
 
 def dense_sample(dims, rng):
-    """A full-rank state given as a dense matrix, with no factor."""
-    rho = random_density(lay_for(dims), rng)
-    assert rho.factor is None
-    return rho, rho.matrix
+    """A full-rank state given as a dense matrix, factored by ``from_matrix``."""
+    rho = np.array(random_density(lay_for(dims), rng).matrix)
+    return DensityOperator.from_matrix(lay_for(dims), rho), rho
 
 
 STATE_KINDS = ["pure", "ensemble", "dense"]
@@ -164,7 +168,7 @@ def test_idle_pointer_branches(dims, axis, kind):
                 rho, projectors[b.index], subject, state.layout, keep_of(dims, axis)
             )
             assert b.weight == pytest.approx(w, abs=1e-12)
-            assert (b.component.factor is None) == (kind == "dense")
+            assert "matrix" not in vars(b.component)
             np.testing.assert_allclose(b.component.matrix, comp, rtol=0, atol=1e-12)
 
 
@@ -177,13 +181,7 @@ def test_idle_pointer_offdiagonal_blocks(dims, axis, kind):
         state = state.density()
     subject = f"S{axis}"
     pointer, projectors = idle_pointer(subject, dims[axis], rng)
-    embs = [embed_operator(p, subject, state.layout) for p in projectors]
-    expected = max(
-        float(np.linalg.norm(a @ rho @ b))
-        for j, a in enumerate(embs)
-        for k, b in enumerate(embs)
-        if j != k
-    )
+    expected = brute_cross_block_norm(rho, projectors, subject, state.layout)
     assert expected > 1e-3
     got = offdiagonal_block_norm(state, pointer.decomposition())
     assert got == pytest.approx(expected, abs=1e-12)
@@ -237,12 +235,12 @@ def test_trace_distance(dims, axis, kind):
     bd = improper_mixture(state, decomposition(f"S{axis}", dims[axis], rng))
     a, b = (br.component for br in bd.branches)
     ma, mb = (brute_density(list(f.T)) for f in (a.factor, b.factor))
-    expected = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(ma - mb))))
+    expected = brute_trace_distance(ma, mb)
     assert trace_distance(a, b) == pytest.approx(expected, abs=1e-12)
     assert trace_distance(a, a) <= 1e-14
-    # a dense operand takes the D x D route and gives the same value
-    assert trace_distance(a, DensityOperator(b.layout, mb)) == pytest.approx(expected, abs=1e-12)
-    assert trace_distance(ma, mb) == pytest.approx(expected, abs=1e-12)
+    # a state given as a dense matrix is factored once and gives the same value
+    dense_b = DensityOperator.from_matrix(b.layout, mb)
+    assert trace_distance(a, dense_b) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -251,23 +249,15 @@ def test_offdiagonal_block_norm(dims, axis, kind):
     rng = np.random.default_rng(2400 + 10 * axis + len(dims))
     state, vectors, weights = sample(dims, kind, rng)
     rho = state if kind == "ensemble" else state.density()
-    assert rho.factor is not None
     dense = brute_density(vectors, weights)
     subject, d = f"S{axis}", dims[axis]
     q = random_unitary(d, rng)
     projectors = tuple(np.outer(q[:, i], q[:, i].conj()) for i in range(d))
     dec = DecompositionOfIdentity.from_blocks(subject, [q[:, i : i + 1] for i in range(d)])
-    embs = [embed_operator(p, subject, rho.layout) for p in projectors]
-    expected = max(
-        float(np.linalg.norm(a @ dense @ b))
-        for j, a in enumerate(embs)
-        for k, b in enumerate(embs)
-        if j != k
-    )
+    expected = brute_cross_block_norm(dense, projectors, subject, rho.layout)
     assert offdiagonal_block_norm(rho, dec) == pytest.approx(expected, abs=1e-12)
-    assert offdiagonal_block_norm(DensityOperator(rho.layout, dense), dec) == pytest.approx(
-        expected, abs=1e-12
-    )
+    from_dense = DensityOperator.from_matrix(rho.layout, dense)
+    assert offdiagonal_block_norm(from_dense, dec) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -295,6 +285,8 @@ def test_resummation_residual(dims, axis, kind):
 
 
 class TestFromFactor:
+    """The constructor takes the factor M of rho = M M^dag."""
+
     LAY = layout(("A", 2), ("B", 3))
 
     def factor(self, rng, r=2):
@@ -303,7 +295,7 @@ class TestFromFactor:
 
     def test_matrix_formed_once_on_read_and_read_only(self):
         m = self.factor(np.random.default_rng(1))
-        rho = DensityOperator.from_factor(self.LAY, m)
+        rho = DensityOperator(self.LAY, m)
         assert "matrix" not in vars(rho)
         first = rho.matrix
         assert first is rho.matrix
@@ -311,6 +303,8 @@ class TestFromFactor:
         np.testing.assert_array_equal(first, m @ m.conj().T)
         with pytest.raises(ValueError):
             first[0, 0] = 0
+        with pytest.raises(AttributeError):
+            rho.matrix = np.eye(6) / 6
         np.testing.assert_array_equal(rho.factor, m)
         assert not rho.factor.flags.writeable
 
@@ -319,31 +313,117 @@ class TestFromFactor:
         m = self.factor(np.random.default_rng(2)).astype(complex)
         m[3, 1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
-            DensityOperator.from_factor(self.LAY, m)
+            DensityOperator(self.LAY, m)
 
     def test_non_unit_trace_rejected(self):
         m = self.factor(np.random.default_rng(3)) * 1.01
         tr = np.vdot(m, m)
         with pytest.raises(ValueError) as info:
-            DensityOperator.from_factor(self.LAY, m)
+            DensityOperator(self.LAY, m)
         assert str(info.value) == f"trace {complex(tr):.12g} is not 1 within {1e-10}"
 
     @pytest.mark.parametrize("shape", [(6,), (5, 2), (6, 2, 1)])
     def test_shape_checked(self, shape):
         with pytest.raises(DimensionMismatchError):
-            DensityOperator.from_factor(self.LAY, np.full(shape, 0.1))
+            DensityOperator(self.LAY, np.full(shape, 0.1))
 
     def test_dense_constructor_keeps_every_check(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            DensityOperator(layout(("A", 2)), np.array([[0.5, 0.1], [0.0, 0.5]]))
+            DensityOperator.from_matrix(layout(("A", 2)), np.array([[0.5, 0.1], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="not PSD"):
-            DensityOperator(layout(("A", 2)), np.diag([1.5, -0.5]))
-        assert DensityOperator(layout(("A", 2)), np.eye(2) / 2).factor is None
+            DensityOperator.from_matrix(layout(("A", 2)), np.diag([1.5, -0.5]))
+        rho = DensityOperator.from_matrix(layout(("A", 2)), np.eye(2) / 2)
+        assert rho.factor.shape == (2, 2)
 
     def test_attribute_errors_stay_attribute_errors(self):
-        rho = DensityOperator.from_factor(self.LAY, self.factor(np.random.default_rng(4)))
+        rho = DensityOperator(self.LAY, self.factor(np.random.default_rng(4)))
         with pytest.raises(AttributeError, match="no attribute 'no_such_attribute'"):
             rho.no_such_attribute
+
+    def test_repr_shows_the_layout_not_the_factor(self):
+        rho = DensityOperator(self.LAY, self.factor(np.random.default_rng(5)))
+        assert repr(rho) == f"DensityOperator(layout={self.LAY!r})"
+        assert "matrix" not in vars(rho)
+
+
+def permuted_dense(rho, dims, perm):
+    """rho with its subsystems in the order ``perm``, entry by entry."""
+    new_dims = [dims[p] for p in perm]
+    out = np.zeros_like(rho)
+    for row in np.ndindex(*dims):
+        for col in np.ndindex(*dims):
+            new_row, new_col = [row[p] for p in perm], [col[p] for p in perm]
+            out[flat_index(new_row, new_dims), flat_index(new_col, new_dims)] = rho[
+                flat_index(row, dims), flat_index(col, dims)
+            ]
+    return out
+
+
+class TestStaysFactored:
+    """reorder, relabeled, tensor and partial_trace of a mixed state carry
+    its factor and form no dense matrix."""
+
+    LAY = layout(("A", 2), ("B", 3), ("C", 2))
+
+    def state(self, seed, rank=2):
+        return random_density(self.LAY, np.random.default_rng(seed), rank=rank)
+
+    def test_reorder_permutes_the_rows_of_the_factor(self):
+        rho = self.state(10)
+        out = rho.reorder(["C", "A", "B"])
+        assert out.layout.labels == ("C", "A", "B")
+        assert out.factor.shape == (12, 2) and "matrix" not in vars(out)
+        dense = brute_density(list(rho.factor.T))
+        np.testing.assert_allclose(
+            out.matrix, permuted_dense(dense, (2, 3, 2), (2, 0, 1)), rtol=0, atol=1e-15
+        )
+
+    def test_relabeled_reuses_the_factor(self):
+        rho = self.state(11)
+        out = rho.relabeled({"B": "B2"})
+        assert out.layout.labels == ("A", "B2", "C")
+        assert "matrix" not in vars(out)
+        np.testing.assert_array_equal(out.factor, rho.factor)
+
+    def test_tensor_is_the_kronecker_product_of_the_factors(self):
+        a, b = self.state(12), random_density(layout(("D", 2)), np.random.default_rng(13), rank=1)
+        out = tensor(a, b)
+        assert out.factor.shape == (24, 2) and "matrix" not in vars(out)
+        np.testing.assert_allclose(out.matrix, np.kron(a.matrix, b.matrix), rtol=0, atol=1e-15)
+
+    def test_partial_trace_of_a_mixed_state(self):
+        rho = self.state(14, rank=3)
+        red = partial_trace(rho, {"B"})
+        assert red.factor.shape == (4, 9) and "matrix" not in vars(red)
+        expected = brute_partial_trace(brute_density(list(rho.factor.T)), (2, 3, 2), [0, 2])
+        np.testing.assert_allclose(red.matrix, expected, rtol=0, atol=1e-15)
+
+
+class TestDistancesNeedOneLayout:
+    """States of different dimension are a ``DimensionMismatchError``."""
+
+    def test_trace_distance(self):
+        rng = np.random.default_rng(15)
+        a = random_density(layout(("A", 2), ("B", 3)), rng)
+        b = random_density(layout(("A", 2), ("B", 2)), rng)
+        with pytest.raises(DimensionMismatchError, match="trace distance"):
+            trace_distance(a, b)
+
+    def test_projector_distance(self):
+        rng = np.random.default_rng(16)
+        a = random_state(layout(("A", 2), ("B", 3)), rng)
+        b = random_state(layout(("A", 4)), rng)
+        with pytest.raises(DimensionMismatchError, match="projector distance"):
+            projector_distance(a, b)
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_random_density_rejects_rank_below_one(rank):
+    rng = np.random.default_rng(17)
+    with pytest.raises(ValueError, match=f"rank must be >= 1, got {rank}"):
+        random_density(layout(("A", 2)), rng, rank=rank)
+    # rejected before any draw
+    assert rng.random() == np.random.default_rng(17).random()
 
 
 def test_factor_difference_norms_match_dense():

@@ -27,7 +27,13 @@ from vnchain import (
 from vnchain.hilbert import partial_trace_matrix
 from vnchain.tolerances import DEFAULT
 
-from oracles import brute_partial_scalar_product, brute_partial_trace, embed_operator
+from oracles import (
+    brute_density,
+    brute_kron,
+    brute_partial_scalar_product,
+    brute_partial_trace,
+    embed_operator,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -142,59 +148,84 @@ class TestDensityOperatorValidation:
          (384, 1), (384, 2), (384, None)],
     )
     @pytest.mark.parametrize("factor", [-2.0, -1.01, -0.99, -0.5, 0.0])
-    def test_psd_decision_matches_eigvalsh(self, d, rank, factor, monkeypatch):
-        """Accept/reject and the message agree with lambda_min >= -psd by eigvalsh;
-        an accepted matrix is accepted by the factorization alone."""
+    def test_psd_decision_matches_eigvalsh(self, d, rank, factor):
+        """Accept/reject and the message of ``from_matrix`` agree with
+        lambda_min >= -psd by eigvalsh; an accepted matrix is factored with
+        its eigenvalues below zero clipped and the trace rescaled to one."""
         rng = np.random.default_rng([d, rank or 0, round(1000 * (3 + factor))])
         m = spectrum_matrix(placed_spectrum(d, rank, factor * self.PSD, rng), rng)
-        eigvalsh = np.linalg.eigvalsh
-        lo = float(eigvalsh(m)[0])
+        lo = float(np.linalg.eigvalsh(m)[0])
         assert lo == pytest.approx(factor * self.PSD, abs=1e-13)
-        calls = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         lay = layout(("A", d))
         if lo >= -self.PSD:
-            rho = DensityOperator(lay, m)
-            assert not calls
-            assert np.array_equal(rho.matrix, m)  # the shifted diagonal is restored
+            rho = DensityOperator.from_matrix(lay, m)
+            # rho = (m - lo v v^dag) / (1 - lo) for the eigenvector v of lo < 0
+            assert np.linalg.norm(rho.matrix - m) <= 2 * max(-lo, 0.0) + 1e-12
+            assert np.linalg.norm(rho.factor) ** 2 == pytest.approx(1.0, abs=1e-14)
             assert not rho.matrix.flags.writeable
         else:
             with pytest.raises(ValueError) as info:
-                DensityOperator(lay, m)
+                DensityOperator.from_matrix(lay, m)
             assert str(info.value) == f"matrix not PSD: lowest eigenvalue {lo:.3e}"
 
     def test_method_and_function_purity_agree(self):
         rng = np.random.default_rng(5)
         for rank in (1, 2, 24):
             rho = random_density(layout(("A", 4), ("B", 6)), rng, rank=rank)
-            assert rho.purity() == purity(rho) == purity(rho.matrix)
+            dense = brute_density(list(rho.factor.T))
+            assert rho.purity() == purity(rho)
+            assert purity(rho) == pytest.approx(np.real(np.trace(dense @ dense)), abs=1e-14)
 
-    def test_eigvalsh_decides_when_factorization_fails(self, monkeypatch):
-        def failing(a):
-            raise np.linalg.LinAlgError("forced")
-
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
+    def test_psd_floor_of_a_diagonal_matrix(self):
         lay = layout(("A", 2))
         m = np.diag([1.0 + 0.5 * self.PSD, -0.5 * self.PSD])
-        assert np.array_equal(DensityOperator(lay, m).matrix, m)
+        np.testing.assert_allclose(
+            DensityOperator.from_matrix(lay, m).matrix, np.diag([1.0, 0.0]), rtol=0, atol=1e-15
+        )
         with pytest.raises(ValueError, match="matrix not PSD: lowest eigenvalue -2.000e-09"):
-            DensityOperator(lay, np.diag([1.0 + 2 * self.PSD, -2 * self.PSD]))
+            DensityOperator.from_matrix(lay, np.diag([1.0 + 2 * self.PSD, -2 * self.PSD]))
 
     def test_hermiticity_and_trace_still_checked(self):
         lay = layout(("A", 2))
         with pytest.raises(ValueError, match="not Hermitian"):
-            DensityOperator(lay, np.array([[0.5, 0.1], [0.0, 0.5]]))
+            DensityOperator.from_matrix(lay, np.array([[0.5, 0.1], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator(lay, np.diag([0.5, 0.6]))
+            DensityOperator.from_matrix(lay, np.diag([0.5, 0.6]))
+        with pytest.raises(DimensionMismatchError, match="square matrix of side 2"):
+            DensityOperator.from_matrix(lay, np.eye(3) / 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         with pytest.raises(ValueError, match="NaN or infinite"):
-            DensityOperator(layout(("A", 2)), np.full((2, 2), bad))
+            DensityOperator.from_matrix(layout(("A", 2)), np.full((2, 2), bad))
         m = np.diag([1.0, 0.0]).astype(complex)
         m[0, 1] = m[1, 0] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
-            DensityOperator(layout(("A", 2)), m)
+            DensityOperator.from_matrix(layout(("A", 2)), m)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_from_matrix_matches_the_dense_state_at_every_rank(self, d):
+        """rho = sum_k w_k v_k v_k^dag, formed entry by entry, for ranks 1..D:
+        the factor has one column per nonzero weight and forms rho again."""
+        rng = np.random.default_rng(40 + d)
+        lay = layout(("A", d))
+        u = random_unitary(d, rng)
+        for rank in range(1, d + 1):
+            w = rng.uniform(0.5, 1.5, rank)
+            rho = brute_density(list(u[:, :rank].T), w / w.sum())
+            made = DensityOperator.from_matrix(lay, rho)
+            np.testing.assert_allclose(made.matrix, rho, rtol=0, atol=1e-14)
+            assert made.factor.shape[1] >= rank
+
+    def test_a_dense_matrix_given_as_the_factor(self):
+        """A mixed rho given where the factor goes fails the trace check, since
+        ||rho||_F^2 is its purity; a pure rho gives rho rho^dag = rho."""
+        lay = layout(("A", 2))
+        with pytest.raises(ValueError, match=r"trace 0.5\+0j is not 1"):
+            DensityOperator(lay, np.eye(2) / 2)
+        v = rand_vec(2)
+        pure = np.outer(v, v.conj())
+        np.testing.assert_allclose(DensityOperator(lay, pure).matrix, pure, rtol=0, atol=1e-15)
 
 
 class TestTensor:
@@ -206,10 +237,20 @@ class TestTensor:
         assert out.layout.labels == ("A", "B")
 
     def test_maximally_mixed_factors(self):
-        a = DensityOperator(layout(("A", 2)), np.eye(2) / 2)
-        b = DensityOperator(layout(("B", 3)), np.eye(3) / 3)
+        a = DensityOperator.from_matrix(layout(("A", 2)), np.eye(2) / 2)
+        b = DensityOperator.from_matrix(layout(("B", 3)), np.eye(3) / 3)
         out = tensor(a, b)
         np.testing.assert_allclose(out.matrix, np.eye(6) / 6)
+
+    def test_mixed_states_stay_factored(self):
+        """kron(M_a, M_b) is a factor of rho_a (x) rho_b, with ra * rb columns."""
+        a = random_density(layout(("A", 2)), RNG, rank=2)
+        b = random_density(layout(("B", 3)), RNG, rank=1)
+        out = tensor(a, b)
+        assert out.factor.shape == (6, 2)
+        np.testing.assert_allclose(
+            out.matrix, brute_kron(a.matrix, b.matrix), rtol=0, atol=1e-15
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -229,7 +270,7 @@ class TestTensor:
 
     def test_mixed_kinds_rejected(self):
         a = basis_state(layout(("A", 2)), 0)
-        b = DensityOperator(layout(("B", 2)), np.eye(2) / 2)
+        b = random_density(layout(("B", 2)), RNG)
         with pytest.raises(TypeError):
             tensor(a, b)
 

@@ -346,14 +346,19 @@ class TestFactorKernels:
 
     @pytest.mark.parametrize("dims,axis", CASES)
     def test_sandwich_of_dense_matrix(self, dims, axis):
+        """A caller's dense matrix, factored once by ``from_matrix``, is
+        conditioned through its factor: tr_rest(L rho L^dag) / w against L
+        applied entry by entry on both sides of the dense matrix."""
         rng = np.random.default_rng(1400 + axis + 10 * len(dims))
         n = len(dims)
-        rho = random_density(lay_for(dims), rng)
+        dense = np.array(random_density(lay_for(dims), rng).matrix)
+        rho = DensityOperator.from_matrix(lay_for(dims), dense)
         factor, f = block_factor(dims[axis], rng)
         keep = [i for i in range(n) if i != axis]
-        w, cond = chains._condition_matrix(rho.matrix, factor, dims, axis, keep, sandwich=True)
+        w, m = chains._condition_vector(rho.factor.T, factor, dims, axis, keep)
+        cond = m @ m.conj().T
         rows = resized(dims, axis, factor.shape[0])
-        left = brute_apply_local(factor, rho.matrix.reshape(-1), dims + dims, axis)
+        left = brute_apply_local(factor, dense.reshape(-1), dims + dims, axis)
         both = brute_apply_local(factor.conj(), left, rows + dims, n + axis)
         both = both.reshape(math.prod(rows), -1)
         assert w == pytest.approx(float(np.real(np.trace(both))), abs=1e-12)
@@ -509,23 +514,21 @@ def copy_chain_report(n, analysis):
 
 @pytest.fixture
 def dense_states(monkeypatch):
-    """Records every D x D density matrix made: a checked dense construction
-    or the first read of a factored state's ``matrix``."""
+    """Records every D x D density matrix made: a dense matrix factored by
+    ``from_matrix`` or the first read of a state's ``matrix``."""
     made = []
-    post_init, lazy = DensityOperator.__post_init__, DensityOperator.__getattr__
+    from_matrix, formed = DensityOperator.from_matrix.__func__, DensityOperator.matrix.func
 
-    def checked(self):
-        if self.factor is None:
-            made.append(("constructed", self.layout.dim))
-        post_init(self)
+    def checked(cls, lay, rho):
+        made.append(("constructed", lay.dim))
+        return from_matrix(cls, lay, rho)
 
-    def read(self, name):
-        if name == "matrix":
-            made.append(("materialized", self.layout.dim))
-        return lazy(self, name)
+    def read(self):
+        made.append(("materialized", self.layout.dim))
+        return formed(self)
 
-    monkeypatch.setattr(DensityOperator, "__post_init__", checked)
-    monkeypatch.setattr(DensityOperator, "__getattr__", read)
+    monkeypatch.setattr(DensityOperator, "from_matrix", classmethod(checked))
+    monkeypatch.setattr(DensityOperator, "matrix", property(read))
     return made
 
 
@@ -595,13 +598,8 @@ def _is_ready_amplitudes(node):
 
 
 # Modules whose reduced states stay factored: no |psi><psi| (np.outer), no
-# .density() and no D x D eigensolver, apart from the checks of a matrix
-# given as such (qualified scope, call name).
+# .density() and no D x D eigensolver.
 DENSE_STATE_MODULES = ("chains.py", "scenarios.py", "hilbert.py")
-DENSE_STATE_EXEMPT = {
-    ("hilbert.py", "DensityOperator.__post_init__", "eigvalsh"),  # dense PSD check
-    ("hilbert.py", "trace_distance", "eigvalsh"),  # a dense operand
-}
 
 
 class _DensePathFinder(ast.NodeVisitor):
@@ -616,11 +614,6 @@ class _DensePathFinder(ast.NodeVisitor):
         self.module = module
         self.scope = ["<module>"]
         self.offenders = []
-
-    def visit_ClassDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -641,9 +634,7 @@ class _DensePathFinder(ast.NodeVisitor):
             if any(map(_is_ready_amplitudes, node.args)):
                 self.offenders.append(f"kron(..., ready_state.amplitudes) at {where}")
         if self.module in DENSE_STATE_MODULES and name in ("outer", "density", "eigvalsh"):
-            qualified = ".".join(self.scope[1:])
-            if (self.module, qualified, name) not in DENSE_STATE_EXEMPT:
-                self.offenders.append(f"{name} call at {where}")
+            self.offenders.append(f"{name} call at {where}")
         self.generic_visit(node)
 
 
@@ -691,7 +682,7 @@ def test_dense_path_finder_flags_dense_states():
     other = _DensePathFinder("premeasurement.py")
     other.visit(ast.parse(source))
     assert other.offenders == []
-    # the checks of a dense matrix are exempt, by class-qualified scope
+    # no scope of hilbert.py is exempt, the density operator's own included
     hilbert = _DensePathFinder("hilbert.py")
     hilbert.visit(
         ast.parse(
@@ -700,14 +691,12 @@ def test_dense_path_finder_flags_dense_states():
             "        np.linalg.eigvalsh(self.matrix)\n"
             "def trace_distance(a, b):\n"
             "    np.linalg.eigvalsh(a - b)\n"
-            "class StateVector:\n"
-            "    def __post_init__(self, tol):\n"
-            "        np.linalg.eigvalsh(self.matrix)\n"
             "def purity(rho):\n"
             "    np.outer(rho, rho)\n"
         )
     )
     assert hilbert.offenders == [
-        "eigvalsh call at hilbert.py:8 in __post_init__",
-        "outer call at hilbert.py:10 in purity",
+        "eigvalsh call at hilbert.py:3 in __post_init__",
+        "eigvalsh call at hilbert.py:5 in trace_distance",
+        "outer call at hilbert.py:7 in purity",
     ]

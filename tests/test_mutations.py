@@ -54,12 +54,13 @@ FAULT_TABLE = {
         "premeasurement.ideal_definitions",
         "chains.decoherence_split",
         "chains.conditional_equivalences",
+        "chains.absoluteness",
     },
     "partial_trace_matrix_transposed": {
+        "hilbert.partial_trace_commutativity",
         "chains.relative_state_forms",
         "chains.conditional_equivalences",
         "chains.tripartite_consistency",
-        "chains.absoluteness",
     },
     "apply_local_operator_conjugated": {
         "premeasurement.equivalence_triangle",
@@ -72,7 +73,6 @@ FAULT_TABLE = {
 # Suites that no fault above fails yet.  The ratchet test keeps this set and
 # the table's union a partition of ``SUITES``, so the set can only shrink.
 UNCOVERED_SUITES = {
-    "hilbert.partial_trace_commutativity",
     "hilbert.partial_trace_trace_one",
     "hilbert.partial_trace_psd",
     "hilbert.expansion_resummation",

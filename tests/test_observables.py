@@ -327,7 +327,7 @@ class TestEigenbasisRejections:
 
 VALUE_TYPES = {
     "StateVector": lambda: StateVector(layout(("A", 2)), [1.0, 0.0]),
-    "DensityOperator": lambda: DensityOperator(layout(("A", 2)), np.eye(2) / 2),
+    "DensityOperator": lambda: DensityOperator(layout(("A", 2)), np.eye(2)[:, :1]),
     "SubsystemBasis": lambda: SubsystemBasis("A", (np.array([1.0, 0.0]), np.array([0.0, 1.0]))),
     "SpectralBranch": lambda: SpectralBranch(0, 0.0, np.eye(2)),
     "SpectralObservable": lambda: observable_from_matrix(PAULI_Z, "A"),
@@ -460,14 +460,16 @@ class TestNoDenseProjectorChecks:
         event = random_unitary(2, rng)[:, :1]
         for n in (1, 2, 3):
             chains.tripartite_conditional_consistency(rho, event, "B", "C")
-            assert counts == {"eigh": 0, "blocks": n}
+            # one eigh per route: each factors its dense result once
+            assert counts == {"eigh": 2 * n, "blocks": n}
         with pytest.raises(NotAProjectorError):
             chains.tripartite_conditional_consistency(rho, np.diag([0.5, 0.5]), "B", "C")
-        assert counts == {"eigh": 0, "blocks": 4}
+        assert counts == {"eigh": 6, "blocks": 4}
 
 
-def eigh_callers(source: str) -> list[str]:
-    """The enclosing function of every ``eigh`` call in ``source``, as
+def callers(source: str, callee: str = "eigh") -> list[str]:
+    """The enclosing function of every reference to ``callee`` in ``source``
+    (a call, or an alias that a later call goes through), as
     ``"<function> at line <n>"``; ``<module>`` outside any function."""
     found = []
 
@@ -476,34 +478,38 @@ def eigh_callers(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "eigh":
-                    found.append(f"{scope} at line {child.lineno}")
+            name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
+            if name == callee:
+                found.append(f"{scope} at line {child.lineno}")
             visit(child, scope)
 
     visit(ast.parse(source), "<module>")
     return found
 
 
+def package_callers(callee: str) -> dict[str, list[str]]:
+    """``callers`` of ``callee`` in each module of ``src/vnchain``."""
+    return {
+        path.name: callers(path.read_text(), callee)
+        for path in sorted(Path(observables.__file__).parent.glob("*.py"))
+    }
+
+
 class TestEighGuard:
     """Within ``src/vnchain``, ``eigh`` is called only in
-    ``observable_from_matrix``."""
+    ``hilbert._hermitian_spectrum``, the one boundary of a caller's
+    Hermitian matrix."""
 
-    def test_only_observable_from_matrix_calls_eigh(self):
-        calls = {
-            path.name: eigh_callers(path.read_text())
-            for path in sorted(Path(observables.__file__).parent.glob("*.py"))
-        }
+    def test_only_the_hermitian_boundary_calls_eigh(self):
+        calls = package_callers("eigh")
         offenders = [
             f"{module}: {call}"
             for module, found in calls.items()
             for call in found
-            if not (module == "observables.py" and call.startswith("observable_from_matrix "))
+            if not (module == "hilbert.py" and call.startswith("_hermitian_spectrum "))
         ]
         assert offenders == []
-        assert len(calls["observables.py"]) == 1
+        assert len(calls["hilbert.py"]) == 1
 
     def test_eigh_callers_finds_every_spelling(self):
         source = (
@@ -518,7 +524,40 @@ class TestEighGuard:
             "    def m(self, p):\n"
             "        return scipy.linalg.eigh(p)\n"
         )
-        assert eigh_callers(source) == ["<module> at line 3", "g at line 6", "m at line 10"]
+        assert callers(source) == ["<module> at line 3", "g at line 6", "m at line 10"]
+
+
+class TestFromMatrixGuard:
+    """Within ``src/vnchain``, only the plain and tripartite conditioning
+    routes, which contract an event against the dense rho, factor a dense
+    matrix with ``DensityOperator.from_matrix``."""
+
+    ALLOWED = {"conditional_state", "tripartite_conditional_consistency"}
+
+    def test_only_the_dense_conditioning_routes_call_from_matrix(self):
+        calls = package_callers("from_matrix")
+        offenders = [
+            f"{module}: {call}"
+            for module, found in calls.items()
+            for call in found
+            if not (module == "chains.py" and call.split(" at ")[0] in self.ALLOWED)
+        ]
+        assert offenders == []
+        assert sorted(call.split(" at ")[0] for call in calls["chains.py"]) == sorted(self.ALLOWED)
+
+    def test_guard_sees_calls_and_aliases(self):
+        source = (
+            "def relabeled(self, m):\n"
+            "    return DensityOperator.from_matrix(self.layout, m)\n"
+            "def conditional_state(rho):\n"
+            "    make = DensityOperator.from_matrix\n"
+            "    return cls.from_matrix(lay, rho)\n"
+        )
+        assert callers(source, "from_matrix") == [
+            "relabeled at line 2",
+            "conditional_state at line 4",
+            "conditional_state at line 5",
+        ]
 
 
 class TestObservableDecomposition:
