@@ -11,6 +11,7 @@ the exception, and one that skips every case as a failing row with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,6 +38,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Fixed configuration: built on the first ``main`` call and shared by every
+# later one in the process; each ``parse_args`` returns a fresh namespace.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vnchain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,13 +82,18 @@ def _cmd_run(args) -> int:
         scenario = load_builtin(name_or_path)
     else:
         path = Path(name_or_path)
-        if not path.exists():
+        if not path.is_file():
             print(
                 f"error: {name_or_path!r} is neither a builtin scenario nor a file",
                 file=sys.stderr,
             )
             return 1
-        scenario = parse_scenario(path.read_text())
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            print(f"error: cannot read {name_or_path!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+        scenario = parse_scenario(text)
     options = RunOptions(seed=args.seed, tolerance=args.tol, dump_states=args.dump_states)
     report = run(scenario, options)
     sys.stdout.write(report.render(args.format))

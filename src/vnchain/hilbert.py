@@ -212,9 +212,10 @@ class DensityOperator:
 
         rho must be Hermitian within ``DEFAULT.herm``, of unit trace within
         ``DEFAULT.norm`` and PSD down to lambda_min >= -``DEFAULT.psd``.  The
-        factor is V sqrt(lambda) over the positive eigenpairs, rescaled to unit
-        Frobenius norm so that the clipped eigenvalues (at least -psd) leave the
-        trace at one.
+        factor is V sqrt(lambda) over the eigenpairs with lambda > lambda_max D
+        eps (the default rank cut of ``np.linalg.matrix_rank``), so rounding
+        noise adds no columns; it is rescaled to unit Frobenius norm so that
+        the dropped eigenvalues leave the trace at one.
         """
         mat, eigvals, eigvecs = _hermitian_spectrum(rho, layout.dim)
         tr = complex(np.trace(mat))
@@ -223,8 +224,8 @@ class DensityOperator:
         lo = float(eigvals[0])
         if lo < -DEFAULT.psd:
             raise ValueError(f"matrix not PSD: lowest eigenvalue {lo:.3e}")
-        positive = eigvals > 0
-        m = eigvecs[:, positive] * np.sqrt(eigvals[positive])
+        kept = eigvals > eigvals[-1] * layout.dim * np.finfo(float).eps
+        m = eigvecs[:, kept] * np.sqrt(eigvals[kept])
         return cls(layout, m / np.linalg.norm(m))
 
     @cached_property

@@ -162,9 +162,13 @@ def _suite_pt_psd(ctx: SuiteContext) -> tuple[int, float]:
     for _ in range(ctx.trials):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
-        red = partial_trace(random_state(lay, rng), {"A"})
-        lo = float(_hermitian_spectrum(red.matrix)[1][0])
-        worst = max(worst, max(0.0, -lo))
+        state = random_state(lay, rng)
+        red = partial_trace(state, {"A"}).matrix
+        # the same reduction formed densely, sharing no kernel with the factor
+        psi = state.amplitudes
+        dense = partial_trace_matrix(np.outer(psi, psi.conj()), (da, db), [1])
+        lo = min(float(_hermitian_spectrum(m)[1][0]) for m in (red, dense))
+        worst = max(worst, -lo, float(np.linalg.norm(dense - red)))
         cases += 1
     return cases, worst
 

@@ -201,6 +201,15 @@ class TestConditionalState:
             <= 1e-10
         )
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_plain_form_of_a_rank_one_event_has_one_column(self, seed):
+        """The plain form factors its dense result, and rounding noise in the
+        spectrum adds no columns: both forms give the rank-one relative state."""
+        psi = random_state(layout(("A", 4), ("B", 3)), np.random.default_rng(seed))
+        event = np.eye(3)[:, :1]
+        for form in ("plain", "sandwich"):
+            assert conditional_state(psi.density(), event, "B", form).factor.shape == (4, 1)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_plain_equals_sandwich(self, seed):

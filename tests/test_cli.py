@@ -438,3 +438,81 @@ class TestCommandLine:
         assert len(out.splitlines()) == 20
         assert "FAIL  raised ValueError: trace" in out
         assert "Traceback" not in out + err
+
+
+class TestUnreadableScenario:
+    def test_run_directory_is_neither_builtin_nor_file(self, tmp_path):
+        proc = cli("run", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {str(tmp_path)!r} is neither a builtin scenario nor a file\n"
+        assert proc.stdout == ""
+
+    def test_read_error_is_an_error_line(self, tmp_path, monkeypatch, capsys):
+        from vnchain.cli import main
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(builtin_document("stern-gerlach")))
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert main(["run", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: cannot read {str(path)!r}: Permission denied\n")
+
+
+class TestParserReuse:
+    """``main`` may be called many times in one process: the parser it builds
+    once carries nothing from one call into the next."""
+
+    @staticmethod
+    def call(capsys, *argv):
+        from vnchain.cli import main
+
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    SEEDED = ("run", "stern-gerlach", "--seed", "5", "--dump-states", "--format", "json")
+    CORRUPT = ("verify", "--trials", "10", "--corrupt", "phase")
+
+    @pytest.mark.parametrize(
+        "first,between,codes",
+        [
+            (("run", "stern-gerlach"), SEEDED, (0, 0)),
+            (SEEDED, ("run", "stern-gerlach"), (0, 0)),
+            (("run", "wigner-friend", "--format", "tsv"), ("run", "x", "--format", "xml"), (0, 1)),
+            (CORRUPT, ("verify", "--trials", "10"), (2, 0)),
+            (("verify", "--trials", "10"), CORRUPT, (0, 2)),
+        ],
+    )
+    def test_a_call_in_between_changes_nothing(self, capsys, first, between, codes):
+        before = self.call(capsys, *first)
+        middle = self.call(capsys, *between)
+        assert (before[0], middle[0]) == codes
+        assert self.call(capsys, *first) == before
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        from vnchain import cli
+
+        self.call(capsys, "scenarios", "list")
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        for argv in (
+            ("scenarios", "list"),
+            ("emit", "stern-gerlach"),
+            ("run", "stern-gerlach"),
+            ("run", "x", "--format", "xml"),
+            ("verify", "--trials", "0"),
+        ):
+            self.call(capsys, *argv)
+        assert built == []
+        cli._build_parser.__wrapped__()  # the counter sees a fresh build
+        assert len(built) == 6

@@ -215,7 +215,19 @@ class TestDensityOperatorValidation:
             rho = brute_density(list(u[:, :rank].T), w / w.sum())
             made = DensityOperator.from_matrix(lay, rho)
             np.testing.assert_allclose(made.matrix, rho, rtol=0, atol=1e-14)
-            assert made.factor.shape[1] >= rank
+            assert made.factor.shape[1] == rank
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 3), (4, 3), (2, 3, 4)])
+    def test_from_matrix_keeps_the_rank_of_a_factored_state(self, dims):
+        """A rank-r state made dense and factored again keeps r columns: the
+        eigenvalues that rounding leaves in place of zeros are cut."""
+        lay = layout(*((f"S{i}", d) for i, d in enumerate(dims)))
+        rng = np.random.default_rng(list(dims))
+        for rank in range(1, lay.dim + 1):
+            rho = random_density(lay, rng, rank=rank)
+            made = DensityOperator.from_matrix(lay, rho.matrix)
+            assert made.factor.shape == (lay.dim, rank)
+            np.testing.assert_allclose(made.matrix, rho.matrix, rtol=0, atol=1e-14)
 
     def test_a_dense_matrix_given_as_the_factor(self):
         """A mixed rho given where the factor goes fails the trace check, since
