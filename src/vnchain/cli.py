@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
         scenario = load_builtin(name_or_path)
     else:
         path = Path(name_or_path)
-        if not path.is_file():
+        if not path.exists() or path.is_dir():
             print(
                 f"error: {name_or_path!r} is neither a builtin scenario nor a file",
                 file=sys.stderr,

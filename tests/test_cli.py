@@ -22,7 +22,7 @@ from vnchain.scenarios import (
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def cli(*args, env_extra=None):
+def cli(*args, env_extra=None, stdin_text=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
@@ -32,6 +32,7 @@ def cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        input=stdin_text,
     )
 
 
@@ -446,6 +447,14 @@ class TestUnreadableScenario:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {str(tmp_path)!r} is neither a builtin scenario nor a file\n"
         assert proc.stdout == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_run_reads_a_scenario_from_a_pipe(self):
+        # a pipe is no regular file, but it is readable: only directories are refused
+        doc = cli("emit", "stern-gerlach").stdout
+        proc = cli("run", "/dev/stdin", stdin_text=doc)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == cli("run", "stern-gerlach").stdout
 
     def test_read_error_is_an_error_line(self, tmp_path, monkeypatch, capsys):
         from vnchain.cli import main
