@@ -77,6 +77,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise _UsageError(f"--tol must be a finite number >= 0; got {args.tol!r}")
     name_or_path = args.scenario
     if name_or_path in builtin_names():
         scenario = load_builtin(name_or_path)
@@ -109,6 +111,8 @@ def _cmd_verify(args) -> int:
         raise _UsageError("--dims values must be >= 2")
     if args.trials < 0:
         raise _UsageError("--trials must be >= 0")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     if args.trials == 0:
         print("warning: trials=0, no suites executed", file=sys.stderr)
         if args.format == "json":

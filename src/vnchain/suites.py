@@ -9,11 +9,19 @@ such as an ``UndefinedConditionalError``; one that skips every case fails
 the same way, since it checked nothing.  The ``corrupt``
 hook deliberately damages the system under test (not the checks) so that
 fault injection can prove the suites have teeth.
+
+The suites share no state, so ``run_suites`` spreads them over the CPUs the
+process may use: the caller and forked helpers claim suite indices from one
+shared pipe, and the rows come back in ``SUITES`` order, equal to a serial
+run's.  With one usable CPU, no ``fork`` or other Python threads alive, the
+caller runs every suite itself.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -608,6 +616,90 @@ SUITES = (
 )
 
 
+def _run_suite(index: int, ctx: SuiteContext) -> SuiteResult:
+    suite = SUITES[index]
+    try:
+        cases, worst = suite.check(ctx)
+        note = suite.note
+    except Exception as exc:  # a library fault fails its suite, not the run
+        cases, worst, note = 0, math.inf, f"raised {type(exc).__name__}: {exc}"
+    else:
+        if cases == 0:
+            worst, note = math.inf, "ran no cases: every case was skipped"
+    return SuiteResult(suite.name, cases, worst, suite.tolerance, note)
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _claimed(todo: int):
+    """Suite indices read one byte at a time from the shared pipe ``todo``."""
+    while claim := os.read(todo, 1):
+        yield claim[0]
+
+
+def _helper(ctx: SuiteContext, todo: int, out) -> None:
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops its helpers
+    for index in _claimed(todo):
+        out.send((index, _run_suite(index, ctx)))
+
+
+def _run_forked(ctx: SuiteContext, helpers: int) -> tuple[SuiteResult, ...]:
+    """Run the suites in the caller and ``helpers`` forked processes.
+
+    Each process claims the next index from one pipe, so the caller works
+    too, and a helper that cannot be forked leaves its share to the others.
+    A suite whose row never arrives, because its helper died, is run again
+    in the caller, so the rows always equal a serial run's.
+    """
+    import multiprocessing
+
+    # fork, not spawn: a helper must run the caller's code as it stands,
+    # monkeypatches and wrappers included.  run_suites forks only while no
+    # other Python thread is alive.
+    fork = multiprocessing.get_context("fork")
+    todo, fill = os.pipe()
+    os.write(fill, bytes(range(len(SUITES))))
+    os.close(fill)  # once drained, a read returns EOF
+    procs, readers, rows = [], [], {}
+    try:
+        for _ in range(helpers):
+            reader, writer = fork.Pipe(duplex=False)
+            readers.append(reader)
+            proc = fork.Process(target=_helper, args=(ctx, todo, writer), daemon=True)
+            try:
+                proc.start()
+            except OSError:  # no process to spare: the others claim its share
+                break
+            finally:
+                writer.close()  # the helper holds the only write end
+            procs.append(proc)
+        for index in _claimed(todo):
+            rows[index] = _run_suite(index, ctx)
+        for reader in readers:
+            try:
+                while True:
+                    index, row = reader.recv()
+                    rows[index] = row
+            except EOFError:  # the helper has exited
+                pass
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for reader in readers:
+            reader.close()
+        os.close(todo)
+    return tuple(rows[i] if i in rows else _run_suite(i, ctx) for i in range(len(SUITES)))
+
+
 def run_suites(
     max_object_dim: int = 4,
     max_instrument_dim: int = 6,
@@ -627,15 +719,7 @@ def run_suites(
         seed=seed,
         corrupt=corrupt,
     )
-    results = []
-    for suite in SUITES:
-        try:
-            cases, worst = suite.check(ctx)
-            note = suite.note
-        except Exception as exc:  # a library fault fails its suite, not the run
-            cases, worst, note = 0, math.inf, f"raised {type(exc).__name__}: {exc}"
-        else:
-            if cases == 0:
-                worst, note = math.inf, "ran no cases: every case was skipped"
-        results.append(SuiteResult(suite.name, cases, worst, suite.tolerance, note))
-    return tuple(results)
+    helpers = min(_usable_cpus(), len(SUITES)) - 1
+    if helpers > 0 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _run_forked(ctx, helpers)
+    return tuple(_run_suite(i, ctx) for i in range(len(SUITES)))

@@ -18,6 +18,23 @@ def acceptance():
     return record
 
 
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    """Fail a test that leaves a ``multiprocessing`` child alive.
+
+    Reads ``multiprocessing`` only when something already imported it, so the
+    fixture itself imports nothing.
+    """
+    yield
+    mp = sys.modules.get("multiprocessing")
+    left = mp.active_children() if mp is not None else []
+    for child in left:
+        child.terminate()
+        child.join()
+    if left:
+        pytest.fail(f"test left child processes alive: {left}")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE_RESULTS:
         return

@@ -387,6 +387,30 @@ class TestCommandLine:
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
 
+    def test_verify_negative_seed_usage_error(self, monkeypatch, capsys):
+        from vnchain import cli as cli_module
+
+        def unreachable(**kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli_module, "run_suites", unreachable)
+        assert cli_module.main(["verify", "--seed", "-1", "--trials", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage error: --seed must be >= 0\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+    def test_run_tol_must_be_finite_and_non_negative(self, tol):
+        proc = cli("run", "stern-gerlach", f"--tol={tol}")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage error: --tol must be a finite number >= 0; got ")
+
+    def test_run_tol_zero_is_accepted(self):
+        proc = cli("run", "stern-gerlach", "--tol", "0")
+        assert proc.returncode in (0, 2)
+        assert proc.stdout and "usage error" not in proc.stderr
+
     def test_tol_flag(self):
         strict = cli("run", "stern-gerlach", "--tol", "1e-30")
         assert strict.returncode == 2  # float rounding exceeds an absurd tolerance
