@@ -28,6 +28,8 @@ from .hilbert import (
     State,
     StateVector,
     SubsystemLayout,
+    _fro,
+    _gram_residual,
     _resized,
     apply_local,
     factor_difference,
@@ -196,7 +198,7 @@ def observables_match(a: SpectralObservable, b: SpectralObservable) -> bool:
         if abs(x.eigenvalue - y.eigenvalue) > DEFAULT.observable_match:
             return False
         # ||Q_x Q_x^dag - Q_y Q_y^dag||_F from a thin QR of the two blocks
-        if np.linalg.norm(factor_difference(x.basis, y.basis)) > DEFAULT.observable_match * a.dim:
+        if _fro(factor_difference(x.basis, y.basis)) > DEFAULT.observable_match * a.dim:
             return False
     return True
 
@@ -230,7 +232,7 @@ def extend_chain(
     right = math.prod(lay.dims[pos + 1 :])
     if right > 1:  # move the new instrument axis behind the later subsystems
         amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(-1)
-    extended_layout = lay.concat(SubsystemLayout(((pm.instrument_label, d_b),)))
+    extended_layout = SubsystemLayout(lay.subsystems + ((pm.instrument_label, d_b),))
     return StateVector(extended_layout, amps, normalized=True)
 
 
@@ -323,7 +325,7 @@ def relative_state(
     defined up to a phase, so compare results as projectors.
     """
     subject_vector = np.asarray(subject_vector, dtype=complex)
-    n = np.linalg.norm(subject_vector)
+    n = _fro(subject_vector)
     if abs(n - 1.0) > DEFAULT.unit_vector:
         raise ValueError(f"subject vector must be a unit vector, got norm {n!r}")
     coeff = partial_scalar_product(subject_vector, subject, psi)
@@ -429,7 +431,7 @@ def ensemble_update(
     _, m = _condition_vector(mixture, factor, lay.dims, pos, keep)
     aggregate = DensityOperator(reduced_layout, m)
     recombined = np.hstack([math.sqrt(u.weight) * u.state.factor for u in updated])
-    resid = float(np.linalg.norm(factor_difference(recombined, aggregate.factor)))
+    resid = _fro(factor_difference(recombined, aggregate.factor))
     # The factored residual does not grow with D (see ``Tolerances``), so the
     # bound's D scale stops at 2**10, the largest D it was sized for.
     if resid > DEFAULT.reconstruction * min(max(1, aggregate.layout.dim), 2**10):
@@ -467,8 +469,11 @@ def monte_carlo_update(
     members = rng.choice(len(weights), size=n_samples, p=weights / weights.sum())
     coins = rng.random(n_samples)
     accepted = coins < probs[members]
-    member_counts = np.bincount(members, minlength=len(weights))
-    accepted_counts = np.bincount(members[accepted], minlength=len(weights))
+    # one count over the codes 2*member + accepted: row k holds member k's
+    # rejected and accepted samples
+    counts = np.bincount(2 * members + accepted, minlength=2 * len(weights)).reshape(-1, 2)
+    member_counts = counts.sum(axis=1)
+    accepted_counts = counts[:, 1]
     if accepted_counts.sum() == 0:
         raise ZeroSampleError("no sample triggered the event; cannot form weights")
     return MonteCarloUpdate(
@@ -492,7 +497,7 @@ def redecompose(ens: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:
         raise DimensionMismatchError("mixing matrix too small for the ensemble")
     if not np.isfinite(mixing).all():
         raise ValueError("mixing matrix has NaN or infinite entries")
-    if np.linalg.norm(mixing.conj().T @ mixing - np.eye(mixing.shape[0])) > DEFAULT.unitary * mixing.shape[0]:
+    if _gram_residual(mixing) > DEFAULT.unitary * mixing.shape[0]:
         raise ValueError("mixing matrix must be unitary")
     lay = ens.layout
     new_members = []
@@ -523,4 +528,4 @@ def offdiagonal_block_norm(
     cols = rho.factor.T
     rs = [np.linalg.qr(apply_local(f, cols, lay.dims, pos).T, mode="r") for f in d.factors]
     cross = (a @ b.conj().T for j, a in enumerate(rs) for k, b in enumerate(rs) if j != k)
-    return max((float(np.linalg.norm(x)) for x in cross), default=0.0)
+    return max((_fro(x) for x in cross), default=0.0)

@@ -1,11 +1,12 @@
 """Command-line scenario runner and property-suite driver.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numerical or suite
-failure.  ``run --tol`` sets the pass tolerance of the report's check
-lines; the library's own checks read ``vnchain.tolerances.DEFAULT``.  A
-``verify`` suite that raises is reported as a failing row whose note names
-the exception, and one that skips every case as a failing row with
-``cases=0``; either residual is infinite (``null`` in JSON).
+Exit codes: 0 success, 1 validation/usage error (an allocation that does
+not fit in memory included), 2 numerical or suite failure.  ``run --tol``
+sets the pass tolerance of the report's check lines; the library's own
+checks read ``vnchain.tolerances.DEFAULT``.  A ``verify`` suite that
+raises is reported as a failing row whose note names the exception, and
+one that skips every case as a failing row with ``cases=0``; either
+residual is infinite (``null`` in JSON).
 """
 
 from __future__ import annotations
@@ -197,6 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

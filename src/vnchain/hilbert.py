@@ -37,6 +37,35 @@ def _frozen_array(values) -> np.ndarray:
     return out
 
 
+def _fro(a) -> float:
+    """The Frobenius (vector 2-) norm of ``a`` as a Python float: the one
+    check-norm kernel.
+
+    Computed as ``np.linalg.norm(a)`` computes it, so bit for bit equal to
+    it: the entries in memory order (``ravel(order="K")``), then
+    re.re + im.im for a complex array, then an IEEE square root; without
+    its argument dispatch.
+    """
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    return math.sqrt(x.dot(x))
+
+
+def _gram_residual(m: np.ndarray) -> float:
+    """||m^dag m - I||_F for a (d, k) matrix ``m``: the one Gram-residual kernel.
+
+    The identity is subtracted in place on the Gram diagonal, which is bit
+    for bit the ``- np.eye(k)`` form (x - 0 is x) without forming the eye.
+    """
+    gram = m.conj().T @ m
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return _fro(gram)
+
+
 def _hermitian_spectrum(h, dim: int | None = None):
     """The one boundary of a Hermitian matrix that a caller gives.
 
@@ -49,7 +78,7 @@ def _hermitian_spectrum(h, dim: int | None = None):
     if h.ndim != 2 or h.shape[0] != h.shape[1] or dim not in (None, h.shape[0]):
         side = "" if dim is None else f" of side {dim}"
         raise DimensionMismatchError(f"expected a square matrix{side}, got shape {h.shape}")
-    herm = np.linalg.norm(h - h.conj().T)
+    herm = _fro(h - h.conj().T)
     if herm > DEFAULT.herm:
         raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
     eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2)
@@ -67,16 +96,15 @@ class SubsystemLayout:
     dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        subs = tuple((str(label), int(dim)) for label, dim in self.subsystems)
+        subs = tuple([(str(label), int(dim)) for label, dim in self.subsystems])
         object.__setattr__(self, "subsystems", subs)
-        labels = tuple(label for label, _ in subs)
-        if not labels:
+        if not subs:
             raise DegenerateLayoutError("layout needs at least one subsystem")
+        labels, dims = zip(*subs)  # every entry is a (label, dim) pair
         if len(set(labels)) != len(labels):
             raise LayoutConflictError(f"duplicate subsystem labels in {list(labels)}")
-        if any(dim < 1 for _, dim in subs):
+        if min(dims) < 1:
             raise DimensionMismatchError("subsystem dimensions must be >= 1")
-        dims = tuple(dim for _, dim in subs)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dim", math.prod(dims))
@@ -146,12 +174,12 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
-            n = np.linalg.norm(amps)
+            n = _fro(amps)
             if abs(n - 1.0) > DEFAULT.norm:
                 raise ValueError(f"state flagged normalized but ||amplitudes|| = {n!r}")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _fro(self.amplitudes)
 
     def normalize(self) -> "StateVector":
         n = self.norm()
@@ -226,7 +254,7 @@ class DensityOperator:
             raise ValueError(f"matrix not PSD: lowest eigenvalue {lo:.3e}")
         kept = eigvals > eigvals[-1] * layout.dim * np.finfo(float).eps
         m = eigvecs[:, kept] * np.sqrt(eigvals[kept])
-        return cls(layout, m / np.linalg.norm(m))
+        return cls(layout, m / _fro(m))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -264,31 +292,38 @@ def _permutation(lay: SubsystemLayout, new_labels: Sequence[str]):
 
 @dataclass(frozen=True, eq=False)
 class SubsystemBasis:
-    """Orthonormal vectors on one subsystem; may be a sub-basis."""
+    """Orthonormal vectors on one subsystem; may be a sub-basis.
+
+    The vectors are copied once into ``rows``, a read-only (n, d) array, and
+    ``vectors`` holds its rows.
+    """
 
     subsystem: str
     vectors: tuple[np.ndarray, ...]
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vecs = tuple(_frozen_array(v) for v in self.vectors)
+        vecs = tuple(self.vectors)
         if not vecs:
             raise NonOrthonormalBasisError("basis needs at least one vector")
-        dim = vecs[0].shape[0]
-        if any(v.ndim != 1 or v.shape[0] != dim for v in vecs):
+        shape = np.shape(vecs[0])
+        if len(shape) != 1 or any(np.shape(v) != shape for v in vecs):
             raise DimensionMismatchError("basis vectors have inconsistent shapes")
-        if len(vecs) > dim:
+        rows = _frozen_array(vecs)
+        n, dim = rows.shape
+        if n > dim:
             raise NonOrthonormalBasisError(
-                f"{len(vecs)} vectors cannot be orthonormal in dimension {dim}"
+                f"{n} vectors cannot be orthonormal in dimension {dim}"
             )
-        m = np.column_stack(vecs)
-        resid = np.linalg.norm(m.conj().T @ m - np.eye(len(vecs)))
-        if resid > DEFAULT.orth * max(1, len(vecs)):
+        resid = _gram_residual(rows.T)
+        if resid > DEFAULT.orth * max(1, n):
             raise NonOrthonormalBasisError(f"orthonormality residual {resid:.3e}")
-        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "vectors", tuple(rows))
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].shape[0]
+        return self.rows.shape[1]
 
     @property
     def is_complete(self) -> bool:
@@ -319,7 +354,7 @@ def complete_orthonormal(vectors: Sequence[np.ndarray], dim: int) -> list[np.nda
         for _ in range(2):  # re-orthogonalize for numerical safety
             for b in basis:
                 w = w - np.vdot(b, w) * b
-        n = np.linalg.norm(w)
+        n = _fro(w)
         if n > DEFAULT.completion:
             basis.append(w / n)
     if len(basis) != dim:
@@ -516,7 +551,7 @@ def purity(state: State) -> float:
     rho = M M^dag, in O(D r^2)."""
     if isinstance(state, StateVector):
         return float(np.vdot(state.amplitudes, state.amplitudes).real) ** 2
-    return float(np.linalg.norm(state.factor.conj().T @ state.factor)) ** 2
+    return _fro(state.factor.conj().T @ state.factor) ** 2
 
 
 def factor_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -550,7 +585,7 @@ def projector_distance(a: StateVector, b: StateVector) -> float:
     in O(D) from the thin QR of [a, b] (see ``factor_difference``)."""
     _same_dims(a, b, "projector distance")
     diff = factor_difference(a.amplitudes[:, None], b.amplitudes[:, None])
-    return float(np.linalg.norm(diff))
+    return _fro(diff)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -564,7 +599,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_state(lay: SubsystemLayout, rng: np.random.Generator) -> StateVector:
     v = rng.standard_normal(lay.dim) + 1j * rng.standard_normal(lay.dim)
-    return StateVector(lay, v / np.linalg.norm(v))
+    return StateVector(lay, v / _fro(v))
 
 
 def random_density(
@@ -577,4 +612,4 @@ def random_density(
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    return DensityOperator(lay, g / np.linalg.norm(g))
+    return DensityOperator(lay, g / _fro(g))

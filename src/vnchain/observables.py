@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidDecompositionError, NotAProjectorError
-from .hilbert import _frozen_array, _hermitian_spectrum
+from .hilbert import _frozen_array, _gram_residual, _hermitian_spectrum
 from .tolerances import DEFAULT
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,10 +40,8 @@ def _orthonormal_block(q, what: str) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
     if q.ndim != 2 or q.shape[1] > q.shape[0]:
         raise NotAProjectorError(f"{what} of shape {q.shape} is not a (d, r) block with r <= d")
-    d, r = q.shape
-    gram = q.conj().T @ q
-    gram.flat[:: r + 1] -= 1.0
-    eps = float(np.linalg.norm(gram))
+    d = q.shape[0]
+    eps = _gram_residual(q)
     if not eps * (1 + eps) <= DEFAULT.orth * d:
         raise NotAProjectorError(f"{what} is not orthonormal: Gram residual {eps:.3e}")
     return q

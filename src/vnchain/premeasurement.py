@@ -29,7 +29,9 @@ from .hilbert import (
     SubsystemBasis,
     SubsystemLayout,
     DensityOperator,
+    _fro,
     _frozen_array,
+    _gram_residual,
     _resized,
     apply_local,
     complete_orthonormal,
@@ -137,7 +139,7 @@ def _checked_isometry(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     if m.shape != shape:
         kind = "unitary" if square else "isometry"
         raise DimensionMismatchError(f"{kind} shape {m.shape}, expected {shape}")
-    resid = np.linalg.norm(m.conj().T @ m - np.eye(shape[1]))
+    resid = _gram_residual(m)
     if resid > DEFAULT.unitary * max(1, shape[0]):
         kind = "unitary" if square else "an isometry"
         raise ValueError(f"matrix is not {kind}: residual {resid:.3e}")
@@ -186,7 +188,7 @@ def build_ideal(
 
     basis = np.concatenate([b.basis for b in measured.branches], axis=1)
     columns = np.repeat(np.arange(n_branches), [b.rank for b in measured.branches])
-    pointed = np.stack(pointer_states.vectors, axis=1)[:, columns]
+    pointed = pointer_states.rows.T[:, columns]
     isometry = np.einsum("ic,jc,mc->ijm", basis, pointed, basis.conj())
     return Premeasurement(
         object_label=measured.subsystem,
@@ -222,7 +224,7 @@ def _match_pointer_states(
         hits = [
             j
             for j, b in enumerate(pointer.branches)
-            if np.linalg.norm(b.basis @ (b.basis.conj().T @ v) - v) <= DEFAULT.pointer_match
+            if _fro(b.basis @ (b.basis.conj().T @ v) - v) <= DEFAULT.pointer_match
         ]
         if len(hits) != 1:
             raise DimensionMismatchError(
@@ -261,17 +263,17 @@ def build_exact(
         w_b = np.asarray(w_b, dtype=complex)
         if v_a.shape != (d_a, d_a) or w_b.shape != (d_b, d_b):
             raise DimensionMismatchError("dressing shapes do not match the layout")
-        if np.linalg.norm(v_a.conj().T @ v_a - np.eye(d_a)) > DEFAULT.unitary * d_a:
+        if _gram_residual(v_a) > DEFAULT.unitary * d_a:
             raise DressingError(f"object dressing {k} is not unitary")
         q = ideal.pointer.branches[ideal.mapping[k]].basis
         wq = w_b @ q
-        leak = np.linalg.norm(wq - q @ (q.conj().T @ wq))
+        leak = _fro(wq - q @ (q.conj().T @ wq))
         if leak > DEFAULT.orth * d_b:
             raise DressingError(
                 f"instrument dressing {k} leaks outside its pointer range "
                 f"(residual {leak:.3e})"
             )
-        if np.linalg.norm(wq.conj().T @ wq - np.eye(q.shape[1])) > DEFAULT.orth * d_b:
+        if _gram_residual(wq) > DEFAULT.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
         terms.append((v_a, wq, q))
         mapped.add(ideal.mapping[k])
@@ -335,7 +337,7 @@ def _sharp_vector(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     for _ in range(64):
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         vec = basis @ (basis.conj().T @ raw)
-        n = np.linalg.norm(vec)
+        n = _fro(vec)
         if n > DEFAULT.sharp_sample:
             return vec / n
     raise RuntimeError("could not sample a state in the projector range")
@@ -387,7 +389,7 @@ def check_conditions(
         phis = []
         for _ in range(trials):
             raw = rng.standard_normal(pm.object_dim) + 1j * rng.standard_normal(pm.object_dim)
-            phis.append(raw / np.linalg.norm(raw))
+            phis.append(raw / _fro(raw))
         phis = np.array(phis)
         finals = phis @ iso.T
         for q_k, branch in zip(pointer, branches):
@@ -501,7 +503,7 @@ def random_ideal(
     pointer_states = SubsystemBasis(instrument_label, tuple(q[:, k] for k in range(n)))
     raw = rng.standard_normal(instrument_dim) + 1j * rng.standard_normal(instrument_dim)
     ready = StateVector(
-        SubsystemLayout(((instrument_label, instrument_dim),)), raw / np.linalg.norm(raw)
+        SubsystemLayout(((instrument_label, instrument_dim),)), raw / _fro(raw)
     )
     rng.integers(2**32)  # unused; drawn so that seeded inputs stay as they were
     return build_ideal(measured, pointer_states, ready)

@@ -31,6 +31,7 @@ from .hilbert import (
     StateVector,
     SubsystemBasis,
     SubsystemLayout,
+    _fro,
     factor_difference,
     partial_trace,
     purity,
@@ -174,7 +175,7 @@ def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
                 E_DIMENSION, location, f"{len(spec)} amplitudes for dimension {dim}"
             )
         amps = np.array([_parse_complex(x, location) for x in spec])
-        n = np.linalg.norm(amps)
+        n = _fro(amps)
         if n < 1e-12:
             raise ScenarioError(E_MALFORMED_STATE, location, "state has zero norm")
         return amps / n
@@ -804,7 +805,7 @@ def _analysis_improper(params, scenario, pms, states, options) -> ReportSection:
     bd = improper_mixture(final, d)
     reduced = partial_trace(final, {subject})
     resum = np.hstack([math.sqrt(b.weight) * b.component.factor for b in bd.branches])
-    resid = float(np.linalg.norm(factor_difference(resum, reduced.factor)))
+    resid = _fro(factor_difference(resum, reduced.factor))
     checks = [
         _weight_sum_check(bd, options.tolerance),
         CheckLine("resummation_residual", resid, options.tolerance),

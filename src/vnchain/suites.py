@@ -44,6 +44,7 @@ from .errors import UndefinedConditionalError
 from .hilbert import (
     StateVector,
     SubsystemBasis,
+    _fro,
     _hermitian_spectrum,
     apply_local,
     complete_orthonormal,
@@ -142,11 +143,11 @@ def _suite_pt_commutativity(ctx: SuiteContext) -> tuple[int, float]:
         dims = (da, db, da, db)
         lhs = partial_trace_matrix(apply_local(y, x, dims, 1), (da, db), [0])  # (I x Y) X
         rhs = partial_trace_matrix(apply_local(y.T, x, dims, 3), (da, db), [0])  # X (I x Y)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        worst = max(worst, _fro(lhs - rhs))
         # Tr_B(X_A x Y) = X_A tr Y for a non-Hermitian X_A, against no kernel
         xa = x[:da, :da]
         product = partial_trace_matrix(np.kron(xa, y), (da, db), [0])
-        worst = max(worst, float(np.linalg.norm(product - xa * np.trace(y))))
+        worst = max(worst, _fro(product - xa * np.trace(y)))
         cases += 1
     return cases, worst
 
@@ -177,7 +178,7 @@ def _suite_pt_psd(ctx: SuiteContext) -> tuple[int, float]:
         psi = state.amplitudes
         dense = partial_trace_matrix(np.outer(psi, psi.conj()), (da, db), [1])
         lo = float(_hermitian_spectrum(dense)[1][0])
-        worst = max(worst, -lo, float(np.linalg.norm(dense - red)))
+        worst = max(worst, -lo, _fro(dense - red))
         cases += 1
     return cases, worst
 
@@ -197,7 +198,7 @@ def _suite_expansion(ctx: SuiteContext) -> tuple[int, float]:
         resum = np.zeros(lay.dim, dtype=complex)
         for n, c in coeffs:
             resum += np.kron(c.amplitudes, basis.vectors[n])
-        worst = max(worst, float(np.linalg.norm(resum - state.amplitudes)))
+        worst = max(worst, _fro(resum - state.amplitudes))
         cases += 1
     return cases, worst
 
@@ -229,13 +230,13 @@ def _suite_observables(ctx: SuiteContext) -> tuple[int, float]:
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = (h + h.conj().T) / 2
         obs = observable_from_matrix(h, "A")
-        worst = max(worst, float(np.linalg.norm(obs.matrix() - h)))
+        worst = max(worst, _fro(obs.matrix() - h))
         rebuilt = observable_from_matrix(obs.matrix(), "A")
         worst = max(
             worst,
             max(
                 abs(a.eigenvalue - b.eigenvalue)
-                + float(np.linalg.norm(a.projector - b.projector))
+                + _fro(a.projector - b.projector)
                 for a, b in zip(obs.branches, rebuilt.branches)
             )
             if obs.branch_count == rebuilt.branch_count
@@ -279,20 +280,20 @@ def _suite_ideal_definitions(ctx: SuiteContext) -> tuple[int, float]:
         for k, br in enumerate(pm.measured.branches):
             pointer_vec = _recovered_pointer_state(pm, k, rng)
             expected += np.kron(br.projector @ phi.amplitudes, pointer_vec)
-        worst = max(worst, float(np.linalg.norm(final.amplitudes - expected)))
+        worst = max(worst, _fro(final.amplitudes - expected))
         # Lueders form equals the reduced evolved state
         lud = luders_state(phi, pm.measured)
         red = partial_trace(final, {pm.instrument_label})
-        worst = max(worst, float(np.linalg.norm(lud.matrix - red.matrix)))
+        worst = max(worst, _fro(lud.matrix - red.matrix))
         # sharp states unchanged
         k = int(rng.integers(0, pm.measured.branch_count))
         br = pm.measured.branches[k]
         raw = br.projector @ random_state(lay_a, rng).amplitudes
-        if np.linalg.norm(raw) > 1e-6:
-            sharp = StateVector(lay_a, raw / np.linalg.norm(raw))
+        if _fro(raw) > 1e-6:
+            sharp = StateVector(lay_a, raw / _fro(raw))
             red_sharp = partial_trace(evolve(pm, sharp), {pm.instrument_label})
             proj = np.outer(sharp.amplitudes, sharp.amplitudes.conj())
-            worst = max(worst, float(np.linalg.norm(red_sharp.matrix - proj)))
+            worst = max(worst, _fro(red_sharp.matrix - proj))
         cases += 1
     return cases, worst
 
@@ -323,7 +324,7 @@ def _suite_completeness(ctx: SuiteContext) -> tuple[int, float]:
         dims = final.layout.dims
         for br in pm.pointer.branches:
             resum = resum + apply_local(br.projector, final.amplitudes, dims, 1)
-        worst = max(worst, float(np.linalg.norm(resum - final.amplitudes)))
+        worst = max(worst, _fro(resum - final.amplitudes))
         cases += 1
     return cases, worst
 
@@ -349,7 +350,7 @@ def _random_chain(ctx: SuiteContext, rng):
     q = random_unitary(dc, rng)
     pstates = SubsystemBasis("C", tuple(q[:, i] for i in range(n2)))
     raw = rng.standard_normal(dc) + 1j * rng.standard_normal(dc)
-    ready = StateVector(layout(("C", dc)), raw / np.linalg.norm(raw))
+    ready = StateVector(layout(("C", dc)), raw / _fro(raw))
     rng.integers(2**32)  # unused; drawn so that seeded inputs stay as they were
     pm2 = build_ideal(pm1.pointer, pstates, ready)
     phi = random_state(layout(("A", da)), rng)
@@ -370,7 +371,7 @@ def _suite_two_link(ctx: SuiteContext) -> tuple[int, float]:
             projected = apply_local(br.projector, intermediate.amplitudes, dims, pos)
             pointer_vec = _recovered_pointer_state(pm2, j, rng)
             resum += np.kron(projected, pointer_vec)
-        worst = max(worst, float(np.linalg.norm(resum - final.amplitudes)))
+        worst = max(worst, _fro(resum - final.amplitudes))
         cases += 1
     return cases, worst
 
@@ -397,10 +398,8 @@ def _suite_relative_forms(ctx: SuiteContext) -> tuple[int, float]:
         lay = layout(("A", da), ("B", db))
         psi = random_state(lay, rng)
         raw = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-        phi_b = raw / np.linalg.norm(raw)
-        overlap = np.linalg.norm(
-            partial_scalar_product(phi_b, "B", psi).amplitudes
-        )
+        phi_b = raw / _fro(raw)
+        overlap = _fro(partial_scalar_product(phi_b, "B", psi).amplitudes)
         if overlap < 1e-3:
             continue
         # first form: coefficient in a basis containing phi_b
@@ -413,8 +412,8 @@ def _suite_relative_forms(ctx: SuiteContext) -> tuple[int, float]:
         cond = conditional_state(psi.density(), phi_b[:, None], "B")
         p1 = np.outer(coeff.amplitudes, coeff.amplitudes.conj())
         p2 = np.outer(rel.amplitudes, rel.amplitudes.conj())
-        worst = max(worst, float(np.linalg.norm(p1 - p2)))
-        worst = max(worst, float(np.linalg.norm(p2 - cond.matrix)))
+        worst = max(worst, _fro(p1 - p2))
+        worst = max(worst, _fro(p2 - cond.matrix))
         cases += 1
     return cases, worst
 
@@ -432,7 +431,7 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
             sandwich = conditional_state(rho, event, "B", form="sandwich")
         except UndefinedConditionalError:
             continue
-        worst = max(worst, float(np.linalg.norm(plain.matrix - sandwich.matrix)))
+        worst = max(worst, _fro(plain.matrix - sandwich.matrix))
         # ensemble route: aggregate equals both closed forms
         weights = rng.random(3) + 0.1
         weights /= weights.sum()
@@ -446,8 +445,8 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
         mixed = ens.density()
         agg_plain = conditional_state(mixed, event, "B", form="plain")
         agg_sandwich = conditional_state(mixed, event, "B", form="sandwich")
-        worst = max(worst, float(np.linalg.norm(res.aggregate.matrix - agg_plain.matrix)))
-        worst = max(worst, float(np.linalg.norm(agg_plain.matrix - agg_sandwich.matrix)))
+        worst = max(worst, _fro(res.aggregate.matrix - agg_plain.matrix))
+        worst = max(worst, _fro(agg_plain.matrix - agg_sandwich.matrix))
         cases += 1
     return cases, worst
 
@@ -463,7 +462,7 @@ def _suite_tripartite(ctx: SuiteContext) -> tuple[int, float]:
             via_full, via_reduced = tripartite_conditional_consistency(rho, event, "B", "C")
         except UndefinedConditionalError:
             continue
-        worst = max(worst, float(np.linalg.norm(via_full.matrix - via_reduced.matrix)))
+        worst = max(worst, _fro(via_full.matrix - via_reduced.matrix))
         cases += 1
     return cases, worst
 
@@ -507,7 +506,7 @@ def _suite_absoluteness(ctx: SuiteContext) -> tuple[int, float]:
         rho_c = random_density(layout(("C", int(rng.integers(2, 4)))), rng)
         joined = tensor(rho_ab, rho_c)
         back = partial_trace(joined, {"C"})
-        worst = max(worst, float(np.linalg.norm(back.matrix - rho_ab.matrix)))
+        worst = max(worst, _fro(back.matrix - rho_ab.matrix))
         cases += 1
     return cases, worst
 
@@ -531,7 +530,7 @@ def _suite_redecomposition(ctx: SuiteContext) -> tuple[int, float]:
         except UndefinedConditionalError:
             continue
         worst = max(
-            worst, float(np.linalg.norm(res_a.aggregate.matrix - res_b.aggregate.matrix))
+            worst, _fro(res_a.aggregate.matrix - res_b.aggregate.matrix)
         )
         cases += 1
     return cases, worst

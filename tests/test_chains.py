@@ -39,6 +39,7 @@ from vnchain import (
     tripartite_conditional_consistency,
     world_branches,
 )
+from vnchain.hilbert import apply_local
 
 from oracles import brute_partial_trace, embed_operator, projector_onto
 
@@ -256,6 +257,12 @@ class TestRelativeState:
         )
         with pytest.raises(UndefinedConditionalError):
             relative_state(psi, "B", np.array([0.0, 1.0]))
+
+    def test_non_unit_subject_vector_message_prints_a_plain_float(self):
+        psi = tensor(basis_state(layout(("A", 2)), 0), basis_state(layout(("B", 2)), 0))
+        with pytest.raises(ValueError) as info:
+            relative_state(psi, "B", np.array([1.0, 1.0]))
+        assert str(info.value) == "subject vector must be a unit vector, got norm 1.4142135623730951"
 
     def test_three_forms_agree(self):
         from vnchain import complete_orthonormal, expand_in_basis, partial_scalar_product
@@ -484,6 +491,32 @@ class TestMonteCarlo:
         ens = WeightedEnsemble(((1.0, psi),))
         with pytest.raises(ZeroSampleError):
             monte_carlo_update(ens, np.eye(2)[:, 1:], "B", 1000, seed=1)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0,), (0.5, 0.5), (0.1, 0.2, 0.3, 0.4), (0.97, 0.01, 0.01, 0.01), (0.3, 0.0001, 0.6999)],
+    )
+    def test_counts_equal_the_two_bincount_formula(self, weights):
+        """One count over the codes 2*member + accepted gives the counts of the
+        documented draws (member indices, then coins) counted one by one."""
+        rng = np.random.default_rng(len(weights))
+        lay = layout(("A", 3), ("B", 2))
+        members = tuple((w, random_state(lay, rng)) for w in weights)
+        ens = WeightedEnsemble(members)
+        event = random_unitary(2, rng)[:, :1]
+        amps = np.array([s.amplitudes for _, s in members])
+        probs = np.sum(np.abs(apply_local(event.conj().T, amps, lay.dims, 1)) ** 2, axis=1)
+        w = np.array(ens.weights)
+        for seed in range(6):
+            draw = np.random.default_rng(seed)
+            picked = draw.choice(len(w), size=3000, p=w / w.sum())
+            accepted = draw.random(3000) < np.clip(probs, 0.0, 1.0)[picked]
+            mc = monte_carlo_update(ens, event, "B", 3000, seed=seed)
+            assert mc.member_counts == tuple(np.bincount(picked, minlength=len(w)).tolist())
+            assert mc.accepted_counts == tuple(
+                np.bincount(picked[accepted], minlength=len(w)).tolist()
+            )
+            assert all(type(c) is int for c in mc.member_counts + mc.accepted_counts)
 
     def test_shard_merge_is_order_independent(self):
         from vnchain import MonteCarloUpdate

@@ -495,6 +495,28 @@ class TestUnreadableScenario:
         assert (out, err) == ("", f"error: cannot read {str(path)!r}: Permission denied\n")
 
 
+class TestOutOfMemory:
+    """An allocation that does not fit (numpy raises ``_ArrayMemoryError``, a
+    ``MemoryError``) is one error line with exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_memory_error_is_an_error_line(self, monkeypatch, capsys, plain):
+        from numpy._core._exceptions import _ArrayMemoryError
+
+        from vnchain import cli as cli_module
+
+        exc = MemoryError() if plain else _ArrayMemoryError((2**20, 2**20), np.dtype(complex))
+
+        def too_big(scenario, options):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "run", too_big)
+        assert cli_module.main(["run", "stern-gerlach"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: out of memory: {exc}\n")
+        assert plain or "Unable to allocate 16.0 TiB" in err
+
+
 class TestParserReuse:
     """``main`` may be called many times in one process: the parser it builds
     once carries nothing from one call into the next."""

@@ -78,6 +78,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(layout(("A", 2)), np.array([1.0, 1.0]))
 
+    def test_norm_flag_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as info:
+            StateVector(layout(("A", 2)), np.array([1.0, 1.0]))
+        assert str(info.value) == "state flagged normalized but ||amplitudes|| = 1.4142135623730951"
+
     def test_unnormalized_allowed_when_flagged(self):
         s = StateVector(layout(("A", 2)), np.array([1.0, 1.0]), normalized=False)
         assert s.norm() == pytest.approx(np.sqrt(2))
