@@ -108,10 +108,11 @@ class EnsembleUpdateResult:
 class MonteCarloUpdate:
     """Empirical counterpart of an ensemble update.
 
-    Sampling order (fixed for reproducibility): one array of member indices
-    drawn with the prior weights, then one array of uniform coins compared
-    against each drawn member's occurrence probability.  Counts from shards
-    run with different seeds may be summed before forming weights.
+    Sampling order (fixed for reproducibility): n uniforms that pick members
+    through the cumulative prior weights, as ``Generator.choice`` does, then
+    n uniform coins compared against each picked member's occurrence
+    probability.  Counts from shards run with different seeds may be summed
+    before forming weights.
     """
 
     member_counts: tuple[int, ...]
@@ -441,6 +442,33 @@ def ensemble_update(
     return EnsembleUpdateResult(tuple(updated), aggregate, total)
 
 
+def _mc_counts(
+    weights: np.ndarray, probs: np.ndarray, n_samples: int, rng: np.random.Generator
+) -> tuple[list[int], list[int]]:
+    """Member and accepted counts of ``n_samples`` samples drawn from ``rng``.
+
+    The draws are those of ``rng.choice(K, size=n, p=weights / weights.sum())``
+    followed by ``rng.random(n)`` coins: n member uniforms, searched in the
+    cumulative weights formed as ``choice`` forms them, then n coins.  Member
+    k's samples are the uniforms with cdf[k-1] <= u < cdf[k], found as one
+    ``u < cdf[k]`` pass XORed with the previous pass; that is
+    ``searchsorted(side="right")``, ties included.  The passes cost K*n.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n_samples)
+    coins = rng.random(n_samples)
+    member_counts, accepted_counts = [], []
+    below = np.zeros(n_samples, dtype=bool)
+    for c, q in zip(cdf.tolist(), probs.tolist()):
+        now = u < c
+        mine = now ^ below
+        member_counts.append(int(np.count_nonzero(mine)))
+        accepted_counts.append(int(np.count_nonzero(mine & (coins < q))))
+        below = now
+    return member_counts, accepted_counts
+
+
 def monte_carlo_update(
     ens: WeightedEnsemble,
     event: np.ndarray,
@@ -454,7 +482,10 @@ def monte_carlo_update(
     occurrence coin with that member's event probability ||Q^dag Psi_k||^2
     for the event's block Q = ``event``; empirical weights are the accepted
     counts normalized.  Driven by ``numpy``'s PCG64 generator, so runs are
-    bit-reproducible per seed.
+    bit-reproducible per seed: n uniforms pick members through the
+    cumulative weights, as ``Generator.choice`` does, then n occurrence
+    coins are drawn.  Members are counted by one threshold pass each over
+    the samples, with no per-sample member index.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -464,24 +495,12 @@ def monte_carlo_update(
     projected = apply_local(factor, amps, lay.dims, lay.position(subject))
     probs = np.sum(np.abs(projected) ** 2, axis=1)
     probs = np.clip(probs, 0.0, 1.0)
-    weights = np.array(ens.weights)
-    rng = np.random.default_rng(seed)
-    members = rng.choice(len(weights), size=n_samples, p=weights / weights.sum())
-    coins = rng.random(n_samples)
-    accepted = coins < probs[members]
-    # one count over the codes 2*member + accepted: row k holds member k's
-    # rejected and accepted samples
-    counts = np.bincount(2 * members + accepted, minlength=2 * len(weights)).reshape(-1, 2)
-    member_counts = counts.sum(axis=1)
-    accepted_counts = counts[:, 1]
-    if accepted_counts.sum() == 0:
-        raise ZeroSampleError("no sample triggered the event; cannot form weights")
-    return MonteCarloUpdate(
-        tuple(int(c) for c in member_counts),
-        tuple(int(c) for c in accepted_counts),
-        n_samples,
-        seed,
+    member_counts, accepted_counts = _mc_counts(
+        np.array(ens.weights), probs, n_samples, np.random.default_rng(seed)
     )
+    if sum(accepted_counts) == 0:
+        raise ZeroSampleError("no sample triggered the event; cannot form weights")
+    return MonteCarloUpdate(tuple(member_counts), tuple(accepted_counts), n_samples, seed)
 
 
 def redecompose(ens: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:

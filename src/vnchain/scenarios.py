@@ -10,6 +10,7 @@ preceding stage's result.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -76,6 +77,7 @@ class ScenarioError(ValueError):
     def __init__(self, code: str, location: str, message: str):
         self.code = code
         self.location = location
+        self.message = message
         super().__init__(f"[{code}] at {location}: {message}")
 
 
@@ -128,16 +130,26 @@ def _require(doc: dict, key: str, location: str) -> Any:
     return doc[key]
 
 
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_complex(value: Any, location: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise ScenarioError(E_MALFORMED_STATE, location, f"expected [re, im], got {value!r}")
+    if _is_number(value):
+        parts = (value,)
+    elif isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+        parts = value
+    else:
+        raise ScenarioError(E_MALFORMED_STATE, location, f"expected [re, im], got {value!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        raise ScenarioError(
+            E_MALFORMED_STATE, location, "number out of floating-point range"
+        ) from None
+    if not cmath.isfinite(z):
+        raise ScenarioError(E_MALFORMED_STATE, location, f"non-finite number {value!r}")
+    return z
 
 
 def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
@@ -175,7 +187,10 @@ def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
                 E_DIMENSION, location, f"{len(spec)} amplitudes for dimension {dim}"
             )
         amps = np.array([_parse_complex(x, location) for x in spec])
-        n = _fro(amps)
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            n = _fro(amps)
+        if not math.isfinite(n):
+            raise ScenarioError(E_MALFORMED_STATE, location, "state norm overflows")
         if n < 1e-12:
             raise ScenarioError(E_MALFORMED_STATE, location, "state has zero norm")
         return amps / n
@@ -211,12 +226,22 @@ def _parse_observable(
             vals = spec["diag"]
             if not isinstance(vals, list) or len(vals) != dim:
                 raise ScenarioError(E_DIMENSION, location, f"'diag' needs {dim} values")
-            try:  # non-numeric, NaN or infinite entries
+            if not all(map(_is_number, vals)):
+                raise ScenarioError(E_BAD_OBSERVABLE, location, f"'diag' needs numbers, got {vals!r}")
+            try:  # NaN, infinite or out-of-range entries
                 return observable_from_matrix(np.diag(np.array(vals, dtype=float)), subsystem)
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, ValueError) as exc:
                 raise ScenarioError(E_BAD_OBSERVABLE, location, str(exc))
         if "matrix" in spec:
-            mat = _parse_matrix(spec["matrix"], dim, f"{location}.matrix")
+            try:
+                mat = _parse_matrix(spec["matrix"], dim, f"{location}.matrix")
+            except ScenarioError as exc:
+                if exc.code != E_MALFORMED_STATE:
+                    raise
+                # a bad entry is the observable's fault, as in 'diag'
+                raise ScenarioError(
+                    E_BAD_OBSERVABLE, location, f"{exc.message} at {exc.location}"
+                ) from None
             try:
                 return observable_from_matrix(mat, subsystem)
             except ValueError as exc:
@@ -264,7 +289,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         if label in seen:
             raise ScenarioError(E_DUPLICATE_LABEL, loc, f"label {label!r} repeated")
         seen.add(label)
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ScenarioError(E_DIMENSION, loc, f"dimension must be a positive int, got {dim!r}")
         pairs.append((label, dim))
     lay = SubsystemLayout(tuple(pairs))
@@ -336,8 +361,8 @@ def scenario_from_document(doc: dict) -> Scenario:
             ddoc = sdoc.get("dressings", "random")
             if ddoc == "random":
                 seed = sdoc.get("dressing_seed")
-                if seed is not None and not isinstance(seed, int):
-                    raise ScenarioError(E_BAD_VALUE, f"{loc}.dressing_seed", "expected an int")
+                if seed is not None:
+                    _check_count(seed, 0, f"{loc}.dressing_seed")
                 dressings = DressingSpec("random", seed=seed)
             elif isinstance(ddoc, list):
                 pairs_d = []
@@ -595,6 +620,45 @@ def load_builtin(name: str) -> Scenario:
 CONDITION_TRIALS = 20
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a tree of dicts with
+    string keys, lists, strings, numbers, bools and None, byte for byte.
+
+    ``json.dumps`` with an indent runs its pure-Python encoder; this one keeps
+    the string escaping in C (``encode_basestring_ascii``).  ``pad`` is the
+    newline and indentation that precede ``value``'s closing bracket.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_str(v) if type(v) is str else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_str(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass(frozen=True)
 class RunOptions:
     seed: int = 0
@@ -661,7 +725,7 @@ class RunReport:
 
     def render(self, fmt: str = "text") -> str:
         if fmt == "json":
-            return json.dumps(self.to_tree(), indent=2, sort_keys=True) + "\n"
+            return _json_text(self.to_tree()) + "\n"
         if fmt == "tsv":
             lines = [f"scenario\t{self.scenario}", f"seed\t{self.seed}"]
             for s in self.sections:

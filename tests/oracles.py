@@ -264,3 +264,18 @@ def check_dense_spectral_family(pairs):
                 raise NotAProjectorError(f"branches {i} and {j} are not orthogonal")
     if np.linalg.norm(total - np.eye(d)) > scale:
         raise NotAProjectorError("branch projectors do not sum to the identity")
+
+
+def reference_monte_carlo_counts(weights, probs, n_samples, seed):
+    """Member and accepted counts of the documented Monte Carlo draws, taken
+    the plain way: one ``choice`` of n member indices with the prior weights,
+    then n coins, each accepted below its member's occurrence probability."""
+    weights = np.asarray(weights, dtype=float)
+    k = len(weights)
+    rng = np.random.default_rng(seed)
+    members = rng.choice(k, size=n_samples, p=weights / weights.sum())
+    accepted = rng.random(n_samples) < np.asarray(probs)[members]
+    return (
+        tuple(np.bincount(members, minlength=k).tolist()),
+        tuple(np.bincount(members[accepted], minlength=k).tolist()),
+    )

@@ -39,9 +39,15 @@ from vnchain import (
     tripartite_conditional_consistency,
     world_branches,
 )
+from vnchain import chains
 from vnchain.hilbert import apply_local
 
-from oracles import brute_partial_trace, embed_operator, projector_onto
+from oracles import (
+    brute_partial_trace,
+    embed_operator,
+    projector_onto,
+    reference_monte_carlo_counts,
+)
 
 RNG = np.random.default_rng(31415)
 
@@ -449,6 +455,24 @@ class TestNonFiniteEnsembleInputs:
             redecompose(ens, mixing)
 
 
+def _occurrence_probabilities(ens, event, position):
+    amps = np.array([s.amplitudes for _, s in ens.members])
+    projected = apply_local(event.conj().T, amps, ens.layout.dims, position)
+    return np.clip(np.sum(np.abs(projected) ** 2, axis=1), 0.0, 1.0)
+
+
+def _assert_reference_counts(ens, event, probs, n_samples, seed):
+    expected = reference_monte_carlo_counts(ens.weights, probs, n_samples, seed)
+    if sum(expected[1]) == 0:
+        with pytest.raises(ZeroSampleError):
+            monte_carlo_update(ens, event, "B", n_samples, seed=seed)
+        return None
+    mc = monte_carlo_update(ens, event, "B", n_samples, seed=seed)
+    assert (mc.member_counts, mc.accepted_counts) == expected
+    assert all(type(c) is int for c in mc.member_counts + mc.accepted_counts)
+    return mc
+
+
 class TestMonteCarlo:
     def test_identity_event_recovers_member_frequencies(self):
         rng = np.random.default_rng(35)
@@ -497,26 +521,23 @@ class TestMonteCarlo:
         [(1.0,), (0.5, 0.5), (0.1, 0.2, 0.3, 0.4), (0.97, 0.01, 0.01, 0.01), (0.3, 0.0001, 0.6999)],
     )
     def test_counts_equal_the_two_bincount_formula(self, weights):
-        """One count over the codes 2*member + accepted gives the counts of the
-        documented draws (member indices, then coins) counted one by one."""
+        """The counts equal those of the documented draws (member indices,
+        then coins) counted one by one."""
         rng = np.random.default_rng(len(weights))
         lay = layout(("A", 3), ("B", 2))
         members = tuple((w, random_state(lay, rng)) for w in weights)
         ens = WeightedEnsemble(members)
         event = random_unitary(2, rng)[:, :1]
-        amps = np.array([s.amplitudes for _, s in members])
-        probs = np.sum(np.abs(apply_local(event.conj().T, amps, lay.dims, 1)) ** 2, axis=1)
-        w = np.array(ens.weights)
+        probs = _occurrence_probabilities(ens, event, 1)
         for seed in range(6):
-            draw = np.random.default_rng(seed)
-            picked = draw.choice(len(w), size=3000, p=w / w.sum())
-            accepted = draw.random(3000) < np.clip(probs, 0.0, 1.0)[picked]
-            mc = monte_carlo_update(ens, event, "B", 3000, seed=seed)
-            assert mc.member_counts == tuple(np.bincount(picked, minlength=len(w)).tolist())
-            assert mc.accepted_counts == tuple(
-                np.bincount(picked[accepted], minlength=len(w)).tolist()
-            )
-            assert all(type(c) is int for c in mc.member_counts + mc.accepted_counts)
+            _assert_reference_counts(ens, event, probs, 3000, seed)
+
+    def test_fewer_than_one_sample_is_rejected(self):
+        rng = np.random.default_rng(41)
+        ens = WeightedEnsemble(((1.0, random_state(layout(("A", 2), ("B", 2)), rng)),))
+        for n_samples in (0, -1):
+            with pytest.raises(ValueError, match="n_samples must be >= 1"):
+                monte_carlo_update(ens, np.eye(2)[:, :1], "B", n_samples, seed=1)
 
     def test_shard_merge_is_order_independent(self):
         from vnchain import MonteCarloUpdate
@@ -538,6 +559,72 @@ class TestMonteCarlo:
         for m in exact.members:
             se = np.sqrt(m.weight * (1 - m.weight) / total)
             assert abs(forward.weights[m.index] - m.weight) <= 4 * se
+
+
+class TestMonteCarloCountsMatchChoice:
+    """``monte_carlo_update`` counts exactly what ``rng.choice`` member
+    indices followed by ``rng.random`` coins give, from one member to
+    ensembles far larger than any the benchmark samples."""
+
+    LAY = layout(("A", 3), ("B", 2))
+
+    @pytest.mark.parametrize("members", [1, 2, 3, 64, 65, 300])
+    @pytest.mark.parametrize("n_samples", [1, 7, 20_000])
+    def test_random_ensembles(self, members, n_samples):
+        rng = np.random.default_rng(1000 * members + n_samples)
+        w = rng.random(members) + 0.05
+        ens = WeightedEnsemble(
+            tuple((x, random_state(self.LAY, rng)) for x in w / w.sum())
+        )
+        event = random_unitary(2, rng)[:, :1]
+        probs = _occurrence_probabilities(ens, event, 1)
+        for seed in (0, 1, 12345):
+            _assert_reference_counts(ens, event, probs, n_samples, seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 77])
+    def test_exact_binary_weights_and_certain_events(self, seed):
+        """cdf boundaries 0.25 and 0.5 are exact floats; basis members give
+        occurrence probabilities of exactly 0 and 1."""
+        lay = layout(("A", 2), ("B", 2))
+        members = (
+            (0.25, tensor(basis_state(layout(("A", 2)), 0), basis_state(layout(("B", 2)), 0))),
+            (0.25, tensor(basis_state(layout(("A", 2)), 1), basis_state(layout(("B", 2)), 1))),
+            (0.5, random_state(lay, np.random.default_rng(seed))),
+        )
+        ens = WeightedEnsemble(members)
+        event = np.eye(2)[:, :1]
+        probs = _occurrence_probabilities(ens, event, 1)
+        assert probs[0] == 1.0 and probs[1] == 0.0
+        for n_samples in (1, 7, 20_000):
+            mc = _assert_reference_counts(ens, event, probs, n_samples, seed)
+            if mc is not None:
+                assert mc.accepted_counts[0] == mc.member_counts[0]
+                assert mc.accepted_counts[1] == 0
+
+    def test_ties_at_the_cumulative_weights_follow_searchsorted(self):
+        """Uniforms that land exactly on a cdf boundary belong to the next
+        member (``searchsorted(side="right")``), and a coin equal to its
+        member's probability is rejected."""
+        weights = np.array([0.25, 0.25, 0.5])
+        cdf = np.array([0.25, 0.5, 1.0])
+        u = np.array([0.0, 0.25, np.nextafter(0.25, 0), 0.5, np.nextafter(0.5, 0), 0.75, 0.999])
+        probs = np.array([0.5, 1.0, 0.0])
+        coins = np.array([0.5, 0.25, 0.49, 0.0, 0.99, 0.5, 0.1])
+
+        class Draws:
+            def __init__(self):
+                self.left = [u, coins]
+
+            def random(self, n):
+                out = self.left.pop(0)
+                assert len(out) == n
+                return out
+
+        member_counts, accepted_counts = chains._mc_counts(weights, probs, len(u), Draws())
+        picked = cdf.searchsorted(u, side="right")
+        accepted = coins < probs[picked]
+        assert member_counts == np.bincount(picked, minlength=3).tolist() == [2, 2, 3]
+        assert accepted_counts == np.bincount(picked[accepted], minlength=3).tolist() == [1, 2, 0]
 
 
 class TestProperMixtureAbsoluteness:

@@ -424,6 +424,10 @@ class TestCommandLine:
             {"diag": ["up", 1]},
             {"diag": [{"re": 1}, 1]},
             {"matrix": [[float("nan"), 0], [0, 1]]},
+            {"diag": [True, False]},
+            {"diag": ["1", 1]},
+            {"diag": [10**400, 1]},
+            {"matrix": [[10**400, 0], [0, 1]]},
         ],
     )
     def test_bad_observable_entries_are_a_scenario_error(self, tmp_path, measured):
@@ -571,3 +575,131 @@ class TestParserReuse:
         assert built == []
         cli._build_parser.__wrapped__()  # the counter sees a fresh build
         assert len(built) == 6
+
+
+class TestScenarioNumbers:
+    """Numbers that are bools, non-finite or out of floating-point range fail
+    with a scenario code at their location, in one line, with no warning."""
+
+    @staticmethod
+    def run_doc(tmp_path, capsys, doc_text):
+        import warnings
+
+        from vnchain.cli import main
+
+        path = tmp_path / "doc.json"
+        path.write_text(doc_text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = main(["run", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @staticmethod
+    def with_initial_state(state_text):
+        doc = builtin_document("stern-gerlach")
+        doc["initial"]["state"] = "@STATE@"
+        return json.dumps(doc).replace('"@STATE@"', state_text)
+
+    @pytest.mark.parametrize(
+        "state,message",
+        [
+            ("[1" + "0" * 400 + ", 1]", "number out of floating-point range"),
+            ("[[1e308, 0], [1e308, 0]]", "state norm overflows"),
+            ("[NaN, 1]", "non-finite number nan"),
+            ("[[1, Infinity], 0]", "non-finite number [1, inf]"),
+            ("[true, false]", "expected [re, im], got True"),
+            ("[[1, true], 0]", "expected [re, im], got [1, True]"),
+        ],
+    )
+    def test_initial_state_number_is_a_scenario_error(self, tmp_path, capsys, state, message):
+        code, out, err = self.run_doc(tmp_path, capsys, self.with_initial_state(state))
+        assert (code, out) == (1, "")
+        assert err == f"scenario error: [malformed-state] at $.initial.state: {message}\n"
+
+    def test_boolean_dimension_is_a_scenario_error(self, tmp_path, capsys):
+        doc = builtin_document("stern-gerlach")
+        doc["subsystems"][0][1] = True
+        code, out, err = self.run_doc(tmp_path, capsys, json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == (
+            "scenario error: [dimension-mismatch] at $.subsystems[0]: "
+            "dimension must be a positive int, got True\n"
+        )
+
+    @pytest.mark.parametrize("seed", [True, -5, 1.5])
+    def test_dressing_seed_is_a_non_negative_int(self, tmp_path, capsys, seed):
+        doc = builtin_document("stern-gerlach")
+        doc["stages"][0]["kind"] = "exact"
+        doc["stages"][0]["dressing_seed"] = seed
+        code, out, err = self.run_doc(tmp_path, capsys, json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == (
+            "scenario error: [bad-value] at $.stages[0].dressing_seed: "
+            f"expected an int >= 0, got {seed!r}\n"
+        )
+
+    def test_boolean_observable_matrix_entry_is_the_observables_fault(self, tmp_path, capsys):
+        doc = builtin_document("stern-gerlach")
+        doc["stages"][0]["measured"] = {"matrix": [[True, 0], [0, -1]]}
+        code, out, err = self.run_doc(tmp_path, capsys, json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == (
+            "scenario error: [bad-observable] at $.stages[0].measured: "
+            "expected [re, im], got True at $.stages[0].measured.matrix[0]\n"
+        )
+
+    def test_finite_numbers_still_parse(self):
+        doc = builtin_document("stern-gerlach")
+        doc["initial"]["state"] = [[3, 0], 4.0]
+        amps = scenario_from_document(doc).initial.amplitudes
+        np.testing.assert_allclose(amps, [0.6, 0.8], rtol=0, atol=1e-15)
+
+
+class TestJsonRendering:
+    """``run --format json`` prints what ``json.dumps(tree, indent=2,
+    sort_keys=True)`` prints, byte for byte."""
+
+    @pytest.mark.parametrize("dump", [False, True])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_reports(self, name, dump):
+        report = run(load_builtin(name), RunOptions(seed=3, dump_states=dump))
+        expected = json.dumps(report.to_tree(), indent=2, sort_keys=True) + "\n"
+        assert report.render("json") == expected
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {},
+            [],
+            {"a": [], "b": {}, "c": [[]], "d": [{}]},
+            {'quote"s': 'back\\slash "q"', "ctl": "\x00\t\n\x1f\x7f", "uni": "é☃\U0001f600"},
+            [float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e-300, 1e300, 5e-324],
+            [True, False, None, 0, -7, 10**30, np.float64(0.1), np.float64("nan")],
+            {"z": 1, "a": {"y": [1, "x"], "b": None}, "": "empty key"},
+        ],
+    )
+    def test_synthetic_trees(self, tree):
+        from vnchain.scenarios import _json_text
+
+        assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    # sha256 of `vnchain run ensemble-update --format json --seed s`, recorded
+    # from the json.dumps renderer and the choice-based Monte Carlo count
+    ENSEMBLE_UPDATE_JSON = {
+        0: "e47495524dbb9b17cd8e79e5431080258497b073f115655a7b2738effc34397c",
+        1: "7bd0677c3620062973702d96fd5143e189bfdb257e0f2c44451e1307ca2df633",
+        2: "6c7166d1238dc6652af42f9721f369242828240d2f256ade8888dd9e8147fa4c",
+        3: "f6949d45bfbaabf3b7b0b94ca57243787e964074c008f135f241a31468778e4c",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(ENSEMBLE_UPDATE_JSON))
+    def test_ensemble_update_report_bytes(self, capsys, seed):
+        import hashlib
+
+        from vnchain.cli import main
+
+        assert main(["run", "ensemble-update", "--format", "json", "--seed", str(seed)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ENSEMBLE_UPDATE_JSON[seed]

@@ -70,6 +70,7 @@ FAULT_TABLE = {
         "chains.relative_state_forms",
         "chains.born_weights",
     },
+    "mc_thresholds_reversed": {"chains.monte_carlo_binomial"},
 }
 
 # Suites that no fault above fails yet.  The ratchet test keeps this set and
@@ -178,6 +179,13 @@ def _inject(monkeypatch, fault: str) -> None:
             return u
 
         monkeypatch.setattr(premeasurement, "random_unitary", scaled)
+    elif fault == "mc_thresholds_reversed":
+        # the Monte Carlo count compares member k's coins against the
+        # occurrence probability of member K-1-k
+        original = chains._mc_counts
+        monkeypatch.setattr(
+            chains, "_mc_counts", lambda w, probs, *args: original(w, probs[::-1], *args)
+        )
     elif fault == "conditional_factor_scaled":
         original = chains._condition_vector
 
