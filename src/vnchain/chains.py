@@ -30,6 +30,7 @@ from .hilbert import (
     SubsystemLayout,
     _fro,
     _gram_residual,
+    _refuse_infinite_norm,
     _resized,
     apply_local,
     factor_difference,
@@ -514,9 +515,8 @@ def redecompose(ens: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:
     k = len(ens.members)
     if mixing.shape[0] < k or mixing.shape[0] != mixing.shape[1]:
         raise DimensionMismatchError("mixing matrix too small for the ensemble")
-    if not np.isfinite(mixing).all():
-        raise ValueError("mixing matrix has NaN or infinite entries")
-    if _gram_residual(mixing) > DEFAULT.unitary * mixing.shape[0]:
+    _refuse_infinite_norm(mixing, "mixing matrix")
+    if not _gram_residual(mixing) <= DEFAULT.unitary * mixing.shape[0]:
         raise ValueError("mixing matrix must be unitary")
     lay = ens.layout
     new_members = []

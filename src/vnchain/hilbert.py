@@ -29,12 +29,54 @@ from .errors import (
 from .tolerances import DEFAULT
 
 
-def _frozen_array(values) -> np.ndarray:
+def _frozen_copy(values) -> np.ndarray:
+    """``values`` copied into a read-only complex array, with no scan: for a
+    value whose own NaN-safe check covers every entry (see ``_frozen_array``)."""
     out = np.array(values, dtype=complex)
-    if not np.isfinite(out).all():
-        raise ValueError("array has NaN or infinite entries")
     out.setflags(write=False)
     return out
+
+
+def _frozen_array(values) -> np.ndarray:
+    """``values`` copied into a read-only complex array whose entries are all
+    finite.
+
+    The one validation rule for finiteness: a value type's own scalar check
+    is its finiteness check, since a NaN or infinite entry makes that
+    scalar NaN or infinite, and each check is written ``not value <=
+    bound``, which NaN fails.  The scalar is a state's norm, a factor's
+    trace ||M||_F^2, or, for a Gram-checked array, its ||M||_F^2
+    (``_refuse_infinite_norm``) in front of the Gram residual.  Only after
+    such a check has failed is the array scanned (``_refuse_non_finite``),
+    so that a non-finite entry is reported as such.  This function, which
+    scans every copy, is for the paths that have no covering check:
+    unnormalized states, the caller blocks of a ``SpectralBranch`` and
+    ``_hermitian_spectrum``.
+    """
+    out = _frozen_copy(values)
+    _refuse_non_finite(out)
+    return out
+
+
+def _refuse_non_finite(a, what: str = "array", error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` when ``a`` has a NaN or infinite entry: the failure
+    path of a NaN-safe check, which tells a non-finite input from a finite
+    one that fails the bound."""
+    if not np.isfinite(a).all():
+        raise error(f"{what} has NaN or infinite entries")
+
+
+def _refuse_infinite_norm(a, what: str = "array", error: type[ValueError] = ValueError) -> None:
+    """The finiteness check of an array that a Gram residual checks next.
+
+    ||a||_F^2, as one ``np.vdot``, is NaN or infinite when an entry is (or
+    when finite squares overflow, which the scan then lets through).  The
+    Gram product alone would also come out non-finite, but it raises a
+    floating-point warning on an infinite entry, and this sum of squares
+    does not.
+    """
+    if not math.isfinite(np.vdot(a, a).real):
+        _refuse_non_finite(a, what, error)
 
 
 def _fro(a) -> float:
@@ -60,9 +102,11 @@ def _gram_residual(m: np.ndarray) -> float:
 
     The identity is subtracted in place on the Gram diagonal, which is bit
     for bit the ``- np.eye(k)`` form (x - 0 is x) without forming the eye.
+    The product is a new C-ordered array, so ``reshape(-1)`` is a view of it
+    (and a cheaper one than ``.flat``).
     """
     gram = m.conj().T @ m
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    gram.reshape(-1)[:: gram.shape[0] + 1] -= 1.0
     return _fro(gram)
 
 
@@ -72,7 +116,8 @@ def _hermitian_spectrum(h, dim: int | None = None):
     ``h`` is copied and frozen, and must be finite, square (of side ``dim``
     when given) and Hermitian within ``DEFAULT.herm``.  Returns the copy and
     the ascending eigenvalues and eigenvectors of its Hermitian part
-    (h + h^dag)/2.
+    (h + h^dag)/2, formed as h/2 + h^dag/2: the same bits for entries in the
+    normal range, and no overflow for finite ones.
     """
     h = _frozen_array(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or dim not in (None, h.shape[0]):
@@ -81,7 +126,7 @@ def _hermitian_spectrum(h, dim: int | None = None):
     herm = _fro(h - h.conj().T)
     if herm > DEFAULT.herm:
         raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
-    eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2)
+    eigvals, eigvecs = np.linalg.eigh(h / 2 + h.conj().T / 2)
     return h, eigvals, eigvecs
 
 
@@ -159,6 +204,10 @@ class StateVector:
 
     Unnormalized instances carry expansion coefficients and similar
     intermediate vectors; they are never valid physical inputs to evolution.
+
+    The amplitudes are copied once.  A normalized state's norm check is its
+    finiteness check (see ``_frozen_array``); an unnormalized one has no
+    such check, so its copy is scanned.
     """
 
     layout: SubsystemLayout
@@ -166,7 +215,10 @@ class StateVector:
     normalized: bool = True
 
     def __post_init__(self):
-        amps = _frozen_array(self.amplitudes)
+        if self.normalized:
+            amps = _frozen_copy(self.amplitudes)
+        else:
+            amps = _frozen_array(self.amplitudes)
         if amps.ndim != 1 or amps.shape[0] != self.layout.dim:
             raise DimensionMismatchError(
                 f"amplitudes of length {amps.shape} do not match layout "
@@ -175,7 +227,8 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
             n = _fro(amps)
-            if abs(n - 1.0) > DEFAULT.norm:
+            if not abs(n - 1.0) <= DEFAULT.norm:
+                _refuse_non_finite(amps)
                 raise ValueError(f"state flagged normalized but ||amplitudes|| = {n!r}")
 
     def norm(self) -> float:
@@ -215,10 +268,11 @@ class StateVector:
 class DensityOperator:
     """Mixed or pure multipartite state rho = M M^dag, held as its factor M.
 
-    The constructor takes a (layout.dim, r) factor M.  M M^dag is Hermitian
-    and PSD by construction, so the one check is the shape, finite entries
-    and the trace ||M||_F^2 = 1, in O(D r).  A caller's dense matrix enters
-    through ``from_matrix``.
+    The constructor takes a (layout.dim, r) factor M and copies it once.
+    M M^dag is Hermitian and PSD by construction, so the one check is the
+    shape and the trace ||M||_F^2 = 1, in O(D r); the trace check is also
+    the finiteness check (see ``_frozen_array``).  A caller's dense matrix
+    enters through ``from_matrix``.
     """
 
     layout: SubsystemLayout
@@ -226,11 +280,12 @@ class DensityOperator:
 
     def __post_init__(self):
         d = self.layout.dim
-        m = _frozen_array(self.factor)
+        m = _frozen_copy(self.factor)
         if m.ndim != 2 or m.shape[0] != d:
             raise DimensionMismatchError(f"expected array of shape ({d}, r), got {m.shape}")
         tr = complex(np.vdot(m, m))
-        if abs(tr - 1.0) > DEFAULT.norm:
+        if not abs(tr - 1.0) <= DEFAULT.norm:
+            _refuse_non_finite(m)
             raise ValueError(f"trace {tr:.12g} is not 1 within {DEFAULT.norm}")
         object.__setattr__(self, "factor", m)
 
@@ -295,7 +350,8 @@ class SubsystemBasis:
     """Orthonormal vectors on one subsystem; may be a sub-basis.
 
     The vectors are copied once into ``rows``, a read-only (n, d) array, and
-    ``vectors`` holds its rows.
+    ``vectors`` holds its rows.  The Gram check is also the finiteness
+    check, behind ``_refuse_infinite_norm`` (see ``_frozen_array``).
     """
 
     subsystem: str
@@ -309,14 +365,15 @@ class SubsystemBasis:
         shape = np.shape(vecs[0])
         if len(shape) != 1 or any(np.shape(v) != shape for v in vecs):
             raise DimensionMismatchError("basis vectors have inconsistent shapes")
-        rows = _frozen_array(vecs)
+        rows = _frozen_copy(vecs)
         n, dim = rows.shape
         if n > dim:
             raise NonOrthonormalBasisError(
                 f"{n} vectors cannot be orthonormal in dimension {dim}"
             )
+        _refuse_infinite_norm(rows)
         resid = _gram_residual(rows.T)
-        if resid > DEFAULT.orth * max(1, n):
+        if not resid <= DEFAULT.orth * max(1, n):
             raise NonOrthonormalBasisError(f"orthonormality residual {resid:.3e}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "vectors", tuple(rows))

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidDecompositionError, NotAProjectorError
-from .hilbert import _frozen_array, _gram_residual, _hermitian_spectrum
+from .hilbert import _frozen_array, _gram_residual, _hermitian_spectrum, _refuse_infinite_norm
 from .tolerances import DEFAULT
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,19 +57,26 @@ def _side_by_side(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
+def _block_array(q) -> np.ndarray:
+    """``q`` itself when it is a read-only complex array, else a frozen copy
+    whose entries are scanned for NaN and infinity (``_frozen_array``)."""
+    if isinstance(q, np.ndarray) and q.dtype == complex and not q.flags.writeable:
+        return q
+    return _frozen_array(q)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralBranch:
     """Eigenvalue o_k and an orthonormal (d, r_k) block Q_k of eigenvectors.
-    A block that is not already a read-only complex array is copied."""
+    A read-only complex block is taken as is; any other is copied and its
+    entries checked finite (``_block_array``)."""
 
     index: int
     eigenvalue: float
     basis: np.ndarray
 
     def __post_init__(self):
-        q = self.basis
-        if not (isinstance(q, np.ndarray) and q.dtype == complex and not q.flags.writeable):
-            object.__setattr__(self, "basis", _frozen_array(q))
+        object.__setattr__(self, "basis", _block_array(self.basis))
 
     @property
     def projector(self) -> np.ndarray:
@@ -93,7 +101,10 @@ class SpectralObservable:
     Every residual of a dense check of the projectors (idempotency
     Q_k E_kk Q_k^dag, orthogonality Q_i E_ij Q_j^dag, completeness
     I - B B^dag) is then at most (1 + eps) eps, which must be within the
-    dense bound ``DEFAULT.orth * d``.
+    dense bound ``DEFAULT.orth * d``.  That Gram check is also the
+    finiteness check of every block, behind
+    ``hilbert._refuse_infinite_norm``, so a read-only block that a branch
+    took as is gets checked here.
     """
 
     subsystem: str
@@ -105,6 +116,7 @@ class SpectralObservable:
             raise DimensionMismatchError("observable needs at least one branch")
         object.__setattr__(self, "branches", branches)
         basis = _side_by_side([b.basis for b in branches])
+        _refuse_infinite_norm(basis)
         d, n = basis.shape
         eigs = [b.eigenvalue for b in branches]
         if not all(math.isfinite(e) for e in eigs):
@@ -134,8 +146,14 @@ class SpectralObservable:
         ascending eigenvalue o_k.  When ``complement`` is given, one more
         branch with that eigenvalue, placed by it, spans the orthogonal
         complement of the blocks: the trailing columns of their complete QR.
+
+        A read-only complex block is adopted, not copied, as
+        ``SpectralBranch`` takes it (a pointer built from a
+        ``SubsystemBasis`` shares that basis's checked rows); any other
+        block is copied and scanned.  The constructor's Gram check covers
+        every block, finiteness included.
         """
-        blocks = [_frozen_array(q) for q in blocks]
+        blocks = [_block_array(q) for q in blocks]
         eigs = [float(e) for e in eigenvalues]
         if not blocks:
             raise DimensionMismatchError("observable needs at least one branch")
@@ -232,14 +250,27 @@ def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
     sorted by ascending eigenvalue and indexed by position.
     """
     _, eigvals, eigvecs = _hermitian_spectrum(h)
+    values = eigvals.tolist()  # Python floats: a gap that overflows is inf, silently
     groups: list[list[int]] = [[0]]
-    for i in range(1, len(eigvals)):
-        if eigvals[i] - eigvals[groups[-1][-1]] <= DEFAULT.eig_merge:
+    for i in range(1, len(values)):
+        if values[i] - values[groups[-1][-1]] <= DEFAULT.eig_merge:
             groups[-1].append(i)
         else:
             groups.append([i])
     return SpectralObservable.from_eigenbasis(
         subsystem,
-        [float(np.mean(eigvals[group])) for group in groups],
+        [_group_mean([values[i] for i in group]) for group in groups],
         [eigvecs[:, group] for group in groups],
     )
+
+
+def _group_mean(values: list[float]) -> float:
+    """The mean of eigenvalues merged into one branch, as ``np.mean`` forms it
+    bit for bit whenever its sum cannot overflow; otherwise as the first
+    value plus the mean offset from it, which cannot overflow, since the
+    values lie within a few ``DEFAULT.eig_merge`` of each other."""
+    n = len(values)
+    if max(abs(v) for v in values) <= sys.float_info.max / n:
+        return float(np.mean(values))
+    first = values[0]
+    return first + sum(v - first for v in values) / n

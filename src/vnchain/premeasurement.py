@@ -30,8 +30,9 @@ from .hilbert import (
     SubsystemLayout,
     DensityOperator,
     _fro,
-    _frozen_array,
+    _frozen_copy,
     _gram_residual,
+    _refuse_infinite_norm,
     _resized,
     apply_local,
     complete_orthonormal,
@@ -133,14 +134,17 @@ class Premeasurement:
 
 
 def _checked_isometry(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """``m`` as a frozen array, checked to have ``shape`` and m^dag m = I."""
+    """``m`` as a frozen copy, checked to have ``shape`` and m^dag m = I; the
+    Gram check is also the finiteness check, behind
+    ``hilbert._refuse_infinite_norm``."""
     square = shape[0] == shape[1]
-    m = _frozen_array(m)
+    m = _frozen_copy(m)
     if m.shape != shape:
         kind = "unitary" if square else "isometry"
         raise DimensionMismatchError(f"{kind} shape {m.shape}, expected {shape}")
+    _refuse_infinite_norm(m)
     resid = _gram_residual(m)
-    if resid > DEFAULT.unitary * max(1, shape[0]):
+    if not resid <= DEFAULT.unitary * max(1, shape[0]):
         kind = "unitary" if square else "an isometry"
         raise ValueError(f"matrix is not {kind}: residual {resid:.3e}")
     return m
@@ -250,7 +254,8 @@ def build_exact(
     the ideal's isometry: the result has isometry D V.  It keeps the
     calibration, probability reproduction, and dynamical conditions but is
     no longer ideal in general.  Each F = Q Q^dag enters through its block:
-    W F = (W Q) Q^dag, and ||(I - F) W F|| = ||W Q - Q Q^dag W Q||.
+    W F = (W Q) Q^dag, and ||(I - F) W F|| = ||W Q - Q Q^dag W Q||.  A
+    dressing with a NaN or infinite entry raises ``DressingError``.
     """
     n = ideal.measured.branch_count
     if len(dressings) != n:
@@ -263,17 +268,19 @@ def build_exact(
         w_b = np.asarray(w_b, dtype=complex)
         if v_a.shape != (d_a, d_a) or w_b.shape != (d_b, d_b):
             raise DimensionMismatchError("dressing shapes do not match the layout")
-        if _gram_residual(v_a) > DEFAULT.unitary * d_a:
+        _refuse_infinite_norm(v_a, f"object dressing {k}", DressingError)
+        if not _gram_residual(v_a) <= DEFAULT.unitary * d_a:
             raise DressingError(f"object dressing {k} is not unitary")
+        _refuse_infinite_norm(w_b, f"instrument dressing {k}", DressingError)
         q = ideal.pointer.branches[ideal.mapping[k]].basis
         wq = w_b @ q
         leak = _fro(wq - q @ (q.conj().T @ wq))
-        if leak > DEFAULT.orth * d_b:
+        if not leak <= DEFAULT.orth * d_b:
             raise DressingError(
                 f"instrument dressing {k} leaks outside its pointer range "
                 f"(residual {leak:.3e})"
             )
-        if _gram_residual(wq) > DEFAULT.orth * d_b:
+        if not _gram_residual(wq) <= DEFAULT.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
         terms.append((v_a, wq, q))
         mapped.add(ideal.mapping[k])

@@ -649,6 +649,15 @@ class TestScenarioNumbers:
             "expected [re, im], got True at $.stages[0].measured.matrix[0]\n"
         )
 
+    def test_huge_finite_observable_runs(self, tmp_path, capsys):
+        """Eigenvalues of +-1e308 are finite: symmetrizing the matrix and
+        grouping its spectrum must not overflow on the way to them."""
+        doc = builtin_document("stern-gerlach")
+        doc["stages"][0]["measured"] = {"diag": [1e308, -1e308]}
+        code, out, err = self.run_doc(tmp_path, capsys, json.dumps(doc))
+        assert (code, err) == (0, "")
+        assert out.endswith("result: PASS\n")
+
     def test_finite_numbers_still_parse(self):
         doc = builtin_document("stern-gerlach")
         doc["initial"]["state"] = [[3, 0], 4.0]

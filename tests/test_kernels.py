@@ -3,25 +3,49 @@ built on them.
 
 Both kernels must equal the numpy expressions they replace bit for bit, so
 that no check, report or residual moves; an ast guard keeps every
-default-order norm and every Gram residual in the package on them.
+default-order norm and every Gram residual in the package on them.  Each
+constructor's scalar check is also its finiteness check, and a second ast
+guard keeps the ``np.isfinite`` scan off the success path.
 """
 
 import ast
+import cProfile
+import contextlib
+import dataclasses
+import io
+import json
+import pstats
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vnchain import (
+    DecompositionOfIdentity,
     DegenerateLayoutError,
+    DensityOperator,
     DimensionMismatchError,
+    DressingError,
     LayoutConflictError,
     NonOrthonormalBasisError,
+    NotAProjectorError,
+    SpectralObservable,
+    StateVector,
     SubsystemBasis,
     SubsystemLayout,
+    WeightedEnsemble,
+    basis_state,
+    build_exact,
+    build_ideal,
+    layout,
+    observable_from_matrix,
+    random_state,
     random_unitary,
+    redecompose,
 )
-from vnchain.hilbert import _fro, _gram_residual
+from vnchain.hilbert import _fro, _gram_residual, _hermitian_spectrum
+from vnchain.tolerances import DEFAULT
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vnchain"
 
@@ -212,3 +236,373 @@ class TestSubsystemLayout:
             SubsystemLayout((("A", 2), ("B", 0)))
         with pytest.raises(ValueError):  # an entry that is not a (label, dim) pair
             SubsystemLayout((("A", 2), ("B", 3, 4)))
+
+
+# --- finiteness: each scalar check is also the finiteness check ----------------
+
+QUBIT = layout(("A", 2))
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan)]
+NAN_MESSAGE = "array has NaN or infinite entries"
+
+
+def _with(values, index, entry) -> np.ndarray:
+    """A complex copy of ``values`` with ``entry`` at ``index``."""
+    out = np.array(values, dtype=complex)
+    out[index] = entry
+    return out
+
+
+def _read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=complex)
+    out.setflags(write=False)
+    return out
+
+
+def _qubit_pm():
+    measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
+    pointer_states = SubsystemBasis("B", tuple(np.eye(2)))
+    return build_ideal(measured, pointer_states, basis_state(layout(("B", 2)), 0))
+
+
+def _ensemble():
+    rng = np.random.default_rng(4)
+    lay = layout(("A", 2), ("B", 2))
+    return WeightedEnsemble(((0.5, random_state(lay, rng)), (0.5, random_state(lay, rng))))
+
+
+E2 = np.eye(2)
+
+# name: (value built with ``bad`` in one entry, error type, message)
+NON_FINITE_CASES = {
+    "normalized state": (
+        lambda bad: StateVector(QUBIT, _with([1, 0], 1, bad)),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "unnormalized state": (
+        lambda bad: StateVector(QUBIT, _with([1, 0], 1, bad), normalized=False),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "density factor": (
+        lambda bad: DensityOperator(QUBIT, _with(E2[:, :1], (1, 0), bad)),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "subsystem basis": (
+        lambda bad: SubsystemBasis("A", tuple(_with(E2, (0, 1), bad))),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "isometry": (
+        lambda bad: dataclasses.replace(
+            _qubit_pm(), isometry=_with(_qubit_pm().isometry, (3, 0), bad)
+        ),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "read-only eigenbasis block": (
+        lambda bad: SpectralObservable.from_eigenbasis(
+            "A", [0, 1], [_read_only(_with(E2[:, :1], (1, 0), bad)), _read_only(E2[:, 1:])]
+        ),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "read-only eigenbasis block with complement": (
+        lambda bad: SpectralObservable.from_eigenbasis(
+            "A", [0], [_read_only(_with(E2[:, :1], (1, 0), bad))], complement=1.0
+        ),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "writeable eigenbasis block": (
+        lambda bad: SpectralObservable.from_eigenbasis(
+            "A", [0, 1], [_with(E2[:, :1], (1, 0), bad), E2[:, 1:]]
+        ),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "read-only decomposition block": (
+        lambda bad: DecompositionOfIdentity.from_blocks(
+            "A", (_read_only(_with(E2[:, :1], (1, 0), bad)), _read_only(E2[:, 1:]))
+        ),
+        ValueError,
+        NAN_MESSAGE,
+    ),
+    "object dressing": (
+        lambda bad: build_exact(_qubit_pm(), [(E2, E2), (_with(E2, (0, 1), bad), E2)]),
+        DressingError,
+        "object dressing 1 has NaN or infinite entries",
+    ),
+    "instrument dressing": (
+        lambda bad: build_exact(_qubit_pm(), [(E2, E2), (E2, _with(E2, (0, 0), bad))]),
+        DressingError,
+        "instrument dressing 1 has NaN or infinite entries",
+    ),
+    "mixing matrix": (
+        lambda bad: redecompose(_ensemble(), _with(np.eye(3), (2, 0), bad)),
+        ValueError,
+        "mixing matrix has NaN or infinite entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+def test_non_finite_entry_is_refused_by_name(name, bad):
+    """The error and message a non-finite entry gets, with no floating-point
+    warning on the way (the warning filter turns one into a failure)."""
+    build, error, message = NON_FINITE_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            build(bad)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _scaled(values, index, scale) -> np.ndarray:
+    out = np.array(values, dtype=complex)
+    out[index] *= scale
+    return out
+
+
+def _isometry_scaled(residual):
+    """The qubit premeasurement with one isometry column scaled so that its
+    Gram residual is ``residual``."""
+    pm = _qubit_pm()
+    return dataclasses.replace(
+        pm, isometry=_scaled(pm.isometry, (slice(None), 0), np.sqrt(1 + residual))
+    )
+
+
+# name: (value whose checked scalar is ``residual`` off, bound, error, message start)
+BOUND_CASES = {
+    "norm": (
+        lambda r: StateVector(QUBIT, [1 + r, 0]),
+        DEFAULT.norm,
+        ValueError,
+        "state flagged normalized",
+    ),
+    "trace": (
+        lambda r: DensityOperator(QUBIT, [[np.sqrt(1 + r)], [0]]),
+        DEFAULT.norm,
+        ValueError,
+        "trace ",
+    ),
+    "basis Gram": (
+        lambda r: SubsystemBasis("A", tuple(_scaled(E2, 0, np.sqrt(1 + r)))),
+        DEFAULT.orth * 2,
+        NonOrthonormalBasisError,
+        "orthonormality residual",
+    ),
+    "eigenbasis Gram": (
+        lambda r: SpectralObservable.from_eigenbasis(
+            "A", [0, 1], [_scaled(E2[:, :1], 0, np.sqrt(1 + r)), E2[:, 1:]]
+        ),
+        DEFAULT.orth * 2,
+        NotAProjectorError,
+        "eigenbasis is not orthonormal",
+    ),
+    "isometry": (
+        _isometry_scaled,
+        DEFAULT.unitary * 4,
+        ValueError,
+        "matrix is not an isometry",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CASES))
+def test_finite_inputs_meet_the_same_bounds(name):
+    """0.9x of a bound passes and 1.1x fails, with the finite-input message:
+    writing the comparison NaN-safe moves no bound."""
+    build, bound, error, start = BOUND_CASES[name]
+    build(0.9 * bound)
+    with pytest.raises(error) as info:
+        build(1.1 * bound)
+    assert type(info.value) is error
+    assert str(info.value).startswith(start)
+
+
+HUGE = np.array([[1e200, 1e200], [1e200, -1e200]])  # finite; its Gram product is not
+
+# name: (value built on HUGE, error type, message)
+OVERFLOW_CASES = {
+    "subsystem basis": (
+        lambda: SubsystemBasis("A", tuple(HUGE)),
+        NonOrthonormalBasisError,
+        "orthonormality residual nan",
+    ),
+    "isometry": (
+        lambda: dataclasses.replace(_qubit_pm(), isometry=np.vstack([HUGE, np.zeros((2, 2))])),
+        ValueError,
+        "matrix is not an isometry: residual nan",
+    ),
+    "mixing matrix": (
+        lambda: redecompose(_ensemble(), HUGE),
+        ValueError,
+        "mixing matrix must be unitary",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_CASES))
+def test_gram_residual_that_overflows_to_nan_is_refused(name):
+    """Finite entries whose Gram product overflows give a NaN residual (inf
+    - inf), which the NaN-safe comparison refuses; ``residual > bound``
+    passed it."""
+    build, error, message = OVERFLOW_CASES[name]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+class TestEigenbasisBlocks:
+    """``from_eigenbasis`` copies a block only when ``SpectralBranch`` would."""
+
+    def test_read_only_complex_block_is_adopted(self):
+        blocks = [_read_only(E2[:, :1]), _read_only(E2[:, 1:])]
+        obs = SpectralObservable.from_eigenbasis("A", [0, 1], blocks)
+        for branch, block in zip(obs.branches, blocks, strict=True):
+            assert branch.basis is block
+
+    @pytest.mark.parametrize("kind", ["writeable complex", "read-only real"])
+    def test_other_blocks_are_copied(self, kind):
+        blocks = [np.array(E2[:, :1], dtype=complex), np.array(E2[:, 1:], dtype=complex)]
+        if kind == "read-only real":
+            blocks = [b.real.copy() for b in blocks]
+            for b in blocks:
+                b.setflags(write=False)
+        obs = SpectralObservable.from_eigenbasis("A", [0, 1], blocks)
+        for branch, block in zip(obs.branches, blocks, strict=True):
+            assert not np.shares_memory(branch.basis, block)
+            assert branch.basis.dtype == complex and not branch.basis.flags.writeable
+            np.testing.assert_array_equal(branch.basis, block)
+
+    def test_pointer_shares_the_rows_of_its_basis(self):
+        pm = _qubit_pm()
+        pointer_states = SubsystemBasis("B", tuple(np.eye(3)[:2]))
+        pm = build_ideal(pm.measured, pointer_states, basis_state(layout(("B", 3)), 0))
+        for k in range(2):
+            branch = pm.pointer.branches[pm.mapping[k]]
+            assert np.shares_memory(branch.basis, pointer_states.rows)
+
+
+class TestHermitianSpectrum:
+    def test_symmetrization_keeps_the_bits_of_the_plain_form(self):
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3, 5):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = a + a.conj().T + 1e-12 * a  # Hermitian within DEFAULT.herm, not exactly
+            _, got, got_vecs = _hermitian_spectrum(h)
+            want, want_vecs = np.linalg.eigh((h + h.conj().T) / 2)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got_vecs, want_vecs)
+
+    def test_huge_finite_entries_give_finite_branches(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = observable_from_matrix(np.diag([1e308, 1e308]), "A")
+            split = observable_from_matrix(np.diag([1e308, -1e308]), "A")
+        assert merged.eigenvalues == (1e308,) and merged.branches[0].rank == 2
+        assert split.eigenvalues == (-1e308, 1e308)
+
+
+# --- the guard on the finiteness scan --------------------------------------------
+
+SCAN_HOLDERS = {"_frozen_array", "_refuse_non_finite"}
+
+
+def check_scan_offenders(source: str, module: str) -> list[str]:
+    """``np.isfinite`` calls outside ``_frozen_array`` (the paths no scalar
+    check covers) and ``_refuse_non_finite`` (the failure path of a check)."""
+    offenders = []
+
+    def visit(node, holder):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if _is_np_call(child, "isfinite") and holder not in SCAN_HOLDERS:
+                offenders.append(f"np.isfinite in {holder or 'module'} at {module}:{child.lineno}")
+            visit(child, holder)
+
+    visit(ast.parse(source), None)
+    return offenders
+
+
+def test_finiteness_scans_stay_off_the_success_path():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        offenders += check_scan_offenders(path.read_text(), path.name)
+    assert offenders == []
+
+
+def test_scan_guard_flags_other_holders():
+    source = (
+        "def _frozen_array(v):\n"
+        "    return np.isfinite(v).all()\n"
+        "def _refuse_non_finite(a):\n"
+        "    return np.isfinite(a).all()\n"
+        "class C:\n"
+        "    def __post_init__(self):\n"
+        "        if not np.isfinite(self.m).all():\n"
+        "            raise ValueError\n"
+        "ok = math.isfinite(1.0)\n"
+        "bad = np.isfinite(x)\n"
+    )
+    assert check_scan_offenders(source, "m.py") == [
+        "np.isfinite in __post_init__ at m.py:7",
+        "np.isfinite in module at m.py:10",
+    ]
+
+
+def _copy_chain(links: int) -> dict:
+    """A copy chain of ``links`` ideal qubit links, each reading the
+    previous pointer."""
+    labels = [f"q{i}" for i in range(links + 1)]
+    stages = [
+        {
+            "object": labels[i],
+            "instrument": labels[i + 1],
+            "measured": {"diag": [0, 1]} if i == 0 else "previous-pointer",
+            "pointer_states": ["basis:0", "basis:1"],
+            "ready": "basis:0",
+            "kind": "ideal",
+        }
+        for i in range(links)
+    ]
+    return {
+        "name": "copy-chain",
+        "subsystems": [[label, 2] for label in labels],
+        "initial": {"subsystem": labels[0], "state": "plus"},
+        "stages": stages,
+        "analyses": ["branches"],
+    }
+
+
+def _scans_in_one_run(tmp_path, links: int) -> int:
+    from vnchain.cli import main
+
+    path = tmp_path / f"chain{links}.json"
+    path.write_text(json.dumps(_copy_chain(links)))
+    argv = ["run", str(path), "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0  # warm
+        profile = cProfile.Profile()
+        profile.enable()
+        code = main(argv)
+        profile.disable()
+    assert code == 0
+    stats = pstats.Stats(profile).stats
+    return sum(v[1] for (_, _, name), v in stats.items() if name == "_refuse_non_finite")
+
+
+def test_chain_links_pay_no_finiteness_scan(tmp_path):
+    """A link's states, bases, observables and isometry are covered by their
+    own checks: the scans of a run are those of the one observable given as
+    a matrix (its copy and its two eigenvector groups), however long the
+    chain."""
+    assert _scans_in_one_run(tmp_path, 2) == _scans_in_one_run(tmp_path, 6) == 3
