@@ -37,6 +37,14 @@ def _frozen_copy(values) -> np.ndarray:
     return out
 
 
+def _is_frozen_complex(values) -> bool:
+    """Whether ``values`` is a read-only complex array, which a value type
+    adopts as is instead of copying: the package freezes what it makes and
+    hands it over (an eigenbasis block, an isometry), and a caller's array
+    is copied unless the caller has frozen it."""
+    return isinstance(values, np.ndarray) and values.dtype == complex and not values.flags.writeable
+
+
 def _frozen_array(values) -> np.ndarray:
     """``values`` copied into a read-only complex array whose entries are all
     finite.
@@ -351,12 +359,17 @@ class SubsystemBasis:
 
     The vectors are copied once into ``rows``, a read-only (n, d) array, and
     ``vectors`` holds its rows.  The Gram check is also the finiteness
-    check, behind ``_refuse_infinite_norm`` (see ``_frozen_array``).
+    check, behind ``_refuse_infinite_norm`` (see ``_frozen_array``).  Its
+    residual eps = ||R R^dag - I|| of the rows R is kept as
+    ``gram_residual``: a complete basis (n = d) is a pointer eigenbasis
+    whose observable reuses it (``SpectralObservable._adopt_basis``) and
+    checks the rows no second time.
     """
 
     subsystem: str
     vectors: tuple[np.ndarray, ...]
     rows: np.ndarray = field(init=False, repr=False)
+    gram_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         vecs = tuple(self.vectors)
@@ -377,6 +390,7 @@ class SubsystemBasis:
             raise NonOrthonormalBasisError(f"orthonormality residual {resid:.3e}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "vectors", tuple(rows))
+        object.__setattr__(self, "gram_residual", resid)
 
     @property
     def dim(self) -> int:

@@ -6,7 +6,8 @@ orthonormal (d, r_k) block Q_k of eigenvectors (any rank r_k >= 1), the
 blocks side by side an orthonormal basis of the space.  The branch
 projector Q_k Q_k^dag is derived from its block on request.  A caller gives
 an event or a decomposition of the identity as such blocks too, and
-``_orthonormal_block`` is the one check of every block.
+``_orthonormal_block`` is the one check of every block.  Every block family
+meets one criterion on its Gram residual (``_require_orthonormal``).
 """
 
 from __future__ import annotations
@@ -15,12 +16,19 @@ import bisect
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidDecompositionError, NotAProjectorError
-from .hilbert import _frozen_array, _gram_residual, _hermitian_spectrum, _refuse_infinite_norm
+from .hilbert import (
+    SubsystemBasis,
+    _frozen_array,
+    _gram_residual,
+    _hermitian_spectrum,
+    _is_frozen_complex,
+    _refuse_infinite_norm,
+)
 from .tolerances import DEFAULT
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -30,22 +38,35 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def _orthonormal_block(q, what: str) -> np.ndarray:
     """``q`` as a complex (d, r) block Q of orthonormal columns: the one check
-    of an eigenbasis and of an event P = Q Q^dag.
+    of a block that a caller gives, an event P = Q Q^dag or a range.
 
-    Q must be 2-D with r <= d and bound eps = ||Q^dag Q - I|| by
-    (1 + eps) eps <= ``DEFAULT.orth * d``, which a NaN or infinite entry
-    fails.  That bounds the dense idempotency residual
-    ||P^2 - P|| = ||Q (Q^dag Q - I) Q^dag||, and P is Hermitian by
-    construction.  ``what`` names the block in the error.
+    Q must be 2-D with r <= d, have finite entries and meet
+    ``_require_orthonormal``.  The finiteness check comes first, so a NaN or
+    infinite entry raises "``what`` has NaN or infinite entries" with no
+    floating-point warning from the Gram product.  ``what`` names the block
+    in the error.
     """
     q = np.asarray(q, dtype=complex)
+    _require_block_shape(q, what)
+    _refuse_infinite_norm(q, what, NotAProjectorError)
+    _require_orthonormal(_gram_residual(q), q.shape[0], what)
+    return q
+
+
+def _require_block_shape(q: np.ndarray, what: str) -> None:
     if q.ndim != 2 or q.shape[1] > q.shape[0]:
         raise NotAProjectorError(f"{what} of shape {q.shape} is not a (d, r) block with r <= d")
-    d = q.shape[0]
-    eps = _gram_residual(q)
+
+
+def _require_orthonormal(eps: float, d: int, what: str) -> None:
+    """The one orthonormality criterion of a block Q of d rows, on its Gram
+    residual eps = ||Q^dag Q - I||: (1 + eps) eps <= ``DEFAULT.orth * d``,
+    which a NaN eps fails.  That bounds the dense idempotency residual
+    ||P^2 - P|| = ||Q (Q^dag Q - I) Q^dag|| of P = Q Q^dag, a Hermitian
+    matrix by construction.
+    """
     if not eps * (1 + eps) <= DEFAULT.orth * d:
         raise NotAProjectorError(f"{what} is not orthonormal: Gram residual {eps:.3e}")
-    return q
 
 
 def _side_by_side(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -58,11 +79,10 @@ def _side_by_side(blocks: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _block_array(q) -> np.ndarray:
-    """``q`` itself when it is a read-only complex array, else a frozen copy
-    whose entries are scanned for NaN and infinity (``_frozen_array``)."""
-    if isinstance(q, np.ndarray) and q.dtype == complex and not q.flags.writeable:
-        return q
-    return _frozen_array(q)
+    """``q`` itself when it is a read-only complex array
+    (``hilbert._is_frozen_complex``), else a frozen copy whose entries are
+    scanned for NaN and infinity (``_frozen_array``)."""
+    return q if _is_frozen_complex(q) else _frozen_array(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,20 +115,27 @@ class SpectralObservable:
     """Observable sum_k o_k Q_k Q_k^dag with distinct eigenvalues, branches
     sorted ascending; instances compare by identity.
 
-    The constructor is the only check.  Besides shapes, ranks >= 1 and the
-    spectrum, it needs d columns and bounds eps = ||E||, E = B^dag B - I for
-    the blocks side by side, B = [Q_1, ..., Q_n], by ``_orthonormal_block``.
-    Every residual of a dense check of the projectors (idempotency
-    Q_k E_kk Q_k^dag, orthogonality Q_i E_ij Q_j^dag, completeness
-    I - B B^dag) is then at most (1 + eps) eps, which must be within the
-    dense bound ``DEFAULT.orth * d``.  That Gram check is also the
-    finiteness check of every block, behind
-    ``hilbert._refuse_infinite_norm``, so a read-only block that a branch
-    took as is gets checked here.
+    The constructor checks every observable but one kind.  Besides shapes,
+    ranks >= 1 and the spectrum, it needs d columns and bounds
+    eps = ||E||, E = B^dag B - I for the blocks side by side,
+    B = [Q_1, ..., Q_n], by ``_require_orthonormal``.  Every residual of a
+    dense check of the projectors (idempotency Q_k E_kk Q_k^dag,
+    orthogonality Q_i E_ij Q_j^dag, completeness I - B B^dag) is then at
+    most (1 + eps) eps, which must be within the dense bound
+    ``DEFAULT.orth * d``.  That Gram check is also the finiteness check of
+    every block, behind ``hilbert._refuse_infinite_norm``, so a read-only
+    block that a branch took as is gets checked here.  B is kept, read-only,
+    as ``basis``.
+
+    The one other route is ``_adopt_basis``: the pointer of a complete
+    ``SubsystemBasis``, whose rows that basis has already copied, checked
+    finite and Gram-checked.  It applies the same criterion to that
+    basis's stored residual, and forms no second B or Gram product.
     """
 
     subsystem: str
     branches: tuple[SpectralBranch, ...]
+    basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         branches = tuple(self.branches)
@@ -130,9 +157,38 @@ class SpectralObservable:
         for b in branches:
             if b.rank == 0:
                 raise NotAProjectorError(f"branch {b.index} block is empty: rank 0")
-        _orthonormal_block(basis, "eigenbasis")
+        _require_block_shape(basis, "eigenbasis")
+        _require_orthonormal(_gram_residual(basis), d, "eigenbasis")
         if n != d:
             raise NotAProjectorError("branch projectors do not sum to the identity")
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _adopt_basis(cls, pointer_states: SubsystemBasis) -> "SpectralObservable":
+        """The observable sum_k k |b_k><b_k| of a complete basis (n = d), one
+        rank-1 branch per vector, built on the basis's checked rows R.
+
+        What the constructor would check holds by construction: one
+        branch per dimension, eigenvalues 0..n-1 (finite, ascending, 1
+        apart), and entries that the basis found finite.  What is left is
+        the constructor's criterion on the Gram residual of B = R^T, which
+        is ||R R^dag - I||, the residual the basis stored.  B is R^T, a
+        view, and each block is a view of one row.
+        """
+        rows = pointer_states.rows
+        n, d = rows.shape
+        if n != d:
+            raise NotAProjectorError("branch projectors do not sum to the identity")
+        _require_orthonormal(pointer_states.gram_residual, d, "eigenbasis")
+        observable = object.__new__(cls)
+        branches = tuple(
+            SpectralBranch(k, float(k), v[:, None]) for k, v in enumerate(pointer_states.vectors)
+        )
+        object.__setattr__(observable, "subsystem", pointer_states.subsystem)
+        object.__setattr__(observable, "branches", branches)
+        object.__setattr__(observable, "basis", rows.T)
+        return observable
 
     @classmethod
     def from_eigenbasis(
@@ -148,7 +204,7 @@ class SpectralObservable:
         complement of the blocks: the trailing columns of their complete QR.
 
         A read-only complex block is adopted, not copied, as
-        ``SpectralBranch`` takes it (a pointer built from a
+        ``SpectralBranch`` takes it (the pointer of an incomplete
         ``SubsystemBasis`` shares that basis's checked rows); any other
         block is copied and scanned.  The constructor's Gram check covers
         every block, finiteness included.

@@ -32,6 +32,7 @@ from .hilbert import (
     _fro,
     _frozen_copy,
     _gram_residual,
+    _is_frozen_complex,
     _refuse_infinite_norm,
     _resized,
     apply_local,
@@ -68,7 +69,11 @@ class Premeasurement:
 
     Construction validates structure (labels, dimensions, V^dag V = I, the
     injective index map); ``dataclasses.replace(pm, isometry=V2)`` checks
-    V2 the same way.  The calibration condition itself is the contract of
+    V2 the same way.  The observables and the ready state arrive checked by
+    their own constructors, and their entries are not checked again.  V is
+    copied and frozen unless it is a read-only complex array, which is
+    adopted as is (``_checked_isometry``); the ``build_*`` constructors
+    hand over the V they make that way.  The calibration condition itself is the contract of
     the ``build_*`` constructors and is verified by ``check_conditions``,
     so deliberately broken instances can still be represented.  Instances
     compare by identity.
@@ -134,11 +139,13 @@ class Premeasurement:
 
 
 def _checked_isometry(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """``m`` as a frozen copy, checked to have ``shape`` and m^dag m = I; the
-    Gram check is also the finiteness check, behind
+    """``m`` checked to have ``shape`` and m^dag m = I: ``m`` itself when it
+    is a read-only complex array (``hilbert._is_frozen_complex``), else a
+    frozen copy.  The Gram check is also the finiteness check, behind
     ``hilbert._refuse_infinite_norm``."""
     square = shape[0] == shape[1]
-    m = _frozen_copy(m)
+    if not _is_frozen_complex(m):
+        m = _frozen_copy(m)
     if m.shape != shape:
         kind = "unitary" if square else "isometry"
         raise DimensionMismatchError(f"{kind} shape {m.shape}, expected {shape}")
@@ -159,14 +166,19 @@ def build_ideal(
     """Ideal premeasurement from one pointer state per measured branch.
 
     Its isometry is V = sum_k E_k (x) |b_k>, formed in closed form from the
-    blocks of E_k = Q_k Q_k^dag: it maps |phi> (x) |ready> to
-    sum_k (E_k |phi>) (x) |b_k>.
+    blocks of E_k = Q_k Q_k^dag, read side by side from ``measured.basis``:
+    it maps |phi> (x) |ready> to sum_k (E_k |phi>) (x) |b_k>.  V is frozen
+    and handed to ``Premeasurement``, which Gram-checks it and keeps it
+    without a copy.
 
     When ``pointer`` is omitted, a pointer observable is built from the
     states themselves (eigenvalue k for branch k, plus one idle branch with
-    eigenvalue -1 if the instrument has leftover dimensions).  When given,
-    each pointer state must lie in the range of exactly one of its
-    projectors, which fixes the index map.
+    eigenvalue -1 if the instrument has leftover dimensions).  The pointer
+    of a complete basis reuses the basis's Gram check
+    (``SpectralObservable._adopt_basis``); with an idle branch, the
+    observable constructor checks all d columns.  When given, each pointer
+    state must lie in the range of exactly one of its projectors, which
+    fixes the index map.
     """
     n_branches = measured.branch_count
     d_a = measured.dim
@@ -190,17 +202,18 @@ def build_ideal(
             raise LayoutConflictError("pointer observable does not match instrument")
         index_map = _match_pointer_states(pointer, pointer_states)
 
-    basis = np.concatenate([b.basis for b in measured.branches], axis=1)
-    columns = np.repeat(np.arange(n_branches), [b.rank for b in measured.branches])
-    pointed = pointer_states.rows.T[:, columns]
-    isometry = np.einsum("ic,jc,mc->ijm", basis, pointed, basis.conj())
+    basis = measured.basis
+    ranks = [b.rank for b in measured.branches]
+    pointed = np.repeat(pointer_states.rows.T, ranks, axis=1)  # column c: c's pointer state
+    isometry = np.einsum("ic,jc,mc->ijm", basis, pointed, basis.conj()).reshape(d_a * d_b, d_a)
+    isometry.setflags(write=False)
     return Premeasurement(
         object_label=measured.subsystem,
         instrument_label=instrument,
         measured=measured,
         pointer=pointer,
         ready_state=ready_state,
-        isometry=isometry.reshape(d_a * d_b, d_a),
+        isometry=isometry,
         index_map=tuple(index_map.items()),
     )
 
@@ -209,11 +222,13 @@ def _pointer_from_states(
     instrument: str, pointer_states: SubsystemBasis
 ) -> tuple[SpectralObservable, dict[int, int]]:
     n = len(pointer_states.vectors)
+    if pointer_states.is_complete:
+        return SpectralObservable._adopt_basis(pointer_states), {k: k for k in range(n)}
     observable = SpectralObservable.from_eigenbasis(
         instrument,
         [float(k) for k in range(n)],
         [v[:, None] for v in pointer_states.vectors],
-        complement=-1.0 if n < pointer_states.dim else None,
+        complement=-1.0,
     )
     value_to_pos = {val: i for i, val in enumerate(observable.eigenvalues)}
     index_map = {k: value_to_pos[float(k)] for k in range(n)}
@@ -295,6 +310,7 @@ def _dress(terms, matrix: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
     The rows of ``matrix`` are split into (object, instrument); each term is
     applied one subsystem at a time, its instrument part as Q^dag, then B.
+    The result is frozen, for ``Premeasurement`` to keep without a copy.
     """
     dims = (d_a, d_b, matrix.shape[1])
     flat = matrix.reshape(-1)
@@ -303,6 +319,7 @@ def _dress(terms, matrix: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
         term = apply_local(q.conj().T, flat, dims, 1)
         term = apply_local(b, term, _resized(dims, 1, q.shape[1]), 1)
         out += term if a is None else apply_local(a, term, dims, 0)
+    out.setflags(write=False)
     return out.reshape(matrix.shape)
 
 

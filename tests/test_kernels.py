@@ -44,7 +44,9 @@ from vnchain import (
     random_unitary,
     redecompose,
 )
+from vnchain import premeasurement
 from vnchain.hilbert import _fro, _gram_residual, _hermitian_spectrum
+from vnchain.premeasurement import random_observable
 from vnchain.tolerances import DEFAULT
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vnchain"
@@ -583,7 +585,9 @@ def _copy_chain(links: int) -> dict:
     }
 
 
-def _scans_in_one_run(tmp_path, links: int) -> int:
+def _calls_in_one_run(tmp_path, links: int, function: str) -> int:
+    """Calls of the package function named ``function`` in one warm
+    ``vnchain run`` of a copy chain of ``links`` links."""
     from vnchain.cli import main
 
     path = tmp_path / f"chain{links}.json"
@@ -597,7 +601,7 @@ def _scans_in_one_run(tmp_path, links: int) -> int:
         profile.disable()
     assert code == 0
     stats = pstats.Stats(profile).stats
-    return sum(v[1] for (_, _, name), v in stats.items() if name == "_refuse_non_finite")
+    return sum(v[1] for (_, _, name), v in stats.items() if name == function)
 
 
 def test_chain_links_pay_no_finiteness_scan(tmp_path):
@@ -605,4 +609,171 @@ def test_chain_links_pay_no_finiteness_scan(tmp_path):
     own checks: the scans of a run are those of the one observable given as
     a matrix (its copy and its two eigenvector groups), however long the
     chain."""
-    assert _scans_in_one_run(tmp_path, 2) == _scans_in_one_run(tmp_path, 6) == 3
+    scans = [_calls_in_one_run(tmp_path, links, "_refuse_non_finite") for links in (2, 6)]
+    assert scans == [3, 3]
+
+
+def test_chain_links_check_two_grams_each(tmp_path):
+    """An ideal link Gram-checks its pointer basis and its isometry, and
+    nothing else: its complete pointer adopts the basis's check.  The one
+    more Gram product of a run is that of the observable given as a matrix."""
+    grams = [_calls_in_one_run(tmp_path, links, "_gram_residual") for links in (2, 6, 10)]
+    assert grams == [2 * 2 + 1, 2 * 6 + 1, 2 * 10 + 1]
+
+
+# --- the pointer of a complete basis adopts its Gram check ---------------------
+
+
+def _complete_bases():
+    """The standard basis and a Haar basis at d = 2..6."""
+    for d in range(2, 7):
+        yield f"standard-{d}", SubsystemBasis("B", tuple(np.eye(d)))
+        q = random_unitary(d, np.random.default_rng(d))
+        yield f"haar-{d}", SubsystemBasis("B", tuple(q.T))
+
+
+COMPLETE_BASES = dict(_complete_bases())
+
+
+@pytest.mark.parametrize("name", sorted(COMPLETE_BASES))
+def test_adopted_pointer_equals_the_constructor_route(name):
+    """The adopted pointer has the eigenvalues, blocks and side-by-side basis
+    that ``from_eigenbasis`` gives the same rows, and ``build_ideal`` makes
+    the same index map and isometry with either."""
+    basis = COMPLETE_BASES[name]
+    d = basis.dim
+    adopted = SpectralObservable._adopt_basis(basis)
+    built = SpectralObservable.from_eigenbasis(
+        "B", [float(k) for k in range(d)], [v[:, None] for v in basis.vectors]
+    )
+    assert adopted.subsystem == built.subsystem
+    assert adopted.eigenvalues == built.eigenvalues
+    for a, b in zip(adopted.branches, built.branches, strict=True):
+        assert a.index == b.index
+        np.testing.assert_array_equal(a.basis, b.basis)
+    np.testing.assert_array_equal(adopted.basis, built.basis)
+    assert np.shares_memory(adopted.basis, basis.rows) and not adopted.basis.flags.writeable
+
+    measured = random_observable(3, min(3, d), "A", np.random.default_rng(d))
+    pointer_states = SubsystemBasis("B", basis.vectors[: measured.branch_count])
+    ready = basis_state(layout(("B", d)), 0)
+    if pointer_states.is_complete:
+        pm = build_ideal(measured, pointer_states, ready)
+        ref = build_ideal(measured, pointer_states, ready, pointer=built)
+        assert pm.pointer.eigenvalues == adopted.eigenvalues
+        assert pm.index_map == ref.index_map == tuple((k, k) for k in range(d))
+        np.testing.assert_array_equal(pm.isometry, ref.isometry)
+    # an adopted pointer read by the next link gives the V a built one gives
+    pstates = SubsystemBasis("C", tuple(np.eye(d)))
+    ready = basis_state(layout(("C", d)), 0)
+    np.testing.assert_array_equal(
+        build_ideal(adopted, pstates, ready).isometry, build_ideal(built, pstates, ready).isometry
+    )
+
+
+def test_incomplete_basis_keeps_the_full_check():
+    basis = SubsystemBasis("B", tuple(np.eye(3)[:2]))
+    with pytest.raises(NotAProjectorError, match="do not sum to the identity"):
+        SpectralObservable._adopt_basis(basis)
+    measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
+    pm = build_ideal(measured, basis, basis_state(layout(("B", 3)), 0))
+    assert pm.pointer.eigenvalues == (-1.0, 0.0, 1.0)
+    assert pm.index_map == ((0, 1), (1, 2))
+
+
+def test_adoption_applies_the_observable_criterion():
+    """A residual at the basis's bound passes ``SubsystemBasis`` but fails the
+    observable's (1 + eps) eps criterion, which the adoption applies to it."""
+    basis = SubsystemBasis("B", tuple(np.eye(2)))
+    eps = DEFAULT.orth * 2
+    object.__setattr__(basis, "gram_residual", eps)
+    with pytest.raises(NotAProjectorError, match="eigenbasis is not orthonormal") as info:
+        SpectralObservable._adopt_basis(basis)
+    assert type(info.value) is NotAProjectorError
+    object.__setattr__(basis, "gram_residual", 0.9 * eps)
+    SpectralObservable._adopt_basis(basis)
+
+
+@pytest.mark.parametrize("scale", [1.1, 2.0])
+def test_non_orthonormal_complete_basis_is_refused(scale):
+    """A complete pointer basis off orthonormality is refused by the basis
+    itself (``NonOrthonormalBasisError``), as before the adoption."""
+    measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
+    rows = _scaled(E2, 0, np.sqrt(1 + scale * DEFAULT.orth * 2))
+    with pytest.raises(NonOrthonormalBasisError) as info:
+        build_ideal(measured, SubsystemBasis("B", tuple(rows)), basis_state(layout(("B", 2)), 0))
+    assert type(info.value) is NonOrthonormalBasisError
+
+
+ADOPTION_CALLERS = {("premeasurement.py", "_pointer_from_states")}
+
+
+def adoption_callers(source: str, module: str) -> set[tuple[str, str]]:
+    """(module, enclosing function) of every call of ``_adopt_basis``."""
+    found = set()
+
+    def visit(node, holder):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "_adopt_basis":
+                    found.add((module, holder or "module"))
+            visit(child, holder)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_pointer_of_a_basis_is_adopted():
+    """The route past the observable constructor has one caller."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        callers |= adoption_callers(path.read_text(), path.name)
+    assert callers == ADOPTION_CALLERS
+
+
+def test_adoption_guard_finds_every_form():
+    source = (
+        "def f(b):\n"
+        "    return SpectralObservable._adopt_basis(b)\n"
+        "class C:\n"
+        "    def g(self, b):\n"
+        "        return _adopt_basis(b)\n"
+        "x = obs._adopt_basis\n"
+    )
+    assert adoption_callers(source, "m.py") == {("m.py", "f"), ("m.py", "g")}
+
+
+class TestIsometryOwnership:
+    """``Premeasurement`` adopts a read-only complex V and copies any other."""
+
+    def test_built_isometry_is_handed_over(self, monkeypatch):
+        made = []
+        original = premeasurement._checked_isometry
+
+        def recording(m, shape):
+            made.append(m)
+            return original(m, shape)
+
+        monkeypatch.setattr(premeasurement, "_checked_isometry", recording)
+        pm = _qubit_pm()
+        assert pm.isometry is made[-1]
+        exact = build_exact(pm, [(E2, E2), (E2, E2)])
+        assert exact.isometry is made[-1]
+        for v in (pm.isometry, exact.isometry):
+            assert not v.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["read-only complex", "writeable complex", "read-only real"])
+    def test_given_isometry(self, kind):
+        pm = _qubit_pm()
+        v = np.array(pm.isometry.real if kind == "read-only real" else pm.isometry)
+        if kind != "writeable complex":
+            v.setflags(write=False)
+        got = dataclasses.replace(pm, isometry=v).isometry
+        assert (got is v) is (kind == "read-only complex")
+        assert got.dtype == complex and not got.flags.writeable
+        np.testing.assert_array_equal(got, v)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -694,3 +695,28 @@ class TestDenseEventRejected:
         call(q)  # its block is accepted
         with pytest.raises(NotAProjectorError, match="(event|range block) is not orthonormal"):
             call(projector_onto(q))
+
+
+class TestNonFiniteEventRejected:
+    """A block with a NaN or infinite entry is refused as such before its Gram
+    product is formed, so no floating-point warning comes first."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)], ids=repr)
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_typed_error_and_no_warning(self, name, bad):
+        q = np.array(random_unitary(3, np.random.default_rng(5))[:, :1])
+        q[1, 0] = bad
+        what = "range block" if name == "random_range_unitary" else "event"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAProjectorError) as info:
+                _entry_points()[name](q)
+        assert type(info.value) is NotAProjectorError
+        assert str(info.value) == f"{what} has NaN or infinite entries"
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=repr)
+    def test_block_check_itself(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAProjectorError, match="^event has NaN or infinite entries$"):
+                observables._orthonormal_block(np.array([[1], [bad]]), "event")
