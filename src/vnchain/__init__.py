@@ -61,6 +61,7 @@ from .observables import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    ComplementBranch,
     DecompositionOfIdentity,
     SpectralBranch,
     SpectralObservable,

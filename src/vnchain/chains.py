@@ -5,7 +5,10 @@ appends one instrument subsystem, a decomposition of the identity on one
 subsystem splits the state of the remaining subsystems into weighted
 branches, and conditioning on an event gives the relative (conditional)
 state of the opposite subsystems.  An event P = Q Q^dag on one subsystem is
-given as its (d, r) block Q of orthonormal columns.
+given as its (d, r) block Q of orthonormal columns, or, where an ensemble
+is updated, as a branch of a pointer observable, its idle complement
+included.  Every branch acts through its factor (``SpectralBranch.factor``
+and ``ComplementBranch.factor``), never through a dense projector.
 """
 
 from __future__ import annotations
@@ -38,7 +41,14 @@ from .hilbert import (
     partial_trace_matrix,
     partial_trace_vector,
 )
-from .observables import DecompositionOfIdentity, SpectralObservable, _orthonormal_block
+from .observables import (
+    ComplementBranch,
+    DecompositionOfIdentity,
+    ObservableBranch,
+    SpectralBranch,
+    SpectralObservable,
+    _orthonormal_block,
+)
 from .premeasurement import Premeasurement, evolve
 from .tolerances import DEFAULT
 
@@ -149,26 +159,45 @@ def _keep_positions(lay: SubsystemLayout, remove: set[str]) -> list[int]:
 
 def _condition_vector(
     amplitudes: np.ndarray,
-    factor: np.ndarray,
+    event: ObservableBranch,
     dims: tuple[int, ...],
     pos: int,
     keep: list[int],
 ) -> tuple[float, np.ndarray | None]:
     """Weight <psi|F|psi> of an event F = L^dag L on axis ``pos`` of a pure
     state and a factor M of the conditional state tr_rest(F|psi><psi|F) / w =
-    M M^dag on the ``keep`` axes, both from L psi (for L = Q^dag, the
-    relative-state coefficients), as tr_pos(L X L^dag) = tr_pos(F X).
+    M M^dag on the ``keep`` axes, both from L psi, as
+    tr_pos(L X L^dag) = tr_pos(F X).  The event is a branch, which applies
+    its L (``factor``): Q^dag for a block, whose L psi are the relative-state
+    coefficients, and I - G G^dag for a complement.
 
     Leading batch axes of ``amplitudes`` stand for the columns psi_j of a
     factored state sum_j |psi_j><psi_j|; the weight is then summed over them.
     No factor (None) is returned when the weight is at or below ``DEFAULT.weight``.
     """
-    projected = apply_local(factor, amplitudes, dims, pos)
+    projected = event.factor(amplitudes, dims, pos)
     w = float(np.real(np.vdot(projected, projected)))
     if w <= DEFAULT.weight:
         return w, None
-    m = partial_trace_vector(projected, _resized(dims, pos, factor.shape[0]), keep)
+    m = partial_trace_vector(projected, _resized(dims, pos, event.factor_rows), keep)
     return w, m / math.sqrt(w)
+
+
+def _event_branch(event: np.ndarray | ObservableBranch) -> ObservableBranch:
+    """An event on one subsystem as a branch to apply: a pointer branch (a
+    block or the idle complement) as it is, a caller's block Q after
+    ``_orthonormal_block``.  A caller that applies one block event several
+    times checks it once here and passes the branch on."""
+    if isinstance(event, (SpectralBranch, ComplementBranch)):
+        return event
+    return _block_branch(_orthonormal_block(event, "event"))
+
+
+def _block_branch(q: np.ndarray) -> SpectralBranch:
+    """A checked block Q as a branch, on a read-only view of it, not a copy."""
+    q = q.view()
+    q.setflags(write=False)
+    return SpectralBranch(0, 0.0, q)
 
 
 def _condition_matrix(
@@ -199,10 +228,27 @@ def observables_match(a: SpectralObservable, b: SpectralObservable) -> bool:
     for x, y in zip(a.branches, b.branches):
         if abs(x.eigenvalue - y.eigenvalue) > DEFAULT.observable_match:
             return False
-        # ||Q_x Q_x^dag - Q_y Q_y^dag||_F from a thin QR of the two blocks
-        if _fro(factor_difference(x.basis, y.basis)) > DEFAULT.observable_match * a.dim:
+        if _projector_distance(x, y) > DEFAULT.observable_match * a.dim:
             return False
     return True
+
+
+def _projector_distance(x: ObservableBranch, y: ObservableBranch) -> float:
+    """||F_x - F_y||_F of two branches on one space, from their columns only.
+
+    Two blocks: from a thin QR of the two (``factor_difference``).  Two
+    complements: (I - G_x G_x^dag) - (I - G_y G_y^dag) = G_y G_y^dag - G_x G_x^dag.
+    A complement and a block Q: I - C C^dag for C = [G, Q]; when C is
+    square, I - C C^dag and I - C^dag C share their spectrum, so the norm is
+    C's Gram residual; otherwise the ranks differ, and so the projectors by
+    at least 1 in norm, which no tolerance accepts.
+    """
+    if not x.is_complement and not y.is_complement:
+        return _fro(factor_difference(x.basis, y.basis))
+    if x.is_complement and y.is_complement:
+        return _fro(factor_difference(y.given, x.given))
+    c = np.hstack([x.given, y.basis] if x.is_complement else [y.given, x.basis])
+    return _gram_residual(c) if c.shape[0] == c.shape[1] else math.inf
 
 
 def extend_chain(
@@ -260,7 +306,7 @@ def improper_mixture(state: State, d: DecompositionOfIdentity) -> BranchDecompos
     conditional states tr_subject(rho P_n) / w_n.  The weighted components
     resum to the plain reduced state; the decomposition has meaning only
     relative to the traced-out subject subsystem.  Each projector is applied
-    through its factor Q_n^dag.
+    through its branch's factor: Q_n^dag, or I - G G^dag for a complement.
     """
     lay = state.layout
     keep = _keep_positions(lay, {d.subsystem})
@@ -272,8 +318,8 @@ def improper_mixture(state: State, d: DecompositionOfIdentity) -> BranchDecompos
     dropped = 0.0
     # a mixed state's factor columns are a batch of vectors
     vectors = state.amplitudes if isinstance(state, StateVector) else state.factor.T
-    for n, f in enumerate(d.factors):
-        w, m = _condition_vector(vectors, f, lay.dims, pos, keep)
+    for n, branch in enumerate(d.observable.branches):
+        w, m = _condition_vector(vectors, branch, lay.dims, pos, keep)
         if m is not None:
             kept.append(Branch(n, w, DensityOperator(reduced_layout, m)))
         else:
@@ -304,7 +350,7 @@ def conditional_state(
         raise LayoutConflictError("subject subsystem is the whole layout")
     pos = lay.position(subject)
     if form == "sandwich":
-        w, reduced = _condition_vector(rho.factor.T, q.conj().T, lay.dims, pos, keep)
+        w, reduced = _condition_vector(rho.factor.T, _block_branch(q), lay.dims, pos, keep)
         make = DensityOperator
     else:
         w, reduced = _condition_matrix(rho.matrix, q @ q.conj().T, lay.dims, pos, keep)
@@ -396,26 +442,28 @@ def proper_mixture(bd: BranchDecomposition) -> WeightedEnsemble:
 
 
 def ensemble_update(
-    ens: WeightedEnsemble, event: np.ndarray, subject: str
+    ens: WeightedEnsemble, event: np.ndarray | ObservableBranch, subject: str
 ) -> EnsembleUpdateResult:
-    """Re-weight a proper mixture after the event P = Q Q^dag, given as its
-    block Q = ``event``, occurred on the subject.
+    """Re-weight a proper mixture after the event P occurred on the subject.
+    The event is given as its block Q (P = Q Q^dag) or as a branch of a
+    pointer observable, the idle complement included (``_event_branch``).
 
     New weights are w_k * <Psi_k|P|Psi_k> renormalized by the total
     occurrence probability; members that never trigger the event are
-    dropped.  The event is applied through the factor Q^dag.
+    dropped.  The event is applied through its factor: Q^dag, or
+    I - G G^dag for a complement.
     The aggregate opposite-subsystem state is conditioned from the mixture's
     factor [sqrt(w_k) Psi_k] in one batch and cross-checked against the
     member sum.
     """
     lay = ens.layout
-    factor = _orthonormal_block(event, "event").conj().T
+    branch = _event_branch(event)
     keep = _keep_positions(lay, {subject})
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
     pos = lay.position(subject)
     conditioned = [
-        _condition_vector(s.amplitudes, factor, lay.dims, pos, keep) for _, s in ens.members
+        _condition_vector(s.amplitudes, branch, lay.dims, pos, keep) for _, s in ens.members
     ]
     total = sum(w * q for (w, _), (q, _) in zip(ens.members, conditioned))
     if total <= DEFAULT.weight:
@@ -430,7 +478,7 @@ def ensemble_update(
         state = DensityOperator(reduced_layout, m)
         updated.append(UpdatedMember(k, w * q / total, state))
     mixture = np.stack([np.sqrt(w) * s.amplitudes for w, s in ens.members])
-    _, m = _condition_vector(mixture, factor, lay.dims, pos, keep)
+    _, m = _condition_vector(mixture, branch, lay.dims, pos, keep)
     aggregate = DensityOperator(reduced_layout, m)
     recombined = np.hstack([math.sqrt(u.weight) * u.state.factor for u in updated])
     resid = _fro(factor_difference(recombined, aggregate.factor))
@@ -472,7 +520,7 @@ def _mc_counts(
 
 def monte_carlo_update(
     ens: WeightedEnsemble,
-    event: np.ndarray,
+    event: np.ndarray | ObservableBranch,
     subject: str,
     n_samples: int,
     seed: int,
@@ -480,8 +528,9 @@ def monte_carlo_update(
     """Finite-sample counterpart of ``ensemble_update``.
 
     Each sample picks a member with the prior weights and then flips an
-    occurrence coin with that member's event probability ||Q^dag Psi_k||^2
-    for the event's block Q = ``event``; empirical weights are the accepted
+    occurrence coin with that member's event probability ||L Psi_k||^2
+    for the factor L of the event, a block Q (L = Q^dag) or a pointer
+    branch, as ``ensemble_update`` takes it; empirical weights are the accepted
     counts normalized.  Driven by ``numpy``'s PCG64 generator, so runs are
     bit-reproducible per seed: n uniforms pick members through the
     cumulative weights, as ``Generator.choice`` does, then n occurrence
@@ -490,10 +539,10 @@ def monte_carlo_update(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    factor = _orthonormal_block(event, "event").conj().T
+    branch = _event_branch(event)
     lay = ens.layout
     amps = np.array([s.amplitudes for _, s in ens.members])
-    projected = apply_local(factor, amps, lay.dims, lay.position(subject))
+    projected = branch.factor(amps, lay.dims, lay.position(subject))
     probs = np.sum(np.abs(projected) ** 2, axis=1)
     probs = np.clip(probs, 0.0, 1.0)
     member_counts, accepted_counts = _mc_counts(
@@ -537,14 +586,18 @@ def offdiagonal_block_norm(
 
     Zero (to tolerance) means the state carries no coherence between the
     decomposition's sectors: decoherence relative to these events.  With
-    P = L^dag L for the factors L of ``d``, ||P_j rho P_k|| = ||L_j rho L_k^dag||,
-    since L^dag is an isometry on the range of L.
+    P = L^dag L for the factors L of ``d``'s branches (``factor``),
+    ||P_j rho P_k|| = ||L_j rho L_k^dag||, since L^dag is an isometry on the
+    range of L.
     """
     lay = rho.layout
     pos = lay.position(d.subsystem)
     # L_j rho L_k^dag = (L_j M)(L_k M)^dag = Q_j R_j R_k^dag Q_k^dag, so its
     # norm is that of R_j R_k^dag, from one thin QR per factor.
     cols = rho.factor.T
-    rs = [np.linalg.qr(apply_local(f, cols, lay.dims, pos).T, mode="r") for f in d.factors]
+    rs = [
+        np.linalg.qr(b.factor(cols, lay.dims, pos).T, mode="r")
+        for b in d.observable.branches
+    ]
     cross = (a @ b.conj().T for j, a in enumerate(rs) for k, b in enumerate(rs) if j != k)
     return max((_fro(x) for x in cross), default=0.0)

@@ -77,14 +77,16 @@ def _refuse_non_finite(a, what: str = "array", error: type[ValueError] = ValueEr
 def _refuse_infinite_norm(a, what: str = "array", error: type[ValueError] = ValueError) -> None:
     """The finiteness check of an array that a Gram residual checks next.
 
-    ||a||_F^2, as one ``np.vdot``, is NaN or infinite when an entry is (or
-    when finite squares overflow, which the scan then lets through).  The
-    Gram product alone would also come out non-finite, but it raises a
-    floating-point warning on an infinite entry, and this sum of squares
-    does not.
+    ||a||_F^2, as one ``np.vdot``, is NaN or infinite when an entry is, or
+    when finite entries are so large that their squares overflow; either
+    raises ``error`` here.  The Gram product alone would also come out
+    non-finite, but it raises a floating-point warning on the way, and
+    ``np.vdot`` does not.  The scan runs only on this failure path, to tell
+    the two cases apart.
     """
     if not math.isfinite(np.vdot(a, a).real):
         _refuse_non_finite(a, what, error)
+        raise error(f"{what} has entries too large: its squared norm overflows")
 
 
 def _fro(a) -> float:
@@ -215,7 +217,10 @@ class StateVector:
 
     The amplitudes are copied once.  A normalized state's norm check is its
     finiteness check (see ``_frozen_array``); an unnormalized one has no
-    such check, so its copy is scanned.
+    such check, so its copy is scanned.  The norm is checked through
+    ||amplitudes||^2 as one ``np.vdot``, as ``DensityOperator`` checks its
+    trace: finite amplitudes whose squares overflow give an infinite norm
+    and a typed error, with no floating-point warning.
     """
 
     layout: SubsystemLayout
@@ -234,7 +239,7 @@ class StateVector:
             )
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
-            n = _fro(amps)
+            n = math.sqrt(np.vdot(amps, amps).real)
             if not abs(n - 1.0) <= DEFAULT.norm:
                 _refuse_non_finite(amps)
                 raise ValueError(f"state flagged normalized but ||amplitudes|| = {n!r}")
@@ -361,9 +366,9 @@ class SubsystemBasis:
     ``vectors`` holds its rows.  The Gram check is also the finiteness
     check, behind ``_refuse_infinite_norm`` (see ``_frozen_array``).  Its
     residual eps = ||R R^dag - I|| of the rows R is kept as
-    ``gram_residual``: a complete basis (n = d) is a pointer eigenbasis
-    whose observable reuses it (``SpectralObservable._adopt_basis``) and
-    checks the rows no second time.
+    ``gram_residual``: the pointer observable of the basis, complete or with
+    an idle complement branch, reuses it (``SpectralObservable._adopt_basis``)
+    and checks the rows no second time.
     """
 
     subsystem: str

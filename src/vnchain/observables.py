@@ -1,13 +1,18 @@
 """Observables in unique spectral form and decompositions of the identity.
 
-A spectral observable is stored as an ordered list of branches
-``(index, eigenvalue, basis)``: pairwise distinct eigenvalues, each with an
-orthonormal (d, r_k) block Q_k of eigenvectors (any rank r_k >= 1), the
-blocks side by side an orthonormal basis of the space.  The branch
-projector Q_k Q_k^dag is derived from its block on request.  A caller gives
-an event or a decomposition of the identity as such blocks too, and
-``_orthonormal_block`` is the one check of every block.  Every block family
-meets one criterion on its Gram residual (``_require_orthonormal``).
+A spectral observable is stored as an ordered list of branches: pairwise
+distinct eigenvalues, each with an orthonormal (d, r_k) block Q_k of
+eigenvectors (any rank r_k >= 1), and at most one idle branch, the
+complement of the others.  The given blocks side by side, G = [Q_1, ...],
+are kept as ``basis``; the complement holds no block of its own, and its
+projector is "the rest", I - G G^dag, which no block of d - m columns is
+formed for.  Every branch acts in one way: Q^dag x for a block and
+x - G (G^dag x) for the complement, so the cost of a branch grows with the
+columns given, not with the dimension.  A branch projector is derived on
+request.  A caller gives an event or a decomposition of the identity as
+such blocks too, and ``_orthonormal_block`` is the one check of every
+block.  Every block family meets one criterion on its Gram residual
+(``_require_orthonormal``).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -28,6 +34,8 @@ from .hilbert import (
     _hermitian_spectrum,
     _is_frozen_complex,
     _refuse_infinite_norm,
+    _resized,
+    apply_local,
 )
 from .tolerances import DEFAULT
 
@@ -89,11 +97,17 @@ def _block_array(q) -> np.ndarray:
 class SpectralBranch:
     """Eigenvalue o_k and an orthonormal (d, r_k) block Q_k of eigenvectors.
     A read-only complex block is taken as is; any other is copied and its
-    entries checked finite (``_block_array``)."""
+    entries checked finite (``_block_array``).
+
+    The branch acts through its block: ``factor`` applies L = Q_k^dag, of
+    which F_k = L^dag L, and ``through`` also gives F_k x = Q_k (Q_k^dag x).
+    """
 
     index: int
     eigenvalue: float
     basis: np.ndarray
+
+    is_complement: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _block_array(self.basis))
@@ -106,35 +120,132 @@ class SpectralBranch:
         return p
 
     @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
     def rank(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def factor_rows(self) -> int:
+        """The dimension that ``factor`` maps the acted-on axis to: r_k."""
+        return self.basis.shape[1]
+
+    def factor(self, values: np.ndarray, dims: tuple[int, ...], axis: int) -> np.ndarray:
+        """L x = Q_k^dag x on axis ``axis`` (``hilbert.apply_local``): the
+        coefficients of x in the block, whose squared norm is <x|F_k|x>."""
+        return apply_local(self.basis.conj().T, values, dims, axis)
+
+    def through(
+        self, values: np.ndarray, dims: tuple[int, ...], axis: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients Q_k^dag x and the projection F_k x = Q_k Q_k^dag x."""
+        coeffs = self.factor(values, dims, axis)
+        return coeffs, apply_local(self.basis, coeffs, _resized(dims, axis, self.rank), axis)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """F_k v of a vector v on this subsystem alone."""
+        return self.basis @ (self.basis.conj().T @ v)
+
+
+@dataclass(frozen=True, eq=False)
+class ComplementBranch:
+    """The idle branch of an observable: eigenvalue o and the projector
+    I - G G^dag onto the complement of its given blocks, G = [Q_1, ...] side
+    by side, a (d, m) array with m < d.  It holds no block: its rank d - m is
+    "the rest", and it acts as x - G (G^dag x) in O(d m) per vector.
+
+    ``factor`` applies L = I - G G^dag, a projector and so its own factor
+    (F = L^dag L = L), which keeps the axis at dimension d; ``through`` gives
+    that projection twice, as coefficients and as F x.  ``given`` is checked
+    by the observable that holds the branch, as its ``basis``.
+    """
+
+    index: int
+    eigenvalue: float
+    given: np.ndarray = field(repr=False)
+
+    is_complement: ClassVar[bool] = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "given", _block_array(self.given))
+
+    @property
+    def projector(self) -> np.ndarray:
+        """I - G G^dag, formed anew on each read; read-only."""
+        g = self.given
+        p = np.eye(g.shape[0], dtype=complex) - g @ g.conj().T
+        p.setflags(write=False)
+        return p
+
+    @property
+    def dim(self) -> int:
+        return self.given.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.given.shape[0] - self.given.shape[1]
+
+    @property
+    def factor_rows(self) -> int:
+        """The dimension that ``factor`` maps the acted-on axis to: d."""
+        return self.given.shape[0]
+
+    def factor(self, values: np.ndarray, dims: tuple[int, ...], axis: int) -> np.ndarray:
+        """x - G (G^dag x) on axis ``axis``, two ``hilbert.apply_local`` calls
+        through the m given columns."""
+        g = self.given
+        coeffs = apply_local(g.conj().T, values, dims, axis)
+        back = apply_local(g, coeffs, _resized(dims, axis, g.shape[1]), axis)
+        return values - back.reshape(np.shape(values))
+
+    def through(
+        self, values: np.ndarray, dims: tuple[int, ...], axis: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The projection F x = x - G (G^dag x), as coefficients and as F x."""
+        projected = self.factor(values, dims, axis)
+        return projected, projected
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """F v = v - G (G^dag v) of a vector v on this subsystem alone."""
+        g = self.given
+        return v - g @ (g.conj().T @ v)
+
+
+ObservableBranch = Union[SpectralBranch, ComplementBranch]
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralObservable:
-    """Observable sum_k o_k Q_k Q_k^dag with distinct eigenvalues, branches
-    sorted ascending; instances compare by identity.
+    """Observable sum_k o_k F_k with distinct eigenvalues, branches sorted
+    ascending; instances compare by identity.
 
-    The constructor checks every observable but one kind.  Besides shapes,
-    ranks >= 1 and the spectrum, it needs d columns and bounds
-    eps = ||E||, E = B^dag B - I for the blocks side by side,
-    B = [Q_1, ..., Q_n], by ``_require_orthonormal``.  Every residual of a
-    dense check of the projectors (idempotency Q_k E_kk Q_k^dag,
-    orthogonality Q_i E_ij Q_j^dag, completeness I - B B^dag) is then at
+    The branches are ``SpectralBranch`` blocks Q_k and at most one
+    ``ComplementBranch``.  The constructor checks every observable but one
+    kind.  Besides shapes, ranks >= 1 and the spectrum, it bounds
+    eps = ||E||, E = G^dag G - I for the given blocks side by side,
+    G = [Q_1, ..., Q_n], a (d, m) array, by ``_require_orthonormal``.
+    Without a complement G must have d columns; with one, m < d, and the
+    complement's ``given`` must be G.  Every residual of a dense check of
+    the projectors (idempotency Q_k E_kk Q_k^dag and G E G^dag of the
+    complement, orthogonality Q_i E_ij Q_j^dag and G E_k Q_k^dag,
+    completeness I - G G^dag, or exactly zero with a complement) is then at
     most (1 + eps) eps, which must be within the dense bound
     ``DEFAULT.orth * d``.  That Gram check is also the finiteness check of
     every block, behind ``hilbert._refuse_infinite_norm``, so a read-only
-    block that a branch took as is gets checked here.  B is kept, read-only,
-    as ``basis``.
+    block that a branch took as is gets checked here.  G is kept,
+    read-only, as ``basis``: d columns for a complete observable, m < d
+    with a complement, whose d - m columns are never formed.
 
-    The one other route is ``_adopt_basis``: the pointer of a complete
-    ``SubsystemBasis``, whose rows that basis has already copied, checked
-    finite and Gram-checked.  It applies the same criterion to that
-    basis's stored residual, and forms no second B or Gram product.
+    The one other route is ``_adopt_basis``: the pointer of a
+    ``SubsystemBasis``, complete or not, whose rows that basis has already
+    copied, checked finite and Gram-checked.  It applies the same criterion
+    to that basis's stored residual, and forms no second G or Gram product.
     """
 
     subsystem: str
-    branches: tuple[SpectralBranch, ...]
+    branches: tuple[ObservableBranch, ...]
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -142,7 +253,13 @@ class SpectralObservable:
         if not branches:
             raise DimensionMismatchError("observable needs at least one branch")
         object.__setattr__(self, "branches", branches)
-        basis = _side_by_side([b.basis for b in branches])
+        blocks = [b for b in branches if not b.is_complement]
+        rest = [b for b in branches if b.is_complement]
+        if not blocks:
+            raise DimensionMismatchError("observable needs at least one block")
+        if len(rest) > 1:
+            raise NotAProjectorError("observable has more than one complement branch")
+        basis = _side_by_side([b.basis for b in blocks])
         _refuse_infinite_norm(basis)
         d, n = basis.shape
         eigs = [b.eigenvalue for b in branches]
@@ -154,40 +271,52 @@ class SpectralObservable:
             )
         if len(eigs) > d:
             raise DimensionMismatchError("more branches than dimensions")
-        for b in branches:
+        for b in blocks:
             if b.rank == 0:
                 raise NotAProjectorError(f"branch {b.index} block is empty: rank 0")
         _require_block_shape(basis, "eigenbasis")
         _require_orthonormal(_gram_residual(basis), d, "eigenbasis")
-        if n != d:
+        if rest:
+            if n == d:
+                raise NotAProjectorError(f"branch {rest[0].index} complement is empty: rank 0")
+            if rest[0].given.shape != basis.shape or not np.array_equal(rest[0].given, basis):
+                raise NotAProjectorError(
+                    f"branch {rest[0].index} is not the complement of the given blocks"
+                )
+        elif n != d:
             raise NotAProjectorError("branch projectors do not sum to the identity")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
     @classmethod
     def _adopt_basis(cls, pointer_states: SubsystemBasis) -> "SpectralObservable":
-        """The observable sum_k k |b_k><b_k| of a complete basis (n = d), one
-        rank-1 branch per vector, built on the basis's checked rows R.
+        """The pointer observable sum_k k |b_k><b_k| of a basis of n <= d
+        vectors b_k, one rank-1 branch per vector, built on the basis's
+        checked rows R; for n < d, one idle complement branch with eigenvalue
+        -1 comes first and branch k sits at position k + 1.
 
-        What the constructor would check holds by construction: one
-        branch per dimension, eigenvalues 0..n-1 (finite, ascending, 1
-        apart), and entries that the basis found finite.  What is left is
-        the constructor's criterion on the Gram residual of B = R^T, which
-        is ||R R^dag - I||, the residual the basis stored.  B is R^T, a
-        view, and each block is a view of one row.
+        What the constructor would check holds by construction: one branch
+        per vector, eigenvalues -1, 0..n-1 (finite, ascending, 1 apart),
+        entries that the basis found finite, and a complement of the given
+        columns.  What is left is the constructor's criterion on the Gram
+        residual of G = R^T, which is ||R R^dag - I||, the residual the basis
+        stored.  G is R^T, a view, and each block is a view of one row.
         """
         rows = pointer_states.rows
         n, d = rows.shape
-        if n != d:
-            raise NotAProjectorError("branch projectors do not sum to the identity")
         _require_orthonormal(pointer_states.gram_residual, d, "eigenbasis")
         observable = object.__new__(cls)
+        given = rows.T
+        offset = 1 if n < d else 0
         branches = tuple(
-            SpectralBranch(k, float(k), v[:, None]) for k, v in enumerate(pointer_states.vectors)
+            SpectralBranch(k + offset, float(k), v[:, None])
+            for k, v in enumerate(pointer_states.vectors)
         )
+        if offset:
+            branches = (ComplementBranch(0, -1.0, given),) + branches
         object.__setattr__(observable, "subsystem", pointer_states.subsystem)
         object.__setattr__(observable, "branches", branches)
-        object.__setattr__(observable, "basis", rows.T)
+        object.__setattr__(observable, "basis", given)
         return observable
 
     @classmethod
@@ -200,14 +329,13 @@ class SpectralObservable:
     ) -> "SpectralObservable":
         """The observable sum_k o_k Q_k Q_k^dag of (d, r_k) blocks Q_k, one per
         ascending eigenvalue o_k.  When ``complement`` is given, one more
-        branch with that eigenvalue, placed by it, spans the orthogonal
-        complement of the blocks: the trailing columns of their complete QR.
+        branch with that eigenvalue, placed by it, is the complement of the
+        blocks: a ``ComplementBranch`` on the blocks side by side, with no
+        block of its own.
 
         A read-only complex block is adopted, not copied, as
-        ``SpectralBranch`` takes it (the pointer of an incomplete
-        ``SubsystemBasis`` shares that basis's checked rows); any other
-        block is copied and scanned.  The constructor's Gram check covers
-        every block, finiteness included.
+        ``SpectralBranch`` takes it; any other block is copied and scanned.
+        The constructor's Gram check covers every block, finiteness included.
         """
         blocks = [_block_array(q) for q in blocks]
         eigs = [float(e) for e in eigenvalues]
@@ -216,20 +344,22 @@ class SpectralObservable:
         if len(eigs) != len(blocks):
             raise DimensionMismatchError(f"{len(eigs)} eigenvalues for {len(blocks)} blocks")
         if complement is not None:
-            basis = _side_by_side(blocks)
-            rest = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1] :]
-            rest.setflags(write=False)
+            given = _side_by_side(blocks)
+            given.setflags(write=False)
             pos = bisect.bisect(eigs, complement)
             eigs.insert(pos, float(complement))
-            blocks.insert(pos, rest)
+            blocks.insert(pos, None)
         return cls(
             subsystem,
-            tuple(SpectralBranch(k, e, q) for k, (e, q) in enumerate(zip(eigs, blocks))),
+            tuple(
+                ComplementBranch(k, e, given) if q is None else SpectralBranch(k, e, q)
+                for k, (e, q) in enumerate(zip(eigs, blocks))
+            ),
         )
 
     @property
     def dim(self) -> int:
-        return self.branches[0].basis.shape[0]
+        return self.basis.shape[0]
 
     @property
     def branch_count(self) -> int:
@@ -253,8 +383,8 @@ class SpectralObservable:
 
 @dataclass(frozen=True, eq=False)
 class DecompositionOfIdentity:
-    """The branch projectors F_k = Q_k Q_k^dag of a checked observable: a
-    decomposition of the identity on its subsystem.  A family of blocks
+    """The branch projectors F_k of a checked observable, Q_k Q_k^dag or a
+    complement I - G G^dag: a decomposition of the identity on its subsystem.  A family of blocks
     that a caller gives becomes one through ``from_blocks``.
     """
 
@@ -285,8 +415,13 @@ class DecompositionOfIdentity:
 
     @property
     def factors(self) -> tuple[np.ndarray, ...]:
-        """One factor L_k = Q_k^dag per projector, F_k = L_k^dag L_k."""
-        return tuple(b.basis.conj().T for b in self.observable.branches)
+        """One factor L_k per projector, F_k = L_k^dag L_k: Q_k^dag for a
+        block, and the projector I - G G^dag itself for a complement, formed
+        on read.  The package applies each branch through ``factor``."""
+        return tuple(
+            b.projector if b.is_complement else b.basis.conj().T
+            for b in self.observable.branches
+        )
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:

@@ -39,7 +39,7 @@ from .hilbert import (
     complete_orthonormal,
     random_unitary,
 )
-from .observables import SpectralObservable, _orthonormal_block
+from .observables import ObservableBranch, SpectralObservable, _orthonormal_block
 from .tolerances import DEFAULT
 
 
@@ -166,19 +166,20 @@ def build_ideal(
     """Ideal premeasurement from one pointer state per measured branch.
 
     Its isometry is V = sum_k E_k (x) |b_k>, formed in closed form from the
-    blocks of E_k = Q_k Q_k^dag, read side by side from ``measured.basis``:
-    it maps |phi> (x) |ready> to sum_k (E_k |phi>) (x) |b_k>.  V is frozen
-    and handed to ``Premeasurement``, which Gram-checks it and keeps it
-    without a copy.
+    given blocks of E_k = Q_k Q_k^dag, read side by side from
+    ``measured.basis``: it maps |phi> (x) |ready> to
+    sum_k (E_k |phi>) (x) |b_k>.  A measured complement E_c = I - G G^dag
+    (the idle branch of an earlier pointer) enters as I (x) |b_c> plus the
+    given columns' terms with |b_k> - |b_c>, so no complement block is
+    read.  V is frozen and handed to ``Premeasurement``, which Gram-checks
+    it and keeps it without a copy.
 
-    When ``pointer`` is omitted, a pointer observable is built from the
-    states themselves (eigenvalue k for branch k, plus one idle branch with
-    eigenvalue -1 if the instrument has leftover dimensions).  The pointer
-    of a complete basis reuses the basis's Gram check
-    (``SpectralObservable._adopt_basis``); with an idle branch, the
-    observable constructor checks all d columns.  When given, each pointer
-    state must lie in the range of exactly one of its projectors, which
-    fixes the index map.
+    When ``pointer`` is omitted, the pointer observable is built from the
+    states themselves by ``SpectralObservable._adopt_basis``, which reuses
+    the basis's Gram check: eigenvalue k for branch k, plus one idle
+    complement branch with eigenvalue -1 if the instrument has leftover
+    dimensions.  When given, each pointer state must lie in the range of
+    exactly one of its projectors, which fixes the index map.
     """
     n_branches = measured.branch_count
     d_a = measured.dim
@@ -196,16 +197,27 @@ def build_ideal(
         raise LayoutConflictError("ready state must live on the instrument subsystem")
 
     if pointer is None:
-        pointer, index_map = _pointer_from_states(instrument, pointer_states)
+        pointer, index_map = _pointer_from_states(pointer_states)
     else:
         if pointer.subsystem != instrument or pointer.dim != d_b:
             raise LayoutConflictError("pointer observable does not match instrument")
         index_map = _match_pointer_states(pointer, pointer_states)
 
     basis = measured.basis
-    ranks = [b.rank for b in measured.branches]
-    pointed = np.repeat(pointer_states.rows.T, ranks, axis=1)  # column c: c's pointer state
-    isometry = np.einsum("ic,jc,mc->ijm", basis, pointed, basis.conj()).reshape(d_a * d_b, d_a)
+    rows = pointer_states.rows
+    ranks = [b.rank for b in measured.branches if not b.is_complement]
+    idle = None
+    if len(ranks) < n_branches:
+        # sum_k E_k (x) b_k = I (x) b_c + sum_{k != c} E_k (x) (b_k - b_c), c the complement
+        c = next(k for k, b in enumerate(measured.branches) if b.is_complement)
+        idle = rows[c]
+        rows = rows[[k for k in range(n_branches) if k != c]] - idle
+    pointed = np.repeat(rows.T, ranks, axis=1)  # column j: the pointer state of j's branch
+    isometry = np.einsum("ic,jc,mc->ijm", basis, pointed, basis.conj())
+    if idle is not None:
+        diagonal = np.arange(d_a)
+        isometry[diagonal, :, diagonal] += idle
+    isometry = isometry.reshape(d_a * d_b, d_a)
     isometry.setflags(write=False)
     return Premeasurement(
         object_label=measured.subsystem,
@@ -219,20 +231,13 @@ def build_ideal(
 
 
 def _pointer_from_states(
-    instrument: str, pointer_states: SubsystemBasis
+    pointer_states: SubsystemBasis,
 ) -> tuple[SpectralObservable, dict[int, int]]:
-    n = len(pointer_states.vectors)
-    if pointer_states.is_complete:
-        return SpectralObservable._adopt_basis(pointer_states), {k: k for k in range(n)}
-    observable = SpectralObservable.from_eigenbasis(
-        instrument,
-        [float(k) for k in range(n)],
-        [v[:, None] for v in pointer_states.vectors],
-        complement=-1.0,
-    )
-    value_to_pos = {val: i for i, val in enumerate(observable.eigenvalues)}
-    index_map = {k: value_to_pos[float(k)] for k in range(n)}
-    return observable, index_map
+    """The pointer of ``pointer_states`` and its index map: state k is branch
+    k, behind the idle complement branch (position 0) when there is one."""
+    offset = 0 if pointer_states.is_complete else 1
+    index_map = {k: k + offset for k in range(len(pointer_states.vectors))}
+    return SpectralObservable._adopt_basis(pointer_states), index_map
 
 
 def _match_pointer_states(
@@ -243,7 +248,7 @@ def _match_pointer_states(
         hits = [
             j
             for j, b in enumerate(pointer.branches)
-            if _fro(b.basis @ (b.basis.conj().T @ v) - v) <= DEFAULT.pointer_match
+            if _fro(b.project(v) - v) <= DEFAULT.pointer_match
         ]
         if len(hits) != 1:
             raise DimensionMismatchError(
@@ -270,13 +275,16 @@ def build_exact(
     calibration, probability reproduction, and dynamical conditions but is
     no longer ideal in general.  Each F = Q Q^dag enters through its block:
     W F = (W Q) Q^dag, and ||(I - F) W F|| = ||W Q - Q Q^dag W Q||.  A
-    dressing with a NaN or infinite entry raises ``DressingError``.
+    complement F = I - G G^dag enters as itself, x - G (G^dag x): unmapped,
+    as that projection; mapped (a caller's pointer state in it), through
+    W F = W - (W G) G^dag, formed densely like W.  A dressing with a NaN or
+    infinite entry raises ``DressingError``.
     """
     n = ideal.measured.branch_count
     if len(dressings) != n:
         raise DimensionMismatchError(f"{len(dressings)} dressings for {n} branches")
     d_a, d_b = ideal.object_dim, ideal.instrument_dim
-    terms = []  # (object operator or None, B, Q) per term, instrument part B Q^dag
+    terms = []  # (object operator or None, B or None, branch F = L^dag L) per term
     mapped = set()
     for k, (v_a, w_b) in enumerate(dressings):
         v_a = np.asarray(v_a, dtype=complex)
@@ -287,37 +295,46 @@ def build_exact(
         if not _gram_residual(v_a) <= DEFAULT.unitary * d_a:
             raise DressingError(f"object dressing {k} is not unitary")
         _refuse_infinite_norm(w_b, f"instrument dressing {k}", DressingError)
-        q = ideal.pointer.branches[ideal.mapping[k]].basis
-        wq = w_b @ q
-        leak = _fro(wq - q @ (q.conj().T @ wq))
+        branch = ideal.pointer.branches[ideal.mapping[k]]
+        if branch.is_complement:
+            g = branch.given
+            wq = w_b - (w_b @ g) @ g.conj().T  # W F
+            isometric = _fro(wq.conj().T @ wq - branch.projector)
+        else:
+            wq = w_b @ branch.basis  # W Q
+            isometric = _gram_residual(wq)
+        leak = _fro(wq - branch.project(wq))
         if not leak <= DEFAULT.orth * d_b:
             raise DressingError(
                 f"instrument dressing {k} leaks outside its pointer range "
                 f"(residual {leak:.3e})"
             )
-        if not _gram_residual(wq) <= DEFAULT.orth * d_b:
+        if not isometric <= DEFAULT.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
-        terms.append((v_a, wq, q))
+        terms.append((v_a, wq, branch))
         mapped.add(ideal.mapping[k])
     for j, branch in enumerate(ideal.pointer.branches):
         if j not in mapped:
-            terms.append((None, branch.basis, branch.basis))
+            terms.append((None, None if branch.is_complement else branch.basis, branch))
     return replace(ideal, isometry=_dress(terms, ideal.isometry, d_a, d_b))
 
 
 def _dress(terms, matrix: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """sum over ``terms`` (A, B, Q) of (A (x) B Q^dag) ``matrix``, A = None meaning I.
+    """sum over ``terms`` (A, B, F) of (A (x) B L) ``matrix`` for the factor L
+    of the branch F = L^dag L, A = None and B = None meaning I.
 
     The rows of ``matrix`` are split into (object, instrument); each term is
-    applied one subsystem at a time, its instrument part as Q^dag, then B.
-    The result is frozen, for ``Premeasurement`` to keep without a copy.
+    applied one subsystem at a time, its instrument part as L (Q^dag for a
+    block, I - G G^dag for a complement, ``factor``), then B.  The result is
+    frozen, for ``Premeasurement`` to keep without a copy.
     """
     dims = (d_a, d_b, matrix.shape[1])
     flat = matrix.reshape(-1)
     out = np.zeros_like(flat)
-    for a, b, q in terms:
-        term = apply_local(q.conj().T, flat, dims, 1)
-        term = apply_local(b, term, _resized(dims, 1, q.shape[1]), 1)
+    for a, b, branch in terms:
+        term = branch.factor(flat, dims, 1)
+        if b is not None:
+            term = apply_local(b, term, _resized(dims, 1, branch.factor_rows), 1)
         out += term if a is None else apply_local(a, term, dims, 0)
     out.setflags(write=False)
     return out.reshape(matrix.shape)
@@ -355,25 +372,17 @@ def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
     return StateVector(pm.layout, amps, normalized=True)
 
 
-def _sharp_vector(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector in the span of the orthonormal columns ``basis``."""
-    dim = basis.shape[0]
+def _sharp_vector(branch: ObservableBranch, rng: np.random.Generator) -> np.ndarray:
+    """Random unit vector in the range of the branch projector F: F applied
+    to a complex Gaussian vector, normalized."""
+    dim = branch.dim
     for _ in range(64):
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vec = basis @ (basis.conj().T @ raw)
+        vec = branch.project(raw)
         n = _fro(vec)
         if n > DEFAULT.sharp_sample:
             return vec / n
     raise RuntimeError("could not sample a state in the projector range")
-
-
-def _through_block(
-    q: np.ndarray, values: np.ndarray, dims: tuple[int, ...], axis: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients Q^dag x of an orthonormal block Q on axis ``axis``,
-    whose squared norm is <x|Q Q^dag|x>, and the projection Q Q^dag x."""
-    coeffs = apply_local(q.conj().T, values, dims, axis)
-    return coeffs, apply_local(q, coeffs, _resized(dims, axis, q.shape[1]), axis)
 
 
 def check_conditions(
@@ -394,20 +403,21 @@ def check_conditions(
     one application of each F_k.  The sharp states and the shared states
     each come from a fresh ``default_rng(seed)``, so every report depends
     only on ``pm``, ``trials`` and ``seed``.  Every E_k and F_k is applied
-    through its eigenbasis block (``_through_block``).
+    as its branch acts (``through``): through its eigenbasis block, or as
+    x - G (G^dag x) for a complement.
     """
     iso = pm.isometry
     dims = (pm.object_dim, pm.instrument_dim)
     branches = pm.measured.branches
-    pointer = [pm.pointer.branches[pm.mapping[k]].basis for k in range(len(branches))]
+    pointer = [pm.pointer.branches[pm.mapping[k]] for k in range(len(branches))]
     samples = max(trials, 0) * len(branches)
     calibration = probability = dynamical = 0.0
     if trials > 0:
         rng = np.random.default_rng(seed)
-        sharp = [_sharp_vector(b.basis, rng) for b in branches for _ in range(trials)]
+        sharp = [_sharp_vector(b, rng) for b in branches for _ in range(trials)]
         finals = (np.array(sharp) @ iso.T).reshape(len(branches), trials, -1)
-        for q_k, rows in zip(pointer, finals):
-            resid = np.linalg.norm(_through_block(q_k, rows, dims, 1)[1] - rows, axis=1)
+        for f_k, rows in zip(pointer, finals):
+            resid = np.linalg.norm(f_k.through(rows, dims, 1)[1] - rows, axis=1)
             calibration = max(calibration, float(resid.max()))
         rng = np.random.default_rng(seed)
         phis = []
@@ -416,9 +426,9 @@ def check_conditions(
             phis.append(raw / _fro(raw))
         phis = np.array(phis)
         finals = phis @ iso.T
-        for q_k, branch in zip(pointer, branches):
-            coeffs, projected = _through_block(branch.basis, phis, (pm.object_dim,), 0)
-            final_coeffs, final_pointed = _through_block(q_k, finals, dims, 1)
+        for f_k, branch in zip(pointer, branches):
+            coeffs, projected = branch.through(phis, (pm.object_dim,), 0)
+            final_coeffs, final_pointed = f_k.through(finals, dims, 1)
             lhs = np.sum(np.abs(coeffs) ** 2, axis=1)
             rhs = np.sum(np.abs(final_coeffs) ** 2, axis=1)
             probability = max(probability, float(np.max(np.abs(lhs - rhs))))
@@ -455,16 +465,17 @@ def luders_state(object_state: StateVector, measured: SpectralObservable) -> Den
     if not object_state.normalized:
         raise ValueError("object state must be normalized")
     phi = object_state.amplitudes
-    m = np.stack([b.basis @ (b.basis.conj().T @ phi) for b in measured.branches], axis=1)
+    m = np.stack([b.project(phi) for b in measured.branches], axis=1)
     return DensityOperator(object_state.layout, m)
 
 
 def branch_decomposition(final: StateVector, pointer: SpectralObservable) -> BranchDecomposition:
     """Complete-measurement branches (k, ||F_k Phi||^2, F_k Phi normalized).
 
-    Each F_k is applied through its eigenbasis block (``_through_block``).
-    Branches with weight below the drop threshold are recorded only through
-    ``dropped_weight``.
+    Each F_k is applied as its branch acts (``through``): through its
+    eigenbasis block, or as x - G (G^dag x) for the idle complement, whose
+    weight ||F_c Phi||^2 costs O(D m).  Branches with weight below the drop
+    threshold are recorded only through ``dropped_weight``.
     """
     if not final.normalized:
         raise ValueError("final state must be normalized")
@@ -473,7 +484,7 @@ def branch_decomposition(final: StateVector, pointer: SpectralObservable) -> Bra
     kept: list[Branch] = []
     dropped = 0.0
     for j, b in enumerate(pointer.branches):
-        coeffs, vec = _through_block(b.basis, final.amplitudes, lay.dims, pos)
+        coeffs, vec = b.through(final.amplitudes, lay.dims, pos)
         w = float(np.real(np.vdot(coeffs, coeffs)))
         if w > DEFAULT.weight:
             component = StateVector(lay, vec / np.sqrt(w), normalized=True)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .branches import BranchDecomposition
 from .chains import (
+    _event_branch,
     ensemble_update,
     extend_chain,
     improper_mixture,
@@ -953,7 +954,7 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
                     f"stage {stage} pointer has {pointer.branch_count} branches, "
                     f"no branch {branch}",
                 )
-            event = pointer.branches[branch].basis
+            event = pointer.branches[branch]
         else:
             vec = _parse_amplitudes(
                 _require(pdoc, "state", "$.analysis.projector"),
@@ -961,6 +962,7 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
                 "$.analysis.projector.state",
             )
             event = vec[:, None]
+    event = _event_branch(event)  # a caller's block is checked once, for both updates
     result = ensemble_update(ens, event, subject)
     samples = int(params.get("samples", 0))
     columns = ["member", "prior", "posterior"]

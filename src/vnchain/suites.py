@@ -307,7 +307,7 @@ def _recovered_pointer_state(
     |phi_k> (x) |b_k> exactly, so contracting <phi_k| against the output
     recovers |b_k| with the phase actually used by the construction.
     """
-    phi = _sharp_vector(pm.measured.branches[k].basis, rng)
+    phi = _sharp_vector(pm.measured.branches[k], rng)
     final = pm.isometry @ phi
     return np.tensordot(
         phi.conj(), final.reshape(pm.object_dim, pm.instrument_dim), axes=(0, 0)

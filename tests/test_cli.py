@@ -712,3 +712,91 @@ class TestJsonRendering:
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == self.ENSEMBLE_UPDATE_JSON[seed]
+
+
+def _copy_link(obj: str, instrument: str, pointers: list[str]) -> dict:
+    return {
+        "object": obj,
+        "instrument": instrument,
+        "measured": {"diag": [0, 1]} if obj == "q0" else "previous-pointer",
+        "pointer_states": pointers,
+        "ready": "basis:0",
+        "kind": "ideal",
+    }
+
+
+# A chain of five qubits, a qutrit t and a ququart f (D = 384).  Both t and f
+# have idle pointer branches: t reads a qubit pointer with two states, and f
+# reads t's three branches (idle, 0, 1) with three states, leaving |3> idle.
+IDLE_POINTER_DOCUMENT = {
+    "name": "idle-pointers",
+    "subsystems": [["q0", 2], ["q1", 2], ["q2", 2], ["q3", 2], ["q4", 2], ["t", 3], ["f", 4]],
+    "initial": {"subsystem": "q0", "state": [[0.6, 0.0], [0.48, 0.64]]},
+    "stages": [
+        *(
+            _copy_link(a, b, ["basis:0", "basis:1"])
+            for a, b in zip(("q0", "q1", "q2", "q3", "q4"), ("q1", "q2", "q3", "q4", "t"))
+        ),
+        _copy_link("t", "f", ["basis:2", "basis:0", "basis:1"]),
+    ],
+    "analyses": [
+        "branches",
+        "improper_mixture",
+        {"kind": "world_branches", "pointer_stage": 0},
+        {
+            "kind": "ensemble_update",
+            "projector": {"subsystem": "t", "state": [[0.6, 0.0], [0.0, 0.48], [0.64, 0.0]]},
+            "samples": 2000,
+        },
+        {
+            "kind": "ensemble_update",
+            "projector": {"subsystem": "t", "stage": 4, "branch": 2},
+            "samples": 2000,
+        },
+        "condition_reports",
+    ],
+}
+
+
+class TestRunReportBytes:
+    """sha256 of `vnchain run` output, recorded before the idle pointer branch
+    became implicit (no complement block): the report of every builtin and of
+    a chain with idle pointers must not move by one byte."""
+
+    DIGESTS = {
+        ("stern-gerlach", "text", 0): "522fa0d5300931acbe2eeb88b89f8a49366896b8ee074e96deddb7e59af14f61",
+        ("stern-gerlach", "json", 0): "620e83de7d9e03157611163358863fb413b182769e9092e96dda078b2ecdb291",
+        ("stern-gerlach", "text", 3): "bb771c19c3f6f358fa5288d123953681524a895738d12531ae07215ed1d2bd8d",
+        ("stern-gerlach", "json", 3): "0479431b649c3adc721b0aa43ce9ceb9774201001c4ce4c6183a367724d2cdb5",
+        ("wigner-friend", "text", 0): "64159b3dcfdaccf0147ac8c5debb65a138bdcefb186449059aba3a746caa4905",
+        ("wigner-friend", "json", 0): "d3be751df207c6f66c0eeb3a481df902d5c45d1402e5d22626e0cef66d1141a2",
+        ("wigner-friend", "text", 3): "5545c2bd05288d5ebceb14e0b8ab3723ff3327847a04710b2ff33d595bea6a35",
+        ("wigner-friend", "json", 3): "d59ea775e7fcd5d22504b9f564ba0f680760560307c1f6ac23c93b2c873d7233",
+        ("world-split", "text", 0): "121610274bb7dc7d7de2c9565b8b58e6c854e696c149aa02dd7dad80444635f8",
+        ("world-split", "json", 0): "e53ccfc72de523d0a7ed543c43d2b7c280833489bdb2d9cf185eb0158dbedefc",
+        ("world-split", "text", 3): "a2d6d8d30454fe21dd7878bff4f2f9a31ef7824624cfd3aa4fe018affb954702",
+        ("world-split", "json", 3): "1e520c6b606fa4fd8afc641f72eeea9c964ee9eade9b4822bd3f4628f50ccfdd",
+        ("ensemble-update", "text", 0): "77c22c4fe879e85420bd611a57b96e15b59f87283fb36118d82229841a876276",
+        ("ensemble-update", "json", 0): "e47495524dbb9b17cd8e79e5431080258497b073f115655a7b2738effc34397c",
+        ("ensemble-update", "text", 3): "4c90c84da0abcd474f64e3a4bdc439f23f215b737c7166886d9f99856274a0bf",
+        ("ensemble-update", "json", 3): "f6949d45bfbaabf3b7b0b94ca57243787e964074c008f135f241a31468778e4c",
+        ("idle-pointers", "text", 0): "7a81034bc78a172bcc27e0abb9fee5e13be169cd806555d1685aa6a8393d309f",
+        ("idle-pointers", "json", 0): "ab7b6bd88f881f62a8c6f93f1049cfd89697d8cd6b04e25fe9be69af0c16ed71",
+        ("idle-pointers", "text", 3): "84517124f5d6e36e26762324a39908ca2d79e51ac1c087c8060b6283f92e4092",
+        ("idle-pointers", "json", 3): "2ef81331599337347f476ede7c26da311c0368e42cc4aa85a9d94a999b14ec8b",
+    }
+
+    @pytest.mark.parametrize("name, fmt, seed", sorted(DIGESTS))
+    def test_report_bytes(self, capsys, tmp_path, name, fmt, seed):
+        import hashlib
+
+        from vnchain.cli import main
+
+        scenario = name
+        if name == "idle-pointers":
+            scenario = str(tmp_path / "idle.json")
+            Path(scenario).write_text(json.dumps(IDLE_POINTER_DOCUMENT))
+        assert main(["run", scenario, "--format", fmt, "--seed", str(seed)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, fmt, seed]

@@ -38,6 +38,7 @@ from vnchain import (
     basis_state,
     build_exact,
     build_ideal,
+    ensemble_update,
     layout,
     observable_from_matrix,
     random_state,
@@ -433,30 +434,42 @@ HUGE = np.array([[1e200, 1e200], [1e200, -1e200]])  # finite; its Gram product i
 OVERFLOW_CASES = {
     "subsystem basis": (
         lambda: SubsystemBasis("A", tuple(HUGE)),
-        NonOrthonormalBasisError,
-        "orthonormality residual nan",
+        ValueError,
+        "array has entries too large: its squared norm overflows",
     ),
     "isometry": (
         lambda: dataclasses.replace(_qubit_pm(), isometry=np.vstack([HUGE, np.zeros((2, 2))])),
         ValueError,
-        "matrix is not an isometry: residual nan",
+        "array has entries too large: its squared norm overflows",
     ),
     "mixing matrix": (
         lambda: redecompose(_ensemble(), HUGE),
         ValueError,
-        "mixing matrix must be unitary",
+        "mixing matrix has entries too large: its squared norm overflows",
+    ),
+    "event block": (
+        lambda: ensemble_update(_ensemble(), HUGE[:, :1], "A"),
+        NotAProjectorError,
+        "event has entries too large: its squared norm overflows",
+    ),
+    "normalized state": (
+        lambda: StateVector(layout(("A", 2)), [1e300, 0]),
+        ValueError,
+        "state flagged normalized but ||amplitudes|| = inf",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOW_CASES))
-def test_gram_residual_that_overflows_to_nan_is_refused(name):
-    """Finite entries whose Gram product overflows give a NaN residual (inf
-    - inf), which the NaN-safe comparison refuses; ``residual > bound``
-    passed it."""
+def test_entries_whose_squares_overflow_are_refused_without_a_warning(name):
+    """Finite entries whose squares overflow make the one-``vdot`` squared
+    norm infinite, which raises the typed error before any Gram product or
+    norm kernel could raise a numpy floating-point warning."""
     build, error, message = OVERFLOW_CASES[name]
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as info:
-        build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            build()
     assert type(info.value) is error
     assert str(info.value) == message
 
@@ -561,16 +574,19 @@ def test_scan_guard_flags_other_holders():
     ]
 
 
-def _copy_chain(links: int) -> dict:
+def _copy_chain(links: int, idle: bool = False) -> dict:
     """A copy chain of ``links`` ideal qubit links, each reading the
-    previous pointer."""
+    previous pointer.  With ``idle``, instrument k has dimension k + 2 and
+    k + 1 pointer states, one per branch it reads: every pointer has an idle
+    branch, which every next link reads."""
     labels = [f"q{i}" for i in range(links + 1)]
+    dims = [2] + [k + 2 for k in range(1, links + 1)] if idle else [2] * (links + 1)
     stages = [
         {
             "object": labels[i],
             "instrument": labels[i + 1],
             "measured": {"diag": [0, 1]} if i == 0 else "previous-pointer",
-            "pointer_states": ["basis:0", "basis:1"],
+            "pointer_states": [f"basis:{j}" for j in range(i + 2 if idle else 2)],
             "ready": "basis:0",
             "kind": "ideal",
         }
@@ -578,20 +594,20 @@ def _copy_chain(links: int) -> dict:
     ]
     return {
         "name": "copy-chain",
-        "subsystems": [[label, 2] for label in labels],
+        "subsystems": [[label, dim] for label, dim in zip(labels, dims)],
         "initial": {"subsystem": labels[0], "state": "plus"},
         "stages": stages,
         "analyses": ["branches"],
     }
 
 
-def _calls_in_one_run(tmp_path, links: int, function: str) -> int:
+def _calls_in_one_run(tmp_path, links: int, function: str, idle: bool = False) -> int:
     """Calls of the package function named ``function`` in one warm
     ``vnchain run`` of a copy chain of ``links`` links."""
     from vnchain.cli import main
 
     path = tmp_path / f"chain{links}.json"
-    path.write_text(json.dumps(_copy_chain(links)))
+    path.write_text(json.dumps(_copy_chain(links, idle)))
     argv = ["run", str(path), "--format", "json"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0  # warm
@@ -619,6 +635,17 @@ def test_chain_links_check_two_grams_each(tmp_path):
     more Gram product of a run is that of the observable given as a matrix."""
     grams = [_calls_in_one_run(tmp_path, links, "_gram_residual") for links in (2, 6, 10)]
     assert grams == [2 * 2 + 1, 2 * 6 + 1, 2 * 10 + 1]
+
+
+def test_idle_pointer_links_check_two_grams_each(tmp_path):
+    """A link whose pointer has an idle branch, and a link that reads such a
+    pointer, also make two Gram products: the pointer adopts its basis's
+    n x n check, and no complement block is formed or checked."""
+    runs = {
+        links: _calls_in_one_run(tmp_path, links, "_gram_residual", idle=True) for links in (2, 5)
+    }
+    assert runs == {2: 2 * 2 + 1, 5: 2 * 5 + 1}
+    assert _calls_in_one_run(tmp_path, 5, "qr", idle=True) == 0
 
 
 # --- the pointer of a complete basis adopts its Gram check ---------------------
@@ -671,14 +698,34 @@ def test_adopted_pointer_equals_the_constructor_route(name):
     )
 
 
-def test_incomplete_basis_keeps_the_full_check():
-    basis = SubsystemBasis("B", tuple(np.eye(3)[:2]))
-    with pytest.raises(NotAProjectorError, match="do not sum to the identity"):
-        SpectralObservable._adopt_basis(basis)
-    measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
-    pm = build_ideal(measured, basis, basis_state(layout(("B", 3)), 0))
-    assert pm.pointer.eigenvalues == (-1.0, 0.0, 1.0)
-    assert pm.index_map == ((0, 1), (1, 2))
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (2, 5), (4, 7)])
+def test_incomplete_basis_is_adopted_with_an_idle_complement(n, d):
+    """The pointer of an incomplete basis is adopted too: an idle complement
+    branch (eigenvalue -1, first) on the basis's rows, which holds no block,
+    then one adopted rank-1 branch per vector, as ``from_eigenbasis`` with a
+    complement builds them; no Gram product is formed again."""
+    q = random_unitary(d, np.random.default_rng(10 * n + d))
+    basis = SubsystemBasis("B", tuple(q.T[:n]))
+    adopted = SpectralObservable._adopt_basis(basis)
+    built = SpectralObservable.from_eigenbasis(
+        "B", [float(k) for k in range(n)], [v[:, None] for v in basis.vectors], complement=-1.0
+    )
+    assert adopted.eigenvalues == built.eigenvalues == (-1.0, *map(float, range(n)))
+    idle = adopted.branches[0]
+    assert idle.is_complement and not hasattr(idle, "basis")
+    assert (idle.index, idle.rank, idle.dim) == (0, d - n, d)
+    assert idle.given is adopted.basis
+    assert np.shares_memory(adopted.basis, basis.rows) and not adopted.basis.flags.writeable
+    assert adopted.basis.shape == (d, n) and adopted.dim == d
+    for a, b in zip(adopted.branches, built.branches, strict=True):
+        assert (a.index, a.is_complement) == (b.index, b.is_complement)
+        np.testing.assert_array_equal(a.projector, b.projector)
+    measured = random_observable(3, n, "A", np.random.default_rng(d)) if n <= 3 else None
+    if measured is not None:
+        pm = build_ideal(measured, basis, basis_state(layout(("B", d)), 0))
+        ref = build_ideal(measured, basis, basis_state(layout(("B", d)), 0), pointer=built)
+        assert pm.index_map == ref.index_map == tuple((k, k + 1) for k in range(n))
+        np.testing.assert_array_equal(pm.isometry, ref.isometry)
 
 
 def test_adoption_applies_the_observable_criterion():

@@ -11,9 +11,11 @@ import pytest
 
 from vnchain import (
     DEFAULT,
+    ComplementBranch,
     DecompositionOfIdentity,
     DensityOperator,
     DimensionMismatchError,
+    SpectralBranch,
     SpectralObservable,
     StateVector,
     WeightedEnsemble,
@@ -332,20 +334,27 @@ def resized(dims, axis, size):
     return dims[:axis] + (size,) + dims[axis + 1 :]
 
 
-def block_factor(d, rng):
-    """L = Q^dag for a random orthonormal (d, r) block Q, r = max(1, d - 1),
-    and the projector Q Q^dag summed column by column."""
+def block_factor(d, rng, kind="block"):
+    """An event branch, its factor L as a matrix and its projector F = L^dag L
+    summed column by column, for a random orthonormal (d, r) block Q,
+    r = max(1, d - 1).  A "block" event is Q itself (L = Q^dag); a
+    "complement" event is the idle branch of Q's columns, which holds no
+    block (L = F = I - Q Q^dag, of rank d - r)."""
     q = random_unitary(d, rng)[:, : max(1, d - 1)]
-    return q.conj().T, brute_eigenbasis_projectors([0.0], [q])[0][1]
+    if kind == "block":
+        return SpectralBranch(0, 0.0, q), q.conj().T, brute_eigenbasis_projectors([0.0], [q])[0][1]
+    f = brute_eigenbasis_projectors([0.0], [q], complement=1.0)[1][1]
+    return ComplementBranch(0, 1.0, q), f, f
 
 
 class TestFactorKernels:
     """The conditioning kernels with a rectangular factor L = Q^dag (not
-    Hermitian), against L applied entry by entry on each side and against
-    the dense projector F = L^dag L."""
+    Hermitian) or the complement's L = I - Q Q^dag, against L applied entry
+    by entry on each side and against the dense projector F = L^dag L."""
 
+    @pytest.mark.parametrize("kind", ["block", "complement"])
     @pytest.mark.parametrize("dims,axis", CASES)
-    def test_sandwich_of_dense_matrix(self, dims, axis):
+    def test_sandwich_of_dense_matrix(self, dims, axis, kind):
         """A caller's dense matrix, factored once by ``from_matrix``, is
         conditioned through its factor: tr_rest(L rho L^dag) / w against L
         applied entry by entry on both sides of the dense matrix."""
@@ -353,9 +362,9 @@ class TestFactorKernels:
         n = len(dims)
         dense = np.array(random_density(lay_for(dims), rng).matrix)
         rho = DensityOperator.from_matrix(lay_for(dims), dense)
-        factor, f = block_factor(dims[axis], rng)
+        event, factor, f = block_factor(dims[axis], rng, kind)
         keep = [i for i in range(n) if i != axis]
-        w, m = chains._condition_vector(rho.factor.T, factor, dims, axis, keep)
+        w, m = chains._condition_vector(rho.factor.T, event, dims, axis, keep)
         cond = m @ m.conj().T
         rows = resized(dims, axis, factor.shape[0])
         left = brute_apply_local(factor, dense.reshape(-1), dims + dims, axis)
@@ -367,15 +376,16 @@ class TestFactorKernels:
         assert w == pytest.approx(w_dense, abs=1e-12)
         np.testing.assert_allclose(cond, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["block", "complement"])
     @pytest.mark.parametrize("dims,axis", CASES)
-    def test_vector_batch(self, dims, axis):
+    def test_vector_batch(self, dims, axis, kind):
         rng = np.random.default_rng(1500 + axis + 10 * len(dims))
         vectors = [random_state(lay_for(dims), rng).amplitudes for _ in range(3)]
         weights = (0.2, 0.5, 0.3)
         batch = np.stack([np.sqrt(w) * v for w, v in zip(weights, vectors)])
-        factor, f = block_factor(dims[axis], rng)
+        event, _, f = block_factor(dims[axis], rng, kind)
         keep = [i for i in range(len(dims)) if i != axis]
-        w, m = chains._condition_vector(batch, factor, dims, axis, keep)
+        w, m = chains._condition_vector(batch, event, dims, axis, keep)
         emb = embed_operator(f, f"S{axis}", lay_for(dims))
         projected = [emb @ v for v in vectors]
         w_dense = sum(

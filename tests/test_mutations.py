@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from vnchain import chains, hilbert, observables, premeasurement, scenarios, suites
+from vnchain.branches import BranchDecomposition
 from vnchain.errors import UndefinedConditionalError
+from vnchain.hilbert import StateVector
 from vnchain.suites import run_suites
 
 ISOMETRY_SUITES = {
@@ -49,6 +51,16 @@ FAULT_TABLE = {
         "chains.monte_carlo_binomial",
     },
     "eigenblocks_swapped": {"observables.spectral_reconstruction"},
+    "eigenvalues_swapped": {"observables.spectral_reconstruction"},
+    "complement_acts_as_given": {
+        "premeasurement.equivalence_triangle",
+        "premeasurement.pointer_completeness",
+        "premeasurement.identity_dressing",
+        "chains.born_weights",
+        "chains.absoluteness",
+    },
+    "extend_chain_axes_swapped": {"chains.two_link_resummation", "chains.decoherence_split"},
+    "branch_weight_dropped": {"chains.born_weights"},
     "projector_block_complemented": {"chains.relative_state_forms"},
     "partial_trace_vector_conjugated": {
         "hilbert.partial_trace_psd",
@@ -148,6 +160,51 @@ def _swap_first_blocks(from_eigenbasis):
     return swapped
 
 
+def _swap_first_eigenvalues(from_eigenbasis):
+    def swapped(subsystem, eigenvalues, blocks, complement=None):
+        eigenvalues = list(eigenvalues)
+        eigenvalues[:2] = eigenvalues[1::-1]
+        return from_eigenbasis(subsystem, eigenvalues, blocks, complement)
+
+    return swapped
+
+
+def _complement_as_given(branch, values, dims, axis):
+    """G (G^dag x), the projection onto the given columns, where the idle
+    complement branch applies x - G (G^dag x)."""
+    g = branch.given
+    coeffs = hilbert.apply_local(g.conj().T, values, dims, axis)
+    back = hilbert.apply_local(g, coeffs, hilbert._resized(dims, axis, g.shape[1]), axis)
+    return back.reshape(np.shape(values))
+
+
+def _axes_swapped(extend_chain):
+    """The extended state with its last two subsystem axes swapped: the new
+    instrument lands one place early (on the object's place when the object
+    is last)."""
+
+    def swapped(*args, **kwargs):
+        out = extend_chain(*args, **kwargs)
+        tensor = out.amplitudes.reshape(out.layout.dims)
+        return StateVector(out.layout, np.swapaxes(tensor, -1, -2).reshape(-1))
+
+    return swapped
+
+
+def _first_weight_dropped(branch_decomposition):
+    """The decomposition without its first kept branch, whose weight is booked
+    as dropped, so that the weights still sum to 1."""
+
+    def dropped(*args):
+        bd = branch_decomposition(*args)
+        first = bd.branches[0]
+        return BranchDecomposition(
+            bd.pointer_subsystem, bd.branches[1:], bd.dropped_weight + first.weight
+        )
+
+    return dropped
+
+
 def _complement_block(original):
     def complement(q, what):
         q = original(q, what)  # the same check; then the block of I - Q Q^dag
@@ -172,6 +229,33 @@ def _inject(monkeypatch, fault: str) -> None:
             "SpectralObservable",
             types.SimpleNamespace(from_eigenbasis=_swap_first_blocks(original)),
         )
+    elif fault == "eigenvalues_swapped":
+        # observable_from_matrix pairs its first two blocks with each other's
+        # eigenvalues, which leaves them out of ascending order
+        original = observables.SpectralObservable.from_eigenbasis
+        monkeypatch.setattr(
+            observables,
+            "SpectralObservable",
+            types.SimpleNamespace(from_eigenbasis=_swap_first_eigenvalues(original)),
+        )
+    elif fault == "complement_acts_as_given":
+        # every idle complement branch acts as the given columns, G (G^dag x)
+        monkeypatch.setattr(observables.ComplementBranch, "factor", _complement_as_given)
+        monkeypatch.setattr(
+            observables.ComplementBranch,
+            "project",
+            lambda branch, v: branch.given @ (branch.given.conj().T @ v),
+        )
+    elif fault == "extend_chain_axes_swapped":
+        original = chains.extend_chain
+        for module in MODULES:
+            if getattr(module, "extend_chain", None) is original:
+                monkeypatch.setattr(module, "extend_chain", _axes_swapped(original))
+    elif fault == "branch_weight_dropped":
+        original = premeasurement.branch_decomposition
+        for module in MODULES:
+            if getattr(module, "branch_decomposition", None) is original:
+                monkeypatch.setattr(module, "branch_decomposition", _first_weight_dropped(original))
     elif fault == "projector_block_complemented":
         # every event or dressing range a caller gives is carried as the block
         # of its complement; the observable constructor's check is left alone
@@ -249,7 +333,7 @@ def test_eigenblocks_fault_reaches_only_observable_from_matrix(monkeypatch):
     for name in ("measured", "pointer"):
         pairs = zip(getattr(again, name).branches, getattr(pm, name).branches, strict=True)
         for b, c in pairs:
-            np.testing.assert_array_equal(b.basis, c.basis)
+            np.testing.assert_array_equal(b.projector, c.projector)
 
 
 def test_isometry_faults_reach_the_isometry(monkeypatch):

@@ -257,8 +257,12 @@ class TestFromEigenbasis:
         for k, (branch, (_, proj)) in enumerate(zip(obs.branches, pairs, strict=True)):
             assert branch.index == k
             np.testing.assert_allclose(branch.projector, proj, rtol=0, atol=1e-12)
-        basis = np.hstack([b.basis for b in obs.branches])
-        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(d), rtol=0, atol=1e-14)
+        # ``basis`` holds the given blocks side by side; a complement adds no columns
+        m = sum(sizes)
+        assert obs.basis.shape == (d, m)
+        np.testing.assert_allclose(obs.basis.conj().T @ obs.basis, np.eye(m), rtol=0, atol=1e-14)
+        total = sum(branch.projector for branch in obs.branches)
+        np.testing.assert_allclose(total, np.eye(d), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 2), (3, 3), (1, 4), (2, 5), (3, 6)])
     def test_pointer_from_states_agrees_with_dense_oracle(self, n, d):
