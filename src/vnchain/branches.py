@@ -38,7 +38,7 @@ class BranchDecomposition:
             if isinstance(b.component, StateVector) and not b.component.normalized:
                 raise ValueError(f"branch {b.index} component is not normalized")
         total = sum(b.weight for b in self.branches) + self.dropped_weight
-        if abs(total - 1.0) > DEFAULT.reconstruction:
+        if not abs(total - 1.0) <= DEFAULT.reconstruction:  # NaN fails too
             raise ValueError(f"weights plus dropped weight sum to {total!r}, not 1")
 
     @property

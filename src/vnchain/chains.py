@@ -33,7 +33,7 @@ from .hilbert import (
     SubsystemLayout,
     _fro,
     _gram_residual,
-    _refuse_infinite_norm,
+    _refuse_non_finite,
     _resized,
     apply_local,
     factor_difference,
@@ -184,20 +184,14 @@ def _condition_vector(
 
 
 def _event_branch(event: np.ndarray | ObservableBranch) -> ObservableBranch:
-    """An event on one subsystem as a branch to apply: a pointer branch (a
-    block or the idle complement) as it is, a caller's block Q after
-    ``_orthonormal_block``.  A caller that applies one block event several
-    times checks it once here and passes the branch on."""
+    """An event on one subsystem as a branch to apply, checked once: a
+    caller's block Q, or a branch (a block Q, or an idle complement on its
+    given columns G), whose Q or G must pass ``_orthonormal_block``, so a
+    branch made by hand is checked like a block."""
     if isinstance(event, (SpectralBranch, ComplementBranch)):
+        _orthonormal_block(event.given if event.is_complement else event.basis, "event")
         return event
-    return _block_branch(_orthonormal_block(event, "event"))
-
-
-def _block_branch(q: np.ndarray) -> SpectralBranch:
-    """A checked block Q as a branch, on a read-only view of it, not a copy."""
-    q = q.view()
-    q.setflags(write=False)
-    return SpectralBranch(0, 0.0, q)
+    return SpectralBranch(0, 0.0, _orthonormal_block(event, "event"))
 
 
 def _condition_matrix(
@@ -350,7 +344,8 @@ def conditional_state(
         raise LayoutConflictError("subject subsystem is the whole layout")
     pos = lay.position(subject)
     if form == "sandwich":
-        w, reduced = _condition_vector(rho.factor.T, _block_branch(q), lay.dims, pos, keep)
+        branch = SpectralBranch(0, 0.0, q)
+        w, reduced = _condition_vector(rho.factor.T, branch, lay.dims, pos, keep)
         make = DensityOperator
     else:
         w, reduced = _condition_matrix(rho.matrix, q @ q.conj().T, lay.dims, pos, keep)
@@ -374,7 +369,8 @@ def relative_state(
     """
     subject_vector = np.asarray(subject_vector, dtype=complex)
     n = _fro(subject_vector)
-    if abs(n - 1.0) > DEFAULT.unit_vector:
+    if not abs(n - 1.0) <= DEFAULT.unit_vector:
+        _refuse_non_finite(subject_vector, "subject vector", scalar=n)
         raise ValueError(f"subject vector must be a unit vector, got norm {n!r}")
     coeff = partial_scalar_product(subject_vector, subject, psi)
     if coeff.norm() <= DEFAULT.weight:
@@ -564,8 +560,7 @@ def redecompose(ens: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:
     k = len(ens.members)
     if mixing.shape[0] < k or mixing.shape[0] != mixing.shape[1]:
         raise DimensionMismatchError("mixing matrix too small for the ensemble")
-    _refuse_infinite_norm(mixing, "mixing matrix")
-    if not _gram_residual(mixing) <= DEFAULT.unitary * mixing.shape[0]:
+    if not _gram_residual(mixing, "mixing matrix") <= DEFAULT.unitary * mixing.shape[0]:
         raise ValueError("mixing matrix must be unitary")
     lay = ens.layout
     new_members = []

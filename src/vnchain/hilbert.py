@@ -29,64 +29,35 @@ from .errors import (
 from .tolerances import DEFAULT
 
 
-def _frozen_copy(values) -> np.ndarray:
-    """``values`` copied into a read-only complex array, with no scan: for a
-    value whose own NaN-safe check covers every entry (see ``_frozen_array``)."""
+def _owned(values) -> np.ndarray:
+    """``values`` as a read-only complex array, owned by the value that holds
+    it: the one ownership rule.  A read-only complex array is taken as is
+    (the package freezes what it makes and hands it over, and a caller who
+    froze an array will not change it); anything else is copied and frozen."""
+    if isinstance(values, np.ndarray) and values.dtype == complex and not values.flags.writeable:
+        return values
     out = np.array(values, dtype=complex)
     out.setflags(write=False)
     return out
 
 
-def _is_frozen_complex(values) -> bool:
-    """Whether ``values`` is a read-only complex array, which a value type
-    adopts as is instead of copying: the package freezes what it makes and
-    hands it over (an eigenbasis block, an isometry), and a caller's array
-    is copied unless the caller has frozen it."""
-    return isinstance(values, np.ndarray) and values.dtype == complex and not values.flags.writeable
+def _refuse_non_finite(a, what: str = "array", error=ValueError, scalar=None) -> float:
+    """``scalar``, by default ||a||^2 as one ``np.vdot``; ``error`` when ``a``
+    has a NaN or infinite entry.
 
-
-def _frozen_array(values) -> np.ndarray:
-    """``values`` copied into a read-only complex array whose entries are all
-    finite.
-
-    The one validation rule for finiteness: a value type's own scalar check
-    is its finiteness check, since a NaN or infinite entry makes that
-    scalar NaN or infinite, and each check is written ``not value <=
-    bound``, which NaN fails.  The scalar is a state's norm, a factor's
-    trace ||M||_F^2, or, for a Gram-checked array, its ||M||_F^2
-    (``_refuse_infinite_norm``) in front of the Gram residual.  Only after
-    such a check has failed is the array scanned (``_refuse_non_finite``),
-    so that a non-finite entry is reported as such.  This function, which
-    scans every copy, is for the paths that have no covering check:
-    unnormalized states, the caller blocks of a ``SpectralBranch`` and
-    ``_hermitian_spectrum``.
+    The one finiteness rule: a value's scalar check (a norm, a trace, a Gram
+    residual, or this squared norm) is its finiteness check, since a NaN or
+    infinite entry makes the scalar NaN or infinite, and neither ``np.vdot``
+    nor a check written ``not value <= bound`` raises a floating-point
+    warning on the way.  Only a non-finite scalar makes this scan ``a``, so
+    that a non-finite entry is named; finite entries whose squares overflow
+    pass, for the caller to judge.
     """
-    out = _frozen_copy(values)
-    _refuse_non_finite(out)
-    return out
-
-
-def _refuse_non_finite(a, what: str = "array", error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` when ``a`` has a NaN or infinite entry: the failure
-    path of a NaN-safe check, which tells a non-finite input from a finite
-    one that fails the bound."""
-    if not np.isfinite(a).all():
+    if scalar is None:
+        scalar = np.vdot(a, a).real
+    if not math.isfinite(scalar) and not np.isfinite(a).all():
         raise error(f"{what} has NaN or infinite entries")
-
-
-def _refuse_infinite_norm(a, what: str = "array", error: type[ValueError] = ValueError) -> None:
-    """The finiteness check of an array that a Gram residual checks next.
-
-    ||a||_F^2, as one ``np.vdot``, is NaN or infinite when an entry is, or
-    when finite entries are so large that their squares overflow; either
-    raises ``error`` here.  The Gram product alone would also come out
-    non-finite, but it raises a floating-point warning on the way, and
-    ``np.vdot`` does not.  The scan runs only on this failure path, to tell
-    the two cases apart.
-    """
-    if not math.isfinite(np.vdot(a, a).real):
-        _refuse_non_finite(a, what, error)
-        raise error(f"{what} has entries too large: its squared norm overflows")
+    return scalar
 
 
 def _fro(a) -> float:
@@ -107,14 +78,21 @@ def _fro(a) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _gram_residual(m: np.ndarray) -> float:
+def _gram_residual(m: np.ndarray, what: str = "array", error=ValueError) -> float:
     """||m^dag m - I||_F for a (d, k) matrix ``m``: the one Gram-residual kernel.
+
+    ||m||_F^2 comes first, as the finiteness check (``_refuse_non_finite``):
+    a non-finite entry, or finite ones whose squares overflow, raise
+    ``error`` naming ``what`` before the Gram product could raise a
+    floating-point warning.
 
     The identity is subtracted in place on the Gram diagonal, which is bit
     for bit the ``- np.eye(k)`` form (x - 0 is x) without forming the eye.
     The product is a new C-ordered array, so ``reshape(-1)`` is a view of it
     (and a cheaper one than ``.flat``).
     """
+    if not math.isfinite(_refuse_non_finite(m, what, error)):
+        raise error(f"{what} has entries too large: its squared norm overflows")
     gram = m.conj().T @ m
     gram.reshape(-1)[:: gram.shape[0] + 1] -= 1.0
     return _fro(gram)
@@ -123,18 +101,20 @@ def _gram_residual(m: np.ndarray) -> float:
 def _hermitian_spectrum(h, dim: int | None = None):
     """The one boundary of a Hermitian matrix that a caller gives.
 
-    ``h`` is copied and frozen, and must be finite, square (of side ``dim``
-    when given) and Hermitian within ``DEFAULT.herm``.  Returns the copy and
-    the ascending eigenvalues and eigenvectors of its Hermitian part
+    ``h`` is owned, and must have finite entries (its squared norm, ahead of
+    h - h^dag, where inf - inf would warn), be square (of side ``dim`` when
+    given) and be Hermitian within ``DEFAULT.herm``.  Returns ``h`` and the
+    ascending eigenvalues and eigenvectors of its Hermitian part
     (h + h^dag)/2, formed as h/2 + h^dag/2: the same bits for entries in the
     normal range, and no overflow for finite ones.
     """
-    h = _frozen_array(h)
+    h = _owned(h)
+    _refuse_non_finite(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or dim not in (None, h.shape[0]):
         side = "" if dim is None else f" of side {dim}"
         raise DimensionMismatchError(f"expected a square matrix{side}, got shape {h.shape}")
     herm = _fro(h - h.conj().T)
-    if herm > DEFAULT.herm:
+    if not herm <= DEFAULT.herm:
         raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
     eigvals, eigvecs = np.linalg.eigh(h / 2 + h.conj().T / 2)
     return h, eigvals, eigvecs
@@ -215,12 +195,12 @@ class StateVector:
     Unnormalized instances carry expansion coefficients and similar
     intermediate vectors; they are never valid physical inputs to evolution.
 
-    The amplitudes are copied once.  A normalized state's norm check is its
-    finiteness check (see ``_frozen_array``); an unnormalized one has no
-    such check, so its copy is scanned.  The norm is checked through
-    ||amplitudes||^2 as one ``np.vdot``, as ``DensityOperator`` checks its
-    trace: finite amplitudes whose squares overflow give an infinite norm
-    and a typed error, with no floating-point warning.
+    The amplitudes are owned (``_owned``).  Their squared norm, one
+    ``np.vdot``, is the finiteness check of every state
+    (``_refuse_non_finite``) and, for a normalized one, the norm check, as
+    ``DensityOperator`` checks its trace: finite amplitudes whose squares
+    overflow give an infinite norm and a typed error, with no
+    floating-point warning.
     """
 
     layout: SubsystemLayout
@@ -228,21 +208,16 @@ class StateVector:
     normalized: bool = True
 
     def __post_init__(self):
-        if self.normalized:
-            amps = _frozen_copy(self.amplitudes)
-        else:
-            amps = _frozen_array(self.amplitudes)
+        amps = _owned(self.amplitudes)
         if amps.ndim != 1 or amps.shape[0] != self.layout.dim:
             raise DimensionMismatchError(
                 f"amplitudes of length {amps.shape} do not match layout "
                 f"{self.layout} of dimension {self.layout.dim}"
             )
         object.__setattr__(self, "amplitudes", amps)
-        if self.normalized:
-            n = math.sqrt(np.vdot(amps, amps).real)
-            if not abs(n - 1.0) <= DEFAULT.norm:
-                _refuse_non_finite(amps)
-                raise ValueError(f"state flagged normalized but ||amplitudes|| = {n!r}")
+        n = math.sqrt(_refuse_non_finite(amps))
+        if self.normalized and not abs(n - 1.0) <= DEFAULT.norm:
+            raise ValueError(f"state flagged normalized but ||amplitudes|| = {n!r}")
 
     def norm(self) -> float:
         return _fro(self.amplitudes)
@@ -281,10 +256,10 @@ class StateVector:
 class DensityOperator:
     """Mixed or pure multipartite state rho = M M^dag, held as its factor M.
 
-    The constructor takes a (layout.dim, r) factor M and copies it once.
-    M M^dag is Hermitian and PSD by construction, so the one check is the
-    shape and the trace ||M||_F^2 = 1, in O(D r); the trace check is also
-    the finiteness check (see ``_frozen_array``).  A caller's dense matrix
+    The constructor takes a (layout.dim, r) factor M and owns it
+    (``_owned``).  M M^dag is Hermitian and PSD by construction, so the one
+    check is the shape and the trace ||M||_F^2 = 1, in O(D r); the trace
+    check is also the finiteness check (``_refuse_non_finite``).  A caller's dense matrix
     enters through ``from_matrix``.
     """
 
@@ -293,12 +268,12 @@ class DensityOperator:
 
     def __post_init__(self):
         d = self.layout.dim
-        m = _frozen_copy(self.factor)
+        m = _owned(self.factor)
         if m.ndim != 2 or m.shape[0] != d:
             raise DimensionMismatchError(f"expected array of shape ({d}, r), got {m.shape}")
         tr = complex(np.vdot(m, m))
         if not abs(tr - 1.0) <= DEFAULT.norm:
-            _refuse_non_finite(m)
+            _refuse_non_finite(m, scalar=abs(tr))
             raise ValueError(f"trace {tr:.12g} is not 1 within {DEFAULT.norm}")
         object.__setattr__(self, "factor", m)
 
@@ -363,8 +338,8 @@ class SubsystemBasis:
     """Orthonormal vectors on one subsystem; may be a sub-basis.
 
     The vectors are copied once into ``rows``, a read-only (n, d) array, and
-    ``vectors`` holds its rows.  The Gram check is also the finiteness
-    check, behind ``_refuse_infinite_norm`` (see ``_frozen_array``).  Its
+    ``vectors`` holds its rows.  The Gram check (``_gram_residual``) is also
+    the finiteness check.  Its
     residual eps = ||R R^dag - I|| of the rows R is kept as
     ``gram_residual``: the pointer observable of the basis, complete or with
     an idle complement branch, reuses it (``SpectralObservable._adopt_basis``)
@@ -383,13 +358,12 @@ class SubsystemBasis:
         shape = np.shape(vecs[0])
         if len(shape) != 1 or any(np.shape(v) != shape for v in vecs):
             raise DimensionMismatchError("basis vectors have inconsistent shapes")
-        rows = _frozen_copy(vecs)
+        rows = _owned(vecs)
         n, dim = rows.shape
         if n > dim:
             raise NonOrthonormalBasisError(
                 f"{n} vectors cannot be orthonormal in dimension {dim}"
             )
-        _refuse_infinite_norm(rows)
         resid = _gram_residual(rows.T)
         if not resid <= DEFAULT.orth * max(1, n):
             raise NonOrthonormalBasisError(f"orthonormality residual {resid:.3e}")

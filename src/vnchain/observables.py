@@ -29,11 +29,10 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidDecompositionError, NotAProjectorError
 from .hilbert import (
     SubsystemBasis,
-    _frozen_array,
     _gram_residual,
     _hermitian_spectrum,
-    _is_frozen_complex,
-    _refuse_infinite_norm,
+    _owned,
+    _refuse_non_finite,
     _resized,
     apply_local,
 )
@@ -45,19 +44,19 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _orthonormal_block(q, what: str) -> np.ndarray:
-    """``q`` as a complex (d, r) block Q of orthonormal columns: the one check
-    of a block that a caller gives, an event P = Q Q^dag or a range.
+    """``q`` owned (``hilbert._owned``) as a (d, r) block Q of orthonormal
+    columns: the one check of a block that a caller gives, an event
+    P = Q Q^dag or a range.
 
     Q must be 2-D with r <= d, have finite entries and meet
-    ``_require_orthonormal``.  The finiteness check comes first, so a NaN or
-    infinite entry raises "``what`` has NaN or infinite entries" with no
-    floating-point warning from the Gram product.  ``what`` names the block
-    in the error.
+    ``_require_orthonormal``.  ``_gram_residual`` checks finiteness before
+    the Gram product, so a NaN or infinite entry raises "``what`` has NaN or
+    infinite entries" with no floating-point warning.  ``what`` names the
+    block in the error.
     """
-    q = np.asarray(q, dtype=complex)
+    q = _owned(q)
     _require_block_shape(q, what)
-    _refuse_infinite_norm(q, what, NotAProjectorError)
-    _require_orthonormal(_gram_residual(q), q.shape[0], what)
+    _require_orthonormal(_gram_residual(q, what, NotAProjectorError), q.shape[0], what)
     return q
 
 
@@ -86,18 +85,13 @@ def _side_by_side(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def _block_array(q) -> np.ndarray:
-    """``q`` itself when it is a read-only complex array
-    (``hilbert._is_frozen_complex``), else a frozen copy whose entries are
-    scanned for NaN and infinity (``_frozen_array``)."""
-    return q if _is_frozen_complex(q) else _frozen_array(q)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralBranch:
     """Eigenvalue o_k and an orthonormal (d, r_k) block Q_k of eigenvectors.
-    A read-only complex block is taken as is; any other is copied and its
-    entries checked finite (``_block_array``).
+    The block is owned (``hilbert._owned``): a read-only complex block is
+    taken as is, any other is copied, and a copy's squared norm is its
+    finiteness check (``hilbert._refuse_non_finite``).  The observable or
+    the event that uses the branch checks the block orthonormal.
 
     The branch acts through its block: ``factor`` applies L = Q_k^dag, of
     which F_k = L^dag L, and ``through`` also gives F_k x = Q_k (Q_k^dag x).
@@ -110,7 +104,10 @@ class SpectralBranch:
     is_complement: ClassVar[bool] = False
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _block_array(self.basis))
+        basis = _owned(self.basis)
+        if basis is not self.basis:  # a copy, which no check has covered yet
+            _refuse_non_finite(basis)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def projector(self) -> np.ndarray:
@@ -158,8 +155,9 @@ class ComplementBranch:
 
     ``factor`` applies L = I - G G^dag, a projector and so its own factor
     (F = L^dag L = L), which keeps the axis at dimension d; ``through`` gives
-    that projection twice, as coefficients and as F x.  ``given`` is checked
-    by the observable that holds the branch, as its ``basis``.
+    that projection twice, as coefficients and as F x.  ``given`` is owned
+    like a ``SpectralBranch`` block, and checked by the observable that
+    holds the branch, as its ``basis``, or by the event that uses it.
     """
 
     index: int
@@ -169,7 +167,10 @@ class ComplementBranch:
     is_complement: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "given", _block_array(self.given))
+        given = _owned(self.given)
+        if given is not self.given:  # a copy, which no check has covered yet
+            _refuse_non_finite(given)
+        object.__setattr__(self, "given", given)
 
     @property
     def projector(self) -> np.ndarray:
@@ -232,9 +233,8 @@ class SpectralObservable:
     complement, orthogonality Q_i E_ij Q_j^dag and G E_k Q_k^dag,
     completeness I - G G^dag, or exactly zero with a complement) is then at
     most (1 + eps) eps, which must be within the dense bound
-    ``DEFAULT.orth * d``.  That Gram check is also the finiteness check of
-    every block, behind ``hilbert._refuse_infinite_norm``, so a read-only
-    block that a branch took as is gets checked here.  G is kept,
+    ``DEFAULT.orth * d``.  That Gram check (``hilbert._gram_residual``) is
+    also the finiteness check of every block.  G is kept,
     read-only, as ``basis``: d columns for a complete observable, m < d
     with a complement, whose d - m columns are never formed.
 
@@ -260,7 +260,6 @@ class SpectralObservable:
         if len(rest) > 1:
             raise NotAProjectorError("observable has more than one complement branch")
         basis = _side_by_side([b.basis for b in blocks])
-        _refuse_infinite_norm(basis)
         d, n = basis.shape
         eigs = [b.eigenvalue for b in branches]
         if not all(math.isfinite(e) for e in eigs):
@@ -333,11 +332,11 @@ class SpectralObservable:
         blocks: a ``ComplementBranch`` on the blocks side by side, with no
         block of its own.
 
-        A read-only complex block is adopted, not copied, as
-        ``SpectralBranch`` takes it; any other block is copied and scanned.
-        The constructor's Gram check covers every block, finiteness included.
+        Each block is owned (``hilbert._owned``) as ``SpectralBranch`` owns
+        it: a read-only complex block is adopted, any other copied.  The
+        constructor's Gram check covers every block, finiteness included.
         """
-        blocks = [_block_array(q) for q in blocks]
+        blocks = [_owned(q) for q in blocks]
         eigs = [float(e) for e in eigenvalues]
         if not blocks:
             raise DimensionMismatchError("observable needs at least one branch")

@@ -18,6 +18,7 @@ equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,10 +31,9 @@ from .hilbert import (
     SubsystemLayout,
     DensityOperator,
     _fro,
-    _frozen_copy,
     _gram_residual,
-    _is_frozen_complex,
-    _refuse_infinite_norm,
+    _owned,
+    _refuse_non_finite,
     _resized,
     apply_local,
     complete_orthonormal,
@@ -71,9 +71,9 @@ class Premeasurement:
     injective index map); ``dataclasses.replace(pm, isometry=V2)`` checks
     V2 the same way.  The observables and the ready state arrive checked by
     their own constructors, and their entries are not checked again.  V is
-    copied and frozen unless it is a read-only complex array, which is
-    adopted as is (``_checked_isometry``); the ``build_*`` constructors
-    hand over the V they make that way.  The calibration condition itself is the contract of
+    owned (``hilbert._owned``): a read-only complex V is adopted as is, and
+    the ``build_*`` constructors hand over the V they make that way; any
+    other is copied.  The calibration condition itself is the contract of
     the ``build_*`` constructors and is verified by ``check_conditions``,
     so deliberately broken instances can still be represented.  Instances
     compare by identity.
@@ -139,17 +139,14 @@ class Premeasurement:
 
 
 def _checked_isometry(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """``m`` checked to have ``shape`` and m^dag m = I: ``m`` itself when it
-    is a read-only complex array (``hilbert._is_frozen_complex``), else a
-    frozen copy.  The Gram check is also the finiteness check, behind
-    ``hilbert._refuse_infinite_norm``."""
+    """``m`` owned (``hilbert._owned``) and checked to have ``shape`` and
+    m^dag m = I.  The Gram check (``hilbert._gram_residual``) is also the
+    finiteness check."""
     square = shape[0] == shape[1]
-    if not _is_frozen_complex(m):
-        m = _frozen_copy(m)
+    m = _owned(m)
     if m.shape != shape:
         kind = "unitary" if square else "isometry"
         raise DimensionMismatchError(f"{kind} shape {m.shape}, expected {shape}")
-    _refuse_infinite_norm(m)
     resid = _gram_residual(m)
     if not resid <= DEFAULT.unitary * max(1, shape[0]):
         kind = "unitary" if square else "an isometry"
@@ -291,10 +288,12 @@ def build_exact(
         w_b = np.asarray(w_b, dtype=complex)
         if v_a.shape != (d_a, d_a) or w_b.shape != (d_b, d_b):
             raise DimensionMismatchError("dressing shapes do not match the layout")
-        _refuse_infinite_norm(v_a, f"object dressing {k}", DressingError)
-        if not _gram_residual(v_a) <= DEFAULT.unitary * d_a:
-            raise DressingError(f"object dressing {k} is not unitary")
-        _refuse_infinite_norm(w_b, f"instrument dressing {k}", DressingError)
+        what = f"object dressing {k}"
+        if not _gram_residual(v_a, what, DressingError) <= DEFAULT.unitary * d_a:
+            raise DressingError(f"{what} is not unitary")
+        what = f"instrument dressing {k}"
+        if not math.isfinite(_refuse_non_finite(w_b, what, DressingError)):
+            raise DressingError(f"{what} has entries too large: its squared norm overflows")
         branch = ideal.pointer.branches[ideal.mapping[k]]
         if branch.is_complement:
             g = branch.given

@@ -20,7 +20,6 @@ import numpy as np
 
 from .branches import BranchDecomposition
 from .chains import (
-    _event_branch,
     ensemble_update,
     extend_chain,
     improper_mixture,
@@ -101,10 +100,23 @@ class StageSpec:
     dressings: DressingSpec | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class EventSpec:
+    """An ``ensemble_update`` event on ``subject``, resolved by the parser:
+    the projector onto the unit vector ``state``, or, when that is None,
+    branch ``branch`` of the pointer of stage ``stage``."""
+
+    subject: str
+    state: np.ndarray | None = None
+    stage: int = 0
+    branch: int = 0
+
+
 @dataclass(frozen=True)
 class AnalysisSpec:
     kind: str
     params: dict = field(default_factory=dict)
+    event: EventSpec | None = None  # set by the parser for ``ensemble_update``
 
 
 @dataclass(frozen=True)
@@ -262,14 +274,49 @@ def _check_stage(value: Any, n_stages: int, location: str) -> None:
         raise ScenarioError(E_BAD_VALUE, location, f"stage index {value!r} out of range")
 
 
-def _check_projector(pdoc: Any, n_stages: int, location: str) -> None:
-    """Shape of an ``ensemble_update`` projector; branch ranges are checked at run time."""
+def _resolve_event(params: dict, lay: SubsystemLayout, stages: list, location: str) -> EventSpec:
+    """The event of an ``ensemble_update`` analysis at ``location``: its
+    ``projector``, by default the ``plus`` state of the last instrument.  A
+    subject must be in the final state; a branch subject must be the
+    instrument of its stage, whose n pointer states give the pointer n
+    branches, plus the idle complement when they do not span it."""
+    last = stages[-1].instrument_label
+    pdoc = params.get("projector")
+    if pdoc is None:
+        plus = _parse_amplitudes("plus", lay.dim_of(last), "$.analysis.projector")
+        return EventSpec(last, state=plus)
     if not isinstance(pdoc, dict):
         raise ScenarioError(E_BAD_VALUE, location, f"expected an object, got {pdoc!r}")
     if "stage" in pdoc:
-        _check_stage(pdoc["stage"], n_stages, f"{location}.stage")
+        _check_stage(pdoc["stage"], len(stages), f"{location}.stage")
     if "branch" in pdoc:
         _check_count(pdoc["branch"], 0, f"{location}.branch")
+    subject = str(pdoc.get("subsystem", last))
+    if subject not in {stages[0].object_label, *(st.instrument_label for st in stages)}:
+        raise ScenarioError(
+            E_UNKNOWN_LABEL, "$.analysis.projector", f"subsystem {subject!r} not in layout"
+        )
+    if "branch" not in pdoc:
+        spec = _require(pdoc, "state", "$.analysis.projector")
+        state = _parse_amplitudes(spec, lay.dim_of(subject), "$.analysis.projector.state")
+        return EventSpec(subject, state=state)
+    stage, branch = pdoc.get("stage", params.get("source_stage", len(stages) - 1)), pdoc["branch"]
+    if subject != stages[stage].instrument_label:
+        raise ScenarioError(
+            E_BAD_VALUE,
+            "$.analysis.projector.subsystem",
+            f"a stage-{stage} pointer branch is an event on "
+            f"{stages[stage].instrument_label!r}, not on {subject!r}",
+        )
+    pointer_states = stages[stage].pointer_states
+    count = len(pointer_states.vectors) + (not pointer_states.is_complete)
+    if branch >= count:
+        raise ScenarioError(
+            E_BAD_VALUE,
+            "$.analysis.projector.branch",
+            f"stage {stage} pointer has {count} branches, no branch {branch}",
+        )
+    return EventSpec(subject, stage=stage, branch=branch)
 
 
 def scenario_from_document(doc: dict) -> Scenario:
@@ -422,12 +469,12 @@ def scenario_from_document(doc: dict) -> Scenario:
                 _check_stage(params[key], len(stages), f"{loc}.{key}")
         if kind == "condition_reports" and "trials" in params:
             _check_count(params["trials"], 1, f"{loc}.trials")
+        event = None
         if kind == "ensemble_update":
             if "samples" in params:
                 _check_count(params["samples"], 0, f"{loc}.samples")
-            if "projector" in params:
-                _check_projector(params["projector"], len(stages), f"{loc}.projector")
-        analyses.append(AnalysisSpec(kind, params))
+            event = _resolve_event(params, lay, stages, f"{loc}.projector")
+        analyses.append(AnalysisSpec(kind, params, event))
 
     return Scenario(name, lay, initial, tuple(stages), tuple(analyses))
 
@@ -851,8 +898,8 @@ def _weight_sum_check(bd: BranchDecomposition, tol: float) -> CheckLine:
     return CheckLine("weight_table_sum", abs(total - 1.0), tol)
 
 
-def _analysis_branches(params, scenario, pms, states, options) -> ReportSection:
-    idx = params.get("pointer_stage", len(pms) - 1)
+def _analysis_branches(spec, scenario, pms, states, options) -> ReportSection:
+    idx = spec.params.get("pointer_stage", len(pms) - 1)
     bd = branch_decomposition(states[-1], pms[idx].pointer)
     return ReportSection(
         title=f"branches (pointer of stage {idx})",
@@ -862,8 +909,8 @@ def _analysis_branches(params, scenario, pms, states, options) -> ReportSection:
     )
 
 
-def _analysis_improper(params, scenario, pms, states, options) -> ReportSection:
-    idx = params.get("stage", len(pms) - 1)
+def _analysis_improper(spec, scenario, pms, states, options) -> ReportSection:
+    idx = spec.params.get("stage", len(pms) - 1)
     subject = pms[idx].instrument_label
     final = states[-1]
     d = pms[idx].pointer.decomposition()
@@ -898,8 +945,8 @@ def _analysis_improper(params, scenario, pms, states, options) -> ReportSection:
     )
 
 
-def _analysis_world(params, scenario, pms, states, options) -> ReportSection:
-    idx = params.get("pointer_stage", 0)
+def _analysis_world(spec, scenario, pms, states, options) -> ReportSection:
+    idx = spec.params.get("pointer_stage", 0)
     bd = world_branches(states[-1], pms[idx].pointer)
     rows = tuple(
         (str(b.index), _fmt_weight(b.weight), f"state on {'+'.join(b.component.layout.labels)}")
@@ -921,50 +968,17 @@ def _analysis_world(params, scenario, pms, states, options) -> ReportSection:
     )
 
 
-def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
-    src = params.get("source_stage", len(pms) - 1)
-    final = states[-1]
-    bd = branch_decomposition(final, pms[src].pointer)
+def _analysis_ensemble(spec, scenario, pms, states, options) -> ReportSection:
+    src = spec.params.get("source_stage", len(pms) - 1)
+    bd = branch_decomposition(states[-1], pms[src].pointer)
     ens = proper_mixture(bd)
-    pdoc = params.get("projector")
-    if pdoc is None:
-        subject = pms[-1].instrument_label
-        vec = _parse_amplitudes("plus", final.layout.dim_of(subject), "$.analysis.projector")
-        event = vec[:, None]
+    subject, state = spec.event.subject, spec.event.state
+    if state is None:
+        event = pms[spec.event.stage].pointer.branches[spec.event.branch]
     else:
-        subject = str(pdoc.get("subsystem", pms[-1].instrument_label))
-        if subject not in final.layout.labels:
-            raise ScenarioError(
-                E_UNKNOWN_LABEL, "$.analysis.projector", f"subsystem {subject!r} not in layout"
-            )
-        if "branch" in pdoc:
-            stage, branch = pdoc.get("stage", src), pdoc["branch"]
-            if subject != pms[stage].instrument_label:
-                raise ScenarioError(
-                    E_BAD_VALUE,
-                    "$.analysis.projector.subsystem",
-                    f"a stage-{stage} pointer branch is an event on "
-                    f"{pms[stage].instrument_label!r}, not on {subject!r}",
-                )
-            pointer = pms[stage].pointer
-            if branch >= pointer.branch_count:
-                raise ScenarioError(
-                    E_BAD_VALUE,
-                    "$.analysis.projector.branch",
-                    f"stage {stage} pointer has {pointer.branch_count} branches, "
-                    f"no branch {branch}",
-                )
-            event = pointer.branches[branch]
-        else:
-            vec = _parse_amplitudes(
-                _require(pdoc, "state", "$.analysis.projector"),
-                final.layout.dim_of(subject),
-                "$.analysis.projector.state",
-            )
-            event = vec[:, None]
-    event = _event_branch(event)  # a caller's block is checked once, for both updates
+        event = state[:, None]
     result = ensemble_update(ens, event, subject)
-    samples = int(params.get("samples", 0))
+    samples = int(spec.params.get("samples", 0))
     columns = ["member", "prior", "posterior"]
     checks = [
         CheckLine("posterior_weight_sum", abs(sum(result.weights) - 1.0), options.tolerance)
@@ -1001,8 +1015,8 @@ def _analysis_ensemble(params, scenario, pms, states, options) -> ReportSection:
     )
 
 
-def _analysis_conditions(params, scenario, pms, states, options) -> ReportSection:
-    trials = int(params.get("trials", CONDITION_TRIALS))
+def _analysis_conditions(spec, scenario, pms, states, options) -> ReportSection:
+    trials = int(spec.params.get("trials", CONDITION_TRIALS))
     rows = []
     checks = []
     for i, pm in enumerate(pms):
@@ -1073,7 +1087,7 @@ def run(scenario: Scenario, options: RunOptions = RunOptions()) -> RunReport:
         )
     )
     for spec in scenario.analyses:
-        sections.append(_ANALYSES[spec.kind](spec.params, scenario, pms, states, options))
+        sections.append(_ANALYSES[spec.kind](spec, scenario, pms, states, options))
     if options.dump_states:
         sections.append(_dump_section(states))
     return RunReport(scenario.name, options.seed, options.tolerance, tuple(sections))

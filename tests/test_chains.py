@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnchain import (
+    ComplementBranch,
     DecompositionOfIdentity,
     InvalidDecompositionError,
+    NotAProjectorError,
     ObservableMismatchError,
+    SpectralBranch,
+    SpectralObservable,
     StateVector,
     SubsystemBasis,
     UndefinedConditionalError,
@@ -40,6 +44,7 @@ from vnchain import (
     world_branches,
 )
 from vnchain import chains
+from vnchain.branches import Branch, BranchDecomposition
 from vnchain.hilbert import apply_local
 
 from oracles import (
@@ -264,6 +269,16 @@ class TestRelativeState:
         with pytest.raises(UndefinedConditionalError):
             relative_state(psi, "B", np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)], ids=repr)
+    def test_non_finite_subject_vector_is_named(self, bad):
+        """NaN fails the unit-norm check (written NaN-safe), and the scan on
+        its failure path names the subject vector."""
+        psi = tensor(basis_state(layout(("A", 2)), 0), basis_state(layout(("B", 2)), 0))
+        with pytest.raises(ValueError) as info:
+            relative_state(psi, "B", np.array([bad, 0.0]))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "subject vector has NaN or infinite entries"
+
     def test_non_unit_subject_vector_message_prints_a_plain_float(self):
         psi = tensor(basis_state(layout(("A", 2)), 0), basis_state(layout(("B", 2)), 0))
         with pytest.raises(ValueError) as info:
@@ -325,6 +340,17 @@ class TestWorldBranches:
         pointer = random_observable(3, 3, "K", rng)
         bd = world_branches(psi, pointer)
         assert sum(bd.weights) + bd.dropped_weight == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBranchDecompositionWeights:
+    @pytest.mark.parametrize("dropped", [np.nan, np.inf, -np.inf, 0.4])
+    def test_weights_that_do_not_sum_to_one_are_refused(self, dropped):
+        """A NaN dropped weight fails the sum check too, which is written
+        NaN-safe."""
+        kept = (Branch(0, 0.5, basis_state(layout(("A", 2)), 0)),)
+        with pytest.raises(ValueError, match="^weights plus dropped weight sum to"):
+            BranchDecomposition("K", kept, dropped)
+        assert BranchDecomposition("K", kept, 0.5).dropped_weight == 0.5
 
 
 class TestTripartiteConsistency:
@@ -428,6 +454,61 @@ class TestEnsembleUpdate:
         res_a = ensemble_update(ens, q[:, :1], "B")
         res_b = ensemble_update(other, q[:, :1], "B")
         assert np.linalg.norm(res_a.aggregate.matrix - res_b.aggregate.matrix) <= 1e-10
+
+
+class TestBranchEvents:
+    """A branch given as an event is checked like a block: a caller-made one
+    that is not orthonormal is refused, and the branches of a checked
+    observable, the idle complement included, are accepted."""
+
+    LAY = layout(("A", 2), ("B", 2))
+
+    def ensemble(self):
+        rng = np.random.default_rng(41)
+        return WeightedEnsemble(tuple((0.5, random_state(self.LAY, rng)) for _ in range(2)))
+
+    @pytest.mark.parametrize(
+        "branch",
+        [
+            SpectralBranch(0, 0.0, [[2], [0]]),
+            ComplementBranch(0, 0.0, [[2], [0]]),
+            SpectralBranch(0, 0.0, np.eye(2)[:, :1] * (1 + 1e-3)),
+            ComplementBranch(0, 0.0, np.ones((2, 2))),
+        ],
+        ids=["block-2", "complement-2", "block-off-by-1e-3", "complement-rank-deficient"],
+    )
+    def test_caller_made_branch_is_refused(self, branch):
+        ens = self.ensemble()
+        for update in (
+            lambda: ensemble_update(ens, branch, "B"),
+            lambda: monte_carlo_update(ens, branch, "B", 100, seed=0),
+        ):
+            with pytest.raises(NotAProjectorError, match="^event is not orthonormal"):
+                update()
+
+    def test_checked_branches_are_accepted(self):
+        """Every branch of a complete pointer and of one with an idle
+        complement gives the update that its block gives."""
+        lay = layout(("A", 2), ("B", 3))
+        rng = np.random.default_rng(42)
+        ens = WeightedEnsemble(tuple((0.5, random_state(lay, rng)) for _ in range(2)))
+        q = random_unitary(3, rng)
+        complete = SpectralObservable.from_eigenbasis(
+            "B", [0.0, 1.0, 2.0], [q[:, k : k + 1] for k in range(3)]
+        )
+        measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
+        ready = basis_state(layout(("B", 3)), 0)
+        idle = build_ideal(measured, SubsystemBasis("B", tuple(q.T[:2])), ready).pointer
+        assert idle.branches[0].is_complement
+        for pointer in (complete, idle):
+            for branch in pointer.branches:
+                want = ensemble_update(ens, q[:, 2:] if branch.is_complement else branch.basis, "B")
+                got = ensemble_update(ens, branch, "B")
+                assert got.weights == pytest.approx(want.weights, abs=1e-12)
+                assert got.occurrence_probability == pytest.approx(
+                    want.occurrence_probability, abs=1e-12
+                )
+                assert monte_carlo_update(ens, branch, "B", 200, seed=1).n_samples == 200
 
 
 class TestNonFiniteEnsembleInputs:

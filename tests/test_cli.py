@@ -352,12 +352,45 @@ class TestCommandLine:
     def test_bad_ensemble_projector_is_a_scenario_error(self, tmp_path, projector, location):
         doc = builtin_document("ensemble-update")
         doc["analyses"][0]["projector"] = projector
+        with pytest.raises(ScenarioError) as err:  # the parser resolves every projector
+            parse_scenario(json.dumps(doc))
+        assert (err.value.code, err.value.location) == ("bad-value", location)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         proc = cli("run", str(path))
         assert proc.returncode == 1
         assert f"[bad-value] at {location}" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "projector,code,location",
+        [
+            ({"subsystem": "nowhere", "state": "plus"}, "unknown-label", "$.analysis.projector"),
+            ({"subsystem": "idle", "state": "plus"}, "unknown-label", "$.analysis.projector"),
+            ({"subsystem": "meter"}, "missing-field", "$.analysis.projector"),
+            ({"state": "basis:5"}, "dimension-mismatch", "$.analysis.projector.state"),
+            ({"state": [[0.0, 0.0], [0.0, 0.0]]}, "malformed-state", "$.analysis.projector.state"),
+            ({"branch": 2}, "bad-value", "$.analysis.projector.branch"),
+            ({"branch": -1}, "bad-value", "$.analyses[0].projector.branch"),
+            (None, "dimension-mismatch", "$.analysis.projector"),
+        ],
+    )
+    def test_every_projector_error_is_raised_by_the_parser(self, projector, code, location):
+        """A subject outside the final state (``idle`` is declared but no
+        stage appends it), a state that does not parse, a branch past the
+        pointer and a default ``plus`` on a 1-dimensional instrument."""
+        doc = builtin_document("ensemble-update")
+        doc["subsystems"].append(["idle", 2])
+        if projector is None:
+            doc["subsystems"][1][1] = 1
+            doc["stages"][0]["measured"] = {"diag": [0, 0]}
+            doc["stages"][0]["pointer_states"] = ["basis:0"]
+            del doc["analyses"][0]["projector"]
+        else:
+            doc["analyses"][0]["projector"] = projector
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert (err.value.code, err.value.location) == (code, location)
 
     def test_verify_small_passes(self):
         proc = cli("verify", "--trials", "10", "--dims", "3,3")
@@ -756,6 +789,41 @@ IDLE_POINTER_DOCUMENT = {
         "condition_reports",
     ],
 }
+
+
+class TestEnsembleProjectorBytes:
+    """sha256 of `vnchain run` output for the three kinds of
+    ``ensemble_update`` projector, recorded while projectors were still
+    resolved at run time: resolving them in the parser moves no byte."""
+
+    DIGESTS = {
+        ("default", "text"): "4c8cab48ad878acf104c0a4a8bf596380c59a213a46853a49a3aa81a609dc12d",
+        ("default", "json"): "7a45dbb6ba22f091627979a4700914038c441f942621644f07c89986158e9056",
+        ("state", "text"): "2734f3eeb65b9aa939d394a9bba1562769007fc406730e70f05cec1da218c702",
+        ("state", "json"): "52e7b9b11030acf1439623d2c29585e5769c68dbcbf3cad77b7a80aa0e44e07b",
+        ("branch", "text"): "d4b31b106dff0f82013cd03e462b4d8cc7c4499baca98ac66f22f2cf0604169e",
+        ("branch", "json"): "8037b466fc742709a3ef9461b08723dc196a75ad5121222c8dcebcab94a3aa18",
+    }
+
+    @pytest.mark.parametrize("kind, fmt", sorted(DIGESTS))
+    def test_report_bytes(self, capsys, tmp_path, kind, fmt):
+        import hashlib
+
+        from vnchain.cli import main
+
+        doc = builtin_document("ensemble-update")
+        analysis = doc["analyses"][0]
+        analysis["samples"] = 2000
+        if kind == "default":  # the plus state of the last instrument
+            del analysis["projector"]
+        elif kind == "branch":
+            analysis["projector"] = {"subsystem": "meter", "branch": 1}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--format", fmt, "--seed", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[kind, fmt]
 
 
 class TestRunReportBytes:

@@ -527,12 +527,12 @@ class TestHermitianSpectrum:
 
 # --- the guard on the finiteness scan --------------------------------------------
 
-SCAN_HOLDERS = {"_frozen_array", "_refuse_non_finite"}
+SCAN_HOLDERS = {"_refuse_non_finite"}
 
 
 def check_scan_offenders(source: str, module: str) -> list[str]:
-    """``np.isfinite`` calls outside ``_frozen_array`` (the paths no scalar
-    check covers) and ``_refuse_non_finite`` (the failure path of a check)."""
+    """``np.isfinite`` calls outside ``_refuse_non_finite``, which scans only
+    on the failure path of a value's scalar check."""
     offenders = []
 
     def visit(node, holder):
@@ -569,6 +569,7 @@ def test_scan_guard_flags_other_holders():
         "bad = np.isfinite(x)\n"
     )
     assert check_scan_offenders(source, "m.py") == [
+        "np.isfinite in _frozen_array at m.py:2",
         "np.isfinite in __post_init__ at m.py:7",
         "np.isfinite in module at m.py:10",
     ]
@@ -620,13 +621,25 @@ def _calls_in_one_run(tmp_path, links: int, function: str, idle: bool = False) -
     return sum(v[1] for (_, _, name), v in stats.items() if name == function)
 
 
-def test_chain_links_pay_no_finiteness_scan(tmp_path):
-    """A link's states, bases, observables and isometry are covered by their
-    own checks: the scans of a run are those of the one observable given as
-    a matrix (its copy and its two eigenvector groups), however long the
-    chain."""
-    scans = [_calls_in_one_run(tmp_path, links, "_refuse_non_finite") for links in (2, 6)]
-    assert scans == [3, 3]
+def test_chain_links_pay_no_finiteness_scan(tmp_path, monkeypatch):
+    """Every value of a run is covered by its own scalar check: the states,
+    bases, observables and isometry of each link, and the observable given
+    as a matrix, its two eigenvector groups included.  No entry is scanned,
+    however long the chain."""
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(a, *args, **kwargs):
+        scans.append(np.shape(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    for links in (2, 6):
+        assert _calls_in_one_run(tmp_path, links, "_refuse_non_finite") > 0
+    assert scans == []
+    with pytest.raises(ValueError, match="NaN or infinite"):  # the counter sees a scan
+        StateVector(QUBIT, [np.nan, 0])
+    assert scans == [(2,)]
 
 
 def test_chain_links_check_two_grams_each(tmp_path):
@@ -755,32 +768,40 @@ def test_non_orthonormal_complete_basis_is_refused(scale):
 ADOPTION_CALLERS = {("premeasurement.py", "_pointer_from_states")}
 
 
-def adoption_callers(source: str, module: str) -> set[tuple[str, str]]:
-    """(module, enclosing function) of every call of ``_adopt_basis``."""
+def callers(source: str, module: str, callee: str) -> set[tuple[str, str]]:
+    """(module, enclosing function) of every call of ``callee``; a method is
+    named with its class, ``Class.method``."""
     found = set()
 
-    def visit(node, holder):
+    def visit(node, holder, prefix):
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, holder, f"{prefix}{child.name}.")
+                continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(child, f"{prefix}{child.name}", f"{prefix}{child.name}.")
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name == "_adopt_basis":
+                if name == callee:
                     found.add((module, holder or "module"))
-            visit(child, holder)
+            visit(child, holder, prefix)
 
-    visit(ast.parse(source), None)
+    visit(ast.parse(source), None, "")
+    return found
+
+
+def package_callers(callee: str) -> set[tuple[str, str]]:
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= callers(path.read_text(), path.name, callee)
     return found
 
 
 def test_only_the_pointer_of_a_basis_is_adopted():
     """The route past the observable constructor has one caller."""
-    callers = set()
-    for path in sorted(SRC.glob("*.py")):
-        callers |= adoption_callers(path.read_text(), path.name)
-    assert callers == ADOPTION_CALLERS
+    assert package_callers("_adopt_basis") == ADOPTION_CALLERS
 
 
 def test_adoption_guard_finds_every_form():
@@ -791,8 +812,45 @@ def test_adoption_guard_finds_every_form():
         "    def g(self, b):\n"
         "        return _adopt_basis(b)\n"
         "x = obs._adopt_basis\n"
+        "y = _adopt_basis(b)\n"
     )
-    assert adoption_callers(source, "m.py") == {("m.py", "f"), ("m.py", "g")}
+    assert callers(source, "m.py", "_adopt_basis") == {
+        ("m.py", "f"),
+        ("m.py", "C.g"),
+        ("m.py", "module"),
+    }
+
+
+# The one ownership rule (``hilbert._owned``): the value types, the block
+# check, the eigenbasis blocks, the isometry and a caller's Hermitian matrix.
+OWNED_CALLERS = {
+    ("hilbert.py", "StateVector.__post_init__"),
+    ("hilbert.py", "DensityOperator.__post_init__"),
+    ("hilbert.py", "SubsystemBasis.__post_init__"),
+    ("hilbert.py", "_hermitian_spectrum"),
+    ("observables.py", "_orthonormal_block"),
+    ("observables.py", "SpectralBranch.__post_init__"),
+    ("observables.py", "ComplementBranch.__post_init__"),
+    ("observables.py", "SpectralObservable.from_eigenbasis"),
+    ("premeasurement.py", "_checked_isometry"),
+}
+
+
+def test_values_take_ownership_through_one_helper():
+    assert package_callers("_owned") == OWNED_CALLERS
+
+
+@pytest.mark.parametrize(
+    "values", [[1, 0], np.array([1.0, 0.0]), np.array([1, 0], dtype=complex)], ids=repr
+)
+def test_owned_copies_what_is_not_a_frozen_complex_array(values):
+    from vnchain.hilbert import _owned
+
+    got = _owned(values)
+    assert got is not values and not np.shares_memory(got, values)
+    assert got.dtype == complex and not got.flags.writeable
+    assert _owned(got) is got
+    np.testing.assert_array_equal(got, values)
 
 
 class TestIsometryOwnership:
