@@ -274,6 +274,7 @@ def extend_chain(
     right = math.prod(lay.dims[pos + 1 :])
     if right > 1:  # move the new instrument axis behind the later subsystems
         amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(-1)
+    amps.setflags(write=False)  # fresh: the extended state adopts it
     extended_layout = SubsystemLayout(lay.subsystems + ((pm.instrument_label, d_b),))
     return StateVector(extended_layout, amps, normalized=True)
 

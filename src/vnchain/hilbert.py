@@ -102,21 +102,30 @@ def _hermitian_spectrum(h, dim: int | None = None):
     """The one boundary of a Hermitian matrix that a caller gives.
 
     ``h`` is owned, and must have finite entries (its squared norm, ahead of
-    h - h^dag, where inf - inf would warn), be square (of side ``dim`` when
-    given) and be Hermitian within ``DEFAULT.herm``.  Returns ``h`` and the
-    ascending eigenvalues and eigenvectors of its Hermitian part
-    (h + h^dag)/2, formed as h/2 + h^dag/2: the same bits for entries in the
-    normal range, and no overflow for finite ones.
+    the halves below, where inf - inf would warn), be square (of side
+    ``dim`` when given) and be Hermitian within ``DEFAULT.herm``.  Returns
+    ``h`` and the ascending eigenvalues and eigenvectors of its Hermitian
+    part (h + h^dag)/2, formed as h/2 + h^dag/2.  The Hermiticity residual
+    is 2 ||h/2 - h^dag/2|| from the same halves.  For entries in the normal
+    range halving and doubling are exact, so the residual has the bits of
+    ||h - h^dag||; no difference of finite halves overflows, and a residual
+    whose squares pass the float range is inf (its ``_fro`` runs with
+    overflow ignored), which the check refuses with no floating-point
+    warning.  Below the normal range the halving can drop an entry's last
+    bit, which moves the residual by a few multiples of the smallest
+    subnormal (about 5e-324), far below any tolerance.
     """
     h = _owned(h)
     _refuse_non_finite(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or dim not in (None, h.shape[0]):
         side = "" if dim is None else f" of side {dim}"
         raise DimensionMismatchError(f"expected a square matrix{side}, got shape {h.shape}")
-    herm = _fro(h - h.conj().T)
+    half, half_adjoint = h / 2, h.conj().T / 2
+    with np.errstate(over="ignore"):
+        herm = 2 * _fro(half - half_adjoint)
     if not herm <= DEFAULT.herm:
         raise ValueError(f"matrix not Hermitian: residual {herm:.3e}")
-    eigvals, eigvecs = np.linalg.eigh(h / 2 + h.conj().T / 2)
+    eigvals, eigvecs = np.linalg.eigh(half + half_adjoint)
     return h, eigvals, eigvecs
 
 

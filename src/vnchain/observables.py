@@ -236,7 +236,9 @@ class SpectralObservable:
     ``DEFAULT.orth * d``.  That Gram check (``hilbert._gram_residual``) is
     also the finiteness check of every block.  G is kept,
     read-only, as ``basis``: d columns for a complete observable, m < d
-    with a complement, whose d - m columns are never formed.
+    with a complement, whose d - m columns are never formed; eps is kept
+    as ``gram_residual``, from which a premeasurement that measures the
+    observable bounds its own check (``premeasurement.Premeasurement``).
 
     The one other route is ``_adopt_basis``: the pointer of a
     ``SubsystemBasis``, complete or not, whose rows that basis has already
@@ -247,6 +249,7 @@ class SpectralObservable:
     subsystem: str
     branches: tuple[ObservableBranch, ...]
     basis: np.ndarray = field(init=False, repr=False)
+    gram_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         branches = tuple(self.branches)
@@ -274,7 +277,8 @@ class SpectralObservable:
             if b.rank == 0:
                 raise NotAProjectorError(f"branch {b.index} block is empty: rank 0")
         _require_block_shape(basis, "eigenbasis")
-        _require_orthonormal(_gram_residual(basis), d, "eigenbasis")
+        eps = _gram_residual(basis)
+        _require_orthonormal(eps, d, "eigenbasis")
         if rest:
             if n == d:
                 raise NotAProjectorError(f"branch {rest[0].index} complement is empty: rank 0")
@@ -286,6 +290,7 @@ class SpectralObservable:
             raise NotAProjectorError("branch projectors do not sum to the identity")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gram_residual", eps)
 
     @classmethod
     def _adopt_basis(cls, pointer_states: SubsystemBasis) -> "SpectralObservable":
@@ -299,7 +304,8 @@ class SpectralObservable:
         entries that the basis found finite, and a complement of the given
         columns.  What is left is the constructor's criterion on the Gram
         residual of G = R^T, which is ||R R^dag - I||, the residual the basis
-        stored.  G is R^T, a view, and each block is a view of one row.
+        stored and the observable keeps as its ``gram_residual``.  G is R^T,
+        a view, and each block is a view of one row.
         """
         rows = pointer_states.rows
         n, d = rows.shape
@@ -316,6 +322,7 @@ class SpectralObservable:
         object.__setattr__(observable, "subsystem", pointer_states.subsystem)
         object.__setattr__(observable, "branches", branches)
         object.__setattr__(observable, "basis", given)
+        object.__setattr__(observable, "gram_residual", pointer_states.gram_residual)
         return observable
 
     @classmethod

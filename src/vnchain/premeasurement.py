@@ -7,9 +7,15 @@ ideal construction leaves sharp inputs untouched; the exact construction
 dresses an ideal one with per-branch unitaries and keeps calibration while
 breaking idealness.
 
-Only the initial sector matters physically: a premeasurement is carried as
-its isometry V = U(. (x) |ready>).  A full unitary U, one of many
-completions of V, is formed only by ``complete_unitary``.
+Only the initial sector matters physically.  A premeasurement is carried as
+its terms, the Kraus form of [BLM]'s V(phi (x) ready) = sum_k (U_k E_k phi)
+(x) |b'_k>: one object operator A_k and one pointer vector c_k per term, so
+that V = U(. (x) |ready>) = sum_k A_k (x) c_k.  The terms are checked once,
+by a bound on ||V^dag V - I|| from ||C^dag C - I|| and
+||sum_k A_k^dag A_k - I||; an ideal link reads both off its checked inputs
+and forms no Gram product of V.  V itself is formed on first read, by one
+BLAS product, and kept.  A full unitary U, one of many completions of V,
+is formed only by ``complete_unitary``.
 
 Branch correspondence is an explicit ``index_map`` from measured branch
 positions to pointer branch positions; nothing is inferred from eigenvalue
@@ -20,11 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .branches import Branch, BranchDecomposition
-from .errors import DimensionMismatchError, DressingError, LayoutConflictError
+from .errors import (
+    DimensionMismatchError,
+    DressingError,
+    LayoutConflictError,
+    NonOrthonormalBasisError,
+)
 from .hilbert import (
     StateVector,
     SubsystemBasis,
@@ -34,8 +46,6 @@ from .hilbert import (
     _gram_residual,
     _owned,
     _refuse_non_finite,
-    _resized,
-    apply_local,
     complete_orthonormal,
     random_unitary,
 )
@@ -57,26 +67,61 @@ class ConditionReport:
         return self.max_residual <= self.tolerance
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+# One term's object operator A = U E: U an object operator or None (I), E a
+# branch of the measured observable or None (I).
+Operator = tuple[np.ndarray | None, ObservableBranch | None]
+
+
 @dataclass(frozen=True, eq=False)
 class Premeasurement:
     """Premeasurement on object (x) instrument plus the observables it couples.
 
-    It is carried as its isometry V = U(. (x) |ready>), shape
-    (object_dim * instrument_dim, object_dim): how the premeasurement acts
-    on object amplitudes, and all that any physical result depends on.  A
-    unitary U is one of many completions of V; ``complete_unitary`` forms
-    one on request.
+    It is carried as its terms: ``operators`` holds one object operator
+    A_k = U_k E_k per term, as the pair (U_k, E_k), and ``pointer_states``
+    the pointer vectors c_k, the columns of C (d_b, n).  Either every E_k
+    is measured branch k, in order (``build_ideal``: U_k = None, meaning I;
+    ``build_exact``: U_k the object dressing), or every E_k is None, for
+    the plain operators A_j = (I (x) <j|)V and c_j = e_j of a caller's V
+    (``from_isometry``).  A branch acts through its block or as the idle
+    complement.  V = U(. (x) |ready>) = sum_k A_k (x) c_k, shape
+    (object_dim * instrument_dim, object_dim), is ``isometry``: formed on
+    first read and kept, read-only.
 
-    Construction validates structure (labels, dimensions, V^dag V = I, the
-    injective index map); ``dataclasses.replace(pm, isometry=V2)`` checks
-    V2 the same way.  The observables and the ready state arrive checked by
-    their own constructors, and their entries are not checked again.  V is
-    owned (``hilbert._owned``): a read-only complex V is adopted as is, and
-    the ``build_*`` constructors hand over the V they make that way; any
-    other is copied.  The calibration condition itself is the contract of
-    the ``build_*`` constructors and is verified by ``check_conditions``,
-    so deliberately broken instances can still be represented.  Instances
-    compare by identity.
+    The one check is on the terms.  With eps = ||C^dag C - I|| and
+    eta = ||S - I||, S = sum_k A_k^dag A_k, write V^dag V - I as
+    (S - I) + sum_kl (C^dag C - I)_kl A_k^dag A_l, whose second part is
+    A^dag ((C^dag C - I) (x) I) A for the terms stacked, A = sum_k |k> (x) A_k.
+    Since ||A||_2^2 = ||S||_2 <= 1 + eta and ||A||_F <= sqrt(d_a) ||A||_2,
+
+        ||V^dag V - I|| <= eta + sqrt(d_a) (1 + eta) eps,
+
+    which is kept as ``isometry_bound`` and must be within
+    ``DEFAULT.unitary * d_a * d_b``, the criterion a V was always judged by.
+    eps is the Gram residual that ``pointer_states`` stored.  For an ideal
+    link eta comes from the measured observable's stored Gram residual
+    e = ||G^dag G - I|| of its blocks side by side, G = [Q_1, ...]: with
+    E = G^dag G - I, the blocks give sum_k E_k^dag E_k = G (I + bd(E)) G^dag,
+    bd(E) the diagonal blocks of E.  Without a complement (G square,
+    ||G G^dag - I|| = e) S - I = (G G^dag - I) + G bd(E) G^dag; with one,
+    E_c = I - G G^dag adds E_c^dag E_c, and S - I = G (bd(E) + E) G^dag.
+    Either way eta <= 2 e (1 + e), so an ideal link forms no Gram product.
+    Any other terms are stacked densely and Gram-checked
+    (``hilbert._gram_residual``, also the finiteness check).  Branch terms
+    add u d_a (d_a d_b + 2 d_a + 4), u the unit roundoff, for the rounding
+    of V formed from them (at most about 2 (m + 2) u d_a, m <= d_a) and of
+    a dense Gram product of it (about d_a d_b u ||V||_F^2), so that the
+    bound also covers ||V^dag V - I|| as ``hilbert._gram_residual`` computes
+    it.  For a caller's V the stacked terms are V itself, row for row, and
+    C = I; V is kept, not formed, so the bound is V's own Gram residual and
+    V is refused exactly where it always was.
+
+    The observables and the ready state arrive checked by their own
+    constructors.  Each U is owned (``hilbert._owned``).  The calibration
+    condition itself is the contract of the ``build_*`` constructors and is
+    verified by ``check_conditions``, so deliberately broken instances can
+    still be represented.  Instances compare by identity.
     """
 
     object_label: str
@@ -84,8 +129,10 @@ class Premeasurement:
     measured: SpectralObservable
     pointer: SpectralObservable
     ready_state: StateVector
-    isometry: np.ndarray = field(repr=False)
+    operators: tuple[Operator, ...] = field(repr=False)
+    pointer_states: SubsystemBasis = field(repr=False)
     index_map: tuple[tuple[int, int], ...]
+    isometry_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.object_label == self.instrument_label:
@@ -100,9 +147,7 @@ class Premeasurement:
             raise DimensionMismatchError("ready state does not match instrument dim")
         if not self.ready_state.normalized:
             raise ValueError("ready state must be normalized")
-        d_a, d_b = self.measured.dim, self.pointer.dim
-        v = _checked_isometry(self.isometry, (d_a * d_b, d_a))
-        object.__setattr__(self, "isometry", v)
+        object.__setattr__(self, "isometry_bound", self._checked_terms())
         pairs = tuple((int(a), int(b)) for a, b in self.index_map)
         object.__setattr__(self, "index_map", pairs)
         keys = [a for a, _ in pairs]
@@ -115,6 +160,84 @@ class Premeasurement:
             raise ValueError("index_map targets unknown pointer branches")
         if self.pointer.branch_count < self.measured.branch_count:
             raise DimensionMismatchError("fewer pointer branches than measured branches")
+
+    def _checked_terms(self) -> float:
+        """The terms owned and checked; returns the bound on ||V^dag V - I||."""
+        d_a, d_b = self.measured.dim, self.pointer.dim
+        states = self.pointer_states
+        if states.subsystem != self.instrument_label or states.dim != d_b:
+            raise LayoutConflictError("pointer vectors must live on the instrument")
+        ops = tuple(self.operators)
+        if len(ops) != len(states.vectors):
+            raise DimensionMismatchError(
+                f"{len(states.vectors)} pointer vectors for {len(ops)} terms"
+            )
+        units, branches = zip(*ops)
+        plain = branches.count(None) == len(branches)
+        if not plain and branches != self.measured.branches:
+            raise ValueError("terms must act through every measured branch in order, or none")
+        if not plain and all(u is None for u in units):  # ideal: A_k = E_k
+            e = self.measured.gram_residual
+            eta = 2 * e * (1 + e)
+        else:
+            ops = tuple((None if u is None else _owned(u), b) for u, b in ops)
+            if any(u is not None and u.shape != (d_a, d_a) for u, _ in ops):
+                raise DimensionMismatchError(f"object operators must have shape {(d_a, d_a)}")
+            stacked = np.stack([_dense(u, b) for u, b in ops], axis=1)
+            eta = _gram_residual(stacked.reshape(-1, d_a))
+        object.__setattr__(self, "operators", ops)
+        bound = eta + math.sqrt(d_a) * (1 + eta) * states.gram_residual
+        if not plain:  # V is formed from the terms, in floating point
+            bound += _UNIT_ROUNDOFF * d_a * (d_a * d_b + 2 * d_a + 4)
+        if not bound <= DEFAULT.unitary * max(1, d_a * d_b):
+            raise ValueError(f"matrix is not an isometry: residual {bound:.3e}")
+        return bound
+
+    @classmethod
+    def from_isometry(
+        cls,
+        isometry,
+        *,
+        object_label: str,
+        instrument_label: str,
+        measured: SpectralObservable,
+        pointer: SpectralObservable,
+        ready_state: StateVector,
+        index_map,
+    ) -> "Premeasurement":
+        """The premeasurement of a caller's isometry V, shape (d_a d_b, d_a).
+
+        V is owned (``hilbert._owned``: a read-only complex V is adopted as
+        is) and split into the plain terms A_j = (I (x) <j|)V, views of V,
+        with c_j = e_j.  They form V again entry for entry, so V is kept as
+        the formed ``isometry``.  The constructor's check is then V's own
+        Gram residual.
+        """
+        d_a, d_b = measured.dim, pointer.dim
+        v = _owned(isometry)
+        if v.shape != (d_a * d_b, d_a):
+            raise DimensionMismatchError(f"isometry shape {v.shape}, expected {(d_a * d_b, d_a)}")
+        rows = v.reshape(d_a, d_b, d_a)
+        pm = cls(
+            object_label=object_label,
+            instrument_label=instrument_label,
+            measured=measured,
+            pointer=pointer,
+            ready_state=ready_state,
+            operators=tuple((rows[:, j, :], None) for j in range(d_b)),
+            pointer_states=SubsystemBasis(instrument_label, tuple(np.eye(d_b, dtype=complex))),
+            index_map=index_map,
+        )
+        object.__setattr__(pm, "isometry", v)
+        return pm
+
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """V = sum_k A_k (x) c_k (``_formed_isometry``), formed on first read
+        and kept; read-only."""
+        v = _formed_isometry(self)
+        v.setflags(write=False)
+        return v
 
     @property
     def mapping(self) -> dict[int, int]:
@@ -138,20 +261,65 @@ class Premeasurement:
         )
 
 
-def _checked_isometry(m: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """``m`` owned (``hilbert._owned``) and checked to have ``shape`` and
-    m^dag m = I.  The Gram check (``hilbert._gram_residual``) is also the
-    finiteness check."""
-    square = shape[0] == shape[1]
-    m = _owned(m)
-    if m.shape != shape:
-        kind = "unitary" if square else "isometry"
-        raise DimensionMismatchError(f"{kind} shape {m.shape}, expected {shape}")
-    resid = _gram_residual(m)
-    if not resid <= DEFAULT.unitary * max(1, shape[0]):
-        kind = "unitary" if square else "an isometry"
-        raise ValueError(f"matrix is not {kind}: residual {resid:.3e}")
-    return m
+def _dense(u: np.ndarray | None, branch: ObservableBranch | None) -> np.ndarray:
+    """The object operator U E of one term as a (dim, dim) matrix."""
+    if branch is None:
+        return u
+    return branch.projector if u is None else u @ branch.projector
+
+
+def _formed_isometry(pm: Premeasurement) -> np.ndarray:
+    """V = sum_k A_k (x) c_k of ``pm``'s terms, shape (d_a d_b, d_a).
+
+    Branch terms A_k = U_k E_k take one BLAS product: the thin factor
+    T = [(U_k Q_k) (x) c_k], (d_a d_b, m), times G^dag, where G = [Q_1, ...]
+    holds the measured blocks side by side.  A measured complement
+    E_c = I - G G^dag adds U_c (x) c_c, and -(U_c G) (x) c_c to T; for an
+    ideal link (every U is I) that folds into the blocks' columns as
+    Q_k (x) (c_k - c_c), and I (x) c_c is added on the diagonal.  Plain
+    terms are added one by one.
+    """
+    g = pm.measured.basis
+    rows = pm.pointer_states.rows  # row k: c_k
+    (d_a, m), d_b = g.shape, rows.shape[1]
+    units, branches = zip(*pm.operators)
+    if branches[0] is None:
+        v = np.zeros((d_a, d_b, d_a), dtype=complex)
+        for u, c in zip(units, rows):
+            v += u[:, None, :] * c[:, None]
+        return v.reshape(d_a * d_b, d_a)
+    ideal = all(u is None for u in units)
+    idle = None  # a measured complement exists exactly when G has m < d_a columns
+    if m < d_a:
+        idle = next(k for k, b in enumerate(branches) if b.is_complement)
+    pointed, blocks, block_units = rows, branches, units
+    if idle is not None:
+        pointed = np.concatenate([rows[:idle], rows[idle + 1 :]])
+        blocks = branches[:idle] + branches[idle + 1 :]
+        block_units = units[:idle] + units[idle + 1 :]
+        if ideal:
+            pointed = pointed - rows[idle]
+    if len(blocks) < m:  # one row per column of G
+        pointed = np.repeat(pointed, [b.rank for b in blocks], axis=0)
+    if ideal:
+        left = g
+    else:
+        left = np.hstack(
+            [b.basis if u is None else u @ b.basis for u, b in zip(block_units, blocks)]
+        )
+    thin = left[:, None, :] * pointed.T  # thin[i, j, c] = left[i, c] pointed[c, j]
+    if idle is not None and not ideal:
+        u_c = units[idle]
+        thin -= (g if u_c is None else u_c @ g)[:, None, :] * rows[idle][:, None]
+    v = thin.reshape(d_a * d_b, -1) @ g.conj().T
+    if idle is not None:
+        cube = v.reshape(d_a, d_b, d_a)
+        if units[idle] is None:
+            diagonal = np.arange(d_a)
+            cube[diagonal, :, diagonal] += rows[idle]
+        else:
+            cube += units[idle][:, None, :] * rows[idle][:, None]
+    return v
 
 
 def build_ideal(
@@ -162,14 +330,12 @@ def build_ideal(
 ) -> Premeasurement:
     """Ideal premeasurement from one pointer state per measured branch.
 
-    Its isometry is V = sum_k E_k (x) |b_k>, formed in closed form from the
-    given blocks of E_k = Q_k Q_k^dag, read side by side from
-    ``measured.basis``: it maps |phi> (x) |ready> to
-    sum_k (E_k |phi>) (x) |b_k>.  A measured complement E_c = I - G G^dag
-    (the idle branch of an earlier pointer) enters as I (x) |b_c> plus the
-    given columns' terms with |b_k> - |b_c>, so no complement block is
-    read.  V is frozen and handed to ``Premeasurement``, which Gram-checks
-    it and keeps it without a copy.
+    Its terms are A_k = E_k, measured branch k (applied through its block
+    Q_k, or as the idle complement I - G G^dag), and c_k = |b_k>, the
+    pointer state of branch k: V = sum_k E_k (x) |b_k> maps |phi> (x) |ready>
+    to sum_k (E_k |phi>) (x) |b_k>.  ``Premeasurement`` checks them by the
+    Gram residuals that ``measured`` and ``pointer_states`` already hold,
+    and forms V only when it is read.
 
     When ``pointer`` is omitted, the pointer observable is built from the
     states themselves by ``SpectralObservable._adopt_basis``, which reuses
@@ -179,7 +345,6 @@ def build_ideal(
     exactly one of its projectors, which fixes the index map.
     """
     n_branches = measured.branch_count
-    d_a = measured.dim
     d_b = pointer_states.dim
     if len(pointer_states.vectors) != n_branches:
         raise DimensionMismatchError(
@@ -199,30 +364,14 @@ def build_ideal(
         if pointer.subsystem != instrument or pointer.dim != d_b:
             raise LayoutConflictError("pointer observable does not match instrument")
         index_map = _match_pointer_states(pointer, pointer_states)
-
-    basis = measured.basis
-    rows = pointer_states.rows
-    ranks = [b.rank for b in measured.branches if not b.is_complement]
-    idle = None
-    if len(ranks) < n_branches:
-        # sum_k E_k (x) b_k = I (x) b_c + sum_{k != c} E_k (x) (b_k - b_c), c the complement
-        c = next(k for k, b in enumerate(measured.branches) if b.is_complement)
-        idle = rows[c]
-        rows = rows[[k for k in range(n_branches) if k != c]] - idle
-    pointed = np.repeat(rows.T, ranks, axis=1)  # column j: the pointer state of j's branch
-    isometry = np.einsum("ic,jc,mc->ijm", basis, pointed, basis.conj())
-    if idle is not None:
-        diagonal = np.arange(d_a)
-        isometry[diagonal, :, diagonal] += idle
-    isometry = isometry.reshape(d_a * d_b, d_a)
-    isometry.setflags(write=False)
     return Premeasurement(
         object_label=measured.subsystem,
         instrument_label=instrument,
         measured=measured,
         pointer=pointer,
         ready_state=ready_state,
-        isometry=isometry,
+        operators=tuple((None, b) for b in measured.branches),
+        pointer_states=pointer_states,
         index_map=tuple(index_map.items()),
     )
 
@@ -266,23 +415,27 @@ def build_exact(
 
     ``dressings`` holds one (object unitary V_k, instrument unitary W_k) pair
     per measured branch; W_k must map the range of the k-th pointer projector
-    into itself.  The dressing D = sum_k V_k (x) W_k F_k + sum_j I (x) F_j,
-    j over the pointer branches no measured branch maps to, is applied to
-    the ideal's isometry: the result has isometry D V.  It keeps the
-    calibration, probability reproduction, and dynamical conditions but is
-    no longer ideal in general.  Each F = Q Q^dag enters through its block:
-    W F = (W Q) Q^dag, and ||(I - F) W F|| = ||W Q - Q Q^dag W Q||.  A
-    complement F = I - G G^dag enters as itself, x - G (G^dag x): unmapped,
-    as that projection; mapped (a caller's pointer state in it), through
+    F_k into itself.  The dressing D = sum_k V_k (x) W_k F_k + sum_j I (x) F_j,
+    j over the pointer branches no measured branch maps to, applied to
+    V = sum_k A_k (x) c_k, where c_k lies in the range of F_k, leaves
+    sum_k (V_k A_k) (x) (W_k c_k): the terms become A_k <- V_k A_k and
+    c_k <- W_k c_k, and the unmapped branches contribute nothing.  It keeps
+    the calibration, probability reproduction, and dynamical conditions but
+    is no longer ideal in general.  Each F = Q Q^dag enters the range check
+    through its block: W F = (W Q) Q^dag, and ||(I - F) W F|| =
+    ||W Q - Q Q^dag W Q||.  A complement F = I - G G^dag enters through
     W F = W - (W G) G^dag, formed densely like W.  A dressing with a NaN or
-    infinite entry raises ``DressingError``.
+    infinite entry, or dressings that leave the c_k off orthonormality,
+    raise ``DressingError``.  A premeasurement given as its isometry
+    (``Premeasurement.from_isometry``) has no branch terms to dress.
     """
     n = ideal.measured.branch_count
     if len(dressings) != n:
         raise DimensionMismatchError(f"{len(dressings)} dressings for {n} branches")
+    if ideal.operators[0][1] is None:
+        raise ValueError("a premeasurement given as its isometry has no branch terms to dress")
     d_a, d_b = ideal.object_dim, ideal.instrument_dim
-    terms = []  # (object operator or None, B or None, branch F = L^dag L) per term
-    mapped = set()
+    operators, vectors = [], []
     for k, (v_a, w_b) in enumerate(dressings):
         v_a = np.asarray(v_a, dtype=complex)
         w_b = np.asarray(w_b, dtype=complex)
@@ -310,33 +463,14 @@ def build_exact(
             )
         if not isometric <= DEFAULT.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
-        terms.append((v_a, wq, branch))
-        mapped.add(ideal.mapping[k])
-    for j, branch in enumerate(ideal.pointer.branches):
-        if j not in mapped:
-            terms.append((None, None if branch.is_complement else branch.basis, branch))
-    return replace(ideal, isometry=_dress(terms, ideal.isometry, d_a, d_b))
-
-
-def _dress(terms, matrix: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """sum over ``terms`` (A, B, F) of (A (x) B L) ``matrix`` for the factor L
-    of the branch F = L^dag L, A = None and B = None meaning I.
-
-    The rows of ``matrix`` are split into (object, instrument); each term is
-    applied one subsystem at a time, its instrument part as L (Q^dag for a
-    block, I - G G^dag for a complement, ``factor``), then B.  The result is
-    frozen, for ``Premeasurement`` to keep without a copy.
-    """
-    dims = (d_a, d_b, matrix.shape[1])
-    flat = matrix.reshape(-1)
-    out = np.zeros_like(flat)
-    for a, b, branch in terms:
-        term = branch.factor(flat, dims, 1)
-        if b is not None:
-            term = apply_local(b, term, _resized(dims, 1, branch.factor_rows), 1)
-        out += term if a is None else apply_local(a, term, dims, 0)
-    out.setflags(write=False)
-    return out.reshape(matrix.shape)
+        u, e = ideal.operators[k]
+        operators.append((v_a if u is None else v_a @ u, e))
+        vectors.append(w_b @ ideal.pointer_states.vectors[k])
+    try:
+        states = SubsystemBasis(ideal.instrument_label, tuple(vectors))
+    except NonOrthonormalBasisError as exc:
+        raise DressingError(f"instrument dressings leave the pointer vectors: {exc}") from exc
+    return replace(ideal, operators=tuple(operators), pointer_states=states)
 
 
 def complete_unitary(pm: Premeasurement) -> np.ndarray:
@@ -345,19 +479,25 @@ def complete_unitary(pm: Premeasurement) -> np.ndarray:
 
     U maps the initial sector {e_a (x) |ready>} onto the columns of V and
     the rest by Gram-Schmidt completions of both over the canonical basis,
-    paired column by column.  Which completion is used is physically empty;
-    nothing in the package calls this.
+    paired column by column, and is Gram-checked.  Which completion is used
+    is physically empty; nothing in the package calls this.
     """
     d_a, d_b = pm.object_dim, pm.instrument_dim
     d = d_a * d_b
     sector = np.einsum("am,j->ajm", np.eye(d_a), pm.ready_state.amplitudes).reshape(d, d_a)
     domain = complete_orthonormal(list(sector.T), d)
     image = complete_orthonormal(list(pm.isometry.T), d)
-    return _checked_isometry(np.column_stack(image) @ np.column_stack(domain).conj().T, (d, d))
+    u = np.column_stack(image) @ np.column_stack(domain).conj().T
+    resid = _gram_residual(u)
+    if not resid <= DEFAULT.unitary * d:
+        raise ValueError(f"matrix is not unitary: residual {resid:.3e}")
+    u.setflags(write=False)
+    return u
 
 
 def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
-    """Final composite state U(|phi> (x) |ready>)."""
+    """Final composite state U(|phi> (x) |ready>); its fresh amplitudes are
+    frozen and handed to the state."""
     if object_state.layout.labels != (pm.object_label,):
         raise LayoutConflictError(
             f"object state must live on {pm.object_label!r} alone, "
@@ -368,6 +508,7 @@ def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
     if not object_state.normalized:
         raise ValueError("object state must be normalized")
     amps = pm.isometry @ object_state.amplitudes
+    amps.setflags(write=False)
     return StateVector(pm.layout, amps, normalized=True)
 
 
@@ -486,7 +627,9 @@ def branch_decomposition(final: StateVector, pointer: SpectralObservable) -> Bra
         coeffs, vec = b.through(final.amplitudes, lay.dims, pos)
         w = float(np.real(np.vdot(coeffs, coeffs)))
         if w > DEFAULT.weight:
-            component = StateVector(lay, vec / np.sqrt(w), normalized=True)
+            amps = vec / np.sqrt(w)
+            amps.setflags(write=False)  # fresh: the component adopts it
+            component = StateVector(lay, amps, normalized=True)
             kept.append(Branch(j, w, component))
         else:
             dropped += w

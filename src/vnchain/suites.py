@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,7 +118,15 @@ def corrupt_premeasurement(pm: Premeasurement, mode: str) -> Premeasurement:
         v = np.array(pm.isometry)
         v[[0, -1]] = v[[-1, 0]]
         v[0] *= -1.0
-        return replace(pm, isometry=v)
+        return Premeasurement.from_isometry(
+            v,
+            object_label=pm.object_label,
+            instrument_label=pm.instrument_label,
+            measured=pm.measured,
+            pointer=pm.pointer,
+            ready_state=pm.ready_state,
+            index_map=pm.index_map,
+        )
     raise ValueError(f"unknown corruption mode {mode!r}")
 
 
@@ -160,7 +168,12 @@ def _suite_pt_trace_one(ctx: SuiteContext) -> tuple[int, float]:
         lay = layout(("A", da), ("B", db))
         state = random_state(lay, rng)
         red = partial_trace(state, {"B"})
-        worst = max(worst, abs(float(np.real(np.trace(red.matrix))) - 1.0))
+        # the same trace formed densely, sharing no kernel with the factor,
+        # whose trace ||M||_F^2 the DensityOperator constructor pins to 1
+        psi = state.amplitudes
+        dense = partial_trace_matrix(np.outer(psi, psi.conj()), (da, db), [0])
+        for reduced in (red.matrix, dense):
+            worst = max(worst, abs(float(np.real(np.trace(reduced))) - 1.0))
         cases += 1
     return cases, worst
 

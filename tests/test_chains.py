@@ -735,3 +735,40 @@ class TestProperMixtureAbsoluteness:
         mix = improper_mixture(rho, dec)
         with pytest.raises(TypeError):
             proper_mixture(mix)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that ``tracemalloc`` sees while ``fn(*args)`` runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_path_hands_over_the_vectors_it_makes():
+    """``extend_chain`` and ``branch_decomposition`` freeze the amplitudes they
+    have just made, so each state adopts its vector (``hilbert._owned``)
+    instead of copying it: extending an 18-qubit state allocates one output
+    vector, not two, and decomposing the result into its two pointer
+    branches peaks at 4 final vectors (a block's coefficients, the
+    projection, the kept component and the first one), not 4.5."""
+    from vnchain.chains import extend_chain
+
+    n = 18
+    state = random_state(layout(*[(f"q{i}", 2) for i in range(n)]), np.random.default_rng(0))
+    measured = observable_from_matrix(np.diag([0.0, 1.0]), f"q{n - 1}")
+    pm = build_ideal(
+        measured, SubsystemBasis("B", tuple(np.eye(2))), basis_state(layout(("B", 2)), 0)
+    )
+    assert pm.isometry is not None  # formed ahead of the traced calls
+    extended, peak = _traced_peak(extend_chain, state, pm)
+    vector = extended.amplitudes.nbytes
+    assert vector == 2 * state.amplitudes.nbytes
+    assert peak < 1.25 * vector
+    decomposition, peak = _traced_peak(branch_decomposition, extended, pm.pointer)
+    assert len(decomposition.branches) == 2
+    assert peak < 4.25 * vector

@@ -682,6 +682,18 @@ class TestScenarioNumbers:
             "expected [re, im], got True at $.stages[0].measured.matrix[0]\n"
         )
 
+    def test_overflowing_anti_hermitian_observable_is_a_scenario_error(self, tmp_path, capsys):
+        """h - h^dag of finite entries can pass the float range; the
+        Hermiticity residual is then inf, with no floating-point warning."""
+        doc = builtin_document("stern-gerlach")
+        doc["stages"][0]["measured"] = {"matrix": [[0, 1e308], [-1e308, 0]]}
+        code, out, err = self.run_doc(tmp_path, capsys, json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == (
+            "scenario error: [bad-observable] at $.stages[0].measured: "
+            "matrix not Hermitian: residual inf\n"
+        )
+
     def test_huge_finite_observable_runs(self, tmp_path, capsys):
         """Eigenvalues of +-1e308 are finite: symmetrizing the matrix and
         grouping its spectrum must not overflow on the way to them."""

@@ -30,6 +30,7 @@ from vnchain import (
     LayoutConflictError,
     NonOrthonormalBasisError,
     NotAProjectorError,
+    Premeasurement,
     SpectralObservable,
     StateVector,
     SubsystemBasis,
@@ -267,6 +268,19 @@ def _qubit_pm():
     return build_ideal(measured, pointer_states, basis_state(layout(("B", 2)), 0))
 
 
+def _with_isometry(pm, v):
+    """``pm``'s observables, ready state and index map with the caller's V."""
+    return Premeasurement.from_isometry(
+        v,
+        object_label=pm.object_label,
+        instrument_label=pm.instrument_label,
+        measured=pm.measured,
+        pointer=pm.pointer,
+        ready_state=pm.ready_state,
+        index_map=pm.index_map,
+    )
+
+
 def _ensemble():
     rng = np.random.default_rng(4)
     lay = layout(("A", 2), ("B", 2))
@@ -298,9 +312,7 @@ NON_FINITE_CASES = {
         NAN_MESSAGE,
     ),
     "isometry": (
-        lambda bad: dataclasses.replace(
-            _qubit_pm(), isometry=_with(_qubit_pm().isometry, (3, 0), bad)
-        ),
+        lambda bad: _with_isometry(_qubit_pm(), _with(_qubit_pm().isometry, (3, 0), bad)),
         ValueError,
         NAN_MESSAGE,
     ),
@@ -374,9 +386,7 @@ def _isometry_scaled(residual):
     """The qubit premeasurement with one isometry column scaled so that its
     Gram residual is ``residual``."""
     pm = _qubit_pm()
-    return dataclasses.replace(
-        pm, isometry=_scaled(pm.isometry, (slice(None), 0), np.sqrt(1 + residual))
-    )
+    return _with_isometry(pm, _scaled(pm.isometry, (slice(None), 0), np.sqrt(1 + residual)))
 
 
 # name: (value whose checked scalar is ``residual`` off, bound, error, message start)
@@ -438,7 +448,7 @@ OVERFLOW_CASES = {
         "array has entries too large: its squared norm overflows",
     ),
     "isometry": (
-        lambda: dataclasses.replace(_qubit_pm(), isometry=np.vstack([HUGE, np.zeros((2, 2))])),
+        lambda: _with_isometry(_qubit_pm(), np.vstack([HUGE, np.zeros((2, 2))])),
         ValueError,
         "array has entries too large: its squared norm overflows",
     ),
@@ -523,6 +533,25 @@ class TestHermitianSpectrum:
             split = observable_from_matrix(np.diag([1e308, -1e308]), "A")
         assert merged.eigenvalues == (1e308,) and merged.branches[0].rank == 2
         assert split.eigenvalues == (-1e308, 1e308)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e150])
+    def test_residual_from_the_halves_has_the_plain_bits(self, scale):
+        """2 ||h/2 - h^dag/2|| is ||h - h^dag|| bit for bit for entries in
+        the normal range, where halving and doubling are exact."""
+        rng = np.random.default_rng(int(np.log10(scale)) + 400)
+        for d in (1, 2, 3, 5):
+            h = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert 2 * _fro(h / 2 - h.conj().T / 2) == _fro(h - h.conj().T)
+
+    def test_overflowing_anti_hermitian_part_is_refused_without_a_warning(self):
+        h = np.array([[0, 1e308], [-1e308, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                observable_from_matrix(h, "A")
+        assert str(info.value) == "matrix not Hermitian: residual inf"
 
 
 # --- the guard on the finiteness scan --------------------------------------------
@@ -642,23 +671,48 @@ def test_chain_links_pay_no_finiteness_scan(tmp_path, monkeypatch):
     assert scans == [(2,)]
 
 
-def test_chain_links_check_two_grams_each(tmp_path):
-    """An ideal link Gram-checks its pointer basis and its isometry, and
-    nothing else: its complete pointer adopts the basis's check.  The one
-    more Gram product of a run is that of the observable given as a matrix."""
+def test_chain_links_check_one_gram_each(tmp_path):
+    """An ideal link Gram-checks its pointer basis and nothing else: its
+    complete pointer adopts the basis's check, and its terms are checked by
+    the residuals of the basis and of the measured observable, with no Gram
+    product of V.  The one more Gram product of a run is that of the
+    observable given as a matrix."""
     grams = [_calls_in_one_run(tmp_path, links, "_gram_residual") for links in (2, 6, 10)]
-    assert grams == [2 * 2 + 1, 2 * 6 + 1, 2 * 10 + 1]
+    assert grams == [2 + 1, 6 + 1, 10 + 1]
 
 
-def test_idle_pointer_links_check_two_grams_each(tmp_path):
+def test_idle_pointer_links_check_one_gram_each(tmp_path):
     """A link whose pointer has an idle branch, and a link that reads such a
-    pointer, also make two Gram products: the pointer adopts its basis's
+    pointer, also make one Gram product: the pointer adopts its basis's
     n x n check, and no complement block is formed or checked."""
     runs = {
         links: _calls_in_one_run(tmp_path, links, "_gram_residual", idle=True) for links in (2, 5)
     }
-    assert runs == {2: 2 * 2 + 1, 5: 2 * 5 + 1}
+    assert runs == {2: 2 + 1, 5: 5 + 1}
     assert _calls_in_one_run(tmp_path, 5, "qr", idle=True) == 0
+
+
+@pytest.mark.parametrize("idle", [False, True])
+def test_no_gram_product_of_a_link_isometry(tmp_path, monkeypatch, idle):
+    """No Gram product in a copy-chain run sees a matrix with d_a d_b rows,
+    the rows of a link's V: each one is of a basis or of the observable
+    given as a matrix, with as many rows as one subsystem."""
+    from vnchain import chains, hilbert, observables
+
+    rows = []
+    original = hilbert._gram_residual
+
+    def recording(m, *args):
+        rows.append(np.shape(m)[0])
+        return original(m, *args)
+
+    for module in (hilbert, observables, premeasurement, chains):
+        monkeypatch.setattr(module, "_gram_residual", recording)
+    _calls_in_one_run(tmp_path, 3, "_gram_residual", idle=idle)
+    doc = _copy_chain(3, idle)
+    dims = [dim for _, dim in doc["subsystems"]]
+    assert rows and set(rows) <= set(dims)
+    assert not set(rows) & {a * b for a, b in zip(dims, dims[1:])}
 
 
 # --- the pointer of a complete basis adopts its Gram check ---------------------
@@ -832,12 +886,35 @@ OWNED_CALLERS = {
     ("observables.py", "SpectralBranch.__post_init__"),
     ("observables.py", "ComplementBranch.__post_init__"),
     ("observables.py", "SpectralObservable.from_eigenbasis"),
-    ("premeasurement.py", "_checked_isometry"),
+    ("premeasurement.py", "Premeasurement._checked_terms"),
+    ("premeasurement.py", "Premeasurement.from_isometry"),
 }
 
 
 def test_values_take_ownership_through_one_helper():
     assert package_callers("_owned") == OWNED_CALLERS
+
+
+# Every Gram product of the package (``hilbert._gram_residual``): a basis, an
+# observable's blocks, a caller's block or mixing matrix, the distance of a
+# complement and a block (``chains.observables_match``), the dressings and
+# the terms of a premeasurement that is not ideal, and a completed unitary.  An ideal chain link makes
+# only its pointer basis's; a new Gram product on a link path is added here
+# on purpose.
+GRAM_CALLERS = {
+    ("hilbert.py", "SubsystemBasis.__post_init__"),
+    ("observables.py", "_orthonormal_block"),
+    ("observables.py", "SpectralObservable.__post_init__"),
+    ("chains.py", "_projector_distance"),
+    ("chains.py", "redecompose"),
+    ("premeasurement.py", "Premeasurement._checked_terms"),
+    ("premeasurement.py", "build_exact"),
+    ("premeasurement.py", "complete_unitary"),
+}
+
+
+def test_gram_products_have_known_callers():
+    assert package_callers("_gram_residual") == GRAM_CALLERS
 
 
 @pytest.mark.parametrize(
@@ -854,23 +931,26 @@ def test_owned_copies_what_is_not_a_frozen_complex_array(values):
 
 
 class TestIsometryOwnership:
-    """``Premeasurement`` adopts a read-only complex V and copies any other."""
+    """V is formed from the terms once, on first read, and kept read-only;
+    ``from_isometry`` adopts a read-only complex V and copies any other."""
 
-    def test_built_isometry_is_handed_over(self, monkeypatch):
+    def test_built_isometry_is_formed_once_on_read(self, monkeypatch):
         made = []
-        original = premeasurement._checked_isometry
+        original = premeasurement._formed_isometry
 
-        def recording(m, shape):
-            made.append(m)
-            return original(m, shape)
+        def recording(pm):
+            made.append(original(pm))
+            return made[-1]
 
-        monkeypatch.setattr(premeasurement, "_checked_isometry", recording)
+        monkeypatch.setattr(premeasurement, "_formed_isometry", recording)
         pm = _qubit_pm()
-        assert pm.isometry is made[-1]
         exact = build_exact(pm, [(E2, E2), (E2, E2)])
-        assert exact.isometry is made[-1]
-        for v in (pm.isometry, exact.isometry):
+        assert made == []
+        for value in (pm, exact):
+            v = value.isometry
+            assert v is made[-1] and value.isometry is v
             assert not v.flags.writeable
+        assert len(made) == 2
 
     @pytest.mark.parametrize("kind", ["read-only complex", "writeable complex", "read-only real"])
     def test_given_isometry(self, kind):
@@ -878,7 +958,22 @@ class TestIsometryOwnership:
         v = np.array(pm.isometry.real if kind == "read-only real" else pm.isometry)
         if kind != "writeable complex":
             v.setflags(write=False)
-        got = dataclasses.replace(pm, isometry=v).isometry
+        given = _with_isometry(pm, v)
+        got = given.isometry
         assert (got is v) is (kind == "read-only complex")
         assert got.dtype == complex and not got.flags.writeable
         np.testing.assert_array_equal(got, v)
+        for j, (a, branch) in enumerate(given.operators):  # A_j = (I (x) <j|)V, views of V
+            assert branch is None and np.shares_memory(a, got)
+            np.testing.assert_array_equal(a, got.reshape(2, 2, 2)[:, j, :])
+        np.testing.assert_array_equal(given.pointer_states.rows, np.eye(2))
+
+    def test_terms_of_a_given_isometry_form_it_again(self):
+        """Without the kept V (a ``dataclasses.replace`` copy), the plain
+        terms form V entry for entry."""
+        rng = np.random.default_rng(5)
+        pm = premeasurement.random_exact("A", "B", 3, 4, rng)
+        given = _with_isometry(pm, pm.isometry)
+        again = dataclasses.replace(given)
+        assert "isometry" not in vars(again)
+        np.testing.assert_array_equal(again.isometry, pm.isometry)

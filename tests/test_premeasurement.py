@@ -1,3 +1,4 @@
+
 import dataclasses
 
 import numpy as np
@@ -8,6 +9,7 @@ from vnchain import (
     DimensionMismatchError,
     DressingError,
     NotAProjectorError,
+    SpectralObservable,
     StateVector,
     SubsystemBasis,
     branch_decomposition,
@@ -31,6 +33,7 @@ from vnchain import (
 )
 from vnchain import premeasurement
 from vnchain.chains import extend_chain
+from vnchain.hilbert import _gram_residual
 from vnchain.premeasurement import Premeasurement, check_conditions, complete_unitary
 
 from oracles import brute_dressed_isometry, brute_ideal_isometry, embed_operator, projector_onto
@@ -197,7 +200,7 @@ class TestBuildExact:
         v = np.array(pm.isometry)
         v[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN or infinite"):
-            dataclasses.replace(pm, isometry=v)
+            Premeasurement.from_isometry(v, **_parts(pm))
 
 
 class TestEvolve:
@@ -239,7 +242,7 @@ class TestConditionChecks:
         pm = qubit_pm()
         plus_b = StateVector(layout(("B", 2)), np.array([1, 1]) / np.sqrt(2))
         v = np.eye(4) @ np.kron(np.eye(2), plus_b.amplitudes[:, None])
-        broken = dataclasses.replace(pm, isometry=v, ready_state=plus_b)
+        broken = Premeasurement.from_isometry(v, **{**_parts(pm), "ready_state": plus_b})
         rep = check_calibration(broken, 10, seed=2)
         assert not rep.passed
         assert rep.max_residual > 0.5
@@ -261,7 +264,7 @@ class TestConditionChecks:
         # swap an initial-sector column out: |0>|ready> now goes to |0>|1>
         u[:, [0, 1]] = u[:, [1, 0]]
         ready = pm.ready_state.amplitudes
-        broken = dataclasses.replace(pm, isometry=u @ np.kron(np.eye(2), ready[:, None]))
+        broken = Premeasurement.from_isometry(u @ np.kron(np.eye(2), ready[:, None]), **_parts(pm))
         rep = check_probability_reproduction(broken, 20, seed=3)
         assert not rep.passed
 
@@ -272,7 +275,7 @@ class TestConditionChecks:
         failures = 0
         for _ in range(100):
             v = random_unitary(4, rng) @ np.kron(np.eye(2), ready[:, None])
-            broken = dataclasses.replace(pm, isometry=v)
+            broken = Premeasurement.from_isometry(v, **_parts(pm))
             rep = check_dynamical(broken, 3, seed=int(rng.integers(2**32)))
             if rep.max_residual > 1e-3:
                 failures += 1
@@ -394,7 +397,7 @@ def _random_dressings(pm, rng):
 
 
 def _parts(pm):
-    """Every field of ``pm`` but its isometry."""
+    """What ``Premeasurement.from_isometry`` takes of ``pm`` besides V."""
     names = ("object_label", "instrument_label", "measured", "pointer", "ready_state", "index_map")
     return {name: getattr(pm, name) for name in names}
 
@@ -403,7 +406,8 @@ GRID = [(da, db) for da in range(2, 5) for db in range(2, 7)]
 
 
 class TestIsometryCore:
-    """A premeasurement is its isometry V; ``complete_unitary`` extends V on request."""
+    """A premeasurement is its terms, which form its isometry V on read;
+    ``complete_unitary`` extends V on request."""
 
     @pytest.mark.parametrize("da,db", GRID)
     def test_ideal_isometry_matches_kron_oracle(self, monkeypatch, da, db):
@@ -447,9 +451,10 @@ class TestIsometryCore:
 
     def test_complete_unitary_is_pure_and_checked(self, monkeypatch):
         pm = random_exact("A", "B", 3, 4, np.random.default_rng(31))
+        v = pm.isometry
         fields = dict(vars(pm))
         np.testing.assert_array_equal(complete_unitary(pm), complete_unitary(pm))
-        assert vars(pm).keys() == fields.keys()
+        assert vars(pm).keys() == fields.keys() and pm.isometry is v
         original = premeasurement.complete_orthonormal
         monkeypatch.setattr(
             premeasurement,
@@ -485,20 +490,20 @@ class TestIsometryCore:
         pm = qubit_pm()
         u = random_unitary(4, np.random.default_rng(4))
         v = u @ np.kron(np.eye(2), pm.ready_state.amplitudes[:, None])
-        replaced = dataclasses.replace(pm, isometry=v)
-        np.testing.assert_array_equal(replaced.isometry, v)
-        assert not replaced.isometry.flags.writeable
-        np.testing.assert_array_equal(Premeasurement(isometry=v, **_parts(pm)).isometry, v)
+        given = Premeasurement.from_isometry(v, **_parts(pm))
+        np.testing.assert_array_equal(given.isometry, v)
+        assert not given.isometry.flags.writeable
+        assert given.isometry_bound == _gram_residual(np.array(v, dtype=complex))
         with pytest.raises(ValueError, match="not an isometry"):
-            dataclasses.replace(pm, isometry=1.1 * v)
-        with pytest.raises(ValueError, match="not an isometry"):
-            Premeasurement(isometry=1.1 * v, **_parts(pm))
+            Premeasurement.from_isometry(1.1 * v, **_parts(pm))
         with pytest.raises(DimensionMismatchError, match="isometry shape"):
-            Premeasurement(isometry=v[:, :1], **_parts(pm))
+            Premeasurement.from_isometry(v[:, :1], **_parts(pm))
         with pytest.raises(DimensionMismatchError, match="isometry shape"):
-            dataclasses.replace(pm, isometry=u)
+            Premeasurement.from_isometry(u, **_parts(pm))
         with pytest.raises(ValueError, match="NaN or infinite"):
-            Premeasurement(isometry=np.full((4, 2), np.nan), **_parts(pm))
+            Premeasurement.from_isometry(np.full((4, 2), np.nan), **_parts(pm))
+        with pytest.raises(ValueError, match="no branch terms to dress"):
+            build_exact(given, [(np.eye(2), np.eye(2))] * 2)
 
     def test_identity_equality_hash_and_repr(self):
         pm, other = qubit_pm(), qubit_pm()
@@ -510,3 +515,69 @@ class TestIsometryCore:
         text = repr(pm)
         assert "isometry" not in text
         assert text.startswith("Premeasurement(object_label='A', instrument_label='B'")
+
+
+def _ideal_link(d, kind, rng):
+    """An ideal link on an object of dimension d whose measured observable is
+    complete (one rank-1 block per dimension), degenerate (blocks of rank > 1)
+    or has an idle complement; its pointer states are Haar columns."""
+    if kind == "complete":
+        measured = random_observable(d, d, "A", rng)
+    elif kind == "degenerate":
+        measured = random_observable(d, max(1, d // 3), "A", rng)
+    else:
+        u = random_unitary(d, rng)
+        m = max(1, d // 2)
+        measured = SpectralObservable.from_eigenbasis(
+            "A", [float(k) for k in range(m)], [u[:, k : k + 1] for k in range(m)], complement=-1.0
+        )
+    n = measured.branch_count
+    db = max(n, int(rng.integers(2, d + 2)))
+    q = random_unitary(db, rng)
+    states = SubsystemBasis("B", tuple(q[:, k] for k in range(n)))
+    return build_ideal(measured, states, basis_state(layout(("B", db)), 0))
+
+
+class TestTermsCheck:
+    """The constructor checks the terms once, by a bound on ||V^dag V - I||;
+    an ideal link takes it from the Gram residuals its inputs hold."""
+
+    @pytest.mark.parametrize("kind", ["complete", "degenerate", "idle"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 32, 64])
+    def test_ideal_bound_covers_the_dense_residual(self, d, kind):
+        rng = np.random.default_rng(100 * d + len(kind))
+        for _ in range(3 if d <= 16 else 1):
+            pm = _ideal_link(d, kind, rng)
+            e, eps = pm.measured.gram_residual, pm.pointer_states.gram_residual
+            assert pm.isometry_bound >= 2 * e * (1 + e) + np.sqrt(d) * eps
+            assert pm.isometry_bound >= _gram_residual(pm.isometry)
+            assert pm.isometry_bound <= 1e-10 * d * pm.instrument_dim
+
+    @pytest.mark.parametrize("da,db", [(2, 2), (3, 4), (4, 6)])
+    def test_exact_bound_covers_the_dense_residual(self, da, db):
+        rng = np.random.default_rng(da * 10 + db)
+        for _ in range(5):
+            pm = random_exact("A", "B", da, db, rng)
+            assert pm.isometry_bound >= _gram_residual(pm.isometry)
+
+    def test_an_ideal_link_is_judged_by_its_inputs_residuals(self):
+        """Residuals that pass their own criteria can still fail the link's:
+        the bound is judged against ``DEFAULT.unitary * d_a * d_b``."""
+        pm = qubit_pm()
+        states = canonical_basis("B", 2)
+        measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
+        object.__setattr__(measured, "gram_residual", 1e-10)  # 2 e (1 + e), about 2e-10
+        build_ideal(measured, states, pm.ready_state)
+        object.__setattr__(measured, "gram_residual", 2e-10)  # just past 4e-10
+        with pytest.raises(ValueError, match=r"matrix is not an isometry: residual 4\.000e-10"):
+            build_ideal(measured, states, pm.ready_state)
+
+    def test_terms_must_follow_the_measured_branches(self):
+        pm = qubit_pm()
+        swapped = tuple(reversed(pm.operators))
+        with pytest.raises(ValueError, match="every measured branch in order"):
+            dataclasses.replace(pm, operators=swapped)
+        with pytest.raises(DimensionMismatchError, match="1 pointer vectors for 2 terms"):
+            dataclasses.replace(pm, pointer_states=canonical_basis("B", 2, count=1))
+        with pytest.raises(DimensionMismatchError, match="object operators must have shape"):
+            dataclasses.replace(pm, operators=((np.eye(3), b) for _, b in pm.operators))
