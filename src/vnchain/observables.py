@@ -443,30 +443,33 @@ def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
     """Unique spectral form of a finite Hermitian matrix.
 
     Eigenvalues closer than ``DEFAULT.eig_merge`` are merged into a single branch
-    whose projector is the sum of the eigenprojectors; branches come out
-    sorted by ascending eigenvalue and indexed by position.
+    whose projector is the sum of the eigenprojectors (``_merged_spectrum``);
+    branches come out sorted by ascending eigenvalue and indexed by position.
     """
     _, eigvals, eigvecs = _hermitian_spectrum(h)
-    values = eigvals.tolist()  # Python floats: a gap that overflows is inf, silently
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[groups[-1][-1]] <= DEFAULT.eig_merge:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return SpectralObservable.from_eigenbasis(
-        subsystem,
-        [_group_mean([values[i] for i in group]) for group in groups],
-        [eigvecs[:, group] for group in groups],
-    )
+    means, runs = _merged_spectrum(eigvals.tolist())
+    return SpectralObservable.from_eigenbasis(subsystem, means, [eigvecs[:, run] for run in runs])
+
+
+def _merged_spectrum(values: list[float]) -> tuple[list[float], list[range]]:
+    """Ascending eigenvalues merged into branches: the runs of positions in
+    which each value lies within ``DEFAULT.eig_merge`` of the one before it,
+    with the ``_group_mean`` of each run.  ``values`` are Python floats, so a
+    gap that overflows is inf, silently, and starts a new run."""
+    cuts = [i for i in range(1, len(values)) if values[i] - values[i - 1] > DEFAULT.eig_merge]
+    runs = [range(a, b) for a, b in zip([0, *cuts], [*cuts, len(values)])]
+    return [_group_mean(values[run.start : run.stop]) for run in runs], runs
 
 
 def _group_mean(values: list[float]) -> float:
     """The mean of eigenvalues merged into one branch, as ``np.mean`` forms it
     bit for bit whenever its sum cannot overflow; otherwise as the first
     value plus the mean offset from it, which cannot overflow, since the
-    values lie within a few ``DEFAULT.eig_merge`` of each other."""
+    values lie within a few ``DEFAULT.eig_merge`` of each other.  A lone
+    value is its own mean, returned as is."""
     n = len(values)
+    if n == 1:
+        return values[0]
     if max(abs(v) for v in values) <= sys.float_info.max / n:
         return float(np.mean(values))
     first = values[0]

@@ -627,9 +627,11 @@ def branch_decomposition(final: StateVector, pointer: SpectralObservable) -> Bra
         coeffs, vec = b.through(final.amplitudes, lay.dims, pos)
         w = float(np.real(np.vdot(coeffs, coeffs)))
         if w > DEFAULT.weight:
-            amps = vec / np.sqrt(w)
-            amps.setflags(write=False)  # fresh: the component adopts it
-            component = StateVector(lay, amps, normalized=True)
+            # ``vec`` is fresh (for a complement it is ``coeffs`` too, whose
+            # weight is already read): it is scaled in place and adopted.
+            np.divide(vec, np.sqrt(w), out=vec)
+            vec.setflags(write=False)
+            component = StateVector(lay, vec, normalized=True)
             kept.append(Branch(j, w, component))
         else:
             dropped += w

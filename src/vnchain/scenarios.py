@@ -5,7 +5,9 @@ Scenario documents are JSON trees.  Complex numbers are written as
 (``plus``, ``minus``, ``basis:k``, ``bell``); observables may be given as
 ``{"pauli": "z"}``, ``{"diag": [...]}``, an explicit ``{"matrix": ...}``,
 or the string ``"previous-pointer"`` for chain links that read the
-preceding stage's result.
+preceding stage's result.  A ``diag`` observable is given in its
+eigenbasis, so it takes its exact spectral form with no eigensolver; a
+``pauli`` or ``matrix`` one goes through ``observable_from_matrix``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .hilbert import (
     SubsystemBasis,
     SubsystemLayout,
     _fro,
+    _refuse_non_finite,
     factor_difference,
     partial_trace,
     purity,
@@ -44,6 +47,7 @@ from .observables import (
     PAULI_Y,
     PAULI_Z,
     SpectralObservable,
+    _merged_spectrum,
     observable_from_matrix,
 )
 from .premeasurement import (
@@ -166,20 +170,21 @@ def _parse_complex(value: Any, location: str) -> complex:
 
 
 def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
+    """The unit vector of a state spec on a subsystem of dimension ``dim``:
+    a preset or a list of amplitudes, normalized.  It is fresh, and frozen,
+    so that a state adopts it (``hilbert._owned``) instead of copying it."""
     if isinstance(spec, str):
         if spec == "plus":
             if dim < 2:
                 raise ScenarioError(E_DIMENSION, location, "'plus' needs dimension >= 2")
             amps = np.zeros(dim, dtype=complex)
             amps[0] = amps[1] = 1 / math.sqrt(2)
-            return amps
-        if spec == "minus":
+        elif spec == "minus":
             if dim < 2:
                 raise ScenarioError(E_DIMENSION, location, "'minus' needs dimension >= 2")
             amps = np.zeros(dim, dtype=complex)
             amps[0], amps[1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-            return amps
-        if spec.startswith("basis:"):
+        elif spec.startswith("basis:"):
             try:
                 k = int(spec.split(":", 1)[1])
             except ValueError:
@@ -188,13 +193,13 @@ def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
                 raise ScenarioError(E_DIMENSION, location, f"basis index {k} out of range for dim {dim}")
             amps = np.zeros(dim, dtype=complex)
             amps[k] = 1.0
-            return amps
-        if spec == "bell":
+        elif spec == "bell":
             if dim != 4:
                 raise ScenarioError(E_DIMENSION, location, "'bell' needs dimension 4")
-            return np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-        raise ScenarioError(E_MALFORMED_STATE, location, f"unknown state preset {spec!r}")
-    if isinstance(spec, list):
+            amps = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+        else:
+            raise ScenarioError(E_MALFORMED_STATE, location, f"unknown state preset {spec!r}")
+    elif isinstance(spec, list):
         if len(spec) != dim:
             raise ScenarioError(
                 E_DIMENSION, location, f"{len(spec)} amplitudes for dimension {dim}"
@@ -206,8 +211,11 @@ def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
             raise ScenarioError(E_MALFORMED_STATE, location, "state norm overflows")
         if n < 1e-12:
             raise ScenarioError(E_MALFORMED_STATE, location, "state has zero norm")
-        return amps / n
-    raise ScenarioError(E_MALFORMED_STATE, location, f"cannot read state spec {spec!r}")
+        amps = amps / n
+    else:
+        raise ScenarioError(E_MALFORMED_STATE, location, f"cannot read state spec {spec!r}")
+    amps.setflags(write=False)
+    return amps
 
 
 def _parse_matrix(spec: Any, dim: int, location: str) -> np.ndarray:
@@ -224,6 +232,16 @@ def _parse_matrix(spec: Any, dim: int, location: str) -> np.ndarray:
 def _parse_observable(
     spec: Any, subsystem: str, dim: int, location: str
 ) -> SpectralObservable | None:
+    """The observable of a ``measured`` spec, or None for ``"previous-pointer"``.
+
+    ``pauli`` and ``matrix`` observables are diagonalized by
+    ``observable_from_matrix``.  A ``diag`` one takes its exact spectral
+    form, with no eigensolver and no Hermiticity check (a real diagonal is
+    Hermitian): the stable-sorted entries are its eigenvalues, merged into
+    branches by the rule ``observable_from_matrix`` uses
+    (``_merged_spectrum``), and the matching unit vectors are its blocks.
+    The ``SpectralObservable`` constructor still Gram-checks them.
+    """
     if spec == "previous-pointer":
         return None
     if isinstance(spec, dict):
@@ -241,10 +259,20 @@ def _parse_observable(
                 raise ScenarioError(E_DIMENSION, location, f"'diag' needs {dim} values")
             if not all(map(_is_number, vals)):
                 raise ScenarioError(E_BAD_OBSERVABLE, location, f"'diag' needs numbers, got {vals!r}")
-            try:  # NaN, infinite or out-of-range entries
-                return observable_from_matrix(np.diag(np.array(vals, dtype=float)), subsystem)
+            try:  # an int beyond the float range, or a NaN or infinite entry
+                entries = np.array(vals, dtype=float)
+                _refuse_non_finite(entries)
             except (OverflowError, ValueError) as exc:
                 raise ScenarioError(E_BAD_OBSERVABLE, location, str(exc))
+            # Column j of ``columns`` is the unit vector of the j-th smallest
+            # entry; each block is a view of it, adopted as it is.
+            order = np.argsort(entries, kind="stable")
+            means, runs = _merged_spectrum(entries[order].tolist())
+            columns = np.eye(dim, dtype=complex)[:, order]
+            columns.setflags(write=False)
+            return SpectralObservable.from_eigenbasis(
+                subsystem, means, [columns[:, run.start : run.stop] for run in runs]
+            )
         if "matrix" in spec:
             try:
                 mat = _parse_matrix(spec["matrix"], dim, f"{location}.matrix")
@@ -274,16 +302,17 @@ def _check_stage(value: Any, n_stages: int, location: str) -> None:
         raise ScenarioError(E_BAD_VALUE, location, f"stage index {value!r} out of range")
 
 
-def _resolve_event(params: dict, lay: SubsystemLayout, stages: list, location: str) -> EventSpec:
+def _resolve_event(params: dict, dims: dict, stages: list, location: str) -> EventSpec:
     """The event of an ``ensemble_update`` analysis at ``location``: its
     ``projector``, by default the ``plus`` state of the last instrument.  A
     subject must be in the final state; a branch subject must be the
     instrument of its stage, whose n pointer states give the pointer n
-    branches, plus the idle complement when they do not span it."""
+    branches, plus the idle complement when they do not span it.  ``dims``
+    maps each label to its dimension."""
     last = stages[-1].instrument_label
     pdoc = params.get("projector")
     if pdoc is None:
-        plus = _parse_amplitudes("plus", lay.dim_of(last), "$.analysis.projector")
+        plus = _parse_amplitudes("plus", dims[last], "$.analysis.projector")
         return EventSpec(last, state=plus)
     if not isinstance(pdoc, dict):
         raise ScenarioError(E_BAD_VALUE, location, f"expected an object, got {pdoc!r}")
@@ -298,7 +327,7 @@ def _resolve_event(params: dict, lay: SubsystemLayout, stages: list, location: s
         )
     if "branch" not in pdoc:
         spec = _require(pdoc, "state", "$.analysis.projector")
-        state = _parse_amplitudes(spec, lay.dim_of(subject), "$.analysis.projector.state")
+        state = _parse_amplitudes(spec, dims[subject], "$.analysis.projector.state")
         return EventSpec(subject, state=state)
     stage, branch = pdoc.get("stage", params.get("source_stage", len(stages) - 1)), pdoc["branch"]
     if subject != stages[stage].instrument_label:
@@ -327,20 +356,18 @@ def scenario_from_document(doc: dict) -> Scenario:
     subs = _require(doc, "subsystems", "$")
     if not isinstance(subs, list) or not subs:
         raise ScenarioError(E_BAD_VALUE, "$.subsystems", "expected a non-empty list")
-    pairs = []
-    seen = set()
+    dims: dict[str, int] = {}  # each dimension read once here, then by label
     for i, entry in enumerate(subs):
         loc = f"$.subsystems[{i}]"
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ScenarioError(E_BAD_VALUE, loc, "expected [label, dimension]")
         label, dim = str(entry[0]), entry[1]
-        if label in seen:
+        if label in dims:
             raise ScenarioError(E_DUPLICATE_LABEL, loc, f"label {label!r} repeated")
-        seen.add(label)
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ScenarioError(E_DIMENSION, loc, f"dimension must be a positive int, got {dim!r}")
-        pairs.append((label, dim))
-    lay = SubsystemLayout(tuple(pairs))
+        dims[label] = dim
+    lay = SubsystemLayout(tuple(dims.items()))
 
     stages_doc = _require(doc, "stages", "$")
     if not isinstance(stages_doc, list):
@@ -356,7 +383,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         obj = str(_require(sdoc, "object", loc))
         instr = str(_require(sdoc, "instrument", loc))
         for label in (obj, instr):
-            if label not in lay.labels:
+            if label not in dims:
                 raise ScenarioError(E_UNKNOWN_LABEL, loc, f"subsystem {label!r} not declared")
         if t == 0:
             if obj != lay.labels[0]:
@@ -370,7 +397,7 @@ def scenario_from_document(doc: dict) -> Scenario:
                 f"stage {t} object {obj!r} must be stage {t - 1}'s instrument "
                 f"{stages[t - 1].instrument_label!r}",
             )
-        d_obj, d_instr = lay.dim_of(obj), lay.dim_of(instr)
+        d_obj, d_instr = dims[obj], dims[instr]
 
         measured = _parse_observable(
             _require(sdoc, "measured", loc), obj, d_obj, f"{loc}.measured"
@@ -443,7 +470,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         raise ScenarioError(
             E_CHAIN_ORDER, "$.initial", f"initial state must live on {stages[0].object_label!r}"
         )
-    d0 = lay.dim_of(init_sub)
+    d0 = dims[init_sub]
     initial = StateVector(
         SubsystemLayout(((init_sub, d0),)),
         _parse_amplitudes(init_spec, d0, "$.initial.state"),
@@ -473,7 +500,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         if kind == "ensemble_update":
             if "samples" in params:
                 _check_count(params["samples"], 0, f"{loc}.samples")
-            event = _resolve_event(params, lay, stages, f"{loc}.projector")
+            event = _resolve_event(params, dims, stages, f"{loc}.projector")
         analyses.append(AnalysisSpec(kind, params, event))
 
     return Scenario(name, lay, initial, tuple(stages), tuple(analyses))

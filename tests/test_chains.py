@@ -753,9 +753,11 @@ def test_chain_path_hands_over_the_vectors_it_makes():
     """``extend_chain`` and ``branch_decomposition`` freeze the amplitudes they
     have just made, so each state adopts its vector (``hilbert._owned``)
     instead of copying it: extending an 18-qubit state allocates one output
-    vector, not two, and decomposing the result into its two pointer
-    branches peaks at 4 final vectors (a block's coefficients, the
-    projection, the kept component and the first one), not 4.5."""
+    vector, not two.  ``branch_decomposition`` also scales each projection
+    in place into its component, so decomposing the result into its two
+    pointer branches peaks at 3 final vectors (the first component and its
+    block's coefficients, the second block's coefficients and projection),
+    not 4."""
     from vnchain.chains import extend_chain
 
     n = 18
@@ -771,4 +773,4 @@ def test_chain_path_hands_over_the_vectors_it_makes():
     assert peak < 1.25 * vector
     decomposition, peak = _traced_peak(branch_decomposition, extended, pm.pointer)
     assert len(decomposition.branches) == 2
-    assert peak < 4.25 * vector
+    assert peak < 3.25 * vector

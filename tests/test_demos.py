@@ -1,14 +1,20 @@
-"""Every narrative script under ``demos/`` runs to completion."""
+"""Every narrative script under ``demos/`` runs to completion, and so does
+every ``python`` block of the README, whose literal comments hold."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import vnchain
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_demos_found():
@@ -23,3 +29,45 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _literal_comments(block: str) -> list[tuple[str, object]]:
+    """The (expression, value) pairs of a block's one-line expressions whose
+    trailing comment is a Python literal, such as ``x.weights  # (0.5, 0.5)``."""
+    pairs = []
+    for line in block.splitlines():
+        code, sep, comment = line.partition("#")
+        if not sep or not code.strip():
+            continue
+        try:
+            value = ast.literal_eval(comment.strip())
+            ast.parse(code.strip(), mode="eval")
+        except (SyntaxError, ValueError):
+            continue
+        pairs.append((code.strip(), value))
+    return pairs
+
+
+def test_readme_blocks_found():
+    assert Path(vnchain.__file__).resolve().parent == ROOT / "src" / "vnchain"
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=lambda b: b.splitlines()[0])
+def test_readme_block_runs_and_its_literal_comments_hold(block):
+    """Each block runs as written, and each line commented with a literal
+    gives exactly that value, so a comment cannot drift from the code."""
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    for code, value in _literal_comments(block):
+        assert eval(code, namespace) == value, code
+
+
+def test_readme_tour_gives_its_branch_weights():
+    """The tour's weights are |1/sqrt(2)|^2 in floating point, as printed."""
+    tour = next(b for b in README_BLOCKS if "branch_decomposition(" in b)
+    commented = dict(_literal_comments(tour))
+    assert commented["branch_decomposition(final, pm.pointer).weights"] == (
+        0.4999999999999999,
+        0.4999999999999999,
+    )

@@ -402,7 +402,8 @@ def _copy_chain_document(n_qubits: int, analyses=("branches",)) -> dict:
 class TestNoDenseProjectorChecks:
     """Every observable, event and dressing range is checked through its
     blocks by one Gram product; ``eigh`` runs only where
-    ``observable_from_matrix`` diagonalizes a matrix."""
+    ``observable_from_matrix`` diagonalizes a matrix, and a scenario's
+    ``diag`` observable takes its exact spectral form without it."""
 
     def test_constructors(self, monkeypatch):
         counts = _count_eigh(monkeypatch)
@@ -420,13 +421,13 @@ class TestNoDenseProjectorChecks:
         assert counts["eigh"] == 2
 
     def test_copy_chain_run(self, monkeypatch, tmp_path, capsys):
-        """One ``eigh``, of the first link's measured ``diag`` matrix."""
+        """No ``eigh``: the first link's measured ``diag`` is in its eigenbasis."""
         path = tmp_path / "copy.json"
         path.write_text(json.dumps(_copy_chain_document(6)))
         counts = _count_eigh(monkeypatch)
         assert cli.main(["run", str(path)]) == 0
         assert "result: PASS" in capsys.readouterr().out
-        assert counts["eigh"] == 1
+        assert counts["eigh"] == 0
 
     def test_copy_chain_branch_analyses_use_blocks_only(self, monkeypatch, tmp_path, capsys):
         """Branches, improper mixture and world branches apply every pointer
@@ -439,7 +440,7 @@ class TestNoDenseProjectorChecks:
         assert cli.main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "result: PASS" in out and out.count("dropped") == 3
-        assert counts == {"projector": 0, "eigh": 1}
+        assert counts == {"projector": 0, "eigh": 0}
 
     def test_given_projectors_are_still_checked(self, monkeypatch):
         counts = _count_reads(monkeypatch)
