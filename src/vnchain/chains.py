@@ -366,7 +366,9 @@ def relative_state(
     """Normalized component of ``psi`` in relation to one subject vector.
 
     Computed as the normalized partial scalar product <phi_subject | psi>;
-    defined up to a phase, so compare results as projectors.
+    defined up to a phase, so compare results as projectors.  Its weight
+    ||<phi|psi>||^2, the probability of the event |phi><phi|, must exceed
+    ``DEFAULT.weight``, as in ``conditional_state``.
     """
     subject_vector = np.asarray(subject_vector, dtype=complex)
     n = _fro(subject_vector)
@@ -374,7 +376,7 @@ def relative_state(
         _refuse_non_finite(subject_vector, "subject vector", scalar=n)
         raise ValueError(f"subject vector must be a unit vector, got norm {n!r}")
     coeff = partial_scalar_product(subject_vector, subject, psi)
-    if coeff.norm() <= DEFAULT.weight:
+    if coeff.norm() ** 2 <= DEFAULT.weight:
         raise UndefinedConditionalError(
             "subject vector has vanishing overlap with the state"
         )

@@ -346,13 +346,14 @@ def _permutation(lay: SubsystemLayout, new_labels: Sequence[str]):
 class SubsystemBasis:
     """Orthonormal vectors on one subsystem; may be a sub-basis.
 
-    The vectors are copied once into ``rows``, a read-only (n, d) array, and
-    ``vectors`` holds its rows.  The Gram check (``_gram_residual``) is also
-    the finiteness check.  Its
+    The vectors are owned as ``rows``, a read-only (n, d) array
+    (``_owned``: a read-only complex (n, d) array is taken as is, any other
+    sequence of vectors copied once), and ``vectors`` holds its rows.  The
+    Gram check (``_gram_residual``) is also the finiteness check.  Its
     residual eps = ||R R^dag - I|| of the rows R is kept as
-    ``gram_residual``: the pointer observable of the basis, complete or with
-    an idle complement branch, reuses it (``SpectralObservable._adopt_basis``)
-    and checks the rows no second time.
+    ``gram_residual``.  A ``SpectralObservable`` keeps its columns G as such
+    a basis, with rows G^T, and judges this residual by its own criterion,
+    so an observable's columns are checked once.
     """
 
     subsystem: str
@@ -361,13 +362,15 @@ class SubsystemBasis:
     gram_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        vecs = tuple(self.vectors)
-        if not vecs:
+        vecs = self.vectors if isinstance(self.vectors, np.ndarray) else tuple(self.vectors)
+        if not len(vecs):
             raise NonOrthonormalBasisError("basis needs at least one vector")
-        shape = np.shape(vecs[0])
-        if len(shape) != 1 or any(np.shape(v) != shape for v in vecs):
+        try:
+            rows = _owned(vecs)
+        except (TypeError, ValueError):  # vectors of different lengths, or not numbers
+            rows = None
+        if rows is None or rows.ndim != 2:
             raise DimensionMismatchError("basis vectors have inconsistent shapes")
-        rows = _owned(vecs)
         n, dim = rows.shape
         if n > dim:
             raise NonOrthonormalBasisError(

@@ -4,14 +4,15 @@ A spectral observable is stored as an ordered list of branches: pairwise
 distinct eigenvalues, each with an orthonormal (d, r_k) block Q_k of
 eigenvectors (any rank r_k >= 1), and at most one idle branch, the
 complement of the others.  The given blocks side by side, G = [Q_1, ...],
-are kept as ``basis``; the complement holds no block of its own, and its
-projector is "the rest", I - G G^dag, which no block of d - m columns is
-formed for.  Every branch acts in one way: Q^dag x for a block and
-x - G (G^dag x) for the complement, so the cost of a branch grows with the
-columns given, not with the dimension.  A branch projector is derived on
-request.  A caller gives an event or a decomposition of the identity as
-such blocks too, and ``_orthonormal_block`` is the one check of every
-block.  Every block family meets one criterion on its Gram residual
+are the observable's one store of its columns, a checked ``SubsystemBasis``
+with rows G^T, and every block is a view of it; the complement holds no
+block of its own, and its projector is "the rest", I - G G^dag, which no
+block of d - m columns is formed for.  Every branch acts in one way: Q^dag x
+for a block and x - G (G^dag x) for the complement, so the cost of a branch
+grows with the columns given, not with the dimension.  A branch projector
+is derived on request.  A caller gives an event or a decomposition of the
+identity as such blocks too, and ``_orthonormal_block`` is the one check of
+every block.  Every block family meets one criterion on its Gram residual
 (``_require_orthonormal``).
 """
 
@@ -26,7 +27,12 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDecompositionError, NotAProjectorError
+from .errors import (
+    DimensionMismatchError,
+    InvalidDecompositionError,
+    NonOrthonormalBasisError,
+    NotAProjectorError,
+)
 from .hilbert import (
     SubsystemBasis,
     _gram_residual,
@@ -74,15 +80,6 @@ def _require_orthonormal(eps: float, d: int, what: str) -> None:
     """
     if not eps * (1 + eps) <= DEFAULT.orth * d:
         raise NotAProjectorError(f"{what} is not orthonormal: Gram residual {eps:.3e}")
-
-
-def _side_by_side(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The 2-D blocks of one row count, concatenated column-wise."""
-    if any(q.ndim != 2 for q in blocks):
-        raise DimensionMismatchError("eigenbasis blocks must be 2-D arrays")
-    if len({q.shape[0] for q in blocks}) != 1:
-        raise DimensionMismatchError("eigenbasis blocks differ in row count")
-    return np.concatenate(blocks, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,108 +219,70 @@ class SpectralObservable:
     """Observable sum_k o_k F_k with distinct eigenvalues, branches sorted
     ascending; instances compare by identity.
 
-    The branches are ``SpectralBranch`` blocks Q_k and at most one
-    ``ComplementBranch``.  The constructor checks every observable but one
-    kind.  Besides shapes, ranks >= 1 and the spectrum, it bounds
-    eps = ||E||, E = G^dag G - I for the given blocks side by side,
-    G = [Q_1, ..., Q_n], a (d, m) array, by ``_require_orthonormal``.
-    Without a complement G must have d columns; with one, m < d, and the
-    complement's ``given`` must be G.  Every residual of a dense check of
+    It holds its given columns G = [Q_1, ..., Q_n], a (d, m) array, as the
+    checked basis ``columns``, whose rows are G^T, and one eigenvalue and
+    one rank per branch: a block Q_k is the next r_k >= 1 columns of G, and
+    rank ``None`` marks the one idle ``ComplementBranch``, the complement
+    I - G G^dag of the blocks, which holds no columns.  Without a complement
+    G has d columns; with one, m < d.
+
+    The constructor derives every branch as a view of G and forms no Gram
+    product.  Besides the eigenvalues and ranks, it judges the residual
+    eps = ||G^dag G - I|| that ``columns`` stored by ``_require_orthonormal``,
+    on top of the basis's own criterion.  Every residual of a dense check of
     the projectors (idempotency Q_k E_kk Q_k^dag and G E G^dag of the
     complement, orthogonality Q_i E_ij Q_j^dag and G E_k Q_k^dag,
     completeness I - G G^dag, or exactly zero with a complement) is then at
     most (1 + eps) eps, which must be within the dense bound
-    ``DEFAULT.orth * d``.  That Gram check (``hilbert._gram_residual``) is
-    also the finiteness check of every block.  G is kept,
-    read-only, as ``basis``: d columns for a complete observable, m < d
-    with a complement, whose d - m columns are never formed; eps is kept
-    as ``gram_residual``, from which a premeasurement that measures the
+    ``DEFAULT.orth * d``.  G is read off ``columns`` as ``basis`` and eps as
+    ``gram_residual``, from which a premeasurement that measures the
     observable bounds its own check (``premeasurement.Premeasurement``).
-
-    The one other route is ``_adopt_basis``: the pointer of a
-    ``SubsystemBasis``, complete or not, whose rows that basis has already
-    copied, checked finite and Gram-checked.  It applies the same criterion
-    to that basis's stored residual, and forms no second G or Gram product.
     """
 
-    subsystem: str
-    branches: tuple[ObservableBranch, ...]
-    basis: np.ndarray = field(init=False, repr=False)
-    gram_residual: float = field(init=False, repr=False)
+    columns: SubsystemBasis
+    eigenvalues: tuple[float, ...]
+    ranks: tuple[int | None, ...]
+    branches: tuple[ObservableBranch, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        branches = tuple(self.branches)
-        if not branches:
+        eigs, ranks = tuple(map(float, self.eigenvalues)), tuple(self.ranks)
+        object.__setattr__(self, "eigenvalues", eigs)
+        object.__setattr__(self, "ranks", ranks)
+        if len(eigs) != len(ranks):
+            raise DimensionMismatchError(f"{len(eigs)} eigenvalues for {len(ranks)} ranks")
+        if not eigs:
             raise DimensionMismatchError("observable needs at least one branch")
-        object.__setattr__(self, "branches", branches)
-        blocks = [b for b in branches if not b.is_complement]
-        rest = [b for b in branches if b.is_complement]
-        if not blocks:
-            raise DimensionMismatchError("observable needs at least one block")
-        if len(rest) > 1:
-            raise NotAProjectorError("observable has more than one complement branch")
-        basis = _side_by_side([b.basis for b in blocks])
-        d, n = basis.shape
-        eigs = [b.eigenvalue for b in branches]
-        if not all(math.isfinite(e) for e in eigs):
-            raise ValueError(f"branch eigenvalues {eigs} are not all finite")
-        if any(b - a <= DEFAULT.eig_merge for a, b in zip(eigs, eigs[1:])):
-            raise ValueError(
-                f"branch eigenvalues {eigs} not ascending with separation > {DEFAULT.eig_merge}"
-            )
-        if len(eigs) > d:
-            raise DimensionMismatchError("more branches than dimensions")
-        for b in blocks:
-            if b.rank == 0:
-                raise NotAProjectorError(f"branch {b.index} block is empty: rank 0")
-        _require_block_shape(basis, "eigenbasis")
-        eps = _gram_residual(basis)
-        _require_orthonormal(eps, d, "eigenbasis")
-        if rest:
-            if n == d:
-                raise NotAProjectorError(f"branch {rest[0].index} complement is empty: rank 0")
-            if rest[0].given.shape != basis.shape or not np.array_equal(rest[0].given, basis):
-                raise NotAProjectorError(
-                    f"branch {rest[0].index} is not the complement of the given blocks"
+        if not all(map(math.isfinite, eigs)):
+            raise ValueError(f"branch eigenvalues {list(eigs)} are not all finite")
+        g = self.basis
+        d, m = g.shape
+        branches, idle, start = [], [], 0
+        for k, (e, r) in enumerate(zip(eigs, ranks)):
+            if k and e - eigs[k - 1] <= DEFAULT.eig_merge:
+                raise ValueError(
+                    f"branch eigenvalues {list(eigs)} not ascending with separation > "
+                    f"{DEFAULT.eig_merge}"
                 )
-        elif n != d:
+            if r is None:
+                idle.append(k)
+                branches.append(ComplementBranch(k, e, g))
+            elif r < 1:
+                raise NotAProjectorError(f"branch {k} block is empty: rank {r}")
+            else:
+                branches.append(SpectralBranch(k, e, g[:, start : start + r]))
+                start += r
+        if len(idle) == len(ranks):
+            raise DimensionMismatchError("observable needs at least one block")
+        if len(idle) > 1:
+            raise NotAProjectorError("observable has more than one complement branch")
+        if start != m:
+            raise DimensionMismatchError(f"ranks {ranks} do not split the {m} given columns")
+        _require_orthonormal(self.gram_residual, d, "eigenbasis")
+        if idle and m == d:
+            raise NotAProjectorError(f"branch {idle[0]} complement is empty: rank 0")
+        if not idle and m != d:
             raise NotAProjectorError("branch projectors do not sum to the identity")
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "gram_residual", eps)
-
-    @classmethod
-    def _adopt_basis(cls, pointer_states: SubsystemBasis) -> "SpectralObservable":
-        """The pointer observable sum_k k |b_k><b_k| of a basis of n <= d
-        vectors b_k, one rank-1 branch per vector, built on the basis's
-        checked rows R; for n < d, one idle complement branch with eigenvalue
-        -1 comes first and branch k sits at position k + 1.
-
-        What the constructor would check holds by construction: one branch
-        per vector, eigenvalues -1, 0..n-1 (finite, ascending, 1 apart),
-        entries that the basis found finite, and a complement of the given
-        columns.  What is left is the constructor's criterion on the Gram
-        residual of G = R^T, which is ||R R^dag - I||, the residual the basis
-        stored and the observable keeps as its ``gram_residual``.  G is R^T,
-        a view, and each block is a view of one row.
-        """
-        rows = pointer_states.rows
-        n, d = rows.shape
-        _require_orthonormal(pointer_states.gram_residual, d, "eigenbasis")
-        observable = object.__new__(cls)
-        given = rows.T
-        offset = 1 if n < d else 0
-        branches = tuple(
-            SpectralBranch(k + offset, float(k), v[:, None])
-            for k, v in enumerate(pointer_states.vectors)
-        )
-        if offset:
-            branches = (ComplementBranch(0, -1.0, given),) + branches
-        object.__setattr__(observable, "subsystem", pointer_states.subsystem)
-        object.__setattr__(observable, "branches", branches)
-        object.__setattr__(observable, "basis", given)
-        object.__setattr__(observable, "gram_residual", pointer_states.gram_residual)
-        return observable
+        object.__setattr__(self, "branches", tuple(branches))
 
     @classmethod
     def from_eigenbasis(
@@ -339,41 +298,58 @@ class SpectralObservable:
         blocks: a ``ComplementBranch`` on the blocks side by side, with no
         block of its own.
 
-        Each block is owned (``hilbert._owned``) as ``SpectralBranch`` owns
-        it: a read-only complex block is adopted, any other copied.  The
-        constructor's Gram check covers every block, finiteness included.
+        The blocks are copied once, side by side, into the observable's
+        ``columns``, whose Gram check covers every block, finiteness
+        included.  A family that fails the basis's criterion raises
+        ``NotAProjectorError`` ("eigenbasis is not orthonormal: ...").
         """
-        blocks = [_owned(q) for q in blocks]
+        blocks = [np.asarray(q) for q in blocks]
         eigs = [float(e) for e in eigenvalues]
         if not blocks:
             raise DimensionMismatchError("observable needs at least one branch")
         if len(eigs) != len(blocks):
             raise DimensionMismatchError(f"{len(eigs)} eigenvalues for {len(blocks)} blocks")
+        if any(q.ndim != 2 for q in blocks):
+            raise DimensionMismatchError("eigenbasis blocks must be 2-D arrays")
+        if len({q.shape[0] for q in blocks}) != 1:
+            raise DimensionMismatchError("eigenbasis blocks differ in row count")
+        g = np.concatenate(blocks, axis=1, dtype=complex)
+        g.setflags(write=False)
+        ranks: list[int | None] = [q.shape[1] for q in blocks]
         if complement is not None:
-            given = _side_by_side(blocks)
-            given.setflags(write=False)
             pos = bisect.bisect(eigs, complement)
             eigs.insert(pos, float(complement))
-            blocks.insert(pos, None)
-        return cls(
-            subsystem,
-            tuple(
-                ComplementBranch(k, e, given) if q is None else SpectralBranch(k, e, q)
-                for k, (e, q) in enumerate(zip(eigs, blocks))
-            ),
-        )
+            ranks.insert(pos, None)
+        if len(eigs) > g.shape[0]:
+            raise DimensionMismatchError("more branches than dimensions")
+        try:
+            columns = SubsystemBasis(subsystem, g.T)
+        except NonOrthonormalBasisError as exc:
+            raise NotAProjectorError(f"eigenbasis is not orthonormal: {exc}") from exc
+        return cls(columns, eigs, ranks)
+
+    @property
+    def subsystem(self) -> str:
+        return self.columns.subsystem
+
+    @property
+    def basis(self) -> np.ndarray:
+        """G, the given columns side by side: a read-only view of the rows of
+        ``columns``, transposed."""
+        return self.columns.rows.T
+
+    @property
+    def gram_residual(self) -> float:
+        """eps = ||G^dag G - I||, as ``columns`` stored it."""
+        return self.columns.gram_residual
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.columns.dim
 
     @property
     def branch_count(self) -> int:
         return len(self.branches)
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(b.eigenvalue for b in self.branches)
 
     def projector(self, index: int) -> np.ndarray:
         return self.branches[index].projector
@@ -400,16 +376,16 @@ class DecompositionOfIdentity:
     def from_blocks(
         cls, subsystem: str, blocks: Sequence[np.ndarray]
     ) -> "DecompositionOfIdentity":
-        """The projectors Q_k Q_k^dag of a caller's (d, r_k) blocks Q_k, checked,
-        with eigenvalues 0..n-1, by the ``SpectralObservable`` constructor,
-        whose one Gram product bounds orthonormality and completeness.  A
+        """The projectors Q_k Q_k^dag of a caller's (d, r_k) blocks Q_k, checked
+        as the observable with eigenvalues 0..n-1 that
+        ``SpectralObservable.from_eigenbasis`` makes of them, whose one Gram
+        product, of its columns, bounds orthonormality and completeness.  A
         family that fails it, a rank-0 member included, raises
         ``InvalidDecompositionError``; blocks of different row counts, or
         more members than dimensions, raise ``DimensionMismatchError``.
         """
-        branches = tuple(SpectralBranch(k, float(k), q) for k, q in enumerate(blocks))
         try:
-            return cls(SpectralObservable(subsystem, branches))
+            return cls(SpectralObservable.from_eigenbasis(subsystem, range(len(blocks)), blocks))
         except NotAProjectorError as exc:
             raise InvalidDecompositionError(
                 f"blocks are not a decomposition of the identity: {exc}"
@@ -445,6 +421,14 @@ def observable_from_matrix(h: np.ndarray, subsystem: str) -> SpectralObservable:
     Eigenvalues closer than ``DEFAULT.eig_merge`` are merged into a single branch
     whose projector is the sum of the eigenprojectors (``_merged_spectrum``);
     branches come out sorted by ascending eigenvalue and indexed by position.
+
+    The spectrum is ``eigh``'s of h/2 + h^dag/2 (``_hermitian_spectrum``), so
+    even a diagonal matrix is not returned exactly at the edges of the float
+    range: a subnormal diagonal entry loses its last bit in the halving
+    (``np.diag([5e-324, 1.0])`` gives eigenvalues (0.0, 1.0)), and LAPACK
+    rescales a matrix whose norm exceeds about 7e145, which moves its small
+    eigenvalues (``np.diag([3.0, 1e308])`` gives 3.0000000000000004).  A
+    scenario's ``diag`` observable takes its exact spectral form instead.
     """
     _, eigvals, eigvecs = _hermitian_spectrum(h)
     means, runs = _merged_spectrum(eigvals.tolist())

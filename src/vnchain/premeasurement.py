@@ -100,8 +100,9 @@ class Premeasurement:
     which is kept as ``isometry_bound`` and must be within
     ``DEFAULT.unitary * d_a * d_b``, the criterion a V was always judged by.
     eps is the Gram residual that ``pointer_states`` stored.  For an ideal
-    link eta comes from the measured observable's stored Gram residual
-    e = ||G^dag G - I|| of its blocks side by side, G = [Q_1, ...]: with
+    link eta comes from the Gram residual e = ||G^dag G - I|| that the
+    measured observable's ``columns`` stored, G = [Q_1, ...] its blocks
+    side by side: with
     E = G^dag G - I, the blocks give sum_k E_k^dag E_k = G (I + bd(E)) G^dag,
     bd(E) the diagonal blocks of E.  Without a complement (G square,
     ||G G^dag - I|| = e) S - I = (G G^dag - I) + G bd(E) G^dag; with one,
@@ -337,11 +338,11 @@ def build_ideal(
     Gram residuals that ``measured`` and ``pointer_states`` already hold,
     and forms V only when it is read.
 
-    When ``pointer`` is omitted, the pointer observable is built from the
-    states themselves by ``SpectralObservable._adopt_basis``, which reuses
-    the basis's Gram check: eigenvalue k for branch k, plus one idle
-    complement branch with eigenvalue -1 if the instrument has leftover
-    dimensions.  When given, each pointer state must lie in the range of
+    When ``pointer`` is omitted, the pointer observable is the
+    ``SpectralObservable`` constructor's on ``pointer_states`` itself, whose
+    Gram check it judges and does not repeat: eigenvalue k for branch k,
+    plus one idle complement branch with eigenvalue -1 if the instrument
+    has leftover dimensions.  When given, each pointer state must lie in the range of
     exactly one of its projectors, which fixes the index map.
     """
     n_branches = measured.branch_count
@@ -379,11 +380,13 @@ def build_ideal(
 def _pointer_from_states(
     pointer_states: SubsystemBasis,
 ) -> tuple[SpectralObservable, dict[int, int]]:
-    """The pointer of ``pointer_states`` and its index map: state k is branch
-    k, behind the idle complement branch (position 0) when there is one."""
-    offset = 0 if pointer_states.is_complete else 1
-    index_map = {k: k + offset for k in range(len(pointer_states.vectors))}
-    return SpectralObservable._adopt_basis(pointer_states), index_map
+    """The pointer sum_k k |b_k><b_k| of ``pointer_states`` and its index
+    map: state k is the rank-1 branch k, behind the idle complement branch
+    (eigenvalue -1, position 0) when there is one."""
+    n = len(pointer_states.vectors)
+    idle = () if pointer_states.is_complete else (None,)
+    pointer = SpectralObservable(pointer_states, range(-len(idle), n), idle + (1,) * n)
+    return pointer, {k: k + len(idle) for k in range(n)}
 
 
 def _match_pointer_states(
@@ -700,11 +703,20 @@ def random_exact(
     ideal = random_ideal(
         object_label, instrument_label, object_dim, instrument_dim, rng, n_branches
     )
-    dressings = [
+    return build_exact(ideal, random_dressings(ideal, rng))
+
+
+def random_dressings(
+    ideal: Premeasurement, rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One random dressing per measured branch k of ``ideal``, for
+    ``build_exact``: a Haar object unitary, then a ``random_range_unitary``
+    on the block of the pointer branch that k maps to, drawn in that order,
+    branch by branch."""
+    return [
         (
             random_unitary(ideal.object_dim, rng),
             random_range_unitary(ideal.pointer.branches[ideal.mapping[k]].basis, rng),
         )
         for k in range(ideal.measured.branch_count)
     ]
-    return build_exact(ideal, dressings)

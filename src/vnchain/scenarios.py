@@ -39,7 +39,6 @@ from .hilbert import (
     factor_difference,
     partial_trace,
     purity,
-    random_unitary,
     trace_distance,
 )
 from .observables import (
@@ -57,7 +56,7 @@ from .premeasurement import (
     build_ideal,
     check_conditions,
     evolve,
-    random_range_unitary,
+    random_dressings,
 )
 
 # Diagnostic codes carried by ScenarioError.
@@ -239,8 +238,8 @@ def _parse_observable(
     form, with no eigensolver and no Hermiticity check (a real diagonal is
     Hermitian): the stable-sorted entries are its eigenvalues, merged into
     branches by the rule ``observable_from_matrix`` uses
-    (``_merged_spectrum``), and the matching unit vectors are its blocks.
-    The ``SpectralObservable`` constructor still Gram-checks them.
+    (``_merged_spectrum``), and the matching unit vectors, as the rows of a
+    ``SubsystemBasis``, are its columns, Gram-checked once by that basis.
     """
     if spec == "previous-pointer":
         return None
@@ -264,15 +263,13 @@ def _parse_observable(
                 _refuse_non_finite(entries)
             except (OverflowError, ValueError) as exc:
                 raise ScenarioError(E_BAD_OBSERVABLE, location, str(exc))
-            # Column j of ``columns`` is the unit vector of the j-th smallest
-            # entry; each block is a view of it, adopted as it is.
+            # Row j of ``rows`` is the unit vector of the j-th smallest entry:
+            # the observable's columns, which the basis adopts as they are.
             order = np.argsort(entries, kind="stable")
             means, runs = _merged_spectrum(entries[order].tolist())
-            columns = np.eye(dim, dtype=complex)[:, order]
-            columns.setflags(write=False)
-            return SpectralObservable.from_eigenbasis(
-                subsystem, means, [columns[:, run.start : run.stop] for run in runs]
-            )
+            rows = np.eye(dim, dtype=complex)[order]
+            rows.setflags(write=False)
+            return SpectralObservable(SubsystemBasis(subsystem, rows), means, map(len, runs))
         if "matrix" in spec:
             try:
                 mat = _parse_matrix(spec["matrix"], dim, f"{location}.matrix")
@@ -873,14 +870,7 @@ def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]
             spec = st.dressings or DressingSpec("random")
             if spec.mode == "random":
                 dseed = spec.seed if spec.seed is not None else seed * 7_919 + st.index
-                rng = np.random.default_rng(dseed)
-                dressings = [
-                    (
-                        random_unitary(pm.object_dim, rng),
-                        random_range_unitary(pm.pointer.branches[pm.mapping[k]].basis, rng),
-                    )
-                    for k in range(pm.measured.branch_count)
-                ]
+                dressings = random_dressings(pm, np.random.default_rng(dseed))
             else:
                 dressings = list(spec.pairs)
             pm = build_exact(pm, dressings)

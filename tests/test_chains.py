@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnchain import (
+    DEFAULT,
     ComplementBranch,
     DecompositionOfIdentity,
     InvalidDecompositionError,
@@ -268,6 +269,29 @@ class TestRelativeState:
         )
         with pytest.raises(UndefinedConditionalError):
             relative_state(psi, "B", np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("form", ["relative", "plain", "sandwich"])
+    @pytest.mark.parametrize("weight", [1e-20, 1e-11])
+    def test_every_form_judges_the_event_weight(self, form, weight):
+        """The event |1><1| on B of sqrt(1 - w)|00> + sqrt(w)|11> has weight
+        w, and each form refuses it at or below ``DEFAULT.weight`` (1e-12);
+        the relative state's overlap norm sqrt(w) = 1e-10 is above it."""
+        amps = np.zeros(4)
+        amps[0], amps[3] = np.sqrt(1 - weight), np.sqrt(weight)
+        psi = StateVector(layout(("A", 2), ("B", 2)), amps)
+        phi = np.array([0.0, 1.0])
+
+        def condition():
+            if form == "relative":
+                return relative_state(psi, "B", phi).amplitudes
+            return conditional_state(psi.density(), phi[:, None], "B", form).matrix
+
+        if weight <= DEFAULT.weight:
+            with pytest.raises(UndefinedConditionalError):
+                condition()
+        else:
+            got = condition()
+            np.testing.assert_allclose(abs(got.ravel()[-1]), 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)], ids=repr)
     def test_non_finite_subject_vector_is_named(self, bad):

@@ -880,3 +880,95 @@ class TestRunReportBytes:
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, fmt, seed]
+
+
+# Two documents whose first observable goes through ``observable_from_matrix``:
+# a degenerate complex qutrit ``matrix`` (eigenvalues 0, 2, 2) read by an
+# exact stage, and a ``pauli`` observable whose instrument, and the next
+# one, have an idle pointer branch.
+_SPECTRAL_ANALYSES = [
+    "branches",
+    "improper_mixture",
+    {"kind": "world_branches", "pointer_stage": 0},
+    "condition_reports",
+]
+MATRIX_EXACT_DOCUMENT = {
+    "name": "matrix-exact",
+    "subsystems": [["a", 3], ["b", 2], ["c", 2]],
+    "initial": {"subsystem": "a", "state": [[0.6, 0.0], [0.0, 0.48], [0.64, 0.0]]},
+    "stages": [
+        {
+            "object": "a",
+            "instrument": "b",
+            "measured": {"matrix": [[1, [0, 1], 0], [[0, -1], 1, 0], [0, 0, 2]]},
+            "pointer_states": ["basis:0", "basis:1"],
+            "ready": "basis:0",
+            "kind": "exact",
+        },
+        {
+            "object": "b",
+            "instrument": "c",
+            "measured": "previous-pointer",
+            "pointer_states": ["basis:0", "basis:1"],
+            "ready": "basis:0",
+            "kind": "ideal",
+        },
+    ],
+    "analyses": _SPECTRAL_ANALYSES,
+}
+PAULI_IDLE_DOCUMENT = {
+    "name": "pauli-idle",
+    "subsystems": [["q", 2], ["m", 3], ["n", 4]],
+    "initial": {"subsystem": "q", "state": [[0.6, 0.0], [0.48, 0.64]]},
+    "stages": [
+        {
+            "object": "q",
+            "instrument": "m",
+            "measured": {"pauli": "y"},
+            "pointer_states": ["basis:0", "basis:1"],
+            "ready": "basis:0",
+            "kind": "ideal",
+        },
+        {
+            "object": "m",
+            "instrument": "n",
+            "measured": "previous-pointer",
+            "pointer_states": ["basis:1", "basis:2", "basis:3"],
+            "ready": "basis:0",
+            "kind": "ideal",
+        },
+    ],
+    "analyses": _SPECTRAL_ANALYSES,
+}
+
+
+class TestMatrixObservableBytes:
+    """sha256 of `vnchain run` output for a ``matrix`` and a ``pauli``
+    observable, recorded while each observable kept its eigenvector blocks
+    as separate arrays: keeping them as views of the observable's checked
+    columns moves no byte."""
+
+    DOCUMENTS = {"matrix-exact": MATRIX_EXACT_DOCUMENT, "pauli-idle": PAULI_IDLE_DOCUMENT}
+    DIGESTS = {
+        ("matrix-exact", "json", 0): "16dc8b2585031f28d44b0870926472fcd1447344ba952ad8c32086fb8d4822df",
+        ("matrix-exact", "json", 5): "f760dc2728fe2dc58cd6a9c215301e348450a4eca79be73b048cc70777a2a858",
+        ("matrix-exact", "text", 0): "cd15320e7c3b4c3080f68f2d663b682fa293cc15f71e695a2ac0c0c76580dce5",
+        ("matrix-exact", "text", 5): "ee879b9ce754e29998b335c1561f4afa6bc7885a83d6cb46c4c332a0967f6128",
+        ("pauli-idle", "json", 0): "faa27fb2520336759fbe4356a948522c2b3d21ce51f34fea5e9a39ad9b49b5a0",
+        ("pauli-idle", "json", 5): "ba51a76beb00aabce9e62b4e478e3ed6003fae61bbf3f5644fc950011eca55b0",
+        ("pauli-idle", "text", 0): "6583c76d58094eaf71cd01dbed423cc4b10eed6578ac0b189649422b38877c77",
+        ("pauli-idle", "text", 5): "fa3a2e11d1e65c4f37e10debbe5380c53e9342c1b38aa13ae14ea603ea9f87cd",
+    }
+
+    @pytest.mark.parametrize("name, fmt, seed", sorted(DIGESTS))
+    def test_report_bytes(self, capsys, tmp_path, name, fmt, seed):
+        import hashlib
+
+        from vnchain.cli import main
+
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(self.DOCUMENTS[name]))
+        assert main(["run", str(path), "--format", fmt, "--seed", str(seed)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name, fmt, seed]

@@ -18,11 +18,9 @@ import pytest
 
 from vnchain import (
     DEFAULT,
-    ComplementBranch,
     DimensionMismatchError,
     DressingError,
     NotAProjectorError,
-    SpectralBranch,
     SpectralObservable,
     StateVector,
     SubsystemBasis,
@@ -410,15 +408,18 @@ def test_observables_match_with_complements(angle):
 
 
 def test_complement_must_complement_the_given_blocks():
+    """The complement is the rest of the given columns by construction: it
+    holds the columns G themselves, and only one complement, beside at
+    least one block, with fewer columns than dimensions, is accepted."""
     u = random_unitary(4, np.random.default_rng(73))
-    blocks = (SpectralBranch(1, 0.0, u[:, :1]), SpectralBranch(2, 1.0, u[:, 1:2]))
-    ok = SpectralObservable("B", (ComplementBranch(0, -1.0, u[:, :2]), *blocks))
+    columns = SubsystemBasis("B", u[:, :2].T)
+    ok = SpectralObservable(columns, (-1.0, 0.0, 1.0), (None, 1, 1))
     assert ok.branches[0].rank == 2 and ok.basis.shape == (4, 2)
-    for given in (u[:, 1:3], u[:, :1], u[:, 1::-1]):
-        with pytest.raises(NotAProjectorError, match="not the complement"):
-            SpectralObservable("B", (ComplementBranch(0, -1.0, given), *blocks))
-    twice = (ComplementBranch(0, -2.0, u[:, :2]), ComplementBranch(1, -1.0, u[:, :2]))
+    assert np.shares_memory(ok.branches[0].given, columns.rows)
+    np.testing.assert_array_equal(ok.branches[0].given, u[:, :2])
     with pytest.raises(NotAProjectorError, match="more than one complement"):
-        SpectralObservable("B", (*twice, *blocks))
+        SpectralObservable(columns, (-2.0, -1.0, 0.0, 1.0), (None, None, 1, 1))
     with pytest.raises(DimensionMismatchError, match="at least one block"):
-        SpectralObservable("B", (ComplementBranch(0, -1.0, u[:, :2]),))
+        SpectralObservable(columns, (-1.0,), (None,))
+    with pytest.raises(NotAProjectorError, match="complement is empty"):
+        SpectralObservable(SubsystemBasis("B", u.T), (-1.0, 0.0), (None, 4))

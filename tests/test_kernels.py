@@ -48,7 +48,7 @@ from vnchain import (
 )
 from vnchain import premeasurement
 from vnchain.hilbert import _fro, _gram_residual, _hermitian_spectrum
-from vnchain.premeasurement import random_observable
+from vnchain.premeasurement import _pointer_from_states, random_observable
 from vnchain.tolerances import DEFAULT
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vnchain"
@@ -485,13 +485,16 @@ def test_entries_whose_squares_overflow_are_refused_without_a_warning(name):
 
 
 class TestEigenbasisBlocks:
-    """``from_eigenbasis`` copies a block only when ``SpectralBranch`` would."""
+    """``from_eigenbasis`` copies its blocks once, side by side, into the
+    observable's columns, and each branch block is a view of them."""
 
-    def test_read_only_complex_block_is_adopted(self):
+    def test_read_only_complex_blocks_are_copied_once_into_the_columns(self):
         blocks = [_read_only(E2[:, :1]), _read_only(E2[:, 1:])]
         obs = SpectralObservable.from_eigenbasis("A", [0, 1], blocks)
         for branch, block in zip(obs.branches, blocks, strict=True):
-            assert branch.basis is block
+            assert np.shares_memory(branch.basis, obs.columns.rows)
+            assert not np.shares_memory(branch.basis, block)
+            np.testing.assert_array_equal(branch.basis, block)
 
     @pytest.mark.parametrize("kind", ["writeable complex", "read-only real"])
     def test_other_blocks_are_copied(self, kind):
@@ -715,7 +718,7 @@ def test_no_gram_product_of_a_link_isometry(tmp_path, monkeypatch, idle):
     assert not set(rows) & {a * b for a, b in zip(dims, dims[1:])}
 
 
-# --- the pointer of a complete basis adopts its Gram check ---------------------
+# --- the pointer of a basis is the constructor on the basis --------------------
 
 
 def _complete_bases():
@@ -730,23 +733,25 @@ COMPLETE_BASES = dict(_complete_bases())
 
 
 @pytest.mark.parametrize("name", sorted(COMPLETE_BASES))
-def test_adopted_pointer_equals_the_constructor_route(name):
-    """The adopted pointer has the eigenvalues, blocks and side-by-side basis
-    that ``from_eigenbasis`` gives the same rows, and ``build_ideal`` makes
-    the same index map and isometry with either."""
+def test_pointer_of_a_basis_equals_the_eigenbasis_route(name):
+    """The pointer ``build_ideal`` makes of a basis has the eigenvalues,
+    blocks and side-by-side columns that ``from_eigenbasis`` gives the same
+    vectors, and ``build_ideal`` makes the same index map and isometry with
+    either."""
     basis = COMPLETE_BASES[name]
     d = basis.dim
-    adopted = SpectralObservable._adopt_basis(basis)
+    pointer, index_map = _pointer_from_states(basis)
     built = SpectralObservable.from_eigenbasis(
         "B", [float(k) for k in range(d)], [v[:, None] for v in basis.vectors]
     )
-    assert adopted.subsystem == built.subsystem
-    assert adopted.eigenvalues == built.eigenvalues
-    for a, b in zip(adopted.branches, built.branches, strict=True):
+    assert pointer.columns is basis and index_map == {k: k for k in range(d)}
+    assert pointer.subsystem == built.subsystem
+    assert pointer.eigenvalues == built.eigenvalues
+    for a, b in zip(pointer.branches, built.branches, strict=True):
         assert a.index == b.index
         np.testing.assert_array_equal(a.basis, b.basis)
-    np.testing.assert_array_equal(adopted.basis, built.basis)
-    assert np.shares_memory(adopted.basis, basis.rows) and not adopted.basis.flags.writeable
+    np.testing.assert_array_equal(pointer.basis, built.basis)
+    assert np.shares_memory(pointer.basis, basis.rows) and not pointer.basis.flags.writeable
 
     measured = random_observable(3, min(3, d), "A", np.random.default_rng(d))
     pointer_states = SubsystemBasis("B", basis.vectors[: measured.branch_count])
@@ -754,37 +759,38 @@ def test_adopted_pointer_equals_the_constructor_route(name):
     if pointer_states.is_complete:
         pm = build_ideal(measured, pointer_states, ready)
         ref = build_ideal(measured, pointer_states, ready, pointer=built)
-        assert pm.pointer.eigenvalues == adopted.eigenvalues
+        assert pm.pointer.eigenvalues == pointer.eigenvalues
         assert pm.index_map == ref.index_map == tuple((k, k) for k in range(d))
         np.testing.assert_array_equal(pm.isometry, ref.isometry)
-    # an adopted pointer read by the next link gives the V a built one gives
+    # the pointer read by the next link gives the V the built one gives
     pstates = SubsystemBasis("C", tuple(np.eye(d)))
     ready = basis_state(layout(("C", d)), 0)
     np.testing.assert_array_equal(
-        build_ideal(adopted, pstates, ready).isometry, build_ideal(built, pstates, ready).isometry
+        build_ideal(pointer, pstates, ready).isometry, build_ideal(built, pstates, ready).isometry
     )
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (2, 5), (4, 7)])
-def test_incomplete_basis_is_adopted_with_an_idle_complement(n, d):
-    """The pointer of an incomplete basis is adopted too: an idle complement
-    branch (eigenvalue -1, first) on the basis's rows, which holds no block,
-    then one adopted rank-1 branch per vector, as ``from_eigenbasis`` with a
-    complement builds them; no Gram product is formed again."""
+def test_pointer_of_an_incomplete_basis_has_an_idle_complement(n, d):
+    """The pointer of an incomplete basis: an idle complement branch
+    (eigenvalue -1, first) on the basis's rows, which holds no block, then
+    one rank-1 branch per vector, as ``from_eigenbasis`` with a complement
+    builds them; no Gram product is formed again."""
     q = random_unitary(d, np.random.default_rng(10 * n + d))
     basis = SubsystemBasis("B", tuple(q.T[:n]))
-    adopted = SpectralObservable._adopt_basis(basis)
+    pointer, index_map = _pointer_from_states(basis)
     built = SpectralObservable.from_eigenbasis(
         "B", [float(k) for k in range(n)], [v[:, None] for v in basis.vectors], complement=-1.0
     )
-    assert adopted.eigenvalues == built.eigenvalues == (-1.0, *map(float, range(n)))
-    idle = adopted.branches[0]
+    assert pointer.eigenvalues == built.eigenvalues == (-1.0, *map(float, range(n)))
+    assert pointer.ranks == (None, *(1,) * n) and index_map == {k: k + 1 for k in range(n)}
+    idle = pointer.branches[0]
     assert idle.is_complement and not hasattr(idle, "basis")
     assert (idle.index, idle.rank, idle.dim) == (0, d - n, d)
-    assert idle.given is adopted.basis
-    assert np.shares_memory(adopted.basis, basis.rows) and not adopted.basis.flags.writeable
-    assert adopted.basis.shape == (d, n) and adopted.dim == d
-    for a, b in zip(adopted.branches, built.branches, strict=True):
+    assert idle.given.base is basis.rows
+    assert np.shares_memory(pointer.basis, basis.rows) and not pointer.basis.flags.writeable
+    assert pointer.basis.shape == (d, n) and pointer.dim == d
+    for a, b in zip(pointer.branches, built.branches, strict=True):
         assert (a.index, a.is_complement) == (b.index, b.is_complement)
         np.testing.assert_array_equal(a.projector, b.projector)
     measured = random_observable(3, n, "A", np.random.default_rng(d)) if n <= 3 else None
@@ -795,17 +801,33 @@ def test_incomplete_basis_is_adopted_with_an_idle_complement(n, d):
         np.testing.assert_array_equal(pm.isometry, ref.isometry)
 
 
-def test_adoption_applies_the_observable_criterion():
+def test_constructor_applies_the_observable_criterion():
     """A residual at the basis's bound passes ``SubsystemBasis`` but fails the
-    observable's (1 + eps) eps criterion, which the adoption applies to it."""
+    observable's (1 + eps) eps criterion, which the constructor applies to
+    the residual its columns stored."""
     basis = SubsystemBasis("B", tuple(np.eye(2)))
     eps = DEFAULT.orth * 2
     object.__setattr__(basis, "gram_residual", eps)
-    with pytest.raises(NotAProjectorError, match="eigenbasis is not orthonormal") as info:
-        SpectralObservable._adopt_basis(basis)
-    assert type(info.value) is NotAProjectorError
+    for build in (_pointer_from_states, lambda b: SpectralObservable(b, (0, 1), (1, 1))):
+        with pytest.raises(NotAProjectorError, match="eigenbasis is not orthonormal") as info:
+            build(basis)
+        assert type(info.value) is NotAProjectorError
     object.__setattr__(basis, "gram_residual", 0.9 * eps)
-    SpectralObservable._adopt_basis(basis)
+    _pointer_from_states(basis)
+
+
+def test_the_constructor_forms_no_gram_product(monkeypatch):
+    """The constructor judges the residual its columns hold: a pointer and
+    an observable on a basis make no ``_gram_residual`` call."""
+    from vnchain import observables
+
+    basis = SubsystemBasis("B", tuple(np.eye(3)[:2]))
+    calls = []
+    for module in (observables, premeasurement):
+        monkeypatch.setattr(module, "_gram_residual", lambda *a, **k: calls.append(a))
+    _pointer_from_states(basis)
+    SpectralObservable(basis, (0.0, 1.0, 2.0), (None, 1, 1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("scale", [1.1, 2.0])
@@ -817,9 +839,6 @@ def test_non_orthonormal_complete_basis_is_refused(scale):
     with pytest.raises(NonOrthonormalBasisError) as info:
         build_ideal(measured, SubsystemBasis("B", tuple(rows)), basis_state(layout(("B", 2)), 0))
     assert type(info.value) is NonOrthonormalBasisError
-
-
-ADOPTION_CALLERS = {("premeasurement.py", "_pointer_from_states")}
 
 
 def callers(source: str, module: str, callee: str) -> set[tuple[str, str]]:
@@ -853,26 +872,29 @@ def package_callers(callee: str) -> set[tuple[str, str]]:
     return found
 
 
-def test_only_the_pointer_of_a_basis_is_adopted():
-    """The route past the observable constructor has one caller."""
-    assert package_callers("_adopt_basis") == ADOPTION_CALLERS
+def test_every_value_is_made_by_its_constructor():
+    """No value of the package is made past its constructor's checks: there
+    is no ``__new__`` call in ``src/vnchain``, ``object.__new__`` included."""
+    assert package_callers("__new__") == set()
 
 
-def test_adoption_guard_finds_every_form():
+def test_caller_guard_finds_every_form():
     source = (
         "def f(b):\n"
-        "    return SpectralObservable._adopt_basis(b)\n"
+        "    return SpectralObservable._checked(b)\n"
         "class C:\n"
         "    def g(self, b):\n"
-        "        return _adopt_basis(b)\n"
-        "x = obs._adopt_basis\n"
-        "y = _adopt_basis(b)\n"
+        "        return _checked(b)\n"
+        "x = obs._checked\n"
+        "y = _checked(b)\n"
+        "z = object.__new__(C)\n"
     )
-    assert callers(source, "m.py", "_adopt_basis") == {
+    assert callers(source, "m.py", "_checked") == {
         ("m.py", "f"),
         ("m.py", "C.g"),
         ("m.py", "module"),
     }
+    assert callers(source, "m.py", "__new__") == {("m.py", "module")}
 
 
 # The one ownership rule (``hilbert._owned``): the value types, the block
@@ -885,7 +907,6 @@ OWNED_CALLERS = {
     ("observables.py", "_orthonormal_block"),
     ("observables.py", "SpectralBranch.__post_init__"),
     ("observables.py", "ComplementBranch.__post_init__"),
-    ("observables.py", "SpectralObservable.from_eigenbasis"),
     ("premeasurement.py", "Premeasurement._checked_terms"),
     ("premeasurement.py", "Premeasurement.from_isometry"),
 }
@@ -904,7 +925,6 @@ def test_values_take_ownership_through_one_helper():
 GRAM_CALLERS = {
     ("hilbert.py", "SubsystemBasis.__post_init__"),
     ("observables.py", "_orthonormal_block"),
-    ("observables.py", "SpectralObservable.__post_init__"),
     ("chains.py", "_projector_distance"),
     ("chains.py", "redecompose"),
     ("premeasurement.py", "Premeasurement._checked_terms"),

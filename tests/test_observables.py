@@ -14,6 +14,7 @@ from vnchain import (
     DensityOperator,
     DimensionMismatchError,
     InvalidDecompositionError,
+    NonOrthonormalBasisError,
     NotAProjectorError,
     SpectralBranch,
     SpectralObservable,
@@ -94,26 +95,29 @@ class TestObservableFromMatrix:
 E2 = np.eye(2, dtype=complex)
 
 
+def _observable(columns, eigenvalues, ranks, subsystem="A"):
+    """The constructor on the columns of ``columns`` (a (d, m) array)."""
+    return SpectralObservable(SubsystemBasis(subsystem, np.asarray(columns).T), eigenvalues, ranks)
+
+
 class TestSpectralObservableInvariants:
     def test_zero_projector_rejected(self):
         with pytest.raises(NotAProjectorError, match="rank 0"):
-            SpectralObservable(
-                "A",
-                (
-                    SpectralBranch(0, 0.0, np.zeros((2, 0))),
-                    SpectralBranch(1, 1.0, E2),
-                ),
-            )
+            SpectralObservable.from_eigenbasis("A", [0.0, 1.0], [np.zeros((2, 0)), E2])
+        with pytest.raises(NotAProjectorError, match="branch 0 block is empty: rank 0"):
+            _observable(E2, (0.0, 1.0), (0, 2))
 
     def test_eigenvalue_separation_enforced(self):
         with pytest.raises(ValueError):
-            SpectralObservable(
-                "A", (SpectralBranch(0, 0.0, E2[:, :1]), SpectralBranch(1, 1e-12, E2[:, 1:]))
-            )
+            SpectralObservable.from_eigenbasis("A", [0.0, 1e-12], [E2[:, :1], E2[:, 1:]])
+        with pytest.raises(ValueError, match="not ascending"):
+            _observable(E2, (1.0, 0.0), (1, 1))
 
     def test_incomplete_family_rejected(self):
         with pytest.raises(NotAProjectorError, match="do not sum to the identity"):
-            SpectralObservable("A", (SpectralBranch(0, 1.0, E2[:, :1]),))
+            SpectralObservable.from_eigenbasis("A", [1.0], [E2[:, :1]])
+        with pytest.raises(NotAProjectorError, match="do not sum to the identity"):
+            _observable(E2[:, :1], (1.0,), (1,))
 
     @pytest.mark.parametrize(
         "blocks,error",
@@ -124,10 +128,57 @@ class TestSpectralObservableInvariants:
         ],
     )
     def test_bad_blocks_rejected(self, blocks, error):
-        with pytest.raises(error):
-            SpectralObservable(
-                "A", tuple(SpectralBranch(k, float(k), q) for k, q in enumerate(blocks))
-            )
+        with pytest.raises(error) as info:
+            SpectralObservable.from_eigenbasis("A", range(len(blocks)), blocks)
+        if error is NotAProjectorError:  # the basis's error, wrapped
+            assert str(info.value).startswith("eigenbasis is not orthonormal: orthonormality")
+            assert type(info.value.__cause__) is NonOrthonormalBasisError
+
+    @pytest.mark.parametrize(
+        "eigenvalues,ranks,message",
+        [
+            ((0.0, 1.0), (2,), "2 eigenvalues for 1 ranks"),
+            ((), (), "at least one branch"),
+            ((0.0,), (None,), "at least one block"),
+            ((-2.0, -1.0, 0.0), (None, None, 1), "more than one complement"),
+            ((0.0, 1.0), (1, 2), r"ranks \(1, 2\) do not split the 2 given columns"),
+            ((-1.0, 0.0), (None, 2), "branch 0 complement is empty: rank 0"),
+        ],
+    )
+    def test_eigenvalues_and_ranks_must_fit_the_columns(self, eigenvalues, ranks, message):
+        with pytest.raises((DimensionMismatchError, NotAProjectorError), match=message):
+            _observable(E2, eigenvalues, ranks)
+
+    def test_branches_are_views_of_the_columns(self):
+        """Each block is the next r_k columns of G, and the complement holds
+        G itself: every branch shares the columns' rows, read-only."""
+        u = random_unitary(5, np.random.default_rng(5))
+        obs = _observable(u[:, :3], (-1.0, 0.0, 1.0), (2, None, 1))
+        assert obs.eigenvalues == (-1.0, 0.0, 1.0) and obs.ranks == (2, None, 1)
+        assert [b.rank for b in obs.branches] == [2, 2, 1]
+        first, idle, last = obs.branches
+        np.testing.assert_array_equal(first.basis, u[:, :2])
+        np.testing.assert_array_equal(last.basis, u[:, 2:3])
+        np.testing.assert_array_equal(idle.given, u[:, :3])
+        for arr in (first.basis, idle.given, last.basis, obs.basis):
+            assert np.shares_memory(arr, obs.columns.rows) and not arr.flags.writeable
+        assert obs.gram_residual == obs.columns.gram_residual
+        assert (obs.subsystem, obs.dim) == ("A", 5)
+
+    def test_constructor_and_from_eigenbasis_agree(self):
+        u = random_unitary(4, np.random.default_rng(6))
+        blocks = [u[:, :1], u[:, 1:3], u[:, 3:]]
+        direct = _observable(u, (0, 1, 2), (1, 2, 1))
+        made = SpectralObservable.from_eigenbasis("A", [0.0, 1.0, 2.0], blocks)
+        for a, b, q in zip(direct.branches, made.branches, blocks, strict=True):
+            assert (a.index, a.eigenvalue) == (b.index, b.eigenvalue)
+            np.testing.assert_array_equal(a.basis, q)
+            np.testing.assert_array_equal(b.basis, q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        with pytest.raises(ValueError, match="not all finite"):
+            _observable(np.eye(2), (bad,), (2,))
 
     def test_projector_formed_on_each_read(self):
         q = random_unitary(3, np.random.default_rng(4))[:, :2]
@@ -140,23 +191,6 @@ class TestSpectralObservableInvariants:
         np.testing.assert_allclose(first, q @ q.conj().T, rtol=0, atol=1e-15)
         q[0, 0] = 5.0  # the branch copied a writeable block
         assert branch.basis[0, 0] != 5.0
-
-    def test_constructor_and_from_eigenbasis_agree(self):
-        u = random_unitary(4, np.random.default_rng(6))
-        blocks = [u[:, :1], u[:, 1:3], u[:, 3:]]
-        direct = SpectralObservable(
-            "A", tuple(SpectralBranch(k, float(k), q) for k, q in enumerate(blocks))
-        )
-        made = SpectralObservable.from_eigenbasis("A", [0.0, 1.0, 2.0], blocks)
-        for a, b, q in zip(direct.branches, made.branches, blocks, strict=True):
-            assert (a.index, a.eigenvalue) == (b.index, b.eigenvalue)
-            np.testing.assert_array_equal(a.basis, q)
-            np.testing.assert_array_equal(b.basis, q)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_eigenvalue_rejected(self, bad):
-        with pytest.raises(ValueError, match="not all finite"):
-            SpectralObservable("A", (SpectralBranch(0, bad, np.eye(2)),))
 
     def test_non_finite_projector_rejected(self):
         with pytest.raises(ValueError, match="NaN or infinite"):

@@ -566,9 +566,9 @@ class TestTermsCheck:
         pm = qubit_pm()
         states = canonical_basis("B", 2)
         measured = observable_from_matrix(np.diag([0.0, 1.0]), "A")
-        object.__setattr__(measured, "gram_residual", 1e-10)  # 2 e (1 + e), about 2e-10
+        object.__setattr__(measured.columns, "gram_residual", 1e-10)  # 2 e (1 + e), about 2e-10
         build_ideal(measured, states, pm.ready_state)
-        object.__setattr__(measured, "gram_residual", 2e-10)  # just past 4e-10
+        object.__setattr__(measured.columns, "gram_residual", 2e-10)  # just past 4e-10
         with pytest.raises(ValueError, match=r"matrix is not an isometry: residual 4\.000e-10"):
             build_ideal(measured, states, pm.ready_state)
 
