@@ -354,14 +354,26 @@ class SubsystemBasis:
     ``gram_residual``.  A ``SpectralObservable`` keeps its columns G as such
     a basis, with rows G^T, and judges this residual by its own criterion,
     so an observable's columns are checked once.
+
+    A ``SubsystemBasis`` given as ``vectors`` is adopted under the new
+    label, as ``_owned`` adopts a frozen array: its ``rows``, ``vectors``
+    and checked ``gram_residual`` are taken as they are, with no copy and
+    no second Gram product.  A chain whose instruments share one list of
+    pointer states so checks it once.
     """
 
     subsystem: str
-    vectors: tuple[np.ndarray, ...]
+    vectors: tuple[np.ndarray, ...] | SubsystemBasis
     rows: np.ndarray = field(init=False, repr=False)
     gram_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.vectors, SubsystemBasis):
+            checked = self.vectors
+            object.__setattr__(self, "rows", checked.rows)
+            object.__setattr__(self, "vectors", checked.vectors)
+            object.__setattr__(self, "gram_residual", checked.gram_residual)
+            return
         vecs = self.vectors if isinstance(self.vectors, np.ndarray) else tuple(self.vectors)
         if not len(vecs):
             raise NonOrthonormalBasisError("basis needs at least one vector")

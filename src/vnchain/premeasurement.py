@@ -712,11 +712,17 @@ def random_dressings(
     """One random dressing per measured branch k of ``ideal``, for
     ``build_exact``: a Haar object unitary, then a ``random_range_unitary``
     on the block of the pointer branch that k maps to, drawn in that order,
-    branch by branch."""
+    branch by branch.  A pointer branch that is the idle complement holds no
+    block to draw on: that raises ``DressingError`` before any draw."""
+    pointer, mapping = ideal.pointer.branches, ideal.mapping
+    targets = [pointer[mapping[k]] for k in range(ideal.measured.branch_count)]
+    for k, branch in enumerate(targets):
+        if branch.is_complement:
+            raise DressingError(
+                f"measured branch {k} maps to the idle complement of the pointer, "
+                "which has no block to draw a random dressing on"
+            )
     return [
-        (
-            random_unitary(ideal.object_dim, rng),
-            random_range_unitary(ideal.pointer.branches[ideal.mapping[k]].basis, rng),
-        )
-        for k in range(ideal.measured.branch_count)
+        (random_unitary(ideal.object_dim, rng), random_range_unitary(branch.basis, rng))
+        for branch in targets
     ]

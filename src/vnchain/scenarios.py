@@ -8,6 +8,18 @@ or the string ``"previous-pointer"`` for chain links that read the
 preceding stage's result.  A ``diag`` observable is given in its
 eigenbasis, so it takes its exact spectral form with no eigensolver; a
 ``pauli`` or ``matrix`` one goes through ``observable_from_matrix``.
+
+The parser builds each distinct value of a document once.  It keeps one
+table per document (``_PresetTable``) of the presets it has resolved,
+keyed by dimension: the frozen unit vector of each state preset, and the
+checked ``SubsystemBasis`` of each list of preset pointer states, written
+straight into the rows that basis adopts.  A later stage that repeats a
+list adopts the first stage's basis under its own label, so a copy chain
+makes one pointer Gram product, and ``build_premeasurements`` then hands
+each link whose terms are the previous ideal link's arrays that link's V.
+A value enters the table only once it is built, so a bad spec fails at
+each occurrence with the error it would give alone.  The table lives for
+one ``scenario_from_document`` call.
 """
 
 from __future__ import annotations
@@ -168,20 +180,23 @@ def _parse_complex(value: Any, location: str) -> complex:
     return z
 
 
-def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
+def _parse_amplitudes(
+    spec: Any, dim: int, location: str, out: np.ndarray | None = None
+) -> np.ndarray:
     """The unit vector of a state spec on a subsystem of dimension ``dim``:
     a preset or a list of amplitudes, normalized.  It is fresh, and frozen,
-    so that a state adopts it (``hilbert._owned``) instead of copying it."""
+    so that a state adopts it (``hilbert._owned``) instead of copying it;
+    or it is written into ``out``, a zeroed row of ``dim`` entries that its
+    caller freezes."""
     if isinstance(spec, str):
+        amps = np.zeros(dim, dtype=complex) if out is None else out
         if spec == "plus":
             if dim < 2:
                 raise ScenarioError(E_DIMENSION, location, "'plus' needs dimension >= 2")
-            amps = np.zeros(dim, dtype=complex)
             amps[0] = amps[1] = 1 / math.sqrt(2)
         elif spec == "minus":
             if dim < 2:
                 raise ScenarioError(E_DIMENSION, location, "'minus' needs dimension >= 2")
-            amps = np.zeros(dim, dtype=complex)
             amps[0], amps[1] = 1 / math.sqrt(2), -1 / math.sqrt(2)
         elif spec.startswith("basis:"):
             try:
@@ -190,12 +205,11 @@ def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
                 raise ScenarioError(E_MALFORMED_STATE, location, f"bad basis index in {spec!r}")
             if not 0 <= k < dim:
                 raise ScenarioError(E_DIMENSION, location, f"basis index {k} out of range for dim {dim}")
-            amps = np.zeros(dim, dtype=complex)
             amps[k] = 1.0
         elif spec == "bell":
             if dim != 4:
                 raise ScenarioError(E_DIMENSION, location, "'bell' needs dimension 4")
-            amps = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+            amps[0] = amps[3] = 1 / math.sqrt(2)
         else:
             raise ScenarioError(E_MALFORMED_STATE, location, f"unknown state preset {spec!r}")
     elif isinstance(spec, list):
@@ -210,11 +224,55 @@ def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
             raise ScenarioError(E_MALFORMED_STATE, location, "state norm overflows")
         if n < 1e-12:
             raise ScenarioError(E_MALFORMED_STATE, location, "state has zero norm")
-        amps = amps / n
+        amps = np.divide(amps, n, out=out)
     else:
         raise ScenarioError(E_MALFORMED_STATE, location, f"cannot read state spec {spec!r}")
-    amps.setflags(write=False)
+    if out is None:
+        amps.setflags(write=False)
     return amps
+
+
+class _PresetTable:
+    """The presets one document has resolved, each once: the unit vector of
+    each (dimension, preset) state spec, and the checked ``SubsystemBasis``
+    of each (dimension, presets) list of pointer states.  A value is
+    recorded only once it is built, so a bad spec fails at each occurrence
+    as it would alone; a spec given as amplitudes is parsed where it
+    stands."""
+
+    def __init__(self):
+        self.states: dict[tuple[int, str], np.ndarray] = {}
+        self.bases: dict[tuple[int, tuple[str, ...]], SubsystemBasis] = {}
+
+    def state(self, spec: Any, dim: int, location: str) -> np.ndarray:
+        """``_parse_amplitudes`` of ``spec``, resolved once per preset."""
+        if not isinstance(spec, str):
+            return _parse_amplitudes(spec, dim, location)
+        amps = self.states.get((dim, spec))
+        if amps is None:
+            amps = self.states[dim, spec] = _parse_amplitudes(spec, dim, location)
+        return amps
+
+    def basis(self, specs: list, label: str, dim: int, location: str) -> SubsystemBasis:
+        """The basis on ``label`` of the pointer states ``specs``, parsed
+        straight into the frozen (n, dim) rows that it adopts.  Each later
+        list of the same presets on the same dimension adopts that basis
+        under its own label, with no second Gram check."""
+        key = (dim, tuple(specs)) if all(isinstance(s, str) for s in specs) else None
+        known = self.bases.get(key)
+        if known is not None:
+            return SubsystemBasis(label, known)
+        rows = np.zeros((len(specs), dim), dtype=complex)
+        for i, s in enumerate(specs):
+            _parse_amplitudes(s, dim, f"{location}[{i}]", out=rows[i])
+        rows.setflags(write=False)
+        try:
+            basis = SubsystemBasis(label, rows)
+        except ValueError as exc:
+            raise ScenarioError(E_MALFORMED_STATE, location, str(exc))
+        if key is not None:
+            self.bases[key] = basis
+        return basis
 
 
 def _parse_matrix(spec: Any, dim: int, location: str) -> np.ndarray:
@@ -299,18 +357,20 @@ def _check_stage(value: Any, n_stages: int, location: str) -> None:
         raise ScenarioError(E_BAD_VALUE, location, f"stage index {value!r} out of range")
 
 
-def _resolve_event(params: dict, dims: dict, stages: list, location: str) -> EventSpec:
-    """The event of an ``ensemble_update`` analysis at ``location``: its
-    ``projector``, by default the ``plus`` state of the last instrument.  A
-    subject must be in the final state; a branch subject must be the
-    instrument of its stage, whose n pointer states give the pointer n
-    branches, plus the idle complement when they do not span it.  ``dims``
-    maps each label to its dimension."""
+def _resolve_event(
+    params: dict, dims: dict, stages: list, presets: _PresetTable, location: str
+) -> EventSpec:
+    """The event of an ``ensemble_update`` analysis whose ``projector`` is at
+    ``location``, where every error is reported: by default the ``plus``
+    state of the last instrument.  A subject must be in the final state; a
+    branch subject must be the instrument of its stage, whose n pointer
+    states give the pointer n branches, plus the idle complement when they
+    do not span it.  ``dims`` maps each label to its dimension, and state
+    specs resolve through the document's ``presets``."""
     last = stages[-1].instrument_label
     pdoc = params.get("projector")
     if pdoc is None:
-        plus = _parse_amplitudes("plus", dims[last], "$.analysis.projector")
-        return EventSpec(last, state=plus)
+        return EventSpec(last, state=presets.state("plus", dims[last], location))
     if not isinstance(pdoc, dict):
         raise ScenarioError(E_BAD_VALUE, location, f"expected an object, got {pdoc!r}")
     if "stage" in pdoc:
@@ -319,18 +379,15 @@ def _resolve_event(params: dict, dims: dict, stages: list, location: str) -> Eve
         _check_count(pdoc["branch"], 0, f"{location}.branch")
     subject = str(pdoc.get("subsystem", last))
     if subject not in {stages[0].object_label, *(st.instrument_label for st in stages)}:
-        raise ScenarioError(
-            E_UNKNOWN_LABEL, "$.analysis.projector", f"subsystem {subject!r} not in layout"
-        )
+        raise ScenarioError(E_UNKNOWN_LABEL, location, f"subsystem {subject!r} not in layout")
     if "branch" not in pdoc:
-        spec = _require(pdoc, "state", "$.analysis.projector")
-        state = _parse_amplitudes(spec, dims[subject], "$.analysis.projector.state")
-        return EventSpec(subject, state=state)
+        spec = _require(pdoc, "state", location)
+        return EventSpec(subject, state=presets.state(spec, dims[subject], f"{location}.state"))
     stage, branch = pdoc.get("stage", params.get("source_stage", len(stages) - 1)), pdoc["branch"]
     if subject != stages[stage].instrument_label:
         raise ScenarioError(
             E_BAD_VALUE,
-            "$.analysis.projector.subsystem",
+            f"{location}.subsystem",
             f"a stage-{stage} pointer branch is an event on "
             f"{stages[stage].instrument_label!r}, not on {subject!r}",
         )
@@ -339,7 +396,7 @@ def _resolve_event(params: dict, dims: dict, stages: list, location: str) -> Eve
     if branch >= count:
         raise ScenarioError(
             E_BAD_VALUE,
-            "$.analysis.projector.branch",
+            f"{location}.branch",
             f"stage {stage} pointer has {count} branches, no branch {branch}",
         )
     return EventSpec(subject, stage=stage, branch=branch)
@@ -372,6 +429,7 @@ def scenario_from_document(doc: dict) -> Scenario:
     if not stages_doc:
         raise ScenarioError(E_EMPTY_STAGES, "$.stages", "scenario needs at least one stage")
 
+    presets = _PresetTable()
     stages: list[StageSpec] = []
     for t, sdoc in enumerate(stages_doc):
         loc = f"$.stages[{t}]"
@@ -407,24 +465,18 @@ def scenario_from_document(doc: dict) -> Scenario:
         pstates_doc = _require(sdoc, "pointer_states", loc)
         if not isinstance(pstates_doc, list) or not pstates_doc:
             raise ScenarioError(E_BAD_VALUE, f"{loc}.pointer_states", "expected a non-empty list")
-        vectors = tuple(
-            _parse_amplitudes(s, d_instr, f"{loc}.pointer_states[{i}]")
-            for i, s in enumerate(pstates_doc)
-        )
-        try:
-            pointer_states = SubsystemBasis(instr, vectors)
-        except ValueError as exc:
-            raise ScenarioError(E_MALFORMED_STATE, f"{loc}.pointer_states", str(exc))
-        if measured is not None and len(vectors) != measured.branch_count:
+        pointer_states = presets.basis(pstates_doc, instr, d_instr, f"{loc}.pointer_states")
+        n_states = len(pointer_states.vectors)
+        if measured is not None and n_states != measured.branch_count:
             raise ScenarioError(
                 E_DIMENSION,
                 f"{loc}.pointer_states",
-                f"{len(vectors)} pointer states for {measured.branch_count} branches",
+                f"{n_states} pointer states for {measured.branch_count} branches",
             )
 
         ready = StateVector(
             SubsystemLayout(((instr, d_instr),)),
-            _parse_amplitudes(_require(sdoc, "ready", loc), d_instr, f"{loc}.ready"),
+            presets.state(_require(sdoc, "ready", loc), d_instr, f"{loc}.ready"),
         )
 
         kind = str(sdoc.get("kind", "ideal"))
@@ -470,7 +522,7 @@ def scenario_from_document(doc: dict) -> Scenario:
     d0 = dims[init_sub]
     initial = StateVector(
         SubsystemLayout(((init_sub, d0),)),
-        _parse_amplitudes(init_spec, d0, "$.initial.state"),
+        presets.state(init_spec, d0, "$.initial.state"),
     )
 
     analyses_doc = doc.get("analyses", ["branches"])
@@ -497,7 +549,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         if kind == "ensemble_update":
             if "samples" in params:
                 _check_count(params["samples"], 0, f"{loc}.samples")
-            event = _resolve_event(params, dims, stages, f"{loc}.projector")
+            event = _resolve_event(params, dims, stages, presets, f"{loc}.projector")
         analyses.append(AnalysisSpec(kind, params, event))
 
     return Scenario(name, lay, initial, tuple(stages), tuple(analyses))
@@ -860,13 +912,36 @@ def _dominant_ket(state: StateVector) -> str:
     return f"|{ket}> ({share:.4f})"
 
 
+def _same_terms(a: Premeasurement, b: Premeasurement) -> bool:
+    """Whether two ideal links hold the same measured columns, ranks and
+    pointer rows, array for array."""
+    return (
+        a.measured.columns.rows is b.measured.columns.rows
+        and a.measured.ranks == b.measured.ranks
+        and a.pointer_states.rows is b.pointer_states.rows
+    )
+
+
 def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]:
-    """Construct the per-stage premeasurements."""
+    """Construct the per-stage premeasurements.
+
+    An ideal link's V = sum_k E_k (x) c_k is fixed by its measured columns
+    and ranks and its pointer rows.  When those are the very arrays of the
+    previous ideal link, as in a copy chain whose pointer bases the parser
+    adopted, the link is handed that link's V, as
+    ``Premeasurement.from_isometry`` hands over a caller's: V is formed
+    once per distinct link.
+    """
     pms: list[Premeasurement] = []
+    last_ideal = None
     for st in scenario.stages:
         measured = st.measured if st.measured is not None else pms[-1].pointer
         pm = build_ideal(measured, st.pointer_states, st.ready)
-        if st.kind == "exact":
+        if st.kind == "ideal":
+            if last_ideal is not None and _same_terms(pm, last_ideal):
+                object.__setattr__(pm, "isometry", last_ideal.isometry)
+            last_ideal = pm
+        elif st.kind == "exact":
             spec = st.dressings or DressingSpec("random")
             if spec.mode == "random":
                 dseed = spec.seed if spec.seed is not None else seed * 7_919 + st.index

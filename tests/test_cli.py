@@ -345,8 +345,8 @@ class TestCommandLine:
         [
             ("plus", "$.analyses[0].projector"),
             ({"subsystem": "meter", "branch": 0, "stage": 5}, "$.analyses[0].projector.stage"),
-            ({"subsystem": "meter", "branch": 7}, "$.analysis.projector.branch"),
-            ({"subsystem": "system", "branch": 1}, "$.analysis.projector.subsystem"),
+            ({"subsystem": "meter", "branch": 7}, "$.analyses[0].projector.branch"),
+            ({"subsystem": "system", "branch": 1}, "$.analyses[0].projector.subsystem"),
         ],
     )
     def test_bad_ensemble_projector_is_a_scenario_error(self, tmp_path, projector, location):
@@ -365,14 +365,14 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "projector,code,location",
         [
-            ({"subsystem": "nowhere", "state": "plus"}, "unknown-label", "$.analysis.projector"),
-            ({"subsystem": "idle", "state": "plus"}, "unknown-label", "$.analysis.projector"),
-            ({"subsystem": "meter"}, "missing-field", "$.analysis.projector"),
-            ({"state": "basis:5"}, "dimension-mismatch", "$.analysis.projector.state"),
-            ({"state": [[0.0, 0.0], [0.0, 0.0]]}, "malformed-state", "$.analysis.projector.state"),
-            ({"branch": 2}, "bad-value", "$.analysis.projector.branch"),
+            ({"subsystem": "nowhere", "state": "plus"}, "unknown-label", "$.analyses[0].projector"),
+            ({"subsystem": "idle", "state": "plus"}, "unknown-label", "$.analyses[0].projector"),
+            ({"subsystem": "meter"}, "missing-field", "$.analyses[0].projector"),
+            ({"state": "basis:5"}, "dimension-mismatch", "$.analyses[0].projector.state"),
+            ({"state": [[0.0, 0.0], [0.0, 0.0]]}, "malformed-state", "$.analyses[0].projector.state"),
+            ({"branch": 2}, "bad-value", "$.analyses[0].projector.branch"),
             ({"branch": -1}, "bad-value", "$.analyses[0].projector.branch"),
-            (None, "dimension-mismatch", "$.analysis.projector"),
+            (None, "dimension-mismatch", "$.analyses[0].projector"),
         ],
     )
     def test_every_projector_error_is_raised_by_the_parser(self, projector, code, location):
@@ -391,6 +391,24 @@ class TestCommandLine:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(json.dumps(doc))
         assert (err.value.code, err.value.location) == (code, location)
+
+    @pytest.mark.parametrize(
+        "projector,code,field",
+        [
+            ({"subsystem": "nowhere", "state": "plus"}, "unknown-label", ""),
+            ({"state": "basis:5"}, "dimension-mismatch", ".state"),
+            ({"branch": 2}, "bad-value", ".branch"),
+            ({"subsystem": "system", "branch": 1}, "bad-value", ".subsystem"),
+        ],
+    )
+    def test_each_projector_error_names_its_own_analysis(self, projector, code, field):
+        """With two ``ensemble_update`` analyses, an error in the second one's
+        projector is reported at ``$.analyses[1]``, not at the first's."""
+        doc = builtin_document("ensemble-update")
+        doc["analyses"].append({"kind": "ensemble_update", "projector": projector})
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(json.dumps(doc))
+        assert (err.value.code, err.value.location) == (code, f"$.analyses[1].projector{field}")
 
     def test_verify_small_passes(self):
         proc = cli("verify", "--trials", "10", "--dims", "3,3")

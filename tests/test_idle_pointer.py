@@ -35,12 +35,13 @@ from vnchain import (
     improper_mixture,
     layout,
     luders_state,
+    observable_from_matrix,
     random_state,
     random_unitary,
     world_branches,
 )
 from vnchain.chains import observables_match
-from vnchain.premeasurement import random_observable
+from vnchain.premeasurement import random_dressings, random_observable
 from vnchain.scenarios import (
     build_premeasurements,
     builtin_document,
@@ -318,6 +319,25 @@ def test_caller_pointer_state_in_the_complement():
     leaking = [dressings[0], dressings[1], (np.eye(3), random_unitary(5, rng))]
     with pytest.raises(DressingError, match="dressing 2 leaks"):
         build_exact(pm, leaking)
+
+
+def test_random_dressings_refuse_a_complement_target():
+    """A caller's pointer whose idle complement receives a pointer state
+    has no block there for ``random_dressings`` to draw on: it raises the
+    typed ``DressingError`` before any draw, not an ``AttributeError``."""
+    e0, e1 = np.eye(2, dtype=complex)
+    pointer = SpectralObservable.from_eigenbasis("B", [0.0], [e0[:, None]], complement=-1.0)
+    pm = build_ideal(
+        observable_from_matrix(np.diag([0.0, 1.0]), "A"),
+        SubsystemBasis("B", (e1, e0)),
+        basis_state(layout(("B", 2)), 0),
+        pointer=pointer,
+    )
+    assert pm.pointer.branches[pm.mapping[0]].is_complement
+    rng = np.random.default_rng(0)
+    with pytest.raises(DressingError, match="measured branch 0 maps to the idle complement"):
+        random_dressings(pm, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_build_ideal_of_a_large_instrument_stays_small():

@@ -678,10 +678,29 @@ def test_chain_links_check_one_gram_each(tmp_path):
     """An ideal link Gram-checks its pointer basis and nothing else: its
     complete pointer adopts the basis's check, and its terms are checked by
     the residuals of the basis and of the measured observable, with no Gram
-    product of V.  The one more Gram product of a run is that of the
-    observable given as a matrix."""
+    product of V.  Every link of a copy chain gives the same list of pointer
+    states, whose basis the parser checks once and each later link adopts,
+    so a run makes two Gram products however long the chain: that basis's
+    and that of the first link's ``diag`` observable."""
     grams = [_calls_in_one_run(tmp_path, links, "_gram_residual") for links in (2, 6, 10)]
-    assert grams == [2 + 1, 6 + 1, 10 + 1]
+    assert grams == [2, 2, 2]
+
+
+def test_copy_chain_forms_one_isometry_per_distinct_link(tmp_path):
+    """The first link measures the ``diag`` observable, and every later one
+    the previous pointer, whose columns are the one adopted pointer basis:
+    the second link's V is handed to every later link, so a run forms two
+    V however long the chain."""
+    formed = [_calls_in_one_run(tmp_path, links, "_formed_isometry") for links in (2, 6, 10)]
+    assert formed == [2, 2, 2]
+
+
+def test_copy_chain_parses_each_preset_once(tmp_path):
+    """The initial ``plus``, the two presets of the pointer list, written
+    into its basis rows at the first link, and the ready ``basis:0``: four
+    parses however long the chain."""
+    parses = [_calls_in_one_run(tmp_path, links, "_parse_amplitudes") for links in (2, 6, 10)]
+    assert parses == [4, 4, 4]
 
 
 def test_idle_pointer_links_check_one_gram_each(tmp_path):
