@@ -14,6 +14,7 @@ and ``ComplementBranch.factor``), never through a dense projector.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ from .observables import (
     SpectralObservable,
     _orthonormal_block,
 )
-from .premeasurement import Premeasurement, evolve
+from .premeasurement import Premeasurement, _linked, evolve
 from .tolerances import DEFAULT
 
 
@@ -245,6 +246,30 @@ def _projector_distance(x: ObservableBranch, y: ObservableBranch) -> float:
     return _gram_residual(c) if c.shape[0] == c.shape[1] else math.inf
 
 
+def _link_position(
+    labels: Sequence[str],
+    dims: Sequence[int],
+    pm: Premeasurement,
+    measured_source: SpectralObservable | None,
+) -> int:
+    """The checks of one chain link on a state over ``labels`` and ``dims``;
+    returns the position of ``pm``'s object.  The labels must name the
+    object and not the instrument, the object's dimension must be ``pm``'s,
+    and ``pm`` must measure ``measured_source`` when one is given."""
+    if pm.object_label not in labels:
+        raise LayoutConflictError(f"state has no subsystem {pm.object_label!r}")
+    if pm.instrument_label in labels:
+        raise LayoutConflictError(f"label {pm.instrument_label!r} already in use")
+    pos = labels.index(pm.object_label)
+    if dims[pos] != pm.object_dim:
+        raise DimensionMismatchError("object subsystem dimension mismatch")
+    if measured_source is not None and not observables_match(measured_source, pm.measured):
+        raise ObservableMismatchError(
+            "link does not measure the previous link's pointer observable"
+        )
+    return pos
+
+
 def extend_chain(
     state: StateVector,
     pm: Premeasurement,
@@ -255,27 +280,13 @@ def extend_chain(
     The premeasurement's object label must name a subsystem of ``state``; its
     instrument is appended as a new trailing subsystem.  ``measured_source``
     (typically the previous link's pointer observable) is checked against
-    what ``pm`` measures.
+    what ``pm`` measures.  The link is checked (``_link_position``), applied
+    by the one link kernel (``premeasurement._linked``) and wrapped.
     """
     lay = state.layout
-    if pm.object_label not in lay.labels:
-        raise LayoutConflictError(f"state has no subsystem {pm.object_label!r}")
-    if pm.instrument_label in lay.labels:
-        raise LayoutConflictError(f"label {pm.instrument_label!r} already in use")
-    if lay.dim_of(pm.object_label) != pm.object_dim:
-        raise DimensionMismatchError("object subsystem dimension mismatch")
-    if measured_source is not None and not observables_match(measured_source, pm.measured):
-        raise ObservableMismatchError(
-            "link does not measure the previous link's pointer observable"
-        )
-    d_a, d_b = pm.object_dim, pm.instrument_dim
-    pos = lay.position(pm.object_label)
-    amps = apply_local(pm.isometry, state.amplitudes, lay.dims, pos)
-    right = math.prod(lay.dims[pos + 1 :])
-    if right > 1:  # move the new instrument axis behind the later subsystems
-        amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(-1)
-    amps.setflags(write=False)  # fresh: the extended state adopts it
-    extended_layout = SubsystemLayout(lay.subsystems + ((pm.instrument_label, d_b),))
+    pos = _link_position(lay.labels, lay.dims, pm, measured_source)
+    amps = _linked(pm, state.amplitudes, lay.dims, pos)
+    extended_layout = SubsystemLayout(lay.subsystems + ((pm.instrument_label, pm.instrument_dim),))
     return StateVector(extended_layout, amps, normalized=True)
 
 

@@ -12,6 +12,7 @@ residual is infinite (``null`` in JSON).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -77,6 +78,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The errors of a path that ``Path.exists`` takes for no file.
+_NO_FILE = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+
+
 def _cmd_run(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise _UsageError(f"--tol must be a finite number >= 0; got {args.tol!r}")
@@ -84,17 +89,23 @@ def _cmd_run(args) -> int:
     if name_or_path in builtin_names():
         scenario = load_builtin(name_or_path)
     else:
-        path = Path(name_or_path)
-        if not path.exists() or path.is_dir():
+        # One read and no stat.  A directory, a name with a null byte, and a
+        # read that fails with an error of ``_NO_FILE`` name no file, as
+        # ``Path.exists`` and ``Path.is_dir`` would find; any other failed
+        # read is a read error.
+        try:
+            text = None if "\0" in name_or_path else Path(name_or_path).read_text()
+        except OSError as exc:
+            if not (isinstance(exc, IsADirectoryError) or exc.errno in _NO_FILE):
+                reason = exc.strerror or exc
+                print(f"error: cannot read {name_or_path!r}: {reason}", file=sys.stderr)
+                return 1
+            text = None
+        if text is None:
             print(
                 f"error: {name_or_path!r} is neither a builtin scenario nor a file",
                 file=sys.stderr,
             )
-            return 1
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            print(f"error: cannot read {name_or_path!r}: {exc.strerror or exc}", file=sys.stderr)
             return 1
         scenario = parse_scenario(text)
     options = RunOptions(seed=args.seed, tolerance=args.tol, dump_states=args.dump_states)

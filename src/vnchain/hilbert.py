@@ -60,6 +60,16 @@ def _refuse_non_finite(a, what: str = "array", error=ValueError, scalar=None) ->
     return scalar
 
 
+def _check_state_norm(amplitudes: np.ndarray, normalized: bool = True) -> None:
+    """The check of a state's amplitudes: their squared norm, one ``np.vdot``,
+    is their finiteness check (``_refuse_non_finite``) and, for a normalized
+    state, their norm check.  ``StateVector`` makes it, and a chain makes it
+    on each link's amplitudes that it wraps in no ``StateVector``."""
+    n = math.sqrt(_refuse_non_finite(amplitudes))
+    if normalized and not abs(n - 1.0) <= DEFAULT.norm:
+        raise ValueError(f"state flagged normalized but ||amplitudes|| = {n!r}")
+
+
 def _fro(a) -> float:
     """The Frobenius (vector 2-) norm of ``a`` as a Python float: the one
     check-norm kernel.
@@ -224,9 +234,7 @@ class StateVector:
                 f"{self.layout} of dimension {self.layout.dim}"
             )
         object.__setattr__(self, "amplitudes", amps)
-        n = math.sqrt(_refuse_non_finite(amps))
-        if self.normalized and not abs(n - 1.0) <= DEFAULT.norm:
-            raise ValueError(f"state flagged normalized but ||amplitudes|| = {n!r}")
+        _check_state_norm(amps, self.normalized)
 
     def norm(self) -> float:
         return _fro(self.amplitudes)

@@ -25,6 +25,7 @@ equality.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -46,6 +47,7 @@ from .hilbert import (
     _gram_residual,
     _owned,
     _refuse_non_finite,
+    apply_local,
     complete_orthonormal,
     random_unitary,
 )
@@ -136,53 +138,57 @@ class Premeasurement:
     isometry_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.object_label == self.instrument_label:
+        obj, instrument = self.object_label, self.instrument_label
+        measured, pointer = self.measured, self.pointer
+        m_columns, p_columns = measured.columns, pointer.columns
+        if obj == instrument:
             raise LayoutConflictError("object and instrument labels must differ")
-        if self.measured.subsystem != self.object_label:
+        if m_columns.subsystem != obj:
             raise LayoutConflictError("measured observable is not on the object")
-        if self.pointer.subsystem != self.instrument_label:
+        if p_columns.subsystem != instrument:
             raise LayoutConflictError("pointer observable is not on the instrument")
-        if self.ready_state.layout.labels != (self.instrument_label,):
+        ready = self.ready_state
+        if ready.layout.labels != (instrument,):
             raise LayoutConflictError("ready state must live on the instrument alone")
-        if self.ready_state.layout.dim != self.pointer.dim:
+        d_a, d_b = m_columns.rows.shape[1], p_columns.rows.shape[1]
+        if ready.layout.dim != d_b:
             raise DimensionMismatchError("ready state does not match instrument dim")
-        if not self.ready_state.normalized:
+        if not ready.normalized:
             raise ValueError("ready state must be normalized")
-        object.__setattr__(self, "isometry_bound", self._checked_terms())
-        pairs = tuple((int(a), int(b)) for a, b in self.index_map)
+        object.__setattr__(self, "isometry_bound", self._checked_terms(d_a, d_b))
+        pairs = tuple([(int(a), int(b)) for a, b in self.index_map])
         object.__setattr__(self, "index_map", pairs)
         keys = [a for a, _ in pairs]
         vals = [b for _, b in pairs]
-        if sorted(keys) != list(range(self.measured.branch_count)):
+        n_measured, n_pointer = len(measured.branches), len(pointer.branches)
+        if sorted(keys) != list(range(n_measured)):
             raise ValueError("index_map must cover every measured branch exactly once")
         if len(set(vals)) != len(vals):
             raise ValueError("index_map must be injective into pointer branches")
-        if any(not 0 <= v < self.pointer.branch_count for v in vals):
+        if min(vals) < 0 or max(vals) >= n_pointer:
             raise ValueError("index_map targets unknown pointer branches")
-        if self.pointer.branch_count < self.measured.branch_count:
+        if n_pointer < n_measured:
             raise DimensionMismatchError("fewer pointer branches than measured branches")
 
-    def _checked_terms(self) -> float:
+    def _checked_terms(self, d_a: int, d_b: int) -> float:
         """The terms owned and checked; returns the bound on ||V^dag V - I||."""
-        d_a, d_b = self.measured.dim, self.pointer.dim
         states = self.pointer_states
-        if states.subsystem != self.instrument_label or states.dim != d_b:
+        n_states = len(states.vectors)
+        if states.subsystem != self.instrument_label or states.rows.shape[1] != d_b:
             raise LayoutConflictError("pointer vectors must live on the instrument")
         ops = tuple(self.operators)
-        if len(ops) != len(states.vectors):
-            raise DimensionMismatchError(
-                f"{len(states.vectors)} pointer vectors for {len(ops)} terms"
-            )
+        if len(ops) != n_states:
+            raise DimensionMismatchError(f"{n_states} pointer vectors for {len(ops)} terms")
         units, branches = zip(*ops)
         plain = branches.count(None) == len(branches)
         if not plain and branches != self.measured.branches:
             raise ValueError("terms must act through every measured branch in order, or none")
-        if not plain and all(u is None for u in units):  # ideal: A_k = E_k
-            e = self.measured.gram_residual
+        if not plain and all([u is None for u in units]):  # ideal: A_k = E_k
+            e = self.measured.columns.gram_residual
             eta = 2 * e * (1 + e)
         else:
-            ops = tuple((None if u is None else _owned(u), b) for u, b in ops)
-            if any(u is not None and u.shape != (d_a, d_a) for u, _ in ops):
+            ops = tuple([(None if u is None else _owned(u), b) for u, b in ops])
+            if any([u is not None and u.shape != (d_a, d_a) for u, _ in ops]):
                 raise DimensionMismatchError(f"object operators must have shape {(d_a, d_a)}")
             stacked = np.stack([_dense(u, b) for u, b in ops], axis=1)
             eta = _gram_residual(stacked.reshape(-1, d_a))
@@ -252,8 +258,10 @@ class Premeasurement:
     def instrument_dim(self) -> int:
         return self.pointer.dim
 
-    @property
+    @cached_property
     def layout(self) -> SubsystemLayout:
+        """The layout object (x) instrument of ``evolve``'s states, made on
+        first read and kept."""
         return SubsystemLayout(
             (
                 (self.object_label, self.object_dim),
@@ -498,9 +506,8 @@ def complete_unitary(pm: Premeasurement) -> np.ndarray:
     return u
 
 
-def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
-    """Final composite state U(|phi> (x) |ready>); its fresh amplitudes are
-    frozen and handed to the state."""
+def _check_object_state(pm: Premeasurement, object_state: StateVector) -> None:
+    """``evolve``'s checks: a normalized state of ``pm``'s object alone."""
     if object_state.layout.labels != (pm.object_label,):
         raise LayoutConflictError(
             f"object state must live on {pm.object_label!r} alone, "
@@ -510,8 +517,35 @@ def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
         raise DimensionMismatchError("object state dimension mismatch")
     if not object_state.normalized:
         raise ValueError("object state must be normalized")
-    amps = pm.isometry @ object_state.amplitudes
+
+
+def _linked(
+    pm: Premeasurement, amplitudes: np.ndarray, dims: Sequence[int], pos: int
+) -> np.ndarray:
+    """The one link kernel: ``pm``'s V applied to axis ``pos`` of the
+    amplitudes of a state over ``dims``, with the new instrument axis placed
+    behind every other.  The object alone takes V|phi> as one product.  The
+    result is fresh and frozen, for the state that adopts it.  The link is
+    checked by the caller: ``evolve``, ``chains.extend_chain``, or a
+    scenario's chain, with the same checks."""
+    v = pm.isometry
+    if len(dims) == 1:
+        amps = v @ amplitudes
+    else:
+        amps = apply_local(v, amplitudes, dims, pos)
+        right = math.prod(dims[pos + 1 :])
+        if right > 1:  # move the new instrument axis behind the later subsystems
+            d_a, d_b = pm.object_dim, pm.instrument_dim
+            amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(-1)
     amps.setflags(write=False)
+    return amps
+
+
+def evolve(pm: Premeasurement, object_state: StateVector) -> StateVector:
+    """Final composite state U(|phi> (x) |ready>); its fresh amplitudes are
+    frozen and handed to the state."""
+    _check_object_state(pm, object_state)
+    amps = _linked(pm, object_state.amplitudes, (pm.object_dim,), 0)
     return StateVector(pm.layout, amps, normalized=True)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,8 +35,8 @@ import numpy as np
 
 from .branches import BranchDecomposition
 from .chains import (
+    _link_position,
     ensemble_update,
-    extend_chain,
     improper_mixture,
     monte_carlo_update,
     offdiagonal_block_norm,
@@ -46,6 +47,7 @@ from .hilbert import (
     StateVector,
     SubsystemBasis,
     SubsystemLayout,
+    _check_state_norm,
     _fro,
     _refuse_non_finite,
     factor_difference,
@@ -63,11 +65,12 @@ from .observables import (
 )
 from .premeasurement import (
     Premeasurement,
+    _check_object_state,
+    _linked,
     branch_decomposition,
     build_exact,
     build_ideal,
     check_conditions,
-    evolve,
     random_dressings,
 )
 
@@ -402,8 +405,23 @@ def _resolve_event(
     return EventSpec(subject, stage=stage, branch=branch)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, ``os.sysconf`` pages times page size; None
+    where the system does not report them."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
+
+
 def scenario_from_document(doc: dict) -> Scenario:
-    """Validate a parsed JSON tree into a Scenario."""
+    """Validate a parsed JSON tree into a Scenario.
+
+    A document whose total dimension D, the product of its subsystems'
+    dimensions, gives one complex state vector (16 D bytes) larger than
+    physical memory is refused at ``$.subsystems`` before any state is made.
+    """
     if not isinstance(doc, dict):
         raise ScenarioError(E_BAD_VALUE, "$", "document must be an object")
     name = str(doc.get("name", "unnamed"))
@@ -422,6 +440,14 @@ def scenario_from_document(doc: dict) -> Scenario:
             raise ScenarioError(E_DIMENSION, loc, f"dimension must be a positive int, got {dim!r}")
         dims[label] = dim
     lay = SubsystemLayout(tuple(dims.items()))
+    memory = _physical_memory()
+    if memory is not None and 16 * lay.dim > memory:
+        raise ScenarioError(
+            E_DIMENSION,
+            "$.subsystems",
+            f"one state vector of total dimension {lay.dim} takes {16 * lay.dim} bytes, "
+            f"more than the {memory} bytes of physical memory",
+        )
 
     stages_doc = _require(doc, "stages", "$")
     if not isinstance(stages_doc, list):
@@ -953,22 +979,51 @@ def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]
     return pms
 
 
-def run_chain(
-    scenario: Scenario, pms: list[Premeasurement]
+def _chain_states(
+    scenario: Scenario, pms: list[Premeasurement], every_stage: bool
 ) -> list[StateVector]:
-    """Evolve the initial state through every stage; returns per-stage states."""
+    """Evolve the initial state through every stage, over plain label and
+    dimension lists.  Each link gets the checks of ``evolve`` (the first)
+    or ``chains.extend_chain`` (the others), is applied by the one link
+    kernel (``premeasurement._linked``), and has its amplitudes checked as
+    a ``StateVector`` checks them.  Only the final state is wrapped in a
+    layout and a ``StateVector``, or, with ``every_stage``, every stage's."""
+    initial = scenario.initial
+    labels, dims = list(initial.layout.labels), list(initial.layout.dims)
+    amps = initial.amplitudes
     states: list[StateVector] = []
-    state = scenario.initial
+    last = len(pms) - 1
     for i, pm in enumerate(pms):
         try:
             if i == 0:
-                state = evolve(pm, state)
+                _check_object_state(pm, initial)
+                pos = 0
             else:
-                state = extend_chain(state, pm, measured_source=pms[i - 1].pointer)
+                pos = _link_position(labels, dims, pm, pms[i - 1].pointer)
+            amps = _linked(pm, amps, dims, pos)
+            labels.append(pm.instrument_label)
+            dims.append(pm.instrument_dim)
+            if every_stage or i == last:
+                # a list: ``tuple(zip(...))`` would build its tuple by
+                # resizing, which leaves one more tuple on the free list
+                # of its size for each run
+                lay = SubsystemLayout(list(zip(labels, dims)))
+                states.append(StateVector(lay, amps, normalized=True))
+            else:
+                _check_state_norm(amps)
         except ValueError as exc:
             raise type(exc)(f"stage {i}: {exc}") from exc
-        states.append(state)
     return states
+
+
+def run_chain(
+    scenario: Scenario, pms: list[Premeasurement]
+) -> list[StateVector]:
+    """Evolve the initial state through every stage; returns per-stage
+    states, each the state ``evolve`` and then ``extend_chain`` give, bit
+    for bit.  ``run`` makes these intermediate states only for
+    ``dump_states``; otherwise it wraps the final amplitudes alone."""
+    return _chain_states(scenario, pms, every_stage=True)
 
 
 def _branch_rows(bd: BranchDecomposition, pointer: SpectralObservable):
@@ -1156,9 +1211,14 @@ def _dump_section(states: list[StateVector]) -> ReportSection:
 
 
 def run(scenario: Scenario, options: RunOptions = RunOptions()) -> RunReport:
-    """Execute a scenario: build premeasurements, evolve the chain, run analyses."""
+    """Execute a scenario: build premeasurements, evolve the chain, run analyses.
+
+    Every analysis reads the final state alone, so the chain's intermediate
+    states are formed only for ``dump_states``, as ``run_chain`` forms them;
+    otherwise one ``StateVector`` is made, of the final state.
+    """
     pms = build_premeasurements(scenario, options.seed)
-    states = run_chain(scenario, pms)
+    states = _chain_states(scenario, pms, every_stage=options.dump_states)
     sections = []
     stage_rows = tuple(
         (

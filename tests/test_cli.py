@@ -550,6 +550,55 @@ class TestUnreadableScenario:
         assert (out, err) == ("", f"error: cannot read {str(path)!r}: Permission denied\n")
 
 
+class TestMissingScenario:
+    """A path that names no readable file, whatever the reason the system
+    gives, is one error line: neither a builtin nor a file."""
+
+    @staticmethod
+    def missing_paths(tmp_path):
+        regular = tmp_path / "regular.json"
+        regular.write_text("{}")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere.json")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        return {
+            "missing-file": tmp_path / "missing.json",
+            "under-a-regular-file": regular / "scenario.json",
+            "dangling-symlink": tmp_path / "dangling",
+            "symlink-loop": tmp_path / "loop",
+            "directory": tmp_path,
+            "null-byte": f"{tmp_path}/bad\0name.json",
+        }
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "missing-file",
+            "under-a-regular-file",
+            "dangling-symlink",
+            "symlink-loop",
+            "directory",
+            "null-byte",
+        ],
+    )
+    def test_missing_path_is_neither_builtin_nor_file(self, tmp_path, capsys, kind):
+        from vnchain.cli import main
+
+        path = str(self.missing_paths(tmp_path)[kind])
+        assert main(["run", path]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {path!r} is neither a builtin scenario nor a file\n")
+
+    def test_name_too_long_is_a_read_error(self, tmp_path, capsys):
+        """A name the system refuses to look up is read, and its error is one
+        line; a stat of it raised past ``main`` before."""
+        from vnchain.cli import main
+
+        path = str(tmp_path / ("x" * 300))
+        assert main(["run", path]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: cannot read {path!r}: File name too long\n")
+
+
 class TestOutOfMemory:
     """An allocation that does not fit (numpy raises ``_ArrayMemoryError``, a
     ``MemoryError``) is one error line with exit 1, not a traceback."""
