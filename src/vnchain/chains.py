@@ -175,13 +175,17 @@ def _condition_vector(
     Leading batch axes of ``amplitudes`` stand for the columns psi_j of a
     factored state sum_j |psi_j><psi_j|; the weight is then summed over them.
     No factor (None) is returned when the weight is at or below ``DEFAULT.weight``.
+    The factor is fresh and frozen, so the ``DensityOperator`` made of it
+    adopts it (``hilbert._owned``) instead of copying it.
     """
     projected = event.factor(amplitudes, dims, pos)
     w = float(np.real(np.vdot(projected, projected)))
     if w <= DEFAULT.weight:
         return w, None
     m = partial_trace_vector(projected, _resized(dims, pos, event.factor_rows), keep)
-    return w, m / math.sqrt(w)
+    m = m / math.sqrt(w)
+    m.setflags(write=False)
+    return w, m
 
 
 def _event_branch(event: np.ndarray | ObservableBranch) -> ObservableBranch:

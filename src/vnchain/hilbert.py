@@ -220,14 +220,30 @@ class StateVector:
     ``DensityOperator`` checks its trace: finite amplitudes whose squares
     overflow give an infinite norm and a typed error, with no
     floating-point warning.
+
+    A ``StateVector`` given as ``amplitudes`` is adopted on ``layout``,
+    which must have its dimensions (a relabeling, as ``relabeled`` makes):
+    its amplitudes are taken as they are, and its check stands for this
+    one's unless this state is flagged normalized and it was not.  A
+    chain's instruments that start in one ready state so share its vector.
     """
 
     layout: SubsystemLayout
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray | StateVector
     normalized: bool = True
 
     def __post_init__(self):
-        amps = _owned(self.amplitudes)
+        source = self.amplitudes
+        if isinstance(source, StateVector):
+            if source.layout.dims != self.layout.dims:
+                raise DimensionMismatchError(
+                    f"a state on {source.layout} cannot be adopted on {self.layout}"
+                )
+            object.__setattr__(self, "amplitudes", source.amplitudes)
+            if self.normalized and not source.normalized:
+                _check_state_norm(source.amplitudes)
+            return
+        amps = _owned(source)
         if amps.ndim != 1 or amps.shape[0] != self.layout.dim:
             raise DimensionMismatchError(
                 f"amplitudes of length {amps.shape} do not match layout "
@@ -264,9 +280,7 @@ class StateVector:
         return StateVector(new_layout, tens.reshape(-1), normalized=self.normalized)
 
     def relabeled(self, mapping: dict[str, str]) -> "StateVector":
-        return StateVector(
-            self.layout.relabeled(mapping), self.amplitudes, normalized=self.normalized
-        )
+        return StateVector(self.layout.relabeled(mapping), self, normalized=self.normalized)
 
 
 @dataclass(frozen=True, eq=False)

@@ -237,14 +237,30 @@ class SpectralObservable:
     ``DEFAULT.orth * d``.  G is read off ``columns`` as ``basis`` and eps as
     ``gram_residual``, from which a premeasurement that measures the
     observable bounds its own check (``premeasurement.Premeasurement``).
+
+    A ``SpectralObservable`` given as ``eigenvalues`` is adopted on
+    ``columns``, which must hold its very rows (a ``SubsystemBasis`` that
+    adopted its columns under another label): its eigenvalues, ranks and
+    branches are taken as they are, since no branch holds a label, with no
+    second branch build and no second orthonormality check.  A chain link
+    whose instrument reads with the previous pointer's states so shares
+    that pointer's branches.
     """
 
     columns: SubsystemBasis
-    eigenvalues: tuple[float, ...]
-    ranks: tuple[int | None, ...]
+    eigenvalues: tuple[float, ...] | SpectralObservable
+    ranks: tuple[int | None, ...] = ()
     branches: tuple[ObservableBranch, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.eigenvalues, type(self)):
+            source = self.eigenvalues
+            if self.columns.rows is not source.columns.rows or self.ranks:
+                raise ValueError("an adopted observable keeps its columns and its ranks")
+            object.__setattr__(self, "eigenvalues", source.eigenvalues)
+            object.__setattr__(self, "ranks", source.ranks)
+            object.__setattr__(self, "branches", source.branches)
+            return
         eigs, ranks = tuple(map(float, self.eigenvalues)), tuple(self.ranks)
         object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "ranks", ranks)

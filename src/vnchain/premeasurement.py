@@ -14,8 +14,10 @@ that V = U(. (x) |ready>) = sum_k A_k (x) c_k.  The terms are checked once,
 by a bound on ||V^dag V - I|| from ||C^dag C - I|| and
 ||sum_k A_k^dag A_k - I||; an ideal link reads both off its checked inputs
 and forms no Gram product of V.  V itself is formed on first read, by one
-BLAS product, and kept.  A full unitary U, one of many completions of V,
-is formed only by ``complete_unitary``.
+BLAS product, and kept.  A link repeated on other subsystems, as in a copy
+chain, adopts the checked link with its terms and V (``Premeasurement``).
+A full unitary U, one of many completions of V, is formed only by
+``complete_unitary``.
 
 Branch correspondence is an explicit ``index_map`` from measured branch
 positions to pointer branch positions; nothing is inferred from eigenvalue
@@ -125,6 +127,15 @@ class Premeasurement:
     condition itself is the contract of the ``build_*`` constructors and is
     verified by ``check_conditions``, so deliberately broken instances can
     still be represented.  Instances compare by identity.
+
+    A ``Premeasurement`` given as ``operators``, with no ``index_map``, is
+    adopted under this link's labels when it is the same link
+    (``_repeats``): its measured branches, pointer rows and ready amplitudes
+    are this link's very objects, and its pointer's branches this
+    pointer's.  Its terms, index map, ``isometry_bound`` and V are then
+    taken as they are, so the terms are checked and V formed once; every
+    label check runs as for any link.  A chain whose links repeat one
+    premeasurement on new subsystems so shares it.
     """
 
     object_label: str
@@ -132,9 +143,9 @@ class Premeasurement:
     measured: SpectralObservable
     pointer: SpectralObservable
     ready_state: StateVector
-    operators: tuple[Operator, ...] = field(repr=False)
+    operators: tuple[Operator, ...] | Premeasurement = field(repr=False)
     pointer_states: SubsystemBasis = field(repr=False)
-    index_map: tuple[tuple[int, int], ...]
+    index_map: tuple[tuple[int, int], ...] = ()
     isometry_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -155,6 +166,22 @@ class Premeasurement:
             raise DimensionMismatchError("ready state does not match instrument dim")
         if not ready.normalized:
             raise ValueError("ready state must be normalized")
+        states = self.pointer_states
+        if states.subsystem != instrument or states.rows.shape[1] != d_b:
+            raise LayoutConflictError("pointer vectors must live on the instrument")
+        source = self.operators
+        if isinstance(source, Premeasurement):
+            if self.index_map or not (
+                _repeats(source, measured, states, ready)
+                and pointer.branches is source.pointer.branches
+            ):
+                raise ValueError(
+                    "an adopted link must hold its source's measured branches, pointer "
+                    "rows and branches and ready amplitudes, and no index map of its own"
+                )
+            for name in ("operators", "index_map", "isometry_bound", "isometry"):
+                object.__setattr__(self, name, getattr(source, name))
+            return
         object.__setattr__(self, "isometry_bound", self._checked_terms(d_a, d_b))
         pairs = tuple([(int(a), int(b)) for a, b in self.index_map])
         object.__setattr__(self, "index_map", pairs)
@@ -174,8 +201,6 @@ class Premeasurement:
         """The terms owned and checked; returns the bound on ||V^dag V - I||."""
         states = self.pointer_states
         n_states = len(states.vectors)
-        if states.subsystem != self.instrument_label or states.rows.shape[1] != d_b:
-            raise LayoutConflictError("pointer vectors must live on the instrument")
         ops = tuple(self.operators)
         if len(ops) != n_states:
             raise DimensionMismatchError(f"{n_states} pointer vectors for {len(ops)} terms")
@@ -241,7 +266,7 @@ class Premeasurement:
     @cached_property
     def isometry(self) -> np.ndarray:
         """V = sum_k A_k (x) c_k (``_formed_isometry``), formed on first read
-        and kept; read-only."""
+        and kept; read-only.  An adopted link holds its source's."""
         v = _formed_isometry(self)
         v.setflags(write=False)
         return v
@@ -350,7 +375,9 @@ def build_ideal(
     ``SpectralObservable`` constructor's on ``pointer_states`` itself, whose
     Gram check it judges and does not repeat: eigenvalue k for branch k,
     plus one idle complement branch with eigenvalue -1 if the instrument
-    has leftover dimensions.  When given, each pointer state must lie in the range of
+    has leftover dimensions.  A ``measured`` observable that is already
+    that pointer, on the very rows of ``pointer_states``, is adopted as it
+    (``_pointer_from_states``).  When given, each pointer state must lie in the range of
     exactly one of its projectors, which fixes the index map.
     """
     n_branches = measured.branch_count
@@ -368,7 +395,7 @@ def build_ideal(
         raise LayoutConflictError("ready state must live on the instrument subsystem")
 
     if pointer is None:
-        pointer, index_map = _pointer_from_states(pointer_states)
+        pointer, index_map = _pointer_from_states(pointer_states, measured)
     else:
         if pointer.subsystem != instrument or pointer.dim != d_b:
             raise LayoutConflictError("pointer observable does not match instrument")
@@ -386,15 +413,72 @@ def build_ideal(
 
 
 def _pointer_from_states(
-    pointer_states: SubsystemBasis,
+    pointer_states: SubsystemBasis, measured: SpectralObservable | None = None
 ) -> tuple[SpectralObservable, dict[int, int]]:
     """The pointer sum_k k |b_k><b_k| of ``pointer_states`` and its index
     map: state k is the rank-1 branch k, behind the idle complement branch
-    (eigenvalue -1, position 0) when there is one."""
+    (eigenvalue -1, position 0) when there is one.
+
+    When ``measured`` is that very pointer on other labels, on the same rows
+    (the previous pointer of a chain whose instruments read with one list
+    of states), the pointer adopts it (``SpectralObservable`` given an
+    observable) and shares its branches."""
     n = len(pointer_states.vectors)
     idle = () if pointer_states.is_complete else (None,)
-    pointer = SpectralObservable(pointer_states, range(-len(idle), n), idle + (1,) * n)
+    eigenvalues, ranks = range(-len(idle), n), idle + (1,) * n
+    if (
+        measured is not None
+        and measured.columns.rows is pointer_states.rows
+        and measured.ranks == ranks
+        and measured.eigenvalues == tuple(eigenvalues)
+    ):
+        pointer = SpectralObservable(pointer_states, measured)
+    else:
+        pointer = SpectralObservable(pointer_states, eigenvalues, ranks)
     return pointer, {k: k + len(idle) for k in range(n)}
+
+
+def _repeats(
+    link: Premeasurement,
+    measured: SpectralObservable,
+    pointer_states: SubsystemBasis,
+    ready_state: StateVector,
+) -> bool:
+    """The one rule of link adoption: whether a link of ``measured``,
+    ``pointer_states`` and ``ready_state`` is ``link`` on other subsystems.
+    It is when these hold ``link``'s very objects: its measured branches
+    (and so their eigenvalues, blocks and ranks), its pointer rows, which
+    are also the rows of its pointer (a pointer of its states, which a
+    pointer on ``pointer_states`` can adopt), and its ready amplitudes."""
+    return (
+        measured.branches is link.measured.branches
+        and pointer_states.rows is link.pointer_states.rows is link.pointer.columns.rows
+        and ready_state.amplitudes is link.ready_state.amplitudes
+    )
+
+
+def _chained_ideal(
+    previous: Premeasurement | None,
+    measured: SpectralObservable,
+    pointer_states: SubsystemBasis,
+    ready_state: StateVector,
+) -> Premeasurement:
+    """The ideal link of ``measured``, ``pointer_states`` and ``ready_state``
+    in a chain whose last ideal link is ``previous`` (None before the first):
+    ``previous`` adopted under the new labels, with its pointer adopted on
+    ``pointer_states``, when it is the same link (``_repeats``); otherwise
+    ``build_ideal``'s."""
+    if previous is None or not _repeats(previous, measured, pointer_states, ready_state):
+        return build_ideal(measured, pointer_states, ready_state)
+    return Premeasurement(
+        object_label=measured.subsystem,
+        instrument_label=pointer_states.subsystem,
+        measured=measured,
+        pointer=SpectralObservable(pointer_states, previous.pointer),
+        ready_state=ready_state,
+        operators=previous,
+        pointer_states=pointer_states,
+    )
 
 
 def _match_pointer_states(

@@ -11,15 +11,17 @@ eigenbasis, so it takes its exact spectral form with no eigensolver; a
 
 The parser builds each distinct value of a document once.  It keeps one
 table per document (``_PresetTable``) of the presets it has resolved,
-keyed by dimension: the frozen unit vector of each state preset, and the
-checked ``SubsystemBasis`` of each list of preset pointer states, written
-straight into the rows that basis adopts.  A later stage that repeats a
-list adopts the first stage's basis under its own label, so a copy chain
-makes one pointer Gram product, and ``build_premeasurements`` then hands
-each link whose terms are the previous ideal link's arrays that link's V.
-A value enters the table only once it is built, so a bad spec fails at
-each occurrence with the error it would give alone.  The table lives for
-one ``scenario_from_document`` call.
+keyed by dimension: the frozen unit vector of each state preset and the
+first ``ready`` or ``initial`` state made of it, and the checked
+``SubsystemBasis`` of each list of preset pointer states, written straight
+into the rows that basis adopts.  A later stage that repeats a list or a
+``ready`` preset adopts the first stage's basis or state under its own
+label, so a copy chain makes one pointer Gram product and one ready-state
+norm check, and ``build_premeasurements`` then builds one checked link per
+distinct link: a stage that repeats the previous ideal link adopts it
+under its own labels.  A value enters the table only once it is built, so
+a bad spec fails at each occurrence with the error it would give alone.
+The table lives for one ``scenario_from_document`` call.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .observables import (
 )
 from .premeasurement import (
     Premeasurement,
+    _chained_ideal,
     _check_object_state,
     _linked,
     branch_decomposition,
@@ -237,14 +240,15 @@ def _parse_amplitudes(
 
 class _PresetTable:
     """The presets one document has resolved, each once: the unit vector of
-    each (dimension, preset) state spec, and the checked ``SubsystemBasis``
-    of each (dimension, presets) list of pointer states.  A value is
-    recorded only once it is built, so a bad spec fails at each occurrence
-    as it would alone; a spec given as amplitudes is parsed where it
-    stands."""
+    each (dimension, preset) state spec and the first one-subsystem
+    ``StateVector`` made of it, and the checked ``SubsystemBasis`` of each
+    (dimension, presets) list of pointer states.  A value is recorded only
+    once it is built, so a bad spec fails at each occurrence as it would
+    alone; a spec given as amplitudes is parsed where it stands."""
 
     def __init__(self):
         self.states: dict[tuple[int, str], np.ndarray] = {}
+        self.vectors: dict[tuple[int, str], StateVector] = {}
         self.bases: dict[tuple[int, tuple[str, ...]], SubsystemBasis] = {}
 
     def state(self, spec: Any, dim: int, location: str) -> np.ndarray:
@@ -255,6 +259,20 @@ class _PresetTable:
         if amps is None:
             amps = self.states[dim, spec] = _parse_amplitudes(spec, dim, location)
         return amps
+
+    def vector(self, spec: Any, label: str, dim: int, location: str) -> StateVector:
+        """The state of ``spec`` on ``label`` alone, a ``ready`` or the
+        ``initial`` state.  Each later state of the same preset on the same
+        dimension adopts the first one's under its own label, with no
+        second norm check."""
+        lay = SubsystemLayout(((label, dim),))
+        if not isinstance(spec, str):
+            return StateVector(lay, _parse_amplitudes(spec, dim, location))
+        known = self.vectors.get((dim, spec))
+        if known is not None:
+            return StateVector(lay, known)
+        state = self.vectors[dim, spec] = StateVector(lay, self.state(spec, dim, location))
+        return state
 
     def basis(self, specs: list, label: str, dim: int, location: str) -> SubsystemBasis:
         """The basis on ``label`` of the pointer states ``specs``, parsed
@@ -500,10 +518,7 @@ def scenario_from_document(doc: dict) -> Scenario:
                 f"{n_states} pointer states for {measured.branch_count} branches",
             )
 
-        ready = StateVector(
-            SubsystemLayout(((instr, d_instr),)),
-            presets.state(_require(sdoc, "ready", loc), d_instr, f"{loc}.ready"),
-        )
+        ready = presets.vector(_require(sdoc, "ready", loc), instr, d_instr, f"{loc}.ready")
 
         kind = str(sdoc.get("kind", "ideal"))
         dressings = None
@@ -545,11 +560,7 @@ def scenario_from_document(doc: dict) -> Scenario:
         raise ScenarioError(
             E_CHAIN_ORDER, "$.initial", f"initial state must live on {stages[0].object_label!r}"
         )
-    d0 = dims[init_sub]
-    initial = StateVector(
-        SubsystemLayout(((init_sub, d0),)),
-        presets.state(init_spec, d0, "$.initial.state"),
-    )
+    initial = presets.vector(init_spec, init_sub, dims[init_sub], "$.initial.state")
 
     analyses_doc = doc.get("analyses", ["branches"])
     if not isinstance(analyses_doc, list):
@@ -938,36 +949,25 @@ def _dominant_ket(state: StateVector) -> str:
     return f"|{ket}> ({share:.4f})"
 
 
-def _same_terms(a: Premeasurement, b: Premeasurement) -> bool:
-    """Whether two ideal links hold the same measured columns, ranks and
-    pointer rows, array for array."""
-    return (
-        a.measured.columns.rows is b.measured.columns.rows
-        and a.measured.ranks == b.measured.ranks
-        and a.pointer_states.rows is b.pointer_states.rows
-    )
-
-
 def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]:
     """Construct the per-stage premeasurements.
 
-    An ideal link's V = sum_k E_k (x) c_k is fixed by its measured columns
-    and ranks and its pointer rows.  When those are the very arrays of the
-    previous ideal link, as in a copy chain whose pointer bases the parser
-    adopted, the link is handed that link's V, as
-    ``Premeasurement.from_isometry`` hands over a caller's: V is formed
-    once per distinct link.
+    An ideal link is one checked link per distinct link
+    (``premeasurement._chained_ideal``).  When its measured branches,
+    pointer rows and ready state are the previous ideal link's very objects,
+    as in a copy chain, whose every stage reads the previous pointer with
+    the list of states and the ``ready`` the parser adopted, it adopts that
+    link under its own labels: the pointer, the checked terms, the index map
+    and V are shared, and only the label checks run again.  A link whose
+    pointer states are the rows of the pointer it measures adopts that
+    pointer as its own.  An ``exact`` stage dresses a fresh ideal link.
     """
     pms: list[Premeasurement] = []
     last_ideal = None
     for st in scenario.stages:
         measured = st.measured if st.measured is not None else pms[-1].pointer
-        pm = build_ideal(measured, st.pointer_states, st.ready)
-        if st.kind == "ideal":
-            if last_ideal is not None and _same_terms(pm, last_ideal):
-                object.__setattr__(pm, "isometry", last_ideal.isometry)
-            last_ideal = pm
-        elif st.kind == "exact":
+        if st.kind == "exact":
+            pm = build_ideal(measured, st.pointer_states, st.ready)
             spec = st.dressings or DressingSpec("random")
             if spec.mode == "random":
                 dseed = spec.seed if spec.seed is not None else seed * 7_919 + st.index
@@ -975,6 +975,8 @@ def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]
             else:
                 dressings = list(spec.pairs)
             pm = build_exact(pm, dressings)
+        else:
+            pm = last_ideal = _chained_ideal(last_ideal, measured, st.pointer_states, st.ready)
         pms.append(pm)
     return pms
 

@@ -703,6 +703,20 @@ def test_copy_chain_parses_each_preset_once(tmp_path):
     assert parses == [4, 4, 4]
 
 
+def test_copy_chain_builds_and_checks_each_distinct_link_once(tmp_path):
+    """Two observables are built (the first link's ``diag`` and its pointer;
+    each judges its columns once by ``_require_orthonormal``), and two
+    links have their terms checked (``_checked_terms``): the second link
+    measures the first pointer, which its own pointer adopts, and every
+    later link adopts the second under its own labels.  Neither count grows
+    with the chain."""
+    counts = [
+        [_calls_in_one_run(tmp_path, links, name) for links in (2, 6, 10)]
+        for name in ("_require_orthonormal", "_checked_terms")
+    ]
+    assert counts == [[2, 2, 2], [2, 2, 2]]
+
+
 def test_idle_pointer_links_check_one_gram_each(tmp_path):
     """A link whose pointer has an idle branch, and a link that reads such a
     pointer, also make one Gram product: the pointer adopts its basis's

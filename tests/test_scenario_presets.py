@@ -37,6 +37,7 @@ from vnchain.scenarios import (
     scenario_from_document,
 )
 
+from test_adopted_links import _mixing_chain
 from test_kernels import _copy_chain
 
 
@@ -195,6 +196,7 @@ DOCUMENTS = {
     **{name: lambda name=name: builtin_document(name) for name in BUILTIN_DOCUMENTS},
     **{f"copy-{n}": lambda n=n: _copy_chain(n) for n in (2, 6, 10)},
     "mixed-kinds": _mixed_kinds,
+    "mixing": _mixing_chain,
 }
 
 
