@@ -412,6 +412,13 @@ def build_ideal(
     )
 
 
+def _pointer_branch_count(pointer_states: SubsystemBasis) -> int:
+    """The branch count of ``_pointer_from_states``'s pointer: one per state,
+    plus the idle complement when the states do not span the instrument."""
+    n, d = pointer_states.rows.shape
+    return n + (n < d)
+
+
 def _pointer_from_states(
     pointer_states: SubsystemBasis, measured: SpectralObservable | None = None
 ) -> tuple[SpectralObservable, dict[int, int]]:
@@ -606,21 +613,18 @@ def _check_object_state(pm: Premeasurement, object_state: StateVector) -> None:
 def _linked(
     pm: Premeasurement, amplitudes: np.ndarray, dims: Sequence[int], pos: int
 ) -> np.ndarray:
-    """The one link kernel: ``pm``'s V applied to axis ``pos`` of the
-    amplitudes of a state over ``dims``, with the new instrument axis placed
-    behind every other.  The object alone takes V|phi> as one product.  The
-    result is fresh and frozen, for the state that adopts it.  The link is
-    checked by the caller: ``evolve``, ``chains.extend_chain``, or a
-    scenario's chain, with the same checks."""
-    v = pm.isometry
-    if len(dims) == 1:
-        amps = v @ amplitudes
-    else:
-        amps = apply_local(v, amplitudes, dims, pos)
-        right = math.prod(dims[pos + 1 :])
-        if right > 1:  # move the new instrument axis behind the later subsystems
-            d_a, d_b = pm.object_dim, pm.instrument_dim
-            amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(-1)
+    """The one link kernel, and the only product with a link's V: ``pm``'s
+    V applied (``hilbert.apply_local``) to axis ``pos`` of amplitudes over
+    ``dims``, behind any leading batch axes, with the new instrument axis
+    placed behind every other subsystem.  The result is fresh and frozen,
+    for the state that adopts it.  The link is checked by the caller:
+    ``evolve``, ``chains.extend_chain``, a scenario's chain, or
+    ``check_conditions`` on its batches of object states."""
+    amps = apply_local(pm.isometry, amplitudes, dims, pos)
+    right = math.prod(dims[pos + 1 :])
+    if right > 1:  # move the new instrument axis behind the later subsystems
+        d_a, d_b = pm.object_dim, pm.instrument_dim
+        amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(amps.shape)
     amps.setflags(write=False)
     return amps
 
@@ -665,10 +669,12 @@ def check_conditions(
     each come from a fresh ``default_rng(seed)``, so every report depends
     only on ``pm``, ``trials`` and ``seed``.  Every E_k and F_k is applied
     as its branch acts (``through``): through its eigenbasis block, or as
-    x - G (G^dag x) for a complement.
+    x - G (G^dag x) for a complement.  Each of the three batches of object
+    states (the sharp states, the shared states and every E_k |phi> of
+    them) is evolved by one call of the link kernel (``_linked``).
     """
-    iso = pm.isometry
     dims = (pm.object_dim, pm.instrument_dim)
+    alone = (pm.object_dim,)
     branches = pm.measured.branches
     pointer = [pm.pointer.branches[pm.mapping[k]] for k in range(len(branches))]
     samples = max(trials, 0) * len(branches)
@@ -676,7 +682,7 @@ def check_conditions(
     if trials > 0:
         rng = np.random.default_rng(seed)
         sharp = [_sharp_vector(b, rng) for b in branches for _ in range(trials)]
-        finals = (np.array(sharp) @ iso.T).reshape(len(branches), trials, -1)
+        finals = _linked(pm, np.array(sharp), alone, 0).reshape(len(branches), trials, -1)
         for f_k, rows in zip(pointer, finals):
             resid = np.linalg.norm(f_k.through(rows, dims, 1)[1] - rows, axis=1)
             calibration = max(calibration, float(resid.max()))
@@ -686,14 +692,15 @@ def check_conditions(
             raw = rng.standard_normal(pm.object_dim) + 1j * rng.standard_normal(pm.object_dim)
             phis.append(raw / _fro(raw))
         phis = np.array(phis)
-        finals = phis @ iso.T
-        for f_k, branch in zip(pointer, branches):
-            coeffs, projected = branch.through(phis, (pm.object_dim,), 0)
+        finals = _linked(pm, phis, alone, 0)
+        through = [branch.through(phis, alone, 0) for branch in branches]
+        evolved = _linked(pm, np.array([projected for _, projected in through]), alone, 0)
+        for f_k, (coeffs, _), evolved_k in zip(pointer, through, evolved):
             final_coeffs, final_pointed = f_k.through(finals, dims, 1)
             lhs = np.sum(np.abs(coeffs) ** 2, axis=1)
             rhs = np.sum(np.abs(final_coeffs) ** 2, axis=1)
             probability = max(probability, float(np.max(np.abs(lhs - rhs))))
-            resid = np.linalg.norm(final_pointed - projected @ iso.T, axis=1)
+            resid = np.linalg.norm(final_pointed - evolved_k, axis=1)
             dynamical = max(dynamical, float(resid.max()))
     return (
         ConditionReport("calibration", calibration, samples, DEFAULT.condition),

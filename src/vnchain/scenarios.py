@@ -13,14 +13,15 @@ The parser builds each distinct value of a document once.  It keeps one
 table per document (``_PresetTable``) of the presets it has resolved,
 keyed by dimension: the frozen unit vector of each state preset and the
 first ``ready`` or ``initial`` state made of it, and the checked
-``SubsystemBasis`` of each list of preset pointer states, written straight
-into the rows that basis adopts.  A later stage that repeats a list or a
-``ready`` preset adopts the first stage's basis or state under its own
-label, so a copy chain makes one pointer Gram product and one ready-state
-norm check, and ``build_premeasurements`` then builds one checked link per
-distinct link: a stage that repeats the previous ideal link adopts it
-under its own labels.  A value enters the table only once it is built, so
-a bad spec fails at each occurrence with the error it would give alone.
+``SubsystemBasis`` of each list of preset pointer states, whose rows stack
+those unit vectors, so a pointer list and a ``ready`` of one preset share
+one parse.  A later stage that repeats a list or a ``ready`` preset
+adopts the first stage's basis or state under its own label, so a copy
+chain makes one pointer Gram product and one ready-state norm check, and
+``build_premeasurements`` then builds one checked link per distinct link:
+a stage that repeats the previous ideal link adopts it under its own
+labels.  A value enters the table only once it is built, so a bad spec
+fails at each occurrence with the error it would give alone.
 The table lives for one ``scenario_from_document`` call.
 """
 
@@ -70,6 +71,7 @@ from .premeasurement import (
     _chained_ideal,
     _check_object_state,
     _linked,
+    _pointer_branch_count,
     branch_decomposition,
     build_exact,
     build_ideal,
@@ -186,16 +188,12 @@ def _parse_complex(value: Any, location: str) -> complex:
     return z
 
 
-def _parse_amplitudes(
-    spec: Any, dim: int, location: str, out: np.ndarray | None = None
-) -> np.ndarray:
+def _parse_amplitudes(spec: Any, dim: int, location: str) -> np.ndarray:
     """The unit vector of a state spec on a subsystem of dimension ``dim``:
     a preset or a list of amplitudes, normalized.  It is fresh, and frozen,
-    so that a state adopts it (``hilbert._owned``) instead of copying it;
-    or it is written into ``out``, a zeroed row of ``dim`` entries that its
-    caller freezes."""
+    so that a state adopts it (``hilbert._owned``) instead of copying it."""
     if isinstance(spec, str):
-        amps = np.zeros(dim, dtype=complex) if out is None else out
+        amps = np.zeros(dim, dtype=complex)
         if spec == "plus":
             if dim < 2:
                 raise ScenarioError(E_DIMENSION, location, "'plus' needs dimension >= 2")
@@ -230,11 +228,10 @@ def _parse_amplitudes(
             raise ScenarioError(E_MALFORMED_STATE, location, "state norm overflows")
         if n < 1e-12:
             raise ScenarioError(E_MALFORMED_STATE, location, "state has zero norm")
-        amps = np.divide(amps, n, out=out)
+        amps = amps / n
     else:
         raise ScenarioError(E_MALFORMED_STATE, location, f"cannot read state spec {spec!r}")
-    if out is None:
-        amps.setflags(write=False)
+    amps.setflags(write=False)
     return amps
 
 
@@ -242,9 +239,10 @@ class _PresetTable:
     """The presets one document has resolved, each once: the unit vector of
     each (dimension, preset) state spec and the first one-subsystem
     ``StateVector`` made of it, and the checked ``SubsystemBasis`` of each
-    (dimension, presets) list of pointer states.  A value is recorded only
-    once it is built, so a bad spec fails at each occurrence as it would
-    alone; a spec given as amplitudes is parsed where it stands."""
+    (dimension, presets) list of pointer states, which stacks those unit
+    vectors.  A value is recorded only once it is built, so a bad spec fails
+    at each occurrence as it would alone; a spec given as amplitudes is
+    parsed where it stands."""
 
     def __init__(self):
         self.states: dict[tuple[int, str], np.ndarray] = {}
@@ -275,17 +273,15 @@ class _PresetTable:
         return state
 
     def basis(self, specs: list, label: str, dim: int, location: str) -> SubsystemBasis:
-        """The basis on ``label`` of the pointer states ``specs``, parsed
-        straight into the frozen (n, dim) rows that it adopts.  Each later
-        list of the same presets on the same dimension adopts that basis
-        under its own label, with no second Gram check."""
+        """The basis on ``label`` of the pointer states ``specs``: their
+        vectors (``state``) stacked into the frozen (n, dim) rows that it
+        adopts.  Each later list of the same presets on the same dimension
+        adopts that basis under its own label, with no second Gram check."""
         key = (dim, tuple(specs)) if all(isinstance(s, str) for s in specs) else None
         known = self.bases.get(key)
         if known is not None:
             return SubsystemBasis(label, known)
-        rows = np.zeros((len(specs), dim), dtype=complex)
-        for i, s in enumerate(specs):
-            _parse_amplitudes(s, dim, f"{location}[{i}]", out=rows[i])
+        rows = np.array([self.state(s, dim, f"{location}[{i}]") for i, s in enumerate(specs)])
         rows.setflags(write=False)
         try:
             basis = SubsystemBasis(label, rows)
@@ -412,8 +408,7 @@ def _resolve_event(
             f"a stage-{stage} pointer branch is an event on "
             f"{stages[stage].instrument_label!r}, not on {subject!r}",
         )
-    pointer_states = stages[stage].pointer_states
-    count = len(pointer_states.vectors) + (not pointer_states.is_complete)
+    count = _pointer_branch_count(stages[stage].pointer_states)
     if branch >= count:
         raise ScenarioError(
             E_BAD_VALUE,
@@ -475,6 +470,7 @@ def scenario_from_document(doc: dict) -> Scenario:
 
     presets = _PresetTable()
     stages: list[StageSpec] = []
+    in_chain = {lay.labels[0]}  # the first object and every instrument so far
     for t, sdoc in enumerate(stages_doc):
         loc = f"$.stages[{t}]"
         if not isinstance(sdoc, dict):
@@ -496,6 +492,11 @@ def scenario_from_document(doc: dict) -> Scenario:
                 f"stage {t} object {obj!r} must be stage {t - 1}'s instrument "
                 f"{stages[t - 1].instrument_label!r}",
             )
+        if instr in in_chain:
+            raise ScenarioError(
+                E_CHAIN_ORDER, loc, f"stage {t} instrument {instr!r} is already in the chain"
+            )
+        in_chain.add(instr)
         d_obj, d_instr = dims[obj], dims[instr]
 
         measured = _parse_observable(
@@ -511,11 +512,15 @@ def scenario_from_document(doc: dict) -> Scenario:
             raise ScenarioError(E_BAD_VALUE, f"{loc}.pointer_states", "expected a non-empty list")
         pointer_states = presets.basis(pstates_doc, instr, d_instr, f"{loc}.pointer_states")
         n_states = len(pointer_states.vectors)
-        if measured is not None and n_states != measured.branch_count:
+        if measured is None:  # the previous pointer, of the previous stage's states
+            n_branches = _pointer_branch_count(stages[-1].pointer_states)
+        else:
+            n_branches = measured.branch_count
+        if n_states != n_branches:
             raise ScenarioError(
                 E_DIMENSION,
                 f"{loc}.pointer_states",
-                f"{n_states} pointer states for {measured.branch_count} branches",
+                f"{n_states} pointer states for {n_branches} branches",
             )
 
         ready = presets.vector(_require(sdoc, "ready", loc), instr, d_instr, f"{loc}.ready")
@@ -1047,9 +1052,9 @@ def _weight_sum_check(bd: BranchDecomposition, tol: float) -> CheckLine:
     return CheckLine("weight_table_sum", abs(total - 1.0), tol)
 
 
-def _analysis_branches(spec, scenario, pms, states, options) -> ReportSection:
+def _analysis_branches(spec, pms, final, options) -> ReportSection:
     idx = spec.params.get("pointer_stage", len(pms) - 1)
-    bd = branch_decomposition(states[-1], pms[idx].pointer)
+    bd = branch_decomposition(final, pms[idx].pointer)
     return ReportSection(
         title=f"branches (pointer of stage {idx})",
         columns=("branch", "eigenvalue", "weight", "component"),
@@ -1058,10 +1063,9 @@ def _analysis_branches(spec, scenario, pms, states, options) -> ReportSection:
     )
 
 
-def _analysis_improper(spec, scenario, pms, states, options) -> ReportSection:
+def _analysis_improper(spec, pms, final, options) -> ReportSection:
     idx = spec.params.get("stage", len(pms) - 1)
     subject = pms[idx].instrument_label
-    final = states[-1]
     d = pms[idx].pointer.decomposition()
     bd = improper_mixture(final, d)
     reduced = partial_trace(final, {subject})
@@ -1094,9 +1098,9 @@ def _analysis_improper(spec, scenario, pms, states, options) -> ReportSection:
     )
 
 
-def _analysis_world(spec, scenario, pms, states, options) -> ReportSection:
+def _analysis_world(spec, pms, final, options) -> ReportSection:
     idx = spec.params.get("pointer_stage", 0)
-    bd = world_branches(states[-1], pms[idx].pointer)
+    bd = world_branches(final, pms[idx].pointer)
     rows = tuple(
         (str(b.index), _fmt_weight(b.weight), f"state on {'+'.join(b.component.layout.labels)}")
         for b in bd.branches
@@ -1117,9 +1121,9 @@ def _analysis_world(spec, scenario, pms, states, options) -> ReportSection:
     )
 
 
-def _analysis_ensemble(spec, scenario, pms, states, options) -> ReportSection:
+def _analysis_ensemble(spec, pms, final, options) -> ReportSection:
     src = spec.params.get("source_stage", len(pms) - 1)
-    bd = branch_decomposition(states[-1], pms[src].pointer)
+    bd = branch_decomposition(final, pms[src].pointer)
     ens = proper_mixture(bd)
     subject, state = spec.event.subject, spec.event.state
     if state is None:
@@ -1164,7 +1168,7 @@ def _analysis_ensemble(spec, scenario, pms, states, options) -> ReportSection:
     )
 
 
-def _analysis_conditions(spec, scenario, pms, states, options) -> ReportSection:
+def _analysis_conditions(spec, pms, final, options) -> ReportSection:
     trials = int(spec.params.get("trials", CONDITION_TRIALS))
     rows = []
     checks = []
@@ -1215,9 +1219,10 @@ def _dump_section(states: list[StateVector]) -> ReportSection:
 def run(scenario: Scenario, options: RunOptions = RunOptions()) -> RunReport:
     """Execute a scenario: build premeasurements, evolve the chain, run analyses.
 
-    Every analysis reads the final state alone, so the chain's intermediate
-    states are formed only for ``dump_states``, as ``run_chain`` forms them;
-    otherwise one ``StateVector`` is made, of the final state.
+    Every analysis is handed the final state alone, so the chain's
+    intermediate states are formed only for ``dump_states``, as
+    ``run_chain`` forms them; otherwise one ``StateVector`` is made, of the
+    final state.
     """
     pms = build_premeasurements(scenario, options.seed)
     states = _chain_states(scenario, pms, every_stage=options.dump_states)
@@ -1241,7 +1246,7 @@ def run(scenario: Scenario, options: RunOptions = RunOptions()) -> RunReport:
         )
     )
     for spec in scenario.analyses:
-        sections.append(_ANALYSES[spec.kind](spec, scenario, pms, states, options))
+        sections.append(_ANALYSES[spec.kind](spec, pms, states[-1], options))
     if options.dump_states:
         sections.append(_dump_section(states))
     return RunReport(scenario.name, options.seed, options.tolerance, tuple(sections))

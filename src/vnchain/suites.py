@@ -62,6 +62,7 @@ from .hilbert import (
 from .observables import observable_from_matrix
 from .premeasurement import (
     Premeasurement,
+    _linked,
     _sharp_vector,
     branch_decomposition,
     build_exact,
@@ -314,14 +315,15 @@ def _suite_ideal_definitions(ctx: SuiteContext) -> tuple[int, float]:
 def _recovered_pointer_state(
     pm: Premeasurement, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pointer state of branch k, phase and all, read off the isometry itself.
+    """Pointer state of branch k, phase and all, read off the link itself.
 
     For an ideal premeasurement a sharp input |phi_k> evolves to
-    |phi_k> (x) |b_k> exactly, so contracting <phi_k| against the output
-    recovers |b_k| with the phase actually used by the construction.
+    |phi_k> (x) |b_k> exactly (``premeasurement._linked``), so contracting
+    <phi_k| against the output recovers |b_k> with the phase actually used
+    by the construction.
     """
     phi = _sharp_vector(pm.measured.branches[k], rng)
-    final = pm.isometry @ phi
+    final = _linked(pm, phi, (pm.object_dim,), 0)
     return np.tensordot(
         phi.conj(), final.reshape(pm.object_dim, pm.instrument_dim), axes=(0, 0)
     )

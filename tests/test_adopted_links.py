@@ -443,7 +443,9 @@ DIAG00 = {"diag": [0, 0]}
 
 # Each row: a document and the parser's (code, location, message), which
 # ``vnchain run`` prints, or the stderr of a document that only the build or
-# the chain refuses; recorded before links were adopted.
+# the chain refuses; recorded before links were adopted.  The two label
+# clashes and the two lists of the wrong length for the previous pointer
+# were build or chain errors then, and are the parser's since.
 ERROR_TABLE = {
     "declared label given twice": (
         _chain(4, subsystems=[["q0", 2], ["q1", 2], ["q2", 2], ["q3", 2], ["q1", 2]]),
@@ -451,11 +453,11 @@ ERROR_TABLE = {
     ),
     "instrument is its own object": (
         _chain(5, s4={"instrument": "q4"}),
-        "error: object and instrument labels must differ\n",
+        ("chain-order", "$.stages[4]", "stage 4 instrument 'q4' is already in the chain"),
     ),
     "instrument already in use": (
         _chain(5, s4={"instrument": "q1"}),
-        "error: stage 4: label 'q1' already in use\n",
+        ("chain-order", "$.stages[4]", "stage 4 instrument 'q1' is already in the chain"),
     ),
     "undeclared instrument": (
         _chain(5, s4={"instrument": "q9"}),
@@ -472,7 +474,7 @@ ERROR_TABLE = {
     ),
     "repeated list on a wider instrument, read by a repeated list": (
         _chain(5, {"q3": 3}),
-        "error: 2 pointer states for 3 branches\n",
+        ("dimension-mismatch", "$.stages[3].pointer_states", "2 pointer states for 3 branches"),
     ),
     "ready preset out of range": (
         _chain(5, s3={"ready": "basis:2"}),
@@ -503,7 +505,7 @@ ERROR_TABLE = {
     ),
     "too few states for the previous pointer": (
         _chain(5, s4={"pointer_states": ["basis:0"]}),
-        "error: 1 pointer states for 2 branches\n",
+        ("dimension-mismatch", "$.stages[4].pointer_states", "1 pointer states for 2 branches"),
     ),
     "too many states for the previous pointer": (
         _chain(5, s4={"pointer_states": ["basis:0", "basis:1", "plus"]}),
@@ -543,3 +545,20 @@ def test_a_repeated_stage_broken_later_fails_as_before(tmp_path, name):
         assert (err.value.code, err.value.location, err.value.message) == expected
         stderr = "scenario error: [{}] at {}: {}\n".format(*expected)
     assert _run(tmp_path, doc) == (1, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "stage, instrument",
+    [(0, "q0"), (2, "q0"), (2, "q1"), (2, "q2")],
+    ids=["first object, its own", "first object", "earlier instrument", "its own object"],
+)
+def test_an_instrument_already_in_the_chain_is_refused_by_the_parser(stage, instrument):
+    """The first object and every earlier instrument are in the chain."""
+    doc = _chain(3, **{f"s{stage}": {"instrument": instrument}})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert (err.value.code, err.value.location, err.value.message) == (
+        "chain-order",
+        f"$.stages[{stage}]",
+        f"stage {stage} instrument {instrument!r} is already in the chain",
+    )

@@ -696,11 +696,11 @@ def test_copy_chain_forms_one_isometry_per_distinct_link(tmp_path):
 
 
 def test_copy_chain_parses_each_preset_once(tmp_path):
-    """The initial ``plus``, the two presets of the pointer list, written
-    into its basis rows at the first link, and the ready ``basis:0``: four
+    """The initial ``plus`` and the two presets of the pointer list,
+    ``basis:0`` and ``basis:1``, whose ``basis:0`` the ready shares: three
     parses however long the chain."""
     parses = [_calls_in_one_run(tmp_path, links, "_parse_amplitudes") for links in (2, 6, 10)]
-    assert parses == [4, 4, 4]
+    assert parses == [3, 3, 3]
 
 
 def test_copy_chain_builds_and_checks_each_distinct_link_once(tmp_path):

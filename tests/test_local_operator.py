@@ -710,3 +710,57 @@ def test_dense_path_finder_flags_dense_states():
         "eigvalsh call at hilbert.py:5 in trace_distance",
         "outer call at hilbert.py:7 in purity",
     ]
+
+
+# The functions of the package that may read a link's V: the link kernel,
+# and three that read it dense by design (a display completion, fault
+# injection, and the identity-dressing reference).
+ISOMETRY_READERS = {
+    "_linked",
+    "complete_unitary",
+    "corrupt_premeasurement",
+    "_suite_identity_dressing",
+}
+
+
+def isometry_reads(source: str, module: str) -> list[tuple[str, str]]:
+    """Each ``<x>.isometry`` read as ``("<module>:<line> in <function>",
+    <function>)``, the function being the innermost one that encloses it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "isometry":
+                found.append((child.lineno, scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return [(f"{module}:{line} in {scope}", scope) for line, scope in sorted(found)]
+
+
+def test_only_the_link_kernel_multiplies_by_v():
+    """Every product with a link's V goes through ``premeasurement._linked``:
+    no other function of the package reads ``isometry``."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for where, scope in isometry_reads(path.read_text(), path.name):
+            if scope not in ISOMETRY_READERS:
+                offenders.append(where)
+    assert offenders == []
+
+
+def test_isometry_reads_are_found_in_their_function():
+    source = (
+        "def check_conditions(pm, phis):\n"
+        "    def inner():\n"
+        "        return phis @ pm.isometry.T\n"
+        "    return inner(), getattr(pm, 'isometry')\n"
+        "v = link.isometry\n"
+    )
+    assert isometry_reads(source, "m.py") == [
+        ("m.py:3 in inner", "inner"),
+        ("m.py:5 in <module>", "<module>"),
+    ]

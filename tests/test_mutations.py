@@ -80,6 +80,7 @@ FAULT_TABLE = {
         "chains.tripartite_consistency",
     },
     "apply_local_operator_conjugated": {
+        "premeasurement.ideal_definitions",
         "premeasurement.equivalence_triangle",
         "chains.two_link_resummation",
         "chains.relative_state_forms",

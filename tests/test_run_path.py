@@ -119,14 +119,20 @@ def test_run_chain_is_the_evolve_extend_chain_loop_bit_for_bit(name):
 def test_run_reports_the_final_state_of_run_chain(name, monkeypatch):
     """``run`` with and without ``dump_states`` hands its analyses the same
     final state, bit for bit."""
-    finals = []
-    analysis = scenarios._ANALYSES["branches"]
+    n_states, finals = [], []
+    analysis, chain_states = scenarios._ANALYSES["branches"], scenarios._chain_states
 
-    def recording(spec, scenario, pms, states, options):
-        finals.append((len(states), states[-1]))
-        return analysis(spec, scenario, pms, states, options)
+    def recording(spec, pms, final, options):
+        finals.append((n_states[-1], final))
+        return analysis(spec, pms, final, options)
+
+    def counting(scenario, pms, every_stage):
+        states = chain_states(scenario, pms, every_stage)
+        n_states.append(len(states))
+        return states
 
     monkeypatch.setitem(scenarios._ANALYSES, "branches", recording)
+    monkeypatch.setattr(scenarios, "_chain_states", counting)
     doc = DOCUMENTS[name]()
     doc["analyses"] = ["branches"]
     scenario = scenario_from_document(doc)

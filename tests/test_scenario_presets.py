@@ -249,7 +249,9 @@ QUBITS = (("a", 2), ("b", 2), ("c", 2))
 
 # Each row: a document and the parser's (code, location, message), which
 # ``vnchain run`` prints, or the stderr of a document that only the build
-# refuses; recorded before the preset table existed.
+# refuses; recorded before the preset table existed.  The list too short
+# for the previous pointer was a build error then, and is the parser's
+# since.
 ERROR_TABLE = {
     "pointer list on a smaller instrument": (
         _chain(
@@ -351,8 +353,7 @@ ERROR_TABLE = {
             _stage("a", "b", {"diag": [0, 1]}, B01),
             _stage("b", "c", PREV, B01),
         ),
-        # parses: the build counts the previous pointer's branches
-        "error: 2 pointer states for 3 branches\n",
+        ("dimension-mismatch", "$.stages[1].pointer_states", "2 pointer states for 3 branches"),
     ),
 }
 
