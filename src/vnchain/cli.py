@@ -1,7 +1,8 @@
 """Command-line scenario runner and property-suite driver.
 
 Exit codes: 0 success, 1 validation/usage error (an allocation that does
-not fit in memory included), 2 numerical or suite failure.  ``run --tol``
+not fit in memory included), 2 numerical or suite failure (a Monte Carlo
+``ensemble_update`` that accepts no sample included).  ``run --tol``
 sets the pass tolerance of the report's check lines; the library's own
 checks read ``vnchain.tolerances.DEFAULT``.  A ``verify`` suite that
 raises is reported as a failing row whose note names the exception, and
@@ -19,6 +20,7 @@ import math
 import sys
 from pathlib import Path
 
+from .errors import ZeroSampleError
 from .scenarios import (
     RunOptions,
     ScenarioError,
@@ -210,6 +212,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ZeroSampleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

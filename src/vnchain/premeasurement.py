@@ -412,13 +412,6 @@ def build_ideal(
     )
 
 
-def _pointer_branch_count(pointer_states: SubsystemBasis) -> int:
-    """The branch count of ``_pointer_from_states``'s pointer: one per state,
-    plus the idle complement when the states do not span the instrument."""
-    n, d = pointer_states.rows.shape
-    return n + (n < d)
-
-
 def _pointer_from_states(
     pointer_states: SubsystemBasis, measured: SpectralObservable | None = None
 ) -> tuple[SpectralObservable, dict[int, int]]:
@@ -471,10 +464,10 @@ def _chained_ideal(
     ready_state: StateVector,
 ) -> Premeasurement:
     """The ideal link of ``measured``, ``pointer_states`` and ``ready_state``
-    in a chain whose last ideal link is ``previous`` (None before the first):
-    ``previous`` adopted under the new labels, with its pointer adopted on
-    ``pointer_states``, when it is the same link (``_repeats``); otherwise
-    ``build_ideal``'s."""
+    in a chain whose previous stage's ideal link is ``previous`` (None before
+    the first): ``previous`` adopted under the new labels, with its pointer
+    adopted on ``pointer_states``, when it is the same link (``_repeats``);
+    otherwise ``build_ideal``'s."""
     if previous is None or not _repeats(previous, measured, pointer_states, ready_state):
         return build_ideal(measured, pointer_states, ready_state)
     return Premeasurement(

@@ -17,12 +17,19 @@ first ``ready`` or ``initial`` state made of it, and the checked
 those unit vectors, so a pointer list and a ``ready`` of one preset share
 one parse.  A later stage that repeats a list or a ``ready`` preset
 adopts the first stage's basis or state under its own label, so a copy
-chain makes one pointer Gram product and one ready-state norm check, and
-``build_premeasurements`` then builds one checked link per distinct link:
-a stage that repeats the previous ideal link adopts it under its own
-labels.  A value enters the table only once it is built, so a bad spec
-fails at each occurrence with the error it would give alone.
-The table lives for one ``scenario_from_document`` call.
+chain makes one pointer Gram product and one ready-state norm check.  A
+value enters the table only once it is built, so a bad spec fails at each
+occurrence with the error it would give alone.  The table lives for one
+``scenario_from_document`` call.
+
+The parser also builds each stage's checked ideal link as it parses the
+stage, from the previous stage's link (``premeasurement._chained_ideal``):
+``"previous-pointer"`` is that link's pointer object, an explicit
+``measured`` must match it (``chains.observables_match``) or is refused as
+``[chain-order]`` at ``$.stages[k].measured``, after the stage's other
+checks, and a stage that repeats that link adopts it under its own labels.
+``run`` (``build_premeasurements``) only dresses the links of ``exact``
+stages.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .chains import (
     ensemble_update,
     improper_mixture,
     monte_carlo_update,
+    observables_match,
     offdiagonal_block_norm,
     proper_mixture,
     world_branches,
@@ -62,6 +70,7 @@ from .observables import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    ObservableBranch,
     SpectralObservable,
     _merged_spectrum,
     observable_from_matrix,
@@ -71,10 +80,8 @@ from .premeasurement import (
     _chained_ideal,
     _check_object_state,
     _linked,
-    _pointer_branch_count,
     branch_decomposition,
     build_exact,
-    build_ideal,
     check_conditions,
     random_dressings,
 )
@@ -114,25 +121,19 @@ class DressingSpec:
 @dataclass(frozen=True)
 class StageSpec:
     index: int
-    object_label: str
-    instrument_label: str
-    measured: SpectralObservable | None  # None: read the previous stage's pointer
-    pointer_states: SubsystemBasis
-    ready: StateVector
+    link: Premeasurement  # the checked ideal link; ``run`` dresses an exact one
     kind: str  # "ideal" or "exact"
     dressings: DressingSpec | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class EventSpec:
-    """An ``ensemble_update`` event on ``subject``, resolved by the parser:
-    the projector onto the unit vector ``state``, or, when that is None,
-    branch ``branch`` of the pointer of stage ``stage``."""
+    """An ``ensemble_update`` event on ``subject``, resolved by the parser to
+    what ``ensemble_update`` applies: the projector onto a unit vector, as
+    its (d, 1) block, or a branch of a stage's pointer."""
 
     subject: str
-    state: np.ndarray | None = None
-    stage: int = 0
-    branch: int = 0
+    event: np.ndarray | ObservableBranch
 
 
 @dataclass(frozen=True)
@@ -303,10 +304,8 @@ def _parse_matrix(spec: Any, dim: int, location: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_observable(
-    spec: Any, subsystem: str, dim: int, location: str
-) -> SpectralObservable | None:
-    """The observable of a ``measured`` spec, or None for ``"previous-pointer"``.
+def _parse_observable(spec: Any, subsystem: str, dim: int, location: str) -> SpectralObservable:
+    """The observable of a ``measured`` spec other than ``"previous-pointer"``.
 
     ``pauli`` and ``matrix`` observables are diagonalized by
     ``observable_from_matrix``.  A ``diag`` one takes its exact spectral
@@ -316,8 +315,6 @@ def _parse_observable(
     (``_merged_spectrum``), and the matching unit vectors, as the rows of a
     ``SubsystemBasis``, are its columns, Gram-checked once by that basis.
     """
-    if spec == "previous-pointer":
-        return None
     if isinstance(spec, dict):
         if "pauli" in spec:
             name = str(spec["pauli"]).lower()
@@ -380,14 +377,14 @@ def _resolve_event(
     """The event of an ``ensemble_update`` analysis whose ``projector`` is at
     ``location``, where every error is reported: by default the ``plus``
     state of the last instrument.  A subject must be in the final state; a
-    branch subject must be the instrument of its stage, whose n pointer
-    states give the pointer n branches, plus the idle complement when they
-    do not span it.  ``dims`` maps each label to its dimension, and state
-    specs resolve through the document's ``presets``."""
-    last = stages[-1].instrument_label
+    branch subject must be the instrument of its stage, and the branch one
+    of that stage's pointer, which an exact stage's dressed link keeps.
+    ``dims`` maps each label to its dimension, and state specs resolve
+    through the document's ``presets``."""
+    last = stages[-1].link.instrument_label
     pdoc = params.get("projector")
     if pdoc is None:
-        return EventSpec(last, state=presets.state("plus", dims[last], location))
+        return EventSpec(last, presets.state("plus", dims[last], location)[:, None])
     if not isinstance(pdoc, dict):
         raise ScenarioError(E_BAD_VALUE, location, f"expected an object, got {pdoc!r}")
     if "stage" in pdoc:
@@ -395,27 +392,27 @@ def _resolve_event(
     if "branch" in pdoc:
         _check_count(pdoc["branch"], 0, f"{location}.branch")
     subject = str(pdoc.get("subsystem", last))
-    if subject not in {stages[0].object_label, *(st.instrument_label for st in stages)}:
+    if subject not in {stages[0].link.object_label, *(st.link.instrument_label for st in stages)}:
         raise ScenarioError(E_UNKNOWN_LABEL, location, f"subsystem {subject!r} not in layout")
     if "branch" not in pdoc:
         spec = _require(pdoc, "state", location)
-        return EventSpec(subject, state=presets.state(spec, dims[subject], f"{location}.state"))
+        return EventSpec(subject, presets.state(spec, dims[subject], f"{location}.state")[:, None])
     stage, branch = pdoc.get("stage", params.get("source_stage", len(stages) - 1)), pdoc["branch"]
-    if subject != stages[stage].instrument_label:
+    pointer = stages[stage].link.pointer
+    if subject != pointer.subsystem:
         raise ScenarioError(
             E_BAD_VALUE,
             f"{location}.subsystem",
             f"a stage-{stage} pointer branch is an event on "
-            f"{stages[stage].instrument_label!r}, not on {subject!r}",
+            f"{pointer.subsystem!r}, not on {subject!r}",
         )
-    count = _pointer_branch_count(stages[stage].pointer_states)
-    if branch >= count:
+    if branch >= pointer.branch_count:
         raise ScenarioError(
             E_BAD_VALUE,
             f"{location}.branch",
-            f"stage {stage} pointer has {count} branches, no branch {branch}",
+            f"stage {stage} pointer has {pointer.branch_count} branches, no branch {branch}",
         )
-    return EventSpec(subject, stage=stage, branch=branch)
+    return EventSpec(subject, pointer.branches[branch])
 
 
 def _physical_memory() -> int | None:
@@ -470,6 +467,7 @@ def scenario_from_document(doc: dict) -> Scenario:
 
     presets = _PresetTable()
     stages: list[StageSpec] = []
+    previous = None  # the previous stage's ideal link
     in_chain = {lay.labels[0]}  # the first object and every instrument so far
     for t, sdoc in enumerate(stages_doc):
         loc = f"$.stages[{t}]"
@@ -485,12 +483,12 @@ def scenario_from_document(doc: dict) -> Scenario:
                 raise ScenarioError(
                     E_CHAIN_ORDER, loc, f"first stage must measure {lay.labels[0]!r}"
                 )
-        elif obj != stages[t - 1].instrument_label:
+        elif obj != previous.instrument_label:
             raise ScenarioError(
                 E_CHAIN_ORDER,
                 loc,
                 f"stage {t} object {obj!r} must be stage {t - 1}'s instrument "
-                f"{stages[t - 1].instrument_label!r}",
+                f"{previous.instrument_label!r}",
             )
         if instr in in_chain:
             raise ScenarioError(
@@ -499,23 +497,21 @@ def scenario_from_document(doc: dict) -> Scenario:
         in_chain.add(instr)
         d_obj, d_instr = dims[obj], dims[instr]
 
-        measured = _parse_observable(
-            _require(sdoc, "measured", loc), obj, d_obj, f"{loc}.measured"
-        )
-        if measured is None and t == 0:
+        mdoc = _require(sdoc, "measured", loc)
+        if mdoc != "previous-pointer":
+            measured = _parse_observable(mdoc, obj, d_obj, f"{loc}.measured")
+        elif previous is None:
             raise ScenarioError(
                 E_CHAIN_ORDER, f"{loc}.measured", "first stage cannot read a previous pointer"
             )
+        else:
+            measured = previous.pointer
 
         pstates_doc = _require(sdoc, "pointer_states", loc)
         if not isinstance(pstates_doc, list) or not pstates_doc:
             raise ScenarioError(E_BAD_VALUE, f"{loc}.pointer_states", "expected a non-empty list")
         pointer_states = presets.basis(pstates_doc, instr, d_instr, f"{loc}.pointer_states")
-        n_states = len(pointer_states.vectors)
-        if measured is None:  # the previous pointer, of the previous stage's states
-            n_branches = _pointer_branch_count(stages[-1].pointer_states)
-        else:
-            n_branches = measured.branch_count
+        n_states, n_branches = len(pointer_states.vectors), measured.branch_count
         if n_states != n_branches:
             raise ScenarioError(
                 E_DIMENSION,
@@ -551,20 +547,28 @@ def scenario_from_document(doc: dict) -> Scenario:
         elif kind != "ideal":
             raise ScenarioError(E_BAD_VALUE, f"{loc}.kind", f"unknown stage kind {kind!r}")
 
-        stages.append(
-            StageSpec(t, obj, instr, measured, pointer_states, ready, kind, dressings)
-        )
+        if (
+            previous is not None
+            and measured is not previous.pointer
+            and not observables_match(previous.pointer, measured)
+        ):
+            raise ScenarioError(
+                E_CHAIN_ORDER,
+                f"{loc}.measured",
+                f"stage {t} does not measure stage {t - 1}'s pointer observable",
+            )
+        previous = _chained_ideal(previous, measured, pointer_states, ready)
+        stages.append(StageSpec(t, previous, kind, dressings))
 
     init_doc = _require(doc, "initial", "$")
+    first = lay.labels[0]  # the first stage's object
     if isinstance(init_doc, dict):
-        init_sub = str(init_doc.get("subsystem", stages[0].object_label))
+        init_sub = str(init_doc.get("subsystem", first))
         init_spec = _require(init_doc, "state", "$.initial")
     else:
-        init_sub, init_spec = stages[0].object_label, init_doc
-    if init_sub != stages[0].object_label:
-        raise ScenarioError(
-            E_CHAIN_ORDER, "$.initial", f"initial state must live on {stages[0].object_label!r}"
-        )
+        init_sub, init_spec = first, init_doc
+    if init_sub != first:
+        raise ScenarioError(E_CHAIN_ORDER, "$.initial", f"initial state must live on {first!r}")
     initial = presets.vector(init_spec, init_sub, dims[init_sub], "$.initial.state")
 
     analyses_doc = doc.get("analyses", ["branches"])
@@ -615,8 +619,10 @@ def _complex_pair(z: complex) -> list[float]:
 def emit_document(scenario: Scenario) -> dict:
     """Serialize a Scenario back into a document tree.
 
-    Presets are resolved, so the output uses explicit amplitude lists and
-    matrices; parsing it again yields an equivalent Scenario.
+    Each stage is written from its ideal link: ``"previous-pointer"`` when
+    it measures the previous stage's pointer object, its measured matrix
+    otherwise.  Presets are resolved, so the output uses explicit amplitude
+    lists and matrices; parsing it again yields an equivalent Scenario.
     """
     doc: dict[str, Any] = {
         "name": scenario.name,
@@ -630,19 +636,22 @@ def emit_document(scenario: Scenario) -> dict:
             {"kind": a.kind, **a.params} if a.params else a.kind for a in scenario.analyses
         ],
     }
+    pointer = None  # the previous stage's pointer
     for st in scenario.stages:
+        link = st.link
         sdoc: dict[str, Any] = {
-            "object": st.object_label,
-            "instrument": st.instrument_label,
+            "object": link.object_label,
+            "instrument": link.instrument_label,
             "measured": "previous-pointer"
-            if st.measured is None
-            else {"matrix": [[_complex_pair(z) for z in row] for row in st.measured.matrix()]},
+            if link.measured is pointer
+            else {"matrix": [[_complex_pair(z) for z in row] for row in link.measured.matrix()]},
             "pointer_states": [
-                [_complex_pair(z) for z in v] for v in st.pointer_states.vectors
+                [_complex_pair(z) for z in v] for v in link.pointer_states.vectors
             ],
-            "ready": [_complex_pair(z) for z in st.ready.amplitudes],
+            "ready": [_complex_pair(z) for z in link.ready_state.amplitudes],
             "kind": st.kind,
         }
+        pointer = link.pointer
         if st.dressings is not None:
             if st.dressings.mode == "random":
                 sdoc["dressings"] = "random"
@@ -955,24 +964,17 @@ def _dominant_ket(state: StateVector) -> str:
 
 
 def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]:
-    """Construct the per-stage premeasurements.
-
-    An ideal link is one checked link per distinct link
-    (``premeasurement._chained_ideal``).  When its measured branches,
-    pointer rows and ready state are the previous ideal link's very objects,
-    as in a copy chain, whose every stage reads the previous pointer with
-    the list of states and the ``ready`` the parser adopted, it adopts that
-    link under its own labels: the pointer, the checked terms, the index map
-    and V are shared, and only the label checks run again.  A link whose
-    pointer states are the rows of the pointer it measures adopts that
-    pointer as its own.  An ``exact`` stage dresses a fresh ideal link.
-    """
+    """The per-stage premeasurements: each stage's checked ideal link, as the
+    parser built it, with an ``exact`` stage's link dressed by
+    ``build_exact``.  Its dressings are the stage's explicit pairs, or
+    ``random_dressings`` drawn from ``default_rng`` of its ``dressing_seed``,
+    or of ``seed * 7919 + index`` when it sets none.  A dressed link keeps
+    its ideal link's pointer, which the next stage and the parsed events
+    read."""
     pms: list[Premeasurement] = []
-    last_ideal = None
     for st in scenario.stages:
-        measured = st.measured if st.measured is not None else pms[-1].pointer
+        pm = st.link
         if st.kind == "exact":
-            pm = build_ideal(measured, st.pointer_states, st.ready)
             spec = st.dressings or DressingSpec("random")
             if spec.mode == "random":
                 dseed = spec.seed if spec.seed is not None else seed * 7_919 + st.index
@@ -980,8 +982,6 @@ def build_premeasurements(scenario: Scenario, seed: int) -> list[Premeasurement]
             else:
                 dressings = list(spec.pairs)
             pm = build_exact(pm, dressings)
-        else:
-            pm = last_ideal = _chained_ideal(last_ideal, measured, st.pointer_states, st.ready)
         pms.append(pm)
     return pms
 
@@ -1077,7 +1077,20 @@ def _analysis_improper(spec, pms, final, options) -> ReportSection:
         CheckLine("full_state_purity_deficit", abs(purity(final) - 1.0), options.tolerance),
     ]
     notes = []
-    if idx >= 1:
+    # The reduced state keeps the stage-(idx-1) sectors apart when stage idx
+    # and the stage that reads its pointer are ideal: the object dressings
+    # U_k of an exact link's terms U_k E_k need not.
+    exact = [
+        k
+        for k in (idx, idx + 1)
+        if k < len(pms) and any(u is not None for u, _ in pms[k].operators)
+    ]
+    if idx >= 1 and exact:
+        notes.append(
+            f"stage {exact[0]} is exact: its object dressings need not keep the "
+            f"stage-{idx - 1} pointer sectors apart, so no decoherence check applies"
+        )
+    elif idx >= 1:
         prev = pms[idx - 1]
         offdiag = offdiagonal_block_norm(reduced, prev.pointer.decomposition())
         checks.append(CheckLine("offdiagonal_pointer_blocks", offdiag, options.tolerance))
@@ -1125,11 +1138,7 @@ def _analysis_ensemble(spec, pms, final, options) -> ReportSection:
     src = spec.params.get("source_stage", len(pms) - 1)
     bd = branch_decomposition(final, pms[src].pointer)
     ens = proper_mixture(bd)
-    subject, state = spec.event.subject, spec.event.state
-    if state is None:
-        event = pms[spec.event.stage].pointer.branches[spec.event.branch]
-    else:
-        event = state[:, None]
+    subject, event = spec.event.subject, spec.event.event
     result = ensemble_update(ens, event, subject)
     samples = int(spec.params.get("samples", 0))
     columns = ["member", "prior", "posterior"]

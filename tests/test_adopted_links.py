@@ -131,7 +131,7 @@ def test_a_copy_chain_checks_one_norm_per_distinct_state(monkeypatch):
         checks.clear()
         scenario = scenario_from_document(_copy_chain(links))
         counts.append(len(checks))
-        ready = [st.ready for st in scenario.stages]
+        ready = [st.link.ready_state for st in scenario.stages]
         assert [r.layout.labels for r in ready] == [(f"q{i + 1}",) for i in range(links)]
     assert counts == [2, 2, 2]
 
@@ -375,11 +375,12 @@ def _fresh_links(scenario, seed):
     with the dressings ``build_premeasurements`` draws) from copies of its
     pointer states and ready state, so that no two stages share a value."""
     links = []
-    for st in scenario.stages:
-        label = st.instrument_label
-        states = SubsystemBasis(label, tuple(np.array(v) for v in st.pointer_states.vectors))
-        ready = StateVector(layout((label, states.dim)), np.array(st.ready.amplitudes))
-        measured = st.measured if st.measured is not None else links[-1].pointer
+    for i, st in enumerate(scenario.stages):
+        label = st.link.instrument_label
+        states = SubsystemBasis(label, tuple(np.array(v) for v in st.link.pointer_states.vectors))
+        ready = StateVector(layout((label, states.dim)), np.array(st.link.ready_state.amplitudes))
+        reads_previous = i and st.link.measured is scenario.stages[i - 1].link.pointer
+        measured = links[-1].pointer if reads_previous else st.link.measured
         pm = build_ideal(measured, states, ready)
         if st.kind == "exact":
             dseed = st.dressings.seed
@@ -445,7 +446,9 @@ DIAG00 = {"diag": [0, 0]}
 # ``vnchain run`` prints, or the stderr of a document that only the build or
 # the chain refuses; recorded before links were adopted.  The two label
 # clashes and the two lists of the wrong length for the previous pointer
-# were build or chain errors then, and are the parser's since.
+# were build or chain errors then, and are the parser's since; so is an
+# explicit ``measured`` that is not the previous pointer, which now also
+# comes before the error of a later stage.
 ERROR_TABLE = {
     "declared label given twice": (
         _chain(4, subsystems=[["q0", 2], ["q1", 2], ["q2", 2], ["q3", 2], ["q1", 2]]),
@@ -515,6 +518,16 @@ ERROR_TABLE = {
     "repeated stage with an unknown kind": (
         _chain(5, s3={"kind": "dressed"}),
         ("bad-value", "$.stages[3].kind", "unknown stage kind 'dressed'"),
+    ),
+    "explicit measured off the previous pointer": (
+        _chain(5, s3={"measured": {"diag": [1, 0]}}),
+        ("chain-order", "$.stages[3].measured",
+         "stage 3 does not measure stage 2's pointer observable"),
+    ),
+    "explicit measured off the previous pointer, then a later fault": (
+        _chain(5, s3={"measured": {"diag": [1, 0]}}, s4={"kind": "dressed"}),
+        ("chain-order", "$.stages[3].measured",
+         "stage 3 does not measure stage 2's pointer observable"),
     ),
     "repeated stage with a bad dressing seed": (
         _chain(5, s3={"kind": "exact", "dressing_seed": -1}),

@@ -41,7 +41,7 @@ class TestParsing:
         scenario = load_builtin("stern-gerlach")
         assert len(scenario.stages) == 2
         assert scenario.layout.dims == (2, 2, 2)
-        assert scenario.stages[1].measured is None  # reads the previous pointer
+        assert scenario.stages[1].link.measured is scenario.stages[0].link.pointer
 
     def test_empty_stages_rejected(self):
         doc = builtin_document("stern-gerlach")
@@ -111,12 +111,12 @@ class TestParsing:
         doc = builtin_document("stern-gerlach")
         doc["stages"][0]["measured"] = {"pauli": "z"}
         scenario = scenario_from_document(doc)
-        assert scenario.stages[0].measured.eigenvalues == (-1.0, 1.0)
+        assert scenario.stages[0].link.measured.eigenvalues == (-1.0, 1.0)
         doc["stages"][0]["measured"] = {
             "matrix": [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]
         }
         scenario = scenario_from_document(doc)  # Pauli-Y as explicit entries
-        assert scenario.stages[0].measured.eigenvalues == (-1.0, 1.0)
+        assert scenario.stages[0].link.measured.eigenvalues == (-1.0, 1.0)
         doc["stages"][0]["measured"] = {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
         with pytest.raises(ScenarioError) as err:
             scenario_from_document(doc)
@@ -180,16 +180,20 @@ class TestRoundTrip:
         np.testing.assert_allclose(
             second.initial.amplitudes, first.initial.amplitudes, atol=1e-12
         )
+        pa = pb = None  # the previous stages' pointers
         for a, b in zip(first.stages, second.stages):
-            assert (a.measured is None) == (b.measured is None)
-            if a.measured is not None:
+            assert (a.link.measured is pa) == (b.link.measured is pb)
+            if a.link.measured is not pa:
                 np.testing.assert_allclose(
-                    a.measured.matrix(), b.measured.matrix(), atol=1e-12
+                    a.link.measured.matrix(), b.link.measured.matrix(), atol=1e-12
                 )
-            for va, vb in zip(a.pointer_states.vectors, b.pointer_states.vectors):
+            for va, vb in zip(a.link.pointer_states.vectors, b.link.pointer_states.vectors):
                 np.testing.assert_allclose(va, vb, atol=1e-12)
-            np.testing.assert_allclose(a.ready.amplitudes, b.ready.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(
+                a.link.ready_state.amplitudes, b.link.ready_state.amplitudes, atol=1e-12
+            )
             assert a.kind == b.kind
+            pa, pb = a.link.pointer, b.link.pointer
         assert [a.kind for a in first.analyses] == [a.kind for a in second.analyses]
 
     def test_run_report_identical_after_round_trip(self):
@@ -619,6 +623,23 @@ class TestOutOfMemory:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: out of memory: {exc}\n")
         assert plain or "Unable to allocate 16.0 TiB" in err
+
+
+def test_an_event_no_sample_triggers_is_a_numerical_failure(tmp_path, capsys):
+    """A valid document whose Monte Carlo ``ensemble_update`` accepts none
+    of its samples (an event of probability 2e-4, 5 samples) is one error
+    line with the numerical-failure exit code 2, not a traceback."""
+    from vnchain.cli import main
+
+    doc = builtin_document("ensemble-update")
+    doc["initial"]["state"] = [[0.9999, 0.0], [0.01414, 0.0]]
+    doc["analyses"][0].update(projector={"subsystem": "meter", "state": "basis:1"}, samples=5)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for seed in ("0", "5"):
+        assert main(["run", str(path), "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: no sample triggered the event; cannot form weights\n")
 
 
 class TestParserReuse:

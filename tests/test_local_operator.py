@@ -764,3 +764,61 @@ def test_isometry_reads_are_found_in_their_function():
         ("m.py:3 in inner", "inner"),
         ("m.py:5 in <module>", "<module>"),
     ]
+
+
+# The one function of ``scenarios.py`` that may call each link builder: the
+# parser builds every stage's ideal link, and ``build_premeasurements``
+# dresses the exact ones, so a scenario's links are built in one pass.
+LINK_BUILDERS = {
+    "_chained_ideal": "scenario_from_document",
+    "build_ideal": None,
+    "build_exact": "build_premeasurements",
+    "random_dressings": "build_premeasurements",
+}
+
+
+def builder_calls(source: str, module: str) -> list[str]:
+    """Each call of a ``LINK_BUILDERS`` function, by name or as an attribute,
+    from a function other than the one allowed it, as
+    ``"<name> called at <module>:<line> in <function>"``, the function being
+    the innermost one that encloses the call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = _callee(child)
+                if name in LINK_BUILDERS and LINK_BUILDERS[name] != scope:
+                    found.append(f"{name} called at {module}:{child.lineno} in {scope}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_a_scenario_builds_its_links_in_one_pass():
+    """In ``scenarios.py`` only the parser chains ideal links, and only
+    ``build_premeasurements`` draws dressings and dresses a link."""
+    assert builder_calls((SRC / "scenarios.py").read_text(), "scenarios.py") == []
+
+
+def test_builder_calls_are_found_in_their_function():
+    source = (
+        "def scenario_from_document(doc):\n"
+        "    link = _chained_ideal(None, m, s, r)\n"
+        "    return premeasurement.build_exact(link, pairs)\n"
+        "def build_premeasurements(scenario, seed):\n"
+        "    def draw(pm):\n"
+        "        return random_dressings(pm, rng)\n"
+        "    return [build_ideal(m, s, r), build_exact(pm, draw(pm))]\n"
+        "link = _chained_ideal(None, m, s, r)\n"
+    )
+    assert builder_calls(source, "m.py") == [
+        "build_exact called at m.py:3 in scenario_from_document",
+        "random_dressings called at m.py:6 in draw",
+        "build_ideal called at m.py:7 in build_premeasurements",
+        "_chained_ideal called at m.py:8 in <module>",
+    ]

@@ -298,10 +298,11 @@ def test_each_link_is_checked_on_either_path(fault, dump):
 def test_observables_are_matched_on_either_path():
     """A link that measures something other than the previous pointer."""
     scenario, pms = _scenario_and_links("copy-chain-6")
-    doc = _copy_chain(6)
-    doc["stages"][3]["measured"] = {"diag": [1, 0]}
-    doc["stages"][3]["pointer_states"] = ["basis:0", "basis:1"]
-    pms[3] = build_premeasurements(scenario_from_document(doc), seed=0)[3]
+    pms[3] = build_ideal(
+        observable_from_matrix(np.diag([1.0, 0.0]), "q3"),
+        SubsystemBasis("q4", tuple(np.eye(2, dtype=complex))),
+        basis_state(layout(("q4", 2)), 0),
+    )
     message = "stage 3: link does not measure the previous link's pointer observable"
     for every_stage in (False, True):
         with pytest.raises(ValueError) as info:

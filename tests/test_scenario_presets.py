@@ -4,9 +4,9 @@ The parser keeps one table per document of the presets it has resolved
 (``scenarios._PresetTable``): the unit vector of each (dimension, preset)
 state spec, and the checked basis of each (dimension, presets) list of
 pointer states, whose later repeats adopt it under their own label
-(``SubsystemBasis`` given a basis).  ``build_premeasurements`` hands an
-ideal link whose measured columns, ranks and pointer rows are the arrays of
-the previous ideal link that link's V.
+(``SubsystemBasis`` given a basis).  The parser hands an ideal link whose
+measured columns, ranks and pointer rows are the arrays of the previous
+ideal link that link's V.
 
 Tested here: the shared values; a differential test of that route against
 the same documents with every preset written out as an amplitude list,
@@ -22,10 +22,17 @@ import json
 import numpy as np
 import pytest
 
-from vnchain import SpectralObservable, SubsystemBasis, basis_state, layout, random_unitary
+from vnchain import (
+    SpectralObservable,
+    SubsystemBasis,
+    basis_state,
+    build_ideal,
+    layout,
+    random_unitary,
+)
 from vnchain import hilbert
 from vnchain.cli import main
-from vnchain.premeasurement import _formed_isometry
+from vnchain.premeasurement import _chained_ideal, _formed_isometry
 from vnchain.scenarios import (
     BUILTIN_DOCUMENTS,
     Scenario,
@@ -85,9 +92,9 @@ def test_a_copy_chain_builds_each_distinct_value_once(links):
     scenario = scenario_from_document(_copy_chain(links))
     first = scenario.stages[0]
     for st in scenario.stages:
-        assert st.pointer_states.subsystem == st.instrument_label
-        assert st.pointer_states.rows is first.pointer_states.rows
-        assert st.ready.amplitudes is first.ready.amplitudes
+        assert st.link.pointer_states.subsystem == st.link.instrument_label
+        assert st.link.pointer_states.rows is first.link.pointer_states.rows
+        assert st.link.ready_state.amplitudes is first.link.ready_state.amplitudes
     pms = build_premeasurements(scenario, seed=0)
     assert pms[1].isometry is not pms[0].isometry
     for pm in pms[2:]:
@@ -114,23 +121,22 @@ def test_a_link_is_handed_v_only_for_the_same_terms():
 
 
 def test_a_link_with_other_ranks_forms_its_own_v():
-    """Two links of a scenario built by hand measure observables on the same
+    """Two links chained by hand measure observables on the same
     columns (one basis, adopted) and give the same pointer rows, but split
     the columns into blocks of other ranks, (1, 2) and (2, 1): the second
     link's V is its own."""
     lay = layout(("a", 3), ("b", 3), ("c", 3))
     columns = SubsystemBasis("a", tuple(np.eye(3, dtype=complex)))
     pointer_states = SubsystemBasis("b", tuple(np.eye(2, 3, dtype=complex)))
-    stages = (
-        StageSpec(
-            0, "a", "b", SpectralObservable(columns, [0, 1], [1, 2]),
-            pointer_states, basis_state(layout(("b", 3)), 0), "ideal",
-        ),
-        StageSpec(
-            1, "b", "c", SpectralObservable(SubsystemBasis("b", columns), [0, 1], [2, 1]),
-            SubsystemBasis("c", pointer_states), basis_state(layout(("c", 3)), 0), "ideal",
-        ),
+    first = build_ideal(
+        SpectralObservable(columns, [0, 1], [1, 2]),
+        pointer_states, basis_state(layout(("b", 3)), 0),
     )
+    second = _chained_ideal(
+        first, SpectralObservable(SubsystemBasis("b", columns), [0, 1], [2, 1]),
+        SubsystemBasis("c", pointer_states), basis_state(layout(("c", 3)), 0),
+    )
+    stages = (StageSpec(0, first, "ideal"), StageSpec(1, second, "ideal"))
     scenario = Scenario("ranks", lay, basis_state(layout(("a", 3)), 2), stages, ())
     pms = build_premeasurements(scenario, seed=0)
     assert pms[1].measured.columns.rows is pms[0].measured.columns.rows
