@@ -19,10 +19,10 @@ posteriors w_k <Psi_k|P|Psi_k> (renormalized) and occurrence probability of
 the event to 1e-9, and passing condition reports.  The off-diagonal pointer
 blocks of an improper mixture on an ideal stage are held to their oracle
 value and pass; an ``exact`` stage, and an ideal stage whose pointer an
-exact stage reads, have no such check.  Every other check of
-the report passes.  The same links, applied by
-``evolve`` and ``extend_chain`` to states whose object has been moved into
-the middle of the layout, must give the same state.
+exact stage reads, have no such check.  Every other check of the report
+passes.  The same links, applied by ``evolve`` and ``extend_chain`` to
+states whose object has been moved into the middle of the layout, must
+give the same state.
 """
 
 import json
