@@ -49,7 +49,6 @@ from .hilbert import (
     layout,
     partial_scalar_product,
     partial_trace,
-    projector_distance,
     purity,
     random_density,
     random_state,
@@ -73,10 +72,7 @@ from .premeasurement import (
     branch_decomposition,
     build_exact,
     build_ideal,
-    check_calibration,
     check_conditions,
-    check_dynamical,
-    check_probability_reproduction,
     complete_unitary,
     evolve,
     luders_state,

@@ -123,8 +123,7 @@ class MonteCarloUpdate:
     Sampling order (fixed for reproducibility): n uniforms that pick members
     through the cumulative prior weights, as ``Generator.choice`` does, then
     n uniform coins compared against each picked member's occurrence
-    probability.  Counts from shards run with different seeds may be summed
-    before forming weights.
+    probability.  ``seed`` is the seed of the generator that drew them.
     """
 
     member_counts: tuple[int, ...]
@@ -136,22 +135,6 @@ class MonteCarloUpdate:
     def weights(self) -> tuple[float, ...]:
         total = sum(self.accepted_counts)
         return tuple(c / total for c in self.accepted_counts)
-
-    @staticmethod
-    def merged(parts: "list[MonteCarloUpdate]") -> "MonteCarloUpdate":
-        """Combine shards by summing counts; the result ignores shard order.
-
-        The merged seed is reported as -1 since no single generator stream
-        produced the union.
-        """
-        if not parts:
-            raise ZeroSampleError("nothing to merge")
-        k = len(parts[0].member_counts)
-        if any(len(p.member_counts) != k for p in parts):
-            raise DimensionMismatchError("shards disagree on member count")
-        member = tuple(sum(p.member_counts[i] for p in parts) for i in range(k))
-        accepted = tuple(sum(p.accepted_counts[i] for p in parts) for i in range(k))
-        return MonteCarloUpdate(member, accepted, sum(p.n_samples for p in parts), -1)
 
 
 def _keep_positions(lay: SubsystemLayout, remove: set[str]) -> list[int]:

@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 validation/usage error (an allocation that does
 not fit in memory included), 2 numerical or suite failure (a Monte Carlo
-``ensemble_update`` that accepts no sample included).  ``run --tol``
-sets the pass tolerance of the report's check lines; the library's own
-checks read ``vnchain.tolerances.DEFAULT``.  A ``verify`` suite that
-raises is reported as a failing row whose note names the exception, and
-one that skips every case as a failing row with ``cases=0``; either
-residual is infinite (``null`` in JSON).
+``ensemble_update`` that accepts no sample, and a conditioning event of
+zero probability, included).  ``run --tol`` sets the pass tolerance of
+the report's check lines; the library's own checks read
+``vnchain.tolerances.DEFAULT``.  A ``verify`` suite that raises is
+reported as a failing row whose note names the exception, and one that
+skips every case as a failing row with ``cases=0``; either residual is
+infinite (``null`` in JSON).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import ZeroSampleError
+from .errors import UndefinedConditionalError, ZeroSampleError
 from .scenarios import (
     RunOptions,
     ScenarioError,
@@ -209,12 +210,12 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
+    except (UndefinedConditionalError, ZeroSampleError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ZeroSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

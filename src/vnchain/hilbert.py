@@ -261,11 +261,6 @@ class StateVector:
             raise ValueError("cannot normalize a (numerically) zero vector")
         return StateVector(self.layout, self.amplitudes / n, normalized=True)
 
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        _same_dims(self, other, "overlap")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def density(self) -> "DensityOperator":
         """Projector |psi><psi| as a density operator (normalized states only),
         factored as M = psi[:, None]."""
@@ -674,14 +669,6 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     ``factor_difference`` of their factors, in O(D r^2)."""
     _same_dims(a, b, "trace distance")
     return 0.5 * float(np.linalg.norm(factor_difference(a.factor, b.factor), "nuc"))
-
-
-def projector_distance(a: StateVector, b: StateVector) -> float:
-    """Phase-insensitive distance between pure states: || |a><a| - |b><b| ||_F,
-    in O(D) from the thin QR of [a, b] (see ``factor_difference``)."""
-    _same_dims(a, b, "projector distance")
-    diff = factor_difference(a.amplitudes[:, None], b.amplitudes[:, None])
-    return _fro(diff)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -412,16 +412,6 @@ class DecompositionOfIdentity:
         return self.observable.subsystem
 
     @property
-    def factors(self) -> tuple[np.ndarray, ...]:
-        """One factor L_k per projector, F_k = L_k^dag L_k: Q_k^dag for a
-        block, and the projector I - G G^dag itself for a complement, formed
-        on read.  The package applies each branch through ``factor``."""
-        return tuple(
-            b.projector if b.is_complement else b.basis.conj().T
-            for b in self.observable.branches
-        )
-
-    @property
     def projectors(self) -> tuple[np.ndarray, ...]:
         """The projectors F_k, formed anew on each read; read-only."""
         return tuple(b.projector for b in self.observable.branches)

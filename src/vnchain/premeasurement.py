@@ -702,23 +702,6 @@ def check_conditions(
     )
 
 
-def check_calibration(pm: Premeasurement, trials: int, seed: int = 0) -> ConditionReport:
-    """Calibration report of ``check_conditions``."""
-    return check_conditions(pm, trials, seed)[0]
-
-
-def check_probability_reproduction(
-    pm: Premeasurement, trials: int, seed: int = 0
-) -> ConditionReport:
-    """Probability-reproduction report of ``check_conditions``."""
-    return check_conditions(pm, trials, seed)[1]
-
-
-def check_dynamical(pm: Premeasurement, trials: int, seed: int = 0) -> ConditionReport:
-    """Dynamical-condition report of ``check_conditions``."""
-    return check_conditions(pm, trials, seed)[2]
-
-
 def luders_state(object_state: StateVector, measured: SpectralObservable) -> DensityOperator:
     """Non-selective post-measurement object state sum_k E_k |phi><phi| E_k."""
     if object_state.layout.dim != measured.dim:

@@ -612,63 +612,6 @@ def parse_scenario(text: str) -> Scenario:
     return scenario_from_document(doc)
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def emit_document(scenario: Scenario) -> dict:
-    """Serialize a Scenario back into a document tree.
-
-    Each stage is written from its ideal link: ``"previous-pointer"`` when
-    it measures the previous stage's pointer object, its measured matrix
-    otherwise.  Presets are resolved, so the output uses explicit amplitude
-    lists and matrices; parsing it again yields an equivalent Scenario.
-    """
-    doc: dict[str, Any] = {
-        "name": scenario.name,
-        "subsystems": [[label, dim] for label, dim in scenario.layout.subsystems],
-        "initial": {
-            "subsystem": scenario.initial.layout.labels[0],
-            "state": [_complex_pair(z) for z in scenario.initial.amplitudes],
-        },
-        "stages": [],
-        "analyses": [
-            {"kind": a.kind, **a.params} if a.params else a.kind for a in scenario.analyses
-        ],
-    }
-    pointer = None  # the previous stage's pointer
-    for st in scenario.stages:
-        link = st.link
-        sdoc: dict[str, Any] = {
-            "object": link.object_label,
-            "instrument": link.instrument_label,
-            "measured": "previous-pointer"
-            if link.measured is pointer
-            else {"matrix": [[_complex_pair(z) for z in row] for row in link.measured.matrix()]},
-            "pointer_states": [
-                [_complex_pair(z) for z in v] for v in link.pointer_states.vectors
-            ],
-            "ready": [_complex_pair(z) for z in link.ready_state.amplitudes],
-            "kind": st.kind,
-        }
-        pointer = link.pointer
-        if st.dressings is not None:
-            if st.dressings.mode == "random":
-                sdoc["dressings"] = "random"
-                if st.dressings.seed is not None:
-                    sdoc["dressing_seed"] = st.dressings.seed
-            else:
-                sdoc["dressings"] = [
-                    {
-                        "object": [[_complex_pair(z) for z in row] for row in v],
-                        "instrument": [[_complex_pair(z) for z in row] for row in w],
-                    }
-                    for v, w in st.dressings.pairs
-                ]
-        doc["stages"].append(sdoc)
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Built-in scenarios (embedded documents).
 
@@ -994,7 +937,9 @@ def _chain_states(
     or ``chains.extend_chain`` (the others), is applied by the one link
     kernel (``premeasurement._linked``), and has its amplitudes checked as
     a ``StateVector`` checks them.  Only the final state is wrapped in a
-    layout and a ``StateVector``, or, with ``every_stage``, every stage's."""
+    layout and a ``StateVector``, or, with ``every_stage``, every stage's;
+    each is the state ``evolve`` and then ``extend_chain`` give, bit for
+    bit."""
     initial = scenario.initial
     labels, dims = list(initial.layout.labels), list(initial.layout.dims)
     amps = initial.amplitudes
@@ -1021,16 +966,6 @@ def _chain_states(
         except ValueError as exc:
             raise type(exc)(f"stage {i}: {exc}") from exc
     return states
-
-
-def run_chain(
-    scenario: Scenario, pms: list[Premeasurement]
-) -> list[StateVector]:
-    """Evolve the initial state through every stage; returns per-stage
-    states, each the state ``evolve`` and then ``extend_chain`` give, bit
-    for bit.  ``run`` makes these intermediate states only for
-    ``dump_states``; otherwise it wraps the final amplitudes alone."""
-    return _chain_states(scenario, pms, every_stage=True)
 
 
 def _branch_rows(bd: BranchDecomposition, pointer: SpectralObservable):
@@ -1229,9 +1164,8 @@ def run(scenario: Scenario, options: RunOptions = RunOptions()) -> RunReport:
     """Execute a scenario: build premeasurements, evolve the chain, run analyses.
 
     Every analysis is handed the final state alone, so the chain's
-    intermediate states are formed only for ``dump_states``, as
-    ``run_chain`` forms them; otherwise one ``StateVector`` is made, of the
-    final state.
+    intermediate states are formed only for ``dump_states``; otherwise one
+    ``StateVector`` is made, of the final state.
     """
     pms = build_premeasurements(scenario, options.seed)
     states = _chain_states(scenario, pms, every_stage=options.dump_states)

@@ -302,10 +302,10 @@ def test_criterion_8_stern_gerlach_builtin(acceptance):
     doc = builtin_document("stern-gerlach")
     doc["initial"]["state"] = [[np.sqrt(0.3), 0.0], [np.sqrt(0.7), 0.0]]
     scenario = scenario_from_document(doc)
-    from vnchain.scenarios import build_premeasurements, run_chain
+    from vnchain.scenarios import _chain_states, build_premeasurements
 
     pms = build_premeasurements(scenario, seed=0)
-    states = run_chain(scenario, pms)
+    states = _chain_states(scenario, pms, every_stage=True)
     bd = branch_decomposition(states[-1], pms[-1].pointer)
     kept = {b.index: b.weight for b in bd.branches}
     weight_err = max(abs(kept.get(0, 0.0) - 0.3), abs(kept.get(1, 0.0) - 0.7))
@@ -313,7 +313,7 @@ def test_criterion_8_stern_gerlach_builtin(acceptance):
     doc_up = builtin_document("stern-gerlach")
     doc_up["initial"]["state"] = "basis:0"
     pms_up = build_premeasurements(scenario_from_document(doc_up), seed=0)
-    states_up = run_chain(scenario_from_document(doc_up), pms_up)
+    states_up = _chain_states(scenario_from_document(doc_up), pms_up, every_stage=True)
     bd_up = branch_decomposition(states_up[-1], pms_up[-1].pointer)
     single = bd_up.indices == (0,) and abs(bd_up.weights[0] - 1.0) <= 1e-10
 

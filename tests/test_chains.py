@@ -644,27 +644,6 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="n_samples must be >= 1"):
                 monte_carlo_update(ens, np.eye(2)[:, :1], "B", n_samples, seed=1)
 
-    def test_shard_merge_is_order_independent(self):
-        from vnchain import MonteCarloUpdate
-
-        rng = np.random.default_rng(39)
-        lay = layout(("A", 2), ("B", 2))
-        ens = WeightedEnsemble(
-            ((0.5, random_state(lay, rng)), (0.5, random_state(lay, rng)))
-        )
-        event = np.eye(2)[:, :1]
-        shards = [monte_carlo_update(ens, event, "B", 5_000, seed=s) for s in range(4)]
-        forward = MonteCarloUpdate.merged(shards)
-        backward = MonteCarloUpdate.merged(shards[::-1])
-        assert forward.member_counts == backward.member_counts
-        assert forward.accepted_counts == backward.accepted_counts
-        assert forward.n_samples == 20_000
-        exact = ensemble_update(ens, event, "B")
-        total = sum(forward.accepted_counts)
-        for m in exact.members:
-            se = np.sqrt(m.weight * (1 - m.weight) / total)
-            assert abs(forward.weights[m.index] - m.weight) <= 4 * se
-
 
 class TestMonteCarloCountsMatchChoice:
     """``monte_carlo_update`` counts exactly what ``rng.choice`` member

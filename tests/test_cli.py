@@ -12,12 +12,14 @@ from vnchain.scenarios import (
     ScenarioError,
     builtin_document,
     builtin_names,
-    emit_document,
     load_builtin,
     parse_scenario,
     run,
     scenario_from_document,
 )
+
+from test_kernels import _copy_chain
+from test_metamorphic import padding_chain
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -170,36 +172,47 @@ class TestParsing:
         assert [c.name for c in section.checks] == ["posterior_weight_sum"]
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["stern-gerlach", "wigner-friend", "world-split", "ensemble-update"])
-    def test_parse_emit_parse(self, name):
+class TestEmittedDocuments:
+    """``vnchain emit`` prints the builtin document, and its output parses to
+    the scenario the builtin loads."""
+
+    @staticmethod
+    def emitted(capsys, name):
+        from vnchain.cli import main
+
+        assert main(["emit", name]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_emit_output_parses_to_the_builtin(self, capsys, name):
+        text = self.emitted(capsys, name)
+        assert json.loads(text) == builtin_document(name)
         first = load_builtin(name)
-        second = scenario_from_document(emit_document(first))
+        second = parse_scenario(text)
+        assert second.name == first.name == name
         assert second.layout == first.layout
         assert len(second.stages) == len(first.stages)
-        np.testing.assert_allclose(
-            second.initial.amplitudes, first.initial.amplitudes, atol=1e-12
-        )
+        np.testing.assert_array_equal(second.initial.amplitudes, first.initial.amplitudes)
         pa = pb = None  # the previous stages' pointers
         for a, b in zip(first.stages, second.stages):
             assert (a.link.measured is pa) == (b.link.measured is pb)
             if a.link.measured is not pa:
-                np.testing.assert_allclose(
-                    a.link.measured.matrix(), b.link.measured.matrix(), atol=1e-12
-                )
+                np.testing.assert_array_equal(a.link.measured.matrix(), b.link.measured.matrix())
             for va, vb in zip(a.link.pointer_states.vectors, b.link.pointer_states.vectors):
-                np.testing.assert_allclose(va, vb, atol=1e-12)
-            np.testing.assert_allclose(
-                a.link.ready_state.amplitudes, b.link.ready_state.amplitudes, atol=1e-12
+                np.testing.assert_array_equal(va, vb)
+            np.testing.assert_array_equal(
+                a.link.ready_state.amplitudes, b.link.ready_state.amplitudes
             )
             assert a.kind == b.kind
             pa, pb = a.link.pointer, b.link.pointer
         assert [a.kind for a in first.analyses] == [a.kind for a in second.analyses]
 
-    def test_run_report_identical_after_round_trip(self):
-        first = load_builtin("stern-gerlach")
-        second = scenario_from_document(emit_document(first))
-        assert run(first).render() == run(second).render()
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_run_report_identical_for_emit_output(self, capsys, name):
+        second = parse_scenario(self.emitted(capsys, name))
+        assert run(load_builtin(name)).render() == run(second).render()
 
 
 class TestRunReports:
@@ -273,7 +286,7 @@ class TestRunReports:
         assert dressed_report.passed
         assert dressed_rows == ideal_rows
 
-    def test_explicit_dressings_round_trip(self):
+    def test_explicit_dressings_parse_to_their_pairs(self):
         doc = builtin_document("stern-gerlach")
         eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         doc["stages"][0]["kind"] = "exact"
@@ -281,15 +294,13 @@ class TestRunReports:
             {"object": eye, "instrument": eye},
             {"object": eye, "instrument": eye},
         ]
-        first = scenario_from_document(doc)
-        second = scenario_from_document(emit_document(first))
-        assert second.stages[0].kind == "exact"
-        assert second.stages[0].dressings.mode == "explicit"
-        for (va, wa), (vb, wb) in zip(
-            first.stages[0].dressings.pairs, second.stages[0].dressings.pairs
-        ):
-            np.testing.assert_allclose(va, vb, atol=1e-12)
-            np.testing.assert_allclose(wa, wb, atol=1e-12)
+        stage = scenario_from_document(doc).stages[0]
+        assert stage.kind == "exact"
+        assert stage.dressings.mode == "explicit"
+        assert len(stage.dressings.pairs) == 2
+        for v, w in stage.dressings.pairs:
+            np.testing.assert_array_equal(v, np.eye(2))
+            np.testing.assert_array_equal(w, np.eye(2))
 
 
 class TestCommandLine:
@@ -640,6 +651,31 @@ def test_an_event_no_sample_triggers_is_a_numerical_failure(tmp_path, capsys):
         assert main(["run", str(path), "--seed", seed]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: no sample triggered the event; cannot form weights\n")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(padding_chain(5, event_branch=1), id="padding-branch-1"),
+        pytest.param(padding_chain(5, event_branch=2), id="padding-branch-2"),
+        pytest.param(
+            {**_copy_chain(3, idle=True), "analyses": ["ensemble_update"]}, id="idle-copy-plus"
+        ),
+    ],
+)
+def test_an_event_of_zero_probability_is_a_numerical_failure(tmp_path, capsys, doc):
+    """A valid document whose ``ensemble_update`` event the final state
+    never reaches (a pointer branch no state records, or the default
+    ``plus`` on an instrument whose state lies in the span of its idle
+    pointer states) is one error line with the numerical-failure exit
+    code 2, as an empty Monte Carlo sample is."""
+    from vnchain.cli import main
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: event occurrence probability 0.0 is (numerically) zero\n")
 
 
 class TestParserReuse:

@@ -71,3 +71,32 @@ def test_readme_tour_gives_its_branch_weights():
         0.4999999999999999,
         0.4999999999999999,
     )
+
+
+def _read_names(source: str) -> set[str]:
+    """The identifiers a module reads: every loaded name and every attribute.
+    A ``def`` or ``class`` statement and an import bind a name but read none."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_reader():
+    """Each name ``vnchain/__init__.py`` imports is read by package code
+    beyond its own definition, by a README ``python`` block or by a demo."""
+    package = ROOT / "src" / "vnchain"
+    init = ast.parse((package / "__init__.py").read_text())
+    exports = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = [p.read_text() for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [p.read_text() for p in DEMOS] + README_BLOCKS
+    read = set().union(*map(_read_names, sources))
+    assert sorted(exports - read) == []

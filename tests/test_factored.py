@@ -28,7 +28,6 @@ from vnchain import (
     observable_from_matrix,
     offdiagonal_block_norm,
     partial_trace,
-    projector_distance,
     random_density,
     random_state,
     random_unitary,
@@ -409,13 +408,6 @@ class TestDistancesNeedOneLayout:
         with pytest.raises(DimensionMismatchError, match="trace distance"):
             trace_distance(a, b)
 
-    def test_projector_distance(self):
-        rng = np.random.default_rng(16)
-        a = random_state(layout(("A", 2), ("B", 3)), rng)
-        b = random_state(layout(("A", 4)), rng)
-        with pytest.raises(DimensionMismatchError, match="projector distance"):
-            projector_distance(a, b)
-
 
 @pytest.mark.parametrize("rank", [0, -1])
 def test_random_density_rejects_rank_below_one(rank):
@@ -439,36 +431,42 @@ def test_factor_difference_norms_match_dense():
         )
 
 
-class TestProjectorDistance:
+class TestPureFactorDifference:
+    """``factor_difference`` of two pure states' amplitude columns: its
+    Frobenius norm is || |a><a| - |b><b| ||_F, from a thin QR of [a, b]."""
+
     LAY = layout(("A", 3), ("B", 4))
 
     @staticmethod
+    def distance(a, b):
+        return float(np.linalg.norm(factor_difference(a[:, None], b[:, None])))
+
+    @staticmethod
     def dense(a, b):
-        return float(np.linalg.norm(brute_density(a.amplitudes) - brute_density(b.amplitudes)))
+        return float(np.linalg.norm(brute_density(a) - brute_density(b)))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
     def test_near_equal_pairs(self, eps):
         rng = np.random.default_rng(7)
-        a = random_state(self.LAY, rng)
+        a = random_state(self.LAY, rng).amplitudes
         kick = random_state(self.LAY, rng).amplitudes
-        raw = np.exp(0.3j) * a.amplitudes + eps * kick
-        b = StateVector(self.LAY, raw / np.linalg.norm(raw))
-        assert projector_distance(a, b) == pytest.approx(self.dense(a, b), abs=1e-14)
+        raw = np.exp(0.3j) * a + eps * kick
+        b = raw / np.linalg.norm(raw)
+        assert self.distance(a, b) == pytest.approx(self.dense(a, b), abs=1e-14)
 
     def test_far_apart_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            a, b = random_state(self.LAY, rng), random_state(self.LAY, rng)
-            assert projector_distance(a, b) == pytest.approx(self.dense(a, b), abs=1e-14)
+            a, b = (random_state(self.LAY, rng).amplitudes for _ in range(2))
+            assert self.distance(a, b) == pytest.approx(self.dense(a, b), abs=1e-14)
 
     def test_small_angle_keeps_its_digits(self):
         """|a> = |0>, |b> = cos t |0> + sin t |1>: the distance is sqrt(2) sin t,
         which 1 - |<a|b>|^2 would round to zero at t = 1e-9."""
-        lay = layout(("A", 2))
         for t in (1e-9, 1e-5, 0.3):
-            a = StateVector(lay, [1.0, 0.0])
-            b = StateVector(lay, [np.cos(t), np.sin(t)])
-            assert projector_distance(a, b) == pytest.approx(np.sqrt(2) * np.sin(t), rel=1e-12)
+            a = np.array([1.0, 0.0], dtype=complex)
+            b = np.array([np.cos(t), np.sin(t)], dtype=complex)
+            assert self.distance(a, b) == pytest.approx(np.sqrt(2) * np.sin(t), rel=1e-12)
 
 
 @pytest.mark.parametrize("qubits,residual,raises", [(10, 1.02e-7, False), (11, 1.5e-7, True)])

@@ -207,8 +207,8 @@ class TestCheckDecomposition:
         blocks = (E2[:, :1], E2[:, 1:])
         d = DecompositionOfIdentity.from_blocks("B", blocks)
         assert (d.subsystem, d.dim, d.observable.eigenvalues) == ("B", 2, (0.0, 1.0))
-        for f, q in zip(d.factors, blocks, strict=True):
-            np.testing.assert_allclose(f.conj().T @ f, projector_onto(q), rtol=0, atol=1e-15)
+        for p, q in zip(d.projectors, blocks, strict=True):
+            np.testing.assert_allclose(p, projector_onto(q), rtol=0, atol=1e-15)
 
     def test_duplicated_projector_fails(self):
         q = E2[:, :1]
@@ -601,16 +601,14 @@ class TestFromMatrixGuard:
 
 
 class TestObservableDecomposition:
-    """A decomposition of the identity is a checked observable; its factors
-    and projectors are read from the observable's blocks."""
+    """A decomposition of the identity is a checked observable; its
+    projectors are read from the observable's blocks."""
 
     def test_records_its_observable_and_forms_projectors_on_read(self):
         obs = observable_from_matrix(PAULI_X, "A")
         dec = obs.decomposition()
         assert dec.observable is obs and list(vars(dec)) == ["observable"]
         assert dec.dim == 2 and dec.subsystem == "A"
-        for f, b in zip(dec.factors, obs.branches, strict=True):
-            np.testing.assert_array_equal(f, b.basis.conj().T)
         first = dec.projectors
         assert first is not dec.projectors
         for p, b in zip(first, obs.branches, strict=True):
@@ -623,10 +621,11 @@ class TestObservableDecomposition:
         u = random_unitary(3, rng)
         blocks = (u[:, [0, 2]], u[:, 1:2])
         dec = DecompositionOfIdentity.from_blocks("A", blocks)
-        assert [f.shape for f in dec.factors] == [(2, 3), (1, 3)]
-        for f, q in zip(dec.factors, blocks, strict=True):
-            np.testing.assert_array_equal(f, q.conj().T)
-            np.testing.assert_allclose(f.conj().T @ f, projector_onto(q), rtol=0, atol=1e-14)
+        branches = dec.observable.branches
+        assert [b.basis.shape for b in branches] == [(3, 2), (3, 1)]
+        for b, p, q in zip(branches, dec.projectors, blocks, strict=True):
+            np.testing.assert_array_equal(b.basis, q)
+            np.testing.assert_allclose(p, projector_onto(q), rtol=0, atol=1e-14)
 
     def test_checked_mark_is_not_settable(self):
         """The observable is the only field: a decomposition cannot be made

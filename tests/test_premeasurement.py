@@ -16,9 +16,6 @@ from vnchain import (
     build_exact,
     build_ideal,
     basis_state,
-    check_calibration,
-    check_dynamical,
-    check_probability_reproduction,
     evolve,
     layout,
     luders_state,
@@ -151,7 +148,7 @@ class TestBuildExact:
         up = basis_state(layout(("A", 2)), 0)
         out = evolve(dressed, up)
         np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0], atol=1e-12)
-        assert check_calibration(dressed, 10).passed
+        assert check_conditions(dressed, 10)[0].passed
 
     def test_random_dressings_keep_probability_reproduction(self):
         rng = np.random.default_rng(8)
@@ -226,16 +223,15 @@ class TestConditionChecks:
     def test_ideal_passes_all(self):
         rng = np.random.default_rng(10)
         pm = random_ideal("A", "B", 3, 4, rng)
-        for fn in (check_calibration, check_probability_reproduction, check_dynamical):
-            rep = fn(pm, 10, seed=1)
+        for rep in check_conditions(pm, 10, seed=1):
             assert rep.passed
             assert rep.max_residual <= 1e-12
 
     def test_exact_passes_all(self):
         rng = np.random.default_rng(11)
         pm = random_exact("A", "B", 3, 4, rng)
-        for fn in (check_calibration, check_probability_reproduction, check_dynamical):
-            assert fn(pm, 10, seed=1).passed
+        for rep in check_conditions(pm, 10, seed=1):
+            assert rep.passed
 
     def test_identity_unitary_fails_calibration(self):
         # a non-measurement: U = I with a ready state that is no pointer eigenstate
@@ -243,7 +239,7 @@ class TestConditionChecks:
         plus_b = StateVector(layout(("B", 2)), np.array([1, 1]) / np.sqrt(2))
         v = np.eye(4) @ np.kron(np.eye(2), plus_b.amplitudes[:, None])
         broken = Premeasurement.from_isometry(v, **{**_parts(pm), "ready_state": plus_b})
-        rep = check_calibration(broken, 10, seed=2)
+        rep = check_conditions(broken, 10, seed=2)[0]
         assert not rep.passed
         assert rep.max_residual > 0.5
 
@@ -265,7 +261,7 @@ class TestConditionChecks:
         u[:, [0, 1]] = u[:, [1, 0]]
         ready = pm.ready_state.amplitudes
         broken = Premeasurement.from_isometry(u @ np.kron(np.eye(2), ready[:, None]), **_parts(pm))
-        rep = check_probability_reproduction(broken, 20, seed=3)
+        rep = check_conditions(broken, 20, seed=3)[1]
         assert not rep.passed
 
     def test_random_unitaries_fail_dynamical(self):
@@ -276,13 +272,13 @@ class TestConditionChecks:
         for _ in range(100):
             v = random_unitary(4, rng) @ np.kron(np.eye(2), ready[:, None])
             broken = Premeasurement.from_isometry(v, **_parts(pm))
-            rep = check_dynamical(broken, 3, seed=int(rng.integers(2**32)))
+            rep = check_conditions(broken, 3, seed=int(rng.integers(2**32)))[2]
             if rep.max_residual > 1e-3:
                 failures += 1
         assert failures == 100
 
     def test_report_pass_reflects_tolerance(self):
-        rep = check_calibration(qubit_pm(), 5)
+        rep = check_conditions(qubit_pm(), 5)[0]
         assert rep.passed == (rep.max_residual <= rep.tolerance)
         assert rep.samples == 10  # 5 trials x 2 branches
 
@@ -353,12 +349,7 @@ class TestEquivalenceTriangle:
         for _ in range(3):
             pm = random_exact("A", "B", da, db, rng)
             seed = int(rng.integers(2**32))
-            for fn in (
-                check_calibration,
-                check_probability_reproduction,
-                check_dynamical,
-            ):
-                rep = fn(pm, 5, seed=seed)
+            for rep in check_conditions(pm, 5, seed=seed):
                 assert rep.max_residual <= 1e-9
 
     def test_pointer_completeness_resummation(self):

@@ -38,7 +38,6 @@ from vnchain.scenarios import (
     builtin_document,
     builtin_names,
     run,
-    run_chain,
     scenario_from_document,
 )
 
@@ -102,12 +101,12 @@ def _counting(monkeypatch, cls) -> list:
 
 
 @pytest.mark.parametrize("name", DOCUMENTS)
-def test_run_chain_is_the_evolve_extend_chain_loop_bit_for_bit(name):
+def test_chain_states_are_the_evolve_extend_chain_loop_bit_for_bit(name):
     scenario, pms = _scenario_and_links(name)
     states = [evolve(pms[0], scenario.initial)]
     for previous, pm in zip(pms, pms[1:]):
         states.append(extend_chain(states[-1], pm, measured_source=previous.pointer))
-    got = run_chain(scenario, pms)
+    got = scenarios._chain_states(scenario, pms, every_stage=True)
     assert len(got) == len(states) == len(pms)
     for a, b in zip(got, states):
         assert a.layout == b.layout
@@ -116,7 +115,7 @@ def test_run_chain_is_the_evolve_extend_chain_loop_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", DOCUMENTS)
-def test_run_reports_the_final_state_of_run_chain(name, monkeypatch):
+def test_run_reports_the_final_state_of_the_chain(name, monkeypatch):
     """``run`` with and without ``dump_states`` hands its analyses the same
     final state, bit for bit."""
     n_states, finals = [], []
@@ -281,12 +280,12 @@ FAULTS = {
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("dump", [False, True])
 def test_each_link_is_checked_on_either_path(fault, dump):
-    """A run refuses a broken link with the error ``run_chain`` gives, which
-    is that of ``evolve`` or ``extend_chain`` or of the state it would make,
-    behind the stage number."""
+    """A run refuses a broken link with the error the every-stage chain
+    gives, which is that of ``evolve`` or ``extend_chain`` or of the state it
+    would make, behind the stage number."""
     scenario, pms = _broken(fault)
     with pytest.raises(ValueError) as chained:
-        run_chain(scenario, pms)
+        scenarios._chain_states(scenario, pms, every_stage=True)
     with pytest.raises(ValueError) as final_only:
         scenarios._chain_states(scenario, pms, every_stage=dump)
     error, message = FAULTS[fault]

@@ -36,10 +36,10 @@ from hypothesis import strategies as st
 from vnchain import evolve, extend_chain, layout, random_unitary
 from vnchain.scenarios import (
     RunOptions,
+    _chain_states,
     build_premeasurements,
     parse_scenario,
     run,
-    run_chain,
 )
 
 from oracles import (
@@ -344,7 +344,7 @@ def test_drawn_scenario_reports_the_oracle_chain(drawn):
     assert all(c.passed for c in conditions.checks)
 
     pms = build_premeasurements(scenario, seed=0)
-    np.testing.assert_allclose(run_chain(scenario, pms)[-1].amplitudes, psi, atol=STATE_TOL)
+    np.testing.assert_allclose(_chain_states(scenario, pms, every_stage=True)[-1].amplitudes, psi, atol=STATE_TOL)
     # the object moved into the middle: the link kernel moves the new
     # instrument axis behind the subsystems that follow the object
     state = evolve(pms[0], scenario.initial)
