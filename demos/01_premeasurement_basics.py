@@ -53,7 +53,10 @@ for report in check_conditions(ideal, trials=20, seed=1):
           f"{'PASS' if report.passed else 'FAIL'}")
 
 # dressing with per-outcome unitaries breaks idealness but not the conditions;
-# each instrument dressing acts on the range of its outcome's pointer branch
+# each instrument dressing acts on the range of its outcome's pointer branch.
+# Only an object dressing's action on its branch's range enters, so
+# build_exact keeps each term as the thin block U_k Q_k (here 3 x 1), and
+# each pointer state as its dressed vector W_k |b_k>
 rng = np.random.default_rng(7)
 ranges = [ideal.pointer.branches[ideal.mapping[k]].basis for k in range(3)]
 dressings = [(random_unitary(3, rng), random_range_unitary(q, rng)) for q in ranges]

@@ -671,13 +671,23 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     return 0.5 * float(np.linalg.norm(factor_difference(a.factor, b.factor), "nuc"))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary (QR of a Ginibre matrix with phase fix)."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar_isometries(count: int, dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent Haar-distributed (dim, cols) isometries, stacked
+    as (count, dim, cols): the leading ``cols`` columns of Haar unitaries.
+
+    One stacked QR of complex Ginibre matrices, each column's phase fixed
+    by the diagonal of R (Mezzadri, *Notices AMS* 54(5), 2007).  A stack of
+    one gives the matrices of a plain QR bit for bit."""
+    shape = (count, dim, cols)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary (``_haar_isometries`` of one square matrix)."""
+    return _haar_isometries(1, dim, dim, rng)[0]
 
 
 def random_state(lay: SubsystemLayout, rng: np.random.Generator) -> StateVector:

@@ -10,14 +10,15 @@ breaking idealness.
 Only the initial sector matters physically.  A premeasurement is carried as
 its terms, the Kraus form of [BLM]'s V(phi (x) ready) = sum_k (U_k E_k phi)
 (x) |b'_k>: one object operator A_k and one pointer vector c_k per term, so
-that V = U(. (x) |ready>) = sum_k A_k (x) c_k.  The terms are checked once,
-by a bound on ||V^dag V - I|| from ||C^dag C - I|| and
-||sum_k A_k^dag A_k - I||; an ideal link reads both off its checked inputs
-and forms no Gram product of V.  V itself is formed on first read, by one
-BLAS product, and kept.  A link repeated on other subsystems, as in a copy
-chain, adopts the checked link with its terms and V (``Premeasurement``).
-A full unitary U, one of many completions of V, is formed only by
-``complete_unitary``.
+that V = U(. (x) |ready>) = sum_k A_k (x) c_k.  Only U_k's action on the
+range of E_k enters, so a dressed term is held as its thin block
+W_k = U_k Q_k, (d_a, r_k).  The terms are checked once, by a bound on
+||V^dag V - I|| from ||C^dag C - I|| and the Gram residuals of the blocks;
+an ideal link reads both off its checked inputs and forms no Gram product
+of V.  V itself is formed on first read, by one BLAS product, and kept.  A
+link repeated on other subsystems, as in a copy chain, adopts the checked
+link with its terms and V (``Premeasurement``).  A full unitary U, one of
+many completions of V, is formed only by ``complete_unitary``.
 
 Branch correspondence is an explicit ``index_map`` from measured branch
 positions to pointer branch positions; nothing is inferred from eigenvalue
@@ -48,6 +49,7 @@ from .hilbert import (
     _fro,
     _gram_residual,
     _owned,
+    _haar_isometries,
     _refuse_non_finite,
     apply_local,
     complete_orthonormal,
@@ -73,8 +75,9 @@ class ConditionReport:
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-# One term's object operator A = U E: U an object operator or None (I), E a
-# branch of the measured observable or None (I).
+# One term's object operator A = W L: L the factor of E, a branch of the
+# measured observable, W its (d_a, rows of L) block or None (A = E); or, with
+# E None, A = W itself, a plain term of a caller's V.
 Operator = tuple[np.ndarray | None, ObservableBranch | None]
 
 
@@ -82,16 +85,18 @@ Operator = tuple[np.ndarray | None, ObservableBranch | None]
 class Premeasurement:
     """Premeasurement on object (x) instrument plus the observables it couples.
 
-    It is carried as its terms: ``operators`` holds one object operator
-    A_k = U_k E_k per term, as the pair (U_k, E_k), and ``pointer_states``
-    the pointer vectors c_k, the columns of C (d_b, n).  Either every E_k
-    is measured branch k, in order (``build_ideal``: U_k = None, meaning I;
-    ``build_exact``: U_k the object dressing), or every E_k is None, for
-    the plain operators A_j = (I (x) <j|)V and c_j = e_j of a caller's V
-    (``from_isometry``).  A branch acts through its block or as the idle
-    complement.  V = U(. (x) |ready>) = sum_k A_k (x) c_k, shape
-    (object_dim * instrument_dim, object_dim), is ``isometry``: formed on
-    first read and kept, read-only.
+    It is carried as its terms: ``operators`` holds one object operator A_k
+    per term, and ``pointer_states`` the pointer vectors c_k, the columns
+    of C (d_b, n).  Either every term acts through measured branch E_k, in
+    order, as the pair (W_k, E_k): A_k = W_k L_k, L_k the branch's factor
+    (Q_k^dag for a block, so W_k = U_k Q_k is (d_a, r_k) for a dressing
+    U_k; I - G G^dag for the idle complement, with W_c (d_a, d_a)), or
+    A_k = E_k for W_k None (``build_ideal``: every W_k None;
+    ``build_exact``: the dressed blocks).  Or every E_k is None, for the
+    plain operators A_j = (I (x) <j|)V and c_j = e_j of a caller's V
+    (``from_isometry``), held as (A_j, None).  V = U(. (x) |ready>) =
+    sum_k A_k (x) c_k, shape (object_dim * instrument_dim, object_dim), is
+    ``isometry``: formed on first read and kept, read-only.
 
     The one check is on the terms.  With eps = ||C^dag C - I|| and
     eta = ||S - I||, S = sum_k A_k^dag A_k, write V^dag V - I as
@@ -103,30 +108,38 @@ class Premeasurement:
 
     which is kept as ``isometry_bound`` and must be within
     ``DEFAULT.unitary * d_a * d_b``, the criterion a V was always judged by.
-    eps is the Gram residual that ``pointer_states`` stored.  For an ideal
-    link eta comes from the Gram residual e = ||G^dag G - I|| that the
-    measured observable's ``columns`` stored, G = [Q_1, ...] its blocks
-    side by side: with
-    E = G^dag G - I, the blocks give sum_k E_k^dag E_k = G (I + bd(E)) G^dag,
-    bd(E) the diagonal blocks of E.  Without a complement (G square,
-    ||G G^dag - I|| = e) S - I = (G G^dag - I) + G bd(E) G^dag; with one,
-    E_c = I - G G^dag adds E_c^dag E_c, and S - I = G (bd(E) + E) G^dag.
-    Either way eta <= 2 e (1 + e), so an ideal link forms no Gram product.
-    Any other terms are stacked densely and Gram-checked
-    (``hilbert._gram_residual``, also the finiteness check).  Branch terms
-    add u d_a (d_a d_b + 2 d_a + 4), u the unit roundoff, for the rounding
-    of V formed from them (at most about 2 (m + 2) u d_a, m <= d_a) and of
-    a dense Gram product of it (about d_a d_b u ||V||_F^2), so that the
-    bound also covers ||V^dag V - I|| as ``hilbert._gram_residual`` computes
-    it.  For a caller's V the stacked terms are V itself, row for row, and
+    eps is the Gram residual that ``pointer_states`` stored.  For branch
+    terms eta comes from the Gram residual e = ||G^dag G - I|| that the
+    measured observable's ``columns`` stored, G = [Q_1, ...] its blocks side
+    by side, and from the blocks' Gram residuals X_k = W_k^dag W_k - I.  An
+    undressed term has W_k = Q_k (W_c = I), so its X_k is the diagonal
+    block E_kk of E = G^dag G - I (X_c = 0).  Each A_k^dag A_k is
+    L_k^dag L_k + L_k^dag X_k L_k; the blocks' L_k^dag L_k sum to G G^dag,
+    and a complement's is L_c^2 = L_c + G E G^dag.  So S - I is
+    (G G^dag - I) + G bd(X) G^dag without a complement (G square, and
+    ||G G^dag - I|| = e), and G (E + bd(X)) G^dag + L_c X_c L_c with one,
+    bd(X) the blocks' X_k on the diagonal.  With ||G||_2^2 <= 1 + e,
+    ||L_c||_2 <= 1 + e and ||bd(X)||^2 <= e^2 + x^2, x^2 the sum of
+    ||X_k||^2 over the dressed blocks,
+
+        eta <= (1 + e) (e + sqrt(e^2 + x^2) + (1 + e) ||X_c||):
+
+    one Gram product of (d_a, r_k) per dressed block, O(d_a m^2) in all, and
+    none for an ideal link, whose eta <= 2 e (1 + e).  Branch terms add
+    u d_a (d_a d_b + 2 d_a + 4), u the unit roundoff, for the rounding of V
+    formed from them (at most about 2 (m + 2) u d_a, m <= d_a) and of a
+    dense Gram product of it (about d_a d_b u ||V||_F^2), so that the bound
+    also covers ||V^dag V - I|| as ``hilbert._gram_residual`` computes it.
+    For a caller's V the stacked terms are V itself, row for row, and
     C = I; V is kept, not formed, so the bound is V's own Gram residual and
     V is refused exactly where it always was.
 
     The observables and the ready state arrive checked by their own
-    constructors.  Each U is owned (``hilbert._owned``).  The calibration
-    condition itself is the contract of the ``build_*`` constructors and is
-    verified by ``check_conditions``, so deliberately broken instances can
-    still be represented.  Instances compare by identity.
+    constructors.  Each W_k and A_j is owned (``hilbert._owned``).  The
+    calibration condition itself is the contract of the ``build_*``
+    constructors and is verified by ``check_conditions``, so deliberately
+    broken instances can still be represented.  Instances compare by
+    identity.
 
     A ``Premeasurement`` given as ``operators``, with no ``index_map``, is
     adopted under this link's labels when it is the same link
@@ -204,20 +217,31 @@ class Premeasurement:
         ops = tuple(self.operators)
         if len(ops) != n_states:
             raise DimensionMismatchError(f"{n_states} pointer vectors for {len(ops)} terms")
-        units, branches = zip(*ops)
+        branches = tuple([b for _, b in ops])
         plain = branches.count(None) == len(branches)
         if not plain and branches != self.measured.branches:
             raise ValueError("terms must act through every measured branch in order, or none")
-        if not plain and all([u is None for u in units]):  # ideal: A_k = E_k
-            e = self.measured.columns.gram_residual
-            eta = 2 * e * (1 + e)
-        else:
-            ops = tuple([(None if u is None else _owned(u), b) for u, b in ops])
-            if any([u is not None and u.shape != (d_a, d_a) for u, _ in ops]):
-                raise DimensionMismatchError(f"object operators must have shape {(d_a, d_a)}")
-            stacked = np.stack([_dense(u, b) for u, b in ops], axis=1)
-            eta = _gram_residual(stacked.reshape(-1, d_a))
+        ops = tuple([(None if w is None else _owned(w), b) for w, b in ops])
+        for k, (w, b) in enumerate(ops):
+            shape = (d_a, d_a if b is None else b.factor_rows)
+            if w is not None and w.shape != shape:
+                raise DimensionMismatchError(
+                    f"object operators must have shape {shape} for term {k}, not {w.shape}"
+                )
         object.__setattr__(self, "operators", ops)
+        if plain:  # the stacked terms are V, row for row
+            eta = _gram_residual(np.stack([a for a, _ in ops], axis=1).reshape(-1, d_a))
+        else:
+            e = self.measured.columns.gram_residual
+            x = x_c = 0.0  # the dressed blocks' ||X_k||, combined; the complement's
+            for k, (w, b) in enumerate(ops):
+                if w is not None:
+                    resid = _gram_residual(w, f"object operator {k}")
+                    if b.is_complement:
+                        x_c = resid
+                    else:
+                        x = math.hypot(x, resid)
+            eta = (1 + e) * (e + math.hypot(e, x) + (1 + e) * x_c)
         bound = eta + math.sqrt(d_a) * (1 + eta) * states.gram_residual
         if not plain:  # V is formed from the terms, in floating point
             bound += _UNIT_ROUNDOFF * d_a * (d_a * d_b + 2 * d_a + 4)
@@ -240,13 +264,18 @@ class Premeasurement:
         """The premeasurement of a caller's isometry V, shape (d_a d_b, d_a).
 
         V is owned (``hilbert._owned``: a read-only complex V is adopted as
-        is) and split into the plain terms A_j = (I (x) <j|)V, views of V,
+        is; values that are no numeric matrix raise
+        ``DimensionMismatchError``) and split into the plain terms
+        A_j = (I (x) <j|)V, views of V,
         with c_j = e_j.  They form V again entry for entry, so V is kept as
         the formed ``isometry``.  The constructor's check is then V's own
         Gram residual.
         """
         d_a, d_b = measured.dim, pointer.dim
-        v = _owned(isometry)
+        try:
+            v = _owned(isometry)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatchError("isometry is not a numeric matrix") from exc
         if v.shape != (d_a * d_b, d_a):
             raise DimensionMismatchError(f"isometry shape {v.shape}, expected {(d_a * d_b, d_a)}")
         rows = v.reshape(d_a, d_b, d_a)
@@ -295,42 +324,37 @@ class Premeasurement:
         )
 
 
-def _dense(u: np.ndarray | None, branch: ObservableBranch | None) -> np.ndarray:
-    """The object operator U E of one term as a (dim, dim) matrix."""
-    if branch is None:
-        return u
-    return branch.projector if u is None else u @ branch.projector
-
-
 def _formed_isometry(pm: Premeasurement) -> np.ndarray:
     """V = sum_k A_k (x) c_k of ``pm``'s terms, shape (d_a d_b, d_a).
 
-    Branch terms A_k = U_k E_k take one BLAS product: the thin factor
-    T = [(U_k Q_k) (x) c_k], (d_a d_b, m), times G^dag, where G = [Q_1, ...]
-    holds the measured blocks side by side.  A measured complement
-    E_c = I - G G^dag adds U_c (x) c_c, and -(U_c G) (x) c_c to T; for an
-    ideal link (every U is I) that folds into the blocks' columns as
-    Q_k (x) (c_k - c_c), and I (x) c_c is added on the diagonal.  Plain
+    Branch terms A_k = W_k Q_k^dag take one BLAS product: the thin factor
+    T = [W_k (x) c_k], (d_a d_b, m), times G^dag, where G = [Q_1, ...]
+    holds the measured blocks side by side and an undressed block has
+    W_k = Q_k.  A measured complement A_c = W_c (I - G G^dag) adds
+    W_c (x) c_c, and -(W_c G) (x) c_c to T; for an ideal link (every W
+    None) that folds into the blocks' columns as Q_k (x) (c_k - c_c), and
+    for an undressed complement I (x) c_c is added on the diagonal.  Plain
     terms are added one by one.
     """
     g = pm.measured.basis
     rows = pm.pointer_states.rows  # row k: c_k
     (d_a, m), d_b = g.shape, rows.shape[1]
-    units, branches = zip(*pm.operators)
+    ws, branches = zip(*pm.operators)
     if branches[0] is None:
         v = np.zeros((d_a, d_b, d_a), dtype=complex)
-        for u, c in zip(units, rows):
-            v += u[:, None, :] * c[:, None]
+        for a, c in zip(ws, rows):
+            v += a[:, None, :] * c[:, None]
         return v.reshape(d_a * d_b, d_a)
-    ideal = all(u is None for u in units)
+    ideal = all(w is None for w in ws)
     idle = None  # a measured complement exists exactly when G has m < d_a columns
     if m < d_a:
         idle = next(k for k, b in enumerate(branches) if b.is_complement)
-    pointed, blocks, block_units = rows, branches, units
+        w_c = ws[idle]
+    pointed, blocks, block_ws = rows, branches, ws
     if idle is not None:
         pointed = np.concatenate([rows[:idle], rows[idle + 1 :]])
         blocks = branches[:idle] + branches[idle + 1 :]
-        block_units = units[:idle] + units[idle + 1 :]
+        block_ws = ws[:idle] + ws[idle + 1 :]
         if ideal:
             pointed = pointed - rows[idle]
     if len(blocks) < m:  # one row per column of G
@@ -338,21 +362,18 @@ def _formed_isometry(pm: Premeasurement) -> np.ndarray:
     if ideal:
         left = g
     else:
-        left = np.hstack(
-            [b.basis if u is None else u @ b.basis for u, b in zip(block_units, blocks)]
-        )
+        left = np.hstack([b.basis if w is None else w for w, b in zip(block_ws, blocks)])
     thin = left[:, None, :] * pointed.T  # thin[i, j, c] = left[i, c] pointed[c, j]
     if idle is not None and not ideal:
-        u_c = units[idle]
-        thin -= (g if u_c is None else u_c @ g)[:, None, :] * rows[idle][:, None]
+        thin -= (g if w_c is None else w_c @ g)[:, None, :] * rows[idle][:, None]
     v = thin.reshape(d_a * d_b, -1) @ g.conj().T
     if idle is not None:
         cube = v.reshape(d_a, d_b, d_a)
-        if units[idle] is None:
+        if w_c is None:
             diagonal = np.arange(d_a)
             cube[diagonal, :, diagonal] += rows[idle]
         else:
-            cube += units[idle][:, None, :] * rows[idle][:, None]
+            cube += w_c[:, None, :] * rows[idle][:, None]
     return v
 
 
@@ -502,26 +523,65 @@ def _match_pointer_states(
     return index_map
 
 
+@dataclass(frozen=True, eq=False)
+class ThinDressing:
+    """One measured branch's dressing in the form that ``build_exact`` keeps
+    (``random_dressings`` draws these).
+
+    ``block`` is the dressed term's object block W = U Q, (d_a, r) for a
+    measured block Q of rank r, or (d_a, d_a), W = U, for the idle
+    complement; None leaves the term as it is.  ``pointer`` is the (r', r')
+    unitary u on the block Q' of the pointer branch that the measured
+    branch maps to: it takes the pointer vector c to Q' u Q'^dag c.  Only
+    that vector enters V, so u is checked through it: the dressed pointer
+    vectors must be orthonormal.
+    """
+
+    block: np.ndarray | None
+    pointer: np.ndarray
+
+
+def _complex_matrix(values, what: str) -> np.ndarray:
+    """``values`` as a complex array; ``DimensionMismatchError`` when they are
+    not numbers of one rectangular shape."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"{what} is not a numeric matrix") from exc
+
+
 def build_exact(
     ideal: Premeasurement,
-    dressings: list[tuple[np.ndarray, np.ndarray]],
+    dressings: Sequence[tuple[np.ndarray, np.ndarray] | ThinDressing],
 ) -> Premeasurement:
     """Dress an ideal premeasurement into a general exact one.
 
-    ``dressings`` holds one (object unitary V_k, instrument unitary W_k) pair
-    per measured branch; W_k must map the range of the k-th pointer projector
-    F_k into itself.  The dressing D = sum_k V_k (x) W_k F_k + sum_j I (x) F_j,
-    j over the pointer branches no measured branch maps to, applied to
+    ``dressings`` holds one dressing per measured branch k: a caller's dense
+    pair (object unitary V_k, instrument unitary W_k), or a ``ThinDressing``.
+    W_k must map the range of the k-th pointer projector F_k into itself.
+    The dressing D = sum_k V_k (x) W_k F_k + sum_j I (x) F_j, j over the
+    pointer branches no measured branch maps to, applied to
     V = sum_k A_k (x) c_k, where c_k lies in the range of F_k, leaves
     sum_k (V_k A_k) (x) (W_k c_k): the terms become A_k <- V_k A_k and
     c_k <- W_k c_k, and the unmapped branches contribute nothing.  It keeps
     the calibration, probability reproduction, and dynamical conditions but
-    is no longer ideal in general.  Each F = Q Q^dag enters the range check
-    through its block: W F = (W Q) Q^dag, and ||(I - F) W F|| =
-    ||W Q - Q Q^dag W Q||.  A complement F = I - G G^dag enters through
-    W F = W - (W G) G^dag, formed densely like W.  A dressing with a NaN or
-    infinite entry, or dressings that leave the c_k off orthonormality,
-    raise ``DressingError``.  A premeasurement given as its isometry
+    is no longer ideal in general.
+
+    Only V_k's action on the range of E_k enters, so a dense pair is reduced
+    once to the term's thin block V_k Q_k, (d_a, r_k) (V_k itself for the
+    idle complement, whose term is V_k (I - G G^dag)), after V_k's dense
+    unitarity check.  Each F = Q Q^dag enters W_k's range check through its
+    block: W F = (W Q) Q^dag, and ||(I - F) W F|| = ||W Q - Q Q^dag W Q||.
+    A complement F = I - G G^dag enters through W F = W - (W G) G^dag,
+    formed densely like W.  A ``ThinDressing`` brings the block itself,
+    checked with the terms (``Premeasurement``), and its pointer unitary u
+    on the block Q' of F_k: c_k <- Q' u Q'^dag c_k, in O(d_b r'), which
+    needs F_k to be a block, not the idle complement.
+
+    A dressing that is no pair of numeric matrices of the layout's shapes
+    raises ``DimensionMismatchError``; one with a NaN or infinite entry, or
+    dressings that leave the c_k off orthonormality, raise
+    ``DressingError``.  A premeasurement given as its isometry
     (``Premeasurement.from_isometry``) has no branch terms to dress.
     """
     n = ideal.measured.branch_count
@@ -531,9 +591,21 @@ def build_exact(
         raise ValueError("a premeasurement given as its isometry has no branch terms to dress")
     d_a, d_b = ideal.object_dim, ideal.instrument_dim
     operators, vectors = [], []
-    for k, (v_a, w_b) in enumerate(dressings):
-        v_a = np.asarray(v_a, dtype=complex)
-        w_b = np.asarray(w_b, dtype=complex)
+    for k, dressing in enumerate(dressings):
+        (w, e), c = ideal.operators[k], ideal.pointer_states.vectors[k]
+        branch = ideal.pointer.branches[ideal.mapping[k]]
+        if isinstance(dressing, ThinDressing):
+            if dressing.block is not None:
+                w = _complex_matrix(dressing.block, f"object dressing {k}")
+            operators.append((w, e))
+            vectors.append(_thin_pointer(k, dressing.pointer, branch, c))
+            continue
+        try:
+            v_a, w_b = dressing
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatchError(f"dressing {k} is not a pair of matrices") from exc
+        v_a = _complex_matrix(v_a, f"object dressing {k}")
+        w_b = _complex_matrix(w_b, f"instrument dressing {k}")
         if v_a.shape != (d_a, d_a) or w_b.shape != (d_b, d_b):
             raise DimensionMismatchError("dressing shapes do not match the layout")
         what = f"object dressing {k}"
@@ -542,7 +614,6 @@ def build_exact(
         what = f"instrument dressing {k}"
         if not math.isfinite(_refuse_non_finite(w_b, what, DressingError)):
             raise DressingError(f"{what} has entries too large: its squared norm overflows")
-        branch = ideal.pointer.branches[ideal.mapping[k]]
         if branch.is_complement:
             g = branch.given
             wq = w_b - (w_b @ g) @ g.conj().T  # W F
@@ -558,14 +629,32 @@ def build_exact(
             )
         if not isometric <= DEFAULT.orth * d_b:
             raise DressingError(f"instrument dressing {k} is not isometric on its range")
-        u, e = ideal.operators[k]
-        operators.append((v_a if u is None else v_a @ u, e))
-        vectors.append(w_b @ ideal.pointer_states.vectors[k])
+        if w is None and not e.is_complement:
+            w = e.basis  # the undressed block: V_k Q_k
+        operators.append((v_a if w is None else v_a @ w, e))
+        vectors.append(w_b @ c)
     try:
         states = SubsystemBasis(ideal.instrument_label, tuple(vectors))
     except NonOrthonormalBasisError as exc:
         raise DressingError(f"instrument dressings leave the pointer vectors: {exc}") from exc
     return replace(ideal, operators=tuple(operators), pointer_states=states)
+
+
+def _thin_pointer(k: int, unit, branch: ObservableBranch, c: np.ndarray) -> np.ndarray:
+    """Q' u Q'^dag c: pointer vector ``c`` of term ``k`` dressed by the
+    (r', r') unitary ``unit`` on the block Q' of its pointer ``branch``."""
+    what = f"instrument dressing {k}"
+    if branch.is_complement:
+        raise DressingError(
+            f"{what} acts on the idle complement of the pointer, which has no block"
+        )
+    u = _complex_matrix(unit, what)
+    if u.shape != (branch.rank, branch.rank):
+        raise DimensionMismatchError(f"{what} has shape {u.shape}, expected {(branch.rank,) * 2}")
+    if not math.isfinite(_refuse_non_finite(u, what, DressingError)):
+        raise DressingError(f"{what} has entries too large: its squared norm overflows")
+    q = branch.basis
+    return q @ (u @ (q.conj().T @ c))
 
 
 def complete_unitary(pm: Premeasurement) -> np.ndarray:
@@ -807,23 +896,41 @@ def random_exact(
     return build_exact(ideal, random_dressings(ideal, rng))
 
 
-def random_dressings(
-    ideal: Premeasurement, rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One random dressing per measured branch k of ``ideal``, for
-    ``build_exact``: a Haar object unitary, then a ``random_range_unitary``
-    on the block of the pointer branch that k maps to, drawn in that order,
-    branch by branch.  A pointer branch that is the idle complement holds no
-    block to draw on: that raises ``DressingError`` before any draw."""
+def random_dressings(ideal: Premeasurement, rng: np.random.Generator) -> list[ThinDressing]:
+    """One random ``ThinDressing`` per measured branch of ``ideal``, for
+    ``build_exact``.
+
+    A measured block Q_k of rank r_k gets W_k = U_k Q_k for a Haar U_k,
+    which is a Haar (d_a, r_k) isometry whatever Q_k is: the leading r_k
+    columns of a Haar unitary.  All of them come from one stacked QR
+    (``hilbert._haar_isometries``) of (d_a, max r_k) Gaussians, W_k taking
+    the leading r_k columns of its draw.  The measured idle complement stays
+    undressed (its term keeps A_c = I - G G^dag), so no block of its d_a - m
+    columns is drawn or formed, and the link costs O(d_a m) however large
+    the complement.  Each pointer block of rank r' gets an (r', r') Haar
+    unitary, one stacked QR per distinct rank.  The draws come in that
+    order: the object blocks in branch order, then the pointer unitaries by
+    ascending rank, each rank in branch order.  A pointer branch that is the
+    idle complement holds no block to draw on: that raises
+    ``DressingError`` before any draw."""
     pointer, mapping = ideal.pointer.branches, ideal.mapping
-    targets = [pointer[mapping[k]] for k in range(ideal.measured.branch_count)]
+    measured = ideal.measured.branches
+    targets = [pointer[mapping[k]] for k in range(len(measured))]
     for k, branch in enumerate(targets):
         if branch.is_complement:
             raise DressingError(
                 f"measured branch {k} maps to the idle complement of the pointer, "
                 "which has no block to draw a random dressing on"
             )
+    ranks = [b.rank for b in measured if not b.is_complement]
+    blocks = _haar_isometries(len(ranks), ideal.object_dim, max(ranks), rng)
+    blocks.setflags(write=False)  # adopted by the terms as they are
+    drawn = iter(blocks)
+    units = {
+        r: iter(_haar_isometries(sum([t.rank == r for t in targets]), r, r, rng))
+        for r in sorted({t.rank for t in targets})
+    }
     return [
-        (random_unitary(ideal.object_dim, rng), random_range_unitary(branch.basis, rng))
-        for branch in targets
+        ThinDressing(None if b.is_complement else next(drawn)[:, : b.rank], next(units[t.rank]))
+        for b, t in zip(measured, targets)
     ]

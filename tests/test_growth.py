@@ -10,16 +10,28 @@ and exact rows measured 2.67-2.93, and ``condition_reports`` 2.16 (32 to
 ``branches`` run peaks at 0.63, 4.46 and 33.8 MiB, close to one d^3 array
 of complex entries at d = 128.  A route whose peak grows more slowly
 should tighten these bounds.
+
+Building the links alone (``scenario_from_document`` and
+``build_premeasurements``, no run) is held at d = 128, 256 and 512 to a
+slope of 1.2.  The exact chain's links peaked at 4.04, 16.07 and
+64.13 MiB (slopes 1.99, 2.00) while each random dressing was a dense
+d x d Haar unitary; as thin blocks they peak at 0.054, 0.097 and 0.182 MiB
+(0.85, 0.91), and the ideal chain's at 0.035, 0.061 and 0.115 MiB (0.80,
+0.91).  The Haar QR of a dressing is the cubic step of an exact link, so
+its calls are counted too, as ``test_diag_observable.py`` counts ``eigh``.
 """
 
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from vnchain.scenarios import run, scenario_from_document
+from vnchain.premeasurement import build_exact, random_dressings, random_ideal
+from vnchain.scenarios import build_premeasurements, run, scenario_from_document
 
 SIZES = (32, 64, 128)
+CONSTRUCTION_SIZES = (128, 256, 512)
 
 
 def two_meter_chain(d: int, kind: str, analysis: str) -> dict:
@@ -48,15 +60,28 @@ def two_meter_chain(d: int, kind: str, analysis: str) -> dict:
     }
 
 
-def _traced_peak(doc: dict) -> int:
+def _traced(call):
+    """``call()`` and the ``tracemalloc`` peak of the call."""
     tracemalloc.start()
     try:
-        report = run(scenario_from_document(doc))
+        value = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return value, peak
+
+
+def _traced_peak(doc: dict) -> int:
+    report, peak = _traced(lambda: run(scenario_from_document(doc)))
     assert report.passed
     return peak
+
+
+def _slopes(sizes, peaks) -> list[float]:
+    return [
+        math.log(peaks[i + 1] / peaks[i]) / math.log(sizes[i + 1] / sizes[i])
+        for i in range(len(sizes) - 1)
+    ]
 
 
 @pytest.mark.parametrize("kind", ["ideal", "exact"])
@@ -73,8 +98,52 @@ def _traced_peak(doc: dict) -> int:
 def test_two_meter_peak_slope(kind, analysis, bound):
     run(scenario_from_document(two_meter_chain(4, kind, analysis)))  # warm
     peaks = [_traced_peak(two_meter_chain(d, kind, analysis)) for d in SIZES]
-    slopes = [
-        math.log(peaks[i + 1] / peaks[i]) / math.log(SIZES[i + 1] / SIZES[i])
-        for i in range(len(SIZES) - 1)
-    ]
+    slopes = _slopes(SIZES, peaks)
     assert max(slopes) <= bound, f"traced peaks {peaks}, slopes {slopes}"
+
+
+def _construction_peak(doc: dict) -> int:
+    pms, peak = _traced(lambda: build_premeasurements(scenario_from_document(doc), 0))
+    assert len(pms) == 2
+    return peak
+
+
+@pytest.mark.parametrize("kind", ["ideal", "exact"])
+def test_two_meter_construction_peak_slope(kind):
+    """The links of q(2) -> B(d) -> C(d) grow with d, not d^2: the exact
+    link of C holds B's two pointer blocks dressed, and B's idle complement
+    of d - 2 dimensions undressed."""
+    build_premeasurements(scenario_from_document(two_meter_chain(4, kind, "branches")), 0)
+    peaks = [
+        _construction_peak(two_meter_chain(d, kind, "branches")) for d in CONSTRUCTION_SIZES
+    ]
+    slopes = _slopes(CONSTRUCTION_SIZES, peaks)
+    assert max(slopes) <= 1.2, f"traced peaks {peaks}, slopes {slopes}"
+    assert peaks[-1] < 2**20, f"traced peaks {peaks}"
+
+
+# verify's default grid: object dimensions 2..4, instrument dimensions 2..6
+VERIFY_GRID = [(da, db) for da in range(2, 5) for db in range(2, 7)]
+
+
+@pytest.mark.parametrize("da,db", VERIFY_GRID)
+def test_a_random_dressing_takes_two_qrs(monkeypatch, da, db):
+    """``random_dressings`` and ``build_exact`` take one stacked QR for a
+    random link's object blocks and one for its rank-1 pointer blocks, at
+    every branch count m, where a d x d Haar unitary per object dressing
+    and per pointer range would take 2 m."""
+    original, shapes = np.linalg.qr, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    rng = np.random.default_rng(da * 10 + db)
+    for m in range(1, min(da, db) + 1):
+        ideal = random_ideal("A", "B", da, db, rng, m)
+        assert {ideal.pointer.branches[b].rank for b in ideal.mapping.values()} == {1}
+        shapes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", counting)
+            build_exact(ideal, random_dressings(ideal, rng))
+        assert len(shapes) <= 2, f"m = {m}: QRs of {shapes}"

@@ -37,7 +37,7 @@ def ready(label="B", dim=2):
 
 def ideal_fields(units=(None, None), **changes):
     """The fields of the ideal qubit link A -> B, with ``changes`` applied;
-    the terms are (U_k, E_k) for the ``units`` U_k given."""
+    the terms are (W_k, E_k) for the ``units``, the blocks W_k, given."""
     m = measured()
     fields = dict(
         object_label="A",
@@ -119,10 +119,10 @@ PREMEASUREMENT_REFUSALS = {
     "object-operator-shape": (
         lambda: ideal_fields(units=(EYE3, None)),
         DimensionMismatchError,
-        "object operators must have shape (2, 2)",
+        "object operators must have shape (2, 1) for term 0, not (3, 3)",
     ),
     "isometry-bound": (
-        lambda: ideal_fields(units=(2 * EYE2, None)),
+        lambda: ideal_fields(units=(2 * EYE2[:, :1], None)),
         ValueError,
         "matrix is not an isometry: residual 3.000e+00",
     ),

@@ -5,6 +5,7 @@ parallel one (the caller and two helpers), so both paths run on any host.
 """
 
 import dataclasses
+import hashlib
 import multiprocessing
 import os
 import subprocess
@@ -27,6 +28,12 @@ def _bits(rows):
         (r.name, r.cases, float(r.max_residual).hex(), float(r.tolerance).hex(), r.note)
         for r in rows
     ]
+
+
+# sha256 of ``repr(_bits(rows))`` of the serial ``run_suites(trials=10,
+# seed=0)``.  It pins every row to the bit: a change that moves a residual,
+# a case count or a note must say which rows it moves and why.
+SERIAL_ROWS_SHA256 = "f460eb984def6d69c2bf110b733427ebcf32a8c1162f45e6577dcfa05936f83b"
 
 
 def _run(monkeypatch, cpus, **kwargs):
@@ -68,6 +75,11 @@ def test_helpers_give_the_serial_rows(monkeypatch, seed, corrupt):
     parallel = _run(monkeypatch, 3, trials=10, seed=seed, corrupt=corrupt)
     assert len(parallel) == len(suites.SUITES)
     assert _bits(parallel) == _bits(serial)
+
+
+def test_the_serial_rows_are_pinned(monkeypatch):
+    rows = _run(monkeypatch, 1, trials=10, seed=0)
+    assert hashlib.sha256(repr(_bits(rows)).encode()).hexdigest() == SERIAL_ROWS_SHA256
 
 
 def test_a_monkeypatched_fault_reaches_the_helpers(monkeypatch, tmp_path):
