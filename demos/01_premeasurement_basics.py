@@ -21,10 +21,9 @@ from vnchain import (
     evolve,
     layout,
     observable_from_matrix,
-    random_range_unitary,
-    random_unitary,
     StateVector,
 )
+from vnchain.premeasurement import random_dressings
 
 # measure a qutrit observable with distinct eigenvalues 0, 1, 2
 measured = observable_from_matrix(np.diag([0.0, 1.0, 2.0]), "atom")
@@ -56,11 +55,10 @@ for report in check_conditions(ideal, trials=20, seed=1):
 # each instrument dressing acts on the range of its outcome's pointer branch.
 # Only an object dressing's action on its branch's range enters, so
 # build_exact keeps each term as the thin block U_k Q_k (here 3 x 1), and
-# each pointer state as its dressed vector W_k |b_k>
+# each pointer state as its dressed vector W_k |b_k>; random_dressings draws
+# those blocks and a unitary on each pointer block (here a phase)
 rng = np.random.default_rng(7)
-ranges = [ideal.pointer.branches[ideal.mapping[k]].basis for k in range(3)]
-dressings = [(random_unitary(3, rng), random_range_unitary(q, rng)) for q in ranges]
-exact = build_exact(ideal, dressings)
+exact = build_exact(ideal, random_dressings(ideal, rng))
 print("\ndressed (general exact) premeasurement:")
 for report in check_conditions(exact, trials=20, seed=2):
     print(f"{report.condition:<26} residual {report.max_residual:.2e}  "

@@ -79,7 +79,6 @@ from .premeasurement import (
     random_exact,
     random_ideal,
     random_observable,
-    random_range_unitary,
 )
 from .tolerances import DEFAULT, Tolerances
 

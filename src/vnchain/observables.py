@@ -51,8 +51,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def _orthonormal_block(q, what: str) -> np.ndarray:
     """``q`` owned (``hilbert._owned``) as a (d, r) block Q of orthonormal
-    columns: the one check of a block that a caller gives, an event
-    P = Q Q^dag or a range.
+    columns: the one check of an event P = Q Q^dag that a caller gives.
 
     Q must be 2-D with r <= d, have finite entries and meet
     ``_require_orthonormal``.  ``_gram_residual`` checks finiteness before

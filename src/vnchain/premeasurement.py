@@ -15,9 +15,11 @@ range of E_k enters, so a dressed term is held as its thin block
 W_k = U_k Q_k, (d_a, r_k).  The terms are checked once, by a bound on
 ||V^dag V - I|| from ||C^dag C - I|| and the Gram residuals of the blocks;
 an ideal link reads both off its checked inputs and forms no Gram product
-of V.  V itself is formed on first read, by one BLAS product, and kept.  A
-link repeated on other subsystems, as in a copy chain, adopts the checked
-link with its terms and V (``Premeasurement``).  A full unitary U, one of
+of V.  A link is applied through its factor (``_factor``), made on first
+use and kept: V itself where V is no larger than its thin factor, and two
+thin products otherwise.  ``isometry`` forms V only on request.  A link
+repeated on other subsystems, as in a copy chain, adopts the checked link
+with its terms and factor (``Premeasurement``).  A full unitary U, one of
 many completions of V, is formed only by ``complete_unitary``.
 
 Branch correspondence is an explicit ``index_map`` from measured branch
@@ -51,11 +53,12 @@ from .hilbert import (
     _owned,
     _haar_isometries,
     _refuse_non_finite,
+    _resized,
     apply_local,
     complete_orthonormal,
     random_unitary,
 )
-from .observables import ObservableBranch, SpectralObservable, _orthonormal_block
+from .observables import ObservableBranch, SpectralObservable
 from .tolerances import DEFAULT
 
 
@@ -76,9 +79,8 @@ class ConditionReport:
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 # One term's object operator A = W L: L the factor of E, a branch of the
-# measured observable, W its (d_a, rows of L) block or None (A = E); or, with
-# E None, A = W itself, a plain term of a caller's V.
-Operator = tuple[np.ndarray | None, ObservableBranch | None]
+# measured observable, W its (d_a, rows of L) block or None (A = E).
+Operator = tuple[np.ndarray | None, ObservableBranch]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +89,15 @@ class Premeasurement:
 
     It is carried as its terms: ``operators`` holds one object operator A_k
     per term, and ``pointer_states`` the pointer vectors c_k, the columns
-    of C (d_b, n).  Either every term acts through measured branch E_k, in
-    order, as the pair (W_k, E_k): A_k = W_k L_k, L_k the branch's factor
+    of C (d_b, n).  Every term acts through measured branch E_k, in order,
+    as the pair (W_k, E_k): A_k = W_k L_k, L_k the branch's factor
     (Q_k^dag for a block, so W_k = U_k Q_k is (d_a, r_k) for a dressing
     U_k; I - G G^dag for the idle complement, with W_c (d_a, d_a)), or
     A_k = E_k for W_k None (``build_ideal``: every W_k None;
-    ``build_exact``: the dressed blocks).  Or every E_k is None, for the
-    plain operators A_j = (I (x) <j|)V and c_j = e_j of a caller's V
-    (``from_isometry``), held as (A_j, None).  V = U(. (x) |ready>) =
+    ``build_exact``: the dressed blocks).  V = U(. (x) |ready>) =
     sum_k A_k (x) c_k, shape (object_dim * instrument_dim, object_dim), is
-    ``isometry``: formed on first read and kept, read-only.
+    applied through ``factor`` and formed as ``isometry`` only on request.
+    A caller's V (``from_isometry``) is ``operators`` and its own factor.
 
     The one check is on the terms.  With eps = ||C^dag C - I|| and
     eta = ||S - I||, S = sum_k A_k^dag A_k, write V^dag V - I as
@@ -127,28 +128,28 @@ class Premeasurement:
     one Gram product of (d_a, r_k) per dressed block, O(d_a m^2) in all, and
     none for an ideal link, whose eta <= 2 e (1 + e).  Branch terms add
     u d_a (d_a d_b + 2 d_a + 4), u the unit roundoff, for the rounding of V
-    formed from them (at most about 2 (m + 2) u d_a, m <= d_a) and of a
-    dense Gram product of it (about d_a d_b u ||V||_F^2), so that the bound
-    also covers ||V^dag V - I|| as ``hilbert._gram_residual`` computes it.
-    For a caller's V the stacked terms are V itself, row for row, and
-    C = I; V is kept, not formed, so the bound is V's own Gram residual and
-    V is refused exactly where it always was.
+    applied through them (at most about 2 (m + 2) u d_a, m <= d_a, either
+    side of the rule) and of a dense Gram product of it (about d_a d_b u
+    ||V||_F^2), so that the bound also covers ||V^dag V - I|| as
+    ``hilbert._gram_residual`` computes it.  A caller's V is not formed, so
+    its bound is its own Gram residual and V is refused exactly where it
+    always was.
 
     The observables and the ready state arrive checked by their own
-    constructors.  Each W_k and A_j is owned (``hilbert._owned``).  The
-    calibration condition itself is the contract of the ``build_*``
-    constructors and is verified by ``check_conditions``, so deliberately
-    broken instances can still be represented.  Instances compare by
-    identity.
+    constructors.  Each W_k, and a caller's V, is owned
+    (``hilbert._owned``).  The calibration condition itself is the contract
+    of the ``build_*`` constructors and is verified by ``check_conditions``,
+    so deliberately broken instances can still be represented.  Instances
+    compare by identity.
 
     A ``Premeasurement`` given as ``operators``, with no ``index_map``, is
     adopted under this link's labels when it is the same link
     (``_repeats``): its measured branches, pointer rows and ready amplitudes
     are this link's very objects, and its pointer's branches this
-    pointer's.  Its terms, index map, ``isometry_bound`` and V are then
-    taken as they are, so the terms are checked and V formed once; every
-    label check runs as for any link.  A chain whose links repeat one
-    premeasurement on new subsystems so shares it.
+    pointer's.  Its terms, index map, ``isometry_bound`` and factor are
+    then taken as they are, so the terms are checked and the factor made
+    once; every label check runs as for any link.  A chain whose links
+    repeat one premeasurement on new subsystems so shares it.
     """
 
     object_label: str
@@ -156,7 +157,7 @@ class Premeasurement:
     measured: SpectralObservable
     pointer: SpectralObservable
     ready_state: StateVector
-    operators: tuple[Operator, ...] | Premeasurement = field(repr=False)
+    operators: tuple[Operator, ...] | Premeasurement | np.ndarray = field(repr=False)
     pointer_states: SubsystemBasis = field(repr=False)
     index_map: tuple[tuple[int, int], ...] = ()
     isometry_bound: float = field(init=False, repr=False)
@@ -192,10 +193,21 @@ class Premeasurement:
                     "an adopted link must hold its source's measured branches, pointer "
                     "rows and branches and ready amplitudes, and no index map of its own"
                 )
-            for name in ("operators", "index_map", "isometry_bound", "isometry"):
+            for name in ("operators", "index_map", "isometry_bound", "factor"):
                 object.__setattr__(self, name, getattr(source, name))
             return
-        object.__setattr__(self, "isometry_bound", self._checked_terms(d_a, d_b))
+        if isinstance(source, np.ndarray):  # a caller's V, its own folded factor
+            v = _owned(source)
+            if v.shape != (expected := (d_a * d_b, d_a)):
+                raise DimensionMismatchError(f"isometry shape {v.shape}, expected {expected}")
+            object.__setattr__(self, "operators", v)
+            object.__setattr__(self, "factor", (v, None, None))
+            bound = _gram_residual(v)
+        else:
+            bound = self._checked_terms(d_a, d_b)
+        if not bound <= DEFAULT.unitary * max(1, d_a * d_b):
+            raise ValueError(f"matrix is not an isometry: residual {bound:.3e}")
+        object.__setattr__(self, "isometry_bound", bound)
         pairs = tuple([(int(a), int(b)) for a, b in self.index_map])
         object.__setattr__(self, "index_map", pairs)
         keys = [a for a, _ in pairs]
@@ -217,37 +229,28 @@ class Premeasurement:
         ops = tuple(self.operators)
         if len(ops) != n_states:
             raise DimensionMismatchError(f"{n_states} pointer vectors for {len(ops)} terms")
-        branches = tuple([b for _, b in ops])
-        plain = branches.count(None) == len(branches)
-        if not plain and branches != self.measured.branches:
-            raise ValueError("terms must act through every measured branch in order, or none")
+        if tuple([b for _, b in ops]) != self.measured.branches:
+            raise ValueError("terms must act through every measured branch in order")
         ops = tuple([(None if w is None else _owned(w), b) for w, b in ops])
         for k, (w, b) in enumerate(ops):
-            shape = (d_a, d_a if b is None else b.factor_rows)
+            shape = (d_a, b.factor_rows)
             if w is not None and w.shape != shape:
                 raise DimensionMismatchError(
                     f"object operators must have shape {shape} for term {k}, not {w.shape}"
                 )
         object.__setattr__(self, "operators", ops)
-        if plain:  # the stacked terms are V, row for row
-            eta = _gram_residual(np.stack([a for a, _ in ops], axis=1).reshape(-1, d_a))
-        else:
-            e = self.measured.columns.gram_residual
-            x = x_c = 0.0  # the dressed blocks' ||X_k||, combined; the complement's
-            for k, (w, b) in enumerate(ops):
-                if w is not None:
-                    resid = _gram_residual(w, f"object operator {k}")
-                    if b.is_complement:
-                        x_c = resid
-                    else:
-                        x = math.hypot(x, resid)
-            eta = (1 + e) * (e + math.hypot(e, x) + (1 + e) * x_c)
+        e = self.measured.columns.gram_residual
+        x = x_c = 0.0  # the dressed blocks' ||X_k||, combined; the complement's
+        for k, (w, b) in enumerate(ops):
+            if w is not None:
+                resid = _gram_residual(w, f"object operator {k}")
+                if b.is_complement:
+                    x_c = resid
+                else:
+                    x = math.hypot(x, resid)
+        eta = (1 + e) * (e + math.hypot(e, x) + (1 + e) * x_c)
         bound = eta + math.sqrt(d_a) * (1 + eta) * states.gram_residual
-        if not plain:  # V is formed from the terms, in floating point
-            bound += _UNIT_ROUNDOFF * d_a * (d_a * d_b + 2 * d_a + 4)
-        if not bound <= DEFAULT.unitary * max(1, d_a * d_b):
-            raise ValueError(f"matrix is not an isometry: residual {bound:.3e}")
-        return bound
+        return bound + _UNIT_ROUNDOFF * d_a * (d_a * d_b + 2 * d_a + 4)
 
     @classmethod
     def from_isometry(
@@ -261,42 +264,36 @@ class Premeasurement:
         ready_state: StateVector,
         index_map,
     ) -> "Premeasurement":
-        """The premeasurement of a caller's isometry V, shape (d_a d_b, d_a).
-
-        V is owned (``hilbert._owned``: a read-only complex V is adopted as
-        is; values that are no numeric matrix raise
-        ``DimensionMismatchError``) and split into the plain terms
-        A_j = (I (x) <j|)V, views of V,
-        with c_j = e_j.  They form V again entry for entry, so V is kept as
-        the formed ``isometry``.  The constructor's check is then V's own
-        Gram residual.
+        """The premeasurement of a caller's isometry V, shape (d_a d_b, d_a),
+        given as the link's ``operators`` (values that are no numeric matrix
+        raise ``DimensionMismatchError``), which own it (``hilbert._owned``:
+        a read-only complex V is adopted as is).  V is its own folded
+        factor, applied as it is and checked by its own Gram residual; its
+        pointer vectors are the canonical basis.
         """
-        d_a, d_b = measured.dim, pointer.dim
-        try:
-            v = _owned(isometry)
-        except (TypeError, ValueError) as exc:
-            raise DimensionMismatchError("isometry is not a numeric matrix") from exc
-        if v.shape != (d_a * d_b, d_a):
-            raise DimensionMismatchError(f"isometry shape {v.shape}, expected {(d_a * d_b, d_a)}")
-        rows = v.reshape(d_a, d_b, d_a)
-        pm = cls(
+        return cls(
             object_label=object_label,
             instrument_label=instrument_label,
             measured=measured,
             pointer=pointer,
             ready_state=ready_state,
-            operators=tuple((rows[:, j, :], None) for j in range(d_b)),
-            pointer_states=SubsystemBasis(instrument_label, tuple(np.eye(d_b, dtype=complex))),
+            operators=_complex_matrix(isometry, "isometry"),
+            pointer_states=SubsystemBasis(instrument_label, tuple(np.eye(pointer.dim))),
             index_map=index_map,
         )
-        object.__setattr__(pm, "isometry", v)
-        return pm
 
     @cached_property
+    def factor(self) -> tuple:
+        """The form in which ``_linked`` applies V (``_factor``), made on
+        first use and kept.  An adopted link holds its source's."""
+        return _factor(self)
+
+    @property
     def isometry(self) -> np.ndarray:
-        """V = sum_k A_k (x) c_k (``_formed_isometry``), formed on first read
-        and kept; read-only.  An adopted link holds its source's."""
-        v = _formed_isometry(self)
+        """V, fresh and read-only, formed on request by the link kernel, and
+        read by no chain path; bit for bit V on the folded side."""
+        d_a = self.object_dim
+        v = np.ascontiguousarray(_linked(self, np.eye(d_a, dtype=complex), (d_a,), 0).T)
         v.setflags(write=False)
         return v
 
@@ -324,27 +321,25 @@ class Premeasurement:
         )
 
 
-def _formed_isometry(pm: Premeasurement) -> np.ndarray:
-    """V = sum_k A_k (x) c_k of ``pm``'s terms, shape (d_a d_b, d_a).
+def _factor(pm: Premeasurement) -> tuple:
+    """The read-only factor through which ``_linked`` applies the
+    V = sum_k A_k (x) c_k of ``pm``'s terms, shape (d_a d_b, d_a).
 
-    Branch terms A_k = W_k Q_k^dag take one BLAS product: the thin factor
-    T = [W_k (x) c_k], (d_a d_b, m), times G^dag, where G = [Q_1, ...]
-    holds the measured blocks side by side and an undressed block has
-    W_k = Q_k.  A measured complement A_c = W_c (I - G G^dag) adds
-    W_c (x) c_c, and -(W_c G) (x) c_c to T; for an ideal link (every W
-    None) that folds into the blocks' columns as Q_k (x) (c_k - c_c), and
-    for an undressed complement I (x) c_c is added on the diagonal.  Plain
-    terms are added one by one.
+    Branch terms A_k = W_k Q_k^dag give the thin factor T = [W_k (x) c_k],
+    (d_a d_b, m), with V = T G^dag, where G = [Q_1, ...] holds the measured
+    blocks side by side and an undressed block has W_k = Q_k.  A measured
+    complement A_c = W_c (I - G G^dag) adds -(W_c G) (x) c_c to T and the
+    idle term W_c (x) c_c (W_c None for I); for an ideal link (every W
+    None) the former folds into the blocks' columns as Q_k (x) (c_k - c_c).
+    When T and G hold at least as many entries as V, m (d_b + 1) >= d_a d_b,
+    as for every complete observable, G^dag is folded into T and the idle
+    term added: the factor is (V, None, None).  Otherwise it is (T, G^dag,
+    idle), idle None without a complement, and V is never formed.
     """
     g = pm.measured.basis
     rows = pm.pointer_states.rows  # row k: c_k
     (d_a, m), d_b = g.shape, rows.shape[1]
     ws, branches = zip(*pm.operators)
-    if branches[0] is None:
-        v = np.zeros((d_a, d_b, d_a), dtype=complex)
-        for a, c in zip(ws, rows):
-            v += a[:, None, :] * c[:, None]
-        return v.reshape(d_a * d_b, d_a)
     ideal = all(w is None for w in ws)
     idle = None  # a measured complement exists exactly when G has m < d_a columns
     if m < d_a:
@@ -359,14 +354,18 @@ def _formed_isometry(pm: Premeasurement) -> np.ndarray:
             pointed = pointed - rows[idle]
     if len(blocks) < m:  # one row per column of G
         pointed = np.repeat(pointed, [b.rank for b in blocks], axis=0)
-    if ideal:
-        left = g
-    else:
-        left = np.hstack([b.basis if w is None else w for w, b in zip(block_ws, blocks)])
+    left = [b.basis if w is None else w for w, b in zip(block_ws, blocks)]
+    left = g if ideal else np.hstack(left)
     thin = left[:, None, :] * pointed.T  # thin[i, j, c] = left[i, c] pointed[c, j]
     if idle is not None and not ideal:
         thin -= (g if w_c is None else w_c @ g)[:, None, :] * rows[idle][:, None]
-    v = thin.reshape(d_a * d_b, -1) @ g.conj().T
+    thin = thin.reshape(d_a * d_b, -1)
+    if m * (d_b + 1) < d_a * d_b:
+        adjoint = pm.measured.columns.rows.conj()  # G^dag
+        for part in (thin, adjoint):
+            part.setflags(write=False)
+        return thin, adjoint, None if idle is None else (w_c, rows[idle])
+    v = thin @ g.conj().T
     if idle is not None:
         cube = v.reshape(d_a, d_b, d_a)
         if w_c is None:
@@ -374,7 +373,8 @@ def _formed_isometry(pm: Premeasurement) -> np.ndarray:
             cube[diagonal, :, diagonal] += rows[idle]
         else:
             cube += w_c[:, None, :] * rows[idle][:, None]
-    return v
+    v.setflags(write=False)
+    return v, None, None
 
 
 def build_ideal(
@@ -587,7 +587,7 @@ def build_exact(
     n = ideal.measured.branch_count
     if len(dressings) != n:
         raise DimensionMismatchError(f"{len(dressings)} dressings for {n} branches")
-    if ideal.operators[0][1] is None:
+    if isinstance(ideal.operators, np.ndarray):
         raise ValueError("a premeasurement given as its isometry has no branch terms to dress")
     d_a, d_b = ideal.object_dim, ideal.instrument_dim
     operators, vectors = [], []
@@ -695,17 +695,27 @@ def _check_object_state(pm: Premeasurement, object_state: StateVector) -> None:
 def _linked(
     pm: Premeasurement, amplitudes: np.ndarray, dims: Sequence[int], pos: int
 ) -> np.ndarray:
-    """The one link kernel, and the only product with a link's V: ``pm``'s
-    V applied (``hilbert.apply_local``) to axis ``pos`` of amplitudes over
-    ``dims``, behind any leading batch axes, with the new instrument axis
-    placed behind every other subsystem.  The result is fresh and frozen,
-    for the state that adopts it.  The link is checked by the caller:
-    ``evolve``, ``chains.extend_chain``, a scenario's chain, or
-    ``check_conditions`` on its batches of object states."""
-    amps = apply_local(pm.isometry, amplitudes, dims, pos)
+    """The one link kernel: ``pm``'s V applied through its factor
+    (``hilbert.apply_local``: V, or G^dag then T plus W_c x (x) c_c) to
+    axis ``pos`` of amplitudes over ``dims``, behind any leading batch axes,
+    with the new instrument axis placed behind every other subsystem.  The
+    result is fresh and frozen, for the state that adopts it.  The link is
+    checked by the caller: ``evolve``, ``chains.extend_chain``, a scenario's
+    chain, or ``check_conditions`` on its batches of object states."""
+    thin, adjoint, idle = pm.factor
+    d_a, d_b = pm.object_dim, pm.instrument_dim
     right = math.prod(dims[pos + 1 :])
+    if adjoint is None:
+        amps = apply_local(thin, amplitudes, dims, pos)
+    else:
+        reduced = apply_local(adjoint, amplitudes, dims, pos)
+        amps = apply_local(thin, reduced, _resized(dims, pos, len(adjoint)), pos)
+        if idle is not None:
+            w_c, c_c = idle
+            x = amplitudes if w_c is None else apply_local(w_c, amplitudes, dims, pos)
+            cube = amps.reshape(-1, d_a, d_b, right)
+            cube += np.reshape(x, (-1, d_a, 1, right)) * c_c[:, None]
     if right > 1:  # move the new instrument axis behind the later subsystems
-        d_a, d_b = pm.object_dim, pm.instrument_dim
         amps = amps.reshape(-1, d_a, d_b, right).transpose(0, 1, 3, 2).reshape(amps.shape)
     amps.setflags(write=False)
     return amps
@@ -849,15 +859,6 @@ def random_observable(
         [float(k) for k in range(n_branches)],
         [u[:, bounds[k] : bounds[k + 1]] for k in range(n_branches)],
     )
-
-
-def random_range_unitary(block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary on the range of an orthonormal (d, r) block Q, identity on
-    its complement: I - Q Q^dag + Q U Q^dag."""
-    q = _orthonormal_block(block, "range block")
-    u = random_unitary(q.shape[1], rng)
-    full = np.eye(q.shape[0], dtype=complex) - q @ q.conj().T
-    return full + q @ u @ q.conj().T
 
 
 def random_ideal(

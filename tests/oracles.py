@@ -144,6 +144,14 @@ def projector_onto(block):
     return brute_density(list(np.asarray(block).T))
 
 
+def range_unitary(block, u):
+    """The dense unitary u on the range of an orthonormal (d, r) block Q,
+    identity on its complement: I - Q Q^dag + Q u Q^dag, for an (r, r)
+    unitary u."""
+    q = np.asarray(block, dtype=complex)
+    return np.eye(q.shape[0], dtype=complex) - q @ q.conj().T + q @ u @ q.conj().T
+
+
 def brute_ideal_isometry(measured, pointer_states):
     """The isometry of an ideal premeasurement, column m = sum_k E_k |e_m> (x) |b_k>,
     summed by Kronecker products."""

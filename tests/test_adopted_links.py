@@ -211,7 +211,7 @@ def test_an_adopted_link_shares_its_checked_values(monkeypatch):
     assert adopted.operators is source.operators
     assert adopted.index_map is source.index_map
     assert adopted.isometry_bound == source.isometry_bound
-    assert adopted.isometry is source.isometry
+    assert adopted.factor is source.factor
 
 
 def _other(source, what):
@@ -420,7 +420,7 @@ def test_every_link_equals_a_fresh_build_of_its_stage(name, seed):
         assert got.ready_state.layout == want.ready_state.layout
         if i and got.operators is links[i - 1].operators:
             adopted.add(i)
-            assert got.isometry is links[i - 1].isometry
+            assert got.factor is links[i - 1].factor
     assert adopted == ADOPTED.get(name, set())
 
 

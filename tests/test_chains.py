@@ -769,7 +769,7 @@ def test_chain_path_hands_over_the_vectors_it_makes():
     pm = build_ideal(
         measured, SubsystemBasis("B", tuple(np.eye(2))), basis_state(layout(("B", 2)), 0)
     )
-    assert pm.isometry is not None  # formed ahead of the traced calls
+    assert pm.factor is not None  # made ahead of the traced calls
     extended, peak = _traced_peak(extend_chain, state, pm)
     vector = extended.amplitudes.nbytes
     assert vector == 2 * state.amplitudes.nbytes

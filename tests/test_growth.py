@@ -3,13 +3,16 @@
 sweep.  Traced memory, unlike time, is exact and repeatable per run, and a
 slope also catches growth that a budget set at one size misses.
 
-Each bound is the slope measured on the two-meter chain at d = 32, 64 and
-128 (2-core x86-64 VM, Python 3.11.7, numpy 2.4.6), rounded up.  The ideal
-and exact rows measured 2.67-2.93, and ``condition_reports`` 2.16 (32 to
-64) and 2.30 (64 to 128), with either kind of link: the ideal
-``branches`` run peaks at 0.63, 4.46 and 33.8 MiB, close to one d^3 array
-of complex entries at d = 128.  A route whose peak grows more slowly
-should tighten these bounds.
+Each bound is held on the two-meter chain at d = 32, 64 and 128 (2-core
+x86-64 VM, Python 3.11.7, numpy 2.4.6).  While each link's V, a d^3 array
+of complex entries for C, was formed on its first use, the ideal and exact
+rows measured 2.72-2.93 and ``condition_reports`` 2.16 (32 to 64) and 2.30
+(64 to 128), with either kind of link: the ideal ``branches`` run peaked at
+0.63, 4.46 and 33.8 MiB.  C's link reads B's pointer, two columns of d
+dimensions, so it is applied through its thin factor and V is never formed:
+every row now measures 1.65-1.98 (ideal ``branches`` 0.18, 0.65 and
+2.29 MiB, ``condition_reports`` 3.57, 13.2 and 51.7 MiB), held at 2.1.
+The chain's d^2 amplitudes are the floor.
 
 Building the links alone (``scenario_from_document`` and
 ``build_premeasurements``, no run) is held at d = 128, 256 and 512 to a
@@ -19,10 +22,21 @@ d x d Haar unitary; as thin blocks they peak at 0.054, 0.097 and 0.182 MiB
 (0.85, 0.91), and the ideal chain's at 0.035, 0.061 and 0.115 MiB (0.80,
 0.91).  The Haar QR of a dressing is the cubic step of an exact link, so
 its calls are counted too, as ``test_diag_observable.py`` counts ``eigh``.
+
+The walls run the two-meter chain at d = 2048 and the padding relation at
+d = 1024 (``test_metamorphic.py``), where C's V alone would take 128 GiB
+and 16 GiB.  Each runs in a child process whose address space is limited
+to ``WALL_LIMIT`` (``RLIMIT_AS``), so a route that formed V again fails
+there with ``MemoryError`` and leaves the machine's memory alone.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +46,8 @@ from vnchain.scenarios import build_premeasurements, run, scenario_from_document
 
 SIZES = (32, 64, 128)
 CONSTRUCTION_SIZES = (128, 256, 512)
+WALL_LIMIT = 3 * 2**30  # bytes of address space for a wall's child process
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def two_meter_chain(d: int, kind: str, analysis: str) -> dict:
@@ -88,11 +104,11 @@ def _slopes(sizes, peaks) -> list[float]:
 @pytest.mark.parametrize(
     "analysis,bound",
     [
-        ("branches", 3.0),
-        ("improper_mixture", 3.0),
-        ("world_branches", 3.0),
-        ("ensemble_update", 3.0),
-        ("condition_reports", 2.4),
+        ("branches", 2.1),
+        ("improper_mixture", 2.1),
+        ("world_branches", 2.1),
+        ("ensemble_update", 2.1),
+        ("condition_reports", 2.1),
     ],
 )
 def test_two_meter_peak_slope(kind, analysis, bound):
@@ -147,3 +163,41 @@ def test_a_random_dressing_takes_two_qrs(monkeypatch, da, db):
             patch.setattr(np.linalg, "qr", counting)
             build_exact(ideal, random_dressings(ideal, rng))
         assert len(shapes) <= 2, f"m = {m}: QRs of {shapes}"
+
+
+def limited_python(script: str, *args: str) -> str:
+    """The stdout of ``python -c script args`` run in a child process whose
+    address space is limited to ``WALL_LIMIT`` before anything is imported;
+    the child must exit 0."""
+    limit = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({WALL_LIMIT},) * 2)\n"
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", limit + script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
+    return done.stdout
+
+
+TRACED_RUN = """
+import json, sys, tracemalloc
+from vnchain.scenarios import run, scenario_from_document
+tracemalloc.start()
+report = run(scenario_from_document(json.loads(sys.argv[1])))
+print(report.passed, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("kind", ["ideal", "exact"])
+def test_two_meter_wall(kind):
+    """q(2) -> B(2048) -> C(2048) with ``branches``: C's link is applied
+    through its thin factor, so the run's traced peak stays under 1 GiB
+    (about 0.6 GiB: the final state of 2 d^2 amplitudes is 128 MiB), where
+    C's V alone would take 128 GiB."""
+    doc = two_meter_chain(2048, kind, "branches")
+    passed, peak = limited_python(TRACED_RUN, json.dumps(doc)).split()
+    assert passed == "True"
+    assert int(peak) < 2**30, f"traced peak {int(peak) / 2**20:.0f} MiB"

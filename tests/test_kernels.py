@@ -686,12 +686,12 @@ def test_chain_links_check_one_gram_each(tmp_path):
     assert grams == [2, 2, 2]
 
 
-def test_copy_chain_forms_one_isometry_per_distinct_link(tmp_path):
+def test_copy_chain_makes_one_factor_per_distinct_link(tmp_path):
     """The first link measures the ``diag`` observable, and every later one
     the previous pointer, whose columns are the one adopted pointer basis:
-    the second link's V is handed to every later link, so a run forms two
-    V however long the chain."""
-    formed = [_calls_in_one_run(tmp_path, links, "_formed_isometry") for links in (2, 6, 10)]
+    the second link's factor is handed to every later link, so a run makes
+    two factors however long the chain."""
+    formed = [_calls_in_one_run(tmp_path, links, "_factor") for links in (2, 6, 10)]
     assert formed == [2, 2, 2]
 
 
@@ -941,7 +941,7 @@ OWNED_CALLERS = {
     ("observables.py", "SpectralBranch.__post_init__"),
     ("observables.py", "ComplementBranch.__post_init__"),
     ("premeasurement.py", "Premeasurement._checked_terms"),
-    ("premeasurement.py", "Premeasurement.from_isometry"),
+    ("premeasurement.py", "Premeasurement.__post_init__"),
 }
 
 
@@ -952,14 +952,15 @@ def test_values_take_ownership_through_one_helper():
 # Every Gram product of the package (``hilbert._gram_residual``): a basis, an
 # observable's blocks, a caller's block or mixing matrix, the distance of a
 # complement and a block (``chains.observables_match``), the dressings and
-# the terms of a premeasurement that is not ideal, and a completed unitary.  An ideal chain link makes
-# only its pointer basis's; a new Gram product on a link path is added here
-# on purpose.
+# the terms of a premeasurement that is not ideal, a caller's V, and a
+# completed unitary.  An ideal chain link makes only its pointer basis's; a
+# new Gram product on a link path is added here on purpose.
 GRAM_CALLERS = {
     ("hilbert.py", "SubsystemBasis.__post_init__"),
     ("observables.py", "_orthonormal_block"),
     ("chains.py", "_projector_distance"),
     ("chains.py", "redecompose"),
+    ("premeasurement.py", "Premeasurement.__post_init__"),
     ("premeasurement.py", "Premeasurement._checked_terms"),
     ("premeasurement.py", "build_exact"),
     ("premeasurement.py", "complete_unitary"),
@@ -984,25 +985,28 @@ def test_owned_copies_what_is_not_a_frozen_complex_array(values):
 
 
 class TestIsometryOwnership:
-    """V is formed from the terms once, on first read, and kept read-only;
-    ``from_isometry`` adopts a read-only complex V and copies any other."""
+    """A link's factor is made from its terms once, on first use, and kept
+    read-only, and V is formed from it on each request; ``from_isometry``
+    keeps a read-only complex V as its factor and copies any other."""
 
-    def test_built_isometry_is_formed_once_on_read(self, monkeypatch):
+    def test_built_factor_is_made_once_on_first_use(self, monkeypatch):
         made = []
-        original = premeasurement._formed_isometry
+        original = premeasurement._factor
 
         def recording(pm):
             made.append(original(pm))
             return made[-1]
 
-        monkeypatch.setattr(premeasurement, "_formed_isometry", recording)
+        monkeypatch.setattr(premeasurement, "_factor", recording)
         pm = _qubit_pm()
         exact = build_exact(pm, [(E2, E2), (E2, E2)])
         assert made == []
         for value in (pm, exact):
             v = value.isometry
-            assert v is made[-1] and value.isometry is v
+            assert value.factor is made[-1]
+            assert v is not value.isometry and np.array_equal(v, value.isometry)
             assert not v.flags.writeable
+            assert not any(part.flags.writeable for part in made[-1] if part is not None)
         assert len(made) == 2
 
     @pytest.mark.parametrize("kind", ["read-only complex", "writeable complex", "read-only real"])
@@ -1012,21 +1016,18 @@ class TestIsometryOwnership:
         if kind != "writeable complex":
             v.setflags(write=False)
         given = _with_isometry(pm, v)
-        got = given.isometry
-        assert (got is v) is (kind == "read-only complex")
-        assert got.dtype == complex and not got.flags.writeable
-        np.testing.assert_array_equal(got, v)
-        for j, (a, branch) in enumerate(given.operators):  # A_j = (I (x) <j|)V, views of V
-            assert branch is None and np.shares_memory(a, got)
-            np.testing.assert_array_equal(a, got.reshape(2, 2, 2)[:, j, :])
+        thin, adjoint, idle = given.factor
+        assert (thin is v) is (kind == "read-only complex")
+        assert given.operators is thin and adjoint is None and idle is None
+        assert thin.dtype == complex and not thin.flags.writeable
+        np.testing.assert_array_equal(given.isometry, v)
         np.testing.assert_array_equal(given.pointer_states.rows, np.eye(2))
 
-    def test_terms_of_a_given_isometry_form_it_again(self):
-        """Without the kept V (a ``dataclasses.replace`` copy), the plain
-        terms form V entry for entry."""
+    def test_a_copy_of_a_given_isometry_keeps_it(self):
+        """A ``dataclasses.replace`` copy keeps the caller's V as its factor."""
         rng = np.random.default_rng(5)
         pm = premeasurement.random_exact("A", "B", 3, 4, rng)
         given = _with_isometry(pm, pm.isometry)
         again = dataclasses.replace(given)
-        assert "isometry" not in vars(again)
+        assert again.factor[0] is given.factor[0]
         np.testing.assert_array_equal(again.isometry, pm.isometry)

@@ -114,7 +114,7 @@ PREMEASUREMENT_REFUSALS = {
     "terms-out-of-order": (
         lambda: ideal_fields(operators=tuple((None, b) for b in measured().branches[::-1])),
         ValueError,
-        "terms must act through every measured branch in order, or none",
+        "terms must act through every measured branch in order",
     ),
     "object-operator-shape": (
         lambda: ideal_fields(units=(EYE3, None)),
@@ -126,10 +126,20 @@ PREMEASUREMENT_REFUSALS = {
         ValueError,
         "matrix is not an isometry: residual 3.000e+00",
     ),
-    "plain-isometry-bound": (
+    "plain-terms": (
         lambda: ideal_fields(operators=((EYE2, None), (EYE2, None))),
         ValueError,
-        "matrix is not an isometry: residual 1.414e+00",
+        "terms must act through every measured branch in order",
+    ),
+    "isometry-shape": (
+        lambda: ideal_fields(operators=np.eye(4, 3)),
+        DimensionMismatchError,
+        "isometry shape (4, 3), expected (4, 2)",
+    ),
+    "isometry-as-operators-bound": (
+        lambda: ideal_fields(operators=np.eye(4, 2) * 2),
+        ValueError,
+        "matrix is not an isometry: residual 4.243e+00",
     ),
     "index-map-misses-a-branch": (
         lambda: ideal_fields(index_map=((0, 0),)),

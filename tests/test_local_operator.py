@@ -35,7 +35,6 @@ from vnchain import (
     random_density,
     random_exact,
     random_ideal,
-    random_range_unitary,
     random_state,
     random_unitary,
     tripartite_conditional_consistency,
@@ -52,6 +51,7 @@ from oracles import (
     brute_partial_trace,
     embed_operator,
     projector_onto,
+    range_unitary,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vnchain"
@@ -313,7 +313,8 @@ class TestAgainstDenseRoute:
         ideal = random_ideal("A", "B", da, db, rng, n_branches=2)
         ranges = [ideal.pointer.branches[ideal.mapping[k]].basis for k in range(2)]
         dressings = [
-            (random_unitary(da, rng), random_range_unitary(ranges[k], rng)) for k in range(2)
+            (random_unitary(da, rng), range_unitary(q, random_unitary(q.shape[1], rng)))
+            for q in ranges
         ]
         dresser = sum(
             np.kron(v, w @ projector_onto(ranges[k])) for k, (v, w) in enumerate(dressings)
@@ -610,8 +611,7 @@ DENSE_STATE_MODULES = ("chains.py", "scenarios.py", "hilbert.py")
 class _DensePathFinder(ast.NodeVisitor):
     """Collects embed_operator calls,
     kron(eye(...), ...) calls and kron(..., ready_state.amplitudes) calls
-    (the package applies U(. (x) |ready>) through ``Premeasurement.isometry``
-    only), and
+    (the package applies U(. (x) |ready>) through the link kernel only), and
     np.outer, .density() and eigvalsh calls in ``DENSE_STATE_MODULES``, with
     the innermost enclosing function."""
 
@@ -645,7 +645,7 @@ class _DensePathFinder(ast.NodeVisitor):
 
 def test_no_dense_local_operator_path_in_package():
     """Internal code applies one-subsystem operators with ``apply_local`` only,
-    and a premeasurement to object amplitudes through its isometry only."""
+    and a premeasurement to object amplitudes through its link kernel only."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         finder = _DensePathFinder(path.name)
@@ -707,11 +707,11 @@ def test_dense_path_finder_flags_dense_states():
     ]
 
 
-# The functions of the package that may read a link's V: the link kernel,
-# and three that read it dense by design (a display completion, fault
-# injection, and the identity-dressing reference).
+# The functions of the package that may read a link's V, which the link
+# kernel forms only on request: three that read it dense by design (a
+# display completion, fault injection, and the identity-dressing
+# reference).  The kernel applies a link through its factor and reads no V.
 ISOMETRY_READERS = {
-    "_linked",
     "complete_unitary",
     "corrupt_premeasurement",
     "_suite_identity_dressing",
@@ -737,8 +737,8 @@ def isometry_reads(source: str, module: str) -> list[tuple[str, str]]:
 
 
 def test_only_the_link_kernel_multiplies_by_v():
-    """Every product with a link's V goes through ``premeasurement._linked``:
-    no other function of the package reads ``isometry``."""
+    """Every product with a link goes through ``premeasurement._linked``, on
+    its factor: no chain path, the kernel included, reads ``isometry``."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         for where, scope in isometry_reads(path.read_text(), path.name):

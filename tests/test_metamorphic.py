@@ -11,6 +11,10 @@ probability reproduction it keeps the pointer weights of its ideal link.
 So the last pointer's branch weights and the ``ensemble_update``
 occurrence probability stay those of the ideal chain, with random and with
 explicit dressings, at every padding.
+
+The padding wall holds the relation on the two-meter chain at d = 1024,
+where C's V alone would take 16 GiB, in a child process with limited
+address space (``test_growth.limited_python``).
 """
 
 import json
@@ -18,6 +22,7 @@ import math
 import re
 
 import pytest
+from test_growth import limited_python, two_meter_chain
 
 from vnchain.cli import main
 
@@ -135,3 +140,37 @@ def test_an_exact_stage_keeps_the_ideal_weights(tmp_path, capsys, d, case):
     for row, weight in ideal[0].items():
         assert exact[0][row] == pytest.approx(weight, abs=1e-9), row
     assert exact[1] == pytest.approx(ideal[1], abs=1e-9)
+
+
+TSV_RUN = """
+import sys
+from vnchain.cli import main
+sys.exit(main(["run", sys.argv[1], "--format", "tsv", "--seed", "3"]))
+"""
+
+
+def test_padding_wall(tmp_path):
+    """The ideal two-meter chain q(2) -> B(d) -> C(d) gives the same TSV at
+    d = 5 and d = 1024 once ``mixed dim=`` is masked, for every analysis
+    but ``condition_reports``, whose trial batches of (trials m) x d^2
+    states are its own cost."""
+
+    def tsv(d):
+        doc = two_meter_chain(d, "ideal", "branches")
+        doc["analyses"] = [
+            "branches",
+            "improper_mixture",
+            {"kind": "world_branches", "stage": 0},
+            {
+                "kind": "ensemble_update",
+                "projector": {"subsystem": "C", "branch": 2},
+                "samples": 2000,
+            },
+        ]
+        path = tmp_path / f"two-meter-{d}.json"
+        path.write_text(json.dumps(doc))
+        return re.sub(r"mixed dim=\d+", "mixed dim=N", limited_python(TSV_RUN, str(path)))
+
+    small = tsv(5)
+    assert "mixed dim=N" in small
+    assert tsv(1024) == small

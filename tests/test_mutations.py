@@ -106,18 +106,46 @@ def _flip_column0(v):
     return v
 
 
-# Faults in the formation of V from a premeasurement's terms, which the
-# first read of ``Premeasurement.isometry`` runs; the object input (the
-# column of V) is the last axis.
+def _conjugated(factor):
+    """The factor of conj(V): every part conjugated."""
+
+    def conj(part):
+        return None if part is None else np.conj(part)
+
+    thin, adjoint, idle = factor
+    return conj(thin), conj(adjoint), None if idle is None else tuple(map(conj, idle))
+
+
+def _on_inputs(fault):
+    """``fault`` applied to the object input, the last axis, of each part of
+    a factor that reads it: V when folded, else G^dag and the idle term's
+    W_c (the identity when None), so that V becomes ``fault(V)``."""
+
+    def faulty(factor):
+        thin, adjoint, idle = factor
+        if adjoint is None:
+            return fault(thin), None, None
+        if idle is not None:
+            w_c, c_c = idle
+            idle = fault(np.eye(adjoint.shape[1], dtype=complex) if w_c is None else w_c), c_c
+        return thin, fault(adjoint), idle
+
+    return faulty
+
+
+# Faults in the factor through which the link kernel applies V, made on the
+# first use of ``Premeasurement.factor`` on either side of its rule; each
+# makes the kernel apply the faulty V, whose object input (the column of V)
+# is the last axis.
 ISOMETRY_FAULTS = {
-    "isometry_conjugated": np.conj,
-    "isometry_columns_reversed": _reverse_columns,
-    "isometry_column0_sign": _flip_column0,
+    "isometry_conjugated": _conjugated,
+    "isometry_columns_reversed": _on_inputs(_reverse_columns),
+    "isometry_column0_sign": _on_inputs(_flip_column0),
 }
 
 
-def _faulty_formation(formed_isometry, fault):
-    return lambda pm: fault(formed_isometry(pm))
+def _faulty_factor(factor, fault):
+    return lambda pm: fault(factor(pm))
 
 
 def _first_term_dropped(replace):
@@ -282,15 +310,14 @@ def _inject(monkeypatch, fault: str) -> None:
             if getattr(module, "branch_decomposition", None) is original:
                 monkeypatch.setattr(module, "branch_decomposition", _first_weight_dropped(original))
     elif fault == "projector_block_complemented":
-        # every event or dressing range a caller gives is carried as the block
-        # of its complement; the observable constructor's check is left alone
+        # every event a caller gives is carried as the block of its
+        # complement; the observable constructor's check is left alone
         faulty = _complement_block(observables._orthonormal_block)
-        for module in (chains, premeasurement):
-            monkeypatch.setattr(module, "_orthonormal_block", faulty)
+        monkeypatch.setattr(chains, "_orthonormal_block", faulty)
     elif fault in ISOMETRY_FAULTS:
-        original = premeasurement._formed_isometry
+        original = premeasurement._factor
         monkeypatch.setattr(
-            premeasurement, "_formed_isometry", _faulty_formation(original, ISOMETRY_FAULTS[fault])
+            premeasurement, "_factor", _faulty_factor(original, ISOMETRY_FAULTS[fault])
         )
     elif fault == "dressing_term_dropped":
         monkeypatch.setattr(premeasurement, "replace", _first_term_dropped(premeasurement.replace))
@@ -366,7 +393,7 @@ def test_isometry_faults_reach_the_isometry(monkeypatch):
         with monkeypatch.context() as m:
             _inject(m, fault)
             broken = premeasurement.random_ideal("A", "B", 3, 4, np.random.default_rng(3))
-            assert np.linalg.norm(broken.isometry - clean_isometry) > 0.1  # formed on read
+            assert np.linalg.norm(broken.isometry - clean_isometry) > 0.1  # factor made on use
         assert broken.isometry_bound == clean.isometry_bound
         assert broken.index_map == clean.index_map
         np.testing.assert_array_equal(broken.ready_state.amplitudes, clean.ready_state.amplitudes)

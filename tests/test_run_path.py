@@ -226,11 +226,12 @@ def test_cli_run_makes_one_chain_state(tmp_path, monkeypatch, capsys):
 
 
 def _forced_isometry(pm, v):
-    """``pm`` with its kept V replaced past the constructor's check: a fault
-    that only the check of each link's amplitudes can see."""
+    """``pm`` with its kept factor replaced by the folded V past the
+    constructor's check: a fault that only the check of each link's
+    amplitudes can see."""
     v = np.array(v)
     v.setflags(write=False)
-    object.__setattr__(pm, "isometry", v)
+    object.__setattr__(pm, "factor", (v, None, None))
     return pm
 
 

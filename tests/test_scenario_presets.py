@@ -6,7 +6,7 @@ state spec, and the checked basis of each (dimension, presets) list of
 pointer states, whose later repeats adopt it under their own label
 (``SubsystemBasis`` given a basis).  The parser hands an ideal link whose
 measured columns, ranks and pointer rows are the arrays of the previous
-ideal link that link's V.
+ideal link that link's factor, the form in which its V is applied.
 
 Tested here: the shared values; a differential test of that route against
 the same documents with every preset written out as an amplitude list,
@@ -32,7 +32,7 @@ from vnchain import (
 )
 from vnchain import hilbert
 from vnchain.cli import main
-from vnchain.premeasurement import _chained_ideal, _formed_isometry
+from vnchain.premeasurement import _chained_ideal, _factor
 from vnchain.scenarios import (
     BUILTIN_DOCUMENTS,
     Scenario,
@@ -84,11 +84,22 @@ def test_an_adopted_basis_shares_the_checked_rows(monkeypatch, n, d):
     assert adopted.dim == d
 
 
+def _made_again(pm) -> bool:
+    """Whether ``pm``'s kept factor equals the one its own terms make."""
+
+    def parts(factor):
+        thin, adjoint, idle = factor
+        return [thin, adjoint, *(idle or (None, None))]
+
+    pairs = zip(parts(pm.factor), parts(_factor(pm)))
+    return all(a is b is None or np.array_equal(a, b) for a, b in pairs)
+
+
 @pytest.mark.parametrize("links", [2, 6, 10])
 def test_a_copy_chain_builds_each_distinct_value_once(links):
     """Every link's pointer basis is the first link's rows, every ready
     state the one ``basis:0`` vector, and every link after the second is
-    handed the second's V, which equals the V its own terms form."""
+    handed the second's factor, which equals the one its own terms make."""
     scenario = scenario_from_document(_copy_chain(links))
     first = scenario.stages[0]
     for st in scenario.stages:
@@ -96,35 +107,35 @@ def test_a_copy_chain_builds_each_distinct_value_once(links):
         assert st.link.pointer_states.rows is first.link.pointer_states.rows
         assert st.link.ready_state.amplitudes is first.link.ready_state.amplitudes
     pms = build_premeasurements(scenario, seed=0)
-    assert pms[1].isometry is not pms[0].isometry
+    assert pms[1].factor is not pms[0].factor
     for pm in pms[2:]:
-        assert pm.isometry is pms[1].isometry
+        assert pm.factor is pms[1].factor
     for pm in pms:
-        assert np.array_equal(pm.isometry, _formed_isometry(pm))
+        assert _made_again(pm)
 
 
 def test_a_link_is_handed_v_only_for_the_same_terms():
-    """An exact link keeps its own dressed V, a link that measures a
-    ``diag`` given again forms its own, and a link with another pointer list
-    forms its own; the ideal link after an exact one takes the last ideal
-    link's V."""
+    """An exact link keeps its own dressed factor, a link that measures a
+    ``diag`` given again makes its own, and a link with another pointer list
+    makes its own; the ideal link after an exact one takes the last ideal
+    link's factor."""
     doc = _copy_chain(6)
     doc["stages"][2]["kind"] = "exact"
     doc["stages"][4]["measured"] = {"diag": [0, 1]}
     doc["stages"][5]["pointer_states"] = ["basis:1", "basis:0"]
     pms = build_premeasurements(scenario_from_document(doc), seed=0)
-    v = [pm.isometry for pm in pms]
+    v = [pm.factor for pm in pms]
     assert v[3] is v[1]
     assert len({id(x) for x in v}) == 5
     for pm in pms:
-        assert np.array_equal(pm.isometry, _formed_isometry(pm))
+        assert _made_again(pm)
 
 
 def test_a_link_with_other_ranks_forms_its_own_v():
     """Two links chained by hand measure observables on the same
     columns (one basis, adopted) and give the same pointer rows, but split
     the columns into blocks of other ranks, (1, 2) and (2, 1): the second
-    link's V is its own."""
+    link's factor is its own."""
     lay = layout(("a", 3), ("b", 3), ("c", 3))
     columns = SubsystemBasis("a", tuple(np.eye(3, dtype=complex)))
     pointer_states = SubsystemBasis("b", tuple(np.eye(2, 3, dtype=complex)))
@@ -141,8 +152,8 @@ def test_a_link_with_other_ranks_forms_its_own_v():
     pms = build_premeasurements(scenario, seed=0)
     assert pms[1].measured.columns.rows is pms[0].measured.columns.rows
     assert pms[1].pointer_states.rows is pms[0].pointer_states.rows
-    assert pms[1].isometry is not pms[0].isometry
-    assert np.array_equal(pms[1].isometry, _formed_isometry(pms[1]))
+    assert pms[1].factor is not pms[0].factor
+    assert _made_again(pms[1])
 
 
 # ---------------------------------------------------------------------------

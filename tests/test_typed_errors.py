@@ -26,8 +26,9 @@ from vnchain.premeasurement import (
     check_conditions,
     random_dressings,
     random_ideal,
-    random_range_unitary,
 )
+
+from oracles import range_unitary
 
 TYPED = (ValueError,) + tuple(
     cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, Exception)
@@ -83,7 +84,7 @@ def _instrument_dressing(kind: str, pm: Premeasurement, k: int, rng):
     d = pm.instrument_dim
     branch = pm.pointer.branches[pm.mapping[k]]
     if kind == "unitary":
-        return np.eye(d) if branch.is_complement else random_range_unitary(branch.basis, rng)
+        return np.eye(d) if branch.is_complement else range_unitary(branch.basis, random_unitary(branch.rank, rng))
     if kind == "leaking":
         return random_unitary(d, rng)
     return _object_dressing(kind, d, rng)
