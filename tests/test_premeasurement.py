@@ -395,6 +395,16 @@ def _parts(pm):
 
 GRID = [(da, db) for da in range(2, 5) for db in range(2, 7)]
 
+# (d_a, ranks of the given measured blocks, d_b, whether the factor folds):
+# the rule's two sides, at and next to its boundary m (d_b + 1) = d_a d_b
+SIDES = {
+    "complete": (3, (1, 2), 3, True),
+    "complement-folded": (4, (3,), 2, True),
+    "at-the-boundary": (4, (1, 2), 3, True),
+    "below-the-boundary": (4, (1, 2), 4, False),
+    "two-product": (3, (1, 1), 4, False),
+}
+
 
 class TestIsometryCore:
     """A premeasurement is its terms, which form its isometry V on read;
@@ -428,6 +438,42 @@ class TestIsometryCore:
         exact = build_exact(ideal, dressings)
         np.testing.assert_allclose(
             exact.isometry, brute_dressed_isometry(ideal, dressings), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("kind", ["ideal", "dressed"])
+    @pytest.mark.parametrize("shape", SIDES, ids=list(SIDES))
+    def test_both_sides_of_the_rule_match_the_kron_oracle(self, shape, kind):
+        """A measured observable with given blocks of total rank m (and an
+        idle complement when m < d_a) read by a d_b instrument: the factor
+        folds G^dag into T exactly when m (d_b + 1) >= d_a d_b, and on either
+        side V and ``evolve`` match the Kronecker-product oracles, the
+        dressed link with a dense dressing of the complement too."""
+        da, ranks, db, folded = SIDES[shape]
+        m = sum(ranks)
+        assert (m * (db + 1) >= da * db) is folded
+        rng = np.random.default_rng(da * 100 + m * 10 + db)
+        u = random_unitary(da, rng)
+        bounds = np.cumsum([0, *ranks])
+        blocks = [u[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        complement = None if m == da else -1.0
+        measured = SpectralObservable.from_eigenbasis(
+            "A", [float(k) for k in range(len(ranks))], blocks, complement=complement
+        )
+        pstates = SubsystemBasis(
+            "B", tuple(random_unitary(db, rng)[:, : measured.branch_count].T)
+        )
+        pm = build_ideal(measured, pstates, StateVector(layout(("B", db)), pstates.vectors[0]))
+        dense = brute_ideal_isometry(measured, pstates)
+        if kind == "dressed":
+            dressings = _random_dressings(pm, rng)
+            pm, dense = build_exact(pm, dressings), brute_dressed_isometry(pm, dressings)
+        thin, adjoint, idle = pm.factor
+        assert (adjoint is None) is folded
+        assert idle is None or (idle[0] is None) is (kind == "ideal")
+        np.testing.assert_allclose(pm.isometry, dense, rtol=0, atol=1e-12)
+        phi = random_state(layout(("A", da)), rng)
+        np.testing.assert_allclose(
+            evolve(pm, phi).amplitudes, dense @ phi.amplitudes, rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("da,db", GRID)
