@@ -36,6 +36,7 @@ from .hilbert import (
     _gram_residual,
     _refuse_non_finite,
     _resized,
+    _worst,
     apply_local,
     factor_difference,
     partial_scalar_product,
@@ -578,7 +579,8 @@ def redecompose(ens: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:
 def offdiagonal_block_norm(
     rho: DensityOperator, d: DecompositionOfIdentity
 ) -> float:
-    """Largest Frobenius norm of a cross block P_j rho P_k (j != k).
+    """Largest Frobenius norm of a cross block P_j rho P_k (j != k), NaN if
+    any is NaN (``hilbert._worst``).
 
     Zero (to tolerance) means the state carries no coherence between the
     decomposition's sectors: decoherence relative to these events.  With
@@ -596,4 +598,4 @@ def offdiagonal_block_norm(
         for b in d.observable.branches
     ]
     cross = (a @ b.conj().T for j, a in enumerate(rs) for k, b in enumerate(rs) if j != k)
-    return max((_fro(x) for x in cross), default=0.0)
+    return _worst(_fro(x) for x in cross)

@@ -8,7 +8,8 @@ the report's check lines; the library's own checks read
 ``vnchain.tolerances.DEFAULT``.  A ``verify`` suite that raises is
 reported as a failing row whose note names the exception, and one that
 skips every case as a failing row with ``cases=0``; either residual is
-infinite (``null`` in JSON).
+infinite (``null`` in JSON).  A NaN residual fails its row too (``nan``,
+and ``null`` in JSON).
 """
 
 from __future__ import annotations

@@ -88,6 +88,24 @@ def _fro(a) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _worst(values: Iterable[float]) -> float:
+    """The largest of the residuals ``values``, 0.0 if there are none, and
+    NaN if any is NaN: the one worst-residual fold.
+
+    Python's ``max`` keeps a NaN only when it comes first, since every
+    comparison with NaN is false, so a NaN residual could pass a check.
+    Otherwise this is ``max(0.0, *values)`` to the bit: the first of equal
+    values is kept, and inf wins.
+    """
+    worst = 0.0
+    for value in values:
+        if math.isnan(value):
+            return math.nan
+        if value > worst:
+            worst = value
+    return worst
+
+
 def _gram_residual(m: np.ndarray, what: str = "array", error=ValueError) -> float:
     """||m^dag m - I||_F for a (d, k) matrix ``m``: the one Gram-residual kernel.
 

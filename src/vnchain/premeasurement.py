@@ -54,6 +54,7 @@ from .hilbert import (
     _haar_isometries,
     _refuse_non_finite,
     _resized,
+    _worst,
     apply_local,
     complete_orthonormal,
     random_unitary,
@@ -764,6 +765,9 @@ def check_conditions(
     x - G (G^dag x) for a complement.  Each of the three batches of object
     states (the sharp states, the shared states and every E_k |phi> of
     them) is evolved by one call of the link kernel (``_linked``).
+
+    Each residual is the worst over the samples and branches, folded by
+    ``hilbert._worst``: a NaN anywhere makes it NaN, and the condition fails.
     """
     dims = (pm.object_dim, pm.instrument_dim)
     alone = (pm.object_dim,)
@@ -775,9 +779,10 @@ def check_conditions(
         rng = np.random.default_rng(seed)
         sharp = [_sharp_vector(b, rng) for b in branches for _ in range(trials)]
         finals = _linked(pm, np.array(sharp), alone, 0).reshape(len(branches), trials, -1)
-        for f_k, rows in zip(pointer, finals):
-            resid = np.linalg.norm(f_k.through(rows, dims, 1)[1] - rows, axis=1)
-            calibration = max(calibration, float(resid.max()))
+        calibration = _worst(
+            float(np.linalg.norm(f_k.through(rows, dims, 1)[1] - rows, axis=1).max())
+            for f_k, rows in zip(pointer, finals)
+        )
         rng = np.random.default_rng(seed)
         phis = []
         for _ in range(trials):
@@ -787,13 +792,14 @@ def check_conditions(
         finals = _linked(pm, phis, alone, 0)
         through = [branch.through(phis, alone, 0) for branch in branches]
         evolved = _linked(pm, np.array([projected for _, projected in through]), alone, 0)
+        probabilities, dynamicals = [], []
         for f_k, (coeffs, _), evolved_k in zip(pointer, through, evolved):
             final_coeffs, final_pointed = f_k.through(finals, dims, 1)
             lhs = np.sum(np.abs(coeffs) ** 2, axis=1)
             rhs = np.sum(np.abs(final_coeffs) ** 2, axis=1)
-            probability = max(probability, float(np.max(np.abs(lhs - rhs))))
-            resid = np.linalg.norm(final_pointed - evolved_k, axis=1)
-            dynamical = max(dynamical, float(resid.max()))
+            probabilities.append(float(np.max(np.abs(lhs - rhs))))
+            dynamicals.append(float(np.linalg.norm(final_pointed - evolved_k, axis=1).max()))
+        probability, dynamical = _worst(probabilities), _worst(dynamicals)
     return (
         ConditionReport("calibration", calibration, samples, DEFAULT.condition),
         ConditionReport("probability_reproduction", probability, samples, DEFAULT.condition),

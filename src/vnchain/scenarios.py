@@ -45,6 +45,8 @@ import numpy as np
 
 from .branches import BranchDecomposition
 from .chains import (
+    EnsembleUpdateResult,
+    MonteCarloUpdate,
     _link_position,
     ensemble_update,
     improper_mixture,
@@ -61,6 +63,7 @@ from .hilbert import (
     _check_state_norm,
     _fro,
     _refuse_non_finite,
+    _worst,
     factor_difference,
     partial_trace,
     purity,
@@ -1069,6 +1072,31 @@ def _analysis_world(spec, pms, final, options) -> ReportSection:
     )
 
 
+def _three_se_ratio(
+    exact: EnsembleUpdateResult, mc: MonteCarloUpdate
+) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """The one Monte Carlo judgement: how far a sample's weights stray from
+    the exact posterior weights, in units of 3 binomial standard errors.
+
+    Returns the worst ratio |w_hat_k - w_k| / (3 se_k) over the members of
+    ``exact`` (``hilbert._worst``), with se_k = sqrt(w_k (1 - w_k) / n) for
+    the n accepted samples, and each member's (w_hat_k, 3 se_k).  The sample
+    agrees with ``exact`` when the ratio is at most 1, which a NaN ratio is
+    not.  The ``ensemble_update`` analysis reports the ratio and the pairs,
+    and the Monte Carlo ``verify`` suite judges each repetition by it.
+    """
+    total = sum(mc.accepted_counts)
+    empirical = []
+    for m in exact.members:
+        w_hat = mc.accepted_counts[m.index] / total
+        se = math.sqrt(max(m.weight * (1 - m.weight), 1e-300) / total)
+        empirical.append((w_hat, 3 * se))
+    ratio = _worst(
+        abs(w_hat - m.weight) / bound for m, (w_hat, bound) in zip(exact.members, empirical)
+    )
+    return ratio, tuple(empirical)
+
+
 def _analysis_ensemble(spec, pms, final, options) -> ReportSection:
     src = spec.params.get("source_stage", len(pms) - 1)
     bd = branch_decomposition(final, pms[src].pointer)
@@ -1080,23 +1108,16 @@ def _analysis_ensemble(spec, pms, final, options) -> ReportSection:
     checks = [
         CheckLine("posterior_weight_sum", abs(sum(result.weights) - 1.0), options.tolerance)
     ]
-    empirical: dict[int, tuple[float, float]] = {}
     if samples > 0:
         mc = monte_carlo_update(ens, event, subject, samples, seed=options.seed * 104_729 + 7)
-        total_accepted = sum(mc.accepted_counts)
         columns += ["empirical", "deviation", "bound(3se)"]
-        worst_ratio = 0.0
-        for m in result.members:
-            w_hat = mc.accepted_counts[m.index] / total_accepted
-            se = math.sqrt(max(m.weight * (1 - m.weight), 1e-300) / total_accepted)
-            empirical[m.index] = (w_hat, 3 * se)
-            worst_ratio = max(worst_ratio, abs(w_hat - m.weight) / (3 * se))
+        worst_ratio, empirical = _three_se_ratio(result, mc)
         checks.append(CheckLine("monte_carlo_3se_ratio", worst_ratio, 1.0))
     rows = []
-    for m in result.members:
+    for i, m in enumerate(result.members):
         row = [str(m.index), _fmt_weight(ens.weights[m.index]), _fmt_weight(m.weight)]
         if samples > 0:
-            w_hat, bound = empirical[m.index]
+            w_hat, bound = empirical[i]
             row += [_fmt_weight(w_hat), f"{abs(w_hat - m.weight):.6e}", f"{bound:.6e}"]
         rows.append(tuple(row))
     notes = (

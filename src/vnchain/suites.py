@@ -1,14 +1,20 @@
 """Randomized property suites behind the ``verify`` command.
 
-Each suite draws its own inputs from a seed derived from the run seed, so a
-verify run is reproducible, and reports the worst residual it saw against a
-fixed tolerance.  A suite that raises fails with an infinite residual and
-the exception in its note; the other suites still run.  A suite skips a
-case only when its conditioning event has (numerically) zero probability,
-such as an ``UndefinedConditionalError``; one that skips every case fails
-the same way, since it checked nothing.  The ``corrupt``
-hook deliberately damages the system under test (not the checks) so that
-fault injection can prove the suites have teeth.
+Each suite draws its inputs from a generator seeded by the run seed and the
+suite's place in ``SUITES``, so a verify run is reproducible.  A suite
+yields the residuals of each case it runs; ``_run_suite`` counts the cases
+and folds the residuals into the worst one with ``hilbert._worst``, the one
+worst-residual fold, and reports it against a fixed tolerance.  A NaN
+residual is the worst of all, so it fails its suite (``nan`` in text,
+``null`` in JSON, as for an infinite one).  The Monte Carlo suite reports
+instead the fraction of its repetitions that fail, a NaN ratio counted as a
+failure.  A suite that raises fails with an infinite residual and the
+exception in its note; the other suites still run.  A suite skips a case
+only when its conditioning event has (numerically) zero probability, such
+as an ``UndefinedConditionalError``; one that skips every case fails the
+same way, since it checked nothing.  The ``corrupt`` hook deliberately
+damages the system under test (not the checks) so that fault injection can
+prove the suites have teeth.
 
 The suites share no state, so ``run_suites`` spreads them over the CPUs the
 process may use: the caller and forked helpers claim suite indices from one
@@ -23,7 +29,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +52,7 @@ from .hilbert import (
     SubsystemBasis,
     _fro,
     _hermitian_spectrum,
+    _worst,
     apply_local,
     complete_orthonormal,
     expand_in_basis,
@@ -73,6 +80,7 @@ from .premeasurement import (
     random_exact,
     random_ideal,
 )
+from .scenarios import _three_se_ratio
 from .tolerances import DEFAULT
 
 
@@ -104,6 +112,9 @@ class SuiteContext:
     def dim_pairs(self) -> list[tuple[int, int]]:
         return [(a, b) for a in self.object_dims for b in self.instrument_dims]
 
+
+# A suite's cases: the residuals of each case it ran, one sequence per case.
+Cases = Iterator[Sequence[float]]
 
 CORRUPT_MODES = ("phase",)
 
@@ -142,9 +153,7 @@ def _random_event(dim: int, rng: np.random.Generator, rank: int | None = None) -
     return q[:, :r]
 
 
-def _suite_pt_commutativity(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(1)
-    worst, cases = 0.0, 0
+def _suite_pt_commutativity(ctx: SuiteContext, rng) -> Cases:
     for _ in range(ctx.trials):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         x = rng.standard_normal((da * db,) * 2) + 1j * rng.standard_normal((da * db,) * 2)
@@ -152,18 +161,13 @@ def _suite_pt_commutativity(ctx: SuiteContext) -> tuple[int, float]:
         dims = (da, db, da, db)
         lhs = partial_trace_matrix(apply_local(y, x, dims, 1), (da, db), [0])  # (I x Y) X
         rhs = partial_trace_matrix(apply_local(y.T, x, dims, 3), (da, db), [0])  # X (I x Y)
-        worst = max(worst, _fro(lhs - rhs))
         # Tr_B(X_A x Y) = X_A tr Y for a non-Hermitian X_A, against no kernel
         xa = x[:da, :da]
         product = partial_trace_matrix(np.kron(xa, y), (da, db), [0])
-        worst = max(worst, _fro(product - xa * np.trace(y)))
-        cases += 1
-    return cases, worst
+        yield _fro(lhs - rhs), _fro(product - xa * np.trace(y))
 
 
-def _suite_pt_trace_one(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(2)
-    worst, cases = 0.0, 0
+def _suite_pt_trace_one(ctx: SuiteContext, rng) -> Cases:
     for _ in range(ctx.trials):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
@@ -173,15 +177,10 @@ def _suite_pt_trace_one(ctx: SuiteContext) -> tuple[int, float]:
         # whose trace ||M||_F^2 the DensityOperator constructor pins to 1
         psi = state.amplitudes
         dense = partial_trace_matrix(np.outer(psi, psi.conj()), (da, db), [0])
-        for reduced in (red.matrix, dense):
-            worst = max(worst, abs(float(np.real(np.trace(reduced))) - 1.0))
-        cases += 1
-    return cases, worst
+        yield tuple(abs(float(np.real(np.trace(r))) - 1.0) for r in (red.matrix, dense))
 
 
-def _suite_pt_psd(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(3)
-    worst, cases = 0.0, 0
+def _suite_pt_psd(ctx: SuiteContext, rng) -> Cases:
     for _ in range(ctx.trials):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
@@ -192,14 +191,10 @@ def _suite_pt_psd(ctx: SuiteContext) -> tuple[int, float]:
         psi = state.amplitudes
         dense = partial_trace_matrix(np.outer(psi, psi.conj()), (da, db), [1])
         lo = float(_hermitian_spectrum(dense)[1][0])
-        worst = max(worst, -lo, _fro(dense - red))
-        cases += 1
-    return cases, worst
+        yield -lo, _fro(dense - red)
 
 
-def _suite_expansion(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(4)
-    worst, cases = 0.0, 0
+def _suite_expansion(ctx: SuiteContext, rng) -> Cases:
     for _ in range(ctx.trials):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
@@ -208,18 +203,13 @@ def _suite_expansion(ctx: SuiteContext) -> tuple[int, float]:
         basis = SubsystemBasis("B", tuple(q[:, i] for i in range(db)))
         coeffs = expand_in_basis(state, basis)
         norms = sum(c.norm() ** 2 for _, c in coeffs)
-        worst = max(worst, abs(norms - 1.0))
         resum = np.zeros(lay.dim, dtype=complex)
         for n, c in coeffs:
             resum += np.kron(c.amplitudes, basis.vectors[n])
-        worst = max(worst, _fro(resum - state.amplitudes))
-        cases += 1
-    return cases, worst
+        yield abs(norms - 1.0), _fro(resum - state.amplitudes)
 
 
-def _suite_psp_expansion(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(5)
-    worst, cases = 0.0, 0
+def _suite_psp_expansion(ctx: SuiteContext, rng) -> Cases:
     for _ in range(ctx.trials):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
@@ -229,35 +219,25 @@ def _suite_psp_expansion(ctx: SuiteContext) -> tuple[int, float]:
         coeffs = expand_in_basis(state, basis)
         n = int(rng.integers(0, db))
         psp = partial_scalar_product(basis.vectors[n], "B", state)
-        worst = max(
-            worst, float(np.max(np.abs(psp.amplitudes - coeffs[n][1].amplitudes)))
-        )
-        cases += 1
-    return cases, worst
+        yield (float(np.max(np.abs(psp.amplitudes - coeffs[n][1].amplitudes))),)
 
 
-def _suite_observables(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(6)
-    worst, cases = 0.0, 0
+def _suite_observables(ctx: SuiteContext, rng) -> Cases:
     for _ in range(ctx.trials):
         d = int(rng.integers(2, 5))
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = (h + h.conj().T) / 2
         obs = observable_from_matrix(h, "A")
-        worst = max(worst, _fro(obs.matrix() - h))
+        residuals = [_fro(obs.matrix() - h)]
         rebuilt = observable_from_matrix(obs.matrix(), "A")
-        worst = max(
-            worst,
-            max(
-                abs(a.eigenvalue - b.eigenvalue)
-                + _fro(a.projector - b.projector)
+        if obs.branch_count == rebuilt.branch_count:
+            residuals += (
+                abs(a.eigenvalue - b.eigenvalue) + _fro(a.projector - b.projector)
                 for a, b in zip(obs.branches, rebuilt.branches)
             )
-            if obs.branch_count == rebuilt.branch_count
-            else 1.0,
-        )
-        cases += 1
-    return cases, worst
+        else:
+            residuals.append(1.0)
+        yield residuals
 
 
 def _grid_premeasurements(ctx: SuiteContext, rng, exact=True):
@@ -271,20 +251,13 @@ def _grid_premeasurements(ctx: SuiteContext, rng, exact=True):
             yield _maybe_corrupt(pm, ctx)
 
 
-def _suite_triangle(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(7)
-    worst, cases = 0.0, 0
+def _suite_triangle(ctx: SuiteContext, rng) -> Cases:
     for pm in _grid_premeasurements(ctx, rng, exact=True):
         seed = int(rng.integers(2**32))
-        for rep in check_conditions(pm, trials=3, seed=seed):
-            worst = max(worst, rep.max_residual)
-        cases += 1
-    return cases, worst
+        yield [rep.max_residual for rep in check_conditions(pm, trials=3, seed=seed)]
 
 
-def _suite_ideal_definitions(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(8)
-    worst, cases = 0.0, 0
+def _suite_ideal_definitions(ctx: SuiteContext, rng) -> Cases:
     for pm in _grid_premeasurements(ctx, rng, exact=False):
         lay_a = layout((pm.object_label, pm.object_dim))
         phi = random_state(lay_a, rng)
@@ -294,11 +267,11 @@ def _suite_ideal_definitions(ctx: SuiteContext) -> tuple[int, float]:
         for k, br in enumerate(pm.measured.branches):
             pointer_vec = _recovered_pointer_state(pm, k, rng)
             expected += np.kron(br.projector @ phi.amplitudes, pointer_vec)
-        worst = max(worst, _fro(final.amplitudes - expected))
+        residuals = [_fro(final.amplitudes - expected)]
         # Lueders form equals the reduced evolved state
         lud = luders_state(phi, pm.measured)
         red = partial_trace(final, {pm.instrument_label})
-        worst = max(worst, _fro(lud.matrix - red.matrix))
+        residuals.append(_fro(lud.matrix - red.matrix))
         # sharp states unchanged
         k = int(rng.integers(0, pm.measured.branch_count))
         br = pm.measured.branches[k]
@@ -307,9 +280,8 @@ def _suite_ideal_definitions(ctx: SuiteContext) -> tuple[int, float]:
             sharp = StateVector(lay_a, raw / _fro(raw))
             red_sharp = partial_trace(evolve(pm, sharp), {pm.instrument_label})
             proj = np.outer(sharp.amplitudes, sharp.amplitudes.conj())
-            worst = max(worst, _fro(red_sharp.matrix - proj))
-        cases += 1
-    return cases, worst
+            residuals.append(_fro(red_sharp.matrix - proj))
+        yield residuals
 
 
 def _recovered_pointer_state(
@@ -329,9 +301,7 @@ def _recovered_pointer_state(
     )
 
 
-def _suite_completeness(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(9)
-    worst, cases = 0.0, 0
+def _suite_completeness(ctx: SuiteContext, rng) -> Cases:
     for pm in _grid_premeasurements(ctx, rng, exact=True):
         phi = random_state(layout((pm.object_label, pm.object_dim)), rng)
         final = evolve(pm, phi)
@@ -339,21 +309,15 @@ def _suite_completeness(ctx: SuiteContext) -> tuple[int, float]:
         dims = final.layout.dims
         for br in pm.pointer.branches:
             resum = resum + apply_local(br.projector, final.amplitudes, dims, 1)
-        worst = max(worst, _fro(resum - final.amplitudes))
-        cases += 1
-    return cases, worst
+        yield (_fro(resum - final.amplitudes),)
 
 
-def _suite_identity_dressing(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(10)
-    worst, cases = 0.0, 0
+def _suite_identity_dressing(ctx: SuiteContext, rng) -> Cases:
     for pm in _grid_premeasurements(ctx, rng, exact=False):
         eye_a = np.eye(pm.object_dim, dtype=complex)
         eye_b = np.eye(pm.instrument_dim, dtype=complex)
         dressed = build_exact(pm, [(eye_a, eye_b)] * pm.measured.branch_count)
-        worst = max(worst, float(np.max(np.abs(dressed.isometry - pm.isometry))))
-        cases += 1
-    return cases, worst
+        yield (float(np.max(np.abs(dressed.isometry - pm.isometry))),)
 
 
 def _random_chain(ctx: SuiteContext, rng):
@@ -372,11 +336,8 @@ def _random_chain(ctx: SuiteContext, rng):
     return pm1, pm2, phi
 
 
-def _suite_two_link(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(11)
-    worst, cases = 0.0, 0
-    trials = max(1, ctx.trials // 10)
-    for _ in range(trials):
+def _suite_two_link(ctx: SuiteContext, rng) -> Cases:
+    for _ in range(max(1, ctx.trials // 10)):
         pm1, pm2, phi = _random_chain(ctx, rng)
         intermediate, final = run_two_link_chain(pm1, pm2, phi)
         resum = np.zeros_like(final.amplitudes)
@@ -386,28 +347,19 @@ def _suite_two_link(ctx: SuiteContext) -> tuple[int, float]:
             projected = apply_local(br.projector, intermediate.amplitudes, dims, pos)
             pointer_vec = _recovered_pointer_state(pm2, j, rng)
             resum += np.kron(projected, pointer_vec)
-        worst = max(worst, _fro(resum - final.amplitudes))
-        cases += 1
-    return cases, worst
+        yield (_fro(resum - final.amplitudes),)
 
 
-def _suite_decoherence(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(12)
-    worst, cases = 0.0, 0
-    trials = max(1, ctx.trials // 10)
-    for _ in range(trials):
+def _suite_decoherence(ctx: SuiteContext, rng) -> Cases:
+    for _ in range(max(1, ctx.trials // 10)):
         pm1, pm2, phi = _random_chain(ctx, rng)
         _, final = run_two_link_chain(pm1, pm2, phi)
         rho_ab = partial_trace(final, {"C"})
-        worst = max(worst, offdiagonal_block_norm(rho_ab, pm1.pointer.decomposition()))
-        worst = max(worst, abs(purity(final) - 1.0))
-        cases += 1
-    return cases, worst
+        cross = offdiagonal_block_norm(rho_ab, pm1.pointer.decomposition())
+        yield cross, abs(purity(final) - 1.0)
 
 
-def _suite_relative_forms(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(13)
-    worst, cases = 0.0, 0
+def _suite_relative_forms(ctx: SuiteContext, rng) -> Cases:
     for _ in range(max(ctx.trials, 1)):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
@@ -427,15 +379,10 @@ def _suite_relative_forms(ctx: SuiteContext) -> tuple[int, float]:
         cond = conditional_state(psi.density(), phi_b[:, None], "B")
         p1 = np.outer(coeff.amplitudes, coeff.amplitudes.conj())
         p2 = np.outer(rel.amplitudes, rel.amplitudes.conj())
-        worst = max(worst, _fro(p1 - p2))
-        worst = max(worst, _fro(p2 - cond.matrix))
-        cases += 1
-    return cases, worst
+        yield _fro(p1 - p2), _fro(p2 - cond.matrix)
 
 
-def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(14)
-    worst, cases = 0.0, 0
+def _suite_conditional_equiv(ctx: SuiteContext, rng) -> Cases:
     for _ in range(max(ctx.trials, 1)):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         lay = layout(("A", da), ("B", db))
@@ -446,7 +393,7 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
             sandwich = conditional_state(rho, event, "B", form="sandwich")
         except UndefinedConditionalError:
             continue
-        worst = max(worst, _fro(plain.matrix - sandwich.matrix))
+        forms = _fro(plain.matrix - sandwich.matrix)
         # ensemble route: aggregate equals both closed forms
         weights = rng.random(3) + 0.1
         weights /= weights.sum()
@@ -460,15 +407,14 @@ def _suite_conditional_equiv(ctx: SuiteContext) -> tuple[int, float]:
         mixed = ens.density()
         agg_plain = conditional_state(mixed, event, "B", form="plain")
         agg_sandwich = conditional_state(mixed, event, "B", form="sandwich")
-        worst = max(worst, _fro(res.aggregate.matrix - agg_plain.matrix))
-        worst = max(worst, _fro(agg_plain.matrix - agg_sandwich.matrix))
-        cases += 1
-    return cases, worst
+        yield (
+            forms,
+            _fro(res.aggregate.matrix - agg_plain.matrix),
+            _fro(agg_plain.matrix - agg_sandwich.matrix),
+        )
 
 
-def _suite_tripartite(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(15)
-    worst, cases = 0.0, 0
+def _suite_tripartite(ctx: SuiteContext, rng) -> Cases:
     for _ in range(max(ctx.trials, 1)):
         lay = layout(("A", 2), ("B", 2), ("C", 2))
         rho = random_density(lay, rng)
@@ -477,16 +423,11 @@ def _suite_tripartite(ctx: SuiteContext) -> tuple[int, float]:
             via_full, via_reduced = tripartite_conditional_consistency(rho, event, "B", "C")
         except UndefinedConditionalError:
             continue
-        worst = max(worst, _fro(via_full.matrix - via_reduced.matrix))
-        cases += 1
-    return cases, worst
+        yield (_fro(via_full.matrix - via_reduced.matrix),)
 
 
-def _suite_born_weights(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(16)
-    worst, cases = 0.0, 0
-    trials = max(1, ctx.trials // 5)
-    for _ in range(trials):
+def _suite_born_weights(ctx: SuiteContext, rng) -> Cases:
+    for _ in range(max(1, ctx.trials // 5)):
         da = int(rng.choice(ctx.object_dims))
         db = int(rng.choice(ctx.instrument_dims))
         pm = random_ideal("A", "B", da, db, rng)
@@ -494,6 +435,7 @@ def _suite_born_weights(ctx: SuiteContext) -> tuple[int, float]:
         final = evolve(pm, phi)
         bd = branch_decomposition(final, pm.pointer)
         mix = improper_mixture(final, pm.pointer.decomposition())
+        residuals = []
         for k, br in enumerate(pm.measured.branches):
             born = float(
                 np.real(np.vdot(phi.amplitudes, br.projector @ phi.amplitudes))
@@ -501,16 +443,12 @@ def _suite_born_weights(ctx: SuiteContext) -> tuple[int, float]:
             j = pm.mapping[k]
             w_bd = next((b.weight for b in bd.branches if b.index == j), 0.0)
             w_mix = next((b.weight for b in mix.branches if b.index == j), 0.0)
-            worst = max(worst, abs(w_bd - born), abs(w_mix - born))
-        cases += 1
-    return cases, worst
+            residuals += (abs(w_bd - born), abs(w_mix - born))
+        yield residuals
 
 
-def _suite_absoluteness(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(17)
-    worst, cases = 0.0, 0
-    trials = max(1, ctx.trials // 5)
-    for _ in range(trials):
+def _suite_absoluteness(ctx: SuiteContext, rng) -> Cases:
+    for _ in range(max(1, ctx.trials // 5)):
         da = int(rng.choice(ctx.object_dims))
         db = int(rng.choice(ctx.instrument_dims))
         pm = random_ideal("A", "B", da, db, rng)
@@ -521,16 +459,11 @@ def _suite_absoluteness(ctx: SuiteContext) -> tuple[int, float]:
         rho_c = random_density(layout(("C", int(rng.integers(2, 4)))), rng)
         joined = tensor(rho_ab, rho_c)
         back = partial_trace(joined, {"C"})
-        worst = max(worst, _fro(back.matrix - rho_ab.matrix))
-        cases += 1
-    return cases, worst
+        yield (_fro(back.matrix - rho_ab.matrix),)
 
 
-def _suite_redecomposition(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(18)
-    worst, cases = 0.0, 0
-    trials = max(1, ctx.trials // 5)
-    for _ in range(trials):
+def _suite_redecomposition(ctx: SuiteContext, rng) -> Cases:
+    for _ in range(max(1, ctx.trials // 5)):
         lay = layout(("A", 2), ("B", 2))
         weights = rng.random(3) + 0.1
         weights /= weights.sum()
@@ -544,17 +477,11 @@ def _suite_redecomposition(ctx: SuiteContext) -> tuple[int, float]:
             res_b = ensemble_update(other, event, "B")
         except UndefinedConditionalError:
             continue
-        worst = max(
-            worst, _fro(res_a.aggregate.matrix - res_b.aggregate.matrix)
-        )
-        cases += 1
-    return cases, worst
+        yield (_fro(res_a.aggregate.matrix - res_b.aggregate.matrix),)
 
 
-def _suite_monte_carlo(ctx: SuiteContext) -> tuple[int, float]:
-    rng = ctx.rng(19)
+def _suite_monte_carlo(ctx: SuiteContext, rng) -> Cases:
     lay = layout(("A", 2), ("B", 2))
-    ran, failures = 0, 0
     for _ in range(10):
         ens = WeightedEnsemble(
             ((0.4, random_state(lay, rng)), (0.6, random_state(lay, rng)))
@@ -565,26 +492,30 @@ def _suite_monte_carlo(ctx: SuiteContext) -> tuple[int, float]:
         except UndefinedConditionalError:
             continue
         mc = monte_carlo_update(ens, event, "B", 20_000, seed=int(rng.integers(2**32)))
-        total = sum(mc.accepted_counts)
-        ok = True
-        for m in exact.members:
-            w_hat = mc.accepted_counts[m.index] / total
-            se = math.sqrt(max(m.weight * (1 - m.weight), 1e-300) / total)
-            if abs(w_hat - m.weight) > 3 * se:
-                ok = False
-        failures += 0 if ok else 1
-        ran += 1
-    return ran, failures / max(ran, 1)
+        yield (_three_se_ratio(exact, mc)[0],)
+
+
+def _worst_residual(cases: list[Sequence[float]]) -> float:
+    return _worst(r for residuals in cases for r in residuals)
+
+
+def _failed_fraction(cases: list[Sequence[float]]) -> float:
+    """The fraction of cases whose 3-standard-error ratio is not at most 1
+    (a NaN ratio fails)."""
+    return sum(not ratio <= 1.0 for (ratio,) in cases) / len(cases)
 
 
 @dataclass(frozen=True)
 class Suite:
-    """One property suite: ``check`` returns (cases, worst residual)."""
+    """One property suite: ``check(ctx, rng)`` yields each case's residuals,
+    and ``statistic`` turns the cases into the suite's figure, by default
+    their worst residual (``hilbert._worst``, so a NaN residual fails)."""
 
     name: str
     tolerance: float
-    check: Callable[[SuiteContext], tuple[int, float]]
+    check: Callable[[SuiteContext, np.random.Generator], Cases]
     note: str = ""
+    statistic: Callable[[list[Sequence[float]]], float] = _worst_residual
 
 
 SUITES = (
@@ -626,21 +557,23 @@ SUITES = (
         0.2,
         _suite_monte_carlo,
         note="fraction of repetitions outside 3 binomial standard errors",
+        statistic=_failed_fraction,
     ),
 )
 
 
 def _run_suite(index: int, ctx: SuiteContext) -> SuiteResult:
+    """Suite ``index`` of ``SUITES``, drawing from ``ctx.rng(index + 1)``."""
     suite = SUITES[index]
     try:
-        cases, worst = suite.check(ctx)
-        note = suite.note
-    except Exception as exc:  # a library fault fails its suite, not the run
-        cases, worst, note = 0, math.inf, f"raised {type(exc).__name__}: {exc}"
-    else:
-        if cases == 0:
+        cases = list(suite.check(ctx, ctx.rng(index + 1)))
+        if cases:
+            worst, note = suite.statistic(cases), suite.note
+        else:
             worst, note = math.inf, "ran no cases: every case was skipped"
-    return SuiteResult(suite.name, cases, worst, suite.tolerance, note)
+    except Exception as exc:  # a library fault fails its suite, not the run
+        cases, worst, note = [], math.inf, f"raised {type(exc).__name__}: {exc}"
+    return SuiteResult(suite.name, len(cases), worst, suite.tolerance, note)
 
 
 def _usable_cpus() -> int:

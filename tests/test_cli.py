@@ -678,6 +678,97 @@ def test_an_event_of_zero_probability_is_a_numerical_failure(tmp_path, capsys, d
     assert (out, err) == ("", "error: event occurrence probability 0.0 is (numerically) zero\n")
 
 
+def _no_sample_document() -> dict:
+    """The Monte Carlo ``ensemble_update`` of an event of probability 2e-4,
+    with 5 samples: no sample triggers it at seed 0."""
+    doc = builtin_document("ensemble-update")
+    doc["initial"]["state"] = [[0.9999, 0.0], [0.01414, 0.0]]
+    doc["analyses"][0].update(projector={"subsystem": "meter", "state": "basis:1"}, samples=5)
+    return doc
+
+
+def _two_meter_chain(d: int) -> dict:
+    """q(2) -> B(d) -> C(d) with ``branches``: one final state of 2 d^2
+    amplitudes."""
+    from test_growth import two_meter_chain
+
+    return two_meter_chain(d, "ideal", "branches")
+
+
+# Every exception that a valid document can raise in ``vnchain run``, with
+# its exit code, the start of its one stderr line, the phrase that names it
+# under that code in the ``cli`` docstring (so in ``--help``), and a valid
+# document that raises it.  The state of the last document takes 2 GiB: it
+# is run in a child process whose address space is limited to 1 GiB, on a
+# machine that the parser is told has 1 TiB of memory.
+RUN_EXCEPTIONS = {
+    "ZeroSampleError": (
+        2,
+        "error: no sample triggered the event; cannot form weights",
+        "a Monte Carlo ``ensemble_update`` that accepts no sample",
+        _no_sample_document,
+    ),
+    "UndefinedConditionalError": (
+        2,
+        "error: event occurrence probability 0.0 is (numerically) zero",
+        "a conditioning event of zero probability",
+        lambda: padding_chain(5, event_branch=1),
+    ),
+    "MemoryError": (
+        1,
+        "error: out of memory: ",
+        "an allocation that does not fit in memory",
+        lambda: _two_meter_chain(2**13),
+    ),
+}
+
+_LIMITED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from vnchain import cli, scenarios
+scenarios._physical_memory = lambda: 2**40
+sys.exit(cli.main(["run", sys.argv[1]]))
+"""
+
+
+def _exit_code_clauses(doc: str) -> dict[int, str]:
+    """The clause of each exit code in the docstring's ``Exit codes:``
+    sentence, its whitespace collapsed."""
+    import re
+
+    text = " ".join(doc.split())
+    sentence = text[text.index("Exit codes: ") + len("Exit codes: ") :].split(").", 1)[0]
+    parts = re.split(r"(?:^|, )(\d) ", sentence)[1:]
+    return {int(code): clause for code, clause in zip(parts[::2], parts[1::2])}
+
+
+def test_the_run_exception_table_matches_the_cli_docstring():
+    from vnchain import cli as cli_module
+
+    clauses = _exit_code_clauses(cli_module.__doc__)
+    assert sorted(clauses) == [0, 1, 2]
+    for name, (code, _, phrase, _) in RUN_EXCEPTIONS.items():
+        assert phrase in clauses[code], (name, clauses[code])
+
+
+@pytest.mark.parametrize("name", sorted(RUN_EXCEPTIONS))
+def test_each_run_exception_gives_its_code_and_line(tmp_path, name):
+    code, prefix, _, document = RUN_EXCEPTIONS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document()))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _LIMITED_RUN, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (code, ""), done.stderr[-2000:]
+    assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1, done.stderr[-2000:]
+
+
 class TestParserReuse:
     """``main`` may be called many times in one process: the parser it builds
     once carries nothing from one call into the next."""

@@ -23,6 +23,14 @@ d x d Haar unitary; as thin blocks they peak at 0.054, 0.097 and 0.182 MiB
 0.91).  The Haar QR of a dressing is the cubic step of an exact link, so
 its calls are counted too, as ``test_diag_observable.py`` counts ``eigh``.
 
+The qubit copy chain at N = 12, 14 and 16 holds each analysis's traced
+peak, parse and run together, in final-state vectors of 16 D bytes
+(D = 2^N): it must not grow with N, and each bound is the largest
+measured constant rounded up (``COPY_CHAIN_VECTORS``, measured on the
+machine above).  ``check_conditions`` on a qubit-object link at
+d_b = 64, 128 and 256, traced alone, measured slopes 0.97 and 0.98 and is
+held at 1.0: linear in d_b.
+
 The walls run the two-meter chain at d = 2048 and the padding relation at
 d = 1024 (``test_metamorphic.py``), where C's V alone would take 128 GiB
 and 16 GiB.  Each runs in a child process whose address space is limited
@@ -41,8 +49,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vnchain.premeasurement import build_exact, random_dressings, random_ideal
-from vnchain.scenarios import build_premeasurements, run, scenario_from_document
+from vnchain.premeasurement import build_exact, check_conditions, random_dressings, random_ideal
+from vnchain.scenarios import (
+    CONDITION_TRIALS,
+    build_premeasurements,
+    run,
+    scenario_from_document,
+)
+
+from test_kernels import _copy_chain
 
 SIZES = (32, 64, 128)
 CONSTRUCTION_SIZES = (128, 256, 512)
@@ -136,6 +151,52 @@ def test_two_meter_construction_peak_slope(kind):
     slopes = _slopes(CONSTRUCTION_SIZES, peaks)
     assert max(slopes) <= 1.2, f"traced peaks {peaks}, slopes {slopes}"
     assert peaks[-1] < 2**20, f"traced peaks {peaks}"
+
+
+def copy_chain(qubits: int, analysis: str) -> dict:
+    """The ideal copy chain of ``qubits`` qubits (``qubits - 1`` links)."""
+    return {**_copy_chain(qubits - 1), "analyses": [analysis]}
+
+
+COPY_QUBITS = (12, 14, 16)
+# Peaks measured at N = 12, 14, 16, in final-state vectors, rounded up to
+# the bound: branches 4.41, 4.08, 4.02; improper_mixture 7.32, 7.08, 7.02;
+# world_branches 4.28, 4.08, 4.02; ensemble_update 12.32, 12.09, 12.02;
+# condition_reports 1.77, 1.55, 1.52.
+COPY_CHAIN_VECTORS = [
+    ("branches", 4.5),
+    ("improper_mixture", 7.4),
+    ("world_branches", 4.3),
+    ("ensemble_update", 12.4),
+    ("condition_reports", 1.8),
+]
+
+
+@pytest.mark.parametrize("analysis,bound", COPY_CHAIN_VECTORS)
+def test_copy_chain_peak_in_state_vectors(analysis, bound):
+    """The traced peak of an N-qubit copy chain's parse and run, in
+    final-state vectors of 16 D bytes (D = 2^N), stays flat from N = 12 to
+    16: it never grows from one size to the next, and stays under today's
+    constant rounded up (``COPY_CHAIN_VECTORS``)."""
+    run(scenario_from_document(copy_chain(4, analysis)))  # warm
+    vectors = [_traced_peak(copy_chain(n, analysis)) / (16 * 2**n) for n in COPY_QUBITS]
+    assert max(vectors) <= bound, f"peaks in vectors {vectors}"
+    assert all(b <= a for a, b in zip(vectors, vectors[1:])), f"peaks in vectors {vectors}"
+
+
+CONDITION_SIZES = (64, 128, 256)
+# Peaks measured 305000, 595880 and 1177512 bytes, slopes 0.97 and 0.98.
+CONDITION_SLOPE = 1.0
+
+
+def test_check_conditions_peak_slope():
+    """``check_conditions`` on a qubit-object link grows with d_b, not d_b^2:
+    each condition's states are 2 d_b amplitudes (``CONDITION_SLOPE``)."""
+    links = [random_ideal("A", "B", 2, d, np.random.default_rng(d)) for d in CONDITION_SIZES]
+    check_conditions(random_ideal("A", "B", 2, 4, np.random.default_rng(4)), CONDITION_TRIALS)
+    peaks = [_traced(lambda: check_conditions(pm, CONDITION_TRIALS))[1] for pm in links]
+    slopes = _slopes(CONDITION_SIZES, peaks)
+    assert max(slopes) <= CONDITION_SLOPE, f"traced peaks {peaks}, slopes {slopes}"
 
 
 # verify's default grid: object dimensions 2..4, instrument dimensions 2..6

@@ -6,6 +6,7 @@ fault fails at ``trials=10, seed=0``; a suite that starts or stops catching
 a fault changes the table, which is the point of keeping it.
 """
 
+import json
 import math
 import types
 
@@ -66,6 +67,14 @@ FAULT_TABLE = {
     },
     "partial_trace_matrix_transposed": {
         "hilbert.partial_trace_commutativity",
+        "hilbert.partial_trace_psd",
+        "chains.relative_state_forms",
+        "chains.conditional_equivalences",
+        "chains.tripartite_consistency",
+    },
+    "partial_trace_matrix_nan": {
+        "hilbert.partial_trace_commutativity",
+        "hilbert.partial_trace_trace_one",
         "hilbert.partial_trace_psd",
         "chains.relative_state_forms",
         "chains.conditional_equivalences",
@@ -183,6 +192,18 @@ def _first_traced_term(partial_trace_matrix):
     return first_term
 
 
+def _first_entry_nan(partial_trace_matrix):
+    """The partial trace with entry [0, 0] of its result NaN: a residual
+    formed from it is NaN, which must fail its check, not pass it."""
+
+    def poisoned(*args):
+        out = np.array(partial_trace_matrix(*args))
+        out[0, 0] = np.nan
+        return out
+
+    return poisoned
+
+
 # Faults in a hilbert kernel, patched into every module that binds it.
 KERNEL_FAULTS = {
     "partial_trace_vector_conjugated": (
@@ -191,6 +212,7 @@ KERNEL_FAULTS = {
     ),
     "partial_trace_matrix_transposed": ("partial_trace_matrix", lambda f: lambda *args: f(*args).T),
     "partial_trace_matrix_first_term": ("partial_trace_matrix", _first_traced_term),
+    "partial_trace_matrix_nan": ("partial_trace_matrix", _first_entry_nan),
     "apply_local_operator_conjugated": (
         "apply_local",
         lambda f: lambda op, *args: f(np.conj(op), *args),
@@ -434,3 +456,78 @@ def test_suite_that_skips_every_case_fails(monkeypatch):
     assert (row.cases, row.passed) == (0, False)
     assert row.note == "ran no cases: every case was skipped"
     assert all(r.passed for name, r in rows.items() if name != row.name)
+
+
+def test_a_nan_residual_fails_its_suite(monkeypatch):
+    """The NaN fault makes the two partial-trace identities' residuals NaN
+    (reported as NaN, not as the largest finite residual); the other suites
+    it fails refuse the NaN state by raising."""
+    _inject(monkeypatch, "partial_trace_matrix_nan")
+    rows = {r.name: r for r in run_suites(trials=10, seed=0)}
+    for name in ("hilbert.partial_trace_commutativity", "hilbert.partial_trace_trace_one"):
+        assert (rows[name].cases, rows[name].passed, rows[name].note) == (10, False, "")
+        assert math.isnan(rows[name].max_residual)
+
+
+def test_a_nan_residual_prints_as_nan_and_null(monkeypatch, capsys):
+    from vnchain.cli import main
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    _inject(monkeypatch, "partial_trace_matrix_nan")
+    assert main(["verify", "--trials", "10", "--format", "json"]) == 2
+    tree = json.loads(capsys.readouterr().out, parse_constant=reject)
+    row = tree["suites"][0]
+    assert row["name"] == "hilbert.partial_trace_commutativity"
+    assert (row["cases"], row["max_residual"], row["passed"]) == (10, None, False)
+    assert main(["verify", "--trials", "10"]) == 2
+    line = capsys.readouterr().out.splitlines()[0]
+    assert "cases=10    max_residual=nan  tol=1.0e-10  FAIL" in line
+
+
+def _nan_first_entry(linked):
+    """The link kernel with the first amplitude of its result NaN."""
+
+    def poisoned(*args):
+        out = np.array(linked(*args))
+        out.reshape(-1)[0] = np.nan
+        return out
+
+    return poisoned
+
+
+@pytest.mark.parametrize("kind", ["ideal", "exact"])
+def test_a_nan_link_fails_every_condition(monkeypatch, kind):
+    """One NaN amplitude out of each call of the link kernel makes all three
+    condition residuals NaN, and every condition fails."""
+    rng = np.random.default_rng(5)
+    pm = (premeasurement.random_ideal if kind == "ideal" else premeasurement.random_exact)(
+        "A", "B", 3, 4, rng
+    )
+    assert all(rep.passed for rep in premeasurement.check_conditions(pm, trials=4, seed=1))
+    monkeypatch.setattr(premeasurement, "_linked", _nan_first_entry(premeasurement._linked))
+    reports = premeasurement.check_conditions(pm, trials=4, seed=1)
+    assert [rep.condition for rep in reports] == [
+        "calibration",
+        "probability_reproduction",
+        "dynamical",
+    ]
+    for rep in reports:
+        assert math.isnan(rep.max_residual) and not rep.passed, rep
+
+
+def test_worst_keeps_a_nan_wherever_it_stands():
+    assert hilbert._worst([]) == 0.0
+    assert hilbert._worst([1e-3, math.inf, 2.0]) == math.inf
+    for values in ([math.nan, 1.0], [1.0, math.nan], [0.0, math.inf, math.nan]):
+        assert not math.isnan(max(0.0, *values))  # the builtin fold drops it
+        assert math.isnan(hilbert._worst(values))
+    # otherwise max(0.0, *values) to the bit: the first of equal values is kept
+    first, second = np.float64(0.5), 0.5
+    assert hilbert._worst([first, second]) is first
+    assert str(hilbert._worst([-0.0, -1.0])) == "0.0"
+
+
+def test_a_nan_monte_carlo_ratio_is_a_failed_repetition():
+    assert suites._failed_fraction([(0.5,), (math.nan,), (1.0,), (1.5,)]) == 0.5

@@ -55,12 +55,12 @@ def _log_pids(monkeypatch, log: Path, caller_delay_s: float = 0.0):
     caller = os.getpid()
 
     def wrap(check):
-        def logged(ctx):
+        def logged(ctx, rng):
             if os.getpid() == caller:
                 time.sleep(caller_delay_s)
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return check(ctx)
+            return check(ctx, rng)
 
         return logged
 
@@ -102,10 +102,10 @@ def test_a_dead_helper_costs_no_row(monkeypatch, dying):
     caller = os.getpid()
 
     def wrap(check):
-        def exit_in_helper(ctx):
+        def exit_in_helper(ctx, rng):
             if os.getpid() != caller:
                 os._exit(3)
-            return check(ctx)
+            return check(ctx, rng)
 
         return exit_in_helper
 
@@ -133,7 +133,7 @@ def test_an_interrupted_caller_stops_its_helpers(monkeypatch):
     caller = os.getpid()
 
     def wrap(check):
-        def interrupted(ctx):
+        def interrupted(ctx, rng):
             if os.getpid() == caller:
                 raise KeyboardInterrupt
             time.sleep(60)  # a helper would hold the run up for a minute
