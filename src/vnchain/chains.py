@@ -551,6 +551,34 @@ def monte_carlo_update(
     return MonteCarloUpdate(tuple(member_counts), tuple(accepted_counts), n_samples, seed)
 
 
+def _three_se_ratio(
+    exact: EnsembleUpdateResult, mc: MonteCarloUpdate
+) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """The one Monte Carlo judgement: how far a sample's weights stray from
+    the exact posterior weights, in units of 3 binomial standard errors.
+
+    Returns the worst ratio |w_hat_k - w_k| / (3 se_k) over the members of
+    ``exact`` (``hilbert._worst``), with se_k = sqrt(w_k (1 - w_k) / n) for
+    the n accepted samples, and each member's (w_hat_k, 3 se_k).  The
+    standard deviation sqrt(w_k (1 - w_k)) is floored at ``DEFAULT.zero_norm``,
+    so a member of weight 1 has a positive bound, and a sample that matches
+    it a ratio of 0, not 0/0.  The sample
+    agrees with ``exact`` when the ratio is at most 1, which a NaN ratio is
+    not.  The ``ensemble_update`` analysis reports the ratio and the pairs,
+    and the Monte Carlo ``verify`` suite judges each repetition by it.
+    """
+    total = sum(mc.accepted_counts)
+    empirical = []
+    for m in exact.members:
+        w_hat = mc.accepted_counts[m.index] / total
+        se = math.sqrt(max(m.weight * (1 - m.weight), DEFAULT.zero_norm**2) / total)
+        empirical.append((w_hat, 3 * se))
+    ratio = _worst(
+        abs(w_hat - m.weight) / bound for m, (w_hat, bound) in zip(exact.members, empirical)
+    )
+    return ratio, tuple(empirical)
+
+
 def redecompose(ens: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:
     """A different pure-state decomposition of the same mixture.
 

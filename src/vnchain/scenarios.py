@@ -45,9 +45,8 @@ import numpy as np
 
 from .branches import BranchDecomposition
 from .chains import (
-    EnsembleUpdateResult,
-    MonteCarloUpdate,
     _link_position,
+    _three_se_ratio,
     ensemble_update,
     improper_mixture,
     monte_carlo_update,
@@ -1070,31 +1069,6 @@ def _analysis_world(spec, pms, final, options) -> ReportSection:
         checks=(_weight_sum_check(bd, options.tolerance),),
         notes=tuple(notes),
     )
-
-
-def _three_se_ratio(
-    exact: EnsembleUpdateResult, mc: MonteCarloUpdate
-) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """The one Monte Carlo judgement: how far a sample's weights stray from
-    the exact posterior weights, in units of 3 binomial standard errors.
-
-    Returns the worst ratio |w_hat_k - w_k| / (3 se_k) over the members of
-    ``exact`` (``hilbert._worst``), with se_k = sqrt(w_k (1 - w_k) / n) for
-    the n accepted samples, and each member's (w_hat_k, 3 se_k).  The sample
-    agrees with ``exact`` when the ratio is at most 1, which a NaN ratio is
-    not.  The ``ensemble_update`` analysis reports the ratio and the pairs,
-    and the Monte Carlo ``verify`` suite judges each repetition by it.
-    """
-    total = sum(mc.accepted_counts)
-    empirical = []
-    for m in exact.members:
-        w_hat = mc.accepted_counts[m.index] / total
-        se = math.sqrt(max(m.weight * (1 - m.weight), 1e-300) / total)
-        empirical.append((w_hat, 3 * se))
-    ratio = _worst(
-        abs(w_hat - m.weight) / bound for m, (w_hat, bound) in zip(exact.members, empirical)
-    )
-    return ratio, tuple(empirical)
 
 
 def _analysis_ensemble(spec, pms, final, options) -> ReportSection:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .chains import (
     WeightedEnsemble,
+    _three_se_ratio,
     conditional_state,
     ensemble_update,
     improper_mixture,
@@ -80,7 +81,6 @@ from .premeasurement import (
     random_exact,
     random_ideal,
 )
-from .scenarios import _three_se_ratio
 from .tolerances import DEFAULT
 
 

@@ -54,7 +54,9 @@ class Tolerances:
     - ``eig_merge``: width within which eigenvalues form one branch.
     - ``weight``: smallest branch, member or event weight kept.
     - ``condition``: pass threshold of the premeasurement condition checks.
-    - ``zero_norm``: smallest norm ``StateVector.normalize`` divides by.
+    - ``zero_norm``: smallest norm ``StateVector.normalize`` divides by, and
+      smallest binomial standard deviation sqrt(w (1 - w)) that the Monte
+      Carlo judgement (``chains._three_se_ratio``) divides by.
     - ``completion``: smallest residual norm of a candidate that
       ``complete_orthonormal`` keeps as a new direction.
     - ``pointer_match``: ||F v - v|| below which a pointer state v lies in the

@@ -636,21 +636,42 @@ class TestOutOfMemory:
         assert plain or "Unable to allocate 16.0 TiB" in err
 
 
+# Every exception that a valid document can raise in ``vnchain run``, with
+# its exit code, its one stderr line (the start of it, for ``MemoryError``)
+# and the phrase that names it under that code in the ``cli`` docstring (so
+# in ``--help``).  The three tests below run, each, a valid document that
+# raises one of them.
+RUN_EXCEPTIONS = {
+    "ZeroSampleError": (
+        2,
+        "error: no sample triggered the event; cannot form weights\n",
+        "a Monte Carlo ``ensemble_update`` that accepts no sample",
+    ),
+    "UndefinedConditionalError": (
+        2,
+        "error: event occurrence probability 0.0 is (numerically) zero\n",
+        "a conditioning event of zero probability",
+    ),
+    "MemoryError": (1, "error: out of memory: ", "an allocation that does not fit in memory"),
+}
+
+
 def test_an_event_no_sample_triggers_is_a_numerical_failure(tmp_path, capsys):
     """A valid document whose Monte Carlo ``ensemble_update`` accepts none
     of its samples (an event of probability 2e-4, 5 samples) is one error
     line with the numerical-failure exit code 2, not a traceback."""
     from vnchain.cli import main
 
+    code, line, _ = RUN_EXCEPTIONS["ZeroSampleError"]
     doc = builtin_document("ensemble-update")
     doc["initial"]["state"] = [[0.9999, 0.0], [0.01414, 0.0]]
     doc["analyses"][0].update(projector={"subsystem": "meter", "state": "basis:1"}, samples=5)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     for seed in ("0", "5"):
-        assert main(["run", str(path), "--seed", seed]) == 2
+        assert main(["run", str(path), "--seed", seed]) == code
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: no sample triggered the event; cannot form weights\n")
+        assert (out, err) == ("", line)
 
 
 @pytest.mark.parametrize(
@@ -671,56 +692,13 @@ def test_an_event_of_zero_probability_is_a_numerical_failure(tmp_path, capsys, d
     code 2, as an empty Monte Carlo sample is."""
     from vnchain.cli import main
 
+    code, line, _ = RUN_EXCEPTIONS["UndefinedConditionalError"]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    assert main(["run", str(path)]) == 2
+    assert main(["run", str(path)]) == code
     out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: event occurrence probability 0.0 is (numerically) zero\n")
+    assert (out, err) == ("", line)
 
-
-def _no_sample_document() -> dict:
-    """The Monte Carlo ``ensemble_update`` of an event of probability 2e-4,
-    with 5 samples: no sample triggers it at seed 0."""
-    doc = builtin_document("ensemble-update")
-    doc["initial"]["state"] = [[0.9999, 0.0], [0.01414, 0.0]]
-    doc["analyses"][0].update(projector={"subsystem": "meter", "state": "basis:1"}, samples=5)
-    return doc
-
-
-def _two_meter_chain(d: int) -> dict:
-    """q(2) -> B(d) -> C(d) with ``branches``: one final state of 2 d^2
-    amplitudes."""
-    from test_growth import two_meter_chain
-
-    return two_meter_chain(d, "ideal", "branches")
-
-
-# Every exception that a valid document can raise in ``vnchain run``, with
-# its exit code, the start of its one stderr line, the phrase that names it
-# under that code in the ``cli`` docstring (so in ``--help``), and a valid
-# document that raises it.  The state of the last document takes 2 GiB: it
-# is run in a child process whose address space is limited to 1 GiB, on a
-# machine that the parser is told has 1 TiB of memory.
-RUN_EXCEPTIONS = {
-    "ZeroSampleError": (
-        2,
-        "error: no sample triggered the event; cannot form weights",
-        "a Monte Carlo ``ensemble_update`` that accepts no sample",
-        _no_sample_document,
-    ),
-    "UndefinedConditionalError": (
-        2,
-        "error: event occurrence probability 0.0 is (numerically) zero",
-        "a conditioning event of zero probability",
-        lambda: padding_chain(5, event_branch=1),
-    ),
-    "MemoryError": (
-        1,
-        "error: out of memory: ",
-        "an allocation that does not fit in memory",
-        lambda: _two_meter_chain(2**13),
-    ),
-}
 
 _LIMITED_RUN = """
 import resource, sys
@@ -729,6 +707,30 @@ from vnchain import cli, scenarios
 scenarios._physical_memory = lambda: 2**40
 sys.exit(cli.main(["run", sys.argv[1]]))
 """
+
+
+def test_a_state_beyond_the_address_space_is_out_of_memory(tmp_path):
+    """The two-meter chain q(2) -> B(d) -> C(d) at d = 8192, whose final
+    state of 2 d^2 amplitudes takes 2 GiB, run in a child process whose
+    address space is limited to 1 GiB, on a machine that the parser is told
+    has 1 TiB, so its size guard lets the document through on any host.
+    The allocation that fails is one error line with exit 1."""
+    from test_growth import two_meter_chain
+
+    code, prefix, _ = RUN_EXCEPTIONS["MemoryError"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(two_meter_chain(2**13, "ideal", "branches")))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", _LIMITED_RUN, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (code, ""), done.stderr[-2000:]
+    assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1, done.stderr[-2000:]
 
 
 def _exit_code_clauses(doc: str) -> dict[int, str]:
@@ -747,26 +749,8 @@ def test_the_run_exception_table_matches_the_cli_docstring():
 
     clauses = _exit_code_clauses(cli_module.__doc__)
     assert sorted(clauses) == [0, 1, 2]
-    for name, (code, _, phrase, _) in RUN_EXCEPTIONS.items():
+    for name, (code, _, phrase) in RUN_EXCEPTIONS.items():
         assert phrase in clauses[code], (name, clauses[code])
-
-
-@pytest.mark.parametrize("name", sorted(RUN_EXCEPTIONS))
-def test_each_run_exception_gives_its_code_and_line(tmp_path, name):
-    code, prefix, _, document = RUN_EXCEPTIONS[name]
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(document()))
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    done = subprocess.run(
-        [sys.executable, "-c", _LIMITED_RUN, str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert (done.returncode, done.stdout) == (code, ""), done.stderr[-2000:]
-    assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1, done.stderr[-2000:]
 
 
 class TestParserReuse:

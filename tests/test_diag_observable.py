@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vnchain import cli, observable_from_matrix
+from vnchain.observables import _merged_spectrum
 from vnchain.scenarios import ScenarioError, _parse_observable, builtin_names, parse_scenario
 from vnchain.tolerances import DEFAULT
 
@@ -76,19 +77,22 @@ def _entries(draw):
 
 
 class TestDifferential:
-    """Against ``observable_from_matrix(np.diag(entries))``: the same
-    branches, every projector equal bit for bit, and the same eigenvalues.
+    """Against the exact spectrum of the entries, and against
+    ``observable_from_matrix(np.diag(entries))``: the same branches, every
+    projector equal bit for bit, and the same eigenvalues.
 
-    The eigenvalues are equal bit for bit while the matrix norm stays
-    between about 1e-146 and 7e145, LAPACK's thresholds for scaling.  Above
-    the upper one ``eigh`` solves a scaled-down copy and scales its
-    eigenvalues back, so an entry of 3 beside 1e308 comes back as
-    3.0000000000000004; below the lower one it scales up, so the entry
-    5.848374525608026e-258 comes back one unit in the last place off, and
-    the mean of [0, 5.848374525608026e-258] as 2.9241872628040126e-258
-    against the exact 2.924187262804013e-258.  There the parsed
-    eigenvalues are the exact entries and the eigensolver's lie within a
-    few rounding errors of them, relative to the norm.
+    The exact oracle is ``_merged_spectrum`` of the sorted entries: the
+    parsed eigenvalues, and the matrix they rebuild, equal it bit for bit
+    at every norm.  The eigensolver's eigenvalues equal it bit for bit
+    while the matrix norm stays between about 1e-146 and 7e145, LAPACK's
+    thresholds for scaling.  Above the upper one ``eigh`` solves a
+    scaled-down copy and scales its eigenvalues back, so an entry of 3
+    beside 1e308 comes back as 3.0000000000000004; below the lower one it
+    scales up, so the entry 5.848374525608026e-258 comes back one unit in
+    the last place off, and the mean of [0, 5.848374525608026e-258] as
+    2.9241872628040126e-258 against the exact 2.924187262804013e-258.
+    There the eigensolver's eigenvalues lie within a few rounding errors
+    of the exact ones, relative to the norm.
     """
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -100,13 +104,17 @@ class TestDifferential:
         assert [b.rank for b in parsed.branches] == [b.rank for b in reference.branches]
         for mine, theirs in zip(parsed.branches, reference.branches):
             assert mine.projector.tobytes() == theirs.projector.tobytes()
+        exact, _ = _merged_spectrum(sorted(float(v) for v in entries))
+        assert np.array(parsed.eigenvalues).tobytes() == np.array(exact).tobytes()
+        rebuilt = sum(e * b.projector for e, b in zip(exact, reference.branches))
+        assert parsed.matrix().tobytes() == rebuilt.tobytes()
         norm = max(abs(v) for v in entries)
         if norm == 0 or 1e-145 < norm < 1e145:
             assert parsed.eigenvalues == reference.eigenvalues
             assert parsed.matrix().tobytes() == reference.matrix().tobytes()
         else:
             np.testing.assert_allclose(
-                parsed.eigenvalues, reference.eigenvalues, rtol=4e-16, atol=4e-16 * min(norm, 1)
+                reference.eigenvalues, exact, rtol=4e-16, atol=4e-16 * min(norm, 1)
             )
             lone = [b.eigenvalue for b in parsed.branches if b.rank == 1]
             assert all(e in entries for e in lone)
