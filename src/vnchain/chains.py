@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +106,6 @@ class EnsembleUpdateResult:
     """Re-weighted ensemble after an event occurred on the subject subsystem."""
 
     members: tuple[UpdatedMember, ...]
-    aggregate: DensityOperator
     occurrence_probability: float
 
     @property
@@ -115,6 +115,13 @@ class EnsembleUpdateResult:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(m.index for m in self.members)
+
+    @cached_property
+    def aggregate(self) -> DensityOperator:
+        """The opposite-subsystem state sum_k w'_k rho_k, the members' sum,
+        factored as [sqrt(w'_k) M_k]; formed on first read and kept."""
+        m = np.hstack([math.sqrt(u.weight) * u.state.factor for u in self.members])
+        return DensityOperator(self.members[0].state.layout, m)
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,12 @@ def _keep_positions(lay: SubsystemLayout, remove: set[str]) -> list[int]:
     return [i for i, label in enumerate(lay.labels) if label not in remove]
 
 
+def _projected(amplitudes, event: ObservableBranch, dims, pos: int) -> tuple[np.ndarray, float]:
+    """L psi for the factor L of an event F = L^dag L on axis ``pos``, and ||L psi||^2."""
+    projected = event.factor(amplitudes, dims, pos)
+    return projected, float(np.real(np.vdot(projected, projected)))
+
+
 def _condition_vector(
     amplitudes: np.ndarray,
     event: ObservableBranch,
@@ -162,8 +175,7 @@ def _condition_vector(
     The factor is fresh and frozen, so the ``DensityOperator`` made of it
     adopts it (``hilbert._owned``) instead of copying it.
     """
-    projected = event.factor(amplitudes, dims, pos)
-    w = float(np.real(np.vdot(projected, projected)))
+    projected, w = _projected(amplitudes, event, dims, pos)
     if w <= DEFAULT.weight:
         return w, None
     m = partial_trace_vector(projected, _resized(dims, pos, event.factor_rows), keep)
@@ -446,13 +458,12 @@ def ensemble_update(
     The event is given as its block Q (P = Q Q^dag) or as a branch of a
     pointer observable, the idle complement included (``_event_branch``).
 
-    New weights are w_k * <Psi_k|P|Psi_k> renormalized by the total
-    occurrence probability; members that never trigger the event are
-    dropped.  The event is applied through its factor: Q^dag, or
-    I - G G^dag for a complement.
-    The aggregate opposite-subsystem state is conditioned from the mixture's
-    factor [sqrt(w_k) Psi_k] in one batch and cross-checked against the
-    member sum.
+    New weights are w_k <Psi_k|P|Psi_k> renormalized by their sum, the
+    occurrence probability, over the members kept: each member is
+    conditioned once, through the event's factor (Q^dag, or I - G G^dag for
+    a complement), and kept when its event weight exceeds ``DEFAULT.weight``.
+    The update is undefined when the sum is at most that floor.  The
+    aggregate is formed on read (``EnsembleUpdateResult.aggregate``).
     """
     lay = ens.layout
     branch = _event_branch(event)
@@ -460,33 +471,19 @@ def ensemble_update(
     if not keep:
         raise LayoutConflictError("subject subsystem is the whole layout")
     pos = lay.position(subject)
-    conditioned = [
-        _condition_vector(s.amplitudes, branch, lay.dims, pos, keep) for _, s in ens.members
-    ]
-    total = sum(w * q for (w, _), (q, _) in zip(ens.members, conditioned))
+    kept = []
+    for k, (w, s) in enumerate(ens.members):
+        q, m = _condition_vector(s.amplitudes, branch, lay.dims, pos, keep)
+        if m is not None:
+            kept.append((k, w * q, m))
+    total = sum((wq for _, wq, _ in kept), 0.0)
     if total <= DEFAULT.weight:
         raise UndefinedConditionalError(
             f"event occurrence probability {total!r} is (numerically) zero"
         )
     reduced_layout = lay.restricted(set(lay.labels) - {subject})
-    updated = []
-    for k, ((w, _), (q, m)) in enumerate(zip(ens.members, conditioned)):
-        if m is None:
-            continue
-        state = DensityOperator(reduced_layout, m)
-        updated.append(UpdatedMember(k, w * q / total, state))
-    mixture = np.stack([np.sqrt(w) * s.amplitudes for w, s in ens.members])
-    _, m = _condition_vector(mixture, branch, lay.dims, pos, keep)
-    aggregate = DensityOperator(reduced_layout, m)
-    recombined = np.hstack([math.sqrt(u.weight) * u.state.factor for u in updated])
-    resid = _fro(factor_difference(recombined, aggregate.factor))
-    # The factored residual does not grow with D (see ``Tolerances``), so the
-    # bound's D scale stops at 2**10, the largest D it was sized for.
-    if resid > DEFAULT.reconstruction * min(max(1, aggregate.layout.dim), 2**10):
-        raise ArithmeticError(
-            f"updated members do not resum to the aggregate state ({resid:.3e})"
-        )
-    return EnsembleUpdateResult(tuple(updated), aggregate, total)
+    updated = (UpdatedMember(k, wq / total, DensityOperator(reduced_layout, m)) for k, wq, m in kept)
+    return EnsembleUpdateResult(tuple(updated), total)
 
 
 def _mc_counts(
@@ -526,9 +523,9 @@ def monte_carlo_update(
     """Finite-sample counterpart of ``ensemble_update``.
 
     Each sample picks a member with the prior weights and then flips an
-    occurrence coin with that member's event probability ||L Psi_k||^2
-    for the factor L of the event, a block Q (L = Q^dag) or a pointer
-    branch, as ``ensemble_update`` takes it; empirical weights are the accepted
+    occurrence coin with that member's event probability ||L Psi_k||^2 for
+    the factor L of the event, taken as ``ensemble_update`` takes it and
+    weighed by its rule (``_projected``); empirical weights are the accepted
     counts normalized.  Driven by ``numpy``'s PCG64 generator, so runs are
     bit-reproducible per seed: n uniforms pick members through the
     cumulative weights, as ``Generator.choice`` does, then n occurrence
@@ -539,10 +536,8 @@ def monte_carlo_update(
         raise ValueError("n_samples must be >= 1")
     branch = _event_branch(event)
     lay = ens.layout
-    amps = np.array([s.amplitudes for _, s in ens.members])
-    projected = branch.factor(amps, lay.dims, lay.position(subject))
-    probs = np.sum(np.abs(projected) ** 2, axis=1)
-    probs = np.clip(probs, 0.0, 1.0)
+    pos = lay.position(subject)
+    probs = np.array([_projected(s.amplitudes, branch, lay.dims, pos)[1] for _, s in ens.members])
     member_counts, accepted_counts = _mc_counts(
         np.array(ens.weights), probs, n_samples, np.random.default_rng(seed)
     )

@@ -1096,7 +1096,7 @@ def _analysis_ensemble(spec, pms, final, options) -> ReportSection:
         rows.append(tuple(row))
     notes = (
         f"occurrence probability: {result.occurrence_probability:.10f}",
-        f"aggregate state on {'+'.join(result.aggregate.layout.labels)}",
+        f"aggregate state on {'+'.join(result.members[0].state.layout.labels)}",
     )
     return ReportSection(
         title=f"ensemble update (event on {subject!r})",

@@ -16,12 +16,7 @@ columns with rho = M M^dag:
   factored state is ||M||_F^2.  Both are sums of D terms, whose rounding is
   at most about D u and typically sqrt(D) u: 1e-13 at D = 2**20 (observed
   <= 5e-15 on 20-qubit chains of random states).
-* ``reconstruction`` bounds weight sums, which add a few terms, not D.  The
-  ensemble-update cross-check compares the member sum with the aggregate
-  through a thin QR of their stacked factors (``hilbert.factor_difference``);
-  its residual does not grow with D (observed 2e-16 to 1.3e-15 from D = 2**8
-  to 2**20), so the D scale of its bound, ``reconstruction * D``, stops at
-  2**10: 1e-7 at D = 2**20 instead of 1e-4, unchanged at D <= 2**10.
+* ``reconstruction`` bounds weight sums, which add a few terms, not D.
 * ``herm`` and ``psd`` apply only to matrices given densely; a state held as
   its factor is Hermitian and PSD by construction.  The eigensolver's error
   in lambda_min is about D u ||rho||_2 <= D u: 2e-12 at D = 2**14, the

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vnchain import cli, observable_from_matrix
@@ -97,6 +97,7 @@ class TestDifferential:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_entries())
+    @example([0, 5.848374525608026e-258])  # below LAPACK's lower scaling threshold
     def test_diag_matches_the_eigensolver_route(self, entries):
         parsed = _observable_of(_document({"diag": entries}, len(entries)))
         reference = observable_from_matrix(np.diag(np.array(entries, dtype=float)), "a")

@@ -161,13 +161,14 @@ def copy_chain(qubits: int, analysis: str) -> dict:
 COPY_QUBITS = (12, 14, 16)
 # Peaks measured at N = 12, 14, 16, in final-state vectors, rounded up to
 # the bound: branches 4.41, 4.08, 4.02; improper_mixture 7.32, 7.08, 7.02;
-# world_branches 4.28, 4.08, 4.02; ensemble_update 12.32, 12.09, 12.02;
-# condition_reports 1.77, 1.55, 1.52.
+# world_branches 4.28, 4.08, 4.02; ensemble_update 4.91, 4.58, 4.52 (12.32,
+# 12.09, 12.02 while it also conditioned the stacked mixture [sqrt(w_k) Psi_k]
+# for its aggregate); condition_reports 1.77, 1.55, 1.52.
 COPY_CHAIN_VECTORS = [
     ("branches", 4.5),
     ("improper_mixture", 7.4),
     ("world_branches", 4.3),
-    ("ensemble_update", 12.4),
+    ("ensemble_update", 5.0),
     ("condition_reports", 1.8),
 ]
 

@@ -573,8 +573,8 @@ def test_twenty_qubit_copy_chain_world_branches(dense_states):
 
 
 def test_twenty_qubit_copy_chain_ensemble_update(dense_states):
-    """Members and aggregate conditioned on |+> of the last qubit, each a
-    factored state on 2**19 dimensions, and their resummation cross-check."""
+    """Members conditioned on |+> of the last qubit, each a factored state
+    on 2**19 dimensions."""
     section = copy_chain_report(TWENTY, "ensemble_update")
     assert section.rows == (
         ("0", "0.3000000000", "0.3000000000"),

@@ -52,6 +52,10 @@ FAULT_TABLE = {
         "chains.redecomposition_invariance",
         "chains.monte_carlo_binomial",
     },
+    "aggregate_last_member_dropped": {
+        "chains.conditional_equivalences",
+        "chains.redecomposition_invariance",
+    },
     "eigenblocks_swapped": {"observables.spectral_reconstruction"},
     "eigenvalues_swapped": {"observables.spectral_reconstruction"},
     "complement_acts_as_given": {"chains.born_weights", "chains.absoluteness"},
@@ -288,6 +292,14 @@ def _complement_block(original):
     return complement
 
 
+def _last_member_dropped(result):
+    """The aggregate of an ensemble update without its last member's columns,
+    rescaled to unit trace: a valid state, but not the members' sum."""
+    kept = result.members[:-1] or result.members
+    m = np.hstack([math.sqrt(u.weight) * u.state.factor for u in kept])
+    return hilbert.DensityOperator(result.members[0].state.layout, m / np.linalg.norm(m))
+
+
 def _inject(monkeypatch, fault: str) -> None:
     if fault in KERNEL_FAULTS:
         name, make = KERNEL_FAULTS[fault]
@@ -359,6 +371,8 @@ def _inject(monkeypatch, fault: str) -> None:
         monkeypatch.setattr(
             chains, "_mc_counts", lambda w, probs, *args: original(w, probs[::-1], *args)
         )
+    elif fault == "aggregate_last_member_dropped":
+        monkeypatch.setattr(chains.EnsembleUpdateResult, "aggregate", property(_last_member_dropped))
     elif fault == "conditional_factor_scaled":
         original = chains._condition_vector
 

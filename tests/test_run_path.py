@@ -27,7 +27,7 @@ from vnchain import (
     observable_from_matrix,
     random_state,
 )
-from vnchain import hilbert, scenarios
+from vnchain import chains, hilbert, scenarios
 from vnchain.chains import extend_chain
 from vnchain.cli import main
 from vnchain.hilbert import StateVector, SubsystemLayout, apply_local
@@ -220,6 +220,20 @@ def test_cli_run_makes_one_chain_state(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     on_chain = [s for s in states if len(s.layout.labels) > 1]
     assert len(on_chain) == 1 + 2  # the final state and its two branch components
+
+
+@pytest.mark.parametrize("samples", [0, 100_000])
+def test_an_ensemble_update_run_never_forms_the_aggregate(monkeypatch, samples):
+    """The ``ensemble_update`` analysis reports the members and reads the
+    reduced layout off one of them, so a run never forms their aggregate."""
+    doc = builtin_document("ensemble-update")
+    doc["analyses"][0]["samples"] = samples
+    formed = []
+    monkeypatch.setattr(chains.EnsembleUpdateResult, "aggregate", property(formed.append))
+    report = run(scenario_from_document(doc))
+    assert report.passed
+    assert "aggregate state on system" in report.sections[-1].notes
+    assert formed == []
 
 
 # --- each link keeps its checks ------------------------------------------------

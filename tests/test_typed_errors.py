@@ -1,11 +1,13 @@
-"""Misuse of the dressing and isometry constructors fails with a typed error.
+"""Misuse of the dressing and isometry constructors, and of the ensemble
+and relative-state calls, fails with a typed error.
 
 ``build_exact`` with a caller's dense pairs or thin dressings,
 ``random_dressings`` (also on a pointer whose idle complement receives a
-pointer state) and ``Premeasurement.from_isometry`` each return a checked
-value or raise a ``vnchain.errors`` type or a ``ValueError``.  No other
-exception (``TypeError``, ``IndexError``, ``LinAlgError``) and no warning
-may escape.  The inputs are drawn by Hypothesis, derandomized, at
+pointer state), ``Premeasurement.from_isometry``, ``ensemble_update``,
+``monte_carlo_update`` and ``relative_state`` each return a checked value
+or raise a ``vnchain.errors`` type or a ``ValueError``.  No other exception
+(``AttributeError``, ``TypeError``, ``IndexError``, ``LinAlgError``) and no
+warning may escape.  The inputs are drawn by Hypothesis, derandomized, at
 dimensions up to 5.
 """
 
@@ -17,8 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnchain import SpectralObservable, SubsystemBasis, basis_state, build_ideal, errors, layout
-from vnchain.hilbert import random_unitary
+from vnchain import (
+    SpectralObservable,
+    StateVector,
+    SubsystemBasis,
+    WeightedEnsemble,
+    basis_state,
+    build_ideal,
+    ensemble_update,
+    errors,
+    layout,
+    monte_carlo_update,
+    relative_state,
+)
+from vnchain.hilbert import random_state, random_unitary
 from vnchain.premeasurement import (
     Premeasurement,
     ThinDressing,
@@ -202,3 +216,165 @@ def test_a_ragged_object_dressing_is_a_dimension_mismatch():
     ragged = np.array([[1, 2], [3]], dtype=object)
     with pytest.raises(errors.DimensionMismatchError, match="object dressing 0 is not a numeric"):
         build_exact(pm, [(ragged, np.eye(4))] * 2)
+
+
+# --- ensemble updates and relative states ------------------------------------
+
+# The subject is "S", the first subsystem; "Z" names none, and "A" names
+# another subsystem when there is one.
+SUBJECTS = ("S", "Z", "A")
+EVENTS = (
+    "block",
+    "pointer block",
+    "complement",
+    "complement of another dimension",
+    "non-orthonormal",
+    "non-finite",
+    "misshapen",
+)
+
+
+def _ensemble(ds: int, others, count: int, rng, part=None, tilt: float = 0.0):
+    """``count`` members of weights summing to 1 + ``tilt`` on S (dimension
+    ``ds``) and the ``others``; with a ``part``, each member is that S part
+    times a random state of the others."""
+    lay = layout(("S", ds), *zip("AB", others))
+    members = []
+    for _ in range(count):
+        psi = random_state(lay, rng)
+        if part is not None:
+            rest = random_state(lay.restricted(set(lay.labels) - {"S"}), rng)
+            psi = StateVector(lay, np.kron(part, rest.amplitudes))
+        members.append(((1 + tilt) / count, psi))
+    return WeightedEnsemble(tuple(members))
+
+
+def _event(kind: str, ds: int, rng):
+    """An event on S, of dimension ``ds``, spoilt by ``kind``."""
+    r = int(rng.integers(1, ds + 1))
+    block = random_unitary(ds, rng)[:, :r]
+    eye = np.eye(ds + (kind == "complement of another dimension"), dtype=complex)
+    pointer_kind = kind in ("pointer block", "complement", "complement of another dimension")
+    if pointer_kind and eye.shape[0] >= 2:  # a pointer with a non-empty complement
+        g = min(r, eye.shape[0] - 1)
+        pointer = SpectralObservable.from_eigenbasis("S", [0.0], [eye[:, :g]], complement=-1.0)
+        return next(b for b in pointer.branches if b.is_complement == (kind != "pointer block"))
+    if kind == "non-orthonormal":
+        return 2 * block
+    if kind == "non-finite":
+        block = np.array(block)
+        block[rng.integers(ds), rng.integers(r)] = [np.nan, np.inf][rng.integers(2)]
+        return block
+    if kind == "misshapen":
+        shapes = [(ds,), (ds, ds + 1), (2, ds, 1), (ds + 1, 1)]
+        return np.ones(shapes[rng.integers(4)])
+    return block
+
+
+_dims = st.integers(1, 5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _dims,
+    st.lists(_dims, max_size=2),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.sampled_from(EVENTS),
+    st.sampled_from(SUBJECTS),
+    st.sampled_from((-1, 0, 1, 40)),
+)
+def test_ensemble_update_and_monte_carlo_update(ds, others, count, seed, kind, subject, samples):
+    """Mismatched subjects, events that are no orthonormal block, and pointer
+    branches, the idle complement included, of the subject's dimension or
+    another."""
+    rng = np.random.default_rng(seed)
+    ens = _ensemble(ds, others, count, rng)
+    event = _event(kind, ds, rng)
+    result = _typed(lambda: ensemble_update(ens, event, subject))
+    if result is not None:
+        assert abs(sum(result.weights) - 1.0) <= 1e-10
+        assert result.aggregate.layout == result.members[0].state.layout
+    sampled = _typed(lambda: monte_carlo_update(ens, event, subject, samples, seed=seed))
+    if sampled is not None:
+        assert sum(sampled.member_counts) == samples
+    if subject == "S" and others and kind == "block":
+        assert result is not None
+
+
+# Amplitudes eps on |1> of S, whose squares lie around the event weight
+# floor ``DEFAULT.weight`` = 1e-12; 1e-6 squares to it exactly.
+NEAR_ZERO = (0.0, 1e-9, 9.9e-7, 1e-6, 1.01e-6, 1e-5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 5),
+    st.lists(_dims, min_size=1, max_size=2),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.sampled_from(NEAR_ZERO),
+    st.sampled_from((-5e-11, 0.0, 5e-11)),
+    st.booleans(),
+)
+def test_events_of_near_zero_probability(ds, others, count, seed, eps, tilt, complement):
+    """Every member's S part is sqrt(1 - eps^2)|0> + eps|1>, so the event
+    |1>, or the idle complement of a pointer on |0>, has probability eps^2
+    in each member; the weights sum to 1 + ``tilt``, within the ensemble's
+    tolerance.  Each call is defined where eps^2 clears the weight floor
+    and refused where it does not, and may go either way within rounding of
+    the floor."""
+    rng = np.random.default_rng(seed)
+    part = np.zeros(ds, dtype=complex)
+    part[:2] = np.sqrt(1 - eps**2), eps
+    ens = _ensemble(ds, others, count, rng, part, tilt)
+    eye = np.eye(ds, dtype=complex)
+    event = eye[:, 1:2]
+    if complement:
+        pointer = SpectralObservable.from_eigenbasis("S", [0.0], [eye[:, :1]], complement=-1.0)
+        event = next(b for b in pointer.branches if b.is_complement)
+    result = _typed(lambda: ensemble_update(ens, event, "S"))
+    sampled = _typed(lambda: monte_carlo_update(ens, event, "S", 40, seed=seed))
+    rel = _typed(lambda: relative_state(ens.members[0][1], "S", eye[1]))
+    for value in (result, rel):
+        if eps**2 > 1.01e-12:
+            assert value is not None
+        elif eps**2 < 0.99e-12:
+            assert value is None
+    if result is not None:
+        assert result.members and abs(sum(result.weights) - 1.0) <= 1e-10
+        assert result.aggregate.layout == result.members[0].state.layout
+    if sampled is not None:
+        assert sum(sampled.accepted_counts) > 0
+
+
+VECTORS = ("unit", "long", "short", "non-finite", "matrix")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    _dims,
+    st.lists(_dims, max_size=2),
+    st.integers(0, 2**16),
+    st.sampled_from(SUBJECTS),
+    st.sampled_from(VECTORS),
+)
+def test_relative_state(ds, others, seed, subject, kind):
+    """Mismatched subjects and subject vectors that are no unit vector of
+    the subject's dimension."""
+    rng = np.random.default_rng(seed)
+    psi = _ensemble(ds, others, 1, rng).members[0][1]
+    phi = random_state(layout(("S", ds)), rng).amplitudes
+    if kind == "long":
+        phi = 2 * phi
+    elif kind == "short":
+        phi = phi[:-1] / np.linalg.norm(phi[:-1]) if ds > 1 else np.ones(2) / np.sqrt(2)
+    elif kind == "non-finite":
+        phi = np.full(ds, [np.nan, np.inf][rng.integers(2)])
+    elif kind == "matrix":
+        phi = np.eye(ds)[:, :1]
+    rel = _typed(lambda: relative_state(psi, subject, phi))
+    if rel is not None:
+        assert abs(rel.norm() - 1.0) <= 1e-10
+    if subject == "S" and others and kind == "unit":
+        assert rel is not None
